@@ -133,6 +133,8 @@ def _update_index(out: Path, extra: dict) -> None:
 def cmd_run(args) -> int:
     doc = _load_config_file(args.config)
     config = _run_config(args, doc)
+    if args.roi_sweep:
+        pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     out = _ensure_out_dir(Path(args.out) if args.out else _default_run_dir(),
                           args.force)
@@ -143,8 +145,6 @@ def cmd_run(args) -> int:
     _update_index(out, {"audit": "audit.jsonl"})
 
     if args.roi_sweep:
-        if config.model != "lightweight":
-            raise ConfigError("--roi-sweep needs the lightweight image model")
         exp = doc.get("explain", {})
         ranking = pipeline.roi_ranking_for(
             result, config.seeds[0],
@@ -264,8 +264,7 @@ def cmd_explain(args) -> int:
 def cmd_select_rois(args) -> int:
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
-    if config.model != "lightweight":
-        raise ConfigError("ROI selection needs the lightweight image model")
+    pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     seed, params = _load_checkpoint(run_dir, config, args.seed)
     data, plan = _rebuild_variant(cohort, config)

@@ -17,6 +17,7 @@ array is indexed ``data[x, y, z]``.
 
 from __future__ import annotations
 
+import functools
 import json
 import struct
 from dataclasses import dataclass, field
@@ -103,8 +104,9 @@ class LabelVolume:
         self.labels.flags.writeable = False
 
     def present_labels(self) -> list[int]:
-        labs = np.unique(self.labels)
-        return [int(v) for v in labs if v != 0]
+        """Nonzero labels that occur, ascending."""
+        counts = np.bincount(self.labels.ravel())
+        return [int(v) for v in np.flatnonzero(counts[1:]) + 1]
 
 
 @dataclass
@@ -162,7 +164,15 @@ def lesion_load(lesion: LabelVolume, atlas: LabelVolume, roi: int) -> float:
 
 
 def left_hemisphere_mask(dims: tuple[int, int, int]) -> LabelVolume:
-    """Binary mask of the left hemisphere half-grid (x < nx/2)."""
+    """Binary mask of the left hemisphere half-grid (x < nx/2).
+
+    Computed once per ``dims``; the labels are read-only.
+    """
+    return _left_hemisphere_mask(tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=8)
+def _left_hemisphere_mask(dims: tuple[int, int, int]) -> LabelVolume:
     nx, ny, nz = dims
     labels = np.zeros(dims, dtype=np.uint16)
     labels[: nx // 2, :, :] = 1

@@ -9,10 +9,16 @@ to flat cell k (cells are numbered row-major, 0-based); cells listed in
 Pre-downsample images carry provenance: for every pixel that displays a
 voxel, the (x, y, z) coordinate it came from.  Downsampling mixes source
 pixels, so it drops provenance.
+
+An ROI tile plan compiles, on its first render, one flat voxel index per
+canvas pixel (-1 where blank).  Every later render with that plan is a
+single gather from the volume, and every image it renders shares one
+read-only provenance array unravelled from that index.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -167,8 +173,12 @@ def voxel_of_pixel(image: Image2D, pixel: tuple[int, int]) -> tuple[int, int, in
     return x, y, z
 
 
+@functools.lru_cache(maxsize=32)
 def _pool_weights(src: int, dst: int) -> np.ndarray:
-    """(dst, src) area-overlap weights; each output row sums to 1."""
+    """(dst, src) area-overlap weights; each output row sums to 1.
+
+    Cached per (src, dst) and returned read-only.
+    """
     if dst > src:
         raise ValueError(f"target {dst} exceeds source {src}")
     if dst <= 0:
@@ -179,7 +189,9 @@ def _pool_weights(src: int, dst: int) -> np.ndarray:
         lo, hi = i * scale, (i + 1) * scale
         for r in range(int(np.floor(lo)), min(src, int(np.ceil(hi)))):
             weights[i, r] = min(hi, r + 1) - max(lo, r)
-    return weights / scale
+    weights /= scale
+    weights.flags.writeable = False
+    return weights
 
 
 def downsample(image: Image2D, target_w: int, target_h: int) -> Image2D:
@@ -214,8 +226,50 @@ class RoiImageSpec:
     def __post_init__(self):
         if len(set(self.roi_labels)) != len(self.roi_labels):
             raise LayoutError("roi_labels must be distinct")
+        if self.tile_gap < 0:
+            raise LayoutError("tile_gap must be >= 0: tiles would overlap")
         if self.reserved_bottom >= self.canvas[0]:
             raise LayoutError("reserved strip swallows the whole canvas")
+
+
+@dataclass(frozen=True)
+class PixelMap:
+    """Which voxel each canvas pixel of an ROI image displays.
+
+    ``voxels`` are flat indices into ``data.ravel()`` of a ``data[x, y, z]``
+    volume, shown at the flat canvas positions ``shown``; every other pixel
+    is blank.  ``labels`` is the atlas label array the map was compiled
+    from.
+    """
+
+    labels: np.ndarray
+    shown: np.ndarray
+    voxels: np.ndarray
+    provenance: np.ndarray  # (h, w, 3) int32, read-only
+
+    @classmethod
+    def compile(cls, tiles, canvas: tuple[int, int],
+                atlas: LabelVolume) -> "PixelMap":
+        nx, ny, nz = atlas.dims
+        dtype = np.int32 if atlas.labels.size <= np.iinfo(np.int32).max \
+            else np.int64
+        flat = np.full(canvas, -1, dtype=dtype)
+        for (label, z, x0, x1, y0, y1, row0, col0) in tiles:
+            # tile row = voxel y, tile column = voxel x
+            index = (np.arange(y0, y1, dtype=dtype)[:, None] * nz
+                     + np.arange(x0, x1, dtype=dtype)[None, :] * (ny * nz) + z)
+            mask = (atlas.labels[x0:x1, y0:y1, z] == label).T
+            flat[row0:row0 + (y1 - y0), col0:col0 + (x1 - x0)] = \
+                np.where(mask, index, -1)
+        shown = np.flatnonzero(flat >= 0)
+        voxels = flat.ravel()[shown]
+        provenance = np.full((*canvas, 3), -1, dtype=np.int32)
+        provenance.reshape(-1, 3)[shown] = np.stack(
+            np.unravel_index(voxels, atlas.dims), axis=1)
+        for arr in (shown, voxels, provenance):
+            arr.flags.writeable = False
+        return cls(labels=atlas.labels, shown=shown, voxels=voxels,
+                   provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -225,6 +279,16 @@ class RoiTilePlan:
     spec: RoiImageSpec
     # per tile: (label, z, x0, x1, y0, y1, row0, col0)
     tiles: tuple[tuple[int, int, int, int, int, int, int, int], ...]
+    # the PixelMap of the atlas this plan last rendered with
+    _compiled: list = field(default_factory=list, init=False, repr=False,
+                            compare=False)
+
+    def pixel_map(self, atlas: LabelVolume) -> PixelMap:
+        """The compiled map for ``atlas``, built on first use."""
+        if not self._compiled or self._compiled[0].labels is not atlas.labels:
+            self._compiled[:] = [PixelMap.compile(self.tiles, self.spec.canvas,
+                                                  atlas)]
+        return self._compiled[0]
 
 
 def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
@@ -233,22 +297,14 @@ def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
     The layout depends only on the atlas and spec, so one plan serves a whole
     cohort sharing the atlas.
     """
+    crops = roi_crops(atlas, spec.roi_labels)
+    cropped = {c[0] for c in crops}
     for label in spec.roi_labels:
-        if label not in atlas.label_names or not np.any(atlas.labels == label):
+        if label not in atlas.label_names or label not in cropped:
             raise LayoutError(f"ROI {label} absent or empty in atlas")
     canvas_h, canvas_w = spec.canvas
     usable_h = canvas_h - spec.reserved_bottom
     gap = spec.tile_gap
-    crops = []
-    for label in spec.roi_labels:
-        mask = atlas.labels == label
-        zs = np.flatnonzero(mask.any(axis=(0, 1)))
-        for z in zs:
-            sl = mask[:, :, z]
-            xs = np.flatnonzero(sl.any(axis=1))
-            ys = np.flatnonzero(sl.any(axis=0))
-            crops.append((int(label), int(z), int(xs[0]), int(xs[-1]) + 1,
-                          int(ys[0]), int(ys[-1]) + 1))
     tiles = []
     cur_row, cur_col, shelf_h = 0, 0, 0
     for (label, z, x0, x1, y0, y1) in crops:
@@ -265,6 +321,25 @@ def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
         cur_col += tw + gap
         shelf_h = max(shelf_h, th)
     return RoiTilePlan(spec=spec, tiles=tuple(tiles))
+
+
+def roi_crops(atlas: LabelVolume,
+              labels) -> list[tuple[int, int, int, int, int, int]]:
+    """(label, z, x0, x1, y0, y1): the bounding box of each ROI on every
+    axial slice it occupies, per label in the given order, z ascending."""
+    nx, ny, _ = atlas.dims
+    crops = []
+    for label in labels:
+        mask = atlas.labels == label
+        in_x = mask.any(axis=1)  # (nx, nz): slice z holds the ROI at column x
+        in_y = mask.any(axis=0)  # (ny, nz)
+        zs = np.flatnonzero(in_x.any(axis=0))
+        in_x, in_y = in_x[:, zs], in_y[:, zs]
+        x0, x1 = in_x.argmax(axis=0), nx - in_x[::-1].argmax(axis=0)
+        y0, y1 = in_y.argmax(axis=0), ny - in_y[::-1].argmax(axis=0)
+        crops += [(int(label), int(z), int(a), int(b), int(c), int(d))
+                  for z, a, b, c, d in zip(zs, x0, x1, y0, y1)]
+    return crops
 
 
 def _required_canvas(crops, canvas_w: int, gap: int) -> int:
@@ -286,20 +361,15 @@ def roi_image(volume: Volume3D, atlas: LabelVolume, spec: RoiImageSpec,
         raise LayoutError(f"volume dims {volume.dims} != atlas dims {atlas.dims}")
     if plan is None:
         plan = plan_roi_tiles(atlas, spec)
+    if plan.spec != spec:
+        raise LayoutError("tile plan was made for another ROI image spec")
+    pmap = plan.pixel_map(atlas)
     canvas_h, canvas_w = spec.canvas
-    pixels = np.zeros((canvas_h, canvas_w), dtype=np.float32)
-    prov = np.full((canvas_h, canvas_w, 3), -1, dtype=np.int32)
-    for (label, z, x0, x1, y0, y1, row0, col0) in plan.tiles:
-        crop = volume.data[x0:x1, y0:y1, z].T  # (th, tw): row = y, col = x
-        mask = (atlas.labels[x0:x1, y0:y1, z] == label).T
-        th, tw = crop.shape
-        pixels[row0:row0 + th, col0:col0 + tw] = np.where(mask, crop, 0.0)
-        xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
-        region = prov[row0:row0 + th, col0:col0 + tw]
-        region[..., 0] = np.where(mask, xs, region[..., 0])
-        region[..., 1] = np.where(mask, ys, region[..., 1])
-        region[..., 2] = np.where(mask, z, region[..., 2])
-    return Image2D(width=canvas_w, height=canvas_h, pixels=pixels, provenance=prov)
+    pixels = np.zeros(canvas_h * canvas_w, dtype=np.float32)
+    pixels[pmap.shown] = volume.data.ravel()[pmap.voxels]
+    return Image2D(width=canvas_w, height=canvas_h,
+                   pixels=pixels.reshape(canvas_h, canvas_w),
+                   provenance=pmap.provenance)
 
 
 def stitched_label_image(atlas: LabelVolume, spec: StitchSpec) -> np.ndarray:

@@ -187,29 +187,16 @@ def auto_grid(nz: int) -> tuple[int, int]:
     return rows, nz // rows
 
 
-def _roi_bboxes(atlas: LabelVolume, labels: Sequence[int]):
-    out = []
-    for label in labels:
-        mask = atlas.labels == label
-        if not mask.any():
-            raise core.DegenerateRoiError(f"ROI {label} has no voxels")
-        for z in range(atlas.dims[2]):
-            sl = mask[:, :, z]
-            if not sl.any():
-                continue
-            xs = np.flatnonzero(sl.any(axis=1))
-            ys = np.flatnonzero(sl.any(axis=0))
-            out.append((label, z, int(xs[0]), int(xs[-1]) + 1,
-                        int(ys[0]), int(ys[-1]) + 1))
-    return out
-
-
 def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int], tile_gap: int = 1,
                  reserved_fraction: float = 0.0) -> RoiImageSpec:
     """Choose a canvas that holds all ROI tiles, near-square, plus an
     optional reserved bottom strip sized as a fraction of the tile area."""
     labels = tuple(int(v) for v in labels)
-    boxes = _roi_bboxes(atlas, labels)
+    boxes = imaging.roi_crops(atlas, labels)
+    cropped = {b[0] for b in boxes}
+    for label in labels:
+        if label not in cropped:
+            raise core.DegenerateRoiError(f"ROI {label} has no voxels")
     area = sum((x1 - x0 + tile_gap) * (y1 - y0 + tile_gap)
                for _, _, x0, x1, y0, y1 in boxes)
     max_w = max(x1 - x0 for _, _, x0, x1, _, _ in boxes)
@@ -448,6 +435,19 @@ def _predictor(config: RunConfig, params: ModelParams,
     return predict
 
 
+def _subgroup_row(probs: np.ndarray, labels: np.ndarray,
+                  severities: Sequence[str], threshold: float) -> MetricsRow:
+    """Severe-or-moderate metrics, all nan when the held-out group has no
+    such subject (a small cohort can deal none into group 5)."""
+    if not set(severities) & set(evalharness.SUBGROUP_SEVERITIES):
+        nan = math.nan
+        return MetricsRow(accuracy=nan, balanced_accuracy=nan,
+                          sensitivity=nan, specificity=nan, precision=nan,
+                          f1=nan, auc=nan, tp=0, fp=0, tn=0, fn=0,
+                          threshold=threshold, flags=("empty-subgroup",))
+    return evalharness.subgroup_metrics(probs, labels, severities, threshold)
+
+
 def run_experiment(cohort: CohortData, config: RunConfig,
                    audit_path: str | Path | None = None) -> RunResult:
     """The full protocol for one (variant, model) cell."""
@@ -512,8 +512,8 @@ def run_experiment(cohort: CohortData, config: RunConfig,
         by_id = {r.id: r for r in records}
         severities = [by_id[i].severity for i in test_ids]
         row = evalharness.metrics(probs, test_set.labels, config.threshold)
-        sub = evalharness.subgroup_metrics(probs, test_set.labels, severities,
-                                           config.threshold)
+        sub = _subgroup_row(probs, test_set.labels, severities,
+                            config.threshold)
         sweep = tuple(evalharness.threshold_sweep(probs, test_set.labels))
         seed_results.append(SeedResult(seed=seed, temperature=cal.temperature,
                                        val_loss=val_loss, test=row,
@@ -601,6 +601,19 @@ def roi_ranking_for(result: RunResult, seed: int,
         n_explain=n_explain, n_perturb=n_perturb, seed=explain_seed)
 
 
+def require_roi_selection(config: RunConfig) -> None:
+    """ROI-count selection re-renders only the top-k ROIs, so it needs the
+    image-only model on an ROI variant: a stitched image shows every slice
+    whatever k is, and every k would score the same."""
+    if config.model != "lightweight":
+        raise ConfigError("ROI selection needs the lightweight image model; "
+                          f"this run uses {config.model!r}")
+    if config.variant.endswith("stitched"):
+        raise ConfigError(
+            f"ROI selection needs an ROI variant; {config.variant!r} images "
+            "do not depend on the ROI count")
+
+
 def roi_count_sweep(cohort: CohortData, config: RunConfig,
                     ranking: explain.RoiRanking,
                     counts: Sequence[int] = tuple(range(3, 13)),
@@ -611,6 +624,7 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
     cross-validate over groups 1-4; k* minimizes mean balanced val loss.
 
     Only groups 1-4 are touched, so an already-sealed box may be shared."""
+    require_roi_selection(config)
     records = cohort.records
     if plan is None:
         plan = evalharness.stratified_partition(records, k=5,

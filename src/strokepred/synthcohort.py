@@ -12,6 +12,7 @@ recovery time helps.  Nothing anatomical is being modeled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -138,12 +139,35 @@ class SynthConfig:
 
 
 def brain_mask(dims: tuple[int, int, int]) -> np.ndarray:
-    """Ellipsoidal mask, semi-axes (0.45, 0.45, 0.42) of each extent."""
+    """Ellipsoidal mask, semi-axes (0.45, 0.45, 0.42) of each extent.
+
+    Computed once per ``dims`` and returned read-only.
+    """
+    return _brain_mask(tuple(int(d) for d in dims))
+
+
+@functools.lru_cache(maxsize=8)
+def _brain_mask(dims: tuple[int, int, int]) -> np.ndarray:
     nx, ny, nz = dims
-    x, y, z = np.mgrid[0:nx, 0:ny, 0:nz].astype(np.float64)
     cx, cy, cz = (nx - 1) / 2, (ny - 1) / 2, (nz - 1) / 2
     ax, ay, az = 0.45 * nx, 0.45 * ny, 0.42 * nz
-    return ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
+    x, y, z = _axes(dims)
+    mask = ((x - cx) / ax) ** 2 + ((y - cy) / ay) ** 2 + ((z - cz) / az) ** 2 <= 1.0
+    mask.flags.writeable = False
+    return mask
+
+
+def _axes(dims, start=(0, 0, 0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """float64 coordinate vectors shaped to broadcast like ``np.mgrid``.
+
+    Elementwise arithmetic on these gives the same values as on the dense
+    grid, and a broadcast sum ``(X + Y) + Z`` adds in the same order.
+    """
+    x0, y0, z0 = start
+    nx, ny, nz = dims
+    return (np.arange(x0, x0 + nx, dtype=np.float64)[:, None, None],
+            np.arange(y0, y0 + ny, dtype=np.float64)[None, :, None],
+            np.arange(z0, z0 + nz, dtype=np.float64)[None, None, :])
 
 
 def atlas_sites(config: SynthConfig, kind: str = "rois") -> np.ndarray:
@@ -185,9 +209,8 @@ def atlas_sites(config: SynthConfig, kind: str = "rois") -> np.ndarray:
 def gen_atlas(config: SynthConfig, kind: str = "rois") -> LabelVolume:
     """Voronoi parcellation of the brain mask; ties go to the lowest label."""
     sites = atlas_sites(config, kind)
-    nx, ny, nz = config.dims
     mask = brain_mask(config.dims)
-    x, y, z = np.mgrid[0:nx, 0:ny, 0:nz].astype(np.float64)
+    x, y, z = _axes(config.dims)
     best = np.full(config.dims, np.inf)
     labels = np.zeros(config.dims, dtype=np.uint16)
     for i, (sx, sy, sz) in enumerate(sites):
@@ -254,7 +277,7 @@ def _sample_lesion(config: SynthConfig, rng: CounterRng,
         x0, x1 = max(0, int(cx - a)), min(nx, int(cx + a) + 1)
         y0, y1 = max(0, int(cy - b)), min(ny, int(cy + b) + 1)
         z0, z1 = max(0, int(cz - c)), min(nz, int(cz + c) + 1)
-        x, y, z = np.mgrid[x0:x1, y0:y1, z0:z1].astype(np.float64)
+        x, y, z = _axes((x1 - x0, y1 - y0, z1 - z0), start=(x0, y0, z0))
         inside = (((x - cx) / a) ** 2 + ((y - cy) / b) ** 2
                   + ((z - cz) / c) ** 2) <= 1.0
         lesion[x0:x1, y0:y1, z0:z1] |= inside
@@ -265,12 +288,12 @@ def _background(config: SynthConfig, rng: CounterRng) -> np.ndarray:
     nx, ny, nz = config.dims
     phases = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
     freqs = [rng.randint(1, 3) for _ in range(3)]
-    x, y, z = np.mgrid[0:nx, 0:ny, 0:nz].astype(np.float64)
+    x, y, z = _axes(config.dims)
     bg = (0.55
           + 0.13 * np.cos(2 * math.pi * freqs[0] * x / nx + phases[0])
           + 0.11 * np.cos(2 * math.pi * freqs[1] * y / ny + phases[1])
           + 0.09 * np.cos(2 * math.pi * freqs[2] * z / nz + phases[2]))
-    return np.clip(bg, 0.05, 0.95)
+    return np.clip(bg, 0.05, 0.95, out=bg)
 
 
 def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
@@ -289,8 +312,8 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
 
     lesion_mask = _sample_lesion(config, rng, mask)
     bg = _background(config, rng)
-    intensity = np.where(mask, bg, 0.0)
-    intensity = np.where(lesion_mask, bg * 0.3, intensity)
+    intensity = bg * mask  # exactly bg inside the brain, 0 outside
+    np.multiply(bg, 0.3, out=intensity, where=lesion_mask)
     volume = Volume3D(dims=config.dims, data=intensity.astype(np.float32))
     lesion = LabelVolume(dims=config.dims,
                          labels=lesion_mask.astype(np.uint16),

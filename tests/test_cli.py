@@ -193,3 +193,26 @@ def test_entry_point_help():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+@pytest.mark.parametrize("variant", ["stitched", "hybrid-stitched"])
+def test_select_rois_rejects_stitched_run(variant, tmp_path, capsys):
+    # refused from the run's index alone: no cohort is read, nothing written
+    run = tmp_path / "run"
+    run.mkdir()
+    config = cli.RunConfig(variant=variant, seeds=(1,))
+    (run / "index.json").write_text(json.dumps({"config": config.to_json_dict()}))
+    code = main(["select-rois", "--cohort", str(tmp_path / "no-cohort"),
+                 "--run", str(run), "--out", str(tmp_path / "sel")])
+    assert code == EXIT_CONFIG
+    assert "ROI variant" in capsys.readouterr().err
+    assert not (tmp_path / "sel").exists()
+
+
+def test_run_roi_sweep_rejects_stitched_before_training(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(tmp_path / "no-cohort"),
+                 "--out", str(out), "--variant", "stitched", "--roi-sweep"])
+    assert code == EXIT_CONFIG
+    assert "ROI variant" in capsys.readouterr().err
+    assert not out.exists()

@@ -263,3 +263,26 @@ def test_manifest_duplicate_ids_rejected():
             volume_paths={"dup": "a"}, lesion_paths={"dup": "b"},
             atlas_path="atlas.vol", atlas_labels={},
         )
+
+
+def test_left_hemisphere_mask_computed_once_and_read_only():
+    mask = left_hemisphere_mask((6, 4, 5))
+    assert left_hemisphere_mask((6, 4, 5)) is mask
+    assert mask.labels[:3].all() and not mask.labels[3:].any()
+    with pytest.raises(ValueError):
+        mask.labels[0, 0, 0] = 0
+
+
+def test_present_labels_equals_unique():
+    from strokepred.synthcohort import (SynthConfig, default_truth, gen_atlas,
+                                        gen_subject)
+    cfg = SynthConfig(seed=3, n_subjects=10, dims=(24, 20, 16), n_rois=9)
+    atlas = gen_atlas(cfg)
+    _, lesion, _ = gen_subject(cfg, default_truth(), 0, atlas)
+    sparse = np.zeros((5, 5, 5), np.uint16)
+    sparse[1, 2, 3], sparse[4, 0, 0] = 65535, 7
+    for labels in (atlas.labels, lesion.labels, np.zeros((4, 3, 2), np.uint16),
+                   sparse):
+        vol = LabelVolume(dims=labels.shape, labels=labels)
+        expected = [int(v) for v in np.unique(labels) if v != 0]
+        assert vol.present_labels() == expected

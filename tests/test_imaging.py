@@ -329,3 +329,98 @@ def test_pgm_header_and_range(tmp_path):
     samples = np.frombuffer(raw[len(b"P5\n2 2\n65535\n"):], dtype=">u2")
     assert samples[0] == 0 and samples[1] == 65535
     assert samples[2] == round(0.5 * 65535)
+
+
+# ---------------------------------------------------------------------------
+# Compiled ROI pixel maps against a per-tile reference
+
+
+def reference_roi_image(volume, atlas, plan):
+    """Per-tile loop: copy each tile's ROI voxels and record their (x, y, z)."""
+    h, w = plan.spec.canvas
+    pixels = np.zeros((h, w), dtype=np.float32)
+    prov = np.full((h, w, 3), -1, dtype=np.int32)
+    for (label, z, x0, x1, y0, y1, row0, col0) in plan.tiles:
+        crop = volume.data[x0:x1, y0:y1, z].T
+        mask = (atlas.labels[x0:x1, y0:y1, z] == label).T
+        th, tw = crop.shape
+        pixels[row0:row0 + th, col0:col0 + tw] = np.where(mask, crop, 0.0)
+        xs, ys = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
+        region = prov[row0:row0 + th, col0:col0 + tw]
+        region[..., 0] = np.where(mask, xs, region[..., 0])
+        region[..., 1] = np.where(mask, ys, region[..., 1])
+        region[..., 2] = np.where(mask, z, region[..., 2])
+    return pixels, prov
+
+
+def synthetic_atlases():
+    from strokepred.synthcohort import SynthConfig, gen_atlas
+    cfg = SynthConfig(seed=9, n_subjects=10, dims=(20, 24, 16), n_rois=7,
+                      n_tracts=4)
+    return gen_atlas(cfg, "rois"), gen_atlas(cfg, "tracts")
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "subset"])
+@pytest.mark.parametrize("reserved", [0, 5])
+def test_roi_image_equals_per_tile_reference(order, reserved):
+    atlas, _ = synthetic_atlases()
+    labels = sorted(atlas.label_names)
+    labels = {"ascending": labels, "descending": labels[::-1],
+              "subset": [5, 2, 6]}[order]
+    spec = RoiImageSpec(roi_labels=tuple(labels), canvas=(90 + reserved, 90),
+                        reserved_bottom=reserved)
+    plan = plan_roi_tiles(atlas, spec)
+    for seed in (3, 4):
+        vol = make_volume(atlas.dims, seed=seed)
+        img = roi_image(vol, atlas, spec, plan)
+        pixels, prov = reference_roi_image(vol, atlas, plan)
+        assert img.pixels.tobytes() == pixels.tobytes()
+        assert np.array_equal(img.provenance, prov)
+
+
+def test_roi_plan_recompiles_for_another_atlas():
+    rois, tracts = synthetic_atlases()
+    spec = RoiImageSpec(roi_labels=(1, 2), canvas=(60, 60))
+    plan = plan_roi_tiles(rois, spec)
+    vol = make_volume(rois.dims, seed=5)
+    roi_image(vol, rois, spec, plan)
+    # same geometry, other labels: the map must follow the atlas passed in
+    img = roi_image(vol, tracts, spec, plan)
+    pixels, prov = reference_roi_image(vol, tracts, plan)
+    assert img.pixels.tobytes() == pixels.tobytes()
+    assert np.array_equal(img.provenance, prov)
+
+
+def test_roi_provenance_shared_and_read_only():
+    atlas, _ = synthetic_atlases()
+    spec = RoiImageSpec(roi_labels=(1, 3), canvas=(60, 60))
+    plan = plan_roi_tiles(atlas, spec)
+    a = roi_image(make_volume(atlas.dims, seed=1), atlas, spec, plan)
+    b = roi_image(make_volume(atlas.dims, seed=2), atlas, spec, plan)
+    assert a.provenance is b.provenance
+    with pytest.raises(ValueError):
+        a.provenance[0, 0, 0] = 7
+    assert not np.shares_memory(a.pixels, b.pixels)
+
+
+def test_pool_weights_cached_and_read_only():
+    from strokepred.imaging import _pool_weights
+    w = _pool_weights(35, 8)
+    assert _pool_weights(35, 8) is w
+    assert np.allclose(w.sum(axis=1), 1.0)
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+
+
+def test_roi_spec_rejects_negative_gap():
+    with pytest.raises(LayoutError):
+        RoiImageSpec(roi_labels=(1,), canvas=(8, 8), tile_gap=-1)
+
+
+def test_roi_image_rejects_plan_of_another_spec():
+    atlas = make_two_roi_atlas()
+    vol = make_volume((6, 6, 3), seed=43)
+    plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12)))
+    with pytest.raises(LayoutError):
+        roi_image(vol, atlas, RoiImageSpec(roi_labels=(1, 2), canvas=(14, 12)),
+                  plan)

@@ -1,6 +1,7 @@
 """Orchestration tests on a small in-memory cohort."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -403,3 +404,39 @@ def test_cohort_directory_round_trip(tmp_path):
     sid = mem.records[3].id
     assert np.allclose(disk.volume_of(sid).data, mem.volume_of(sid).data,
                        atol=1e-7)
+
+
+@pytest.mark.parametrize("variant", ["stitched", "hybrid-stitched"])
+def test_roi_count_sweep_rejects_stitched_before_any_work(variant):
+    # stitched images ignore the ROI list, so every k would score the same;
+    # nothing is rendered or read before the refusal
+    with pytest.raises(ConfigError, match="ROI variant"):
+        pipeline.roi_count_sweep(None, fast_config(variant=variant), None)
+
+
+# ---------------------------------------------------------------------------
+# a held-out group without severe or moderate subjects
+
+SPARSE = SynthConfig(seed=4, n_subjects=40)  # group 5 deals none of either
+
+
+def test_run_survives_empty_held_out_subgroup(tmp_path):
+    cohort = CohortData.from_memory(SPARSE, default_truth())
+    plan = evalharness.stratified_partition(cohort.records, k=5, seed=0)
+    held_out = [r for r in cohort.records if plan.assignment[r.id] == 5]
+    severities = [r.severity for r in held_out]
+    assert not {"severe", "moderate"} & set(severities)
+    with pytest.raises(ValueError):  # the metric itself still refuses
+        evalharness.subgroup_metrics(np.full(len(held_out), 0.5),
+                                     np.zeros(len(held_out)), severities)
+
+    result = pipeline.run_experiment(cohort, fast_config(model="logistic"))
+    for s in result.seeds:
+        assert np.isfinite(s.test.balanced_accuracy)
+        assert all(math.isnan(v) for v in s.subgroup.as_dict().values())
+    pipeline.emit_run(result, tmp_path)
+    rows = (tmp_path / "subgroup.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == ["1", "2", "mean"]
+    assert all(set(r.split(",")[1:]) == {"nan"} for r in rows)
+    for name in ("per_seed.csv", "summary.csv"):
+        assert "nan" not in (tmp_path / name).read_text()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from strokepred import core
+from strokepred import core, synthcohort
+from strokepred.rng import CounterRng
 from strokepred.synthcohort import (SEVERITY_FROM_LOAD, SynthConfig,
                                     TruthModel, atlas_sites, brain_mask,
                                     cohort_records, default_truth, gen_atlas,
@@ -263,3 +264,51 @@ def test_write_cohort_round_trip(tmp_path):
     assert np.array_equal(vol.data, want.data)
     les = core.read_volume(tmp_path / loaded.lesion_paths[rec.id])
     assert np.array_equal(les.labels, lesion.labels)
+
+
+# ---------------------------------------------------------------------------
+# Broadcast grids reproduce the dense-grid formulas bit for bit
+
+GRID_DIMS = [(17, 17, 17), (33, 33, 33), (64, 64, 64), (20, 24, 28),
+             (64, 48, 40)]
+
+
+def _dense_background(config, rng):
+    nx, ny, nz = config.dims
+    phases = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
+    freqs = [rng.randint(1, 3) for _ in range(3)]
+    x, y, z = np.mgrid[0:nx, 0:ny, 0:nz].astype(np.float64)
+    bg = (0.55
+          + 0.13 * np.cos(2 * math.pi * freqs[0] * x / nx + phases[0])
+          + 0.11 * np.cos(2 * math.pi * freqs[1] * y / ny + phases[1])
+          + 0.09 * np.cos(2 * math.pi * freqs[2] * z / nz + phases[2]))
+    return np.clip(bg, 0.05, 0.95)
+
+
+@pytest.mark.parametrize("dims", GRID_DIMS)
+def test_background_equals_dense_grid_formula(dims):
+    cfg = SynthConfig(seed=11, n_subjects=10, dims=dims)
+    for subject in range(3):
+        fast = synthcohort._background(cfg, CounterRng(cfg.seed, "subject",
+                                                       subject))
+        dense = _dense_background(cfg, CounterRng(cfg.seed, "subject",
+                                                  subject))
+        assert fast.shape == dense.shape == dims
+        assert fast.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("dims", GRID_DIMS)
+def test_brain_mask_equals_dense_grid_formula(dims):
+    nx, ny, nz = dims
+    x, y, z = np.mgrid[0:nx, 0:ny, 0:nz].astype(np.float64)
+    dense = (((x - (nx - 1) / 2) / (0.45 * nx)) ** 2
+             + ((y - (ny - 1) / 2) / (0.45 * ny)) ** 2
+             + ((z - (nz - 1) / 2) / (0.42 * nz)) ** 2) <= 1.0
+    assert np.array_equal(brain_mask(dims), dense)
+
+
+def test_brain_mask_computed_once_and_read_only():
+    m = brain_mask((24, 24, 24))
+    assert brain_mask([24, 24, 24]) is m
+    with pytest.raises(ValueError):
+        m[12, 12, 12] = False
