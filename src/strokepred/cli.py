@@ -27,6 +27,8 @@ EXIT_CONFIG = 2
 EXIT_LOCKBOX = 3
 EXIT_NUMERIC = 4
 
+CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
+
 
 def parse_seeds(text: str) -> tuple[int, ...]:
     """"1-20" or "1,3,9" or a mix ("1-5,8")."""
@@ -49,6 +51,9 @@ def _load_config_file(path: str | None) -> dict:
     doc = json.loads(Path(path).read_text())
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
+    for key in doc:
+        if key not in CONFIG_SECTIONS:
+            raise ConfigError(f"unknown config file key {key!r}")
     return doc
 
 
@@ -71,15 +76,15 @@ def _default_run_dir() -> Path:
 
 def cmd_synth(args) -> int:
     doc = _load_config_file(args.config)
-    cohort_kw = dict(doc.get("cohort", {}))
+    config = synthcohort.SynthConfig.from_json_dict(doc.get("cohort", {}))
+    overrides = {}
     if args.seed is not None:
-        cohort_kw["seed"] = args.seed
+        overrides["seed"] = args.seed
     if args.subjects is not None:
-        cohort_kw["n_subjects"] = args.subjects
+        overrides["n_subjects"] = args.subjects
     if args.dims is not None:
-        cohort_kw["dims"] = [args.dims] * 3
-    config = synthcohort.SynthConfig.from_json_dict(cohort_kw) if cohort_kw \
-        else synthcohort.SynthConfig()
+        overrides["dims"] = (args.dims,) * 3
+    config = replace(config, **overrides)
     truth = synthcohort.TruthModel.from_json_dict(doc["truth"]) \
         if "truth" in doc else synthcohort.default_truth()
 
@@ -105,8 +110,7 @@ def cmd_synth(args) -> int:
 
 
 def _run_config(args, doc: dict) -> RunConfig:
-    kw = dict(doc.get("run", {}))
-    config = RunConfig.from_json_dict(kw) if kw else RunConfig()
+    config = RunConfig.from_json_dict(doc.get("run", {}))
     overrides = {}
     if args.variant is not None:
         overrides["variant"] = args.variant
@@ -212,11 +216,9 @@ def _rebuild_variant(cohort: pipeline.CohortData, config: RunConfig,
                      ) -> tuple[pipeline.VariantData, evalharness.SplitPlan]:
     plan = evalharness.stratified_partition(cohort.records, k=5,
                                             seed=config.partition_seed)
-    train_ids = {i for i, g in plan.assignment.items()
-                 if g in pipeline.TRAIN_GROUPS}
-    from .glyphs import normalizers_from_records
-    size_ref, time_ref = normalizers_from_records(
-        [r for r in cohort.records if r.id in train_ids])
+    # no held-out data is read here, so the box keeps no audit file
+    size_ref, time_ref = pipeline.train_normalizers(
+        cohort.records, plan, evalharness.LockBox(plan), "feature-normalizers")
     return pipeline.build_variant(cohort, config, size_ref, time_ref), plan
 
 

@@ -17,6 +17,7 @@ array is indexed ``data[x, y, z]``.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import struct
@@ -55,6 +56,31 @@ class UnknownLabelError(KeyError):
 
 class DegenerateRoiError(ValueError):
     pass
+
+
+def from_json_object(cls, doc, what: str, **convert):
+    """``cls(**doc)`` for the dataclass ``cls`` from a parsed JSON config.
+
+    ``doc`` must be a JSON object whose keys all name fields of ``cls``;
+    ``convert`` maps a field to the function applied to its value (skipped
+    for null).  A wrong shape or type raises ValueError naming ``what``,
+    never TypeError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, "
+                         f"not {type(doc).__name__}")
+    names = {f.name for f in dataclasses.fields(cls)}
+    for key in doc:
+        if key not in names:
+            raise ValueError(f"unknown {what} key {key!r}")
+    kw = dict(doc)
+    try:
+        for key, fn in convert.items():
+            if kw.get(key) is not None:
+                kw[key] = fn(kw[key])
+        return cls(**kw)
+    except TypeError as exc:
+        raise ValueError(f"bad {what}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -213,6 +239,10 @@ def read_volume(path: str | Path,
         raise FormatError(f"dims ({nx}, {ny}, {nz}) out of range", 4)
     if code not in (DTYPE_FLOAT32, DTYPE_UINT16):
         raise FormatError(f"unknown dtype code {code}", 16)
+    padding = raw[17:HEADER_SIZE]
+    if padding.strip(b"\x00"):
+        raise FormatError("nonzero header padding",
+                          17 + len(padding) - len(padding.lstrip(b"\x00")))
     itemsize = 4 if code == DTYPE_FLOAT32 else 2
     expected = HEADER_SIZE + nx * ny * nz * itemsize
     if len(raw) != expected:

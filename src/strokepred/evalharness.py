@@ -18,6 +18,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import SEVERITY_CATEGORIES, SubjectRecord
+from .learn import class_weighted_bce, sigmoid
 
 BALANCE_COVARIATES = ("score", "left_lesion_size", "recovery_time")
 SWEEP_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 10))
@@ -56,39 +57,19 @@ class SplitPlan:
     k: int = 5
     lockbox_group: int = 5
 
-    def group_ids(self, group: int) -> list[str]:
-        return sorted(i for i, g in self.assignment.items() if g == group)
-
 
 def _covariate_matrix(records: Sequence[SubjectRecord]) -> np.ndarray:
     return np.array([[r.score, r.left_lesion_size, r.recovery_time]
                      for r in records], dtype=np.float64)
 
 
-def _balance_stats(x: np.ndarray, sd: np.ndarray,
-                   assign: np.ndarray, k: int):
-    means = np.zeros((k, x.shape[1]))
-    for g in range(k):
-        means[g] = x[assign == g].mean(axis=0)
-    max_smd = {}
-    j = 0.0
-    for c, name in enumerate(BALANCE_COVARIATES):
-        diffs = [abs(means[a, c] - means[b, c]) / sd[c]
-                 for a in range(k) for b in range(a + 1, k)]
-        max_smd[name] = max(diffs)
-        j += max_smd[name]
-    return max_smd, j
-
-
-def _objective(means: np.ndarray, sd: np.ndarray, k: int) -> float:
-    j = 0.0
-    for c in range(means.shape[1]):
-        worst = 0.0
-        for a in range(k):
-            for b in range(a + 1, k):
-                worst = max(worst, abs(means[a, c] - means[b, c]) / sd[c])
-        j += worst
-    return j
+def _max_smd(means: np.ndarray, sd: np.ndarray) -> list[float]:
+    """Per covariate, the largest standardized difference of group means
+    over all group pairs; the objective J is their sum."""
+    k = len(means)
+    return [max(abs(means[a, c] - means[b, c]) / sd[c]
+                for a in range(k) for b in range(a + 1, k))
+            for c in range(means.shape[1])]
 
 
 def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
@@ -168,7 +149,7 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
     swaps = 0
     while swaps < max_swaps:
         means = sums / counts[:, None]
-        cur_j = _objective(means, sd, k)
+        cur_j = sum(_max_smd(means, sd))
         # group pairs by descending worst-covariate SMD; try the worst first
         pairs = sorted(
             ((max(abs(means[a, c] - means[b, c]) / sd[c]
@@ -189,12 +170,16 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
         if not applied:
             break
 
-    max_smd, j_final = _balance_stats(x, sd, assign, k)
+    means = np.zeros((k, x.shape[1]))
+    for g in range(k):
+        means[g] = x[assign == g].mean(axis=0)
+    max_smd = dict(zip(BALANCE_COVARIATES, _max_smd(means, sd)))
     sev_counts = {cat: {g + 1: 0 for g in range(k)} for cat in SEVERITY_CATEGORIES}
     for i, r in enumerate(records):
         sev_counts[r.severity][int(assign[i]) + 1] += 1
     report = BalanceReport(max_smd=max_smd, severity_counts=sev_counts,
-                           objective=j_final, swaps_applied=swaps,
+                           objective=sum(max_smd.values()),
+                           swaps_applied=swaps,
                            warnings=tuple(warnings))
     assignment = {r.id: int(assign[i]) + 1 for i, r in enumerate(records)}
     return SplitPlan(assignment=assignment, balance=report, k=k,
@@ -253,18 +238,6 @@ class LockBox:
             raise LockBoxViolation(
                 f"{caller!r} requested group {self.lockbox_group} before unlock")
         self._log("access", groups=gs, caller=caller)
-
-
-def lockbox_seal(plan: SplitPlan, audit_path: str | Path | None = None) -> LockBox:
-    return LockBox(plan, audit_path)
-
-
-def lockbox_unlock(box: LockBox, reason: str):
-    box.unlock(reason)
-
-
-def lockbox_guard(box: LockBox, groups: Sequence[int], caller: str):
-    box.request(groups, caller)
 
 
 def audit_scan(entries_or_path) -> dict:
@@ -331,20 +304,7 @@ class Calibrator:
         return np.asarray(logits, dtype=np.float64) / self.temperature
 
     def apply(self, logits: np.ndarray) -> np.ndarray:
-        z = self.apply_logits(logits)
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
-
-
-def _nll(logits: np.ndarray, labels: np.ndarray) -> float:
-    z = np.asarray(logits, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    per = np.maximum(z, 0) - y * z + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(per))
+        return sigmoid(self.apply_logits(logits))
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray,
@@ -357,7 +317,7 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     z = np.asarray(logits, dtype=np.float64)
 
     def f(u: float) -> float:
-        return _nll(z / math.exp(u), y)
+        return class_weighted_bce(z / math.exp(u), y)
 
     phi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = math.log(0.05), math.log(20.0)
@@ -374,7 +334,7 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
             d = a + phi * (b - a)
             fd = f(d)
     t_star = math.exp((a + b) / 2.0)
-    if _nll(z, y) <= _nll(z / t_star, y):
+    if class_weighted_bce(z, y) <= class_weighted_bce(z / t_star, y):
         t_star = 1.0  # never worse than the uncalibrated logits
     return Calibrator(temperature=t_star)
 

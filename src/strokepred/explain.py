@@ -54,26 +54,6 @@ class PerturbationRecord:
             raise ValueError("mask bits must be 0 or 1")
 
 
-@dataclass(frozen=True)
-class ContrastChoice:
-    image_id: str
-    probability: float
-    self_contrast: bool = False  # contrast == explained image: null explanation
-
-
-def select_contrast(pool: Mapping[str, np.ndarray], classifier: Classifier,
-                    explained_id: str | None = None,
-                    batch_size: int = 128) -> ContrastChoice:
-    """Candidate with the lowest predicted probability; ties -> lowest id."""
-    if not pool:
-        raise ValueError("empty contrast pool")
-    ids = sorted(pool)
-    probs = _predict(classifier, np.stack([pool[i] for i in ids]), batch_size)
-    best = min(range(len(ids)), key=lambda i: (probs[i], ids[i]))
-    return ContrastChoice(image_id=ids[best], probability=float(probs[best]),
-                          self_contrast=ids[best] == explained_id)
-
-
 def roi_pixel_sets(label_image: np.ndarray,
                    rois: Sequence[int]) -> dict[int, np.ndarray]:
     flat = np.asarray(label_image).ravel()
@@ -158,6 +138,8 @@ class SurrogateModel:
         return self.intercept + float(np.dot(self.coefs, np.asarray(mask, float)))
 
     def predict_prob(self, mask: Sequence[int]) -> float:
+        # scalar math.exp, not learn.sigmoid: the two differ in the last bit
+        # on some logits, and this value is written to explanation files
         z = self.predict_logit(mask)
         return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else \
             math.exp(z) / (1.0 + math.exp(z))
@@ -371,25 +353,6 @@ def explain_pool(classifier: Classifier,
         out.append(expl)
     means = {roi: float(v / len(explained)) for roi, v in zip(rois, total)}
     return out, RoiRanking.from_means(means, len(explained), flags)
-
-
-def aggregate_importance(classifier: Classifier,
-                         pool: Mapping[str, np.ndarray],
-                         label_image: np.ndarray,
-                         rois: Sequence[int] | None = None,
-                         n_explain: int = 100,
-                         n_perturb: int = DEFAULT_N_PERTURB,
-                         seed: int = 0, threshold: float = 0.5,
-                         ridge: float = DEFAULT_RIDGE,
-                         batch_size: int = 128) -> RoiRanking:
-    """Mean surrogate coefficient per ROI over explanations of predicted
-    positives; counterfactual search is skipped for speed."""
-    _, ranking = explain_pool(classifier, pool, label_image, rois=rois,
-                              n_explain=n_explain, n_perturb=n_perturb,
-                              seed=seed, threshold=threshold, ridge=ridge,
-                              with_counterfactuals=False,
-                              batch_size=batch_size)
-    return ranking
 
 
 # ---------------------------------------------------------------------------

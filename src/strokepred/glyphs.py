@@ -36,8 +36,6 @@ DEFAULT_SEVERITY_SYMBOLS = {
     "unknown": "star",
 }
 
-SHAPE_NAMES = ("pentagon", "pie", "square", "triangle", "cross", "ellipse", "star")
-
 # glyph box = (row0, col0, height, width) on the host canvas
 Box = tuple[int, int, int, int]
 
@@ -82,7 +80,7 @@ class GlyphSpec:
         if missing:
             raise ValueError(f"severity_symbols missing {sorted(missing)}")
         for cat, shape in self.severity_symbols.items():
-            if shape not in SHAPE_NAMES:
+            if shape not in _INSIDE:
                 raise ValueError(f"unknown shape {shape!r} for {cat!r}")
 
     def to_json_dict(self) -> dict:
@@ -129,8 +127,8 @@ def normalizers_from_records(records: Sequence[SubjectRecord]) -> tuple[float, f
 
 
 # ---------------------------------------------------------------------------
-# Rasterizers.  Each returns an (h, w) float32 cell, shape filled with
-# `intensity`, background 0.  Pixel centers at (col+0.5, row+0.5).
+# Rasterizer.  A shape is a predicate on pixel centers (col+0.5, row+0.5):
+# ``inside(px, py, cx, cy, radius)`` with (cx, cy) the cell center.
 
 
 def _pixel_centers(h: int, w: int):
@@ -138,22 +136,19 @@ def _pixel_centers(h: int, w: int):
     return xs + 0.5, ys + 0.5
 
 
-def _fill_polygon(h: int, w: int, verts: np.ndarray, intensity: float) -> np.ndarray:
-    """Even-odd polygon fill; handles convex and star polygons alike."""
-    px, py = _pixel_centers(h, w)
-    inside = np.zeros((h, w), dtype=bool)
+def _in_polygon(px, py, verts: np.ndarray) -> np.ndarray:
+    """Even-odd rule; handles convex and star polygons alike."""
+    inside = np.zeros(px.shape, dtype=bool)
     n = len(verts)
     for i in range(n):
         x0, y0 = verts[i]
         x1, y1 = verts[(i + 1) % n]
-        crosses = (y0 <= py) != (y1 <= py)
         if y1 == y0:
             continue
+        crosses = (y0 <= py) != (y1 <= py)
         xint = x0 + (py - y0) / (y1 - y0) * (x1 - x0)
         inside ^= crosses & (px < xint)
-    out = np.zeros((h, w), dtype=np.float32)
-    out[inside] = np.float32(intensity)
-    return out
+    return inside
 
 
 def _regular_verts(cx: float, cy: float, radius: float, n: int,
@@ -163,79 +158,56 @@ def _regular_verts(cx: float, cy: float, radius: float, n: int,
                      cy + radius * np.sin(angles)], axis=1)
 
 
-def pentagon_raster(h: int, w: int, radius: float, intensity: float = 1.0) -> np.ndarray:
-    cx, cy = w / 2, h / 2
-    return _fill_polygon(h, w, _regular_verts(cx, cy, radius, 5), intensity)
-
-
-def triangle_raster(h: int, w: int, radius: float, intensity: float = 1.0) -> np.ndarray:
-    cx, cy = w / 2, h / 2
-    return _fill_polygon(h, w, _regular_verts(cx, cy, radius, 3), intensity)
-
-
-def star_raster(h: int, w: int, radius: float, intensity: float = 1.0) -> np.ndarray:
-    cx, cy = w / 2, h / 2
-    outer = _regular_verts(cx, cy, radius, 5)
-    inner = _regular_verts(cx, cy, 0.45 * radius, 5, start_angle=-np.pi / 2 + np.pi / 5)
+def _in_star(px, py, cx, cy, radius):
     verts = np.empty((10, 2))
-    verts[0::2] = outer
-    verts[1::2] = inner
-    return _fill_polygon(h, w, verts, intensity)
+    verts[0::2] = _regular_verts(cx, cy, radius, 5)
+    verts[1::2] = _regular_verts(cx, cy, 0.45 * radius, 5,
+                                 start_angle=-np.pi / 2 + np.pi / 5)
+    return _in_polygon(px, py, verts)
 
 
-def square_raster(h: int, w: int, radius: float, intensity: float = 1.0) -> np.ndarray:
-    px, py = _pixel_centers(h, w)
-    half = 0.72 * radius
-    inside = (np.abs(px - w / 2) <= half) & (np.abs(py - h / 2) <= half)
-    out = np.zeros((h, w), dtype=np.float32)
-    out[inside] = np.float32(intensity)
-    return out
-
-
-def ellipse_raster(h: int, w: int, radius: float, intensity: float = 1.0) -> np.ndarray:
-    px, py = _pixel_centers(h, w)
-    a, b = radius, 0.55 * radius
-    inside = ((px - w / 2) / a) ** 2 + ((py - h / 2) / b) ** 2 <= 1.0
-    out = np.zeros((h, w), dtype=np.float32)
-    out[inside] = np.float32(intensity)
-    return out
-
-
-def cross_raster(h: int, w: int, radius: float, intensity: float = 1.0) -> np.ndarray:
-    px, py = _pixel_centers(h, w)
-    dx, dy = np.abs(px - w / 2), np.abs(py - h / 2)
+def _in_cross(px, py, cx, cy, radius):
+    dx, dy = np.abs(px - cx), np.abs(py - cy)
     arm = 0.24 * radius
-    inside = ((dx <= arm) & (dy <= radius)) | ((dy <= arm) & (dx <= radius))
-    out = np.zeros((h, w), dtype=np.float32)
-    out[inside] = np.float32(intensity)
-    return out
+    return ((dx <= arm) & (dy <= radius)) | ((dy <= arm) & (dx <= radius))
 
 
-def pie_raster(h: int, w: int, radius: float, intensity: float) -> np.ndarray:
+def _in_pie(px, py, cx, cy, radius):
     """120-degree sector opening from straight-up to lower-right."""
-    px, py = _pixel_centers(h, w)
-    dx, dy = px - w / 2, py - h / 2
+    dx, dy = px - cx, py - cy
     ang = np.arctan2(dy, dx)
-    inside = (dx * dx + dy * dy <= radius * radius) & (ang >= -np.pi / 2) & (ang < np.pi / 6)
-    out = np.zeros((h, w), dtype=np.float32)
-    out[inside] = np.float32(intensity)
-    return out
+    return ((dx * dx + dy * dy <= radius * radius)
+            & (ang >= -np.pi / 2) & (ang < np.pi / 6))
 
 
-_SHAPE_FNS = {
-    "pentagon": pentagon_raster,
-    "triangle": triangle_raster,
-    "star": star_raster,
-    "square": square_raster,
-    "ellipse": ellipse_raster,
-    "cross": cross_raster,
+_INSIDE = {
+    "pentagon": lambda px, py, cx, cy, r: _in_polygon(
+        px, py, _regular_verts(cx, cy, r, 5)),
+    "pie": _in_pie,
+    "square": lambda px, py, cx, cy, r: ((np.abs(px - cx) <= 0.72 * r)
+                                         & (np.abs(py - cy) <= 0.72 * r)),
+    "triangle": lambda px, py, cx, cy, r: _in_polygon(
+        px, py, _regular_verts(cx, cy, r, 3)),
+    "cross": _in_cross,
+    "ellipse": lambda px, py, cx, cy, r: (
+        ((px - cx) / r) ** 2 + ((py - cy) / (0.55 * r)) ** 2 <= 1.0),
+    "star": _in_star,
 }
+
+
+def shape_raster(shape: str, h: int, w: int, radius: float,
+                 intensity: float = 1.0) -> np.ndarray:
+    """(h, w) float32 cell with ``shape`` centered and filled with
+    ``intensity``, background 0; no anti-aliasing."""
+    px, py = _pixel_centers(h, w)
+    out = np.zeros((h, w), dtype=np.float32)
+    out[_INSIDE[shape](px, py, w / 2, h / 2, radius)] = np.float32(intensity)
+    return out
 
 
 def severity_raster(shape: str, h: int, w: int, intensity: float = 1.0) -> np.ndarray:
     """Fixed-size severity symbol raster for a cell of the given size."""
-    radius = 0.38 * min(h, w)
-    return _SHAPE_FNS[shape](h, w, radius, intensity)
+    return shape_raster(shape, h, w, 0.38 * min(h, w), intensity)
 
 
 def _clamp01(v: float) -> float:
@@ -260,8 +232,9 @@ def render_glyphs(record: SubjectRecord, spec: GlyphSpec, canvas: np.ndarray,
         if needed is not None and 2 * needed > min(bh, bw):
             raise LayoutError(
                 f"glyph radius {needed} does not fit a {bh}x{bw} cell")
-    rasters.append(pentagon_raster(boxes[0][2], boxes[0][3], radius))
-    rasters.append(pie_raster(boxes[1][2], boxes[1][3], spec.pie_radius, intensity))
+    rasters.append(shape_raster("pentagon", boxes[0][2], boxes[0][3], radius))
+    rasters.append(shape_raster("pie", boxes[1][2], boxes[1][3],
+                                spec.pie_radius, intensity))
     rasters.append(severity_raster(shape, boxes[2][2], boxes[2][3]))
     for box, raster in zip(boxes, rasters):
         r0, c0, bh, bw = box
@@ -302,8 +275,7 @@ def hybrid_stitched(volume: Volume3D, record: SubjectRecord,
     ny, nx = stitch_spec.slice_shape
     boxes = [(*stitch_spec.cell_origin(c), ny, nx) for c in cells]
     pixels = render_glyphs(record, glyph_spec, base.pixels, boxes)
-    img = Image2D(width=base.width, height=base.height, pixels=pixels,
-                  provenance=base.provenance)
+    img = Image2D(width=base.width, height=base.height, pixels=pixels)
     if target is not None:
         img = downsample(img, target[0], target[1])
     return img
@@ -328,8 +300,7 @@ def hybrid_roi(volume: Volume3D, atlas: LabelVolume, roi_spec: RoiImageSpec,
     boxes = glyph_strip_boxes(roi_spec)
     base = roi_image(volume, atlas, roi_spec, plan)
     pixels = render_glyphs(record, glyph_spec, base.pixels, boxes)
-    img = Image2D(width=base.width, height=base.height, pixels=pixels,
-                  provenance=base.provenance)
+    img = Image2D(width=base.width, height=base.height, pixels=pixels)
     if target is not None:
         img = downsample(img, target[0], target[1])
     return img

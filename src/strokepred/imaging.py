@@ -6,36 +6,22 @@ grid cells row-major in ascending-z order.  Slice k of ``slice_indices`` goes
 to flat cell k (cells are numbered row-major, 0-based); cells listed in
 ``removed_cells`` stay at zero so glyph symbols can be drawn there later.
 
-Pre-downsample images carry provenance: for every pixel that displays a
-voxel, the (x, y, z) coordinate it came from.  Downsampling mixes source
-pixels, so it drops provenance.
-
 An ROI tile plan compiles, on its first render, one flat voxel index per
 canvas pixel (-1 where blank).  Every later render with that plan is a
-single gather from the volume, and every image it renders shares one
-read-only provenance array unravelled from that index.
+single gather from the volume.
 """
 
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, LabelVolume, Volume3D
-
-IMG_MAGIC = b"IMG1"
-IMG_HEADER_SIZE = 12
+from .core import LabelVolume, Volume3D
 
 
 class LayoutError(ValueError):
-    pass
-
-
-class ProvenanceError(ValueError):
     pass
 
 
@@ -51,16 +37,11 @@ class CanvasOverflowError(ValueError):
 
 @dataclass
 class Image2D:
-    """Single-channel float image; values in [0, 1], row-major.
-
-    ``provenance`` (when present) is an (h, w, 3) int32 array holding the
-    source voxel (x, y, z) per pixel, or -1 where no voxel is displayed.
-    """
+    """Single-channel float image; values in [0, 1], row-major."""
 
     width: int
     height: int
     pixels: np.ndarray  # (height, width) float32
-    provenance: np.ndarray | None = None
 
     def __post_init__(self):
         if self.pixels.shape != (self.height, self.width):
@@ -72,8 +53,6 @@ class Image2D:
         lo, hi = float(self.pixels.min()), float(self.pixels.max())
         if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0.0 or hi > 1.0:
             raise ValueError(f"pixel values outside [0, 1]: [{lo}, {hi}]")
-        if self.provenance is not None and self.provenance.shape != (self.height, self.width, 3):
-            raise ValueError("provenance shape must be (h, w, 3)")
 
 
 @dataclass(frozen=True)
@@ -120,7 +99,7 @@ class StitchSpec:
 
 
 def stitch(volume: Volume3D, spec: StitchSpec) -> Image2D:
-    """Stitch axial slices into a grid image with full voxel provenance."""
+    """Stitch axial slices into a grid image."""
     nx, ny, nz = volume.dims
     if spec.slice_shape != (ny, nx):
         raise LayoutError(
@@ -130,47 +109,13 @@ def stitch(volume: Volume3D, spec: StitchSpec) -> Image2D:
             raise LayoutError(f"slice index {z} outside volume depth {nz}")
     h, w = spec.image_shape
     pixels = np.zeros((h, w), dtype=np.float32)
-    prov = np.full((h, w, 3), -1, dtype=np.int32)
-    xs, ys = np.meshgrid(np.arange(nx), np.arange(ny))  # (ny, nx)
     removed = set(spec.removed_cells)
     for cell, z in enumerate(spec.slice_indices):
         if cell in removed:
             continue
         r0, c0 = spec.cell_origin(cell)
         pixels[r0:r0 + ny, c0:c0 + nx] = volume.data[:, :, z].T
-        prov[r0:r0 + ny, c0:c0 + nx, 0] = xs
-        prov[r0:r0 + ny, c0:c0 + nx, 1] = ys
-        prov[r0:r0 + ny, c0:c0 + nx, 2] = z
-    return Image2D(width=w, height=h, pixels=pixels, provenance=prov)
-
-
-def pixel_of_voxel(spec: StitchSpec, voxel: tuple[int, int, int]) -> tuple[int, int]:
-    """(row, col) of a voxel in the stitched layout; errors if not displayed."""
-    x, y, z = voxel
-    try:
-        cell = spec.slice_indices.index(z)
-    except ValueError:
-        raise ProvenanceError(f"voxel z={z} not in any selected slice") from None
-    if cell in spec.removed_cells:
-        raise ProvenanceError(f"slice z={z} occupies removed cell {cell}")
-    ny, nx = spec.slice_shape
-    if not (0 <= x < nx and 0 <= y < ny):
-        raise ProvenanceError(f"voxel ({x}, {y}) outside slice extent")
-    r0, c0 = spec.cell_origin(cell)
-    return r0 + y, c0 + x
-
-
-def voxel_of_pixel(image: Image2D, pixel: tuple[int, int]) -> tuple[int, int, int]:
-    """Source voxel (x, y, z) of a pre-downsample pixel."""
-    if image.provenance is None:
-        raise ProvenanceError("image carries no provenance (downsampled?)")
-    r, c = pixel
-    if not (0 <= r < image.height and 0 <= c < image.width):
-        raise ProvenanceError(f"pixel ({r}, {c}) outside image")
-    x, y, z = (int(v) for v in image.provenance[r, c])
-    if x < 0:
-        raise ProvenanceError(f"pixel ({r}, {c}) displays no voxel")
-    return x, y, z
+    return Image2D(width=w, height=h, pixels=pixels)
 
 
 @functools.lru_cache(maxsize=32)
@@ -195,13 +140,13 @@ def _pool_weights(src: int, dst: int) -> np.ndarray:
 
 
 def downsample(image: Image2D, target_w: int, target_h: int) -> Image2D:
-    """Area-average pooling to (target_h, target_w); provenance is dropped."""
+    """Area-average pooling to (target_h, target_w)."""
     wr = _pool_weights(image.height, target_h)
     wc = _pool_weights(image.width, target_w)
     out = wr @ image.pixels.astype(np.float64) @ wc.T
     out = np.clip(out, 0.0, 1.0)
     return Image2D(width=target_w, height=target_h,
-                   pixels=out.astype(np.float32), provenance=None)
+                   pixels=out.astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +190,6 @@ class PixelMap:
     labels: np.ndarray
     shown: np.ndarray
     voxels: np.ndarray
-    provenance: np.ndarray  # (h, w, 3) int32, read-only
 
     @classmethod
     def compile(cls, tiles, canvas: tuple[int, int],
@@ -263,13 +207,9 @@ class PixelMap:
                 np.where(mask, index, -1)
         shown = np.flatnonzero(flat >= 0)
         voxels = flat.ravel()[shown]
-        provenance = np.full((*canvas, 3), -1, dtype=np.int32)
-        provenance.reshape(-1, 3)[shown] = np.stack(
-            np.unravel_index(voxels, atlas.dims), axis=1)
-        for arr in (shown, voxels, provenance):
+        for arr in (shown, voxels):
             arr.flags.writeable = False
-        return cls(labels=atlas.labels, shown=shown, voxels=voxels,
-                   provenance=provenance)
+        return cls(labels=atlas.labels, shown=shown, voxels=voxels)
 
 
 @dataclass(frozen=True)
@@ -368,8 +308,7 @@ def roi_image(volume: Volume3D, atlas: LabelVolume, spec: RoiImageSpec,
     pixels = np.zeros(canvas_h * canvas_w, dtype=np.float32)
     pixels[pmap.shown] = volume.data.ravel()[pmap.voxels]
     return Image2D(width=canvas_w, height=canvas_h,
-                   pixels=pixels.reshape(canvas_h, canvas_w),
-                   provenance=pmap.provenance)
+                   pixels=pixels.reshape(canvas_h, canvas_w))
 
 
 def stitched_label_image(atlas: LabelVolume, spec: StitchSpec) -> np.ndarray:
@@ -384,37 +323,3 @@ def stitched_label_image(atlas: LabelVolume, spec: StitchSpec) -> np.ndarray:
         r0, c0 = spec.cell_origin(cell)
         out[r0:r0 + ny, c0:c0 + nx] = atlas.labels[:, :, z].T
     return out
-
-
-# ---------------------------------------------------------------------------
-# Image file I/O: IMG1 (authoritative float32) and 16-bit PGM (inspection)
-
-
-def write_image(image: Image2D, path: str | Path) -> None:
-    path = Path(path)
-    header = IMG_MAGIC + struct.pack("<II", image.width, image.height)
-    payload = np.ascontiguousarray(image.pixels, dtype="<f4").tobytes()
-    path.write_bytes(header + payload)
-
-
-def read_image(path: str | Path) -> Image2D:
-    raw = Path(path).read_bytes()
-    if len(raw) < IMG_HEADER_SIZE:
-        raise FormatError("truncated header", len(raw))
-    if raw[:4] != IMG_MAGIC:
-        raise FormatError(f"bad magic {raw[:4]!r}", 0)
-    w, h = struct.unpack("<II", raw[4:12])
-    expected = IMG_HEADER_SIZE + 4 * w * h
-    if len(raw) != expected:
-        raise FormatError(f"payload length {len(raw) - IMG_HEADER_SIZE} != {4 * w * h}",
-                          min(len(raw), expected))
-    pixels = np.frombuffer(raw, dtype="<f4", offset=IMG_HEADER_SIZE).reshape(h, w).copy()
-    return Image2D(width=w, height=h, pixels=pixels)
-
-
-def write_pgm(image: Image2D, path: str | Path) -> None:
-    """16-bit binary PGM (P5), big-endian sample order per the PGM spec."""
-    path = Path(path)
-    header = f"P5\n{image.width} {image.height}\n65535\n".encode("ascii")
-    samples = np.round(image.pixels.astype(np.float64) * 65535.0).astype(">u2")
-    path.write_bytes(header + samples.tobytes())

@@ -29,7 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FormatError, SEVERITY_CATEGORIES, SubjectRecord
+from .core import (FormatError, SEVERITY_CATEGORIES, SubjectRecord,
+                   from_json_object)
 from .rng import CounterRng
 
 MODEL_KINDS = ("lightweight", "logistic", "early_fusion", "daft")
@@ -100,11 +101,8 @@ class TrainConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        kw = dict(d)
-        kw["lrs"] = tuple(kw["lrs"])
-        if kw.get("class_weights") is not None:
-            kw["class_weights"] = tuple(kw["class_weights"])
-        return cls(**kw)
+        return from_json_object(cls, d, "train config", lrs=tuple,
+                                class_weights=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -363,8 +361,9 @@ def class_weights_from_labels(labels: np.ndarray) -> tuple[float, float]:
     return n / (2.0 * n0), n / (2.0 * n1)
 
 
-def _backprop(params: ModelParams, images, tabular, labels,
-              weights: tuple[float, float], want_inputs: bool = False):
+def backward(params: ModelParams, images, tabular, labels,
+             weights: tuple[float, float] = (1.0, 1.0)):
+    """(loss, gradient) of the class-weighted BCE over the batch."""
     logits, cache = _run(params, images, tabular, keep_cache=True)
     loss = class_weighted_bce(logits, labels, weights)
     y = np.asarray(labels, dtype=np.float64)
@@ -374,30 +373,20 @@ def _backprop(params: ModelParams, images, tabular, labels,
     grad = np.zeros_like(params.vector)
     gview = ModelParams(kind=params.kind, layout=params.layout, vector=grad,
                         cnn=params.cnn, tabular_dim=params.tabular_dim)
-    d_images = None
-    d_tab = None
 
     if params.kind == "logistic":
         x = cache["x"]
         gview.view("w")[...] = dz[None, :] @ x
         gview.view("b")[...] = dz.sum()
-        if want_inputs:
-            dx = dz[:, None] @ params.view("w")
-            if params.tabular_dim is not None:
-                d_tab = dx
-            else:
-                d_images = dx.reshape(images.shape)
-        return loss, grad, d_images, d_tab
+        return loss, grad
 
     feats = cache["feats"]
     gview.view("head_w")[...] = dz[None, :] @ feats
     gview.view("head_b")[...] = dz.sum()
     dfeats = dz[:, None] @ params.view("head_w")
 
-    if params.kind == "early_fusion":
-        img_f = feats.shape[1] - params.tabular_dim
-        d_tab = dfeats[:, img_f:]
-        dfeats = dfeats[:, :img_f]
+    if params.kind == "early_fusion":  # drop the tabular input columns
+        dfeats = dfeats[:, :feats.shape[1] - params.tabular_dim]
 
     dmaps = dfeats.reshape(cache["maps_shape"])
     if params.kind == "daft":
@@ -408,12 +397,10 @@ def _backprop(params: ModelParams, images, tabular, labels,
         dgamma = (dmaps * pre_mod).sum(axis=(2, 3))  # (n, c)
         dbeta = dmaps.sum(axis=(2, 3))
         dmaps = dmaps * gamma[:, :, None, None]
-        film_w = params.view("film_w")
         gview.view("film_w")[:c_last] = dgamma.T @ tab
         gview.view("film_w")[c_last:] = dbeta.T @ tab
         gview.view("film_b")[:c_last] = dgamma.sum(axis=0)
         gview.view("film_b")[c_last:] = dbeta.sum(axis=0)
-        d_tab = dgamma @ film_w[:c_last] + dbeta @ film_w[c_last:]
 
     dx = dmaps
     for i in reversed(range(params.cnn.n_blocks)):
@@ -424,24 +411,7 @@ def _backprop(params: ModelParams, images, tabular, labels,
                                     blk["x_shape"])
         gview.view(f"conv{i}_w")[...] = dw
         gview.view(f"conv{i}_b")[...] = db
-    if want_inputs:
-        d_images = dx[:, 0, :, :]
-    return loss, grad, d_images, d_tab
-
-
-def backward(params: ModelParams, images, tabular, labels,
-             weights: tuple[float, float] = (1.0, 1.0)):
-    """(loss, gradient) of the class-weighted BCE over the batch."""
-    loss, grad, _, _ = _backprop(params, images, tabular, labels, weights)
     return loss, grad
-
-
-def input_gradients(params: ModelParams, images, tabular, labels,
-                    weights: tuple[float, float] = (1.0, 1.0)):
-    """(d_images, d_tabular) of the batch loss; None where not applicable."""
-    _, _, di, dt = _backprop(params, images, tabular, labels, weights,
-                             want_inputs=True)
-    return di, dt
 
 
 # ---------------------------------------------------------------------------
@@ -622,31 +592,16 @@ class TabularEncoding:
     def dim(self) -> int:
         return 7
 
-    def encode(self, record: SubjectRecord) -> np.ndarray:
-        return self.design([record])[0]
-
-    def design(self, records: Sequence[SubjectRecord],
-               features: tuple[str, ...] = ("severity", "size", "time"),
-               ) -> np.ndarray:
-        cols = []
-        for f in features:
-            if f == "severity":
-                onehot = np.zeros((len(records), len(SEVERITY_CATEGORIES)))
-                for i, r in enumerate(records):
-                    onehot[i, SEVERITY_CATEGORIES.index(r.severity)] = 1.0
-                cols.append(onehot)
-            elif f == "size":
-                v = np.array([min(1.0, max(0.0, r.left_lesion_size / self.size_ref))
-                              for r in records])
-                cols.append(v[:, None])
-            elif f == "time":
-                ref = math.log1p(self.time_ref)
-                v = np.array([min(1.0, max(0.0, math.log1p(r.recovery_time) / ref))
-                              for r in records])
-                cols.append(v[:, None])
-            else:
-                raise ValueError(f"unknown feature {f!r}")
-        return np.concatenate(cols, axis=1)
+    def design(self, records: Sequence[SubjectRecord]) -> np.ndarray:
+        onehot = np.zeros((len(records), len(SEVERITY_CATEGORIES)))
+        for i, r in enumerate(records):
+            onehot[i, SEVERITY_CATEGORIES.index(r.severity)] = 1.0
+        size = np.array([min(1.0, max(0.0, r.left_lesion_size / self.size_ref))
+                         for r in records])
+        ref = math.log1p(self.time_ref)
+        time = np.array([min(1.0, max(0.0, math.log1p(r.recovery_time) / ref))
+                         for r in records])
+        return np.concatenate([onehot, size[:, None], time[:, None]], axis=1)
 
     def to_json_dict(self) -> dict:
         return {"size_ref": self.size_ref, "time_ref": self.time_ref}
@@ -661,6 +616,12 @@ class TabularEncoding:
 
 
 def write_checkpoint(params: ModelParams, path: str | Path) -> None:
+    """Write ``params`` as CKP1: magic, u32 header length, JSON header (kind,
+    cnn, tabular_dim), then the parameter vector as little-endian float32.
+
+    Every kind is stored as float32, so the float64 coefficients of an IRLS
+    logistic fit lose precision in a round trip.
+    """
     meta = {
         "kind": params.kind,
         "cnn": None if params.cnn is None else params.cnn.to_json_dict(),
@@ -672,20 +633,49 @@ def write_checkpoint(params: ModelParams, path: str | Path) -> None:
 
 
 def read_checkpoint(path: str | Path) -> ModelParams:
+    """Parse a CKP1 file; any malformed part raises FormatError with the
+    byte offset where it starts."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise FormatError("truncated checkpoint", len(raw))
     if raw[:4] != CKP_MAGIC:
         raise FormatError(f"bad magic {raw[:4]!r}", 0)
     (jlen,) = struct.unpack("<I", raw[4:8])
-    if len(raw) < 8 + jlen:
+    start = 8 + jlen  # payload offset
+    if len(raw) < start:
         raise FormatError("truncated config JSON", 8)
-    meta = json.loads(raw[8:8 + jlen].decode("utf-8"))
-    cnn = None if meta["cnn"] is None else CnnConfig.from_json_dict(meta["cnn"])
-    vec = np.frombuffer(raw, dtype="<f4", offset=8 + jlen).copy()
-    layout = _layout_for(meta["kind"], cnn, meta["tabular_dim"])
-    total = sum(int(np.prod(s)) for _, s in layout)
-    if vec.shape != (total,):
-        raise FormatError(f"payload {vec.shape[0]} floats != layout {total}", 8 + jlen)
-    return ModelParams(kind=meta["kind"], layout=layout, vector=vec, cnn=cnn,
-                       tabular_dim=meta["tabular_dim"])
+    blob = raw[8:start]
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config JSON is not UTF-8: {exc.reason}",
+                          8 + exc.start) from None
+    except json.JSONDecodeError as exc:
+        at = len(exc.doc[:exc.pos].encode("utf-8"))
+        raise FormatError(f"bad config JSON: {exc.msg}", 8 + at) from None
+    if not isinstance(meta, dict):
+        raise FormatError("config JSON is not an object", 8)
+    for key in ("kind", "cnn", "tabular_dim"):
+        if key not in meta:
+            raise FormatError(f"config JSON has no {key!r}", 8)
+    kind, tabular_dim = meta["kind"], meta["tabular_dim"]
+    if kind not in MODEL_KINDS:
+        raise FormatError(f"unknown model kind {kind!r}", 8)
+    try:
+        cnn = None if meta["cnn"] is None \
+            else CnnConfig.from_json_dict(meta["cnn"])
+        layout = _layout_for(kind, cnn, tabular_dim)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad model config: {exc}", 8) from None
+    if not all(type(d) is int and d > 0 for _, shape in layout for d in shape):
+        raise FormatError("layout dimensions must be positive integers", 8)
+    total = sum(math.prod(shape) for _, shape in layout)
+    if len(raw) - start != 4 * total:
+        raise FormatError(f"payload of {len(raw) - start} bytes != "
+                          f"{total} float32 parameters", start)
+    vec = np.frombuffer(raw, dtype="<f4", offset=start).copy()
+    bad = np.flatnonzero(~np.isfinite(vec))
+    if len(bad):
+        raise FormatError("non-finite parameter", start + 4 * int(bad[0]))
+    return ModelParams(kind=kind, layout=layout, vector=vec, cnn=cnn,
+                       tabular_dim=tabular_dim)

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import core, evalharness, explain, glyphs, imaging, learn
 from .core import CohortManifest, LabelVolume, SubjectRecord, Volume3D
-from .evalharness import (Calibrator, LockBox, MetricsRow, SplitPlan,
-                          lockbox_guard, lockbox_seal, lockbox_unlock)
+from .evalharness import Calibrator, LockBox, MetricsRow, SplitPlan
 from .glyphs import GlyphSpec
 from .imaging import RoiImageSpec, StitchSpec
 from .learn import ArrayDataset, CnnConfig, ModelParams, TabularEncoding, TrainConfig
-from .synthcohort import SynthConfig, TruthModel, gen_atlas, gen_subject
+from .synthcohort import (SynthConfig, TruthModel, cohort_records, gen_atlas,
+                          gen_subject)
 
 VARIANTS = ("stitched", "gm-roi", "wm-roi",
             "hybrid-stitched", "hybrid-gm-roi", "hybrid-wm-roi")
@@ -60,6 +60,8 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.model not in learn.MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
+        if not isinstance(self.train, TrainConfig):
+            raise ConfigError("train must be a training config")
         if self.model in FUSION_KINDS and self.variant.startswith("hybrid"):
             raise ConfigError(
                 "fusion models take tabular input separately; hybrid variants "
@@ -95,19 +97,9 @@ class RunConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
-        kw = dict(d)
-        kw["seeds"] = tuple(kw.get("seeds", range(1, 21)))
-        kw["channels"] = tuple(kw.get("channels", (4, 8, 16)))
-        if kw.get("grid") is not None:
-            kw["grid"] = tuple(kw["grid"])
-        if "train" in kw:
-            kw["train"] = TrainConfig.from_json_dict(kw["train"])
-        if kw.get("roi_labels") is not None:
-            kw["roi_labels"] = tuple(kw["roi_labels"])
-        try:
-            return cls(**kw)
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return core.from_json_object(
+            cls, d, "run config", seeds=tuple, channels=tuple, grid=tuple,
+            train=TrainConfig.from_json_dict, roi_labels=tuple)
 
 
 def paper_preset(config: RunConfig) -> RunConfig:
@@ -140,8 +132,7 @@ class CohortData:
         atlas = atlas if atlas is not None else gen_atlas(config, "rois")
         tracts = gen_atlas(config, "tracts")
         if records is None:
-            records = [gen_subject(config, truth, i, atlas)[2]
-                       for i in range(config.n_subjects)]
+            records = cohort_records(config, truth, atlas)
         seed_of = {r.id: int(r.id[1:]) for r in records}
 
         def volume_of(subject_id: str) -> Volume3D:
@@ -188,9 +179,10 @@ def auto_grid(nz: int) -> tuple[int, int]:
 
 
 def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int], tile_gap: int = 1,
-                 reserved_fraction: float = 0.0) -> RoiImageSpec:
+                 reserved_fraction: float = 0.0) -> imaging.RoiTilePlan:
     """Choose a canvas that holds all ROI tiles, near-square, plus an
-    optional reserved bottom strip sized as a fraction of the tile area."""
+    optional reserved bottom strip sized as a fraction of the tile area.
+    Returns the tile plan for that canvas; its ``spec`` is the layout."""
     labels = tuple(int(v) for v in labels)
     boxes = imaging.roi_crops(atlas, labels)
     cropped = {b[0] for b in boxes}
@@ -212,8 +204,7 @@ def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int], tile_gap: int = 1,
     spec = RoiImageSpec(roi_labels=labels,
                         canvas=(height + reserved, width),
                         tile_gap=tile_gap, reserved_bottom=reserved)
-    imaging.plan_roi_tiles(atlas, spec)  # must fit now
-    return spec
+    return imaging.plan_roi_tiles(atlas, spec)  # must fit now
 
 
 def downsample_labels(label_image: np.ndarray, size: int) -> np.ndarray:
@@ -301,9 +292,9 @@ def build_variant(cohort: CohortData, config: RunConfig,
     atlas = cohort.labels_for(variant)
     if roi_labels is None:
         roi_labels = config.roi_labels or tuple(sorted(atlas.label_names))
-    spec = fit_roi_spec(atlas, roi_labels,
+    plan = fit_roi_spec(atlas, roi_labels,
                         reserved_fraction=0.22 if hybrid else 0.0)
-    plan = imaging.plan_roi_tiles(atlas, spec)
+    spec = plan.spec
     glyph_spec = None
     if hybrid:
         boxes = glyphs.glyph_strip_boxes(spec)
@@ -334,11 +325,20 @@ def _group_ids(plan: SplitPlan, records: Sequence[SubjectRecord],
     return [r.id for r in records if plan.assignment[r.id] in want]
 
 
+def train_normalizers(records: Sequence[SubjectRecord], plan: SplitPlan,
+                      box: LockBox, caller: str) -> tuple[float, float]:
+    """Glyph and tabular normalizers (size_ref, time_ref) from the training
+    groups only, as one audited access."""
+    box.request(TRAIN_GROUPS, caller)
+    return glyphs.normalizers_from_records(
+        [r for r in records if plan.assignment[r.id] in TRAIN_GROUPS])
+
+
 def assemble(cohort: CohortData, data: VariantData | None,
              encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
              groups: Sequence[int], caller: str, model: str) -> ArrayDataset:
     """Gather one group subset as an ArrayDataset; every call is audited."""
-    lockbox_guard(box, groups, caller)
+    box.request(groups, caller)
     ids = _group_ids(plan, cohort.records, groups)
     by_id = {r.id: r for r in cohort.records}
     labels = np.array([core.outcome_label(by_id[i].score) for i in ids],
@@ -448,19 +448,24 @@ def _subgroup_row(probs: np.ndarray, labels: np.ndarray,
     return evalharness.subgroup_metrics(probs, labels, severities, threshold)
 
 
+def _seed_summary(rows: Sequence[Mapping[str, float]],
+                  ) -> dict[str, tuple[float, float]]:
+    """Per-metric (mean, standard error); one seed reports its own values
+    with zero spread."""
+    if len(rows) == 1:
+        return {k: (v, 0.0) for k, v in rows[0].items()}
+    return evalharness.seed_aggregate(rows)
+
+
 def run_experiment(cohort: CohortData, config: RunConfig,
                    audit_path: str | Path | None = None) -> RunResult:
     """The full protocol for one (variant, model) cell."""
     records = cohort.records
     plan = evalharness.stratified_partition(records, k=5,
                                             seed=config.partition_seed)
-    box = lockbox_seal(plan, audit_path)
-
-    # normalizers come from the training groups only
-    lockbox_guard(box, TRAIN_GROUPS, "feature-normalizers")
-    train_ids = set(_group_ids(plan, records, TRAIN_GROUPS))
-    train_records = [r for r in records if r.id in train_ids]
-    size_ref, time_ref = glyphs.normalizers_from_records(train_records)
+    box = LockBox(plan, audit_path)
+    size_ref, time_ref = train_normalizers(records, plan, box,
+                                           "feature-normalizers")
     encoding = TabularEncoding(size_ref=size_ref, time_ref=time_ref)
 
     data = None
@@ -501,7 +506,7 @@ def run_experiment(cohort: CohortData, config: RunConfig,
     else:
         fitted = [fit_seed(s) for s in config.seeds]
 
-    lockbox_unlock(box, "final evaluation on the held-out group")
+    box.unlock("final evaluation on the held-out group")
     test_sets = {}  # one guarded access per seed, all post-unlock
     seed_results = []
     for seed, params, cal, val_loss in fitted:
@@ -519,13 +524,8 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                                        val_loss=val_loss, test=row,
                                        subgroup=sub, sweep=sweep))
 
-    agg = evalharness.seed_aggregate([s.test.as_dict() for s in seed_results]) \
-        if len(seed_results) > 1 else {
-            k: (v, 0.0) for k, v in seed_results[0].test.as_dict().items()}
-    sub_agg = evalharness.seed_aggregate(
-        [s.subgroup.as_dict() for s in seed_results]) \
-        if len(seed_results) > 1 else {
-            k: (v, 0.0) for k, v in seed_results[0].subgroup.as_dict().items()}
+    agg = _seed_summary([s.test.as_dict() for s in seed_results])
+    sub_agg = _seed_summary([s.subgroup.as_dict() for s in seed_results])
     thresholds = [t for t, _ in seed_results[0].sweep]
     sweep_mean = tuple(
         (t, float(np.mean([dict(s.sweep)[t] for s in seed_results])))
@@ -537,37 +537,6 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                      audit_entries=tuple(box.entries),
                      checkpoints={s: p for s, p, _c, _v in fitted},
                      variant_data=data, encoding=encoding)
-
-
-# ---------------------------------------------------------------------------
-# Tabular baseline (feature-subset ordering)
-
-
-def logistic_baseline(cohort: CohortData,
-                      features: tuple[str, ...],
-                      partition_seed: int = 0,
-                      threshold: float = 0.5) -> MetricsRow:
-    """Train the IRLS logistic model on groups 1-4 features and evaluate
-    balanced accuracy on the unlocked group 5."""
-    records = cohort.records
-    plan = evalharness.stratified_partition(records, k=5, seed=partition_seed)
-    box = lockbox_seal(plan)
-    lockbox_guard(box, (1, 2, 3, 4), "baseline-training")
-    fit_ids = set(_group_ids(plan, records, (1, 2, 3, 4)))
-    fit_records = [r for r in records if r.id in fit_ids]
-    size_ref, time_ref = glyphs.normalizers_from_records(fit_records)
-    enc = TabularEncoding(size_ref=size_ref, time_ref=time_ref)
-    x = enc.design(fit_records, features=features)
-    y = np.array([core.outcome_label(r.score) for r in fit_records], float)
-    params = learn.logistic_fit(x, y)
-    lockbox_unlock(box, "baseline evaluation")
-    lockbox_guard(box, [TEST_GROUP], "baseline-eval")
-    test_ids = set(_group_ids(plan, records, [TEST_GROUP]))
-    test_records = [r for r in records if r.id in test_ids]
-    probs = learn.predict_proba(params, None,
-                                enc.design(test_records, features=features))
-    yt = np.array([core.outcome_label(r.score) for r in test_records], float)
-    return evalharness.metrics(probs, yt, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +565,9 @@ def roi_ranking_for(result: RunResult, seed: int,
     want = set(groups)
     pool = {i: img for i, img in data.images.items()
             if result.plan.assignment[i] in want}
-    return explain.aggregate_importance(
+    return explain.explain_pool(
         image_classifier(params), pool, data.label_image,
-        n_explain=n_explain, n_perturb=n_perturb, seed=explain_seed)
+        n_explain=n_explain, n_perturb=n_perturb, seed=explain_seed)[1]
 
 
 def require_roi_selection(config: RunConfig) -> None:
@@ -630,11 +599,9 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
         plan = evalharness.stratified_partition(records, k=5,
                                                 seed=config.partition_seed)
     if box is None:
-        box = lockbox_seal(plan)
-    lockbox_guard(box, TRAIN_GROUPS, "roi-sweep-normalizers")
-    train_ids = set(_group_ids(plan, records, TRAIN_GROUPS))
-    size_ref, time_ref = glyphs.normalizers_from_records(
-        [r for r in records if r.id in train_ids])
+        box = LockBox(plan)
+    size_ref, time_ref = train_normalizers(records, plan, box,
+                                           "roi-sweep-normalizers")
     tc = config.train if sweep_epochs is None \
         else replace(config.train, max_epochs=sweep_epochs)
     sweep_config = replace(config, train=tc)
@@ -645,17 +612,19 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
         folds = [assemble(cohort, data, None, plan, box, [g],
                           f"roi-sweep-k{k}-fold-{g}", sweep_config.model)
                  for g in (1, 2, 3, 4)]
-        losses, accs = [], []
-        for i, val in enumerate(folds):
-            train_folds = [f for j, f in enumerate(folds) if j != i]
+        accs = []
+
+        def trainer(train_folds, val, lr):
             params, loss = _train_once(sweep_config,
-                                       concat_datasets(train_folds), val,
-                                       sweep_config.train.lrs[0],
+                                       concat_datasets(train_folds), val, lr,
                                        seed=sweep_config.train.seed)
             probs = learn.predict_proba(params, val.images, val.tabular)
             accs.append(evalharness.metrics(probs, val.labels).balanced_accuracy)
-            losses.append(loss)
-        return float(np.mean(losses)), float(np.mean(accs))
+            return loss
+
+        lr = sweep_config.train.lrs[0]
+        _, losses = evalharness.cross_validate(trainer, folds, [lr])
+        return float(np.mean(losses[lr])), float(np.mean(accs))
 
     return explain.select_roi_count(ranking, evaluate_k, counts=counts)
 

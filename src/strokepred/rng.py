@@ -100,19 +100,6 @@ class CounterRng:
     def bernoulli(self, p: float) -> bool:
         return self.uniform() < p
 
-    def choice_weighted(self, weights: list[float]) -> int:
-        """Index draw proportional to non-negative weights."""
-        total = sum(weights)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
-        u = self.uniform(0.0, total)
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if u < acc:
-                return i
-        return len(weights) - 1
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates shuffle."""
         for i in range(len(items) - 1, 0, -1):

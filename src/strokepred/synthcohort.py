@@ -59,9 +59,9 @@ class TruthModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruthModel":
-        return cls(causal_rois=tuple(d["causal_rois"]), betas=tuple(d["betas"]),
-                   gamma=dict(d["gamma"]), delta=float(d["delta"]),
-                   noise_sd=float(d["noise_sd"]), base=float(d["base"]))
+        return core.from_json_object(
+            cls, d, "truth config", causal_rois=tuple, betas=tuple,
+            gamma=dict, delta=float, noise_sd=float, base=float)
 
 
 def default_truth() -> TruthModel:
@@ -126,12 +126,10 @@ class SynthConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthConfig":
-        kw = dict(d)
-        for key in ("dims", "lesion_count", "lesion_radius", "recovery_range",
-                    "severity_thresholds"):
-            if key in kw:
-                kw[key] = tuple(kw[key])
-        return cls(**kw)
+        return core.from_json_object(
+            cls, d, "cohort config", dims=tuple, lesion_count=tuple,
+            lesion_radius=tuple, recovery_range=tuple,
+            severity_thresholds=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -319,8 +317,7 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
                          labels=lesion_mask.astype(np.uint16),
                          label_names={1: "lesion"})
 
-    loads = {roi: core.lesion_load(lesion, atlas, roi)
-             for roi in truth.causal_rois}
+    loads = subject_loads(lesion, atlas, truth.causal_rois)
     total = sum(loads.values())
     severity = severity_from_load(total, config)
     if rng.bernoulli(config.unknown_prob):
@@ -342,6 +339,7 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
 
 def subject_loads(lesion: LabelVolume, atlas: LabelVolume,
                   rois: Sequence[int]) -> dict[int, float]:
+    """Lesion load (fraction of the ROI's voxels lesioned) per ROI."""
     return {roi: core.lesion_load(lesion, atlas, roi) for roi in rois}
 
 

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file outputs, idempotence."""
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -216,3 +217,36 @@ def test_run_roi_sweep_rejects_stitched_before_training(tmp_path, capsys):
     assert code == EXIT_CONFIG
     assert "ROI variant" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
+                                                     tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    header = b"[1, 2]"
+    (run / "checkpoints" / "seed-001.ckp").write_bytes(
+        b"CKP1" + len(header).to_bytes(4, "little") + header)
+    code = main(["explain", "--cohort", str(cohort_dir), "--run", str(run),
+                 "--out", str(tmp_path / "e")])
+    assert code == EXIT_CONFIG
+    assert "byte offset 8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,doc,key", [
+    ("synth", {"cohort": {"n_subject": 10}}, "n_subject"),
+    ("synth", {"cohort": [1]}, "cohort config must be a JSON object"),
+    ("synth", {"truth": {"beta": [1.0]}}, "beta"),
+    ("synth", {"cohrt": {"dims": [16, 16, 16]}}, "cohrt"),
+    ("run", {"run": {"train": {"lrs": [0.01], "epochs": 3}}}, "epochs"),
+    ("run", {"run": {"variants": "gm-roi"}}, "variants"),
+    ("run", {"run": {"train": None}}, "train"),
+])
+def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    where = (["--out", str(tmp_path / "c")] if command == "synth" else
+             ["--cohort", str(tmp_path / "no-cohort"),
+              "--out", str(tmp_path / "r")])
+    assert main([command, *where, "--config", str(cfg)]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()

@@ -1,6 +1,8 @@
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strokepred import core
@@ -286,3 +288,76 @@ def test_present_labels_equals_unique():
         vol = LabelVolume(dims=labels.shape, labels=labels)
         expected = [int(v) for v in np.unique(labels) if v != 0]
         assert vol.present_labels() == expected
+
+
+# --- VOL1 reader fuzzing: every malformed file is a FormatError ------------
+
+@pytest.fixture(scope="module")
+def vol1_files(tmp_path_factory):
+    """Valid VOL1 bytes per dtype, and a scratch path for mutated copies."""
+    root = tmp_path_factory.mktemp("vol1-fuzz")
+    rng = np.random.default_rng(5)
+    vols = {"intensity": Volume3D(dims=(3, 4, 5),
+                                  data=rng.random((3, 4, 5), dtype=np.float32)),
+            "labels": LabelVolume(dims=(4, 3, 2), labels=rng.integers(
+                0, 9, size=(4, 3, 2)).astype(np.uint16))}
+    raw = {}
+    for kind, vol in vols.items():
+        write_volume(vol, root / f"{kind}.vol")
+        raw[kind] = (root / f"{kind}.vol").read_bytes()
+    return raw, root / "mutated.vol"
+
+
+def assert_vol1_rejected(path, blob):
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_volume(path)
+    assert 0 <= err.value.offset <= len(blob)
+
+
+KINDS = st.sampled_from(["intensity", "labels"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=KINDS, data=st.data())
+def test_vol1_truncation_fuzz(vol1_files, kind, data):
+    raw, path = vol1_files
+    cut = data.draw(st.integers(0, len(raw[kind]) - 1))
+    assert_vol1_rejected(path, raw[kind][:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=KINDS, pos=st.integers(0, core.HEADER_SIZE - 1),
+       mask=st.integers(1, 255))
+def test_vol1_flipped_header_byte_fuzz(vol1_files, kind, pos, mask):
+    raw, path = vol1_files
+    blob = bytearray(raw[kind])
+    blob[pos] ^= mask
+    assert_vol1_rejected(path, bytes(blob))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=KINDS, dims=st.tuples(*[st.integers(0, 2**32 - 1)] * 3))
+def test_vol1_huge_dims_fuzz(vol1_files, kind, dims):
+    raw, path = vol1_files
+    assume(dims != struct.unpack_from("<III", raw[kind], 4))
+    blob = raw[kind][:4] + struct.pack("<III", *dims) + raw[kind][16:]
+    assert_vol1_rejected(path, blob)
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=KINDS, code=st.integers(2, 255))
+def test_vol1_dtype_code_fuzz(vol1_files, kind, code):
+    raw, path = vol1_files
+    blob = raw[kind][:16] + bytes([code]) + raw[kind][17:]
+    assert_vol1_rejected(path, blob)
+
+
+def test_vol1_nonzero_padding_reports_its_offset(vol1_files):
+    raw, path = vol1_files
+    blob = bytearray(raw["labels"])
+    blob[29] = 7
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError) as err:
+        read_volume(path)
+    assert err.value.offset == 29

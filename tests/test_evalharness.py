@@ -10,8 +10,7 @@ from strokepred.core import SEVERITY_CATEGORIES, SubjectRecord
 from strokepred.evalharness import (BALANCE_COVARIATES, Calibrator, LockBox,
                                     LockBoxProtocolError, LockBoxViolation,
                                     audit_scan, auc, cross_validate,
-                                    fit_temperature, lockbox_guard,
-                                    lockbox_seal, lockbox_unlock, metrics,
+                                    fit_temperature, metrics,
                                     seed_aggregate, stratified_partition,
                                     subgroup_metrics, threshold_sweep)
 from strokepred.learn import NumericAbort
@@ -20,6 +19,10 @@ from strokepred.learn import NumericAbort
 def _record(i, severity, score, size, days):
     return SubjectRecord(id=f"s{i:04d}", severity=severity, recovery_time=days,
                          left_lesion_size=size, score=score)
+
+
+def _group_ids(plan, group):
+    return sorted(i for i, g in plan.assignment.items() if g == group)
 
 
 def _toy_cohort(n=100, seed=0):
@@ -49,7 +52,7 @@ def test_partition_covers_every_subject_once():
     plan = stratified_partition(recs, k=5)
     assert sorted(plan.assignment) == sorted(r.id for r in recs)
     assert set(plan.assignment.values()) <= {1, 2, 3, 4, 5}
-    sizes = [len(plan.group_ids(g)) for g in range(1, 6)]
+    sizes = [len(_group_ids(plan, g)) for g in range(1, 6)]
     assert sum(sizes) == 83
     assert max(sizes) - min(sizes) <= len(SEVERITY_CATEGORIES)
 
@@ -101,7 +104,7 @@ def test_balance_report_matches_direct_recount():
     for name, get in cols.items():
         full = [get(r) for r in recs]
         sd = np.std(full, ddof=1)
-        means = [np.mean([get(by_id[i]) for i in plan.group_ids(g)])
+        means = [np.mean([get(by_id[i]) for i in _group_ids(plan, g)])
                  for g in range(1, 6)]
         worst = max(abs(means[a] - means[b]) / sd
                     for a in range(5) for b in range(a + 1, 5))
@@ -134,36 +137,36 @@ def _tiny_plan():
 
 
 def test_lockbox_allows_training_groups():
-    box = lockbox_seal(_tiny_plan())
-    lockbox_guard(box, [1, 2, 3], caller="cv")
-    lockbox_guard(box, [4], caller="calibration")
+    box = LockBox(_tiny_plan())
+    box.request([1, 2, 3], caller="cv")
+    box.request([4], caller="calibration")
     assert [e["op"] for e in box.entries] == ["seal", "access", "access"]
     assert not box.unlocked
 
 
 def test_lockbox_blocks_group5_before_unlock():
-    box = lockbox_seal(_tiny_plan())
+    box = LockBox(_tiny_plan())
     with pytest.raises(LockBoxViolation):
-        lockbox_guard(box, [5], caller="rogue")
+        box.request([5], caller="rogue")
     assert box.entries[-1]["op"] == "violation"
-    lockbox_unlock(box, reason="final evaluation")
-    lockbox_guard(box, [5], caller="final")  # now permitted
+    box.unlock(reason="final evaluation")
+    box.request([5], caller="final")  # now permitted
     assert box.entries[-1] == {**box.entries[-1], "op": "access"}
 
 
 def test_lockbox_double_unlock_is_protocol_error():
-    box = lockbox_seal(_tiny_plan())
-    lockbox_unlock(box, reason="final evaluation")
+    box = LockBox(_tiny_plan())
+    box.unlock(reason="final evaluation")
     with pytest.raises(LockBoxProtocolError):
-        lockbox_unlock(box, reason="again")
+        box.unlock(reason="again")
 
 
 def test_lockbox_audit_file_is_append_only_jsonl(tmp_path):
     path = tmp_path / "audit.jsonl"
-    box = lockbox_seal(_tiny_plan(), audit_path=path)
-    lockbox_guard(box, [1, 2, 3], caller="cv")
-    lockbox_unlock(box, reason="final evaluation")
-    lockbox_guard(box, [5], caller="final")
+    box = LockBox(_tiny_plan(), audit_path=path)
+    box.request([1, 2, 3], caller="cv")
+    box.unlock(reason="final evaluation")
+    box.request([5], caller="final")
     entries = [json.loads(line) for line in path.read_text().splitlines()]
     assert [e["seq"] for e in entries] == [1, 2, 3, 4]
     assert [e["op"] for e in entries] == ["seal", "access", "unlock", "access"]

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from strokepred.core import DegenerateRoiError
-from strokepred.explain import (ContrastChoice, Explanation,
-                                PerturbationRecord, RoiRanking, apply_mask,
-                                aggregate_importance, counterfactuals,
-                                explain_one, explanation_json,
+from strokepred.explain import (Explanation, PerturbationRecord, RoiRanking,
+                                apply_mask, counterfactuals, explain_one,
+                                explain_pool, explanation_json,
                                 explanation_report, fit_surrogate,
                                 gen_perturbations, roi_pixel_sets,
-                                select_contrast, select_roi_count)
+                                select_roi_count)
 
 ROIS = (1, 2, 3, 4)
 
@@ -53,38 +52,86 @@ def _double(labels, original, b, coefs):
 
 
 # ---------------------------------------------------------------------------
-# contrast selection
+# contrast selection (inside explain_pool)
+
+MEAN_GAIN = 10.0
+
+
+def _mean_logit_classifier(batch):
+    """logit = 10 * (mean intensity - 0.5): exactly linear in the pixels, so
+    an ROI's surrogate coefficient is 10 * sum over the ROI of
+    (image - contrast) / pixel count."""
+    means = np.round(np.asarray(batch, float).mean(axis=(1, 2)), 9)
+    return 1.0 / (1.0 + np.exp(-MEAN_GAIN * (means - 0.5)))
+
+
+def _linear_importance(labels, image, contrast):
+    diff = np.asarray(image, float) - np.asarray(contrast, float)
+    return np.array([MEAN_GAIN * diff[labels == roi].sum() / labels.size
+                     for roi in ROIS])
+
+
+def _explained_importance(expl):
+    return np.array([expl.importance[roi] for roi in ROIS])
 
 
 def test_select_contrast_matches_exhaustive_argmin():
+    labels, _, _ = _layout()
     rng = np.random.default_rng(1)
-    pool = {f"im{i:02d}": rng.random((6, 6)) for i in range(50)}
-
-    def classifier(batch):
-        return np.clip(np.asarray(batch).mean(axis=(1, 2)), 0, 1)
-
-    choice = select_contrast(pool, classifier)
-    probs = {i: float(np.clip(pool[i].mean(), 0, 1)) for i in pool}
-    want = min(sorted(pool), key=lambda i: (probs[i], i))
-    assert choice.image_id == want
-    assert choice.probability == pytest.approx(probs[want])
-    assert not choice.self_contrast
+    pool = {f"im{i:02d}": rng.random((12, 12)) for i in range(50)}
+    probs = dict(zip(sorted(pool),
+                     _mean_logit_classifier([pool[i] for i in sorted(pool)])))
+    explanations, _ = explain_pool(_mean_logit_classifier, pool, labels,
+                                   rois=ROIS, n_explain=3, n_perturb=64)
+    assert len(explanations) == 3
+    for expl in explanations:
+        others = sorted(i for i in pool if i != expl.image_id)
+        want, runner_up = sorted(others, key=lambda i: (probs[i], i))[:2]
+        got = _explained_importance(expl)
+        image = pool[expl.image_id]
+        assert np.allclose(got, _linear_importance(labels, image, pool[want]),
+                           atol=1e-3)
+        assert not np.allclose(
+            got, _linear_importance(labels, image, pool[runner_up]), atol=0.05)
+    # the explained image never contrasts with itself, even when it is the
+    # lowest-probability image of the pool
+    pool = {"a": np.full((12, 12), 0.6), "b": np.full((12, 12), 0.9)}
+    (expl,), ranking = explain_pool(_mean_logit_classifier, pool, labels,
+                                    rois=ROIS, n_explain=1, n_perturb=64)
+    assert expl.image_id == "a" and "self_contrast" not in expl.flags
+    assert np.allclose(_explained_importance(expl),
+                       _linear_importance(labels, pool["a"], pool["b"]),
+                       atol=1e-3)
 
 
 def test_select_contrast_tie_prefers_lowest_id():
-    img = np.full((4, 4), 0.2)
-    pool = {"b": img.copy(), "a": img.copy(), "c": img + 0.5}
-    choice = select_contrast(pool, lambda b: np.asarray(b).mean(axis=(1, 2)))
-    assert choice.image_id == "a"
+    labels, _, _ = _layout()
+    flat = np.full((12, 12), 0.2)
+    shifted = flat.copy()  # same mean, so the same probability
+    shifted[labels == 1] = 0.4
+    shifted[labels == 2] = 0.0
+    pool = {"b": flat, "a": shifted, "c": np.full((12, 12), 0.7)}
+    explanations, _ = explain_pool(_mean_logit_classifier, pool, labels,
+                                   rois=ROIS, n_explain=1, n_perturb=64)
+    (expl,) = explanations
+    assert expl.image_id == "c"
+    got = _explained_importance(expl)
+    assert np.allclose(got, _linear_importance(labels, pool["c"], shifted),
+                       atol=1e-3)
+    assert not np.allclose(got, _linear_importance(labels, pool["c"], flat),
+                           atol=0.05)
 
 
 def test_select_contrast_flags_self_contrast_and_pool_of_one():
-    pool = {"only": np.full((4, 4), 0.3)}
-    choice = select_contrast(pool, lambda b: np.asarray(b).mean(axis=(1, 2)),
-                             explained_id="only")
-    assert choice.image_id == "only" and choice.self_contrast
+    labels, _, _ = _layout()
+    pool = {"only": np.full((12, 12), 0.7)}
+    explanations, ranking = explain_pool(_mean_logit_classifier, pool, labels,
+                                         rois=ROIS, n_explain=1, n_perturb=64)
+    assert "self_contrast" in explanations[0].flags
+    assert "self_contrast_only" in ranking.flags
+    assert np.all(np.abs(_explained_importance(explanations[0])) <= 1e-9)
     with pytest.raises(ValueError):
-        select_contrast({}, lambda b: np.zeros(len(b)))
+        explain_pool(_mean_logit_classifier, {}, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +397,8 @@ def _pool_with_positive(n_extra=6):
 
 def test_aggregate_importance_recovers_coefficient_order():
     labels, classifier, pool, coefs = _pool_with_positive()
-    ranking = aggregate_importance(classifier, pool, labels, rois=ROIS,
-                                   n_explain=1, n_perturb=200, seed=0)
+    _, ranking = explain_pool(classifier, pool, labels, rois=ROIS,
+                              n_explain=1, n_perturb=200, seed=0)
     assert ranking.n_explanations == 1
     # true order by coefficient: roi1 (2.0), roi4 (1.5), roi2 (1.0), roi3 (0.5)
     assert ranking.rois == (1, 4, 2, 3)
@@ -362,20 +409,19 @@ def test_aggregate_importance_recovers_coefficient_order():
 
 def test_aggregate_importance_flags_small_pool_and_requires_positive():
     labels, classifier, pool, _ = _pool_with_positive()
-    ranking = aggregate_importance(classifier, pool, labels, rois=ROIS,
-                                   n_explain=50, n_perturb=120, seed=0)
+    _, ranking = explain_pool(classifier, pool, labels, rois=ROIS,
+                              n_explain=50, n_perturb=120, seed=0)
     assert any(f.startswith("explained_all_") for f in ranking.flags)
     with pytest.raises(ValueError):
-        aggregate_importance(classifier,
-                             {"a": pool["im99"]}, labels, rois=ROIS)
+        explain_pool(classifier, {"a": pool["im99"]}, labels, rois=ROIS)
 
 
 def test_ranking_stable_across_perturbation_seeds():
     labels, classifier, pool, _ = _pool_with_positive()
-    r0 = aggregate_importance(classifier, pool, labels, rois=ROIS,
-                              n_explain=2, n_perturb=150, seed=0)
-    r1 = aggregate_importance(classifier, pool, labels, rois=ROIS,
-                              n_explain=2, n_perturb=150, seed=1)
+    _, r0 = explain_pool(classifier, pool, labels, rois=ROIS,
+                         n_explain=2, n_perturb=150, seed=0)
+    _, r1 = explain_pool(classifier, pool, labels, rois=ROIS,
+                         n_explain=2, n_perturb=150, seed=1)
 
     def spearman(order_a, order_b):
         ra = {roi: i for i, roi in enumerate(order_a)}

@@ -6,19 +6,13 @@ from strokepred.glyphs import (
     DEFAULT_SEVERITY_SYMBOLS,
     GlyphOverlapError,
     GlyphSpec,
-    cross_raster,
-    ellipse_raster,
     glyph_strip_boxes,
     hybrid_roi,
     hybrid_stitched,
     normalizers_from_records,
-    pentagon_raster,
-    pie_raster,
     render_glyphs,
     severity_raster,
-    square_raster,
-    star_raster,
-    triangle_raster,
+    shape_raster,
 )
 from strokepred.imaging import (
     Image2D,
@@ -26,6 +20,7 @@ from strokepred.imaging import (
     RoiImageSpec,
     StitchSpec,
     downsample,
+    plan_roi_tiles,
     stitch,
 )
 from strokepred.rng import CounterRng
@@ -79,7 +74,7 @@ def test_spec_json_roundtrip():
 def test_zero_lesion_gives_r_min_pentagon():
     spec = make_spec()
     out = render_glyphs(make_record(lesion=0), spec, blank(), boxes_for())
-    expected = pentagon_raster(32, 32, spec.pentagon_radius[0])
+    expected = shape_raster("pentagon", 32, 32, spec.pentagon_radius[0])
     assert np.array_equal(out[:, 0:32], expected)
 
 
@@ -90,17 +85,17 @@ def test_saturated_recovery_gives_i_max():
     pie = out[:, 32:64]
     assert pie.max() == np.float32(spec.pie_intensity[1])
     # fixed support: same pixels as any other intensity
-    ref = pie_raster(32, 32, spec.pie_radius, 1.0)
+    ref = shape_raster("pie", 32, 32, spec.pie_radius, 1.0)
     assert np.array_equal(pie > 0, ref > 0)
 
 
 def test_severity_shapes_match_mapping():
     spec = make_spec()
-    for severity, shape in (("normal", ellipse_raster), ("unknown", star_raster),
-                            ("moderate", triangle_raster), ("severe", square_raster),
-                            ("mild", cross_raster)):
+    for severity, shape in (("normal", "ellipse"), ("unknown", "star"),
+                            ("moderate", "triangle"), ("severe", "square"),
+                            ("mild", "cross")):
         out = render_glyphs(make_record(severity=severity), spec, blank(), boxes_for())
-        expected = shape(32, 32, 0.38 * 32)
+        expected = shape_raster(shape, 32, 32, 0.38 * 32)
         assert np.array_equal(out[:, 64:96], expected), severity
 
 
@@ -219,11 +214,15 @@ def test_hybrid_stitched_severity_diff_confined():
 
 def test_hybrid_stitched_glyph_pixels_carry_no_provenance():
     dims = (32, 32, 16)
-    vol = make_volume(dims)
     stitch_spec, glyph_spec = hybrid_specs()
-    img = hybrid_stitched(vol, make_record(), stitch_spec, glyph_spec)
+    a = hybrid_stitched(make_volume(dims, seed=1), make_record(), stitch_spec,
+                        glyph_spec)
+    b = hybrid_stitched(make_volume(dims, seed=2), make_record(), stitch_spec,
+                        glyph_spec)
     r0, c0 = stitch_spec.cell_origin(12)
-    assert np.all(img.provenance[r0:r0 + 32, c0:c0 + 32] == -1)
+    assert np.array_equal(a.pixels[r0:r0 + 32, c0:c0 + 32],
+                          b.pixels[r0:r0 + 32, c0:c0 + 32])
+    assert not np.array_equal(a.pixels[:32, :32], b.pixels[:32, :32])
 
 
 def test_hybrid_stitched_deterministic_and_downsampled():
@@ -263,8 +262,8 @@ def test_hybrid_roi_strip_disjoint_from_tiles():
                                 reserved_bottom=reserved)
         img = hybrid_roi(vol, atlas, roi_spec, make_record(), glyph_spec)
         strip_start = canvas[0] - reserved
-        mapped = img.provenance[..., 0] >= 0
-        assert not np.any(mapped[strip_start:, :])  # no tile in the strip
+        shown = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas).shown
+        assert np.all(shown // canvas[1] < strip_start)  # no tile in the strip
         assert np.any(img.pixels[strip_start:, :] > 0)  # glyphs present
 
 
@@ -276,9 +275,9 @@ def test_hybrid_roi_seven_rois_plus_three_glyphs():
                             reserved_bottom=24)
     glyph_spec = make_spec(pentagon_radius=(3.0, 10.0), pie_radius=9.0)
     img = hybrid_roi(vol, atlas, roi_spec, make_record(), glyph_spec)
-    mapped = img.provenance[img.provenance[..., 0] >= 0]
-    shown = {int(atlas.labels[x, y, z]) for x, y, z in mapped}
-    assert shown == set(range(1, 8))
+    pmap = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas)
+    assert set(atlas.labels.ravel()[pmap.voxels].tolist()) == set(range(1, 8))
+    assert np.all(img.pixels.ravel()[pmap.shown] == np.float32(0.8))
     for (r0, c0, bh, bw) in glyph_strip_boxes(roi_spec):
         assert np.any(img.pixels[r0:r0 + bh, c0:c0 + bw] > 0)
 

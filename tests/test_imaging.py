@@ -3,24 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strokepred.core import FormatError, LabelVolume, Volume3D
+from strokepred.core import LabelVolume, Volume3D
 from strokepred.imaging import (
     CanvasOverflowError,
     Image2D,
     LayoutError,
-    ProvenanceError,
     RoiImageSpec,
     StitchSpec,
     downsample,
-    pixel_of_voxel,
     plan_roi_tiles,
-    read_image,
     roi_image,
     stitch,
     stitched_label_image,
-    voxel_of_pixel,
-    write_image,
-    write_pgm,
 )
 from strokepred.rng import CounterRng
 
@@ -30,6 +24,25 @@ def make_volume(dims, seed=7):
     n = dims[0] * dims[1] * dims[2]
     data = np.array([rng.uniform() for _ in range(n)], dtype=np.float32)
     return Volume3D(dims=dims, data=data.reshape(dims))
+
+
+def stitch_pixel(spec, voxel):
+    """(row, col) of a displayed voxel under the layout convention: slice
+    k fills flat cell k, image row = voxel y, image column = voxel x."""
+    x, y, z = voxel
+    r0, c0 = spec.cell_origin(spec.slice_indices.index(z))
+    return r0 + y, c0 + x
+
+
+def voxel_map(atlas, spec, plan=None):
+    """(h, w, 3) voxel (x, y, z) each ROI canvas pixel shows, -1 if blank,
+    from the plan's compiled pixel map."""
+    plan = plan or plan_roi_tiles(atlas, spec)
+    pmap = plan.pixel_map(atlas)
+    out = np.full((*spec.canvas, 3), -1, dtype=np.int64)
+    out.reshape(-1, 3)[pmap.shown] = np.stack(
+        np.unravel_index(pmap.voxels, atlas.dims), axis=1)
+    return out
 
 
 def test_stitch_dimensions_64_slice_grid():
@@ -50,8 +63,7 @@ def test_stitch_known_pixel_mapping():
     spec = StitchSpec.for_volume(dims, grid=(2, 2))
     img = stitch(vol, spec)
     assert img.pixels[0, 5] == np.float32(0.625)
-    assert voxel_of_pixel(img, (0, 5)) == (1, 0, 1)
-    assert pixel_of_voxel(spec, (1, 0, 1)) == (0, 5)
+    assert np.count_nonzero(img.pixels) == 1
 
 
 def test_stitch_roundtrip_exhaustive():
@@ -59,18 +71,15 @@ def test_stitch_roundtrip_exhaustive():
     vol = make_volume(dims)
     spec = StitchSpec.for_volume(dims, grid=(3, 3))
     img = stitch(vol, spec)
-    seen = set()
-    for r in range(img.height):
-        for c in range(img.width):
-            try:
-                voxel = voxel_of_pixel(img, (r, c))
-            except ProvenanceError:
-                continue
-            assert pixel_of_voxel(spec, voxel) == (r, c)
-            assert img.pixels[r, c] == vol.data[voxel]
-            seen.add(voxel)
+    shown = np.zeros((img.height, img.width), dtype=bool)
+    for voxel in np.ndindex(*dims):
+        r, c = stitch_pixel(spec, voxel)
+        assert img.pixels[r, c] == vol.data[voxel]
+        assert not shown[r, c]
+        shown[r, c] = True
     # every voxel of every selected slice is displayed exactly once
-    assert len(seen) == 8 * 8 * 8
+    assert shown.sum() == 8 * 8 * 8
+    assert np.all(img.pixels[~shown] == 0.0)
 
 
 def test_stitch_is_lossless():
@@ -88,9 +97,6 @@ def test_stitch_removed_cells_blank():
     spec = StitchSpec.for_volume(dims, grid=(2, 2), removed_cells=(3,))
     img = stitch(vol, spec)
     assert np.all(img.pixels[4:8, 4:8] == 0.0)
-    assert np.all(img.provenance[4:8, 4:8] == -1)
-    with pytest.raises(ProvenanceError):
-        pixel_of_voxel(spec, (0, 0, 3))
     expected = vol.data[:, :, :3].sum(dtype=np.float64)
     assert np.isclose(img.pixels.sum(dtype=np.float64), expected, rtol=1e-6)
 
@@ -121,8 +127,7 @@ def test_stitch_provenance_property(nx, ny, nz, data):
     x = data.draw(st.integers(0, nx - 1))
     y = data.draw(st.integers(0, ny - 1))
     z = data.draw(st.integers(0, nz - 1))
-    r, c = pixel_of_voxel(spec, (x, y, z))
-    assert voxel_of_pixel(img, (r, c)) == (x, y, z)
+    r, c = stitch_pixel(spec, (x, y, z))
     assert img.pixels[r, c] == vol.data[x, y, z]
 
 
@@ -136,7 +141,6 @@ def test_downsample_hand_computed_means():
         [px[2:4, 0:2].mean(), px[2:4, 2:4].mean()],
     ])
     assert np.allclose(out.pixels, expected, atol=1e-7)
-    assert out.provenance is None
 
 
 def test_downsample_256_from_stitched():
@@ -202,15 +206,16 @@ def test_roi_image_masks_and_packs():
     vol = make_volume((6, 6, 3), seed=13)
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12))
     img = roi_image(vol, atlas, spec)
+    vmap = voxel_map(atlas, spec)
     nz = np.argwhere(img.pixels > 0)
     assert len(nz) > 0
     for r, c in nz:
-        x, y, z = voxel_of_pixel(img, (int(r), int(c)))
+        x, y, z = vmap[r, c]
         assert atlas.labels[x, y, z] in (1, 2)
         assert img.pixels[r, c] == vol.data[x, y, z]
     # tile 0 is ROI 1's z=0 crop at the origin: 3 rows (y 2..4), 2 cols (x 1..2)
-    assert voxel_of_pixel(img, (0, 0)) == (1, 2, 0)
-    assert voxel_of_pixel(img, (2, 1)) == (2, 4, 0)
+    assert tuple(vmap[0, 0]) == (1, 2, 0)
+    assert tuple(vmap[2, 1]) == (2, 4, 0)
 
 
 def test_roi_image_no_foreign_voxels():
@@ -220,7 +225,7 @@ def test_roi_image_no_foreign_voxels():
     vol = Volume3D(dims=(6, 6, 3), data=data)
     spec = RoiImageSpec(roi_labels=(1,), canvas=(8, 8))
     img = roi_image(vol, atlas, spec)
-    mapped = img.provenance[..., 0] >= 0
+    mapped = voxel_map(atlas, spec)[..., 0] >= 0
     assert np.all(img.pixels[~mapped] == 0.0)
     count_roi1 = int(np.sum(atlas.labels == 1))
     assert int(mapped.sum()) == count_roi1
@@ -228,12 +233,9 @@ def test_roi_image_no_foreign_voxels():
 
 def test_roi_image_provenance_injective():
     atlas = make_two_roi_atlas()
-    vol = make_volume((6, 6, 3), seed=17)
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12))
-    img = roi_image(vol, atlas, spec)
-    mapped = img.provenance[img.provenance[..., 0] >= 0]
-    triples = {tuple(t) for t in mapped}
-    assert len(triples) == len(mapped)
+    voxels = plan_roi_tiles(atlas, spec).pixel_map(atlas).voxels
+    assert len(set(voxels.tolist())) == len(voxels)
 
 
 def test_roi_image_overflow_reports_required_size():
@@ -265,11 +267,15 @@ def test_roi_image_unknown_label():
 def test_roi_order_follows_label_ranking():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=29)
-    a = roi_image(vol, atlas, RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12)))
-    b = roi_image(vol, atlas, RoiImageSpec(roi_labels=(2, 1), canvas=(12, 12)))
+    a_spec = RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12))
+    b_spec = RoiImageSpec(roi_labels=(2, 1), canvas=(12, 12))
+    a = roi_image(vol, atlas, a_spec)
+    b = roi_image(vol, atlas, b_spec)
     # first tile differs: ranking order controls placement
-    assert voxel_of_pixel(a, (0, 0))[2] == 0  # ROI 1 lives on z=0
-    assert voxel_of_pixel(b, (0, 0))[2] in (1, 2)  # ROI 2 slices come first
+    assert voxel_map(atlas, a_spec)[0, 0, 2] == 0  # ROI 1 lives on z=0
+    assert voxel_map(atlas, b_spec)[0, 0, 2] in (1, 2)  # ROI 2 slices first
+    assert a.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, a_spec)[0, 0])]
+    assert b.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, b_spec)[0, 0])]
 
 
 def test_stitched_label_image_matches_provenance():
@@ -278,57 +284,13 @@ def test_stitched_label_image_matches_provenance():
     spec = StitchSpec.for_volume(vol.dims, grid=(2, 2))
     img = stitch(vol, spec)
     lab = stitched_label_image(atlas, spec)
-    for r in range(img.height):
-        for c in range(img.width):
-            try:
-                x, y, z = voxel_of_pixel(img, (r, c))
-            except ProvenanceError:
-                assert lab[r, c] == 0
-                continue
-            assert lab[r, c] == atlas.labels[x, y, z]
-
-
-# ---------------------------------------------------------------------------
-# File formats
-
-
-def test_img_roundtrip(tmp_path):
-    vol = make_volume((5, 4, 2), seed=37)
-    img = stitch(vol, StitchSpec.for_volume(vol.dims, grid=(1, 2)))
-    p = tmp_path / "img.img1"
-    write_image(img, p)
-    back = read_image(p)
-    assert (back.width, back.height) == (img.width, img.height)
-    assert np.array_equal(back.pixels, img.pixels)
-
-
-def test_img_bad_magic(tmp_path):
-    p = tmp_path / "bad.img1"
-    p.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(FormatError) as exc:
-        read_image(p)
-    assert exc.value.offset == 0
-
-
-def test_img_truncated(tmp_path):
-    vol = make_volume((3, 3, 1), seed=41)
-    img = stitch(vol, StitchSpec.for_volume(vol.dims, grid=(1, 1)))
-    p = tmp_path / "trunc.img1"
-    write_image(img, p)
-    p.write_bytes(p.read_bytes()[:-2])
-    with pytest.raises(FormatError):
-        read_image(p)
-
-
-def test_pgm_header_and_range(tmp_path):
-    px = np.array([[0.0, 1.0], [0.5, 0.25]], np.float32)
-    p = tmp_path / "img.pgm"
-    write_pgm(Image2D(2, 2, px), p)
-    raw = p.read_bytes()
-    assert raw.startswith(b"P5\n2 2\n65535\n")
-    samples = np.frombuffer(raw[len(b"P5\n2 2\n65535\n"):], dtype=">u2")
-    assert samples[0] == 0 and samples[1] == 65535
-    assert samples[2] == round(0.5 * 65535)
+    shown = np.zeros(lab.shape, dtype=bool)
+    for voxel in np.ndindex(*vol.dims):
+        r, c = stitch_pixel(spec, voxel)
+        assert lab[r, c] == atlas.labels[voxel]
+        assert img.pixels[r, c] == vol.data[voxel]
+        shown[r, c] = True
+    assert np.all(lab[~shown] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +337,7 @@ def test_roi_image_equals_per_tile_reference(order, reserved):
         img = roi_image(vol, atlas, spec, plan)
         pixels, prov = reference_roi_image(vol, atlas, plan)
         assert img.pixels.tobytes() == pixels.tobytes()
-        assert np.array_equal(img.provenance, prov)
+        assert np.array_equal(voxel_map(atlas, spec), prov)
 
 
 def test_roi_plan_recompiles_for_another_atlas():
@@ -388,18 +350,19 @@ def test_roi_plan_recompiles_for_another_atlas():
     img = roi_image(vol, tracts, spec, plan)
     pixels, prov = reference_roi_image(vol, tracts, plan)
     assert img.pixels.tobytes() == pixels.tobytes()
-    assert np.array_equal(img.provenance, prov)
+    assert np.array_equal(voxel_map(tracts, spec, plan), prov)
 
 
 def test_roi_provenance_shared_and_read_only():
     atlas, _ = synthetic_atlases()
     spec = RoiImageSpec(roi_labels=(1, 3), canvas=(60, 60))
     plan = plan_roi_tiles(atlas, spec)
+    pmap = plan.pixel_map(atlas)
     a = roi_image(make_volume(atlas.dims, seed=1), atlas, spec, plan)
     b = roi_image(make_volume(atlas.dims, seed=2), atlas, spec, plan)
-    assert a.provenance is b.provenance
+    assert plan.pixel_map(atlas) is pmap  # compiled once, shared by renders
     with pytest.raises(ValueError):
-        a.provenance[0, 0, 0] = 7
+        pmap.voxels[0] = 7
     assert not np.shares_memory(a.pixels, b.pixels)
 
 

@@ -1,10 +1,16 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strokepred.core import FormatError, SubjectRecord
 from strokepred.learn import (
+    CKP_MAGIC,
+    MODEL_KINDS,
     ArrayDataset,
     CnnConfig,
     NumericAbort,
@@ -15,7 +21,6 @@ from strokepred.learn import (
     class_weighted_bce,
     class_weights_from_labels,
     forward,
-    input_gradients,
     logistic_fit,
     predict_proba,
     read_checkpoint,
@@ -252,8 +257,8 @@ def test_fusion_kinds_sensitive_to_tabular():
     for kind in ("early_fusion", "daft"):
         params = build_params(kind, cnn=cnn, tabular_dim=3,
                               rng=rng.substream("init", kind), dtype=np.float64)
-        _, dtab = input_gradients(params, images, tabular, labels)
-        assert dtab is not None and np.any(dtab != 0.0), kind
+        shifted = forward(params, images, tabular + 0.5)
+        assert np.all(shifted != forward(params, images, tabular)), kind
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +420,8 @@ def test_tabular_encoding_shape_and_ranges():
     assert np.allclose(x[:, :5].sum(axis=1), 1.0)
     assert np.all((x >= 0) & (x <= 1))
     # saturation beyond the reference values
-    big = enc.encode(make_record("normal", 5000.0, 10**6))
+    big = enc.design([make_record("normal", 5000.0, 10**6)])[0]
     assert big[5] == 1.0 and big[6] == 1.0
-
-
-def test_tabular_encoding_feature_subsets():
-    enc = TabularEncoding(size_ref=1000.0, time_ref=365.0)
-    records = [make_record("mild", 10.0, 500)]
-    assert enc.design(records, features=("size",)).shape == (1, 1)
-    assert enc.design(records, features=("size", "severity")).shape == (1, 6)
-    with pytest.raises(ValueError):
-        enc.design(records, features=("age",))
 
 
 # ---------------------------------------------------------------------------
@@ -463,3 +459,151 @@ def test_checkpoint_truncated_payload(tmp_path):
     p.write_bytes(p.read_bytes()[:-4])
     with pytest.raises(FormatError):
         read_checkpoint(p)
+
+
+# --- malformed CKP1 files: FormatError with a byte offset, nothing else ----
+
+LIGHT_META = {"kind": "lightweight", "cnn": tiny_cnn().to_json_dict(),
+              "tabular_dim": None}
+
+
+def ckp1_bytes(header, payload=b""):
+    """CKP1 layout: magic, u32 header length, header bytes, payload."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode("utf-8")
+    return CKP_MAGIC + struct.pack("<I", len(header)) + header + payload
+
+
+def light_payload():
+    params = build_params("lightweight", cnn=tiny_cnn(),
+                          rng=CounterRng(2, "ckp"))
+    return params.vector.astype("<f4").tobytes()
+
+
+def read_malformed(tmp_path, blob):
+    path = tmp_path / "bad.ckp1"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert 0 <= err.value.offset <= len(blob)
+    return err.value
+
+
+def test_checkpoint_list_header_rejected(tmp_path):
+    assert read_malformed(tmp_path, ckp1_bytes([1, 2])).offset == 8
+
+
+def test_checkpoint_payload_not_whole_floats(tmp_path):
+    blob = ckp1_bytes(LIGHT_META, light_payload()[:-2])
+    header_len = len(json.dumps(LIGHT_META).encode())
+    assert read_malformed(tmp_path, blob).offset == 8 + header_len
+
+
+def test_checkpoint_header_not_utf8(tmp_path):
+    header = b'{"kind": "light\xffweight"}'
+    err = read_malformed(tmp_path, ckp1_bytes(header))
+    assert err.offset == 8 + header.index(b"\xff")
+
+
+def test_checkpoint_header_not_json(tmp_path):
+    header = b'{"kind": lightweight}'
+    err = read_malformed(tmp_path, ckp1_bytes(header))
+    assert err.offset == 8 + header.index(b"lightweight")
+
+
+def test_checkpoint_header_without_kind(tmp_path):
+    meta = {k: v for k, v in LIGHT_META.items() if k != "kind"}
+    err = read_malformed(tmp_path, ckp1_bytes(meta, light_payload()))
+    assert err.offset == 8 and "'kind'" in str(err)
+
+
+def test_checkpoint_unknown_kind(tmp_path):
+    meta = dict(LIGHT_META, kind="bogus")
+    err = read_malformed(tmp_path, ckp1_bytes(meta, light_payload()))
+    assert err.offset == 8 and "bogus" in str(err)
+
+
+def test_checkpoint_non_finite_parameter(tmp_path):
+    payload = bytearray(light_payload())
+    payload[12:16] = struct.pack("<f", math.nan)
+    err = read_malformed(tmp_path, ckp1_bytes(LIGHT_META, bytes(payload)))
+    assert err.offset == 8 + len(json.dumps(LIGHT_META).encode()) + 12
+
+
+CKP_CASES = [("lightweight", tiny_cnn(), None), ("logistic", None, 7),
+             ("early_fusion", tiny_cnn(), 7), ("daft", tiny_cnn(), 7)]
+
+
+@pytest.fixture(scope="module")
+def ckp1_files(tmp_path_factory):
+    """Valid CKP1 bytes for every kind the program writes, and a scratch
+    path for mutated copies."""
+    root = tmp_path_factory.mktemp("ckp1-fuzz")
+    raw = []
+    for kind, cnn, tab in CKP_CASES:
+        path = root / f"{kind}.ckp1"
+        write_checkpoint(build_params(kind, cnn=cnn, tabular_dim=tab,
+                                      rng=CounterRng(3, kind)), path)
+        raw.append(path.read_bytes())
+    return raw, root / "mutated.ckp1"
+
+
+def assert_ckp1_rejected(path, blob):
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as err:
+        read_checkpoint(path)
+    assert 0 <= err.value.offset <= len(blob)
+
+
+CASE = st.integers(0, len(CKP_CASES) - 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=CASE, data=st.data())
+def test_ckp1_truncation_fuzz(ckp1_files, case, data):
+    raw, path = ckp1_files
+    cut = data.draw(st.integers(0, len(raw[case]) - 1))
+    assert_ckp1_rejected(path, raw[case][:cut])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=CASE, data=st.data())
+def test_ckp1_flipped_header_bit_fuzz(ckp1_files, case, data):
+    raw, path = ckp1_files
+    blob = bytearray(raw[case])
+    header_end = 8 + struct.unpack_from("<I", blob, 4)[0]
+    pos = data.draw(st.integers(0, header_end - 1))
+    blob[pos] ^= 1 << data.draw(st.integers(0, 7))
+    assert_ckp1_rejected(path, bytes(blob))
+
+
+HUGE = st.integers(2**20, 2**62)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=CASE, kind=st.sampled_from(MODEL_KINDS), hw=st.tuples(HUGE, HUGE),
+       channels=st.lists(HUGE, min_size=1, max_size=3),
+       tabular_dim=st.none() | HUGE)
+def test_ckp1_huge_dims_fuzz(ckp1_files, case, kind, hw, channels,
+                             tabular_dim):
+    raw, path = ckp1_files
+    header_end = 8 + struct.unpack_from("<I", raw[case], 4)[0]
+    meta = {"kind": kind, "cnn": {"input_hw": list(hw), "channels": channels},
+            "tabular_dim": tabular_dim}
+    assert_ckp1_rejected(path, ckp1_bytes(meta, raw[case][header_end:]))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=CASE, header=JSON_VALUES)
+def test_ckp1_json_header_fuzz(ckp1_files, case, header):
+    raw, path = ckp1_files
+    header_end = 8 + struct.unpack_from("<I", raw[case], 4)[0]
+    assert_ckp1_rejected(path, ckp1_bytes(header, raw[case][header_end:]))

@@ -103,22 +103,38 @@ def test_auto_grid_exact_cover():
 
 def test_fit_roi_spec_plan_fits(tiny_cohort):
     labels = tuple(sorted(tiny_cohort.atlas.label_names))
-    spec = pipeline.fit_roi_spec(tiny_cohort.atlas, labels)
-    plan = imaging.plan_roi_tiles(tiny_cohort.atlas, spec)
+    plan = pipeline.fit_roi_spec(tiny_cohort.atlas, labels)
     planned = {t[0] for t in plan.tiles}
     assert planned == set(labels)
-    assert spec.reserved_bottom == 0
+    assert plan.spec.reserved_bottom == 0
+    assert plan == imaging.plan_roi_tiles(tiny_cohort.atlas, plan.spec)
 
 
 def test_fit_roi_spec_reserved_fraction(tiny_cohort):
     labels = tuple(sorted(tiny_cohort.atlas.label_names))
-    plain = pipeline.fit_roi_spec(tiny_cohort.atlas, labels)
-    spec = pipeline.fit_roi_spec(tiny_cohort.atlas, labels,
+    plain = pipeline.fit_roi_spec(tiny_cohort.atlas, labels).spec
+    plan = pipeline.fit_roi_spec(tiny_cohort.atlas, labels,
                                  reserved_fraction=0.25)
+    spec = plan.spec
     base_h = plain.canvas[0]
     assert spec.reserved_bottom == round(base_h * 0.25)
     assert spec.canvas[0] == base_h + spec.reserved_bottom
-    imaging.plan_roi_tiles(tiny_cohort.atlas, spec)  # still fits
+    assert plan == imaging.plan_roi_tiles(tiny_cohort.atlas, spec)  # fits
+
+
+@pytest.mark.parametrize("variant", ["gm-roi", "hybrid-gm-roi"])
+def test_roi_build_plans_tiles_twice(tiny_cohort, monkeypatch, variant):
+    calls = []
+    plan_roi_tiles = imaging.plan_roi_tiles
+
+    def counting(atlas, spec):
+        calls.append(spec)
+        return plan_roi_tiles(atlas, spec)
+
+    monkeypatch.setattr(imaging, "plan_roi_tiles", counting)
+    pipeline.build_variant(tiny_cohort, fast_config(variant=variant),
+                           2000.0, 900.0)
+    assert len(calls) == 2  # the canvas probe, then the plan that renders
 
 
 def test_downsample_labels_matches_loop_oracle():
@@ -134,8 +150,7 @@ def test_downsample_labels_matches_loop_oracle():
 
 def test_roi_label_canvas_marks_tiles(tiny_cohort):
     labels = tuple(sorted(tiny_cohort.atlas.label_names))
-    spec = pipeline.fit_roi_spec(tiny_cohort.atlas, labels)
-    plan = imaging.plan_roi_tiles(tiny_cohort.atlas, spec)
+    plan = pipeline.fit_roi_spec(tiny_cohort.atlas, labels)
     canvas = pipeline.roi_label_canvas(plan)
     covered = np.zeros(canvas.shape, dtype=bool)
     for (label, _z, x0, x1, y0, y1, r0, c0) in plan.tiles:
@@ -217,7 +232,7 @@ def test_roi_subset_changes_canvas(tiny_cohort):
 def _sealed(tiny_cohort, config):
     plan = evalharness.stratified_partition(tiny_cohort.records, k=5,
                                             seed=config.partition_seed)
-    return plan, evalharness.lockbox_seal(plan)
+    return plan, evalharness.LockBox(plan)
 
 
 def test_assemble_lightweight_has_images_only(tiny_cohort):
@@ -348,14 +363,6 @@ def test_summary_csv_matches_aggregate(tiny_run, tmp_path):
         got = tiny_run.aggregate[metric]
         assert float(mean) == pytest.approx(got[0], rel=1e-9)
         assert float(se) == pytest.approx(got[1], rel=1e-9, abs=1e-12)
-
-
-def test_logistic_baseline_runs(tiny_cohort):
-    row = pipeline.logistic_baseline(tiny_cohort, ("size",))
-    assert 0.0 <= row.balanced_accuracy <= 1.0
-    full = pipeline.logistic_baseline(tiny_cohort,
-                                      ("severity", "size", "time"))
-    assert 0.0 <= full.balanced_accuracy <= 1.0
 
 
 def test_roi_count_sweep_runs(tiny_cohort):

@@ -60,15 +60,6 @@ def test_log_uniform_bounds():
     assert 60 < xs[len(xs) // 2] < 170
 
 
-def test_choice_weighted_degenerate_and_proportions():
-    r = CounterRng(13)
-    assert all(r.choice_weighted([0.0, 1.0, 0.0]) == 1 for _ in range(50))
-    counts = [0, 0]
-    for _ in range(4000):
-        counts[r.choice_weighted([1.0, 3.0])] += 1
-    assert 0.2 < counts[0] / 4000 < 0.3
-
-
 def test_shuffle_is_permutation_and_deterministic():
     r1 = CounterRng(3, "shuffle")
     r2 = CounterRng(3, "shuffle")

@@ -13,8 +13,8 @@ from pathlib import Path
 
 from strokepred.cli import EXIT_LOCKBOX
 from strokepred.core import SEVERITY_CATEGORIES, SubjectRecord
-from strokepred.evalharness import (LockBoxError, audit_scan, lockbox_guard,
-                                    lockbox_seal, stratified_partition)
+from strokepred.evalharness import (LockBox, LockBoxError, audit_scan,
+                                    stratified_partition)
 
 
 def main() -> int:
@@ -29,10 +29,10 @@ def main() -> int:
     ]
     plan = stratified_partition(records, k=5, seed=3)
     audit = Path(tempfile.mkdtemp()) / "audit.jsonl"
-    box = lockbox_seal(plan, audit)
-    lockbox_guard(box, [1, 2, 3], "training")  # legitimate
+    box = LockBox(plan, audit)
+    box.request([1, 2, 3], "training")  # legitimate
     try:
-        lockbox_guard(box, [5], "premature-final-eval")  # the violation
+        box.request([5], "premature-final-eval")  # the violation
     except LockBoxError as exc:
         scan = audit_scan(audit)
         print(f"blocked as required: {exc}", file=sys.stderr)
