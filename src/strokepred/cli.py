@@ -28,6 +28,8 @@ EXIT_LOCKBOX = 3
 EXIT_NUMERIC = 4
 
 CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
+# the run --roi-sweep ranking's settings and their defaults
+EXPLAIN_DEFAULTS = {"n_explain": 12, "n_perturb": 160, "seed": 0}
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
@@ -127,6 +129,26 @@ def _run_config(args, doc: dict) -> RunConfig:
     return config
 
 
+def _roi_sweep_settings(doc: dict) -> tuple[dict, tuple[int, ...]]:
+    """The config file's explain block (over its defaults) and ROI counts,
+    checked before anything is trained."""
+    exp = doc.get("explain", {})
+    if not isinstance(exp, dict):
+        raise ConfigError("config file key 'explain' must hold a JSON object")
+    for key, value in exp.items():
+        if key not in EXPLAIN_DEFAULTS:
+            raise ConfigError(f"unknown explain key {key!r}")
+        if type(value) is not int or (key != "seed" and value < 1):
+            raise ConfigError(f"explain key {key!r} must be a "
+                              f"{'' if key == 'seed' else 'positive '}integer")
+    counts = doc.get("roi_counts", list(range(3, 11)))
+    if not isinstance(counts, list) or not counts or any(
+            type(k) is not int or k < 1 for k in counts):
+        raise ConfigError("config file key 'roi_counts' must be a nonempty "
+                          "list of positive integers")
+    return {**EXPLAIN_DEFAULTS, **exp}, tuple(counts)
+
+
 def _update_index(out: Path, extra: dict) -> None:
     index_path = out / "index.json"
     doc = json.loads(index_path.read_text()) if index_path.exists() else {}
@@ -137,6 +159,7 @@ def _update_index(out: Path, extra: dict) -> None:
 def cmd_run(args) -> int:
     doc = _load_config_file(args.config)
     config = _run_config(args, doc)
+    exp, counts = _roi_sweep_settings(doc)
     if args.roi_sweep:
         pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
@@ -149,16 +172,13 @@ def cmd_run(args) -> int:
     _update_index(out, {"audit": "audit.jsonl"})
 
     if args.roi_sweep:
-        exp = doc.get("explain", {})
-        ranking = pipeline.roi_ranking_for(
-            result, config.seeds[0],
-            n_explain=exp.get("n_explain", 12),
-            n_perturb=exp.get("n_perturb", 160),
-            explain_seed=exp.get("seed", 0))
-        counts = tuple(doc.get("roi_counts", range(3, 11)))
-        curve = pipeline.roi_count_sweep(cohort, config, ranking,
-                                         counts=counts,
-                                         plan=result.plan)
+        _, ranking = pipeline.rank_rois(
+            result.checkpoints[config.seeds[0]], result.variant_data,
+            result.plan, n_explain=exp["n_explain"],
+            n_perturb=exp["n_perturb"], seed=exp["seed"])
+        curve = pipeline.roi_count_sweep(cohort, config, ranking, result.plan,
+                                         result.box, result.normalizers,
+                                         counts=counts)
         pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv",
                                    cohort.labels_for(config.variant).label_names)
         pipeline.write_curve_csv(curve, out / "roi_curve.csv")
@@ -212,16 +232,6 @@ def _load_checkpoint(run_dir: Path, config: RunConfig,
     return seed, params
 
 
-def _rebuild_variant(cohort: pipeline.CohortData, config: RunConfig,
-                     ) -> tuple[pipeline.VariantData, evalharness.SplitPlan]:
-    plan = evalharness.stratified_partition(cohort.records, k=5,
-                                            seed=config.partition_seed)
-    # no held-out data is read here, so the box keeps no audit file
-    size_ref, time_ref = pipeline.train_normalizers(
-        cohort.records, plan, evalharness.LockBox(plan), "feature-normalizers")
-    return pipeline.build_variant(cohort, config, size_ref, time_ref), plan
-
-
 def cmd_explain(args) -> int:
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
@@ -234,16 +244,14 @@ def cmd_explain(args) -> int:
                           f"this run used {config.model!r}")
     cohort = pipeline.CohortData.from_directory(args.cohort)
     seed, params = _load_checkpoint(run_dir, config, args.seed)
-    data, plan = _rebuild_variant(cohort, config)
-
-    groups = set(pipeline.TRAIN_GROUPS) | {pipeline.VAL_GROUP}
-    pool = {i: img for i, img in data.images.items()
-            if plan.assignment[i] in groups}
     out = _ensure_out_dir(Path(args.out), args.force)
-    explanations, ranking = explain.explain_pool(
-        pipeline.image_classifier(params), pool, data.label_image,
-        n_explain=args.n_explain, n_perturb=args.n_perturb,
-        seed=args.explain_seed, with_counterfactuals=True)
+
+    # no held-out data is read here, so the box keeps no audit file
+    plan, _box, _norm, data = pipeline.prepare_run(cohort, config)
+    explanations, ranking = pipeline.rank_rois(
+        params, data, plan, n_explain=args.n_explain,
+        n_perturb=args.n_perturb, seed=args.explain_seed,
+        with_counterfactuals=True)
 
     names = cohort.labels_for(config.variant).label_names
     expl_dir = out / "explanations"
@@ -267,22 +275,19 @@ def cmd_select_rois(args) -> int:
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
     pipeline.require_roi_selection(config)
+    counts = parse_seeds(args.counts)  # same "3-10" syntax
     cohort = pipeline.CohortData.from_directory(args.cohort)
     seed, params = _load_checkpoint(run_dir, config, args.seed)
-    data, plan = _rebuild_variant(cohort, config)
-
-    groups = set(pipeline.TRAIN_GROUPS) | {pipeline.VAL_GROUP}
-    pool = {i: img for i, img in data.images.items()
-            if plan.assignment[i] in groups}
-    _, ranking = explain.explain_pool(
-        pipeline.image_classifier(params), pool, data.label_image,
-        n_explain=args.n_explain, n_perturb=args.n_perturb,
-        seed=args.explain_seed)
-
-    counts = parse_seeds(args.counts)  # same "3-10" syntax
-    curve = pipeline.roi_count_sweep(cohort, config, ranking, counts=counts,
-                                     sweep_epochs=args.sweep_epochs, plan=plan)
     out = _ensure_out_dir(Path(args.out), args.force)
+
+    # groups 1-4 only, so the box keeps no audit file
+    plan, box, normalizers, data = pipeline.prepare_run(cohort, config)
+    _, ranking = pipeline.rank_rois(
+        params, data, plan, n_explain=args.n_explain,
+        n_perturb=args.n_perturb, seed=args.explain_seed)
+    curve = pipeline.roi_count_sweep(cohort, config, ranking, plan, box,
+                                     normalizers, counts=counts,
+                                     sweep_epochs=args.sweep_epochs)
     names = cohort.labels_for(config.variant).label_names
     pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
     pipeline.write_curve_csv(curve, out / "roi_curve.csv")

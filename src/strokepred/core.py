@@ -252,6 +252,13 @@ def read_volume(path: str | Path,
     dims = (nx, ny, nz)
     if code == DTYPE_FLOAT32:
         data = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE)
+        bad = np.flatnonzero(~((data >= 0.0) & (data <= 1.0)))  # NaN too
+        if len(bad):
+            value = float(data[bad[0]])
+            raise FormatError(
+                f"intensity {value} outside [0, 1]" if np.isfinite(value)
+                else f"non-finite intensity {value}",
+                HEADER_SIZE + 4 * int(bad[0]))
         data = data.reshape(nz, ny, nx).transpose(2, 1, 0).copy()
         return Volume3D(dims=dims, data=data)
     labels = np.frombuffer(raw, dtype="<u2", offset=HEADER_SIZE)

@@ -21,17 +21,18 @@ from .core import DegenerateRoiError
 from .rng import CounterRng
 
 PROB_CLAMP = 1e-4  # logit() needs probabilities away from {0, 1}
-DEFAULT_RIDGE = 1e-3
+RIDGE = 1e-3  # surrogate penalty on the mask coefficients
+THRESHOLD = 0.5  # predicted-positive cut-off for explaining and flipping
+BATCH_SIZE = 128  # classifier calls per batch
 DEFAULT_N_PERTURB = 1024
 
 Classifier = Callable[[np.ndarray], np.ndarray]  # (m, h, w) -> (m,) probs
 
 
-def _predict(classifier: Classifier, images: np.ndarray,
-             batch_size: int = 128) -> np.ndarray:
+def _predict(classifier: Classifier, images: np.ndarray) -> np.ndarray:
     chunks = []
-    for i in range(0, len(images), batch_size):
-        p = np.atleast_1d(np.asarray(classifier(images[i:i + batch_size]),
+    for i in range(0, len(images), BATCH_SIZE):
+        p = np.atleast_1d(np.asarray(classifier(images[i:i + BATCH_SIZE]),
                                      dtype=np.float64))
         chunks.append(p)
     probs = np.concatenate(chunks) if chunks else np.zeros(0)
@@ -80,24 +81,16 @@ def apply_mask(image: np.ndarray, contrast: np.ndarray,
     return out
 
 
-def _default_rois(label_image: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.unique(label_image) if v != 0)
-
-
 def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
                       label_image: np.ndarray, classifier: Classifier,
-                      rois: Sequence[int] | None = None,
-                      n: int = DEFAULT_N_PERTURB, seed: int = 0,
-                      batch_size: int = 128) -> list[PerturbationRecord]:
+                      rois: Sequence[int], n: int = DEFAULT_N_PERTURB,
+                      seed: int = 0) -> list[PerturbationRecord]:
     """All-ones mask, every single-ROI replacement, then random masks with
     each bit independently 0 with probability 0.5, up to n rows."""
     image = np.asarray(image, dtype=np.float64)
     contrast = np.asarray(contrast, dtype=np.float64)
     if image.shape != contrast.shape or image.shape != np.asarray(label_image).shape:
         raise ValueError("image, contrast, and label image shapes must match")
-    if rois is None:
-        rois = _default_rois(label_image)
-    rois = tuple(int(r) for r in rois)
     r = len(rois)
     if n < r + 2:
         raise ValueError(f"n={n} must exceed number of ROIs + 1 ({r + 1})")
@@ -111,11 +104,11 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
         masks.append(tuple(int(rng.bernoulli(0.5)) for _ in range(r)))
 
     records = []
-    for start in range(0, n, batch_size):
-        chunk = masks[start:start + batch_size]
+    for start in range(0, n, BATCH_SIZE):
+        chunk = masks[start:start + BATCH_SIZE]
         batch = np.stack([apply_mask(image, contrast, sets, rois, m)
                           for m in chunk])
-        probs = _predict(classifier, batch, batch_size)
+        probs = _predict(classifier, batch)
         records.extend(PerturbationRecord(mask=m, probability=float(p))
                        for m, p in zip(chunk, probs))
     return records
@@ -129,9 +122,7 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
 class SurrogateModel:
     intercept: float
     coefs: tuple[float, ...]  # aligned with the mask bit order
-    ridge: float
     r2: float | None  # on logits; None when the response is constant
-    rois: tuple[int, ...] | None = None
     flags: tuple[str, ...] = ()
 
     def predict_logit(self, mask: Sequence[int]) -> float:
@@ -145,10 +136,9 @@ class SurrogateModel:
             math.exp(z) / (1.0 + math.exp(z))
 
 
-def fit_surrogate(records: Sequence[PerturbationRecord],
-                  ridge: float = DEFAULT_RIDGE,
-                  rois: Sequence[int] | None = None) -> SurrogateModel:
-    """Ridge least squares of logit(p) on the mask bits (intercept free)."""
+def fit_surrogate(records: Sequence[PerturbationRecord]) -> SurrogateModel:
+    """Ridge least squares (penalty ``RIDGE``) of logit(p) on the mask bits,
+    intercept free."""
     if not records:
         raise ValueError("no perturbation records")
     r = len(records[0].mask)
@@ -156,14 +146,12 @@ def fit_surrogate(records: Sequence[PerturbationRecord],
         raise ValueError("inconsistent mask lengths")
     if len(records) < r + 1:
         raise ValueError(f"need at least {r + 1} rows for {r} ROIs")
-    if ridge <= 0:
-        raise ValueError("ridge must be positive")
     x = np.array([rec.mask for rec in records], dtype=np.float64)
     p = np.clip([rec.probability for rec in records],
                 PROB_CLAMP, 1.0 - PROB_CLAMP)
     y = np.log(p / (1.0 - p))
     a = np.hstack([np.ones((len(records), 1)), x])
-    penalty = np.diag([0.0] + [ridge] * r)  # intercept unpenalized
+    penalty = np.diag([0.0] + [RIDGE] * r)  # intercept unpenalized
     theta = np.linalg.solve(a.T @ a + penalty, a.T @ y)
     if not np.all(np.isfinite(theta)):
         raise ArithmeticError("surrogate solve produced non-finite coefficients")
@@ -177,9 +165,7 @@ def fit_surrogate(records: Sequence[PerturbationRecord],
         r2 = 1.0 - float(np.sum(resid ** 2)) / ss_tot
     return SurrogateModel(intercept=float(theta[0]),
                           coefs=tuple(float(c) for c in theta[1:]),
-                          ridge=ridge, r2=r2,
-                          rois=tuple(int(v) for v in rois) if rois else None,
-                          flags=flags)
+                          r2=r2, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +183,17 @@ class CounterfactualRow:
 def counterfactuals(image: np.ndarray, contrast: np.ndarray,
                     label_image: np.ndarray, classifier: Classifier,
                     surrogate: SurrogateModel,
-                    rois: Sequence[int] | None = None,
-                    threshold: float = 0.5,
-                    batch_size: int = 128) -> list[CounterfactualRow]:
-    """All <=2-ROI replacements whose classifier probability drops below the
-    threshold, sorted by fewest ROIs then lowest probability."""
+                    rois: Sequence[int]) -> list[CounterfactualRow]:
+    """All <=2-ROI replacements whose classifier probability drops below
+    ``THRESHOLD``, sorted by fewest ROIs then lowest probability."""
     image = np.asarray(image, dtype=np.float64)
     contrast = np.asarray(contrast, dtype=np.float64)
-    if rois is None:
-        rois = _default_rois(label_image)
-    rois = tuple(int(v) for v in rois)
     r = len(rois)
     sets = roi_pixel_sets(label_image, rois)
-    base = float(_predict(classifier, image[None], batch_size)[0])
-    if base < threshold:
+    base = float(_predict(classifier, image[None])[0])
+    if base < THRESHOLD:
         raise ValueError(
-            f"base probability {base:.3f} below threshold {threshold}; "
+            f"base probability {base:.3f} below threshold {THRESHOLD}; "
             "counterfactuals explain the predicted class")
 
     combos = [(j,) for j in range(r)] + list(combinations(range(r), 2))
@@ -223,11 +204,11 @@ def counterfactuals(image: np.ndarray, contrast: np.ndarray,
             mask[j] = 0
         masks.append(tuple(mask))
     batch = np.stack([apply_mask(image, contrast, sets, rois, m) for m in masks])
-    probs = _predict(classifier, batch, batch_size)
+    probs = _predict(classifier, batch)
 
     rows = []
     for combo, mask, prob in zip(combos, masks, probs):
-        if prob < threshold:
+        if prob < THRESHOLD:
             sur = surrogate.predict_prob(mask)
             rows.append(CounterfactualRow(
                 replaced=tuple(rois[j] for j in combo),
@@ -257,29 +238,21 @@ class Explanation:
 
 def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
                 label_image: np.ndarray, classifier: Classifier,
-                rois: Sequence[int] | None = None,
-                n: int = DEFAULT_N_PERTURB, seed: int = 0,
-                ridge: float = DEFAULT_RIDGE, threshold: float = 0.5,
-                with_counterfactuals: bool = True,
-                batch_size: int = 128) -> Explanation:
-    if rois is None:
-        rois = _default_rois(label_image)
-    rois = tuple(int(v) for v in rois)
+                rois: tuple[int, ...], n: int = DEFAULT_N_PERTURB,
+                seed: int = 0,
+                with_counterfactuals: bool = True) -> Explanation:
     records = gen_perturbations(image, contrast, label_image, classifier,
-                                rois=rois, n=n, seed=seed,
-                                batch_size=batch_size)
-    surrogate = fit_surrogate(records, ridge=ridge, rois=rois)
+                                rois=rois, n=n, seed=seed)
+    surrogate = fit_surrogate(records)
     base = records[0].probability  # all-ones mask comes first
     flags = list(surrogate.flags)
     if np.array_equal(np.asarray(image, float), np.asarray(contrast, float)):
         flags.append("self_contrast")
     cf: tuple[CounterfactualRow, ...] = ()
     if with_counterfactuals:
-        if base >= threshold:
+        if base >= THRESHOLD:
             cf = tuple(counterfactuals(image, contrast, label_image,
-                                       classifier, surrogate, rois=rois,
-                                       threshold=threshold,
-                                       batch_size=batch_size))
+                                       classifier, surrogate, rois=rois))
         else:
             flags.append("not_predicted_positive")
     return Explanation(image_id=image_id, base_probability=base, rois=rois,
@@ -309,26 +282,22 @@ class RoiRanking:
 def explain_pool(classifier: Classifier,
                  pool: Mapping[str, np.ndarray],
                  label_image: np.ndarray,
-                 rois: Sequence[int] | None = None,
                  n_explain: int = 100,
                  n_perturb: int = DEFAULT_N_PERTURB,
-                 seed: int = 0, threshold: float = 0.5,
-                 ridge: float = DEFAULT_RIDGE,
+                 seed: int = 0,
                  with_counterfactuals: bool = False,
-                 batch_size: int = 128,
                  ) -> tuple[list[Explanation], RoiRanking]:
-    """Explain the first n_explain predicted positives (by id); the contrast
-    per image is the lowest-probability other image.  Returns the per-image
-    explanations and the mean-coefficient ranking over them."""
+    """Explain the first n_explain predicted positives (by id) over every
+    nonzero label of ``label_image``; the contrast per image is the
+    lowest-probability other image.  Returns the per-image explanations and
+    the mean-coefficient ranking over them."""
     if not pool:
         raise ValueError("empty image pool")
-    if rois is None:
-        rois = _default_rois(label_image)
-    rois = tuple(int(v) for v in rois)
+    rois = tuple(int(v) for v in np.unique(label_image) if v != 0)
     ids = sorted(pool)
-    probs = _predict(classifier, np.stack([pool[i] for i in ids]), batch_size)
+    probs = _predict(classifier, np.stack([pool[i] for i in ids]))
     prob_of = dict(zip(ids, probs))
-    positives = [i for i in ids if prob_of[i] >= threshold]
+    positives = [i for i in ids if prob_of[i] >= THRESHOLD]
     if not positives:
         raise ValueError("no predicted-positive images to explain")
     flags = []
@@ -343,10 +312,8 @@ def explain_pool(classifier: Classifier,
         contrast_id = min(others, key=lambda i: (prob_of[i], i)) if others else eid
         expl = explain_one(eid, pool[eid], pool[contrast_id], label_image,
                            classifier, rois=rois, n=n_perturb,
-                           seed=seed * 1_000_003 + idx, ridge=ridge,
-                           threshold=threshold,
-                           with_counterfactuals=with_counterfactuals,
-                           batch_size=batch_size)
+                           seed=seed * 1_000_003 + idx,
+                           with_counterfactuals=with_counterfactuals)
         if "self_contrast" in expl.flags:
             flags.append(f"self_contrast_{eid}")
         total += np.array([expl.importance[roi] for roi in rois])

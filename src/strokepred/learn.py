@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -218,20 +218,17 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     return out.reshape(n, h, wd, w.shape[0]).transpose(0, 3, 1, 2), cols
 
 
-def _conv_backward(dout: np.ndarray, cols: np.ndarray, w: np.ndarray,
-                   x_shape: tuple[int, ...]):
+def _conv_input_grad(dout_r: np.ndarray, w: np.ndarray,
+                     x_shape: tuple[int, ...]) -> np.ndarray:
+    """Gradient w.r.t. the conv input from the (n*h*w, c_out) output grad."""
     n, c, h, wd = x_shape
-    c_out = w.shape[0]
-    dout_r = np.ascontiguousarray(dout.transpose(0, 2, 3, 1)).reshape(-1, c_out)
-    dw = (dout_r.T @ cols).reshape(w.shape)
-    db = dout_r.sum(axis=0)
-    dwin = (dout_r @ w.reshape(c_out, -1)).reshape(n, h, wd, c, 3, 3)
-    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dout.dtype)
+    dwin = (dout_r @ w.reshape(w.shape[0], -1)).reshape(n, h, wd, c, 3, 3)
+    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dout_r.dtype)
     for ki in range(3):
         for kj in range(3):
             dxp[:, :, ki:ki + h, kj:kj + wd] += dwin[:, :, :, :, ki, kj].transpose(
                 0, 3, 1, 2)
-    return dxp[:, :, 1:h + 1, 1:wd + 1], dw, db
+    return dxp[:, :, 1:h + 1, 1:wd + 1]
 
 
 def _pool_forward(x: np.ndarray):
@@ -363,7 +360,10 @@ def class_weights_from_labels(labels: np.ndarray) -> tuple[float, float]:
 
 def backward(params: ModelParams, images, tabular, labels,
              weights: tuple[float, float] = (1.0, 1.0)):
-    """(loss, gradient) of the class-weighted BCE over the batch."""
+    """(loss, gradient) of the class-weighted BCE over the batch.
+
+    Only parameter gradients are built: conv block 0's input gradient (the
+    gradient w.r.t. the images) is never computed."""
     logits, cache = _run(params, images, tabular, keep_cache=True)
     loss = class_weighted_bce(logits, labels, weights)
     y = np.asarray(labels, dtype=np.float64)
@@ -405,12 +405,15 @@ def backward(params: ModelParams, images, tabular, labels,
     dx = dmaps
     for i in reversed(range(params.cnn.n_blocks)):
         blk = cache["blocks"][i]
+        w = params.view(f"conv{i}_w")
         dact = _pool_backward(dx, blk["idx"], blk["act_shape"])
         dpre = dact * (blk["pre"] > 0)
-        dx, dw, db = _conv_backward(dpre, blk["cols"], params.view(f"conv{i}_w"),
-                                    blk["x_shape"])
-        gview.view(f"conv{i}_w")[...] = dw
-        gview.view(f"conv{i}_b")[...] = db
+        dpre_r = np.ascontiguousarray(dpre.transpose(0, 2, 3, 1)).reshape(
+            -1, w.shape[0])
+        gview.view(f"conv{i}_w")[...] = (dpre_r.T @ blk["cols"]).reshape(w.shape)
+        gview.view(f"conv{i}_b")[...] = dpre_r.sum(axis=0)
+        if i > 0:  # block 0's input is the image: no layer below needs it
+            dx = _conv_input_grad(dpre_r, w, blk["x_shape"])
     return loss, grad
 
 
@@ -470,19 +473,16 @@ class ArrayDataset:
             labels=self.labels[idx])
 
 
-@dataclass(frozen=True)
-class EpochStats:
-    epoch: int
-    train_loss: float
-    val_loss: float
-
-
 def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
           config: TrainConfig, lr: float,
           cnn: CnnConfig | None = None, tabular_dim: int | None = None,
-          ) -> tuple[ModelParams, list[EpochStats]]:
+          ) -> tuple[ModelParams, list[float]]:
     """Mini-batch training; returns the snapshot from the epoch with minimum
-    validation loss (ties -> earliest) plus the per-epoch loss history."""
+    validation loss (ties -> earliest) plus the per-epoch validation losses.
+
+    The training set is only ever seen in minibatches: each minibatch loss
+    must be finite, and the one full forward per epoch is on the
+    validation set."""
     if len(val_set) == 0:
         raise ValueError("validation set must be nonempty")
     weights = config.class_weights or class_weights_from_labels(train_set.labels)
@@ -493,35 +493,35 @@ def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
     n = len(train_set)
     best_vec = None
     best_val = math.inf
-    history: list[EpochStats] = []
+    val_losses: list[float] = []
     for epoch in range(1, config.max_epochs + 1):
         order = list(range(n))
         shuffle_rng.shuffle(order)
-        for start in range(0, n, config.batch_size):
+        for batch_no, start in enumerate(range(0, n, config.batch_size), 1):
             idx = order[start:start + config.batch_size]
             batch = train_set.take(idx)
-            _, grad = backward(params, batch.images, batch.tabular,
-                               batch.labels, weights)
+            loss, grad = backward(params, batch.images, batch.tabular,
+                                  batch.labels, weights)
+            if not math.isfinite(loss):
+                raise NumericAbort(f"training loss {loss} at epoch {epoch}, "
+                                   f"batch {batch_no}")
             if config.optimizer == "sgd":
                 params.vector = sgd_step(params.vector, grad, lr)
             else:
                 params.vector, opt_state = rmsprop_step(
                     params.vector, grad, opt_state, lr)
-        train_loss = class_weighted_bce(
-            forward(params, train_set.images, train_set.tabular),
-            train_set.labels, weights)
         val_loss = class_weighted_bce(
             forward(params, val_set.images, val_set.tabular),
             val_set.labels, weights)
         if math.isnan(val_loss):
             raise NumericAbort(f"validation loss NaN at epoch {epoch}")
-        history.append(EpochStats(epoch, train_loss, val_loss))
+        val_losses.append(val_loss)
         if val_loss < best_val:
             best_val = val_loss
             best_vec = params.vector.copy()
     best = ModelParams(kind=kind, layout=params.layout, vector=best_vec,
                        cnn=cnn, tabular_dim=tabular_dim)
-    return best, history
+    return best, val_losses
 
 
 # ---------------------------------------------------------------------------

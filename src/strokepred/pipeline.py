@@ -1,12 +1,17 @@
 """End-to-end experiment orchestration.
 
-A run takes a cohort (in memory or on disk), builds one image variant,
-partitions with group 5 sealed in the lock box, picks a learning rate by
-4-fold cross-validation over groups 1-4, trains one model per seed on
-groups 1-3 with group 4 as the validation/calibration split, unlocks the
-lock box exactly once, and evaluates every seed on group 5.  All file
-output is CSV/JSON/SVG with deterministic content; only the audit log
-carries wall-clock timestamps.
+A run takes a cohort (in memory or on disk) and prepares it once
+(``prepare_run``): it partitions with group 5 sealed in the lock box,
+derives the glyph/tabular normalizers from the training groups and builds
+one image variant.  It then picks a learning rate by 4-fold
+cross-validation over groups 1-4, trains one model per seed on groups 1-3
+with group 4 as the validation/calibration split, unlocks the lock box
+exactly once, and evaluates every seed on group 5.  ``explain`` and
+``select-rois`` reuse the same preparation, rank ROIs on the development
+pool (groups 1-4) through ``rank_rois``, and ``roi_count_sweep`` reuses
+the caller's plan, box and normalizers.  All file output is CSV/JSON/SVG
+with deterministic content; only the audit log carries wall-clock
+timestamps.
 """
 
 from __future__ import annotations
@@ -325,15 +330,6 @@ def _group_ids(plan: SplitPlan, records: Sequence[SubjectRecord],
     return [r.id for r in records if plan.assignment[r.id] in want]
 
 
-def train_normalizers(records: Sequence[SubjectRecord], plan: SplitPlan,
-                      box: LockBox, caller: str) -> tuple[float, float]:
-    """Glyph and tabular normalizers (size_ref, time_ref) from the training
-    groups only, as one audited access."""
-    box.request(TRAIN_GROUPS, caller)
-    return glyphs.normalizers_from_records(
-        [r for r in records if plan.assignment[r.id] in TRAIN_GROUPS])
-
-
 def assemble(cohort: CohortData, data: VariantData | None,
              encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
              groups: Sequence[int], caller: str, model: str) -> ArrayDataset:
@@ -363,25 +359,40 @@ def concat_datasets(parts: Sequence[ArrayDataset]) -> ArrayDataset:
                         labels=np.concatenate([p.labels for p in parts]))
 
 
+def prepare_run(cohort: CohortData, config: RunConfig,
+                audit_path: str | Path | None = None,
+                ) -> tuple[SplitPlan, LockBox, tuple[float, float],
+                           VariantData | None]:
+    """Partition, seal group 5 in a lock box (audited to ``audit_path`` if
+    given), derive the glyph and tabular normalizers (size_ref, time_ref)
+    from the training groups only, as one audited access, and render the
+    configured variant; the logistic model renders nothing."""
+    plan = evalharness.stratified_partition(cohort.records, k=5,
+                                            seed=config.partition_seed)
+    box = LockBox(plan, audit_path)
+    box.request(TRAIN_GROUPS, "feature-normalizers")
+    normalizers = glyphs.normalizers_from_records(
+        [r for r in cohort.records if plan.assignment[r.id] in TRAIN_GROUPS])
+    data = None
+    if config.model != "logistic":
+        data = build_variant(cohort, config, *normalizers)
+    return plan, box, normalizers, data
+
+
 # ---------------------------------------------------------------------------
 # Training drivers
-
-
-def _val_loss_of(history) -> float:
-    return min(h.val_loss for h in history)
 
 
 def _train_once(config: RunConfig, train_set: ArrayDataset,
                 val_set: ArrayDataset, lr: float, seed: int,
                 ) -> tuple[ModelParams, float]:
     tc = replace(config.train, seed=seed)
-    params, history = learn.train(config.model, train_set, val_set, tc, lr,
-                                  cnn=None if config.model == "logistic"
-                                  else config.cnn,
-                                  tabular_dim=(train_set.tabular.shape[1]
-                                               if train_set.tabular is not None
-                                               else None))
-    return params, _val_loss_of(history)
+    params, val_losses = learn.train(
+        config.model, train_set, val_set, tc, lr,
+        cnn=None if config.model == "logistic" else config.cnn,
+        tabular_dim=(train_set.tabular.shape[1]
+                     if train_set.tabular is not None else None))
+    return params, min(val_losses)
 
 
 def pick_lr(cohort: CohortData, data: VariantData | None,
@@ -420,10 +431,10 @@ class RunResult:
     aggregate: dict[str, tuple[float, float]]
     subgroup_aggregate: dict[str, tuple[float, float]]
     sweep_mean: tuple[tuple[float, float], ...]
-    audit_entries: tuple[dict, ...]
+    box: LockBox
     checkpoints: dict[int, ModelParams]
     variant_data: VariantData | None
-    encoding: TabularEncoding | None
+    normalizers: tuple[float, float]  # train-only (size_ref, time_ref)
 
 
 def _predictor(config: RunConfig, params: ModelParams,
@@ -461,16 +472,8 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                    audit_path: str | Path | None = None) -> RunResult:
     """The full protocol for one (variant, model) cell."""
     records = cohort.records
-    plan = evalharness.stratified_partition(records, k=5,
-                                            seed=config.partition_seed)
-    box = LockBox(plan, audit_path)
-    size_ref, time_ref = train_normalizers(records, plan, box,
-                                           "feature-normalizers")
-    encoding = TabularEncoding(size_ref=size_ref, time_ref=time_ref)
-
-    data = None
-    if config.model != "logistic":
-        data = build_variant(cohort, config, size_ref, time_ref)
+    plan, box, normalizers, data = prepare_run(cohort, config, audit_path)
+    encoding = TabularEncoding(*normalizers)
 
     if config.model == "logistic":
         best_lr, cv_losses = config.train.lrs[0], {}
@@ -534,40 +537,32 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                      cv_losses=cv_losses, seeds=tuple(seed_results),
                      aggregate=agg, subgroup_aggregate=sub_agg,
                      sweep_mean=sweep_mean,
-                     audit_entries=tuple(box.entries),
+                     box=box,
                      checkpoints={s: p for s, p, _c, _v in fitted},
-                     variant_data=data, encoding=encoding)
+                     variant_data=data, normalizers=normalizers)
 
 
 # ---------------------------------------------------------------------------
 # ROI importance and count selection on top of a run
 
 
-def image_classifier(params: ModelParams) -> explain.Classifier:
+def rank_rois(params: ModelParams, data: VariantData, plan: SplitPlan,
+              n_explain: int, n_perturb: int, seed: int,
+              with_counterfactuals: bool = False,
+              ) -> tuple[list[explain.Explanation], explain.RoiRanking]:
+    """Explain an image model on the development pool (groups 1-4) and rank
+    the ROIs by mean importance; the held-out group is never touched."""
+    dev = set(TRAIN_GROUPS) | {VAL_GROUP}
+    pool = {i: img for i, img in data.images.items()
+            if plan.assignment[i] in dev}
+
     def classifier(batch: np.ndarray) -> np.ndarray:
         return learn.predict_proba(params, np.asarray(batch, dtype=np.float32))
 
-    return classifier
-
-
-def roi_ranking_for(result: RunResult, seed: int,
-                    n_explain: int = 12, n_perturb: int = 160,
-                    explain_seed: int = 0,
-                    groups: Sequence[int] = (1, 2, 3, 4)) -> explain.RoiRanking:
-    """Aggregate ROI importance for one trained seed.
-
-    Defaults to the development pool so a ranking can feed ROI-count
-    selection without ever touching the held-out group."""
-    if result.config.model != "lightweight":
-        raise ConfigError("ROI explanations support the image-only model")
-    data = result.variant_data
-    params = result.checkpoints[seed]
-    want = set(groups)
-    pool = {i: img for i, img in data.images.items()
-            if result.plan.assignment[i] in want}
-    return explain.explain_pool(
-        image_classifier(params), pool, data.label_image,
-        n_explain=n_explain, n_perturb=n_perturb, seed=explain_seed)[1]
+    return explain.explain_pool(classifier, pool, data.label_image,
+                                n_explain=n_explain, n_perturb=n_perturb,
+                                seed=seed,
+                                with_counterfactuals=with_counterfactuals)
 
 
 def require_roi_selection(config: RunConfig) -> None:
@@ -584,30 +579,23 @@ def require_roi_selection(config: RunConfig) -> None:
 
 
 def roi_count_sweep(cohort: CohortData, config: RunConfig,
-                    ranking: explain.RoiRanking,
+                    ranking: explain.RoiRanking, plan: SplitPlan,
+                    box: LockBox, normalizers: tuple[float, float],
                     counts: Sequence[int] = tuple(range(3, 13)),
-                    sweep_epochs: int | None = None,
-                    plan: SplitPlan | None = None,
-                    box: LockBox | None = None) -> explain.RoiCountCurve:
+                    sweep_epochs: int | None = None) -> explain.RoiCountCurve:
     """Fig-2-style selection: for each k, rebuild top-k ROI images and
     cross-validate over groups 1-4; k* minimizes mean balanced val loss.
 
-    Only groups 1-4 are touched, so an already-sealed box may be shared."""
+    ``plan``, ``box`` and the train-only ``normalizers`` are the caller's
+    (from ``prepare_run``).  Only groups 1-4 are touched, so the box may
+    already be unlocked; every fold access is logged in it."""
     require_roi_selection(config)
-    records = cohort.records
-    if plan is None:
-        plan = evalharness.stratified_partition(records, k=5,
-                                                seed=config.partition_seed)
-    if box is None:
-        box = LockBox(plan)
-    size_ref, time_ref = train_normalizers(records, plan, box,
-                                           "roi-sweep-normalizers")
     tc = config.train if sweep_epochs is None \
         else replace(config.train, max_epochs=sweep_epochs)
     sweep_config = replace(config, train=tc)
 
     def evaluate_k(k: int, top_rois: tuple[int, ...]) -> tuple[float, float]:
-        data = build_variant(cohort, sweep_config, size_ref, time_ref,
+        data = build_variant(cohort, sweep_config, *normalizers,
                              roi_labels=top_rois)
         folds = [assemble(cohort, data, None, plan, box, [g],
                           f"roi-sweep-k{k}-fold-{g}", sweep_config.model)

@@ -1,0 +1,67 @@
+"""The benchmark's hold on the program: every function ``deskbench`` traces
+still exists, and every parameter its counters read is still there.
+
+Tier-1 does not collect ``deskbench/tests``, so this guard lives here.  It
+loads ``deskbench/layertrace.py`` by path and checks it against the
+installed ``strokepred`` package without running any workload.
+"""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+LAYERTRACE = Path(__file__).resolve().parents[1] / "deskbench" / "layertrace.py"
+
+
+def _layertrace():
+    name = "deskbench_layertrace"
+    spec = importlib.util.spec_from_file_location(name, LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses resolve their module here
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+_TRACE = _layertrace()
+LAYERS = _TRACE.LAYERS
+
+# parameters each counted function's counter reads from its bound arguments
+# (gen_perturbations' counter reads only the length of its result)
+COUNTED_PARAMS = {
+    ("learn", "forward"): ("images", "tabular"),
+    ("learn", "backward"): ("images", "tabular"),
+    ("core", "read_volume"): ("path",),
+    ("core", "write_volume"): ("path",),
+    ("synthcohort", "gen_subject"): ("config", "subject_seed"),
+    ("explain", "gen_perturbations"): (),
+}
+
+
+def test_every_counter_is_covered_here():
+    assert set(_TRACE.COUNTERS) == {f"{layer}.{name}"
+                                    for layer, name in COUNTED_PARAMS}
+
+
+@pytest.mark.parametrize("layer,name", [(layer, name)
+                                        for layer, names in LAYERS.items()
+                                        for name in names])
+def test_every_traced_layer_is_a_program_callable(layer, name):
+    module = importlib.import_module(f"strokepred.{layer}")
+    assert callable(getattr(module, name, None)), f"strokepred.{layer}.{name}"
+
+
+@pytest.mark.parametrize("key,params", sorted(COUNTED_PARAMS.items()))
+def test_counted_functions_keep_the_parameters_their_counters_read(key, params):
+    layer, name = key
+    assert name in LAYERS[layer]
+    fn = getattr(importlib.import_module(f"strokepred.{layer}"), name)
+    have = inspect.signature(fn).parameters
+    missing = [p for p in params if p not in have]
+    assert missing == [], f"strokepred.{layer}.{name} lost {missing}"

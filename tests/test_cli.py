@@ -240,6 +240,12 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"run": {"train": {"lrs": [0.01], "epochs": 3}}}, "epochs"),
     ("run", {"run": {"variants": "gm-roi"}}, "variants"),
     ("run", {"run": {"train": None}}, "train"),
+    ("run", {"roi_counts": 5}, "roi_counts"),
+    ("run", {"roi_counts": []}, "roi_counts"),
+    ("run", {"roi_counts": [3, 0]}, "roi_counts"),
+    ("run", {"explain": [12]}, "explain"),
+    ("run", {"explain": {"n_explian": 4}}, "n_explian"),
+    ("run", {"explain": {"n_perturb": "160"}}, "n_perturb"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -250,3 +256,46 @@ def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, 
     assert main([command, *where, "--config", str(cfg)]) == EXIT_CONFIG
     assert key in capsys.readouterr().err
     assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
+
+
+def test_run_roi_sweep_audits_the_sweep_after_the_unlock(cohort_dir, tmp_path):
+    from strokepred.evalharness import audit_scan
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**RUN_CFG, "roi_counts": [3],
+                               "explain": {"n_explain": 2, "n_perturb": 40}}))
+    out = tmp_path / "r"
+    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--seeds", "1", "--config", str(cfg),
+                 "--roi-sweep"]) == EXIT_OK
+    entries = [json.loads(line) for line in
+               (out / "audit.jsonl").read_text().splitlines()]
+    ops = [e["op"] for e in entries]
+    assert ops.count("unlock") == 1
+    after = entries[ops.index("unlock") + 1:]
+    sweep = [(e["caller"], e["groups"]) for e in after
+             if e.get("caller", "").startswith("roi-sweep-")]
+    assert sweep == [(f"roi-sweep-k3-fold-{g}", [g]) for g in (1, 2, 3, 4)]
+    scan = audit_scan(out / "audit.jsonl")
+    assert scan["n_unlocks"] == 1
+    assert scan["pre_unlock_lockbox_accesses"] == 0
+    assert scan["n_violations"] == 0
+
+
+def _fail_if_called(*args, **kwargs):
+    raise AssertionError("work done before the --out check")
+
+
+@pytest.mark.parametrize("command", ["explain", "select-rois"])
+def test_nonempty_out_is_refused_before_any_work(command, cohort_dir, run_dir,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.setattr(cli.pipeline, "build_variant", _fail_if_called)
+    monkeypatch.setattr(cli.pipeline, "roi_count_sweep", _fail_if_called)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("x")
+    code = main([command, "--cohort", str(cohort_dir), "--run", str(run_dir),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "--force" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]

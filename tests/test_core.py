@@ -59,6 +59,25 @@ def test_truncated_payload_reports_offset(tmp_path):
         read_volume(path)
 
 
+@pytest.mark.parametrize("value,index,what", [
+    (np.nan, 2, "non-finite"), (np.inf, 5, "non-finite"),
+    (-np.inf, 0, "non-finite"), (1.5, 7, "outside"), (-0.25, 3, "outside")])
+def test_float_payload_out_of_range_reports_first_offset(tmp_path, value,
+                                                         index, what):
+    vol = Volume3D(dims=(2, 2, 2), data=np.full((2, 2, 2), 0.5, dtype=np.float32))
+    path = tmp_path / "v.vol"
+    write_volume(vol, path)
+    raw = bytearray(path.read_bytes())
+    payload = np.frombuffer(raw, dtype="<f4", offset=core.HEADER_SIZE).copy()
+    payload[index] = value
+    payload[-1] = 2.0  # a later bad value does not mask the first
+    raw[core.HEADER_SIZE:] = payload.tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match=what) as err:
+        read_volume(path)
+    assert err.value.offset == 32 + 4 * index
+
+
 def test_dim_overflow_rejected(tmp_path):
     header = core.MAGIC + np.array([2**20, 2**20, 2**20], dtype="<u4").tobytes() + b"\x00" * 16
     path = tmp_path / "o.vol"

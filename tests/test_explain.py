@@ -82,7 +82,7 @@ def test_select_contrast_matches_exhaustive_argmin():
     probs = dict(zip(sorted(pool),
                      _mean_logit_classifier([pool[i] for i in sorted(pool)])))
     explanations, _ = explain_pool(_mean_logit_classifier, pool, labels,
-                                   rois=ROIS, n_explain=3, n_perturb=64)
+                                   n_explain=3, n_perturb=64)
     assert len(explanations) == 3
     for expl in explanations:
         others = sorted(i for i in pool if i != expl.image_id)
@@ -97,7 +97,7 @@ def test_select_contrast_matches_exhaustive_argmin():
     # lowest-probability image of the pool
     pool = {"a": np.full((12, 12), 0.6), "b": np.full((12, 12), 0.9)}
     (expl,), ranking = explain_pool(_mean_logit_classifier, pool, labels,
-                                    rois=ROIS, n_explain=1, n_perturb=64)
+                                    n_explain=1, n_perturb=64)
     assert expl.image_id == "a" and "self_contrast" not in expl.flags
     assert np.allclose(_explained_importance(expl),
                        _linear_importance(labels, pool["a"], pool["b"]),
@@ -112,7 +112,7 @@ def test_select_contrast_tie_prefers_lowest_id():
     shifted[labels == 2] = 0.0
     pool = {"b": flat, "a": shifted, "c": np.full((12, 12), 0.7)}
     explanations, _ = explain_pool(_mean_logit_classifier, pool, labels,
-                                   rois=ROIS, n_explain=1, n_perturb=64)
+                                   n_explain=1, n_perturb=64)
     (expl,) = explanations
     assert expl.image_id == "c"
     got = _explained_importance(expl)
@@ -126,7 +126,7 @@ def test_select_contrast_flags_self_contrast_and_pool_of_one():
     labels, _, _ = _layout()
     pool = {"only": np.full((12, 12), 0.7)}
     explanations, ranking = explain_pool(_mean_logit_classifier, pool, labels,
-                                         rois=ROIS, n_explain=1, n_perturb=64)
+                                         n_explain=1, n_perturb=64)
     assert "self_contrast" in explanations[0].flags
     assert "self_contrast_only" in ranking.flags
     assert np.all(np.abs(_explained_importance(explanations[0])) <= 1e-9)
@@ -194,7 +194,8 @@ def test_gen_perturbations_validation():
         gen_perturbations(original, contrast, labels, classifier,
                           rois=(1, 99), n=20)
     with pytest.raises(ValueError):
-        gen_perturbations(original[:6], contrast, labels, classifier, n=20)
+        gen_perturbations(original[:6], contrast, labels, classifier,
+                          rois=ROIS, n=20)
 
 
 def test_perturbation_record_validation():
@@ -214,12 +215,11 @@ def test_fit_surrogate_recovers_analytic_coefficients():
     classifier = _double(labels, original, b, coefs)
     recs = gen_perturbations(original, contrast, labels, classifier,
                              rois=ROIS, n=300, seed=2)
-    model = fit_surrogate(recs, rois=ROIS)
+    model = fit_surrogate(recs)
     assert abs(model.intercept - b) <= 1e-3
     for got, want in zip(model.coefs, coefs):
         assert abs(got - want) <= 1e-3
     assert model.r2 is not None and model.r2 >= 0.999
-    assert model.rois == ROIS
 
 
 def test_fit_surrogate_constant_classifier_gives_zero_coefs():
@@ -242,9 +242,6 @@ def test_fit_surrogate_validation():
            PerturbationRecord(mask=(1, 1, 0), probability=0.5)]
     with pytest.raises(ValueError):
         fit_surrogate(bad)
-    with pytest.raises(ValueError):
-        fit_surrogate([PerturbationRecord(mask=(1,), probability=0.5)] * 3,
-                      ridge=0.0)
 
 
 def test_fit_surrogate_clamps_extreme_probabilities():
@@ -265,7 +262,7 @@ def _fitted_double(b, coefs, n=300, seed=3):
     classifier = _double(labels, original, b, coefs)
     recs = gen_perturbations(original, contrast, labels, classifier,
                              rois=ROIS, n=n, seed=seed)
-    model = fit_surrogate(recs, rois=ROIS)
+    model = fit_surrogate(recs)
     return labels, original, contrast, classifier, model
 
 
@@ -397,8 +394,8 @@ def _pool_with_positive(n_extra=6):
 
 def test_aggregate_importance_recovers_coefficient_order():
     labels, classifier, pool, coefs = _pool_with_positive()
-    _, ranking = explain_pool(classifier, pool, labels, rois=ROIS,
-                              n_explain=1, n_perturb=200, seed=0)
+    _, ranking = explain_pool(classifier, pool, labels, n_explain=1,
+                              n_perturb=200, seed=0)
     assert ranking.n_explanations == 1
     # true order by coefficient: roi1 (2.0), roi4 (1.5), roi2 (1.0), roi3 (0.5)
     assert ranking.rois == (1, 4, 2, 3)
@@ -409,19 +406,19 @@ def test_aggregate_importance_recovers_coefficient_order():
 
 def test_aggregate_importance_flags_small_pool_and_requires_positive():
     labels, classifier, pool, _ = _pool_with_positive()
-    _, ranking = explain_pool(classifier, pool, labels, rois=ROIS,
-                              n_explain=50, n_perturb=120, seed=0)
+    _, ranking = explain_pool(classifier, pool, labels, n_explain=50,
+                              n_perturb=120, seed=0)
     assert any(f.startswith("explained_all_") for f in ranking.flags)
     with pytest.raises(ValueError):
-        explain_pool(classifier, {"a": pool["im99"]}, labels, rois=ROIS)
+        explain_pool(classifier, {"a": pool["im99"]}, labels)
 
 
 def test_ranking_stable_across_perturbation_seeds():
     labels, classifier, pool, _ = _pool_with_positive()
-    _, r0 = explain_pool(classifier, pool, labels, rois=ROIS,
-                         n_explain=2, n_perturb=150, seed=0)
-    _, r1 = explain_pool(classifier, pool, labels, rois=ROIS,
-                         n_explain=2, n_perturb=150, seed=1)
+    _, r0 = explain_pool(classifier, pool, labels, n_explain=2,
+                         n_perturb=150, seed=0)
+    _, r1 = explain_pool(classifier, pool, labels, n_explain=2,
+                         n_perturb=150, seed=1)
 
     def spearman(order_a, order_b):
         ra = {roi: i for i, roi in enumerate(order_a)}

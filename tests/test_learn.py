@@ -312,18 +312,17 @@ def separable_sets(n_train=40, n_val=16):
 def test_train_single_epoch_returns_first_snapshot():
     tr, va = separable_sets()
     cfg = TrainConfig(max_epochs=1, batch_size=8, optimizer="rmsprop", seed=3)
-    params, history = train("lightweight", tr, va, cfg, lr=1e-3,
-                            cnn=CnnConfig((8, 8), (2, 2)))
-    assert len(history) == 1
-    assert history[0].epoch == 1
+    params, val_losses = train("lightweight", tr, va, cfg, lr=1e-3,
+                               cnn=CnnConfig((8, 8), (2, 2)))
+    assert len(val_losses) == 1
     assert np.all(np.isfinite(params.vector))
 
 
 def test_train_separates_toy_data():
     tr, va = separable_sets()
     cfg = TrainConfig(max_epochs=50, batch_size=8, optimizer="rmsprop", seed=3)
-    params, history = train("lightweight", tr, va, cfg, lr=1e-3,
-                            cnn=CnnConfig((8, 8), (2, 2)))
+    params, losses = train("lightweight", tr, va, cfg, lr=1e-3,
+                           cnn=CnnConfig((8, 8), (2, 2)))
     p = predict_proba(params, va.images)
     pred = (p >= 0.5).astype(int)
     y = va.labels
@@ -331,7 +330,6 @@ def test_train_separates_toy_data():
     spec = np.mean(pred[y == 0] == 0)
     assert (sens + spec) / 2 == 1.0
     # snapshot is the argmin of recorded validation losses (earliest tie)
-    losses = [h.val_loss for h in history]
     assert min(losses) == losses[int(np.argmin(losses))]
 
 
@@ -349,12 +347,59 @@ def test_train_is_deterministic():
 def test_train_snapshot_beats_final_epoch_when_val_worsens():
     tr, va = separable_sets()
     cfg = TrainConfig(max_epochs=30, batch_size=8, optimizer="rmsprop", seed=5)
-    params, history = train("lightweight", tr, va, cfg, lr=1e-3,
-                            cnn=CnnConfig((8, 8), (2, 2)))
-    best = min(h.val_loss for h in history)
+    params, val_losses = train("lightweight", tr, va, cfg, lr=1e-3,
+                               cnn=CnnConfig((8, 8), (2, 2)))
+    best = min(val_losses)
     got = class_weighted_bce(forward(params, va.images), va.labels,
                              class_weights_from_labels(tr.labels))
     assert got == pytest.approx(best, rel=1e-6)
+
+
+def test_train_forwards_only_the_validation_set_once_per_epoch(monkeypatch):
+    from strokepred import learn
+    tr, va = separable_sets()
+    seen = []
+    real_forward = learn.forward
+
+    def counting_forward(params, images, tabular=None):
+        seen.append(len(images))
+        return real_forward(params, images, tabular)
+
+    monkeypatch.setattr(learn, "forward", counting_forward)
+    cfg = TrainConfig(max_epochs=4, batch_size=8, optimizer="rmsprop", seed=3)
+    _, val_losses = train("lightweight", tr, va, cfg, lr=1e-3,
+                          cnn=CnnConfig((8, 8), (2, 2)))
+    assert len(val_losses) == 4
+    assert seen == [len(va)] * 4
+
+
+def test_train_aborts_on_non_finite_minibatch_loss():
+    tr, va = separable_sets()
+    images = tr.images.copy()
+    images[13] = np.nan  # lands in one minibatch of the first epoch
+    bad = ArrayDataset(images=images, tabular=None, labels=tr.labels)
+    cfg = TrainConfig(max_epochs=2, batch_size=8, optimizer="rmsprop", seed=3)
+    with pytest.raises(NumericAbort, match=r"training loss nan at epoch 1, "
+                                           r"batch [1-5]$"):
+        train("lightweight", bad, va, cfg, lr=1e-3,
+              cnn=CnnConfig((8, 8), (2, 2)))
+
+
+def test_backward_skips_block_zero_input_gradient(monkeypatch):
+    from strokepred import learn
+    calls = []
+    real = learn._conv_input_grad
+
+    def counting(dout_r, w, x_shape):
+        calls.append(x_shape[1])
+        return real(dout_r, w, x_shape)
+
+    monkeypatch.setattr(learn, "_conv_input_grad", counting)
+    cnn = tiny_cnn((8, 8), (2, 3, 4))
+    params = build_params("lightweight", cnn=cnn, rng=CounterRng(1, "init"))
+    images, _, labels = rand_batch(CounterRng(2, "b"), 4, (8, 8))
+    backward(params, images, None, labels)
+    assert calls == [3, 2]  # blocks 2 and 1; block 0's input is the image
 
 
 # ---------------------------------------------------------------------------

@@ -297,7 +297,7 @@ def tiny_run(tiny_cohort):
 
 
 def test_run_audit_protocol(tiny_run):
-    scan = evalharness.audit_scan(list(tiny_run.audit_entries))
+    scan = evalharness.audit_scan(tiny_run.box.entries)
     assert scan["n_unlocks"] == 1
     assert scan["n_violations"] == 0
     assert scan["pre_unlock_lockbox_accesses"] == 0
@@ -370,8 +370,10 @@ def test_roi_count_sweep_runs(tiny_cohort):
         {lab: float(-lab) for lab in sorted(tiny_cohort.atlas.label_names)},
         n_explanations=1)
     config = fast_config(seeds=(1,))
-    curve = pipeline.roi_count_sweep(tiny_cohort, config, ranking,
-                                     counts=(3, 4), sweep_epochs=2)
+    plan, box, normalizers, _data = pipeline.prepare_run(tiny_cohort, config)
+    curve = pipeline.roi_count_sweep(tiny_cohort, config, ranking, plan, box,
+                                     normalizers, counts=(3, 4),
+                                     sweep_epochs=2)
     assert [row[0] for row in curve.rows] == [3, 4]
     assert curve.best_k in (3, 4)
     for _k, loss, acc in curve.rows:
@@ -418,7 +420,8 @@ def test_roi_count_sweep_rejects_stitched_before_any_work(variant):
     # stitched images ignore the ROI list, so every k would score the same;
     # nothing is rendered or read before the refusal
     with pytest.raises(ConfigError, match="ROI variant"):
-        pipeline.roi_count_sweep(None, fast_config(variant=variant), None)
+        pipeline.roi_count_sweep(None, fast_config(variant=variant), None,
+                                 None, None, None)
 
 
 # ---------------------------------------------------------------------------
