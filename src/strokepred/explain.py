@@ -279,6 +279,12 @@ class RoiRanking:
         return self.rois[:k]
 
 
+def image_rois(label_image: np.ndarray) -> tuple[int, ...]:
+    """The nonzero labels of a label image, ascending: the ROIs an
+    explanation perturbs and a ranking orders."""
+    return tuple(int(v) for v in np.unique(label_image) if v != 0)
+
+
 def explain_pool(classifier: Classifier,
                  pool: Mapping[str, np.ndarray],
                  label_image: np.ndarray,
@@ -293,7 +299,7 @@ def explain_pool(classifier: Classifier,
     the mean-coefficient ranking over them."""
     if not pool:
         raise ValueError("empty image pool")
-    rois = tuple(int(v) for v in np.unique(label_image) if v != 0)
+    rois = image_rois(label_image)
     ids = sorted(pool)
     probs = _predict(classifier, np.stack([pool[i] for i in ids]))
     prob_of = dict(zip(ids, probs))

@@ -13,6 +13,13 @@ share one parameter container and one forward/backward pair:
   per-channel affine (gamma, beta) computed from the tabular vector by one
   dense map; gamma=1, beta=0 reproduces ``lightweight`` exactly.
 
+The conv stack runs channels-last, (n, h, w, c), from the image to the last
+pool: each conv is one im2col GEMM whose output is the next block's input,
+and each max-pool is the max of four strided views.  The pooled maps are
+transposed once to (n, c, h, w), so DAFT, the dense head and the CKP1
+parameter layout keep the (c, h, w) flatten order.  A pool window's
+gradient goes to its first maximum, row-major over the 2x2 window.
+
 Arrays follow the dtype of the parameter vector (float32 for real training,
 float64 in gradient tests), and every reduction has a fixed order, so runs
 are bit-reproducible.
@@ -20,6 +27,7 @@ are bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -120,25 +128,37 @@ class ModelParams:
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
-        total = sum(int(np.prod(shape)) for _, shape in self.layout)
+        total = _layout_size(self.layout)
         if self.vector.shape != (total,):
             raise ValueError(f"vector length {self.vector.shape} != layout {total}")
         if not np.all(np.isfinite(self.vector)):
             raise ValueError("parameters must be finite")
 
     def view(self, name: str) -> np.ndarray:
-        off = 0
-        for n, shape in self.layout:
-            size = int(np.prod(shape))
-            if n == name:
-                return self.vector[off:off + size].reshape(shape)
-            off += size
-        raise KeyError(name)
+        start, stop, shape = _offsets(self.layout)[name]
+        return self.vector[start:stop].reshape(shape)
 
     def copy(self) -> "ModelParams":
         return ModelParams(kind=self.kind, layout=self.layout,
                            vector=self.vector.copy(), cnn=self.cnn,
                            tabular_dim=self.tabular_dim)
+
+
+@functools.cache
+def _offsets(layout: tuple[tuple[str, tuple[int, ...]], ...]
+             ) -> dict[str, tuple[int, int, tuple[int, ...]]]:
+    """name -> (start, stop, shape) of each parameter in the flat vector,
+    computed once per layout (a process sees a handful of layouts)."""
+    table, off = {}, 0
+    for name, shape in layout:
+        size = math.prod(shape)
+        table[name] = (off, off + size, shape)
+        off += size
+    return table
+
+
+def _layout_size(layout) -> int:
+    return sum(math.prod(shape) for _, shape in layout)
 
 
 def _layout_for(kind: str, cnn: CnnConfig | None,
@@ -185,8 +205,7 @@ def build_params(kind: str, cnn: CnnConfig | None = None,
     fusion weights.
     """
     layout = _layout_for(kind, cnn, tabular_dim)
-    total = sum(int(np.prod(s)) for _, s in layout)
-    vec = np.zeros(total, dtype=dtype)
+    vec = np.zeros(_layout_size(layout), dtype=dtype)
     params = ModelParams(kind=kind, layout=layout, vector=vec, cnn=cnn,
                          tabular_dim=tabular_dim)
     if rng is not None:
@@ -209,44 +228,62 @@ def build_params(kind: str, cnn: CnnConfig | None = None,
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    n, c, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
-    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
-        n * h * wd, c * 9)
+    """3x3 same conv of a channels-last (n, h, w, c) batch by one im2col GEMM.
+
+    The columns keep the (c, ki, kj) order of ``w.reshape(c_out, -1)``; the
+    (n*h*w, c_out) product is already the next layer's channels-last input.
+    """
+    n, h, wd, c = x.shape
+    xp = np.zeros((n, h + 2, wd + 2, c), dtype=x.dtype)
+    xp[:, 1:h + 1, 1:wd + 1] = x
+    cols = np.empty((n, h, wd, c, 3, 3), dtype=x.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            cols[..., ki, kj] = xp[:, ki:ki + h, kj:kj + wd]
+    cols = cols.reshape(n * h * wd, c * 9)
     out = cols @ w.reshape(w.shape[0], -1).T + b
-    return out.reshape(n, h, wd, w.shape[0]).transpose(0, 3, 1, 2), cols
+    return out.reshape(n, h, wd, w.shape[0]), cols
 
 
 def _conv_input_grad(dout_r: np.ndarray, w: np.ndarray,
                      x_shape: tuple[int, ...]) -> np.ndarray:
-    """Gradient w.r.t. the conv input from the (n*h*w, c_out) output grad."""
-    n, c, h, wd = x_shape
+    """Gradient w.r.t. the channels-last conv input from the (n*h*w, c_out)
+    output grad."""
+    n, h, wd, c = x_shape
     dwin = (dout_r @ w.reshape(w.shape[0], -1)).reshape(n, h, wd, c, 3, 3)
-    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dout_r.dtype)
+    dxp = np.zeros((n, h + 2, wd + 2, c), dtype=dout_r.dtype)
     for ki in range(3):
         for kj in range(3):
-            dxp[:, :, ki:ki + h, kj:kj + wd] += dwin[:, :, :, :, ki, kj].transpose(
-                0, 3, 1, 2)
-    return dxp[:, :, 1:h + 1, 1:wd + 1]
+            dxp[:, ki:ki + h, kj:kj + wd] += dwin[..., ki, kj]
+    return dxp[:, 1:h + 1, 1:wd + 1]
 
 
-def _pool_forward(x: np.ndarray):
-    n, c, h, w = x.shape
-    xr = np.ascontiguousarray(
-        x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
-    ).reshape(n, c, h // 2, w // 2, 4)
-    idx = xr.argmax(axis=-1)  # ties -> first position, deterministic
-    out = np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0]
-    return out, idx
+def _quarters(x: np.ndarray):
+    """The four strided 2x2-window positions of a channels-last batch,
+    row-major over the window."""
+    return [x[:, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
 
 
-def _pool_backward(dout: np.ndarray, idx: np.ndarray, x_shape: tuple[int, ...]):
-    n, c, h, w = x_shape
-    dxr = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
-    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
-    return dxr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(
-        0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+def _pool_forward(x: np.ndarray) -> np.ndarray:
+    q00, q01, q10, q11 = _quarters(x)
+    return np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+
+
+def _relu_pool_backward(dout: np.ndarray, act: np.ndarray,
+                        pooled: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the pre-ReLU conv output.
+
+    Each window's gradient goes to its first maximum, row-major over the
+    2x2 window (the position ``argmax`` picks), times the ReLU gate
+    ``pooled > 0``; every other position gets +0."""
+    gated = dout * (pooled > 0)
+    dpre = np.empty_like(act)
+    taken = np.zeros(pooled.shape, dtype=bool)
+    for q, dq in zip(_quarters(act), _quarters(dpre)):
+        first = (q == pooled) & ~taken
+        dq[...] = np.where(first, gated, 0)
+        taken |= first
+    return dpre
 
 
 def _check_inputs(params: ModelParams, images, tabular):
@@ -278,17 +315,19 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
         logits = x @ params.view("w").T + params.view("b")
         cache["x"] = x
         return logits[:, 0], cache
-    x = images.astype(dtype, copy=False)[:, None, :, :]  # (n, 1, h, w)
+    x = images.astype(dtype, copy=False)[:, :, :, None]  # (n, h, w, 1)
     blocks = []
     for i in range(params.cnn.n_blocks):
-        w = params.view(f"conv{i}_w")
-        b = params.view(f"conv{i}_b")
-        pre, cols = _conv_forward(x, w, b)
+        pre, cols = _conv_forward(x, params.view(f"conv{i}_w"),
+                                  params.view(f"conv{i}_b"))
         act = np.maximum(pre, 0)
-        pooled, idx = _pool_forward(act)
-        blocks.append({"x_shape": x.shape, "cols": cols, "pre": pre,
-                       "idx": idx, "act_shape": act.shape})
+        pooled = _pool_forward(act)
+        if keep_cache:
+            blocks.append({"x_shape": x.shape, "cols": cols, "act": act,
+                           "pooled": pooled})
         x = pooled
+    cache["blocks"] = blocks
+    x = np.ascontiguousarray(x.transpose(0, 3, 1, 2))  # (n, c, h, w) head order
     if params.kind == "daft":
         tab = tabular.astype(dtype, copy=False)
         c_last = params.cnn.channels[-1]
@@ -306,8 +345,6 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
         cache["tab"] = tab
     logits = feats @ params.view("head_w").T + params.view("head_b")
     cache["feats"] = feats
-    if keep_cache:
-        cache["blocks"] = blocks
     return logits[:, 0], cache
 
 
@@ -402,13 +439,11 @@ def backward(params: ModelParams, images, tabular, labels,
         gview.view("film_b")[:c_last] = dgamma.sum(axis=0)
         gview.view("film_b")[c_last:] = dbeta.sum(axis=0)
 
-    dx = dmaps
+    dx = dmaps.transpose(0, 2, 3, 1)  # back to the conv stack's (n, h, w, c)
     for i in reversed(range(params.cnn.n_blocks)):
         blk = cache["blocks"][i]
         w = params.view(f"conv{i}_w")
-        dact = _pool_backward(dx, blk["idx"], blk["act_shape"])
-        dpre = dact * (blk["pre"] > 0)
-        dpre_r = np.ascontiguousarray(dpre.transpose(0, 2, 3, 1)).reshape(
+        dpre_r = _relu_pool_backward(dx, blk["act"], blk["pooled"]).reshape(
             -1, w.shape[0])
         gview.view(f"conv{i}_w")[...] = (dpre_r.T @ blk["cols"]).reshape(w.shape)
         gview.view(f"conv{i}_b")[...] = dpre_r.sum(axis=0)
@@ -669,7 +704,7 @@ def read_checkpoint(path: str | Path) -> ModelParams:
         raise FormatError(f"bad model config: {exc}", 8) from None
     if not all(type(d) is int and d > 0 for _, shape in layout for d in shape):
         raise FormatError("layout dimensions must be positive integers", 8)
-    total = sum(math.prod(shape) for _, shape in layout)
+    total = _layout_size(layout)
     if len(raw) - start != 4 * total:
         raise FormatError(f"payload of {len(raw) - start} bytes != "
                           f"{total} float32 parameters", start)

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file outputs, idempotence."""
 
 import json
+import re
 import shutil
 import subprocess
 import sys
@@ -283,6 +284,38 @@ def test_run_roi_sweep_audits_the_sweep_after_the_unlock(cohort_dir, tmp_path):
 
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("work done before the --out check")
+
+
+def _fail_if_trained(*args, **kwargs):
+    raise AssertionError("work done before the ROI count check")
+
+
+def test_run_roi_sweep_rejects_too_many_rois_before_training(
+        cohort_dir, tmp_path, monkeypatch, capsys):
+    from strokepred import learn
+    monkeypatch.setattr(learn, "train", _fail_if_trained)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**RUN_CFG, "roi_counts": [3, 99]}))
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--seeds", "1", "--config", str(cfg), "--roi-sweep"])
+    assert code == EXIT_CONFIG
+    n_rois = len(cli.pipeline.CohortData.from_directory(cohort_dir)
+                 .labels_for("hybrid-gm-roi").label_names)
+    assert f"ROI count 99 exceeds the {n_rois} ROIs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_select_rois_rejects_too_many_rois_before_explaining(
+        cohort_dir, run_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.pipeline, "rank_rois", _fail_if_trained)
+    monkeypatch.setattr(cli.pipeline, "roi_count_sweep", _fail_if_trained)
+    code = main(["select-rois", "--cohort", str(cohort_dir),
+                 "--run", str(run_dir), "--out", str(tmp_path / "sel"),
+                 "--counts", "3-99"])
+    assert code == EXIT_CONFIG
+    assert re.search(r"ROI count 99 exceeds the \d+ ROIs in the rendered "
+                     r"label map", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("command", ["explain", "select-rois"])

@@ -26,6 +26,7 @@ from strokepred.learn import (
     read_checkpoint,
     rmsprop_step,
     sgd_step,
+    sigmoid,
     train,
     write_checkpoint,
 )
@@ -199,9 +200,173 @@ def _gradcheck_case(kind, cnn, tab_dim, seed, eps=1e-3):
     ("daft", tiny_cnn((8, 8), (2, 3)), 4, 18),
     ("daft", tiny_cnn((4, 4), (3,)), 7, 19),
     ("early_fusion", tiny_cnn((4, 4), (2,)), 7, 20),
+    # non-square inputs, so a swap of the h and w axes cannot pass
+    ("lightweight", tiny_cnn((4, 8), (2, 3)), None, 21),
+    ("daft", tiny_cnn((4, 8), (2, 3)), 4, 22),
+    ("early_fusion", tiny_cnn((8, 4), (2,)), 3, 24),
 ])
 def test_gradcheck_finite_differences(kind, cnn, tab_dim, seed):
     assert _gradcheck_case(kind, cnn, tab_dim, seed) < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Channels-last kernels against the NCHW reference they replaced
+#
+# The reference below is the earlier (n, c, h, w) conv stack: im2col from a
+# sliding-window view, an argmax max-pool and put_along_axis pool backward.
+# The channels-last kernels multiply the same matrices and keep the same
+# tie rule, so logits, loss and gradient must match to the byte.
+
+
+def _ref_conv_forward(x, w, b):
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))
+    cols = np.ascontiguousarray(win.transpose(0, 2, 3, 1, 4, 5)).reshape(
+        n * h * wd, c * 9)
+    out = cols @ w.reshape(w.shape[0], -1).T + b
+    return out.reshape(n, h, wd, w.shape[0]).transpose(0, 3, 1, 2), cols
+
+
+def _ref_conv_input_grad(dout_r, w, x_shape):
+    n, c, h, wd = x_shape
+    dwin = (dout_r @ w.reshape(w.shape[0], -1)).reshape(n, h, wd, c, 3, 3)
+    dxp = np.zeros((n, c, h + 2, wd + 2), dtype=dout_r.dtype)
+    for ki in range(3):
+        for kj in range(3):
+            dxp[:, :, ki:ki + h, kj:kj + wd] += dwin[:, :, :, :, ki, kj].transpose(
+                0, 3, 1, 2)
+    return dxp[:, :, 1:h + 1, 1:wd + 1]
+
+
+def _ref_pool_forward(x):
+    n, c, h, w = x.shape
+    xr = np.ascontiguousarray(
+        x.reshape(n, c, h // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 3, 5)
+    ).reshape(n, c, h // 2, w // 2, 4)
+    idx = xr.argmax(axis=-1)
+    return np.take_along_axis(xr, idx[..., None], axis=-1)[..., 0], idx
+
+
+def _ref_pool_backward(dout, idx, x_shape):
+    n, c, h, w = x_shape
+    dxr = np.zeros((n, c, h // 2, w // 2, 4), dtype=dout.dtype)
+    np.put_along_axis(dxr, idx[..., None], dout[..., None], axis=-1)
+    return dxr.reshape(n, c, h // 2, w // 2, 2, 2).transpose(
+        0, 1, 2, 4, 3, 5).reshape(n, c, h, w)
+
+
+def _ref_run(params, images, tabular):
+    dtype = params.vector.dtype
+    x = images.astype(dtype, copy=False)[:, None, :, :]
+    blocks, cache = [], {}
+    for i in range(params.cnn.n_blocks):
+        pre, cols = _ref_conv_forward(x, params.view(f"conv{i}_w"),
+                                      params.view(f"conv{i}_b"))
+        act = np.maximum(pre, 0)
+        pooled, idx = _ref_pool_forward(act)
+        blocks.append({"x_shape": x.shape, "cols": cols, "pre": pre,
+                       "idx": idx, "act_shape": act.shape})
+        x = pooled
+    if params.kind == "daft":
+        tab = tabular.astype(dtype, copy=False)
+        c_last = params.cnn.channels[-1]
+        film = tab @ params.view("film_w").T + params.view("film_b")
+        gamma, beta = film[:, :c_last], film[:, c_last:]
+        cache.update(pre_mod=x, gamma=gamma, tab=tab)
+        x = x * gamma[:, :, None, None] + beta[:, :, None, None]
+    feats = x.reshape(x.shape[0], -1)
+    cache["maps_shape"] = x.shape
+    if params.kind == "early_fusion":
+        feats = np.concatenate([feats, tabular.astype(dtype, copy=False)],
+                               axis=1)
+    logits = feats @ params.view("head_w").T + params.view("head_b")
+    cache.update(feats=feats, blocks=blocks)
+    return logits[:, 0], cache
+
+
+def _ref_backward(params, images, tabular, labels, weights):
+    logits, cache = _ref_run(params, images, tabular)
+    loss = class_weighted_bce(logits, labels, weights)
+    y = np.asarray(labels, dtype=np.float64)
+    wv = np.where(y == 1, weights[1], weights[0])
+    dz = (wv * (sigmoid(logits) - y) / len(y)).astype(params.vector.dtype)
+    grad = np.zeros_like(params.vector)
+    gview = params.copy()
+    gview.vector = grad
+    feats = cache["feats"]
+    gview.view("head_w")[...] = dz[None, :] @ feats
+    gview.view("head_b")[...] = dz.sum()
+    dfeats = dz[:, None] @ params.view("head_w")
+    if params.kind == "early_fusion":
+        dfeats = dfeats[:, :feats.shape[1] - params.tabular_dim]
+    dmaps = dfeats.reshape(cache["maps_shape"])
+    if params.kind == "daft":
+        c_last = params.cnn.channels[-1]
+        pre_mod, gamma, tab = cache["pre_mod"], cache["gamma"], cache["tab"]
+        dgamma = (dmaps * pre_mod).sum(axis=(2, 3))
+        dbeta = dmaps.sum(axis=(2, 3))
+        dmaps = dmaps * gamma[:, :, None, None]
+        gview.view("film_w")[:c_last] = dgamma.T @ tab
+        gview.view("film_w")[c_last:] = dbeta.T @ tab
+        gview.view("film_b")[:c_last] = dgamma.sum(axis=0)
+        gview.view("film_b")[c_last:] = dbeta.sum(axis=0)
+    dx = dmaps
+    for i in reversed(range(params.cnn.n_blocks)):
+        blk = cache["blocks"][i]
+        w = params.view(f"conv{i}_w")
+        dact = _ref_pool_backward(dx, blk["idx"], blk["act_shape"])
+        dpre = dact * (blk["pre"] > 0)
+        dpre_r = np.ascontiguousarray(dpre.transpose(0, 2, 3, 1)).reshape(
+            -1, w.shape[0])
+        gview.view(f"conv{i}_w")[...] = (dpre_r.T @ blk["cols"]).reshape(w.shape)
+        gview.view(f"conv{i}_b")[...] = dpre_r.sum(axis=0)
+        if i > 0:
+            dx = _ref_conv_input_grad(dpre_r, w, blk["x_shape"])
+    return loss, grad
+
+
+def _parity_images(style, n, hw, gen):
+    h, w = hw
+    if style == "random":
+        return gen.uniform(size=(n, h, w))
+    if style == "constant":  # every interior window ties
+        return np.full((n, h, w), 0.5)
+    # plateaus: 4x4 tiles of one value, so windows tie inside each tile
+    tiles = gen.uniform(size=(n, h // 4, w // 4))
+    return np.repeat(np.repeat(tiles, 4, axis=1), 4, axis=2)
+
+
+@pytest.mark.parametrize("kind", ["lightweight", "early_fusion", "daft"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 7])
+@pytest.mark.parametrize("hw,channels", [((8, 8), (2, 3)),
+                                         ((8, 16), (2, 3)),
+                                         ((16, 32), (4, 8, 16, 32))])
+def test_channels_last_kernels_match_nchw_reference(kind, dtype, n, hw,
+                                                    channels):
+    cnn = CnnConfig(hw, channels)
+    tab_dim = None if kind == "lightweight" else 7
+    params = build_params(kind, cnn=cnn, tabular_dim=tab_dim,
+                          rng=CounterRng(n, "parity", kind), dtype=dtype)
+    gen = np.random.default_rng([n, *hw, len(channels)])
+    for name, _ in params.layout:  # nonzero biases, so pre-activations vary
+        if name.endswith("_b"):
+            params.view(name)[...] += gen.normal(0, 0.1,
+                                                 params.view(name).shape)
+    tabular = None if tab_dim is None else gen.uniform(size=(n, tab_dim))
+    for style in ("random", "constant", "plateau"):
+        images = _parity_images(style, n, hw, gen).astype(dtype)
+        ref_logits, _ = _ref_run(params, images, tabular)
+        assert forward(params, images, tabular).tobytes() == ref_logits.tobytes()
+        # all-positive labels make every dz negative, so the pool routes
+        # negative gradients and (pre > 0) masks them to signed zeros
+        for labels in (np.ones(n, dtype=np.int64), np.arange(n) % 2):
+            loss, grad = backward(params, images, tabular, labels, (0.7, 1.3))
+            ref_loss, ref_grad = _ref_backward(params, images, tabular,
+                                               labels, (0.7, 1.3))
+            assert loss == ref_loss
+            assert grad.tobytes() == ref_grad.tobytes(), (style, labels)
 
 
 def test_gradient_zero_for_dead_parameters():
@@ -391,7 +556,7 @@ def test_backward_skips_block_zero_input_gradient(monkeypatch):
     real = learn._conv_input_grad
 
     def counting(dout_r, w, x_shape):
-        calls.append(x_shape[1])
+        calls.append(x_shape[-1])  # channels-last: (n, h, w, c)
         return real(dout_r, w, x_shape)
 
     monkeypatch.setattr(learn, "_conv_input_grad", counting)
