@@ -182,15 +182,16 @@ class CounterfactualRow:
 
 def counterfactuals(image: np.ndarray, contrast: np.ndarray,
                     label_image: np.ndarray, classifier: Classifier,
-                    surrogate: SurrogateModel,
-                    rois: Sequence[int]) -> list[CounterfactualRow]:
+                    surrogate: SurrogateModel, rois: Sequence[int],
+                    base: float) -> list[CounterfactualRow]:
     """All <=2-ROI replacements whose classifier probability drops below
-    ``THRESHOLD``, sorted by fewest ROIs then lowest probability."""
+    ``THRESHOLD``, sorted by fewest ROIs then lowest probability. ``base``
+    is the unchanged image's probability the caller gated on; it is not
+    predicted again, as logits differ in the last bits between batch sizes."""
     image = np.asarray(image, dtype=np.float64)
     contrast = np.asarray(contrast, dtype=np.float64)
     r = len(rois)
     sets = roi_pixel_sets(label_image, rois)
-    base = float(_predict(classifier, image[None])[0])
     if base < THRESHOLD:
         raise ValueError(
             f"base probability {base:.3f} below threshold {THRESHOLD}; "
@@ -252,7 +253,8 @@ def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
     if with_counterfactuals:
         if base >= THRESHOLD:
             cf = tuple(counterfactuals(image, contrast, label_image,
-                                       classifier, surrogate, rois=rois))
+                                       classifier, surrogate, rois=rois,
+                                       base=base))
         else:
             flags.append("not_predicted_positive")
     return Explanation(image_id=image_id, base_probability=base, rois=rois,

@@ -320,7 +320,7 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
     for i in range(params.cnn.n_blocks):
         pre, cols = _conv_forward(x, params.view(f"conv{i}_w"),
                                   params.view(f"conv{i}_b"))
-        act = np.maximum(pre, 0)
+        act = np.maximum(pre, 0, out=pre)
         pooled = _pool_forward(act)
         if keep_cache:
             blocks.append({"x_shape": x.shape, "cols": cols, "act": act,

@@ -1,17 +1,22 @@
 """CLI behavior: exit codes, file outputs, idempotence."""
 
 import json
+import platform
 import re
+import resource
 import shutil
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from strokepred import cli
+from strokepred import cli, learn, pipeline
 from strokepred.cli import (EXIT_CONFIG, EXIT_LOCKBOX, EXIT_OK, main,
                             parse_seeds)
+from strokepred.rng import CounterRng
 
 RUN_CFG = {"run": {"image_size": 32, "channels": [4, 8],
                    "train": {"lrs": [1e-3], "max_epochs": 3}}}
@@ -332,3 +337,54 @@ def test_nonempty_out_is_refused_before_any_work(command, cohort_dir, run_dir,
     assert code == EXIT_CONFIG
     assert "--force" in capsys.readouterr().err
     assert sorted(p.name for p in out.iterdir()) == ["keep.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the entry point's allocator policy
+
+STEP_FAULT_BOUND = 5000  # minor faults over 5 steps; ~25k when memory is returned
+
+
+def _kernel_step(params, images, labels):
+    learn.backward(params, images[:16], None, labels[:16])
+    learn.forward(params, images)
+    learn.forward(params, images[:5])
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+def test_entry_point_keeps_kernel_temporaries_mapped(tmp_path):
+    """Once ``main`` has run, repeated conv steps reuse the pages their
+    temporaries freed instead of faulting fresh ones in."""
+    assert main(["report", "--run", str(tmp_path / "none")]) == EXIT_CONFIG
+    cnn = pipeline.RunConfig().cnn
+    gen = np.random.default_rng(0)
+    images = gen.random((128, *cnn.input_hw), dtype=np.float32)
+    labels = np.tile([0.0, 1.0], 64)
+    params = learn.build_params("lightweight", cnn=cnn,
+                                rng=CounterRng(1, "init", "lightweight"))
+    _kernel_step(params, images, labels)  # the first step maps the pages
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        _kernel_step(params, images, labels)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < STEP_FAULT_BOUND
+
+
+def _cdll_raises(name):
+    raise OSError("no libc")
+
+
+@pytest.mark.parametrize("fake_cdll", [
+    _cdll_raises,
+    lambda name: types.SimpleNamespace(),
+    lambda name: types.SimpleNamespace(mallopt=lambda param, value: 0),
+], ids=["no-libc", "no-mallopt", "mallopt-rejects"])
+def test_main_runs_unchanged_without_mallopt(fake_cdll, run_dir, tmp_path,
+                                             monkeypatch):
+    argvs = (["report", "--run", str(run_dir)],
+             ["report", "--run", str(tmp_path / "none")])
+    want = [main(argv) for argv in argvs]
+    assert want == [EXIT_OK, EXIT_CONFIG]
+    monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
+    assert [main(argv) for argv in argvs] == want

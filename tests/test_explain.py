@@ -266,11 +266,15 @@ def _fitted_double(b, coefs, n=300, seed=3):
     return labels, original, contrast, classifier, model
 
 
+def _base(classifier, image):
+    return float(classifier(image[None])[0])
+
+
 def test_counterfactuals_match_brute_force_and_fidelity_bound():
     b, coefs = -3.2, (2.0, 1.0, 0.5, 1.5)  # all-ones logit 1.8 -> p 0.86
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
     rows = counterfactuals(original, contrast, labels, classifier, model,
-                           rois=ROIS)
+                           rois=ROIS, base=_base(classifier, original))
     # brute force: every <=2-ROI replacement, keep those crossing 0.5
     want = []
     sets = roi_pixel_sets(labels, ROIS)
@@ -309,7 +313,7 @@ def test_counterfactuals_empty_when_nothing_crosses():
     b, coefs = 2.0, (0.1, 0.1, 0.1, 0.1)  # prediction stays above 0.5
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
     assert counterfactuals(original, contrast, labels, classifier, model,
-                           rois=ROIS) == []
+                           rois=ROIS, base=_base(classifier, original)) == []
 
 
 def test_counterfactuals_require_predicted_positive_base():
@@ -317,7 +321,31 @@ def test_counterfactuals_require_predicted_positive_base():
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
     with pytest.raises(ValueError):
         counterfactuals(original, contrast, labels, classifier, model,
-                        rois=ROIS)
+                        rois=ROIS, base=_base(classifier, original))
+
+
+def test_counterfactuals_keep_the_base_the_explanation_gated_on():
+    """A classifier whose last bits depend on the batch size, as a network's
+    GEMMs do, puts the unchanged image at 0.5 + 1e-9 in a perturbation batch
+    and 0.5 - 1e-9 alone; the explanation that passed its gate must not
+    fail on a second, single-image prediction."""
+    labels, original, contrast = _layout()
+    sets = roi_pixel_sets(labels, ROIS)
+    orig = original.ravel()
+
+    def classifier(batch):
+        batch = np.asarray(batch)
+        near = 0.5 + (1e-9 if len(batch) > 1 else -1e-9)
+        return np.array([near if np.array_equal(img.ravel()[sets[1]],
+                                                orig[sets[1]]) else 0.1
+                         for img in batch])
+
+    expl = explain_one("edge", original, contrast, labels, classifier,
+                       rois=ROIS, n=50, seed=7, with_counterfactuals=True)
+    assert expl.base_probability == 0.5 + 1e-9
+    assert "not_predicted_positive" not in expl.flags
+    assert {row.replaced for row in expl.counterfactual_rows} == {
+        (1,), (1, 2), (1, 3), (1, 4)}
 
 
 # ---------------------------------------------------------------------------
