@@ -14,11 +14,21 @@ share one parameter container and one forward/backward pair:
   dense map; gamma=1, beta=0 reproduces ``lightweight`` exactly.
 
 The conv stack runs channels-last, (n, h, w, c), from the image to the last
-pool: each conv is one im2col GEMM whose output is the next block's input,
-and each max-pool is the max of four strided views.  The pooled maps are
-transposed once to (n, c, h, w), so DAFT, the dense head and the CKP1
-parameter layout keep the (c, h, w) flatten order.  A pool window's
-gradient goes to its first maximum, row-major over the 2x2 window.
+pool: each conv is one im2col GEMM whose output is the next block's input.
+Most of its time goes to moving memory, so each pass is kept long and
+contiguous where that leaves every sum unchanged:
+
+* the image block (one input channel) fills its columns tap-major, nine
+  contiguous copies, and multiplies their transposed view; BLAS sums a
+  transposed GEMM operand in the same order.  GEMV does not, so a block
+  with one output channel keeps the row-major columns;
+* the bias is added in place over whole (h*w*c_out) rows;
+* each max-pool takes the max of the two row views, then of the two
+  column views of that result.
+
+The pooled maps are transposed once to (n, c, h, w), so DAFT, the dense
+head and the CKP1 parameter layout keep the (c, h, w) flatten order.  A pool
+window's gradient goes to its first maximum, row-major over the 2x2 window.
 
 Arrays follow the dtype of the parameter vector (float32 for real training,
 float64 in gradient tests), and every reduction has a fixed order, so runs
@@ -232,17 +242,32 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
     The columns keep the (c, ki, kj) order of ``w.reshape(c_out, -1)``; the
     (n*h*w, c_out) product is already the next layer's channels-last input.
+    The columns are filled by nine shifted copies of the padded batch, one
+    per tap.  The image block (c == 1) fills them tap-major, so each copy
+    is contiguous, into a (9, n*h*w) buffer and returns its transposed
+    view: BLAS sums a transposed operand in the same order, here and in
+    ``backward``'s weight-gradient GEMM.  With one output channel numpy
+    hands both products to GEMV, whose sums do depend on the operand
+    layout, so that case keeps row-major columns.  The bias is added in
+    place over whole (h*w*c_out) rows, not broadcast over c_out-wide ones.
     """
     n, h, wd, c = x.shape
+    c_out = w.shape[0]
     xp = np.zeros((n, h + 2, wd + 2, c), dtype=x.dtype)
     xp[:, 1:h + 1, 1:wd + 1] = x
-    cols = np.empty((n, h, wd, c, 3, 3), dtype=x.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            cols[..., ki, kj] = xp[:, ki:ki + h, kj:kj + wd]
-    cols = cols.reshape(n * h * wd, c * 9)
-    out = cols @ w.reshape(w.shape[0], -1).T + b
-    return out.reshape(n, h, wd, w.shape[0]), cols
+    tap_major = c == 1 and c_out > 1
+    buf = np.empty((9, n, h, wd, 1) if tap_major else (n, h, wd, c, 9),
+                   dtype=x.dtype)
+    for t in range(9):
+        ki, kj = divmod(t, 3)
+        tap = buf[t] if tap_major else buf[..., t]
+        tap[...] = xp[:, ki:ki + h, kj:kj + wd]
+    cols = (buf.reshape(9, n * h * wd).T if tap_major
+            else buf.reshape(n * h * wd, c * 9))
+    out = cols @ w.reshape(c_out, -1).T
+    rows = out.reshape(n, -1)  # a view: the add lands in ``out``
+    rows += np.tile(b, h * wd)
+    return out.reshape(n, h, wd, c_out), cols
 
 
 def _conv_input_grad(dout_r: np.ndarray, w: np.ndarray,
@@ -265,8 +290,10 @@ def _quarters(x: np.ndarray):
 
 
 def _pool_forward(x: np.ndarray) -> np.ndarray:
-    q00, q01, q10, q11 = _quarters(x)
-    return np.maximum(np.maximum(q00, q01), np.maximum(q10, q11))
+    """2x2 max-pool: the max of the two row views, then of the two column
+    views of that; max is exact, so the order does not change a value."""
+    rows = np.maximum(x[:, 0::2], x[:, 1::2])
+    return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
 
 
 def _relu_pool_backward(dout: np.ndarray, act: np.ndarray,

@@ -132,13 +132,12 @@ class CohortData:
 
     @classmethod
     def from_memory(cls, config: SynthConfig, truth: TruthModel,
-                    records: Sequence[SubjectRecord] | None = None,
-                    atlas: LabelVolume | None = None) -> "CohortData":
-        atlas = atlas if atlas is not None else gen_atlas(config, "rois")
+                    ) -> "CohortData":
+        atlas = gen_atlas(config, "rois")
         tracts = gen_atlas(config, "tracts")
-        if records is None:
-            records = cohort_records(config, truth, atlas)
-        seed_of = {r.id: int(r.id[1:]) for r in records}
+        records = cohort_records(config, truth, atlas)
+        # subject i of the cohort is synthesised from seed i
+        seed_of = {r.id: i for i, r in enumerate(records)}
 
         def volume_of(subject_id: str) -> Volume3D:
             return gen_subject(config, truth, seed_of[subject_id], atlas)[0]
@@ -385,30 +384,50 @@ def prepare_run(cohort: CohortData, config: RunConfig,
 
 def _train_once(config: RunConfig, train_set: ArrayDataset,
                 val_set: ArrayDataset, lr: float, seed: int,
-                ) -> tuple[ModelParams, float]:
+                ) -> tuple[ModelParams, list[float]]:
+    """One fit; returns the best-epoch snapshot and the per-epoch
+    validation losses."""
     tc = replace(config.train, seed=seed)
-    params, val_losses = learn.train(
+    return learn.train(
         config.model, train_set, val_set, tc, lr,
         cnn=None if config.model == "logistic" else config.cnn,
         tabular_dim=(train_set.tabular.shape[1]
                      if train_set.tabular is not None else None))
-    return params, min(val_losses)
+
+
+# (phase, lr, fold or seed, epoch, val_loss); phase "cv" names the
+# validation fold's group, phase "seed" the training seed
+CurveRow = tuple[str, float, int, int, float]
+
+
+def _curve_rows(phase: str, lr: float, index: int,
+                val_losses: Sequence[float]) -> list[CurveRow]:
+    return [(phase, lr, index, epoch, loss)
+            for epoch, loss in enumerate(val_losses, 1)]
 
 
 def pick_lr(cohort: CohortData, data: VariantData | None,
             encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
-            config: RunConfig) -> tuple[float, dict[float, list[float]]]:
-    """4-fold CV over groups 1-4 on the configured lr grid."""
+            config: RunConfig,
+            ) -> tuple[float, dict[float, list[float]], list[CurveRow]]:
+    """4-fold CV over groups 1-4 on the configured lr grid; also returns
+    every fit's learning curve, in fit order."""
+    groups = (1, 2, 3, 4)
     folds = [assemble(cohort, data, encoding, plan, box, [g],
                       f"cv-fold-{g}", config.model)
-             for g in (1, 2, 3, 4)]
+             for g in groups]
+    curves: list[CurveRow] = []
 
     def trainer(train_folds, val_fold, lr):
-        _, loss = _train_once(config, concat_datasets(train_folds), val_fold,
-                              lr, seed=config.train.seed)
-        return loss
+        _, losses = _train_once(config, concat_datasets(train_folds),
+                                val_fold, lr, seed=config.train.seed)
+        group = next(g for g, f in zip(groups, folds) if f is val_fold)
+        curves.extend(_curve_rows("cv", lr, group, losses))
+        return min(losses)
 
-    return evalharness.cross_validate(trainer, folds, list(config.train.lrs))
+    best_lr, cv_losses = evalharness.cross_validate(
+        trainer, folds, list(config.train.lrs))
+    return best_lr, cv_losses, curves
 
 
 @dataclass(frozen=True)
@@ -435,6 +454,7 @@ class RunResult:
     checkpoints: dict[int, ModelParams]
     variant_data: VariantData | None
     normalizers: tuple[float, float]  # train-only (size_ref, time_ref)
+    learning_curves: tuple[CurveRow, ...]  # CV fits, then seed fits
 
 
 def _predictor(config: RunConfig, params: ModelParams,
@@ -476,16 +496,18 @@ def run_experiment(cohort: CohortData, config: RunConfig,
     encoding = TabularEncoding(*normalizers)
 
     if config.model == "logistic":
-        best_lr, cv_losses = config.train.lrs[0], {}
+        best_lr, cv_losses, curves = config.train.lrs[0], {}, []
     else:
-        best_lr, cv_losses = pick_lr(cohort, data, encoding, plan, box, config)
+        best_lr, cv_losses, curves = pick_lr(cohort, data, encoding, plan,
+                                             box, config)
 
     train_set = assemble(cohort, data, encoding, plan, box, TRAIN_GROUPS,
                          "seed-training", config.model)
     val_set = assemble(cohort, data, encoding, plan, box, [VAL_GROUP],
                        "validation-calibration", config.model)
 
-    def fit_seed(seed: int) -> tuple[int, ModelParams, Calibrator, float]:
+    def fit_seed(seed: int) -> tuple[int, ModelParams, Calibrator, float,
+                                     list[CurveRow]]:
         if config.model == "logistic":
             # IRLS is deterministic: every seed fits the same coefficients
             params = learn.logistic_fit(train_set.tabular, train_set.labels)
@@ -493,12 +515,15 @@ def run_experiment(cohort: CohortData, config: RunConfig,
             val_loss = learn.class_weighted_bce(
                 val_logits, val_set.labels,
                 learn.class_weights_from_labels(train_set.labels))
+            curve = []  # IRLS has no epochs
         else:
-            params, val_loss = _train_once(config, train_set, val_set,
-                                           best_lr, seed)
+            params, losses = _train_once(config, train_set, val_set,
+                                         best_lr, seed)
+            val_loss = min(losses)
+            curve = _curve_rows("seed", best_lr, seed, losses)
             val_logits = learn.forward(params, val_set.images, val_set.tabular)
         cal = evalharness.fit_temperature(val_logits, val_set.labels)
-        return seed, params, cal, val_loss
+        return seed, params, cal, val_loss, curve
 
     if config.jobs > 1 and len(config.seeds) > 1:
         # seed fits are independent; results are collected in seed order so
@@ -512,7 +537,8 @@ def run_experiment(cohort: CohortData, config: RunConfig,
     box.unlock("final evaluation on the held-out group")
     test_sets = {}  # one guarded access per seed, all post-unlock
     seed_results = []
-    for seed, params, cal, val_loss in fitted:
+    for seed, params, cal, val_loss, curve in fitted:
+        curves.extend(curve)
         test_set = assemble(cohort, data, encoding, plan, box, [TEST_GROUP],
                             f"seed-{seed}-final-eval", config.model)
         probs = _predictor(config, params, cal)(test_set)
@@ -538,8 +564,9 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                      aggregate=agg, subgroup_aggregate=sub_agg,
                      sweep_mean=sweep_mean,
                      box=box,
-                     checkpoints={s: p for s, p, _c, _v in fitted},
-                     variant_data=data, normalizers=normalizers)
+                     checkpoints={s: p for s, p, *_ in fitted},
+                     variant_data=data, normalizers=normalizers,
+                     learning_curves=tuple(curves))
 
 
 # ---------------------------------------------------------------------------
@@ -603,12 +630,12 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
         accs = []
 
         def trainer(train_folds, val, lr):
-            params, loss = _train_once(sweep_config,
-                                       concat_datasets(train_folds), val, lr,
-                                       seed=sweep_config.train.seed)
+            params, losses = _train_once(sweep_config,
+                                         concat_datasets(train_folds), val,
+                                         lr, seed=sweep_config.train.seed)
             probs = learn.predict_proba(params, val.images, val.tabular)
             accs.append(evalharness.metrics(probs, val.labels).balanced_accuracy)
-            return loss
+            return min(losses)
 
         lr = sweep_config.train.lrs[0]
         _, losses = evalharness.cross_validate(trainer, folds, [lr])
@@ -694,6 +721,13 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
     (out / "index.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
                                     + "\n")
     files["index"] = "index.json"
+
+    # beside the reports, but not in the index's file list, so index.json
+    # reads the same as in runs written without it
+    write_csv(out / "learning_curves.csv",
+              ["phase", "lr", "fold_or_seed", "epoch", "val_loss"],
+              result.learning_curves)
+    files["learning_curves"] = "learning_curves.csv"
     return files
 
 

@@ -108,7 +108,7 @@ def test_run_rerun_is_bit_identical(cohort_dir, run_dir, tmp_path):
                  "--seeds", "1,2", "--config", str(cfg)])
     assert code == EXIT_OK
     for name in ("per_seed.csv", "summary.csv", "subgroup.csv",
-                 "thresholds.csv"):
+                 "thresholds.csv", "learning_curves.csv"):
         assert (out2 / name).read_bytes() == (run_dir / name).read_bytes()
 
 
@@ -179,6 +179,31 @@ def test_select_rois_command(cohort_dir, run_dir, tmp_path):
     assert len(doc["rois"]) == doc["best_k"]
     assert (out / "roi_curve.csv").exists()
     assert (out / "roi_curve.svg").exists()
+
+
+def _tree_bytes(root: Path) -> dict[str, bytes]:
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
+def test_explain_and_select_rois_reruns_are_bit_identical(cohort_dir, run_dir,
+                                                          tmp_path):
+    before = _tree_bytes(run_dir)
+    commands = {
+        "explain": ["--n-explain", "2", "--n-perturb", "40"],
+        "select-rois": ["--counts", "3-4", "--n-explain", "2",
+                        "--n-perturb", "40", "--sweep-epochs", "1"],
+    }
+    for command, flags in commands.items():
+        outs = [tmp_path / f"{command}-{i}" for i in (1, 2)]
+        for out in outs:
+            assert main([command, "--cohort", str(cohort_dir),
+                         "--run", str(run_dir), "--out", str(out),
+                         *flags]) == EXIT_OK
+        first, second = (_tree_bytes(out) for out in outs)
+        assert first, command
+        assert first == second, command
+    assert _tree_bytes(run_dir) == before  # both only read the run
 
 
 def test_report_command(run_dir, capsys):

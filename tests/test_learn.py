@@ -337,14 +337,28 @@ def _parity_images(style, n, hw, gen):
     return np.repeat(np.repeat(tiles, 4, axis=1), 4, axis=2)
 
 
+# One output channel in the first block, (1, 2), makes numpy hand block 0's
+# product to GEMV, whose sums depend on the operand layout.
 @pytest.mark.parametrize("kind", ["lightweight", "early_fusion", "daft"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 7])
 @pytest.mark.parametrize("hw,channels", [((8, 8), (2, 3)),
                                          ((8, 16), (2, 3)),
-                                         ((16, 32), (4, 8, 16, 32))])
+                                         ((16, 32), (4, 8, 16, 32)),
+                                         ((8, 8), (1, 2))])
 def test_channels_last_kernels_match_nchw_reference(kind, dtype, n, hw,
                                                     channels):
+    _assert_matches_nchw_reference(kind, dtype, n, hw, channels)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+def test_channels_last_kernels_match_nchw_reference_default_network(n):
+    # the shapes training (batch 16) and explanations (batch 128) run
+    _assert_matches_nchw_reference("lightweight", np.float32, n, (64, 64),
+                                   (4, 8, 16))
+
+
+def _assert_matches_nchw_reference(kind, dtype, n, hw, channels):
     cnn = CnnConfig(hw, channels)
     tab_dim = None if kind == "lightweight" else 7
     params = build_params(kind, cnn=cnn, tabular_dim=tab_dim,

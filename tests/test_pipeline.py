@@ -322,7 +322,7 @@ def test_run_is_deterministic(tiny_cohort, tiny_run, tmp_path):
     pipeline.emit_run(tiny_run, d1)
     pipeline.emit_run(again, d2)
     for name in ("per_seed.csv", "summary.csv", "subgroup.csv",
-                 "thresholds.csv", "index.json"):
+                 "thresholds.csv", "index.json", "learning_curves.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
@@ -331,6 +331,30 @@ def test_run_parallel_jobs_identical(tiny_cohort, tiny_run):
     for a, b in zip(tiny_run.seeds, par.seeds):
         assert a.test.as_dict() == b.test.as_dict()
         assert a.val_loss == b.val_loss
+    assert par.learning_curves == tiny_run.learning_curves
+
+
+def test_learning_curves_hold_every_fit_epoch(tiny_run, tmp_path):
+    cfg = tiny_run.config
+    epochs = cfg.train.max_epochs
+    rows = tiny_run.learning_curves
+    cv = [r for r in rows if r[0] == "cv"]
+    assert len(cv) == len(cfg.train.lrs) * 4 * epochs
+    for lr, per_fold in tiny_run.cv_losses.items():
+        for group, loss in zip((1, 2, 3, 4), per_fold):
+            curve = [r for r in cv if r[1] == lr and r[2] == group]
+            assert [r[3] for r in curve] == list(range(1, epochs + 1))
+            assert min(r[4] for r in curve) == loss
+    for s in tiny_run.seeds:
+        curve = [r for r in rows if r[0] == "seed" and r[2] == s.seed]
+        assert [r[3] for r in curve] == list(range(1, epochs + 1))
+        assert {r[1] for r in curve} == {tiny_run.best_lr}
+        assert min(r[4] for r in curve) == s.val_loss
+    assert len(rows) == len(cv) + len(tiny_run.seeds) * epochs
+    pipeline.emit_run(tiny_run, tmp_path)
+    lines = (tmp_path / "learning_curves.csv").read_text().splitlines()
+    assert lines[0] == "phase,lr,fold_or_seed,epoch,val_loss"
+    assert len(lines) == 1 + len(rows)
 
 
 def test_run_logistic_model(tiny_cohort):
