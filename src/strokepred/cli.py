@@ -267,10 +267,6 @@ def _load_checkpoint(run_dir: Path, config: RunConfig,
 def cmd_explain(args) -> int:
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
-    if args.variant is not None and args.variant != config.variant:
-        raise ConfigError(
-            f"checkpoint was trained on variant {config.variant!r}, "
-            f"not {args.variant!r}")
     if config.model != "lightweight":
         raise ConfigError("explanations support the image-only model; "
                           f"this run used {config.model!r}")
@@ -403,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--run", required=True, help="finished run directory")
     ep.add_argument("--out", required=True)
     ep.add_argument("--seed", type=int, help="checkpoint seed (default first)")
-    ep.add_argument("--variant", help="must match the run's variant")
     ep.add_argument("--n-explain", type=int, default=12)
     ep.add_argument("--n-perturb", type=int, default=256)
     ep.add_argument("--explain-seed", type=int, default=0)

@@ -89,7 +89,6 @@ class Volume3D:
 
     dims: tuple[int, int, int]
     data: np.ndarray  # shape dims, float32
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
     def __post_init__(self):
         nx, ny, nz = self.dims
@@ -355,15 +354,14 @@ class CohortManifest:
         return path
 
     @classmethod
-    def load(cls, directory: str | Path, check_files: bool = True) -> "CohortManifest":
+    def load(cls, directory: str | Path) -> "CohortManifest":
         directory = Path(directory)
         manifest = cls.from_json((directory / "manifest.json").read_text())
-        if check_files:
-            missing = [p for p in manifest.referenced_paths()
-                       if not (directory / p).exists()]
-            if missing:
-                raise FileNotFoundError(
-                    f"manifest references missing files: {missing[:5]}")
+        missing = [p for p in manifest.referenced_paths()
+                   if not (directory / p).exists()]
+        if missing:
+            raise FileNotFoundError(
+                f"manifest references missing files: {missing[:5]}")
         return manifest
 
     def referenced_paths(self) -> list[str]:

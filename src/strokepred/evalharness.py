@@ -218,10 +218,6 @@ class LockBox:
             with self._audit_path.open("a") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
-    @property
-    def unlocked(self) -> bool:
-        return self._unlocked
-
     def unlock(self, reason: str):
         if self._unlocked:
             self._log("violation", detail="second unlock attempt",

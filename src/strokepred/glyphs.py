@@ -2,19 +2,22 @@
 
 Three glyphs per subject, always in this order: a pentagon whose radius
 encodes left-hemisphere lesion size, a pie slice of fixed size whose
-intensity encodes recovery time, and a fixed severity symbol (one shape per
-category).  Rasterization is plain pixel-center containment, no
-anti-aliasing, so identical inputs give bit-identical rasters.
+intensity encodes recovery time, and a severity symbol whose shape comes
+from the fixed table ``SEVERITY_SYMBOLS`` (one shape per category).
+Hybrid stitched images draw the glyphs into three freed slice cells
+(``glyph_cell_boxes``), hybrid ROI images into a strip below the tiles
+(``glyph_strip_boxes``).  Rasterization is plain pixel-center containment,
+no anti-aliasing, so identical inputs give bit-identical rasters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .core import SEVERITY_CATEGORIES, SubjectRecord, Volume3D, LabelVolume
+from .core import SubjectRecord, Volume3D, LabelVolume
 from .imaging import (
     Image2D,
     LayoutError,
@@ -28,7 +31,7 @@ from .imaging import (
 
 # moderate/normal/unknown symbols follow the source convention; severe and
 # mild are our own picks (only three of the five shapes are prescribed).
-DEFAULT_SEVERITY_SYMBOLS = {
+SEVERITY_SYMBOLS = {
     "severe": "square",
     "moderate": "triangle",
     "mild": "cross",
@@ -58,10 +61,6 @@ class GlyphSpec:
     pie_intensity: tuple[float, float]  # (i_min, i_max), within [0, 1]
     size_ref: float
     time_ref: float
-    # flat stitch-grid cells to draw into; None = first 3 freed cells
-    placement_cells: tuple[int, int, int] | None = None
-    severity_symbols: Mapping[str, str] = field(
-        default_factory=lambda: dict(DEFAULT_SEVERITY_SYMBOLS))
 
     def __post_init__(self):
         r_min, r_max = self.pentagon_radius
@@ -74,40 +73,6 @@ class GlyphSpec:
             raise ValueError("pie_radius must be positive")
         if self.size_ref <= 0 or self.time_ref <= 0:
             raise ValueError("normalizers must be positive")
-        if self.placement_cells is not None and len(set(self.placement_cells)) != 3:
-            raise ValueError("placement_cells must be three distinct cells")
-        missing = set(SEVERITY_CATEGORIES) - set(self.severity_symbols)
-        if missing:
-            raise ValueError(f"severity_symbols missing {sorted(missing)}")
-        for cat, shape in self.severity_symbols.items():
-            if shape not in _INSIDE:
-                raise ValueError(f"unknown shape {shape!r} for {cat!r}")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "pentagon_radius": list(self.pentagon_radius),
-            "pie_radius": self.pie_radius,
-            "pie_intensity": list(self.pie_intensity),
-            "size_ref": self.size_ref,
-            "time_ref": self.time_ref,
-            "placement_cells": (None if self.placement_cells is None
-                                else list(self.placement_cells)),
-            "severity_symbols": dict(self.severity_symbols),
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "GlyphSpec":
-        return cls(
-            pentagon_radius=tuple(d["pentagon_radius"]),
-            pie_radius=float(d["pie_radius"]),
-            pie_intensity=tuple(d["pie_intensity"]),
-            size_ref=float(d["size_ref"]),
-            time_ref=float(d["time_ref"]),
-            placement_cells=(None if d.get("placement_cells") is None
-                             else tuple(d["placement_cells"])),
-            severity_symbols=dict(d.get("severity_symbols",
-                                        DEFAULT_SEVERITY_SYMBOLS)),
-        )
 
 
 def normalizers_from_records(records: Sequence[SubjectRecord]) -> tuple[float, float]:
@@ -225,7 +190,7 @@ def render_glyphs(record: SubjectRecord, spec: GlyphSpec, canvas: np.ndarray,
     radius = r_min + (r_max - r_min) * _clamp01(record.left_lesion_size / spec.size_ref)
     i_min, i_max = spec.pie_intensity
     intensity = i_min + (i_max - i_min) * _clamp01(record.recovery_time / spec.time_ref)
-    shape = spec.severity_symbols[record.severity]
+    shape = SEVERITY_SYMBOLS[record.severity]
     rasters = []
     for box, needed in zip(boxes, (r_max, spec.pie_radius, None)):
         r0, c0, bh, bw = box
@@ -249,36 +214,33 @@ def render_glyphs(record: SubjectRecord, spec: GlyphSpec, canvas: np.ndarray,
 # Hybrid image builders
 
 
-def _dorsal_cells(stitch_spec: StitchSpec) -> tuple[int, ...]:
-    n = len(stitch_spec.slice_indices)
-    return tuple(range(n - 4, n))
-
-
 def hybrid_stitched(volume: Volume3D, record: SubjectRecord,
                     stitch_spec: StitchSpec, glyph_spec: GlyphSpec,
                     target: tuple[int, int] | None = None) -> Image2D:
     """Stitched image with the 4 most-dorsal slices dropped and glyphs in 3
     of the freed cells.  ``target`` (w, h) applies area-average downsampling."""
-    if len(stitch_spec.slice_indices) < 4:
-        raise LayoutError("need at least 4 slices to free glyph cells")
-    expected = _dorsal_cells(stitch_spec)
-    if tuple(sorted(stitch_spec.removed_cells)) != expected:
-        raise LayoutError(
-            f"removed_cells must be the 4 most-dorsal slice cells {expected}, "
-            f"got {tuple(sorted(stitch_spec.removed_cells))}")
+    boxes = glyph_cell_boxes(stitch_spec)
     base = stitch(volume, stitch_spec)
-    cells = glyph_spec.placement_cells
-    if cells is None:
-        cells = expected[:3]
-    if not set(cells) <= set(expected):
-        raise LayoutError(f"placement cells {cells} not among freed cells {expected}")
-    ny, nx = stitch_spec.slice_shape
-    boxes = [(*stitch_spec.cell_origin(c), ny, nx) for c in cells]
     pixels = render_glyphs(record, glyph_spec, base.pixels, boxes)
     img = Image2D(width=base.width, height=base.height, pixels=pixels)
     if target is not None:
         img = downsample(img, target[0], target[1])
     return img
+
+
+def glyph_cell_boxes(stitch_spec: StitchSpec) -> list[Box]:
+    """The cells of the first three of the 4 most-dorsal slices, which the
+    spec must have removed; the fourth stays blank."""
+    n = len(stitch_spec.slice_indices)
+    if n < 4:
+        raise LayoutError("need at least 4 slices to free glyph cells")
+    dorsal = tuple(range(n - 4, n))
+    if tuple(sorted(stitch_spec.removed_cells)) != dorsal:
+        raise LayoutError(
+            f"removed_cells must be the 4 most-dorsal slice cells {dorsal}, "
+            f"got {tuple(sorted(stitch_spec.removed_cells))}")
+    ny, nx = stitch_spec.slice_shape
+    return [(*stitch_spec.cell_origin(c), ny, nx) for c in dorsal[:3]]
 
 
 def glyph_strip_boxes(roi_spec: RoiImageSpec) -> list[Box]:

@@ -6,9 +6,11 @@ grid cells row-major in ascending-z order.  Slice k of ``slice_indices`` goes
 to flat cell k (cells are numbered row-major, 0-based); cells listed in
 ``removed_cells`` stay at zero so glyph symbols can be drawn there later.
 
-An ROI tile plan compiles, on its first render, one flat voxel index per
-canvas pixel (-1 where blank).  Every later render with that plan is a
-single gather from the volume.
+ROI tiles are laid out by one shelf packer, ``shelf_pack``: the tile plan
+places its tiles with it, and ``pipeline.fit_roi_spec`` sizes a canvas
+with it.  An ROI tile plan compiles, on its first render, one flat voxel
+index per canvas pixel (-1 where blank).  Every later render with that
+plan is a single gather from the volume.
 """
 
 from __future__ import annotations
@@ -89,13 +91,11 @@ class StitchSpec:
 
     @classmethod
     def for_volume(cls, dims: tuple[int, int, int], grid: tuple[int, int],
-                   slice_indices: tuple[int, ...] | None = None,
                    removed_cells: tuple[int, ...] = ()) -> "StitchSpec":
+        """Every axial slice of a ``dims`` volume, in ascending z."""
         nx, ny, nz = dims
-        if slice_indices is None:
-            slice_indices = tuple(range(nz))
         return cls(grid=grid, slice_shape=(ny, nx),
-                   slice_indices=slice_indices, removed_cells=removed_cells)
+                   slice_indices=tuple(range(nz)), removed_cells=removed_cells)
 
 
 def stitch(volume: Volume3D, spec: StitchSpec) -> Image2D:
@@ -243,24 +243,31 @@ def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
         if label not in atlas.label_names or label not in cropped:
             raise LayoutError(f"ROI {label} absent or empty in atlas")
     canvas_h, canvas_w = spec.canvas
-    usable_h = canvas_h - spec.reserved_bottom
-    gap = spec.tile_gap
-    tiles = []
+    width = max([canvas_w] + [x1 - x0 for _, _, x0, x1, _, _ in crops])
+    origins, packed_h = shelf_pack(crops, width, spec.tile_gap)
+    required = (packed_h + spec.reserved_bottom, width)
+    if required[0] > canvas_h or width > canvas_w:
+        raise CanvasOverflowError(required, spec.canvas)
+    tiles = tuple(crop + origin for crop, origin in zip(crops, origins))
+    return RoiTilePlan(spec=spec, tiles=tiles)
+
+
+def shelf_pack(crops, width: int, gap: int,
+               ) -> tuple[list[tuple[int, int]], int]:
+    """Shelf-pack (label, z, x0, x1, y0, y1) crops in order, left to right
+    and top to bottom, ``gap`` pixels apart, on a canvas ``width`` pixels
+    wide.  Returns each tile's (row0, col0) and the packed height."""
+    origins = []
     cur_row, cur_col, shelf_h = 0, 0, 0
-    for (label, z, x0, x1, y0, y1) in crops:
+    for (_, _, x0, x1, y0, y1) in crops:
         th, tw = y1 - y0, x1 - x0
-        if tw > canvas_w:
-            raise CanvasOverflowError((usable_h, tw), spec.canvas)
-        if cur_col + tw > canvas_w:
+        if cur_col + tw > width:
             cur_row += shelf_h + gap
             cur_col, shelf_h = 0, 0
-        if cur_row + th > usable_h:
-            required = _required_canvas(crops, canvas_w, gap) + spec.reserved_bottom
-            raise CanvasOverflowError((required, canvas_w), spec.canvas)
-        tiles.append((label, z, x0, x1, y0, y1, cur_row, cur_col))
+        origins.append((cur_row, cur_col))
         cur_col += tw + gap
         shelf_h = max(shelf_h, th)
-    return RoiTilePlan(spec=spec, tiles=tuple(tiles))
+    return origins, cur_row + shelf_h
 
 
 def roi_crops(atlas: LabelVolume,
@@ -280,18 +287,6 @@ def roi_crops(atlas: LabelVolume,
         crops += [(int(label), int(z), int(a), int(b), int(c), int(d))
                   for z, a, b, c, d in zip(zs, x0, x1, y0, y1)]
     return crops
-
-
-def _required_canvas(crops, canvas_w: int, gap: int) -> int:
-    cur_row, cur_col, shelf_h = 0, 0, 0
-    for (_, _, x0, x1, y0, y1) in crops:
-        th, tw = y1 - y0, x1 - x0
-        if cur_col + tw > canvas_w:
-            cur_row += shelf_h + gap
-            cur_col, shelf_h = 0, 0
-        cur_col += tw + gap
-        shelf_h = max(shelf_h, th)
-    return cur_row + shelf_h
 
 
 def roi_image(volume: Volume3D, atlas: LabelVolume, spec: RoiImageSpec,

@@ -665,13 +665,6 @@ class TabularEncoding:
                          for r in records])
         return np.concatenate([onehot, size[:, None], time[:, None]], axis=1)
 
-    def to_json_dict(self) -> dict:
-        return {"size_ref": self.size_ref, "time_ref": self.time_ref}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TabularEncoding":
-        return cls(size_ref=float(d["size_ref"]), time_ref=float(d["time_ref"]))
-
 
 # ---------------------------------------------------------------------------
 # Checkpoints (CKP1)

@@ -182,7 +182,7 @@ def auto_grid(nz: int) -> tuple[int, int]:
     return rows, nz // rows
 
 
-def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int], tile_gap: int = 1,
+def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int],
                  reserved_fraction: float = 0.0) -> imaging.RoiTilePlan:
     """Choose a canvas that holds all ROI tiles, near-square, plus an
     optional reserved bottom strip sized as a fraction of the tile area.
@@ -193,22 +193,17 @@ def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int], tile_gap: int = 1,
     for label in labels:
         if label not in cropped:
             raise core.DegenerateRoiError(f"ROI {label} has no voxels")
-    area = sum((x1 - x0 + tile_gap) * (y1 - y0 + tile_gap)
+    gap = 1  # pixels between tiles
+    area = sum((x1 - x0 + gap) * (y1 - y0 + gap)
                for _, _, x0, x1, y0, y1 in boxes)
     max_w = max(x1 - x0 for _, _, x0, x1, _, _ in boxes)
-    width = max(max_w + 2 * tile_gap, int(math.sqrt(area * 1.3)) + 1)
-    spec = RoiImageSpec(roi_labels=labels, canvas=(width, width),
-                        tile_gap=tile_gap, reserved_bottom=0)
-    try:
-        imaging.plan_roi_tiles(atlas, spec)
-        height = width
-    except imaging.CanvasOverflowError as exc:
-        height = exc.required[0]
+    width = max(max_w + 2 * gap, int(math.sqrt(area * 1.3)) + 1)
+    height = max(width, imaging.shelf_pack(boxes, width, gap)[1])
     reserved = int(round(height * reserved_fraction))
     spec = RoiImageSpec(roi_labels=labels,
                         canvas=(height + reserved, width),
-                        tile_gap=tile_gap, reserved_bottom=reserved)
-    return imaging.plan_roi_tiles(atlas, spec)  # must fit now
+                        tile_gap=gap, reserved_bottom=reserved)
+    return imaging.plan_roi_tiles(atlas, spec)
 
 
 def downsample_labels(label_image: np.ndarray, size: int) -> np.ndarray:
@@ -228,8 +223,8 @@ def roi_label_canvas(plan: imaging.RoiTilePlan) -> np.ndarray:
     return out
 
 
-def _glyph_spec_for_boxes(boxes, size_ref: float, time_ref: float,
-                          placement_cells=None) -> GlyphSpec:
+def _glyph_spec_for_boxes(boxes, size_ref: float,
+                          time_ref: float) -> GlyphSpec:
     m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
     if m < 6:
         raise ConfigError(f"glyph boxes of {m}px are too small to draw into")
@@ -237,8 +232,7 @@ def _glyph_spec_for_boxes(boxes, size_ref: float, time_ref: float,
         pentagon_radius=(max(1.0, 0.10 * m), 0.45 * m),
         pie_radius=0.32 * m,
         pie_intensity=(0.25, 1.0),
-        size_ref=size_ref, time_ref=time_ref,
-        placement_cells=placement_cells)
+        size_ref=size_ref, time_ref=time_ref)
 
 
 @dataclass(frozen=True)
@@ -247,7 +241,6 @@ class VariantData:
 
     images: dict[str, np.ndarray]  # id -> (S, S) float32
     label_image: np.ndarray  # (S, S) ROI labels at input resolution
-    glyph_spec: GlyphSpec | None
     full_shape: tuple[int, int]
 
 
@@ -258,65 +251,51 @@ def build_variant(cohort: CohortData, config: RunConfig,
     to the square network input."""
     variant = config.variant
     size = config.image_size
-    dims = cohort.dims
     hybrid = variant.startswith("hybrid")
-    records = {r.id: r for r in cohort.records}
 
     if variant.endswith("stitched"):
-        grid = config.grid or auto_grid(dims[2])
-        removed = ()
-        glyph_spec = None
-        if hybrid:
-            nz = dims[2]
-            removed = tuple(range(nz - 4, nz))
-        spec = StitchSpec.for_volume(dims, grid, removed_cells=removed)
-        if hybrid:
-            ny, nx = spec.slice_shape
-            cells = removed[:3]
-            boxes = [(*spec.cell_origin(c), ny, nx) for c in cells]
-            glyph_spec = _glyph_spec_for_boxes(boxes, size_ref, time_ref,
-                                               placement_cells=cells)
-        atlas = cohort.labels_for("gm-roi")
-        label_full = imaging.stitched_label_image(atlas, spec)
-        images = {}
-        for sid in sorted(records):
-            volume = cohort.volume_of(sid)
-            if hybrid:
-                img = glyphs.hybrid_stitched(volume, records[sid], spec,
-                                             glyph_spec, target=(size, size))
-            else:
-                img = imaging.downsample(imaging.stitch(volume, spec),
-                                         size, size)
-            images[sid] = img.pixels
-        return VariantData(images=images,
-                           label_image=downsample_labels(label_full, size),
-                           glyph_spec=glyph_spec,
-                           full_shape=spec.image_shape)
+        nz = cohort.dims[2]
+        spec = StitchSpec.for_volume(
+            cohort.dims, config.grid or auto_grid(nz),
+            removed_cells=tuple(range(nz - 4, nz)) if hybrid else ())
+        label_full = imaging.stitched_label_image(
+            cohort.labels_for("gm-roi"), spec)
+        full_shape = spec.image_shape
+        boxes = glyphs.glyph_cell_boxes(spec) if hybrid else None
 
-    atlas = cohort.labels_for(variant)
-    if roi_labels is None:
-        roi_labels = config.roi_labels or tuple(sorted(atlas.label_names))
-    plan = fit_roi_spec(atlas, roi_labels,
-                        reserved_fraction=0.22 if hybrid else 0.0)
-    spec = plan.spec
-    glyph_spec = None
-    if hybrid:
-        boxes = glyphs.glyph_strip_boxes(spec)
-        glyph_spec = _glyph_spec_for_boxes(boxes, size_ref, time_ref)
-    label_full = roi_label_canvas(plan)
+        def render(volume, record, glyph_spec):
+            if hybrid:
+                return glyphs.hybrid_stitched(volume, record, spec,
+                                              glyph_spec, target=(size, size))
+            return imaging.downsample(imaging.stitch(volume, spec),
+                                      size, size)
+    else:
+        atlas = cohort.labels_for(variant)
+        if roi_labels is None:
+            roi_labels = config.roi_labels or tuple(sorted(atlas.label_names))
+        plan = fit_roi_spec(atlas, roi_labels,
+                            reserved_fraction=0.22 if hybrid else 0.0)
+        label_full = roi_label_canvas(plan)
+        full_shape = plan.spec.canvas
+        boxes = glyphs.glyph_strip_boxes(plan.spec) if hybrid else None
+
+        def render(volume, record, glyph_spec):
+            if hybrid:
+                return glyphs.hybrid_roi(volume, atlas, plan.spec, record,
+                                         glyph_spec, plan=plan,
+                                         target=(size, size))
+            return imaging.downsample(
+                imaging.roi_image(volume, atlas, plan.spec, plan), size, size)
+
+    glyph_spec = (_glyph_spec_for_boxes(boxes, size_ref, time_ref)
+                  if hybrid else None)
     images = {}
-    for sid in sorted(records):
-        volume = cohort.volume_of(sid)
-        if hybrid:
-            img = glyphs.hybrid_roi(volume, atlas, spec, records[sid],
-                                    glyph_spec, plan=plan, target=(size, size))
-        else:
-            img = imaging.downsample(
-                imaging.roi_image(volume, atlas, spec, plan), size, size)
-        images[sid] = img.pixels
+    for record in sorted(cohort.records, key=lambda r: r.id):
+        volume = cohort.volume_of(record.id)
+        images[record.id] = render(volume, record, glyph_spec).pixels
     return VariantData(images=images,
                        label_image=downsample_labels(label_full, size),
-                       glyph_spec=glyph_spec, full_shape=spec.canvas)
+                       full_shape=full_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -535,16 +514,16 @@ def run_experiment(cohort: CohortData, config: RunConfig,
         fitted = [fit_seed(s) for s in config.seeds]
 
     box.unlock("final evaluation on the held-out group")
-    test_sets = {}  # one guarded access per seed, all post-unlock
+    by_id = {r.id: r for r in records}
+    severities = [by_id[i].severity
+                  for i in _group_ids(plan, records, [TEST_GROUP])]
     seed_results = []
     for seed, params, cal, val_loss, curve in fitted:
         curves.extend(curve)
+        # one guarded access per seed, all post-unlock
         test_set = assemble(cohort, data, encoding, plan, box, [TEST_GROUP],
                             f"seed-{seed}-final-eval", config.model)
         probs = _predictor(config, params, cal)(test_set)
-        test_ids = _group_ids(plan, records, [TEST_GROUP])
-        by_id = {r.id: r for r in records}
-        severities = [by_id[i].severity for i in test_ids]
         row = evalharness.metrics(probs, test_set.labels, config.threshold)
         sub = _subgroup_row(probs, test_set.labels, severities,
                             config.threshold)

@@ -49,19 +49,12 @@ class CounterRng:
     """Deterministic stream of random values.
 
     The i-th 64-bit output is ``mix64(key + (i+1) * GAMMA)``; advancing is a
-    counter increment, never data-dependent.  ``substream`` derives an
-    independent generator without disturbing this one.
+    counter increment, never data-dependent.
     """
 
     def __init__(self, seed: int, *stream: int | str):
         self.key = derive_key(seed, *stream) if stream else mix64(seed)
         self.counter = 0
-
-    def substream(self, *parts: int | str) -> "CounterRng":
-        child = CounterRng.__new__(CounterRng)
-        child.key = derive_key(self.key, *parts)
-        child.counter = 0
-        return child
 
     def next_u64(self) -> int:
         self.counter += 1

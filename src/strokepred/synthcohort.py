@@ -111,19 +111,6 @@ class SynthConfig:
         if not t[0] > t[1] > t[2] > 0:
             raise ValueError("severity thresholds must be strictly decreasing")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed, "n_subjects": self.n_subjects,
-            "dims": list(self.dims), "n_rois": self.n_rois,
-            "n_tracts": self.n_tracts,
-            "aphasic_fraction": self.aphasic_fraction,
-            "lesion_count": list(self.lesion_count),
-            "lesion_radius": list(self.lesion_radius),
-            "left_bias": self.left_bias, "unknown_prob": self.unknown_prob,
-            "recovery_range": list(self.recovery_range),
-            "severity_thresholds": list(self.severity_thresholds),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthConfig":
         return core.from_json_object(

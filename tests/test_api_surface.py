@@ -2,16 +2,22 @@
 does every private top-level function.
 
 A public top-level function or class, or a public method, must be used by
-name somewhere in the program (``src/``) or the benchmark (``deskbench/``)
-outside the line that defines it.  Tests do not count: an entry point that
-only tests call is code the program does not need.  A deliberate tool earns
-its place by being called from the CLI or the benchmark.  The same holds for
-a private (``_name``) top-level function: a helper left behind when its
+name somewhere in the program (``src/``) or the benchmark (``deskbench/``).
+A use is an identifier in the code: a bare name, an attribute, or a keyword
+argument.  Prose does not count, so a docstring, a comment or an error
+message that mentions a name keeps nothing alive; nor does an import, which
+only binds the name.  Tests do not count either: an entry point that only
+tests call is code the program does not need.  A deliberate tool earns its
+place by being called from the CLI or the benchmark.  The same holds for a
+private (``_name``) top-level function: a helper left behind when its
 callers moved to a replacement is dead code.
+
+Uses are matched by name alone, not by the type they are called on, so
+same-named methods on different classes shadow each other: one caller of
+``RunConfig.to_json_dict`` keeps every ``to_json_dict`` alive.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -40,22 +46,27 @@ def _definitions():
                 yield path, node.name, node.lineno
 
 
-def _source_lines():
-    """(file, line number, text) of every Python line that can use a name."""
+def _identifiers() -> set[str]:
+    """Every name, attribute and keyword-argument identifier in the program
+    and the benchmark, tests excluded."""
+    used = set()
     for root in USERS:
         for path in sorted(root.rglob("*.py")):
             if "tests" in path.relative_to(root).parts:
                 continue
-            for i, line in enumerate(path.read_text().splitlines(), 1):
-                yield path, i, line
+            for node in ast.walk(ast.parse(path.read_text(),
+                                           filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.keyword) and node.arg is not None:
+                    used.add(node.arg)
+    return used
 
 
 def test_every_public_name_has_a_caller():
-    lines = list(_source_lines())
-    unused = []
-    for path, name, lineno in _definitions():
-        word = re.compile(rf"\b{re.escape(name)}\b")
-        if not any(word.search(text) for p, i, text in lines
-                   if not (p == path and i == lineno)):
-            unused.append(f"{path.name}:{lineno} {name}")
+    used = _identifiers()
+    unused = [f"{path.name}:{lineno} {name}"
+              for path, name, lineno in _definitions() if name not in used]
     assert unused == [], "names no program path uses: " + ", ".join(unused)

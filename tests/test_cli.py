@@ -150,12 +150,6 @@ def test_explain_command(cohort_dir, run_dir, tmp_path, capsys):
     assert "importance" in doc and "base_probability" in doc
 
 
-def test_explain_variant_mismatch(cohort_dir, run_dir, tmp_path):
-    assert main(["explain", "--cohort", str(cohort_dir), "--run", str(run_dir),
-                 "--out", str(tmp_path / "e"), "--variant", "stitched",
-                 ]) == EXIT_CONFIG
-
-
 def test_explain_missing_checkpoint_seed(cohort_dir, run_dir, tmp_path):
     assert main(["explain", "--cohort", str(cohort_dir), "--run", str(run_dir),
                  "--out", str(tmp_path / "e"), "--seed", "99"]) == EXIT_CONFIG

@@ -3,7 +3,7 @@ import pytest
 
 from strokepred.core import LabelVolume, SubjectRecord, Volume3D
 from strokepred.glyphs import (
-    DEFAULT_SEVERITY_SYMBOLS,
+    SEVERITY_SYMBOLS,
     GlyphOverlapError,
     GlyphSpec,
     glyph_strip_boxes,
@@ -55,20 +55,6 @@ def test_spec_validation():
         make_spec(pie_intensity=(0.5, 1.5))
     with pytest.raises(ValueError):
         make_spec(size_ref=0.0)
-    with pytest.raises(ValueError):
-        make_spec(placement_cells=(1, 1, 2))
-    with pytest.raises(ValueError):
-        make_spec(severity_symbols={"severe": "square"})
-    with pytest.raises(ValueError):
-        bad = dict(DEFAULT_SEVERITY_SYMBOLS)
-        bad["mild"] = "blob"
-        make_spec(severity_symbols=bad)
-
-
-def test_spec_json_roundtrip():
-    spec = make_spec(placement_cells=(60, 61, 62))
-    back = GlyphSpec.from_json_dict(spec.to_json_dict())
-    assert back == spec
 
 
 def test_zero_lesion_gives_r_min_pentagon():
@@ -124,7 +110,7 @@ def test_severity_rasters_distinct_after_downsampling():
     # desk preset: 64x64 cells downsampled 8x; every pair of severity
     # symbols must stay apart by more than 0.05 somewhere
     cells = {}
-    for cat, shape in DEFAULT_SEVERITY_SYMBOLS.items():
+    for cat, shape in SEVERITY_SYMBOLS.items():
         raster = severity_raster(shape, 64, 64)
         cells[cat] = downsample(Image2D(64, 64, raster), 8, 8).pixels
     cats = sorted(cells)

@@ -248,6 +248,12 @@ def test_roi_image_overflow_reports_required_size():
     assert req_w == 4
     bigger = RoiImageSpec(roi_labels=(1, 2), canvas=(req_h, req_w))
     roi_image(vol, atlas, bigger)  # fits at the reported size
+    narrow = RoiImageSpec(roi_labels=(1, 2), canvas=(3, 1))  # tiles 2 wide
+    with pytest.raises(CanvasOverflowError) as exc:
+        roi_image(vol, atlas, narrow)
+    assert exc.value.required[1] == 2
+    roi_image(vol, atlas, RoiImageSpec(roi_labels=(1, 2),
+                                       canvas=exc.value.required))
 
 
 def test_roi_image_reserved_bottom_left_blank():

@@ -171,8 +171,10 @@ def _gradcheck_case(kind, cnn, tab_dim, seed, eps=1e-3):
         tabular = None
     if kind == "lightweight":
         tabular = None
+    # central differences are exact only away from ReLU and max-pool kinks;
+    # some other initial draws put a kink within eps of the parameters
     params = build_params(kind, cnn=cnn, tabular_dim=tab_dim,
-                          rng=rng.substream("init"), dtype=np.float64)
+                          rng=CounterRng(rng.key, "init"), dtype=np.float64)
     weights = (0.7, 1.3)
     imgs = None if (kind == "logistic" and tab_dim is not None) else images
     _, grad = backward(params, imgs, tabular, labels, weights)
@@ -403,8 +405,8 @@ def test_gradient_zero_for_dead_parameters():
 def test_gradient_linear_in_batch_concat():
     cnn = tiny_cnn()
     rng = CounterRng(3, "lin")
-    params = build_params("lightweight", cnn=cnn, rng=rng.substream("init"),
-                          dtype=np.float64)
+    params = build_params("lightweight", cnn=cnn,
+                          rng=CounterRng(rng.key, "init"), dtype=np.float64)
     img_a, _, lab_a = rand_batch(rng, 4, (4, 4))
     img_b, _, lab_b = rand_batch(rng, 6, (4, 4))
     _, ga = backward(params, img_a, None, lab_a)
@@ -418,7 +420,7 @@ def test_loss_and_gradient_permutation_invariant():
     cnn = tiny_cnn()
     rng = CounterRng(4, "perm")
     params = build_params("early_fusion", cnn=cnn, tabular_dim=3,
-                          rng=rng.substream("init"), dtype=np.float64)
+                          rng=CounterRng(rng.key, "init"), dtype=np.float64)
     images, tabular, labels = rand_batch(rng, 8, (4, 4), tab_dim=3)
     perm = list(range(8))
     rng.shuffle(perm)
@@ -435,7 +437,8 @@ def test_fusion_kinds_sensitive_to_tabular():
     images, tabular, labels = rand_batch(rng, 4, (4, 4), tab_dim=3)
     for kind in ("early_fusion", "daft"):
         params = build_params(kind, cnn=cnn, tabular_dim=3,
-                              rng=rng.substream("init", kind), dtype=np.float64)
+                              rng=CounterRng(rng.key, "init", kind),
+                              dtype=np.float64)
         shifted = forward(params, images, tabular + 0.5)
         assert np.all(shifted != forward(params, images, tabular)), kind
 

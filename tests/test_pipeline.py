@@ -11,7 +11,8 @@ from strokepred import core, evalharness, imaging, learn, pipeline
 from strokepred.explain import RoiRanking
 from strokepred.learn import TrainConfig
 from strokepred.pipeline import CohortData, ConfigError, RunConfig
-from strokepred.synthcohort import SynthConfig, default_truth, write_cohort
+from strokepred.synthcohort import (SynthConfig, default_truth, gen_atlas,
+                                    write_cohort)
 
 TINY = SynthConfig(seed=5, n_subjects=60, dims=(32, 32, 32), n_rois=10,
                    n_tracts=6)
@@ -122,8 +123,59 @@ def test_fit_roi_spec_reserved_fraction(tiny_cohort):
     assert plan == imaging.plan_roi_tiles(tiny_cohort.atlas, spec)  # fits
 
 
+def _probe_fit_roi_spec(atlas, labels, reserved_fraction):
+    """Reference for ``fit_roi_spec``: the canvas sizing it replaced.  It
+    probes a square canvas with a tile-by-tile shelf packing that stops at
+    the first tile past the canvas bottom, and on overflow packs again
+    without a bottom to find the height.  Returns (canvas, reserved, tiles)."""
+    crops = imaging.roi_crops(atlas, labels)
+    gap = 1
+    area = sum((x1 - x0 + gap) * (y1 - y0 + gap)
+               for _, _, x0, x1, y0, y1 in crops)
+    max_w = max(x1 - x0 for _, _, x0, x1, _, _ in crops)
+    width = max(max_w + 2 * gap, int(math.sqrt(area * 1.3)) + 1)
+
+    def pack(usable_h):  # tiles, or None when one passes usable_h
+        tiles, row, col, shelf = [], 0, 0, 0
+        for (label, z, x0, x1, y0, y1) in crops:
+            th, tw = y1 - y0, x1 - x0
+            if col + tw > width:
+                row += shelf + gap
+                col, shelf = 0, 0
+            if row + th > usable_h:
+                return None
+            tiles.append((label, z, x0, x1, y0, y1, row, col))
+            col += tw + gap
+            shelf = max(shelf, th)
+        return tiles
+
+    height = width
+    if pack(width) is None:
+        height = max(t[6] + t[5] - t[4] for t in pack(math.inf))
+    reserved = int(round(height * reserved_fraction))
+    return (height + reserved, width), reserved, tuple(pack(height))
+
+
+@pytest.mark.parametrize("dims", [(32, 32, 32), (40, 48, 36)])
+@pytest.mark.parametrize("kind", ["rois", "tracts"])
+@pytest.mark.parametrize("reserved_fraction", [0.0, 0.22])
+@pytest.mark.parametrize("top_k", [None, 4])
+def test_fit_roi_spec_matches_probe_sizing(dims, kind, reserved_fraction,
+                                           top_k):
+    atlas = gen_atlas(replace(TINY, dims=dims), kind)
+    labels = tuple(sorted(atlas.label_names))
+    if top_k is not None:  # importance order, not label order
+        labels = labels[::-3][:top_k]
+    plan = pipeline.fit_roi_spec(atlas, labels, reserved_fraction)
+    canvas, reserved, tiles = _probe_fit_roi_spec(atlas, labels,
+                                                  reserved_fraction)
+    assert plan.spec == imaging.RoiImageSpec(
+        roi_labels=labels, canvas=canvas, reserved_bottom=reserved)
+    assert plan.tiles == tiles
+
+
 @pytest.mark.parametrize("variant", ["gm-roi", "hybrid-gm-roi"])
-def test_roi_build_plans_tiles_twice(tiny_cohort, monkeypatch, variant):
+def test_roi_build_plans_tiles_once(tiny_cohort, monkeypatch, variant):
     calls = []
     plan_roi_tiles = imaging.plan_roi_tiles
 
@@ -134,7 +186,7 @@ def test_roi_build_plans_tiles_twice(tiny_cohort, monkeypatch, variant):
     monkeypatch.setattr(imaging, "plan_roi_tiles", counting)
     pipeline.build_variant(tiny_cohort, fast_config(variant=variant),
                            2000.0, 900.0)
-    assert len(calls) == 2  # the canvas probe, then the plan that renders
+    assert len(calls) == 1  # the plan that sizes the canvas also renders
 
 
 def test_downsample_labels_matches_loop_oracle():
@@ -176,8 +228,6 @@ def test_build_variant_shapes_and_determinism(tiny_cohort, variant):
         assert np.array_equal(img, b.images[sid])  # bit-identical rebuild
     assert a.label_image.shape == (32, 32)
     assert np.array_equal(a.label_image, b.label_image)
-    assert a.glyph_spec is (None if not variant.startswith("hybrid")
-                            else a.glyph_spec)
 
 
 def test_stitched_label_image_matches_direct(tiny_cohort):
@@ -197,7 +247,6 @@ def test_hybrid_differs_from_plain_only_when_glyphs(tiny_cohort):
         tiny_cohort, fast_config(variant="hybrid-stitched"), 2000.0, 900.0)
     sid = tiny_cohort.records[0].id
     assert not np.array_equal(plain.images[sid], hybrid.images[sid])
-    assert hybrid.glyph_spec is not None
 
 
 def test_build_variant_wm_uses_tract_atlas(tiny_cohort):

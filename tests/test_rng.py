@@ -20,14 +20,6 @@ def test_streams_are_independent_and_reproducible():
     assert seq1 != seqb
 
 
-def test_substream_does_not_advance_parent():
-    r = CounterRng(1)
-    before = r.counter
-    sub = r.substream("child")
-    assert r.counter == before
-    assert sub.next_u64() != r.next_u64()
-
-
 def test_uniform_range_and_mean():
     r = CounterRng(42)
     xs = [r.uniform() for _ in range(20000)]

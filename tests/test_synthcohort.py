@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -246,7 +248,8 @@ def test_truth_json_round_trip():
     t = default_truth()
     assert TruthModel.from_json_dict(t.to_json_dict()) == t
     c = SMALL
-    assert SynthConfig.from_json_dict(c.to_json_dict()) == c
+    doc = json.loads(json.dumps(dataclasses.asdict(c)))
+    assert SynthConfig.from_json_dict(doc) == c
 
 
 def test_write_cohort_round_trip(tmp_path):
