@@ -170,12 +170,14 @@ def _roi_sweep_settings(doc: dict) -> tuple[dict, tuple[int, ...]]:
     return {**EXPLAIN_DEFAULTS, **exp}, tuple(counts)
 
 
-def _check_roi_counts(counts, n_rois: int, where: str) -> None:
-    """Refuse a count grid larger than the ROIs there are to rank, before
-    the training and explanation that would reach the same error."""
+def _check_roi_counts(counts, label_image) -> None:
+    """Refuse a count grid larger than the ROIs there are to rank: those of
+    the rendered label map, where a thin ROI can vanish.  Called before the
+    training and explanation that would reach the same error."""
+    n_rois = len(explain.image_rois(label_image))
     if max(counts) > n_rois:
         raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
-                          f"ROIs {where}")
+                          "ROIs in the rendered label map")
 
 
 def _update_index(out: Path, extra: dict) -> None:
@@ -193,8 +195,8 @@ def cmd_run(args) -> int:
         pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     if args.roi_sweep:
-        rois = config.roi_labels or cohort.labels_for(config.variant).label_names
-        _check_roi_counts(counts, len(rois), f"of {config.variant!r}")
+        _check_roi_counts(counts,
+                          pipeline.variant_layout(cohort, config).label_image)
     out = _ensure_out_dir(Path(args.out) if args.out else _default_run_dir(),
                           args.force)
 
@@ -310,8 +312,7 @@ def cmd_select_rois(args) -> int:
 
     # groups 1-4 only, so the box keeps no audit file
     plan, box, normalizers, data = pipeline.prepare_run(cohort, config)
-    _check_roi_counts(counts, len(explain.image_rois(data.label_image)),
-                      "in the rendered label map")
+    _check_roi_counts(counts, data.label_image)
     _, ranking = pipeline.rank_rois(
         params, data, plan, n_explain=args.n_explain,
         n_perturb=args.n_perturb, seed=args.explain_seed)

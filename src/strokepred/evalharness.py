@@ -433,10 +433,16 @@ def metrics(probs: np.ndarray, labels: np.ndarray,
 def subgroup_metrics(probs: np.ndarray, labels: np.ndarray,
                      severities: Sequence[str],
                      threshold: float = 0.5) -> MetricsRow:
-    """Metrics over the severe-or-moderate subjects only."""
+    """Metrics over the severe-or-moderate subjects only; all nan and
+    flagged ``empty-subgroup`` when the set has none (a small cohort can
+    deal none into the held-out group)."""
     mask = np.array([s in SUBGROUP_SEVERITIES for s in severities])
     if not mask.any():
-        raise ValueError("no severe or moderate subjects in the set")
+        nan = math.nan
+        return MetricsRow(accuracy=nan, balanced_accuracy=nan,
+                          sensitivity=nan, specificity=nan, precision=nan,
+                          f1=nan, auc=nan, tp=0, fp=0, tn=0, fn=0,
+                          threshold=threshold, flags=("empty-subgroup",))
     return metrics(np.asarray(probs)[mask], np.asarray(labels)[mask], threshold)
 
 
@@ -449,9 +455,12 @@ def threshold_sweep(probs: np.ndarray, labels: np.ndarray,
 
 def seed_aggregate(rows: Sequence[Mapping[str, float]],
                    ) -> dict[str, tuple[float, float]]:
-    """Per-metric (mean, standard error) over seeds; SE = sd(ddof=1)/sqrt(n)."""
-    if len(rows) < 2:
-        raise ValueError("need at least 2 seeds to aggregate")
+    """Per-metric (mean, standard error) over seeds; SE = sd(ddof=1)/sqrt(n),
+    and a single seed reports its own values with zero spread."""
+    if not rows:
+        raise ValueError("no seed rows to aggregate")
+    if len(rows) == 1:
+        return {k: (v, 0.0) for k, v in rows[0].items()}
     keys = list(rows[0].keys())
     for r in rows[1:]:
         if list(r.keys()) != keys:

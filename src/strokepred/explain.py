@@ -24,7 +24,6 @@ PROB_CLAMP = 1e-4  # logit() needs probabilities away from {0, 1}
 RIDGE = 1e-3  # surrogate penalty on the mask coefficients
 THRESHOLD = 0.5  # predicted-positive cut-off for explaining and flipping
 BATCH_SIZE = 128  # classifier calls per batch
-DEFAULT_N_PERTURB = 1024
 
 Classifier = Callable[[np.ndarray], np.ndarray]  # (m, h, w) -> (m,) probs
 
@@ -83,7 +82,7 @@ def apply_mask(image: np.ndarray, contrast: np.ndarray,
 
 def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
                       label_image: np.ndarray, classifier: Classifier,
-                      rois: Sequence[int], n: int = DEFAULT_N_PERTURB,
+                      rois: Sequence[int], n: int,
                       seed: int = 0) -> list[PerturbationRecord]:
     """All-ones mask, every single-ROI replacement, then random masks with
     each bit independently 0 with probability 0.5, up to n rows."""
@@ -239,8 +238,7 @@ class Explanation:
 
 def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
                 label_image: np.ndarray, classifier: Classifier,
-                rois: tuple[int, ...], n: int = DEFAULT_N_PERTURB,
-                seed: int = 0,
+                rois: tuple[int, ...], n: int, seed: int = 0,
                 with_counterfactuals: bool = True) -> Explanation:
     records = gen_perturbations(image, contrast, label_image, classifier,
                                 rois=rois, n=n, seed=seed)
@@ -290,10 +288,10 @@ def image_rois(label_image: np.ndarray) -> tuple[int, ...]:
 def explain_pool(classifier: Classifier,
                  pool: Mapping[str, np.ndarray],
                  label_image: np.ndarray,
-                 n_explain: int = 100,
-                 n_perturb: int = DEFAULT_N_PERTURB,
+                 n_explain: int,
+                 n_perturb: int,
                  seed: int = 0,
-                 with_counterfactuals: bool = False,
+                 *, with_counterfactuals: bool,
                  ) -> tuple[list[Explanation], RoiRanking]:
     """Explain the first n_explain predicted positives (by id) over every
     nonzero label of ``label_image``; the contrast per image is the
@@ -343,8 +341,7 @@ class RoiCountCurve:
 def select_roi_count(ranking: RoiRanking,
                      evaluate_k: Callable[[int, tuple[int, ...]],
                                           tuple[float, float]],
-                     counts: Sequence[int] = tuple(range(3, 13)),
-                     ) -> RoiCountCurve:
+                     counts: Sequence[int]) -> RoiCountCurve:
     """evaluate_k(k, top-k ROI labels) -> (mean balanced validation loss,
     accuracy for the curve); best k minimizes loss, ties -> smaller k."""
     counts = sorted(set(int(k) for k in counts))

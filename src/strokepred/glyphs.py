@@ -6,13 +6,21 @@ intensity encodes recovery time, and a severity symbol whose shape comes
 from the fixed table ``SEVERITY_SYMBOLS`` (one shape per category).
 Hybrid stitched images draw the glyphs into three freed slice cells
 (``glyph_cell_boxes``), hybrid ROI images into a strip below the tiles
-(``glyph_strip_boxes``).  Rasterization is plain pixel-center containment,
-no anti-aliasing, so identical inputs give bit-identical rasters.
+(``glyph_strip_boxes``).
+
+The glyph geometry follows from the boxes alone.  With ``m`` the smallest
+side of the three boxes, the pentagon radius runs from ``max(1, 0.10 m)``
+to ``0.45 m`` as lesion size goes from 0 to ``size_ref``, the pie radius is
+``0.32 m`` and its intensity runs from 0.25 to 1.0 as recovery time goes
+from 0 to ``time_ref``; values at or above a reference saturate.  Every
+glyph therefore fits its box; boxes under 6 px are refused.  Only the
+train-only normalizers ``(size_ref, time_ref)`` are passed in.
+Rasterization is plain pixel-center containment, no anti-aliasing, so
+identical inputs give bit-identical rasters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -45,34 +53,6 @@ Box = tuple[int, int, int, int]
 
 class GlyphOverlapError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class GlyphSpec:
-    """Geometry and value normalizers for the three glyphs.
-
-    ``size_ref`` and ``time_ref`` must come from training-split statistics
-    only (see ``normalizers_from_records``); values at or above the reference
-    saturate the encoding.
-    """
-
-    pentagon_radius: tuple[float, float]  # (r_min, r_max) in pixels
-    pie_radius: float
-    pie_intensity: tuple[float, float]  # (i_min, i_max), within [0, 1]
-    size_ref: float
-    time_ref: float
-
-    def __post_init__(self):
-        r_min, r_max = self.pentagon_radius
-        if not 0 < r_min < r_max:
-            raise ValueError(f"need 0 < r_min < r_max, got ({r_min}, {r_max})")
-        i_min, i_max = self.pie_intensity
-        if not 0 <= i_min < i_max <= 1:
-            raise ValueError(f"need 0 <= i_min < i_max <= 1, got ({i_min}, {i_max})")
-        if self.pie_radius <= 0:
-            raise ValueError("pie_radius must be positive")
-        if self.size_ref <= 0 or self.time_ref <= 0:
-            raise ValueError("normalizers must be positive")
 
 
 def normalizers_from_records(records: Sequence[SubjectRecord]) -> tuple[float, float]:
@@ -179,28 +159,24 @@ def _clamp01(v: float) -> float:
     return min(1.0, max(0.0, v))
 
 
-def render_glyphs(record: SubjectRecord, spec: GlyphSpec, canvas: np.ndarray,
-                  boxes: Sequence[Box]) -> np.ndarray:
+def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
+                  canvas: np.ndarray, boxes: Sequence[Box]) -> np.ndarray:
     """Draw the three glyphs into the given canvas boxes (pentagon, pie,
-    severity, in that order).  Returns a new array; boxes must be empty."""
+    severity, in that order), sized from the smallest box side.  Returns a
+    new array; boxes must be empty."""
     if len(boxes) != 3:
         raise ValueError(f"need 3 glyph boxes, got {len(boxes)}")
+    m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
+    if m < 6:
+        raise LayoutError(f"glyph boxes of {m}px are too small to draw into")
+    r_min, r_max = max(1.0, 0.10 * m), 0.45 * m
+    radius = r_min + (r_max - r_min) * _clamp01(record.left_lesion_size / size_ref)
+    intensity = 0.25 + 0.75 * _clamp01(record.recovery_time / time_ref)
+    (_, _, ph, pw), (_, _, qh, qw), (_, _, sh, sw) = boxes
+    rasters = (shape_raster("pentagon", ph, pw, radius),
+               shape_raster("pie", qh, qw, 0.32 * m, intensity),
+               severity_raster(SEVERITY_SYMBOLS[record.severity], sh, sw))
     out = canvas.copy()
-    r_min, r_max = spec.pentagon_radius
-    radius = r_min + (r_max - r_min) * _clamp01(record.left_lesion_size / spec.size_ref)
-    i_min, i_max = spec.pie_intensity
-    intensity = i_min + (i_max - i_min) * _clamp01(record.recovery_time / spec.time_ref)
-    shape = SEVERITY_SYMBOLS[record.severity]
-    rasters = []
-    for box, needed in zip(boxes, (r_max, spec.pie_radius, None)):
-        r0, c0, bh, bw = box
-        if needed is not None and 2 * needed > min(bh, bw):
-            raise LayoutError(
-                f"glyph radius {needed} does not fit a {bh}x{bw} cell")
-    rasters.append(shape_raster("pentagon", boxes[0][2], boxes[0][3], radius))
-    rasters.append(shape_raster("pie", boxes[1][2], boxes[1][3],
-                                spec.pie_radius, intensity))
-    rasters.append(severity_raster(shape, boxes[2][2], boxes[2][3]))
     for box, raster in zip(boxes, rasters):
         r0, c0, bh, bw = box
         region = out[r0:r0 + bh, c0:c0 + bw]
@@ -215,23 +191,21 @@ def render_glyphs(record: SubjectRecord, spec: GlyphSpec, canvas: np.ndarray,
 
 
 def hybrid_stitched(volume: Volume3D, record: SubjectRecord,
-                    stitch_spec: StitchSpec, glyph_spec: GlyphSpec,
-                    target: tuple[int, int] | None = None) -> Image2D:
+                    stitch_spec: StitchSpec, size_ref: float, time_ref: float,
+                    target: tuple[int, int]) -> Image2D:
     """Stitched image with the 4 most-dorsal slices dropped and glyphs in 3
-    of the freed cells.  ``target`` (w, h) applies area-average downsampling."""
+    of the freed cells, area-average downsampled to ``target`` (w, h)."""
     boxes = glyph_cell_boxes(stitch_spec)
     base = stitch(volume, stitch_spec)
-    pixels = render_glyphs(record, glyph_spec, base.pixels, boxes)
-    img = Image2D(width=base.width, height=base.height, pixels=pixels)
-    if target is not None:
-        img = downsample(img, target[0], target[1])
-    return img
+    pixels = render_glyphs(record, size_ref, time_ref, base.pixels, boxes)
+    return downsample(Image2D(width=base.width, height=base.height,
+                              pixels=pixels), *target)
 
 
 def glyph_cell_boxes(stitch_spec: StitchSpec) -> list[Box]:
     """The cells of the first three of the 4 most-dorsal slices, which the
     spec must have removed; the fourth stays blank."""
-    n = len(stitch_spec.slice_indices)
+    n = stitch_spec.dims[2]
     if n < 4:
         raise LayoutError("need at least 4 slices to free glyph cells")
     dorsal = tuple(range(n - 4, n))
@@ -254,15 +228,13 @@ def glyph_strip_boxes(roi_spec: RoiImageSpec) -> list[Box]:
     return [(r0, i * bw, strip_h, bw) for i in range(3)]
 
 
-def hybrid_roi(volume: Volume3D, atlas: LabelVolume, roi_spec: RoiImageSpec,
-               record: SubjectRecord, glyph_spec: GlyphSpec,
-               plan: RoiTilePlan | None = None,
-               target: tuple[int, int] | None = None) -> Image2D:
-    """ROI tile image plus the three glyphs in the reserved bottom strip."""
-    boxes = glyph_strip_boxes(roi_spec)
-    base = roi_image(volume, atlas, roi_spec, plan)
-    pixels = render_glyphs(record, glyph_spec, base.pixels, boxes)
-    img = Image2D(width=base.width, height=base.height, pixels=pixels)
-    if target is not None:
-        img = downsample(img, target[0], target[1])
-    return img
+def hybrid_roi(volume: Volume3D, atlas: LabelVolume, plan: RoiTilePlan,
+               record: SubjectRecord, size_ref: float, time_ref: float,
+               target: tuple[int, int]) -> Image2D:
+    """ROI tile image plus the three glyphs in the reserved bottom strip,
+    area-average downsampled to ``target`` (w, h)."""
+    boxes = glyph_strip_boxes(plan.spec)
+    base = roi_image(volume, atlas, plan)
+    pixels = render_glyphs(record, size_ref, time_ref, base.pixels, boxes)
+    return downsample(Image2D(width=base.width, height=base.height,
+                              pixels=pixels), *target)

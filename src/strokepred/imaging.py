@@ -2,15 +2,17 @@
 
 Layout convention, shared by every routine here: an axial slice at depth z is
 drawn with image row = voxel y and image column = voxel x, and slices fill
-grid cells row-major in ascending-z order.  Slice k of ``slice_indices`` goes
-to flat cell k (cells are numbered row-major, 0-based); cells listed in
+grid cells row-major in ascending-z order.  A stitched image shows every
+axial slice, so a ``StitchSpec`` is only the volume dims, the grid and the
+freed cells: slice z fills flat cell z (row-major, 0-based), and cells in
 ``removed_cells`` stay at zero so glyph symbols can be drawn there later.
 
 ROI tiles are laid out by one shelf packer, ``shelf_pack``: the tile plan
 places its tiles with it, and ``pipeline.fit_roi_spec`` sizes a canvas
-with it.  An ROI tile plan compiles, on its first render, one flat voxel
-index per canvas pixel (-1 where blank).  Every later render with that
-plan is a single gather from the volume.
+with it.  An ROI render takes only the tile plan, which holds its spec.
+The plan compiles, on its first render, one flat voxel index per canvas
+pixel (-1 where blank).  Every later render with that plan is a single
+gather from the volume.
 """
 
 from __future__ import annotations
@@ -59,23 +61,26 @@ class Image2D:
 
 @dataclass(frozen=True)
 class StitchSpec:
-    """Grid layout for stitching axial slices into one image."""
+    """Grid layout for stitching every axial slice of a ``dims`` volume."""
 
+    dims: tuple[int, int, int]  # (nx, ny, nz) of the stitched volumes
     grid: tuple[int, int]  # (rows, cols)
-    slice_shape: tuple[int, int]  # (ny, nx): cell height, cell width
-    slice_indices: tuple[int, ...]  # ascending z
     removed_cells: tuple[int, ...] = ()  # flat cell indices freed for glyphs
 
     def __post_init__(self):
         rows, cols = self.grid
-        if rows * cols < len(self.slice_indices):
+        if rows * cols < self.dims[2]:
             raise LayoutError(
-                f"{rows}x{cols} grid cannot hold {len(self.slice_indices)} slices")
-        if list(self.slice_indices) != sorted(set(self.slice_indices)):
-            raise LayoutError("slice_indices must be strictly ascending")
+                f"{rows}x{cols} grid cannot hold {self.dims[2]} slices")
         for cell in self.removed_cells:
             if not 0 <= cell < rows * cols:
                 raise LayoutError(f"removed cell {cell} outside grid")
+
+    @property
+    def slice_shape(self) -> tuple[int, int]:
+        """(ny, nx): cell height, cell width."""
+        nx, ny, _ = self.dims
+        return ny, nx
 
     @property
     def image_shape(self) -> tuple[int, int]:
@@ -89,33 +94,28 @@ class StitchSpec:
         r, c = divmod(cell, cols)
         return r * ny, c * nx
 
-    @classmethod
-    def for_volume(cls, dims: tuple[int, int, int], grid: tuple[int, int],
-                   removed_cells: tuple[int, ...] = ()) -> "StitchSpec":
-        """Every axial slice of a ``dims`` volume, in ascending z."""
-        nx, ny, nz = dims
-        return cls(grid=grid, slice_shape=(ny, nx),
-                   slice_indices=tuple(range(nz)), removed_cells=removed_cells)
+
+def _stitch_slices(data: np.ndarray, spec: StitchSpec, dtype) -> np.ndarray:
+    """(h, w) grid of the axial slices of a ``data[x, y, z]`` array; the
+    removed cells stay zero."""
+    out = np.zeros(spec.image_shape, dtype=dtype)
+    ny, nx = spec.slice_shape
+    removed = set(spec.removed_cells)
+    for z in range(spec.dims[2]):
+        if z in removed:
+            continue
+        r0, c0 = spec.cell_origin(z)
+        out[r0:r0 + ny, c0:c0 + nx] = data[:, :, z].T
+    return out
 
 
 def stitch(volume: Volume3D, spec: StitchSpec) -> Image2D:
-    """Stitch axial slices into a grid image."""
-    nx, ny, nz = volume.dims
-    if spec.slice_shape != (ny, nx):
-        raise LayoutError(
-            f"spec slice shape {spec.slice_shape} != volume slice ({ny}, {nx})")
-    for z in spec.slice_indices:
-        if not 0 <= z < nz:
-            raise LayoutError(f"slice index {z} outside volume depth {nz}")
+    """Stitch every axial slice into a grid image."""
+    if volume.dims != spec.dims:
+        raise LayoutError(f"volume dims {volume.dims} != spec dims {spec.dims}")
     h, w = spec.image_shape
-    pixels = np.zeros((h, w), dtype=np.float32)
-    removed = set(spec.removed_cells)
-    for cell, z in enumerate(spec.slice_indices):
-        if cell in removed:
-            continue
-        r0, c0 = spec.cell_origin(cell)
-        pixels[r0:r0 + ny, c0:c0 + nx] = volume.data[:, :, z].T
-    return Image2D(width=w, height=h, pixels=pixels)
+    return Image2D(width=w, height=h,
+                   pixels=_stitch_slices(volume.data, spec, np.float32))
 
 
 @functools.lru_cache(maxsize=32)
@@ -289,17 +289,13 @@ def roi_crops(atlas: LabelVolume,
     return crops
 
 
-def roi_image(volume: Volume3D, atlas: LabelVolume, spec: RoiImageSpec,
-              plan: RoiTilePlan | None = None) -> Image2D:
-    """Render ROI crops (non-ROI pixels zeroed) onto the tile canvas."""
+def roi_image(volume: Volume3D, atlas: LabelVolume,
+              plan: RoiTilePlan) -> Image2D:
+    """Render ROI crops (non-ROI pixels zeroed) onto the plan's canvas."""
     if volume.dims != atlas.dims:
         raise LayoutError(f"volume dims {volume.dims} != atlas dims {atlas.dims}")
-    if plan is None:
-        plan = plan_roi_tiles(atlas, spec)
-    if plan.spec != spec:
-        raise LayoutError("tile plan was made for another ROI image spec")
     pmap = plan.pixel_map(atlas)
-    canvas_h, canvas_w = spec.canvas
+    canvas_h, canvas_w = plan.spec.canvas
     pixels = np.zeros(canvas_h * canvas_w, dtype=np.float32)
     pixels[pmap.shown] = volume.data.ravel()[pmap.voxels]
     return Image2D(width=canvas_w, height=canvas_h,
@@ -308,13 +304,4 @@ def roi_image(volume: Volume3D, atlas: LabelVolume, spec: RoiImageSpec,
 
 def stitched_label_image(atlas: LabelVolume, spec: StitchSpec) -> np.ndarray:
     """(h, w) uint16 atlas labels in stitched-image space (0 = unmapped)."""
-    h, w = spec.image_shape
-    out = np.zeros((h, w), dtype=np.uint16)
-    removed = set(spec.removed_cells)
-    ny, nx = spec.slice_shape
-    for cell, z in enumerate(spec.slice_indices):
-        if cell in removed:
-            continue
-        r0, c0 = spec.cell_origin(cell)
-        out[r0:r0 + ny, c0:c0 + nx] = atlas.labels[:, :, z].T
-    return out
+    return _stitch_slices(atlas.labels, spec, np.uint16)

@@ -27,8 +27,7 @@ import numpy as np
 from . import core, evalharness, explain, glyphs, imaging, learn
 from .core import CohortManifest, LabelVolume, SubjectRecord, Volume3D
 from .evalharness import Calibrator, LockBox, MetricsRow, SplitPlan
-from .glyphs import GlyphSpec
-from .imaging import RoiImageSpec, StitchSpec
+from .imaging import Image2D, RoiImageSpec, StitchSpec
 from .learn import ArrayDataset, CnnConfig, ModelParams, TabularEncoding, TrainConfig
 from .synthcohort import (SynthConfig, TruthModel, cohort_records, gen_atlas,
                           gen_subject)
@@ -223,16 +222,57 @@ def roi_label_canvas(plan: imaging.RoiTilePlan) -> np.ndarray:
     return out
 
 
-def _glyph_spec_for_boxes(boxes, size_ref: float,
-                          time_ref: float) -> GlyphSpec:
-    m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
-    if m < 6:
-        raise ConfigError(f"glyph boxes of {m}px are too small to draw into")
-    return GlyphSpec(
-        pentagon_radius=(max(1.0, 0.10 * m), 0.45 * m),
-        pie_radius=0.32 * m,
-        pie_intensity=(0.25, 1.0),
-        size_ref=size_ref, time_ref=time_ref)
+@dataclass(frozen=True)
+class VariantLayout:
+    """What a variant's images share: the explainer's label map at input
+    resolution, the full-resolution canvas shape, and the render of one
+    subject, ``render(volume, record, size_ref, time_ref)``."""
+
+    label_image: np.ndarray  # (S, S) ROI labels at input resolution
+    full_shape: tuple[int, int]
+    render: Callable[[Volume3D, SubjectRecord, float, float], Image2D]
+
+
+def variant_layout(cohort: CohortData, config: RunConfig,
+                   roi_labels: Sequence[int] | None = None) -> VariantLayout:
+    """The configured variant's layout; it depends on the atlas, the dims
+    and the config only, so no volume is read."""
+    variant = config.variant
+    target = (config.image_size, config.image_size)
+    hybrid = variant.startswith("hybrid")
+
+    if variant.endswith("stitched"):
+        nz = cohort.dims[2]
+        spec = StitchSpec(cohort.dims, config.grid or auto_grid(nz),
+                          tuple(range(nz - 4, nz)) if hybrid else ())
+        label_full = imaging.stitched_label_image(
+            cohort.labels_for("gm-roi"), spec)
+        full_shape = spec.image_shape
+
+        def render(volume, record, size_ref, time_ref):
+            if hybrid:
+                return glyphs.hybrid_stitched(volume, record, spec, size_ref,
+                                              time_ref, target)
+            return imaging.downsample(imaging.stitch(volume, spec), *target)
+    else:
+        atlas = cohort.labels_for(variant)
+        if roi_labels is None:
+            roi_labels = config.roi_labels or tuple(sorted(atlas.label_names))
+        plan = fit_roi_spec(atlas, roi_labels,
+                            reserved_fraction=0.22 if hybrid else 0.0)
+        label_full = roi_label_canvas(plan)
+        full_shape = plan.spec.canvas
+
+        def render(volume, record, size_ref, time_ref):
+            if hybrid:
+                return glyphs.hybrid_roi(volume, atlas, plan, record,
+                                         size_ref, time_ref, target)
+            return imaging.downsample(imaging.roi_image(volume, atlas, plan),
+                                      *target)
+
+    return VariantLayout(
+        label_image=downsample_labels(label_full, config.image_size),
+        full_shape=full_shape, render=render)
 
 
 @dataclass(frozen=True)
@@ -249,53 +289,14 @@ def build_variant(cohort: CohortData, config: RunConfig,
                   roi_labels: Sequence[int] | None = None) -> VariantData:
     """Render every subject's image for the configured variant, downsampled
     to the square network input."""
-    variant = config.variant
-    size = config.image_size
-    hybrid = variant.startswith("hybrid")
-
-    if variant.endswith("stitched"):
-        nz = cohort.dims[2]
-        spec = StitchSpec.for_volume(
-            cohort.dims, config.grid or auto_grid(nz),
-            removed_cells=tuple(range(nz - 4, nz)) if hybrid else ())
-        label_full = imaging.stitched_label_image(
-            cohort.labels_for("gm-roi"), spec)
-        full_shape = spec.image_shape
-        boxes = glyphs.glyph_cell_boxes(spec) if hybrid else None
-
-        def render(volume, record, glyph_spec):
-            if hybrid:
-                return glyphs.hybrid_stitched(volume, record, spec,
-                                              glyph_spec, target=(size, size))
-            return imaging.downsample(imaging.stitch(volume, spec),
-                                      size, size)
-    else:
-        atlas = cohort.labels_for(variant)
-        if roi_labels is None:
-            roi_labels = config.roi_labels or tuple(sorted(atlas.label_names))
-        plan = fit_roi_spec(atlas, roi_labels,
-                            reserved_fraction=0.22 if hybrid else 0.0)
-        label_full = roi_label_canvas(plan)
-        full_shape = plan.spec.canvas
-        boxes = glyphs.glyph_strip_boxes(plan.spec) if hybrid else None
-
-        def render(volume, record, glyph_spec):
-            if hybrid:
-                return glyphs.hybrid_roi(volume, atlas, plan.spec, record,
-                                         glyph_spec, plan=plan,
-                                         target=(size, size))
-            return imaging.downsample(
-                imaging.roi_image(volume, atlas, plan.spec, plan), size, size)
-
-    glyph_spec = (_glyph_spec_for_boxes(boxes, size_ref, time_ref)
-                  if hybrid else None)
+    layout = variant_layout(cohort, config, roi_labels)
     images = {}
     for record in sorted(cohort.records, key=lambda r: r.id):
         volume = cohort.volume_of(record.id)
-        images[record.id] = render(volume, record, glyph_spec).pixels
-    return VariantData(images=images,
-                       label_image=downsample_labels(label_full, size),
-                       full_shape=full_shape)
+        images[record.id] = layout.render(volume, record, size_ref,
+                                          time_ref).pixels
+    return VariantData(images=images, label_image=layout.label_image,
+                       full_shape=layout.full_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -436,37 +437,6 @@ class RunResult:
     learning_curves: tuple[CurveRow, ...]  # CV fits, then seed fits
 
 
-def _predictor(config: RunConfig, params: ModelParams,
-               cal: Calibrator) -> Callable[[ArrayDataset], np.ndarray]:
-    def predict(ds: ArrayDataset) -> np.ndarray:
-        z = learn.forward(params, ds.images, ds.tabular)
-        return cal.apply(z)
-
-    return predict
-
-
-def _subgroup_row(probs: np.ndarray, labels: np.ndarray,
-                  severities: Sequence[str], threshold: float) -> MetricsRow:
-    """Severe-or-moderate metrics, all nan when the held-out group has no
-    such subject (a small cohort can deal none into group 5)."""
-    if not set(severities) & set(evalharness.SUBGROUP_SEVERITIES):
-        nan = math.nan
-        return MetricsRow(accuracy=nan, balanced_accuracy=nan,
-                          sensitivity=nan, specificity=nan, precision=nan,
-                          f1=nan, auc=nan, tp=0, fp=0, tn=0, fn=0,
-                          threshold=threshold, flags=("empty-subgroup",))
-    return evalharness.subgroup_metrics(probs, labels, severities, threshold)
-
-
-def _seed_summary(rows: Sequence[Mapping[str, float]],
-                  ) -> dict[str, tuple[float, float]]:
-    """Per-metric (mean, standard error); one seed reports its own values
-    with zero spread."""
-    if len(rows) == 1:
-        return {k: (v, 0.0) for k, v in rows[0].items()}
-    return evalharness.seed_aggregate(rows)
-
-
 def run_experiment(cohort: CohortData, config: RunConfig,
                    audit_path: str | Path | None = None) -> RunResult:
     """The full protocol for one (variant, model) cell."""
@@ -523,17 +493,19 @@ def run_experiment(cohort: CohortData, config: RunConfig,
         # one guarded access per seed, all post-unlock
         test_set = assemble(cohort, data, encoding, plan, box, [TEST_GROUP],
                             f"seed-{seed}-final-eval", config.model)
-        probs = _predictor(config, params, cal)(test_set)
+        probs = cal.apply(learn.forward(params, test_set.images,
+                                        test_set.tabular))
         row = evalharness.metrics(probs, test_set.labels, config.threshold)
-        sub = _subgroup_row(probs, test_set.labels, severities,
-                            config.threshold)
+        sub = evalharness.subgroup_metrics(probs, test_set.labels, severities,
+                                           config.threshold)
         sweep = tuple(evalharness.threshold_sweep(probs, test_set.labels))
         seed_results.append(SeedResult(seed=seed, temperature=cal.temperature,
                                        val_loss=val_loss, test=row,
                                        subgroup=sub, sweep=sweep))
 
-    agg = _seed_summary([s.test.as_dict() for s in seed_results])
-    sub_agg = _seed_summary([s.subgroup.as_dict() for s in seed_results])
+    agg = evalharness.seed_aggregate([s.test.as_dict() for s in seed_results])
+    sub_agg = evalharness.seed_aggregate([s.subgroup.as_dict()
+                                          for s in seed_results])
     thresholds = [t for t, _ in seed_results[0].sweep]
     sweep_mean = tuple(
         (t, float(np.mean([dict(s.sweep)[t] for s in seed_results])))
@@ -587,8 +559,8 @@ def require_roi_selection(config: RunConfig) -> None:
 def roi_count_sweep(cohort: CohortData, config: RunConfig,
                     ranking: explain.RoiRanking, plan: SplitPlan,
                     box: LockBox, normalizers: tuple[float, float],
-                    counts: Sequence[int] = tuple(range(3, 13)),
-                    sweep_epochs: int | None = None) -> explain.RoiCountCurve:
+                    counts: Sequence[int], sweep_epochs: int | None = None,
+                    ) -> explain.RoiCountCurve:
     """Fig-2-style selection: for each k, rebuild top-k ROI images and
     cross-validate over groups 1-4; k* minimizes mean balanced val loss.
 

@@ -84,7 +84,6 @@ class SynthConfig:
     dims: tuple[int, int, int] = (64, 64, 64)
     n_rois: int = 20  # labels 1..12 left hemisphere, 13..n right
     n_tracts: int = 12
-    aphasic_fraction: float = 0.34  # documentation target, not enforced
     lesion_count: tuple[int, int] = (1, 3)
     lesion_radius: tuple[float, float] = (4.0, 11.0)  # ellipsoid semi-axes
     left_bias: float = 0.9  # probability a lesion center is left-hemisphere

@@ -1,20 +1,26 @@
 """The benchmark's hold on the program: every function ``deskbench`` traces
-still exists, and every parameter its counters read is still there.
+still exists, every parameter its counters read is still there, and the
+benchmark's own tests pass.
 
 Tier-1 does not collect ``deskbench/tests``, so this guard lives here.  It
 loads ``deskbench/layertrace.py`` by path and checks it against the
-installed ``strokepred`` package without running any workload.
+installed ``strokepred`` package without running any workload, then runs
+``deskbench/tests`` in a subprocess (about 3 s), so that a change that
+breaks a pin of the benchmark (a constructor its checks call, a call shape
+it patches) fails here too.
 """
 
 import importlib
 import importlib.util
 import inspect
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-LAYERTRACE = Path(__file__).resolve().parents[1] / "deskbench" / "layertrace.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERTRACE = ROOT / "deskbench" / "layertrace.py"
 
 
 def _layertrace():
@@ -65,3 +71,12 @@ def test_counted_functions_keep_the_parameters_their_counters_read(key, params):
     have = inspect.signature(fn).parameters
     missing = [p for p in params if p not in have]
     assert missing == [], f"strokepred.{layer}.{name} lost {missing}"
+
+
+def test_the_benchmarks_own_tests_pass():
+    # deskbench/tests/conftest.py puts this tree's src/ first on sys.path
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "deskbench/tests"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:] + proc.stderr[-2000:]

@@ -342,6 +342,28 @@ def test_select_rois_rejects_too_many_rois_before_explaining(
                      r"label map", capsys.readouterr().err)
 
 
+def test_run_roi_sweep_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
+                                                        capsys):
+    # on this cohort one of the 20 atlas ROIs is too thin to survive the
+    # hybrid-gm-roi label map's downsampling, so no ranking can reach k = 20
+    cohort = tmp_path / "cohort"
+    assert main(["synth", "--out", str(cohort), "--subjects", "120",
+                 "--dims", "40", "--seed", "471"]) == EXIT_OK
+    atlas = pipeline.CohortData.from_directory(cohort).atlas
+    assert len(atlas.label_names) == 20
+    monkeypatch.setattr(learn, "train", _fail_if_trained)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"roi_counts": [3, 20]}))
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(cohort), "--out", str(out),
+                 "--variant", "hybrid-gm-roi", "--seeds", "1",
+                 "--config", str(cfg), "--roi-sweep"])
+    assert code == EXIT_CONFIG
+    assert ("ROI count 20 exceeds the 19 ROIs in the rendered label map"
+            in capsys.readouterr().err)
+    assert not out.exists()  # refused before any checkpoint is written
+
+
 @pytest.mark.parametrize("command", ["explain", "select-rois"])
 def test_nonempty_out_is_refused_before_any_work(command, cohort_dir, run_dir,
                                                  tmp_path, monkeypatch,

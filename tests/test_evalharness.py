@@ -440,8 +440,10 @@ def test_subgroup_metrics_matches_manual_mask():
     got = subgroup_metrics(p, y, sev)
     want = metrics(p[mask], y[mask])
     assert got == want
-    with pytest.raises(ValueError):
-        subgroup_metrics(p[:5], y[:5], ["mild"] * 5)
+    empty = subgroup_metrics(p[:5], y[:5], ["mild"] * 5, threshold=0.3)
+    assert all(math.isnan(v) for v in empty.as_dict().values())
+    assert (empty.tp, empty.fp, empty.tn, empty.fn) == (0, 0, 0, 0)
+    assert empty.threshold == 0.3 and empty.flags == ("empty-subgroup",)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +479,10 @@ def test_seed_aggregate_zero_spread():
 
 
 def test_seed_aggregate_validation():
+    one = seed_aggregate([{"a": 0.25, "b": math.nan}])  # one seed: no spread
+    assert one["a"] == (0.25, 0.0)
+    assert math.isnan(one["b"][0]) and one["b"][1] == 0.0
     with pytest.raises(ValueError):
-        seed_aggregate([{"a": 1.0}])
+        seed_aggregate([])
     with pytest.raises(ValueError):
         seed_aggregate([{"a": 1.0}, {"b": 1.0}])

@@ -82,7 +82,8 @@ def test_select_contrast_matches_exhaustive_argmin():
     probs = dict(zip(sorted(pool),
                      _mean_logit_classifier([pool[i] for i in sorted(pool)])))
     explanations, _ = explain_pool(_mean_logit_classifier, pool, labels,
-                                   n_explain=3, n_perturb=64)
+                                   n_explain=3, n_perturb=64,
+                                   with_counterfactuals=False)
     assert len(explanations) == 3
     for expl in explanations:
         others = sorted(i for i in pool if i != expl.image_id)
@@ -97,7 +98,8 @@ def test_select_contrast_matches_exhaustive_argmin():
     # lowest-probability image of the pool
     pool = {"a": np.full((12, 12), 0.6), "b": np.full((12, 12), 0.9)}
     (expl,), ranking = explain_pool(_mean_logit_classifier, pool, labels,
-                                    n_explain=1, n_perturb=64)
+                                    n_explain=1, n_perturb=64,
+                                    with_counterfactuals=False)
     assert expl.image_id == "a" and "self_contrast" not in expl.flags
     assert np.allclose(_explained_importance(expl),
                        _linear_importance(labels, pool["a"], pool["b"]),
@@ -112,7 +114,8 @@ def test_select_contrast_tie_prefers_lowest_id():
     shifted[labels == 2] = 0.0
     pool = {"b": flat, "a": shifted, "c": np.full((12, 12), 0.7)}
     explanations, _ = explain_pool(_mean_logit_classifier, pool, labels,
-                                   n_explain=1, n_perturb=64)
+                                   n_explain=1, n_perturb=64,
+                                   with_counterfactuals=False)
     (expl,) = explanations
     assert expl.image_id == "c"
     got = _explained_importance(expl)
@@ -126,12 +129,14 @@ def test_select_contrast_flags_self_contrast_and_pool_of_one():
     labels, _, _ = _layout()
     pool = {"only": np.full((12, 12), 0.7)}
     explanations, ranking = explain_pool(_mean_logit_classifier, pool, labels,
-                                         n_explain=1, n_perturb=64)
+                                         n_explain=1, n_perturb=64,
+                                         with_counterfactuals=False)
     assert "self_contrast" in explanations[0].flags
     assert "self_contrast_only" in ranking.flags
     assert np.all(np.abs(_explained_importance(explanations[0])) <= 1e-9)
     with pytest.raises(ValueError):
-        explain_pool(_mean_logit_classifier, {}, labels)
+        explain_pool(_mean_logit_classifier, {}, labels, n_explain=1,
+                     n_perturb=64, with_counterfactuals=False)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +428,8 @@ def _pool_with_positive(n_extra=6):
 def test_aggregate_importance_recovers_coefficient_order():
     labels, classifier, pool, coefs = _pool_with_positive()
     _, ranking = explain_pool(classifier, pool, labels, n_explain=1,
-                              n_perturb=200, seed=0)
+                              n_perturb=200, seed=0,
+                              with_counterfactuals=False)
     assert ranking.n_explanations == 1
     # true order by coefficient: roi1 (2.0), roi4 (1.5), roi2 (1.0), roi3 (0.5)
     assert ranking.rois == (1, 4, 2, 3)
@@ -435,18 +441,20 @@ def test_aggregate_importance_recovers_coefficient_order():
 def test_aggregate_importance_flags_small_pool_and_requires_positive():
     labels, classifier, pool, _ = _pool_with_positive()
     _, ranking = explain_pool(classifier, pool, labels, n_explain=50,
-                              n_perturb=120, seed=0)
+                              n_perturb=120, seed=0,
+                              with_counterfactuals=False)
     assert any(f.startswith("explained_all_") for f in ranking.flags)
     with pytest.raises(ValueError):
-        explain_pool(classifier, {"a": pool["im99"]}, labels)
+        explain_pool(classifier, {"a": pool["im99"]}, labels, n_explain=1,
+                     n_perturb=64, with_counterfactuals=False)
 
 
 def test_ranking_stable_across_perturbation_seeds():
     labels, classifier, pool, _ = _pool_with_positive()
     _, r0 = explain_pool(classifier, pool, labels, n_explain=2,
-                         n_perturb=150, seed=0)
+                         n_perturb=150, seed=0, with_counterfactuals=False)
     _, r1 = explain_pool(classifier, pool, labels, n_explain=2,
-                         n_perturb=150, seed=1)
+                         n_perturb=150, seed=1, with_counterfactuals=False)
 
     def spearman(order_a, order_b):
         ra = {roi: i for i, roi in enumerate(order_a)}

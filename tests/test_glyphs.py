@@ -5,7 +5,6 @@ from strokepred.core import LabelVolume, SubjectRecord, Volume3D
 from strokepred.glyphs import (
     SEVERITY_SYMBOLS,
     GlyphOverlapError,
-    GlyphSpec,
     glyph_strip_boxes,
     hybrid_roi,
     hybrid_stitched,
@@ -26,11 +25,7 @@ from strokepred.imaging import (
 from strokepred.rng import CounterRng
 
 
-def make_spec(**over):
-    kw = dict(pentagon_radius=(4.0, 14.0), pie_radius=12.0,
-              pie_intensity=(0.2, 1.0), size_ref=1000.0, time_ref=365.0)
-    kw.update(over)
-    return GlyphSpec(**kw)
+SIZE_REF, TIME_REF = 1000.0, 365.0  # train-only normalizers
 
 
 def make_record(severity="normal", recovery_time=30.0, lesion=200, score=70.0):
@@ -46,61 +41,93 @@ def blank(cell=32):
     return np.zeros((cell, 3 * cell), dtype=np.float32)
 
 
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        make_spec(pentagon_radius=(10.0, 10.0))
-    with pytest.raises(ValueError):
-        make_spec(pie_intensity=(0.5, 0.4))
-    with pytest.raises(ValueError):
-        make_spec(pie_intensity=(0.5, 1.5))
-    with pytest.raises(ValueError):
-        make_spec(size_ref=0.0)
+def reference_glyphs(record, size_ref, time_ref, canvas, boxes):
+    """The former ``GlyphSpec`` arithmetic, with the spec built from the
+    boxes as the pipeline built it, drawn by the former render loop."""
+    m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
+    pentagon_radius = (max(1.0, 0.10 * m), 0.45 * m)
+    pie_radius = 0.32 * m
+    pie_intensity = (0.25, 1.0)
+    r_min, r_max = pentagon_radius
+    radius = r_min + (r_max - r_min) * min(
+        1.0, max(0.0, record.left_lesion_size / size_ref))
+    i_min, i_max = pie_intensity
+    intensity = i_min + (i_max - i_min) * min(
+        1.0, max(0.0, record.recovery_time / time_ref))
+    rasters = [shape_raster("pentagon", boxes[0][2], boxes[0][3], radius),
+               shape_raster("pie", boxes[1][2], boxes[1][3], pie_radius,
+                            intensity),
+               severity_raster(SEVERITY_SYMBOLS[record.severity],
+                               boxes[2][2], boxes[2][3])]
+    out = canvas.copy()
+    for (r0, c0, bh, bw), raster in zip(boxes, rasters):
+        out[r0:r0 + bh, c0:c0 + bw] = raster
+    return out
+
+
+NON_SQUARE = [(0, 0, 20, 31), (3, 31, 17, 40), (0, 71, 25, 22)]
+
+
+@pytest.mark.parametrize("boxes", [boxes_for(side) for side in (6, 7, 13, 16, 32)]
+                         + [NON_SQUARE],
+                         ids=["6", "7", "13", "16", "32", "non-square"])
+@pytest.mark.parametrize("lesion,recovery_time", [
+    (0, 0.0), (0, 10 * TIME_REF), (10 * SIZE_REF, 0.0),
+    (10 * SIZE_REF, 10 * TIME_REF), (333, 77.0)])
+def test_render_matches_the_former_spec_arithmetic(boxes, lesion,
+                                                   recovery_time):
+    canvas = np.zeros((max(r + h for r, _, h, _ in boxes),
+                       max(c + w for _, c, _, w in boxes)), np.float32)
+    for severity in SEVERITY_SYMBOLS:
+        record = make_record(severity=severity, lesion=lesion,
+                             recovery_time=recovery_time)
+        got = render_glyphs(record, SIZE_REF, TIME_REF, canvas, boxes)
+        want = reference_glyphs(record, SIZE_REF, TIME_REF, canvas, boxes)
+        assert got.tobytes() == want.tobytes()
 
 
 def test_zero_lesion_gives_r_min_pentagon():
-    spec = make_spec()
-    out = render_glyphs(make_record(lesion=0), spec, blank(), boxes_for())
-    expected = shape_raster("pentagon", 32, 32, spec.pentagon_radius[0])
+    out = render_glyphs(make_record(lesion=0), SIZE_REF, TIME_REF, blank(),
+                        boxes_for())
+    expected = shape_raster("pentagon", 32, 32, 0.10 * 32)
     assert np.array_equal(out[:, 0:32], expected)
 
 
 def test_saturated_recovery_gives_i_max():
-    spec = make_spec()
-    rec = make_record(recovery_time=spec.time_ref * 3)
-    out = render_glyphs(rec, spec, blank(), boxes_for())
+    rec = make_record(recovery_time=TIME_REF * 3)
+    out = render_glyphs(rec, SIZE_REF, TIME_REF, blank(), boxes_for())
     pie = out[:, 32:64]
-    assert pie.max() == np.float32(spec.pie_intensity[1])
+    assert pie.max() == np.float32(1.0)
     # fixed support: same pixels as any other intensity
-    ref = shape_raster("pie", 32, 32, spec.pie_radius, 1.0)
+    ref = shape_raster("pie", 32, 32, 0.32 * 32, 1.0)
     assert np.array_equal(pie > 0, ref > 0)
 
 
 def test_severity_shapes_match_mapping():
-    spec = make_spec()
     for severity, shape in (("normal", "ellipse"), ("unknown", "star"),
                             ("moderate", "triangle"), ("severe", "square"),
                             ("mild", "cross")):
-        out = render_glyphs(make_record(severity=severity), spec, blank(), boxes_for())
+        out = render_glyphs(make_record(severity=severity), SIZE_REF,
+                            TIME_REF, blank(), boxes_for())
         expected = shape_raster(shape, 32, 32, 0.38 * 32)
         assert np.array_equal(out[:, 64:96], expected), severity
 
 
 def test_pentagon_fill_monotone_in_lesion_size():
-    spec = make_spec()
     counts = []
     for lesion in range(0, 1300, 50):
-        out = render_glyphs(make_record(lesion=lesion), spec, blank(), boxes_for())
+        out = render_glyphs(make_record(lesion=lesion), SIZE_REF, TIME_REF,
+                            blank(), boxes_for())
         counts.append(int(np.count_nonzero(out[:, 0:32])))
     assert counts == sorted(counts)
     assert counts[-1] > counts[0]
 
 
 def test_pie_intensity_monotone_in_recovery_time():
-    spec = make_spec()
     means = []
     for days in np.linspace(0, 500, 26):
-        out = render_glyphs(make_record(recovery_time=float(days)), spec,
-                            blank(), boxes_for())
+        out = render_glyphs(make_record(recovery_time=float(days)), SIZE_REF,
+                            TIME_REF, blank(), boxes_for())
         means.append(float(out[:, 32:64].mean()))
     assert all(b >= a for a, b in zip(means, means[1:]))
     assert means[-1] > means[0]
@@ -120,23 +147,23 @@ def test_severity_rasters_distinct_after_downsampling():
 
 
 def test_render_requires_empty_boxes():
-    spec = make_spec()
     canvas = blank()
     canvas[5, 5] = 0.3
     with pytest.raises(GlyphOverlapError):
-        render_glyphs(make_record(), spec, canvas, boxes_for())
+        render_glyphs(make_record(), SIZE_REF, TIME_REF, canvas, boxes_for())
 
 
-def test_render_rejects_oversized_glyph():
-    spec = make_spec(pentagon_radius=(4.0, 40.0))
-    with pytest.raises(LayoutError):
-        render_glyphs(make_record(), spec, blank(), boxes_for())
+def test_render_rejects_boxes_under_6px():
+    boxes = boxes_for(6)
+    boxes[1] = (0, 6, 5, 6)  # one box 5 px high
+    with pytest.raises(LayoutError, match="glyph boxes of 5px are too small"):
+        render_glyphs(make_record(), SIZE_REF, TIME_REF, blank(6), boxes)
 
 
 def test_render_deterministic():
-    spec = make_spec()
-    a = render_glyphs(make_record(lesion=333, recovery_time=77), spec, blank(), boxes_for())
-    b = render_glyphs(make_record(lesion=333, recovery_time=77), spec, blank(), boxes_for())
+    rec = make_record(lesion=333, recovery_time=77)
+    a = render_glyphs(rec, SIZE_REF, TIME_REF, blank(), boxes_for())
+    b = render_glyphs(rec, SIZE_REF, TIME_REF, blank(), boxes_for())
     assert np.array_equal(a, b)
 
 
@@ -151,47 +178,43 @@ def make_volume(dims, seed=7):
     return Volume3D(dims=dims, data=data.reshape(dims))
 
 
-def hybrid_specs(dims=(32, 32, 16), grid=(4, 4)):
-    n = dims[2]
-    stitch_spec = StitchSpec.for_volume(dims, grid=grid,
-                                        removed_cells=(n - 4, n - 3, n - 2, n - 1))
-    glyph_spec = make_spec(pentagon_radius=(3.0, 12.0), pie_radius=10.0)
-    return stitch_spec, glyph_spec
+DIMS = (32, 32, 16)
+FULL = (128, 128)  # (w, h) of the 4x4 grid: downsampling to it is a no-op
+HYBRID_SPEC = StitchSpec(DIMS, grid=(4, 4), removed_cells=(12, 13, 14, 15))
+
+
+def hybrid(volume, record, target=FULL):
+    return hybrid_stitched(volume, record, HYBRID_SPEC, SIZE_REF, TIME_REF,
+                           target)
 
 
 def test_hybrid_stitched_requires_dorsal_cells():
-    dims = (32, 32, 16)
-    vol = make_volume(dims)
-    bad = StitchSpec.for_volume(dims, grid=(4, 4), removed_cells=(0, 1, 2, 3))
-    _, glyph_spec = hybrid_specs()
+    bad = StitchSpec(DIMS, grid=(4, 4), removed_cells=(0, 1, 2, 3))
     with pytest.raises(LayoutError):
-        hybrid_stitched(vol, make_record(), bad, glyph_spec)
+        hybrid_stitched(make_volume(DIMS), make_record(), bad, SIZE_REF,
+                        TIME_REF, FULL)
 
 
 def test_hybrid_stitched_locality():
-    dims = (32, 32, 16)
-    vol = make_volume(dims)
-    stitch_spec, glyph_spec = hybrid_specs()
-    hybrid = hybrid_stitched(vol, make_record(), stitch_spec, glyph_spec)
-    plain = stitch(vol, StitchSpec.for_volume(dims, grid=(4, 4)))
-    diff = hybrid.pixels != plain.pixels
+    vol = make_volume(DIMS)
+    hybrid_img = hybrid(vol, make_record())
+    plain = stitch(vol, StitchSpec(DIMS, grid=(4, 4)))
+    diff = hybrid_img.pixels != plain.pixels
     freed = np.zeros(diff.shape, dtype=bool)
     for cell in (12, 13, 14, 15):
-        r0, c0 = stitch_spec.cell_origin(cell)
+        r0, c0 = HYBRID_SPEC.cell_origin(cell)
         freed[r0:r0 + 32, c0:c0 + 32] = True
     assert np.any(diff)
     assert not np.any(diff & ~freed)
 
 
 def test_hybrid_stitched_severity_diff_confined():
-    dims = (32, 32, 16)
-    vol = make_volume(dims)
-    stitch_spec, glyph_spec = hybrid_specs()
-    a = hybrid_stitched(vol, make_record(severity="normal"), stitch_spec, glyph_spec)
-    b = hybrid_stitched(vol, make_record(severity="severe"), stitch_spec, glyph_spec)
+    vol = make_volume(DIMS)
+    a = hybrid(vol, make_record(severity="normal"))
+    b = hybrid(vol, make_record(severity="severe"))
     diff = a.pixels != b.pixels
     # severity glyph lives in the third placement cell (cell 14 here)
-    r0, c0 = stitch_spec.cell_origin(14)
+    r0, c0 = HYBRID_SPEC.cell_origin(14)
     sev_cell = np.zeros(diff.shape, dtype=bool)
     sev_cell[r0:r0 + 32, c0:c0 + 32] = True
     assert np.any(diff)
@@ -199,24 +222,18 @@ def test_hybrid_stitched_severity_diff_confined():
 
 
 def test_hybrid_stitched_glyph_pixels_carry_no_provenance():
-    dims = (32, 32, 16)
-    stitch_spec, glyph_spec = hybrid_specs()
-    a = hybrid_stitched(make_volume(dims, seed=1), make_record(), stitch_spec,
-                        glyph_spec)
-    b = hybrid_stitched(make_volume(dims, seed=2), make_record(), stitch_spec,
-                        glyph_spec)
-    r0, c0 = stitch_spec.cell_origin(12)
+    a = hybrid(make_volume(DIMS, seed=1), make_record())
+    b = hybrid(make_volume(DIMS, seed=2), make_record())
+    r0, c0 = HYBRID_SPEC.cell_origin(12)
     assert np.array_equal(a.pixels[r0:r0 + 32, c0:c0 + 32],
                           b.pixels[r0:r0 + 32, c0:c0 + 32])
     assert not np.array_equal(a.pixels[:32, :32], b.pixels[:32, :32])
 
 
 def test_hybrid_stitched_deterministic_and_downsampled():
-    dims = (32, 32, 16)
-    vol = make_volume(dims)
-    stitch_spec, glyph_spec = hybrid_specs()
-    a = hybrid_stitched(vol, make_record(), stitch_spec, glyph_spec, target=(32, 32))
-    b = hybrid_stitched(vol, make_record(), stitch_spec, glyph_spec, target=(32, 32))
+    vol = make_volume(DIMS)
+    a = hybrid(vol, make_record(), target=(32, 32))
+    b = hybrid(vol, make_record(), target=(32, 32))
     assert np.array_equal(a.pixels, b.pixels)
     assert (a.height, a.width) == (32, 32)
 
@@ -229,12 +246,18 @@ def make_seven_roi_atlas(dims=(24, 24, 6)):
     return LabelVolume(dims=dims, labels=labels)
 
 
+def hybrid_roi_full(volume, atlas, roi_spec, record):
+    """Hybrid ROI image at canvas resolution, with the spec's tile plan."""
+    canvas_h, canvas_w = roi_spec.canvas
+    return hybrid_roi(volume, atlas, plan_roi_tiles(atlas, roi_spec), record,
+                      SIZE_REF, TIME_REF, (canvas_w, canvas_h))
+
+
 def test_hybrid_roi_glyphs_only_when_no_rois():
     atlas = make_seven_roi_atlas()
     vol = make_volume(atlas.dims, seed=11)
     roi_spec = RoiImageSpec(roi_labels=(), canvas=(48, 96), reserved_bottom=24)
-    glyph_spec = make_spec(pentagon_radius=(3.0, 10.0), pie_radius=9.0)
-    img = hybrid_roi(vol, atlas, roi_spec, make_record(), glyph_spec)
+    img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
     assert np.any(img.pixels[24:, :] > 0)
     assert np.all(img.pixels[:24, :] == 0.0)
 
@@ -242,11 +265,10 @@ def test_hybrid_roi_glyphs_only_when_no_rois():
 def test_hybrid_roi_strip_disjoint_from_tiles():
     atlas = make_seven_roi_atlas()
     vol = make_volume(atlas.dims, seed=13)
-    glyph_spec = make_spec(pentagon_radius=(3.0, 10.0), pie_radius=9.0)
     for canvas, reserved in (((48, 96), 24), ((64, 72), 22), ((56, 120), 30)):
         roi_spec = RoiImageSpec(roi_labels=tuple(range(1, 8)), canvas=canvas,
                                 reserved_bottom=reserved)
-        img = hybrid_roi(vol, atlas, roi_spec, make_record(), glyph_spec)
+        img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
         strip_start = canvas[0] - reserved
         shown = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas).shown
         assert np.all(shown // canvas[1] < strip_start)  # no tile in the strip
@@ -259,8 +281,7 @@ def test_hybrid_roi_seven_rois_plus_three_glyphs():
                    data=np.full(atlas.dims, 0.8, np.float32))
     roi_spec = RoiImageSpec(roi_labels=tuple(range(1, 8)), canvas=(48, 96),
                             reserved_bottom=24)
-    glyph_spec = make_spec(pentagon_radius=(3.0, 10.0), pie_radius=9.0)
-    img = hybrid_roi(vol, atlas, roi_spec, make_record(), glyph_spec)
+    img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
     pmap = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas)
     assert set(atlas.labels.ravel()[pmap.voxels].tolist()) == set(range(1, 8))
     assert np.all(img.pixels.ravel()[pmap.shown] == np.float32(0.8))
@@ -272,9 +293,8 @@ def test_hybrid_roi_requires_reserved_strip():
     atlas = make_seven_roi_atlas()
     vol = make_volume(atlas.dims, seed=17)
     roi_spec = RoiImageSpec(roi_labels=(1,), canvas=(48, 96))
-    glyph_spec = make_spec(pentagon_radius=(3.0, 10.0), pie_radius=9.0)
     with pytest.raises(LayoutError):
-        hybrid_roi(vol, atlas, roi_spec, make_record(), glyph_spec)
+        hybrid_roi_full(vol, atlas, roi_spec, make_record())
 
 
 def test_normalizers_are_99th_percentiles():

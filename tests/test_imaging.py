@@ -30,16 +30,15 @@ def stitch_pixel(spec, voxel):
     """(row, col) of a displayed voxel under the layout convention: slice
     k fills flat cell k, image row = voxel y, image column = voxel x."""
     x, y, z = voxel
-    r0, c0 = spec.cell_origin(spec.slice_indices.index(z))
+    r0, c0 = spec.cell_origin(z)
     return r0 + y, c0 + x
 
 
-def voxel_map(atlas, spec, plan=None):
+def voxel_map(atlas, plan):
     """(h, w, 3) voxel (x, y, z) each ROI canvas pixel shows, -1 if blank,
     from the plan's compiled pixel map."""
-    plan = plan or plan_roi_tiles(atlas, spec)
     pmap = plan.pixel_map(atlas)
-    out = np.full((*spec.canvas, 3), -1, dtype=np.int64)
+    out = np.full((*plan.spec.canvas, 3), -1, dtype=np.int64)
     out.reshape(-1, 3)[pmap.shown] = np.stack(
         np.unravel_index(pmap.voxels, atlas.dims), axis=1)
     return out
@@ -48,7 +47,7 @@ def voxel_map(atlas, spec, plan=None):
 def test_stitch_dimensions_64_slice_grid():
     # 8x8 grid of 95x79 axial slices comes out 632 rows by 760 cols
     vol = Volume3D(dims=(95, 79, 64), data=np.zeros((95, 79, 64), np.float32))
-    spec = StitchSpec.for_volume(vol.dims, grid=(8, 8))
+    spec = StitchSpec(vol.dims, grid=(8, 8))
     img = stitch(vol, spec)
     assert (img.height, img.width) == (632, 760)
 
@@ -60,7 +59,7 @@ def test_stitch_known_pixel_mapping():
     data = np.zeros(dims, np.float32)
     data[1, 0, 1] = 0.625
     vol = Volume3D(dims=dims, data=data)
-    spec = StitchSpec.for_volume(dims, grid=(2, 2))
+    spec = StitchSpec(dims, grid=(2, 2))
     img = stitch(vol, spec)
     assert img.pixels[0, 5] == np.float32(0.625)
     assert np.count_nonzero(img.pixels) == 1
@@ -69,7 +68,7 @@ def test_stitch_known_pixel_mapping():
 def test_stitch_roundtrip_exhaustive():
     dims = (8, 8, 8)
     vol = make_volume(dims)
-    spec = StitchSpec.for_volume(dims, grid=(3, 3))
+    spec = StitchSpec(dims, grid=(3, 3))
     img = stitch(vol, spec)
     shown = np.zeros((img.height, img.width), dtype=bool)
     for voxel in np.ndindex(*dims):
@@ -85,7 +84,7 @@ def test_stitch_roundtrip_exhaustive():
 def test_stitch_is_lossless():
     dims = (6, 5, 4)
     vol = make_volume(dims, seed=11)
-    spec = StitchSpec.for_volume(dims, grid=(2, 2))
+    spec = StitchSpec(dims, grid=(2, 2))
     img = stitch(vol, spec)
     assert np.isclose(img.pixels.sum(dtype=np.float64),
                       vol.data.sum(dtype=np.float64), rtol=1e-6)
@@ -94,7 +93,7 @@ def test_stitch_is_lossless():
 def test_stitch_removed_cells_blank():
     dims = (4, 4, 4)
     vol = make_volume(dims, seed=3)
-    spec = StitchSpec.for_volume(dims, grid=(2, 2), removed_cells=(3,))
+    spec = StitchSpec(dims, grid=(2, 2), removed_cells=(3,))
     img = stitch(vol, spec)
     assert np.all(img.pixels[4:8, 4:8] == 0.0)
     expected = vol.data[:, :, :3].sum(dtype=np.float64)
@@ -105,10 +104,10 @@ def test_stitch_rejects_bad_spec():
     dims = (4, 4, 8)
     vol = make_volume(dims, seed=5)
     with pytest.raises(LayoutError):
-        StitchSpec.for_volume(dims, grid=(2, 2))  # 8 slices > 4 cells
+        StitchSpec(dims, grid=(2, 2))  # 8 slices > 4 cells
     with pytest.raises(LayoutError):
-        StitchSpec(grid=(3, 3), slice_shape=(4, 4), slice_indices=(2, 1, 0))
-    spec = StitchSpec(grid=(3, 3), slice_shape=(4, 4), slice_indices=(0, 9))
+        StitchSpec(dims, grid=(3, 3), removed_cells=(9,))  # outside the grid
+    spec = StitchSpec((4, 4, 6), grid=(3, 3))  # made for another depth
     with pytest.raises(LayoutError):
         stitch(vol, spec)
 
@@ -122,7 +121,7 @@ def test_stitch_provenance_property(nx, ny, nz, data):
     rows = data.draw(st.integers(1, nz))
     cols = -(-nz // rows)  # ceil
     vol = make_volume((nx, ny, nz), seed=nz * 100 + nx * 10 + ny)
-    spec = StitchSpec.for_volume(vol.dims, grid=(rows, cols))
+    spec = StitchSpec(vol.dims, grid=(rows, cols))
     img = stitch(vol, spec)
     x = data.draw(st.integers(0, nx - 1))
     y = data.draw(st.integers(0, ny - 1))
@@ -145,7 +144,7 @@ def test_downsample_hand_computed_means():
 
 def test_downsample_256_from_stitched():
     vol = make_volume((16, 16, 4), seed=9)
-    spec = StitchSpec.for_volume(vol.dims, grid=(2, 2))
+    spec = StitchSpec(vol.dims, grid=(2, 2))
     big = stitch(vol, spec)
     small = downsample(big, 16, 16)
     assert (small.height, small.width) == (16, 16)
@@ -204,9 +203,10 @@ def make_two_roi_atlas():
 def test_roi_image_masks_and_packs():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=13)
-    spec = RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12))
-    img = roi_image(vol, atlas, spec)
-    vmap = voxel_map(atlas, spec)
+    plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2),
+                                              canvas=(12, 12)))
+    img = roi_image(vol, atlas, plan)
+    vmap = voxel_map(atlas, plan)
     nz = np.argwhere(img.pixels > 0)
     assert len(nz) > 0
     for r, c in nz:
@@ -223,9 +223,9 @@ def test_roi_image_no_foreign_voxels():
     atlas = make_two_roi_atlas()
     data = np.full((6, 6, 3), 0.9, np.float32)  # bright everywhere
     vol = Volume3D(dims=(6, 6, 3), data=data)
-    spec = RoiImageSpec(roi_labels=(1,), canvas=(8, 8))
-    img = roi_image(vol, atlas, spec)
-    mapped = voxel_map(atlas, spec)[..., 0] >= 0
+    plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1,), canvas=(8, 8)))
+    img = roi_image(vol, atlas, plan)
+    mapped = voxel_map(atlas, plan)[..., 0] >= 0
     assert np.all(img.pixels[~mapped] == 0.0)
     count_roi1 = int(np.sum(atlas.labels == 1))
     assert int(mapped.sum()) == count_roi1
@@ -240,19 +240,18 @@ def test_roi_image_provenance_injective():
 
 def test_roi_image_overflow_reports_required_size():
     atlas = make_two_roi_atlas()
-    vol = make_volume((6, 6, 3), seed=19)
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(3, 4))
     with pytest.raises(CanvasOverflowError) as exc:
-        roi_image(vol, atlas, spec)
+        plan_roi_tiles(atlas, spec)
     req_h, req_w = exc.value.required
     assert req_w == 4
     bigger = RoiImageSpec(roi_labels=(1, 2), canvas=(req_h, req_w))
-    roi_image(vol, atlas, bigger)  # fits at the reported size
+    plan_roi_tiles(atlas, bigger)  # fits at the reported size
     narrow = RoiImageSpec(roi_labels=(1, 2), canvas=(3, 1))  # tiles 2 wide
     with pytest.raises(CanvasOverflowError) as exc:
-        roi_image(vol, atlas, narrow)
+        plan_roi_tiles(atlas, narrow)
     assert exc.value.required[1] == 2
-    roi_image(vol, atlas, RoiImageSpec(roi_labels=(1, 2),
+    plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2),
                                        canvas=exc.value.required))
 
 
@@ -260,7 +259,7 @@ def test_roi_image_reserved_bottom_left_blank():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=23)
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(14, 8), reserved_bottom=4)
-    img = roi_image(vol, atlas, spec)
+    img = roi_image(vol, atlas, plan_roi_tiles(atlas, spec))
     assert np.all(img.pixels[10:, :] == 0.0)
 
 
@@ -273,21 +272,23 @@ def test_roi_image_unknown_label():
 def test_roi_order_follows_label_ranking():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=29)
-    a_spec = RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12))
-    b_spec = RoiImageSpec(roi_labels=(2, 1), canvas=(12, 12))
-    a = roi_image(vol, atlas, a_spec)
-    b = roi_image(vol, atlas, b_spec)
+    a_plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2),
+                                                canvas=(12, 12)))
+    b_plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(2, 1),
+                                                canvas=(12, 12)))
+    a = roi_image(vol, atlas, a_plan)
+    b = roi_image(vol, atlas, b_plan)
     # first tile differs: ranking order controls placement
-    assert voxel_map(atlas, a_spec)[0, 0, 2] == 0  # ROI 1 lives on z=0
-    assert voxel_map(atlas, b_spec)[0, 0, 2] in (1, 2)  # ROI 2 slices first
-    assert a.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, a_spec)[0, 0])]
-    assert b.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, b_spec)[0, 0])]
+    assert voxel_map(atlas, a_plan)[0, 0, 2] == 0  # ROI 1 lives on z=0
+    assert voxel_map(atlas, b_plan)[0, 0, 2] in (1, 2)  # ROI 2 slices first
+    assert a.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, a_plan)[0, 0])]
+    assert b.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, b_plan)[0, 0])]
 
 
 def test_stitched_label_image_matches_provenance():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=31)
-    spec = StitchSpec.for_volume(vol.dims, grid=(2, 2))
+    spec = StitchSpec(vol.dims, grid=(2, 2))
     img = stitch(vol, spec)
     lab = stitched_label_image(atlas, spec)
     shown = np.zeros(lab.shape, dtype=bool)
@@ -340,10 +341,10 @@ def test_roi_image_equals_per_tile_reference(order, reserved):
     plan = plan_roi_tiles(atlas, spec)
     for seed in (3, 4):
         vol = make_volume(atlas.dims, seed=seed)
-        img = roi_image(vol, atlas, spec, plan)
+        img = roi_image(vol, atlas, plan)
         pixels, prov = reference_roi_image(vol, atlas, plan)
         assert img.pixels.tobytes() == pixels.tobytes()
-        assert np.array_equal(voxel_map(atlas, spec), prov)
+        assert np.array_equal(voxel_map(atlas, plan), prov)
 
 
 def test_roi_plan_recompiles_for_another_atlas():
@@ -351,12 +352,12 @@ def test_roi_plan_recompiles_for_another_atlas():
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(60, 60))
     plan = plan_roi_tiles(rois, spec)
     vol = make_volume(rois.dims, seed=5)
-    roi_image(vol, rois, spec, plan)
+    roi_image(vol, rois, plan)
     # same geometry, other labels: the map must follow the atlas passed in
-    img = roi_image(vol, tracts, spec, plan)
+    img = roi_image(vol, tracts, plan)
     pixels, prov = reference_roi_image(vol, tracts, plan)
     assert img.pixels.tobytes() == pixels.tobytes()
-    assert np.array_equal(voxel_map(tracts, spec, plan), prov)
+    assert np.array_equal(voxel_map(tracts, plan), prov)
 
 
 def test_roi_provenance_shared_and_read_only():
@@ -364,8 +365,8 @@ def test_roi_provenance_shared_and_read_only():
     spec = RoiImageSpec(roi_labels=(1, 3), canvas=(60, 60))
     plan = plan_roi_tiles(atlas, spec)
     pmap = plan.pixel_map(atlas)
-    a = roi_image(make_volume(atlas.dims, seed=1), atlas, spec, plan)
-    b = roi_image(make_volume(atlas.dims, seed=2), atlas, spec, plan)
+    a = roi_image(make_volume(atlas.dims, seed=1), atlas, plan)
+    b = roi_image(make_volume(atlas.dims, seed=2), atlas, plan)
     assert plan.pixel_map(atlas) is pmap  # compiled once, shared by renders
     with pytest.raises(ValueError):
         pmap.voxels[0] = 7
@@ -385,11 +386,3 @@ def test_roi_spec_rejects_negative_gap():
     with pytest.raises(LayoutError):
         RoiImageSpec(roi_labels=(1,), canvas=(8, 8), tile_gap=-1)
 
-
-def test_roi_image_rejects_plan_of_another_spec():
-    atlas = make_two_roi_atlas()
-    vol = make_volume((6, 6, 3), seed=43)
-    plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12)))
-    with pytest.raises(LayoutError):
-        roi_image(vol, atlas, RoiImageSpec(roi_labels=(1, 2), canvas=(14, 12)),
-                  plan)

@@ -234,7 +234,7 @@ def test_stitched_label_image_matches_direct(tiny_cohort):
     config = fast_config(variant="stitched")
     data = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
     grid = pipeline.auto_grid(32)
-    spec = imaging.StitchSpec.for_volume(tiny_cohort.dims, grid)
+    spec = imaging.StitchSpec(tiny_cohort.dims, grid)
     expected = pipeline.downsample_labels(
         imaging.stitched_label_image(tiny_cohort.atlas, spec), 32)
     assert np.array_equal(data.label_image, expected)
@@ -494,7 +494,7 @@ def test_roi_count_sweep_rejects_stitched_before_any_work(variant):
     # nothing is rendered or read before the refusal
     with pytest.raises(ConfigError, match="ROI variant"):
         pipeline.roi_count_sweep(None, fast_config(variant=variant), None,
-                                 None, None, None)
+                                 None, None, None, counts=(3,))
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +509,9 @@ def test_run_survives_empty_held_out_subgroup(tmp_path):
     held_out = [r for r in cohort.records if plan.assignment[r.id] == 5]
     severities = [r.severity for r in held_out]
     assert not {"severe", "moderate"} & set(severities)
-    with pytest.raises(ValueError):  # the metric itself still refuses
-        evalharness.subgroup_metrics(np.full(len(held_out), 0.5),
-                                     np.zeros(len(held_out)), severities)
+    empty = evalharness.subgroup_metrics(np.full(len(held_out), 0.5),
+                                         np.zeros(len(held_out)), severities)
+    assert empty.flags == ("empty-subgroup",)
 
     result = pipeline.run_experiment(cohort, fast_config(model="logistic"))
     for s in result.seeds:
