@@ -49,8 +49,10 @@ CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
 
-# the run --roi-sweep ranking's settings and their defaults
+# the ROI ranking's settings and their defaults (``explain`` perturbs more
+# by default), and the k grid of an ROI-count sweep
 EXPLAIN_DEFAULTS = {"n_explain": 12, "n_perturb": 160, "seed": 0}
+ROI_COUNTS = "3-10"
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
@@ -150,34 +152,66 @@ def _run_config(args, doc: dict) -> RunConfig:
     return config
 
 
-def _roi_sweep_settings(doc: dict) -> tuple[dict, tuple[int, ...]]:
-    """The config file's explain block (over its defaults) and ROI counts,
-    checked before anything is trained."""
-    exp = doc.get("explain", {})
+def _ranking_settings(exp, counts=None, sweep_epochs=None) -> dict:
+    """The ranking settings of the config file's explain block or of the
+    explain and select-rois flags, over their defaults.  Checked, with a
+    selection's ROI counts and sweep epochs, before any work: every value
+    is an integer, and all but the seed are positive."""
     if not isinstance(exp, dict):
         raise ConfigError("config file key 'explain' must hold a JSON object")
     for key, value in exp.items():
         if key not in EXPLAIN_DEFAULTS:
             raise ConfigError(f"unknown explain key {key!r}")
         if type(value) is not int or (key != "seed" and value < 1):
-            raise ConfigError(f"explain key {key!r} must be a "
+            raise ConfigError(f"explain setting {key!r} must be a "
                               f"{'' if key == 'seed' else 'positive '}integer")
-    counts = doc.get("roi_counts", list(range(3, 11)))
-    if not isinstance(counts, list) or not counts or any(
-            type(k) is not int or k < 1 for k in counts):
-        raise ConfigError("config file key 'roi_counts' must be a nonempty "
-                          "list of positive integers")
-    return {**EXPLAIN_DEFAULTS, **exp}, tuple(counts)
+    good_counts = isinstance(counts, (list, tuple)) and counts and all(
+        type(k) is int and k > 0 for k in counts)
+    if counts is not None and not good_counts:
+        raise ConfigError("ROI counts (config file key 'roi_counts', "
+                          "--counts) must be a nonempty list of positive "
+                          "integers")
+    if sweep_epochs is not None and sweep_epochs < 1:
+        raise ConfigError("--sweep-epochs must be a positive integer")
+    return {**EXPLAIN_DEFAULTS, **exp}
 
 
-def _check_roi_counts(counts, label_image) -> None:
-    """Refuse a count grid larger than the ROIs there are to rank: those of
-    the rendered label map, where a thin ROI can vanish.  Called before the
-    training and explanation that would reach the same error."""
+def _ranking_flags(args) -> dict:
+    """The ranking flags of explain and select-rois, as an explain block."""
+    return {"n_explain": args.n_explain, "n_perturb": args.n_perturb,
+            "seed": args.explain_seed}
+
+
+def _check_roi_counts(label_image, n_perturb: int, counts=()) -> None:
+    """Refuse a count grid larger than the ROIs there are to rank, and too
+    few perturbations for the all-ones mask plus one mask per ROI: both
+    against the ROIs of the rendered label map, where a thin ROI can
+    vanish.  Called before the training and explanation that would reach
+    the same errors."""
     n_rois = len(explain.image_rois(label_image))
-    if max(counts) > n_rois:
+    if counts and max(counts) > n_rois:
         raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
                           "ROIs in the rendered label map")
+    if n_perturb < n_rois + 2:
+        raise ConfigError(f"n_perturb {n_perturb} must exceed the {n_rois} "
+                          "ROIs in the rendered label map + 1")
+
+
+def _rank_and_sweep(out: Path, cohort, config: RunConfig, params, prepared,
+                    exp: dict, counts, sweep_epochs=None):
+    """Rank the ROIs on the development pool, sweep the count grid, and
+    write roi_ranking.csv, roi_curve.csv and roi_curve.svg; ``prepared`` is
+    ``prepare_run``'s (plan, box, normalizers, variant data)."""
+    plan, box, normalizers, data = prepared
+    _, ranking = pipeline.rank_rois(params, data, plan, **exp)
+    curve = pipeline.roi_count_sweep(cohort, config, ranking, plan, box,
+                                     normalizers, counts=counts,
+                                     sweep_epochs=sweep_epochs)
+    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv",
+                               cohort.labels_for(config.variant).label_names)
+    pipeline.write_curve_csv(curve, out / "roi_curve.csv")
+    pipeline.write_curve_svg(curve, out / "roi_curve.svg")
+    return ranking, curve
 
 
 def _update_index(out: Path, extra: dict) -> None:
@@ -190,13 +224,14 @@ def _update_index(out: Path, extra: dict) -> None:
 def cmd_run(args) -> int:
     doc = _load_config_file(args.config)
     config = _run_config(args, doc)
-    exp, counts = _roi_sweep_settings(doc)
+    counts = doc.get("roi_counts", parse_seeds(ROI_COUNTS))
+    exp = _ranking_settings(doc.get("explain", {}), counts)
     if args.roi_sweep:
         pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     if args.roi_sweep:
-        _check_roi_counts(counts,
-                          pipeline.variant_layout(cohort, config).label_image)
+        _check_roi_counts(pipeline.variant_layout(cohort, config).label_image,
+                          exp["n_perturb"], counts)
     out = _ensure_out_dir(Path(args.out) if args.out else _default_run_dir(),
                           args.force)
 
@@ -206,17 +241,10 @@ def cmd_run(args) -> int:
     _update_index(out, {"audit": "audit.jsonl"})
 
     if args.roi_sweep:
-        _, ranking = pipeline.rank_rois(
-            result.checkpoints[config.seeds[0]], result.variant_data,
-            result.plan, n_explain=exp["n_explain"],
-            n_perturb=exp["n_perturb"], seed=exp["seed"])
-        curve = pipeline.roi_count_sweep(cohort, config, ranking, result.plan,
-                                         result.box, result.normalizers,
-                                         counts=counts)
-        pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv",
-                                   cohort.labels_for(config.variant).label_names)
-        pipeline.write_curve_csv(curve, out / "roi_curve.csv")
-        pipeline.write_curve_svg(curve, out / "roi_curve.svg")
+        _, curve = _rank_and_sweep(
+            out, cohort, config, result.checkpoints[config.seeds[0]],
+            (result.plan, result.box, result.normalizers,
+             result.variant_data), exp, counts)
         _update_index(out, {"roi_ranking": "roi_ranking.csv",
                             "roi_curve": "roi_curve.csv",
                             "roi_curve_svg": "roi_curve.svg"})
@@ -269,6 +297,7 @@ def _load_checkpoint(run_dir: Path, config: RunConfig,
 def cmd_explain(args) -> int:
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
+    exp = _ranking_settings(_ranking_flags(args))
     if config.model != "lightweight":
         raise ConfigError("explanations support the image-only model; "
                           f"this run used {config.model!r}")
@@ -278,10 +307,9 @@ def cmd_explain(args) -> int:
 
     # no held-out data is read here, so the box keeps no audit file
     plan, _box, _norm, data = pipeline.prepare_run(cohort, config)
-    explanations, ranking = pipeline.rank_rois(
-        params, data, plan, n_explain=args.n_explain,
-        n_perturb=args.n_perturb, seed=args.explain_seed,
-        with_counterfactuals=True)
+    _check_roi_counts(data.label_image, exp["n_perturb"])
+    explanations, ranking = pipeline.rank_rois(params, data, plan, **exp,
+                                               with_counterfactuals=True)
 
     names = cohort.labels_for(config.variant).label_names
     expl_dir = out / "explanations"
@@ -306,23 +334,17 @@ def cmd_select_rois(args) -> int:
     config, _doc = _load_run(run_dir)
     pipeline.require_roi_selection(config)
     counts = parse_seeds(args.counts)  # same "3-10" syntax
+    exp = _ranking_settings(_ranking_flags(args), counts, args.sweep_epochs)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     seed, params = _load_checkpoint(run_dir, config, args.seed)
     out = _ensure_out_dir(Path(args.out), args.force)
 
     # groups 1-4 only, so the box keeps no audit file
-    plan, box, normalizers, data = pipeline.prepare_run(cohort, config)
-    _check_roi_counts(counts, data.label_image)
-    _, ranking = pipeline.rank_rois(
-        params, data, plan, n_explain=args.n_explain,
-        n_perturb=args.n_perturb, seed=args.explain_seed)
-    curve = pipeline.roi_count_sweep(cohort, config, ranking, plan, box,
-                                     normalizers, counts=counts,
-                                     sweep_epochs=args.sweep_epochs)
+    prepared = pipeline.prepare_run(cohort, config)
+    _check_roi_counts(prepared[3].label_image, exp["n_perturb"], counts)
+    ranking, curve = _rank_and_sweep(out, cohort, config, params, prepared,
+                                     exp, counts, args.sweep_epochs)
     names = cohort.labels_for(config.variant).label_names
-    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
-    pipeline.write_curve_csv(curve, out / "roi_curve.csv")
-    pipeline.write_curve_svg(curve, out / "roi_curve.svg")
     chosen = ranking.rois[:curve.best_k]
     (out / "selection.json").write_text(json.dumps(
         {"best_k": curve.best_k,
@@ -364,6 +386,14 @@ def cmd_report(args) -> int:
 # parser
 
 
+def _add_ranking_flags(parser, n_perturb: int) -> None:
+    parser.add_argument("--n-explain", type=int,
+                        default=EXPLAIN_DEFAULTS["n_explain"])
+    parser.add_argument("--n-perturb", type=int, default=n_perturb)
+    parser.add_argument("--explain-seed", type=int,
+                        default=EXPLAIN_DEFAULTS["seed"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="strokepred",
@@ -400,9 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--run", required=True, help="finished run directory")
     ep.add_argument("--out", required=True)
     ep.add_argument("--seed", type=int, help="checkpoint seed (default first)")
-    ep.add_argument("--n-explain", type=int, default=12)
-    ep.add_argument("--n-perturb", type=int, default=256)
-    ep.add_argument("--explain-seed", type=int, default=0)
+    _add_ranking_flags(ep, n_perturb=256)
     ep.add_argument("--force", action="store_true")
     ep.set_defaults(func=cmd_explain)
 
@@ -411,12 +439,10 @@ def build_parser() -> argparse.ArgumentParser:
     kp.add_argument("--run", required=True)
     kp.add_argument("--out", required=True)
     kp.add_argument("--seed", type=int)
-    kp.add_argument("--counts", default="3-10", help='k grid, e.g. "3-10"')
+    kp.add_argument("--counts", default=ROI_COUNTS, help='k grid, e.g. "3-10"')
     kp.add_argument("--sweep-epochs", type=int,
                     help="shorter training for the sweep only")
-    kp.add_argument("--n-explain", type=int, default=12)
-    kp.add_argument("--n-perturb", type=int, default=160)
-    kp.add_argument("--explain-seed", type=int, default=0)
+    _add_ranking_flags(kp, n_perturb=EXPLAIN_DEFAULTS["n_perturb"])
     kp.add_argument("--force", action="store_true")
     kp.set_defaults(func=cmd_select_rois)
 

@@ -199,7 +199,6 @@ class LockBox:
     """
 
     def __init__(self, plan: SplitPlan, audit_path: str | Path | None = None):
-        self.plan = plan
         self.lockbox_group = plan.lockbox_group
         self._unlocked = False
         self._seq = 0

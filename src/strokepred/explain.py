@@ -299,6 +299,8 @@ def explain_pool(classifier: Classifier,
     the mean-coefficient ranking over them."""
     if not pool:
         raise ValueError("empty image pool")
+    if n_explain < 1:
+        raise ValueError(f"n_explain={n_explain} must be >= 1")
     rois = image_rois(label_image)
     ids = sorted(pool)
     probs = _predict(classifier, np.stack([pool[i] for i in ids]))

@@ -13,6 +13,11 @@ share one parameter container and one forward/backward pair:
   per-channel affine (gamma, beta) computed from the tabular vector by one
   dense map; gamma=1, beta=0 reproduces ``lightweight`` exactly.
 
+Training has one fixed protocol (``train``): RMSprop on the BCE weighted
+by class weights from the training labels, minibatches shuffled from the
+caller's seed, and the snapshot of the epoch with the lowest validation
+loss.  ``TrainConfig`` holds only the lr grid, epochs and batch size.
+
 The conv stack runs channels-last, (n, h, w, c), from the image to the last
 pool: each conv is one im2col GEMM whose output is the next block's input.
 Most of its time goes to moving memory, so each pass is kept long and
@@ -64,7 +69,7 @@ class NumericAbort(RuntimeError):
 @dataclass(frozen=True)
 class CnnConfig:
     input_hw: tuple[int, int]
-    channels: tuple[int, ...] = (4, 8, 16, 32)
+    channels: tuple[int, ...]
 
     def __post_init__(self):
         h, w = self.input_hw
@@ -95,32 +100,23 @@ class CnnConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lrs: tuple[float, ...] = (1e-4, 5e-4, 1e-5)
-    max_epochs: int = 200
+    lrs: tuple[float, ...] = (3e-3, 1e-3)
+    max_epochs: int = 24
     batch_size: int = 16
-    optimizer: str = "rmsprop"
-    class_weights: tuple[float, float] | None = None  # None: derive from split
-    seed: int = 1
 
     def __post_init__(self):
         if any(lr <= 0 for lr in self.lrs) or not self.lrs:
             raise ValueError("learning rates must be positive")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ValueError("max_epochs and batch_size must be >= 1")
-        if self.optimizer not in ("sgd", "rmsprop"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
     def to_json_dict(self) -> dict:
         return {"lrs": list(self.lrs), "max_epochs": self.max_epochs,
-                "batch_size": self.batch_size, "optimizer": self.optimizer,
-                "class_weights": (None if self.class_weights is None
-                                  else list(self.class_weights)),
-                "seed": self.seed}
+                "batch_size": self.batch_size}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TrainConfig":
-        return from_json_object(cls, d, "train config", lrs=tuple,
-                                class_weights=tuple)
+        return from_json_object(cls, d, "train config", lrs=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -480,20 +476,7 @@ def backward(params: ModelParams, images, tabular, labels,
 
 
 # ---------------------------------------------------------------------------
-# Optimizers
-
-
-def _check_grad_finite(grad: np.ndarray, context: str):
-    if not np.all(np.isfinite(grad)):
-        bad = int(np.sum(~np.isfinite(grad)))
-        raise NumericAbort(f"{context}: {bad}/{grad.size} non-finite gradient entries")
-
-
-def sgd_step(vector: np.ndarray, grad: np.ndarray, lr: float) -> np.ndarray:
-    if lr <= 0:
-        raise ValueError("lr must be positive")
-    _check_grad_finite(grad, "sgd_step")
-    return vector - lr * grad
+# Optimizer
 
 
 def rmsprop_step(vector: np.ndarray, grad: np.ndarray, state: np.ndarray,
@@ -501,7 +484,10 @@ def rmsprop_step(vector: np.ndarray, grad: np.ndarray, state: np.ndarray,
                  eps: float = RMSPROP_EPS):
     if lr <= 0:
         raise ValueError("lr must be positive")
-    _check_grad_finite(grad, "rmsprop_step")
+    if not np.all(np.isfinite(grad)):
+        bad = int(np.sum(~np.isfinite(grad)))
+        raise NumericAbort(
+            f"rmsprop_step: {bad}/{grad.size} non-finite gradient entries")
     state = rho * state + (1.0 - rho) * grad * grad
     return vector - lr * grad / (np.sqrt(state) + eps), state
 
@@ -536,7 +522,7 @@ class ArrayDataset:
 
 
 def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
-          config: TrainConfig, lr: float,
+          config: TrainConfig, lr: float, seed: int,
           cnn: CnnConfig | None = None, tabular_dim: int | None = None,
           ) -> tuple[ModelParams, list[float]]:
     """Mini-batch training; returns the snapshot from the epoch with minimum
@@ -547,10 +533,10 @@ def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
     validation set."""
     if len(val_set) == 0:
         raise ValueError("validation set must be nonempty")
-    weights = config.class_weights or class_weights_from_labels(train_set.labels)
+    weights = class_weights_from_labels(train_set.labels)
     params = build_params(kind, cnn=cnn, tabular_dim=tabular_dim,
-                          rng=CounterRng(config.seed, "init", kind))
-    shuffle_rng = CounterRng(config.seed, "shuffle", kind)
+                          rng=CounterRng(seed, "init", kind))
+    shuffle_rng = CounterRng(seed, "shuffle", kind)
     opt_state = np.zeros_like(params.vector)
     n = len(train_set)
     best_vec = None
@@ -567,11 +553,8 @@ def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
             if not math.isfinite(loss):
                 raise NumericAbort(f"training loss {loss} at epoch {epoch}, "
                                    f"batch {batch_no}")
-            if config.optimizer == "sgd":
-                params.vector = sgd_step(params.vector, grad, lr)
-            else:
-                params.vector, opt_state = rmsprop_step(
-                    params.vector, grad, opt_state, lr)
+            params.vector, opt_state = rmsprop_step(
+                params.vector, grad, opt_state, lr)
         val_loss = class_weighted_bce(
             forward(params, val_set.images, val_set.tabular),
             val_set.labels, weights)

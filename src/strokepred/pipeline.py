@@ -4,14 +4,16 @@ A run takes a cohort (in memory or on disk) and prepares it once
 (``prepare_run``): it partitions with group 5 sealed in the lock box,
 derives the glyph/tabular normalizers from the training groups and builds
 one image variant.  It then picks a learning rate by 4-fold
-cross-validation over groups 1-4, trains one model per seed on groups 1-3
-with group 4 as the validation/calibration split, unlocks the lock box
-exactly once, and evaluates every seed on group 5.  ``explain`` and
-``select-rois`` reuse the same preparation, rank ROIs on the development
-pool (groups 1-4) through ``rank_rois``, and ``roi_count_sweep`` reuses
-the caller's plan, box and normalizers.  All file output is CSV/JSON/SVG
-with deterministic content; only the audit log carries wall-clock
-timestamps.
+cross-validation over groups 1-4 (``group_cv``), trains one model per seed
+on groups 1-3 with group 4 as the validation/calibration split, unlocks the
+lock box exactly once, and evaluates every seed on group 5.  Every fit
+follows ``learn.train``'s fixed protocol (RMSprop, class weights from the
+training labels); each CV fit, here and in ``roi_count_sweep``, uses seed
+``CV_SEED`` = 1.  ``explain`` and ``select-rois`` reuse the same
+preparation, rank ROIs on the development pool (groups 1-4) through
+``rank_rois``, and ``roi_count_sweep`` reuses the caller's plan, box and
+normalizers.  All file output is CSV/JSON/SVG with deterministic content;
+only the audit log carries wall-clock timestamps.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ FUSION_KINDS = ("early_fusion", "daft")
 TRAIN_GROUPS = (1, 2, 3)
 VAL_GROUP = 4
 TEST_GROUP = 5
+CV_GROUPS = (1, 2, 3, 4)
+CV_SEED = 1  # the seed of every cross-validation fit
 
 
 class ConfigError(ValueError):
@@ -52,11 +56,9 @@ class RunConfig:
     image_size: int = 64
     channels: tuple[int, ...] = (4, 8, 16)
     grid: tuple[int, int] | None = None  # stitched grid; None = near-square
-    train: TrainConfig = field(default_factory=lambda: TrainConfig(
-        lrs=(3e-3, 1e-3), max_epochs=24, batch_size=16, optimizer="rmsprop"))
+    train: TrainConfig = field(default_factory=TrainConfig)
     roi_labels: tuple[int, ...] | None = None  # None = every atlas ROI
     partition_seed: int = 0
-    threshold: float = 0.5
     jobs: int = 1
 
     def __post_init__(self):
@@ -95,8 +97,7 @@ class RunConfig:
             "train": self.train.to_json_dict(),
             "roi_labels": (None if self.roi_labels is None
                            else list(self.roi_labels)),
-            "partition_seed": self.partition_seed,
-            "threshold": self.threshold, "jobs": self.jobs,
+            "partition_seed": self.partition_seed, "jobs": self.jobs,
         }
 
     @classmethod
@@ -367,10 +368,8 @@ def _train_once(config: RunConfig, train_set: ArrayDataset,
                 ) -> tuple[ModelParams, list[float]]:
     """One fit; returns the best-epoch snapshot and the per-epoch
     validation losses."""
-    tc = replace(config.train, seed=seed)
     return learn.train(
-        config.model, train_set, val_set, tc, lr,
-        cnn=None if config.model == "logistic" else config.cnn,
+        config.model, train_set, val_set, config.train, lr, seed, config.cnn,
         tabular_dim=(train_set.tabular.shape[1]
                      if train_set.tabular is not None else None))
 
@@ -386,28 +385,30 @@ def _curve_rows(phase: str, lr: float, index: int,
             for epoch, loss in enumerate(val_losses, 1)]
 
 
-def pick_lr(cohort: CohortData, data: VariantData | None,
-            encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
-            config: RunConfig,
-            ) -> tuple[float, dict[float, list[float]], list[CurveRow]]:
-    """4-fold CV over groups 1-4 on the configured lr grid; also returns
-    every fit's learning curve, in fit order."""
-    groups = (1, 2, 3, 4)
+def group_cv(cohort: CohortData, data: VariantData | None,
+             encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
+             config: RunConfig, caller: str,
+             ) -> tuple[float, dict[float, list[float]], list[tuple]]:
+    """Leave-one-group-out CV over groups 1-4 on the configured lr grid,
+    every fit seeded with ``CV_SEED``.  Returns the best lr, the per-lr fold
+    losses and, in fit order, each fit's (lr, validation group, validation
+    fold, best-epoch params, per-epoch validation losses).  Group g's fold
+    is one access, audited as ``{caller}-fold-{g}``."""
     folds = [assemble(cohort, data, encoding, plan, box, [g],
-                      f"cv-fold-{g}", config.model)
-             for g in groups]
-    curves: list[CurveRow] = []
+                      f"{caller}-fold-{g}", config.model)
+             for g in CV_GROUPS]
+    fits = []
 
     def trainer(train_folds, val_fold, lr):
-        _, losses = _train_once(config, concat_datasets(train_folds),
-                                val_fold, lr, seed=config.train.seed)
-        group = next(g for g, f in zip(groups, folds) if f is val_fold)
-        curves.extend(_curve_rows("cv", lr, group, losses))
+        params, losses = _train_once(config, concat_datasets(train_folds),
+                                     val_fold, lr, CV_SEED)
+        group = next(g for g, f in zip(CV_GROUPS, folds) if f is val_fold)
+        fits.append((lr, group, val_fold, params, losses))
         return min(losses)
 
     best_lr, cv_losses = evalharness.cross_validate(
         trainer, folds, list(config.train.lrs))
-    return best_lr, cv_losses, curves
+    return best_lr, cv_losses, fits
 
 
 @dataclass(frozen=True)
@@ -447,8 +448,10 @@ def run_experiment(cohort: CohortData, config: RunConfig,
     if config.model == "logistic":
         best_lr, cv_losses, curves = config.train.lrs[0], {}, []
     else:
-        best_lr, cv_losses, curves = pick_lr(cohort, data, encoding, plan,
-                                             box, config)
+        best_lr, cv_losses, fits = group_cv(cohort, data, encoding, plan,
+                                            box, config, "cv")
+        curves = [row for lr, group, _, _, losses in fits
+                  for row in _curve_rows("cv", lr, group, losses)]
 
     train_set = assemble(cohort, data, encoding, plan, box, TRAIN_GROUPS,
                          "seed-training", config.model)
@@ -495,9 +498,8 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                             f"seed-{seed}-final-eval", config.model)
         probs = cal.apply(learn.forward(params, test_set.images,
                                         test_set.tabular))
-        row = evalharness.metrics(probs, test_set.labels, config.threshold)
-        sub = evalharness.subgroup_metrics(probs, test_set.labels, severities,
-                                           config.threshold)
+        row = evalharness.metrics(probs, test_set.labels)
+        sub = evalharness.subgroup_metrics(probs, test_set.labels, severities)
         sweep = tuple(evalharness.threshold_sweep(probs, test_set.labels))
         seed_results.append(SeedResult(seed=seed, temperature=cal.temperature,
                                        val_loss=val_loss, test=row,
@@ -568,28 +570,19 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
     (from ``prepare_run``).  Only groups 1-4 are touched, so the box may
     already be unlocked; every fold access is logged in it."""
     require_roi_selection(config)
-    tc = config.train if sweep_epochs is None \
-        else replace(config.train, max_epochs=sweep_epochs)
-    sweep_config = replace(config, train=tc)
+    lr = config.train.lrs[0]  # the sweep cross-validates one lr
+    epochs = config.train.max_epochs if sweep_epochs is None else sweep_epochs
+    sweep_config = replace(config, train=replace(
+        config.train, lrs=(lr,), max_epochs=epochs))
 
     def evaluate_k(k: int, top_rois: tuple[int, ...]) -> tuple[float, float]:
         data = build_variant(cohort, sweep_config, *normalizers,
                              roi_labels=top_rois)
-        folds = [assemble(cohort, data, None, plan, box, [g],
-                          f"roi-sweep-k{k}-fold-{g}", sweep_config.model)
-                 for g in (1, 2, 3, 4)]
-        accs = []
-
-        def trainer(train_folds, val, lr):
-            params, losses = _train_once(sweep_config,
-                                         concat_datasets(train_folds), val,
-                                         lr, seed=sweep_config.train.seed)
-            probs = learn.predict_proba(params, val.images, val.tabular)
-            accs.append(evalharness.metrics(probs, val.labels).balanced_accuracy)
-            return min(losses)
-
-        lr = sweep_config.train.lrs[0]
-        _, losses = evalharness.cross_validate(trainer, folds, [lr])
+        _, losses, fits = group_cv(cohort, data, None, plan, box,
+                                   sweep_config, f"roi-sweep-k{k}")
+        accs = [evalharness.metrics(learn.predict_proba(params, val.images),
+                                    val.labels).balanced_accuracy
+                for _, _, val, params, _ in fits]
         return float(np.mean(losses[lr])), float(np.mean(accs))
 
     return explain.select_roi_count(ranking, evaluate_k, counts=counts)
@@ -656,6 +649,11 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
         learn.write_checkpoint(params, ck_dir / f"seed-{seed:03d}.ckp")
     files["checkpoints"] = "checkpoints"
 
+    write_csv(out / "learning_curves.csv",
+              ["phase", "lr", "fold_or_seed", "epoch", "val_loss"],
+              result.learning_curves)
+    files["learning_curves"] = "learning_curves.csv"
+
     meta = {
         "config": cfg.to_json_dict(),
         "best_lr": result.best_lr,
@@ -672,13 +670,6 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
     (out / "index.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
                                     + "\n")
     files["index"] = "index.json"
-
-    # beside the reports, but not in the index's file list, so index.json
-    # reads the same as in runs written without it
-    write_csv(out / "learning_curves.csv",
-              ["phase", "lr", "fold_or_seed", "epoch", "val_loss"],
-              result.learning_curves)
-    files["learning_curves"] = "learning_curves.csv"
     return files
 
 

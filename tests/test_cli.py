@@ -271,6 +271,11 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"explain": [12]}, "explain"),
     ("run", {"explain": {"n_explian": 4}}, "n_explian"),
     ("run", {"explain": {"n_perturb": "160"}}, "n_perturb"),
+    # keys the training config no longer holds
+    ("run", {"run": {"threshold": 0.5}}, "threshold"),
+    ("run", {"run": {"train": {"optimizer": "sgd"}}}, "optimizer"),
+    ("run", {"run": {"train": {"class_weights": [1, 1]}}}, "class_weights"),
+    ("run", {"run": {"train": {"seed": 2}}}, "'seed'"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -283,15 +288,21 @@ def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, 
     assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
 
 
-def test_run_roi_sweep_audits_the_sweep_after_the_unlock(cohort_dir, tmp_path):
-    from strokepred.evalharness import audit_scan
-    cfg = tmp_path / "cfg.json"
+@pytest.fixture(scope="module")
+def sweep_run_dir(cohort_dir, tmp_path_factory):
+    out = tmp_path_factory.mktemp("sweep")
+    cfg = out / "cfg.json"
     cfg.write_text(json.dumps({**RUN_CFG, "roi_counts": [3],
                                "explain": {"n_explain": 2, "n_perturb": 40}}))
-    out = tmp_path / "r"
-    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out / "r"),
                  "--seeds", "1", "--config", str(cfg),
                  "--roi-sweep"]) == EXIT_OK
+    return out / "r"
+
+
+def test_run_roi_sweep_audits_the_sweep_after_the_unlock(sweep_run_dir):
+    from strokepred.evalharness import audit_scan
+    out = sweep_run_dir
     entries = [json.loads(line) for line in
                (out / "audit.jsonl").read_text().splitlines()]
     ops = [e["op"] for e in entries]
@@ -304,6 +315,86 @@ def test_run_roi_sweep_audits_the_sweep_after_the_unlock(cohort_dir, tmp_path):
     assert scan["n_unlocks"] == 1
     assert scan["pre_unlock_lockbox_accesses"] == 0
     assert scan["n_violations"] == 0
+
+
+@pytest.mark.parametrize("which", ["run_dir", "sweep_run_dir"])
+def test_index_lists_every_file_the_run_wrote(which, request):
+    run = request.getfixturevalue(which)
+    files = json.loads((run / "index.json").read_text())["files"]
+    # every file but the index itself
+    assert sorted([*files.values(), "index.json"]) == sorted(
+        p.name for p in run.iterdir())
+
+
+@pytest.mark.parametrize("path,key", [(("train",), "optimizer"),
+                                      (("train",), "class_weights"),
+                                      (("train",), "seed"),
+                                      ((), "threshold")])
+def test_explain_refuses_a_run_index_with_a_removed_key(path, key, cohort_dir,
+                                                        run_dir, tmp_path,
+                                                        monkeypatch, capsys):
+    monkeypatch.setattr(cli.pipeline, "prepare_run", _fail_if_called)
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    doc = json.loads((run / "index.json").read_text())
+    section = doc["config"]
+    for name in path:
+        section = section[name]
+    section[key] = None
+    (run / "index.json").write_text(json.dumps(doc))
+    out = tmp_path / "e"
+    code = main(["explain", "--cohort", str(cohort_dir), "--run", str(run),
+                 "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flags,key", [
+    ("explain", ["--n-explain", "0"], "n_explain"),
+    ("explain", ["--n-explain", "-3"], "n_explain"),
+    ("explain", ["--n-perturb", "0"], "n_perturb"),
+    ("select-rois", ["--n-explain", "0"], "n_explain"),
+    ("select-rois", ["--counts", "0-3"], "--counts"),
+    ("select-rois", ["--sweep-epochs", "0"], "--sweep-epochs"),
+])
+def test_non_positive_ranking_settings_are_refused_before_any_work(
+        command, flags, key, cohort_dir, run_dir, tmp_path, monkeypatch,
+        capsys):
+    monkeypatch.setattr(cli.pipeline, "prepare_run", _fail_if_called)
+    out = tmp_path / "out"
+    code = main([command, "--cohort", str(cohort_dir), "--run", str(run_dir),
+                 "--out", str(out), *flags])
+    assert code == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["explain", "select-rois"])
+def test_too_few_perturbations_are_refused_before_the_ranking(
+        command, cohort_dir, run_dir, tmp_path, monkeypatch, capsys):
+    # the all-ones mask and one mask per ROI need n_perturb >= ROIs + 2
+    monkeypatch.setattr(cli.pipeline, "rank_rois", _fail_if_trained)
+    out = tmp_path / "out"
+    code = main([command, "--cohort", str(cohort_dir), "--run", str(run_dir),
+                 "--out", str(out), "--n-perturb", "2"])
+    assert code == EXIT_CONFIG
+    assert re.search(r"n_perturb 2 must exceed the \d+ ROIs",
+                     capsys.readouterr().err)
+    assert list(out.iterdir()) == []
+
+
+def test_run_roi_sweep_refuses_too_few_perturbations_before_training(
+        cohort_dir, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(learn, "train", _fail_if_trained)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**RUN_CFG, "explain": {"n_perturb": 5}}))
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--seeds", "1", "--config", str(cfg), "--roi-sweep"])
+    assert code == EXIT_CONFIG
+    assert "n_perturb 5 must exceed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fail_if_called(*args, **kwargs):

@@ -449,6 +449,15 @@ def test_aggregate_importance_flags_small_pool_and_requires_positive():
                      n_perturb=64, with_counterfactuals=False)
 
 
+@pytest.mark.parametrize("n_explain", [0, -3])
+def test_explain_pool_refuses_a_non_positive_image_count(n_explain):
+    # a negative count used to slice positives[:-3], and 0 ranked by NaN means
+    labels, classifier, pool, _ = _pool_with_positive()
+    with pytest.raises(ValueError, match="n_explain"):
+        explain_pool(classifier, pool, labels, n_explain=n_explain,
+                     n_perturb=120, with_counterfactuals=False)
+
+
 def test_ranking_stable_across_perturbation_seeds():
     labels, classifier, pool, _ = _pool_with_positive()
     _, r0 = explain_pool(classifier, pool, labels, n_explain=2,

@@ -80,6 +80,11 @@ def test_config_json_round_trip():
     assert back == config
 
 
+def test_run_config_trains_on_the_training_defaults():
+    assert RunConfig().train == TrainConfig() == TrainConfig(
+        lrs=(3e-3, 1e-3), max_epochs=24, batch_size=16)
+
+
 def test_paper_preset_constants():
     config = pipeline.paper_preset(fast_config())
     assert config.image_size == 256
@@ -436,6 +441,31 @@ def test_summary_csv_matches_aggregate(tiny_run, tmp_path):
         got = tiny_run.aggregate[metric]
         assert float(mean) == pytest.approx(got[0], rel=1e-9)
         assert float(se) == pytest.approx(got[1], rel=1e-9, abs=1e-12)
+
+
+def test_group_cv_returns_every_fit_in_fit_order(tiny_cohort):
+    config = fast_config(train=replace(FAST, lrs=(1e-3, 3e-3), max_epochs=2))
+    plan, box, _normalizers, data = pipeline.prepare_run(tiny_cohort, config)
+    best_lr, losses, fits = pipeline.group_cv(tiny_cohort, data, None, plan,
+                                              box, config, "probe")
+    assert [e["caller"] for e in box.entries if e["op"] == "access"][1:] == [
+        f"probe-fold-{g}" for g in (1, 2, 3, 4)]
+    assert [(lr, g) for lr, g, *_ in fits] == [
+        (lr, g) for lr in (1e-3, 3e-3) for g in (1, 2, 3, 4)]
+    for lr, group, val, params, curve in fits:
+        assert len(curve) == 2 and losses[lr][group - 1] == min(curve)
+        assert len(val) == sum(1 for g in plan.assignment.values()
+                               if g == group)
+        assert params.kind == "lightweight"
+    assert best_lr == min(losses, key=lambda lr: (np.mean(losses[lr]), lr))
+    # every fit is seeded with CV_SEED: the first one retrains to the byte
+    lr, group, val, params, curve = fits[0]
+    train_set = pipeline.concat_datasets([f[2] for f in fits[1:4]])
+    again, again_curve = learn.train("lightweight", train_set, val,
+                                     config.train, lr, pipeline.CV_SEED,
+                                     config.cnn)
+    assert np.array_equal(again.vector, params.vector)
+    assert again_curve == curve
 
 
 def test_roi_count_sweep_runs(tiny_cohort):
