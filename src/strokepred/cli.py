@@ -203,7 +203,7 @@ def _rank_and_sweep(out: Path, cohort, config: RunConfig, params, prepared,
     write roi_ranking.csv, roi_curve.csv and roi_curve.svg; ``prepared`` is
     ``prepare_run``'s (plan, box, normalizers, variant data)."""
     plan, box, normalizers, data = prepared
-    _, ranking = pipeline.rank_rois(params, data, plan, **exp)
+    _, ranking = pipeline.rank_rois(params, data, plan, box, **exp)
     curve = pipeline.roi_count_sweep(cohort, config, ranking, plan, box,
                                      normalizers, counts=counts,
                                      sweep_epochs=sweep_epochs)
@@ -230,7 +230,7 @@ def cmd_run(args) -> int:
         pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     if args.roi_sweep:
-        _check_roi_counts(pipeline.variant_layout(cohort, config).label_image,
+        _check_roi_counts(pipeline.prepare_run(cohort, config)[3].label_image,
                           exp["n_perturb"], counts)
     out = _ensure_out_dir(Path(args.out) if args.out else _default_run_dir(),
                           args.force)
@@ -305,10 +305,10 @@ def cmd_explain(args) -> int:
     seed, params = _load_checkpoint(run_dir, config, args.seed)
     out = _ensure_out_dir(Path(args.out), args.force)
 
-    # no held-out data is read here, so the box keeps no audit file
-    plan, _box, _norm, data = pipeline.prepare_run(cohort, config)
+    # only groups 1-4 are read and rendered, so the box keeps no audit file
+    plan, box, _norm, data = pipeline.prepare_run(cohort, config)
     _check_roi_counts(data.label_image, exp["n_perturb"])
-    explanations, ranking = pipeline.rank_rois(params, data, plan, **exp,
+    explanations, ranking = pipeline.rank_rois(params, data, plan, box, **exp,
                                                with_counterfactuals=True)
 
     names = cohort.labels_for(config.variant).label_names
@@ -339,7 +339,7 @@ def cmd_select_rois(args) -> int:
     seed, params = _load_checkpoint(run_dir, config, args.seed)
     out = _ensure_out_dir(Path(args.out), args.force)
 
-    # groups 1-4 only, so the box keeps no audit file
+    # only groups 1-4 are read and rendered, so the box keeps no audit file
     prepared = pipeline.prepare_run(cohort, config)
     _check_roi_counts(prepared[3].label_image, exp["n_perturb"], counts)
     ranking, curve = _rank_and_sweep(out, cohort, config, params, prepared,

@@ -2,18 +2,21 @@
 
 A run takes a cohort (in memory or on disk) and prepares it once
 (``prepare_run``): it partitions with group 5 sealed in the lock box,
-derives the glyph/tabular normalizers from the training groups and builds
-one image variant.  It then picks a learning rate by 4-fold
-cross-validation over groups 1-4 (``group_cv``), trains one model per seed
-on groups 1-3 with group 4 as the validation/calibration split, unlocks the
-lock box exactly once, and evaluates every seed on group 5.  Every fit
-follows ``learn.train``'s fixed protocol (RMSprop, class weights from the
-training labels); each CV fit, here and in ``roi_count_sweep``, uses seed
-``CV_SEED`` = 1.  ``explain`` and ``select-rois`` reuse the same
-preparation, rank ROIs on the development pool (groups 1-4) through
-``rank_rois``, and ``roi_count_sweep`` reuses the caller's plan, box and
-normalizers.  All file output is CSV/JSON/SVG with deterministic content;
-only the audit log carries wall-clock timestamps.
+derives the glyph/tabular normalizers from the training groups and lays out
+one image variant, unrendered (``VariantData``).  It then picks a learning
+rate by 4-fold cross-validation over groups 1-4 (``group_cv``), trains one
+model per seed on groups 1-3 with group 4 as the validation/calibration
+split, unlocks the lock box exactly once, and evaluates every seed on
+group 5.  Every fit follows ``learn.train``'s fixed protocol (RMSprop,
+class weights from the training labels); each CV fit, here and in
+``roi_count_sweep``, uses seed ``CV_SEED`` = 1.  ``explain`` and
+``select-rois`` reuse the same preparation, rank ROIs on the development
+pool (groups 1-4) through ``rank_rois``, and ``roi_count_sweep`` reuses the
+caller's plan, box and normalizers.  Images render through the lock box:
+``assemble`` and ``rank_rois`` render, once per layout, only the subjects of
+the groups the box has just granted, so no group-5 volume is read before the
+unlock.  All file output is CSV/JSON/SVG with deterministic content; only
+the audit log carries wall-clock timestamps.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 from . import core, evalharness, explain, glyphs, imaging, learn
 from .core import CohortManifest, LabelVolume, SubjectRecord, Volume3D
 from .evalharness import Calibrator, LockBox, MetricsRow, SplitPlan
-from .imaging import Image2D, RoiImageSpec, StitchSpec
+from .imaging import RoiImageSpec, StitchSpec
 from .learn import ArrayDataset, CnnConfig, ModelParams, TabularEncoding, TrainConfig
 from .synthcohort import (SynthConfig, TruthModel, cohort_records, gen_atlas,
                           gen_subject)
@@ -82,6 +85,11 @@ class RunConfig:
                     f"{len(self.channels)}")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.roi_labels is not None and (
+                not self.roi_labels or self.variant.endswith("stitched")):
+            raise ConfigError(
+                f"roi_labels {list(self.roi_labels)} on {self.variant!r}: name "
+                "at least one ROI of an ROI variant, or null for every ROI")
 
     @property
     def cnn(self) -> CnnConfig:
@@ -128,7 +136,6 @@ class CohortData:
     tracts: LabelVolume | None
     records: tuple[SubjectRecord, ...]
     volume_of: Callable[[str], Volume3D]
-    truth: TruthModel | None = None  # known only for in-memory synthetic runs
 
     @classmethod
     def from_memory(cls, config: SynthConfig, truth: TruthModel,
@@ -143,7 +150,7 @@ class CohortData:
             return gen_subject(config, truth, seed_of[subject_id], atlas)[0]
 
         return cls(dims=config.dims, atlas=atlas, tracts=tracts,
-                   records=tuple(records), volume_of=volume_of, truth=truth)
+                   records=tuple(records), volume_of=volume_of)
 
     @classmethod
     def from_directory(cls, path: str | Path) -> "CohortData":
@@ -224,80 +231,74 @@ def roi_label_canvas(plan: imaging.RoiTilePlan) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VariantLayout:
-    """What a variant's images share: the explainer's label map at input
-    resolution, the full-resolution canvas shape, and the render of one
-    subject, ``render(volume, record, size_ref, time_ref)``."""
-
-    label_image: np.ndarray  # (S, S) ROI labels at input resolution
-    full_shape: tuple[int, int]
-    render: Callable[[Volume3D, SubjectRecord, float, float], Image2D]
-
-
-def variant_layout(cohort: CohortData, config: RunConfig,
-                   roi_labels: Sequence[int] | None = None) -> VariantLayout:
-    """The configured variant's layout; it depends on the atlas, the dims
-    and the config only, so no volume is read."""
-    variant = config.variant
-    target = (config.image_size, config.image_size)
-    hybrid = variant.startswith("hybrid")
-
-    if variant.endswith("stitched"):
-        nz = cohort.dims[2]
-        spec = StitchSpec(cohort.dims, config.grid or auto_grid(nz),
-                          tuple(range(nz - 4, nz)) if hybrid else ())
-        label_full = imaging.stitched_label_image(
-            cohort.labels_for("gm-roi"), spec)
-        full_shape = spec.image_shape
-
-        def render(volume, record, size_ref, time_ref):
-            if hybrid:
-                return glyphs.hybrid_stitched(volume, record, spec, size_ref,
-                                              time_ref, target)
-            return imaging.downsample(imaging.stitch(volume, spec), *target)
-    else:
-        atlas = cohort.labels_for(variant)
-        if roi_labels is None:
-            roi_labels = config.roi_labels or tuple(sorted(atlas.label_names))
-        plan = fit_roi_spec(atlas, roi_labels,
-                            reserved_fraction=0.22 if hybrid else 0.0)
-        label_full = roi_label_canvas(plan)
-        full_shape = plan.spec.canvas
-
-        def render(volume, record, size_ref, time_ref):
-            if hybrid:
-                return glyphs.hybrid_roi(volume, atlas, plan, record,
-                                         size_ref, time_ref, target)
-            return imaging.downsample(imaging.roi_image(volume, atlas, plan),
-                                      *target)
-
-    return VariantLayout(
-        label_image=downsample_labels(label_full, config.image_size),
-        full_shape=full_shape, render=render)
-
-
-@dataclass(frozen=True)
 class VariantData:
-    """Network-input images per subject plus the explainer's label map."""
+    """A variant's network inputs, rendered on demand, and the explainer's
+    label map.  ``render(id)`` reads one subject's volume and renders it
+    with the layout and the train-only normalizers; ``images_of`` renders a
+    subject on its first request and keeps the image in ``images``."""
 
-    images: dict[str, np.ndarray]  # id -> (S, S) float32
     label_image: np.ndarray  # (S, S) ROI labels at input resolution
     full_shape: tuple[int, int]
+    render: Callable[[str], np.ndarray] | None  # None once all are rendered
+    images: dict[str, np.ndarray] = field(default_factory=dict)  # (S, S) f32
+
+    @classmethod
+    def of(cls, cohort: CohortData, config: RunConfig, size_ref: float,
+           time_ref: float) -> "VariantData":
+        """The configured variant, unrendered; its layout depends on the
+        atlas, the dims and the config only, so no volume is read."""
+        target = (config.image_size, config.image_size)
+        hybrid = config.variant.startswith("hybrid")
+        by_id = {r.id: r for r in cohort.records}
+
+        if config.variant.endswith("stitched"):
+            nz = cohort.dims[2]
+            spec = StitchSpec(cohort.dims, config.grid or auto_grid(nz),
+                              tuple(range(nz - 4, nz)) if hybrid else ())
+            label_full = imaging.stitched_label_image(
+                cohort.labels_for("gm-roi"), spec)
+
+            def draw(volume, record):
+                if hybrid:
+                    return glyphs.hybrid_stitched(volume, record, spec,
+                                                  size_ref, time_ref, target)
+                return imaging.downsample(imaging.stitch(volume, spec), *target)
+        else:
+            atlas = cohort.labels_for(config.variant)
+            plan = fit_roi_spec(
+                atlas, config.roi_labels or tuple(sorted(atlas.label_names)),
+                reserved_fraction=0.22 if hybrid else 0.0)
+            label_full = roi_label_canvas(plan)
+
+            def draw(volume, record):
+                if hybrid:
+                    return glyphs.hybrid_roi(volume, atlas, plan, record,
+                                             size_ref, time_ref, target)
+                return imaging.downsample(
+                    imaging.roi_image(volume, atlas, plan), *target)
+
+        def render(subject_id: str) -> np.ndarray:
+            return draw(cohort.volume_of(subject_id), by_id[subject_id]).pixels
+
+        return cls(label_image=downsample_labels(label_full, config.image_size),
+                   full_shape=label_full.shape, render=render)
+
+    def images_of(self, ids: Sequence[str]) -> list[np.ndarray]:
+        """The images of ``ids`` in order, rendering those not yet held."""
+        for i in ids:
+            if i not in self.images:
+                self.images[i] = self.render(i)
+        return [self.images[i] for i in ids]
 
 
 def build_variant(cohort: CohortData, config: RunConfig,
-                  size_ref: float, time_ref: float,
-                  roi_labels: Sequence[int] | None = None) -> VariantData:
+                  size_ref: float, time_ref: float) -> VariantData:
     """Render every subject's image for the configured variant, downsampled
-    to the square network input."""
-    layout = variant_layout(cohort, config, roi_labels)
-    images = {}
-    for record in sorted(cohort.records, key=lambda r: r.id):
-        volume = cohort.volume_of(record.id)
-        images[record.id] = layout.render(volume, record, size_ref,
-                                          time_ref).pixels
-    return VariantData(images=images, label_image=layout.label_image,
-                       full_shape=layout.full_shape)
+    to the square network input.  The result drops its renderer, so no tile
+    plan outlives the call."""
+    data = VariantData.of(cohort, config, size_ref, time_ref)
+    data.images_of(sorted(r.id for r in cohort.records))
+    return replace(data, render=None)
 
 
 # ---------------------------------------------------------------------------
@@ -313,15 +314,14 @@ def _group_ids(plan: SplitPlan, records: Sequence[SubjectRecord],
 def assemble(cohort: CohortData, data: VariantData | None,
              encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
              groups: Sequence[int], caller: str, model: str) -> ArrayDataset:
-    """Gather one group subset as an ArrayDataset; every call is audited."""
+    """Gather one group subset as an ArrayDataset; every call is audited
+    first, and renders only the images of the groups it was just granted."""
     box.request(groups, caller)
     ids = _group_ids(plan, cohort.records, groups)
     by_id = {r.id: r for r in cohort.records}
     labels = np.array([core.outcome_label(by_id[i].score) for i in ids],
                       dtype=np.float64)
-    images = None
-    if model != "logistic" and data is not None:
-        images = np.stack([data.images[i] for i in ids]).astype(np.float32)
+    images = None if data is None else np.stack(data.images_of(ids))
     tabular = None
     if encoding is not None and (model in FUSION_KINDS or model == "logistic"):
         tabular = encoding.design([by_id[i] for i in ids]).astype(np.float64)
@@ -345,8 +345,8 @@ def prepare_run(cohort: CohortData, config: RunConfig,
                            VariantData | None]:
     """Partition, seal group 5 in a lock box (audited to ``audit_path`` if
     given), derive the glyph and tabular normalizers (size_ref, time_ref)
-    from the training groups only, as one audited access, and render the
-    configured variant; the logistic model renders nothing."""
+    from the training groups only, as one audited access, and lay out the
+    configured variant unrendered; the logistic model has no images."""
     plan = evalharness.stratified_partition(cohort.records, k=5,
                                             seed=config.partition_seed)
     box = LockBox(plan, audit_path)
@@ -355,7 +355,7 @@ def prepare_run(cohort: CohortData, config: RunConfig,
         [r for r in cohort.records if plan.assignment[r.id] in TRAIN_GROUPS])
     data = None
     if config.model != "logistic":
-        data = build_variant(cohort, config, *normalizers)
+        data = VariantData.of(cohort, config, *normalizers)
     return plan, box, normalizers, data
 
 
@@ -527,14 +527,14 @@ def run_experiment(cohort: CohortData, config: RunConfig,
 
 
 def rank_rois(params: ModelParams, data: VariantData, plan: SplitPlan,
-              n_explain: int, n_perturb: int, seed: int,
+              box: LockBox, n_explain: int, n_perturb: int, seed: int,
               with_counterfactuals: bool = False,
               ) -> tuple[list[explain.Explanation], explain.RoiRanking]:
-    """Explain an image model on the development pool (groups 1-4) and rank
-    the ROIs by mean importance; the held-out group is never touched."""
-    dev = set(TRAIN_GROUPS) | {VAL_GROUP}
-    pool = {i: img for i, img in data.images.items()
-            if plan.assignment[i] in dev}
+    """Explain an image model on the development pool (groups 1-4, audited
+    as ``roi-ranking``) and rank the ROIs by mean importance."""
+    box.request(CV_GROUPS, "roi-ranking")
+    ids = sorted(i for i, g in plan.assignment.items() if g in CV_GROUPS)
+    pool = dict(zip(ids, data.images_of(ids)))
 
     def classifier(batch: np.ndarray) -> np.ndarray:
         return learn.predict_proba(params, np.asarray(batch, dtype=np.float32))
@@ -563,7 +563,7 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
                     box: LockBox, normalizers: tuple[float, float],
                     counts: Sequence[int], sweep_epochs: int | None = None,
                     ) -> explain.RoiCountCurve:
-    """Fig-2-style selection: for each k, rebuild top-k ROI images and
+    """Fig-2-style selection: for each k, lay out the top-k ROI images and
     cross-validate over groups 1-4; k* minimizes mean balanced val loss.
 
     ``plan``, ``box`` and the train-only ``normalizers`` are the caller's
@@ -576,8 +576,8 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
         config.train, lrs=(lr,), max_epochs=epochs))
 
     def evaluate_k(k: int, top_rois: tuple[int, ...]) -> tuple[float, float]:
-        data = build_variant(cohort, sweep_config, *normalizers,
-                             roi_labels=top_rois)
+        k_config = replace(sweep_config, roi_labels=top_rois)
+        data = VariantData.of(cohort, k_config, *normalizers)
         _, losses, fits = group_cv(cohort, data, None, plan, box,
                                    sweep_config, f"roi-sweep-k{k}")
         accs = [evalharness.metrics(learn.predict_proba(params, val.images),

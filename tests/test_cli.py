@@ -8,12 +8,13 @@ import shutil
 import subprocess
 import sys
 import types
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from strokepred import cli, learn, pipeline
+from strokepred import cli, evalharness, learn, pipeline
 from strokepred.cli import (EXIT_CONFIG, EXIT_LOCKBOX, EXIT_OK, main,
                             parse_seeds)
 from strokepred.rng import CounterRng
@@ -276,6 +277,10 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"run": {"train": {"optimizer": "sgd"}}}, "optimizer"),
     ("run", {"run": {"train": {"class_weights": [1, 1]}}}, "class_weights"),
     ("run", {"run": {"train": {"seed": 2}}}, "'seed'"),
+    # an empty ROI list, and one that a stitched image would ignore
+    ("run", {"run": {"roi_labels": []}}, "roi_labels"),
+    ("run", {"run": {"variant": "stitched", "roi_labels": [1, 2]}},
+     "roi_labels"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -455,11 +460,22 @@ def test_run_roi_sweep_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
     assert not out.exists()  # refused before any checkpoint is written
 
 
+def _cohort_without_volumes(monkeypatch):
+    """Make every cohort the CLI opens fail on its first volume read."""
+    from_directory = pipeline.CohortData.from_directory
+
+    def opened(path):
+        return replace(from_directory(path), volume_of=_fail_if_called)
+
+    monkeypatch.setattr(pipeline.CohortData, "from_directory",
+                        staticmethod(opened))
+
+
 @pytest.mark.parametrize("command", ["explain", "select-rois"])
 def test_nonempty_out_is_refused_before_any_work(command, cohort_dir, run_dir,
                                                  tmp_path, monkeypatch,
                                                  capsys):
-    monkeypatch.setattr(cli.pipeline, "build_variant", _fail_if_called)
+    _cohort_without_volumes(monkeypatch)
     monkeypatch.setattr(cli.pipeline, "roi_count_sweep", _fail_if_called)
     out = tmp_path / "out"
     out.mkdir()
@@ -520,3 +536,89 @@ def test_main_runs_unchanged_without_mallopt(fake_cdll, run_dir, tmp_path,
     assert want == [EXIT_OK, EXIT_CONFIG]
     monkeypatch.setattr(cli.ctypes, "CDLL", fake_cdll)
     assert [main(argv) for argv in argvs] == want
+
+
+# ---------------------------------------------------------------------------
+# volumes are read only through the lock box
+
+
+def _record_reads(monkeypatch) -> list[tuple[str, object]]:
+    """One event list, in order, of every lock-box grant ("grant", groups),
+    the unlock ("unlock", None) and every volume read ("read", subject id)
+    of the cohorts the CLI opens."""
+    events = []
+    request, unlock = evalharness.LockBox.request, evalharness.LockBox.unlock
+    from_directory = pipeline.CohortData.from_directory
+
+    def granted(self, groups, caller):
+        request(self, groups, caller)
+        events.append(("grant", frozenset(groups)))
+
+    def unlocked(self, reason):
+        unlock(self, reason)
+        events.append(("unlock", None))
+
+    def opened(path):
+        cohort = from_directory(path)
+
+        def volume_of(subject_id):
+            events.append(("read", subject_id))
+            return cohort.volume_of(subject_id)
+
+        return replace(cohort, volume_of=volume_of)
+
+    monkeypatch.setattr(evalharness.LockBox, "request", granted)
+    monkeypatch.setattr(evalharness.LockBox, "unlock", unlocked)
+    monkeypatch.setattr(pipeline.CohortData, "from_directory",
+                        staticmethod(opened))
+    return events
+
+
+def _group_of(cohort_dir) -> dict[str, int]:
+    records = pipeline.CohortData.from_directory(cohort_dir).records
+    return evalharness.stratified_partition(records, k=5, seed=0).assignment
+
+
+def _reads_after_grants(events, group_of) -> list[str]:
+    """The ids read, in order; each one after a grant of its group."""
+    granted, reads = set(), []
+    for op, what in events:
+        if op == "grant":
+            granted |= what
+        elif op == "read":
+            assert group_of[what] in granted, f"{what} read before its grant"
+            reads.append(what)
+    return reads
+
+
+def test_run_reads_each_volume_once_after_its_grant(cohort_dir, tmp_path,
+                                                    monkeypatch):
+    group_of = _group_of(cohort_dir)
+    events = _record_reads(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    assert main(["run", "--cohort", str(cohort_dir), "--out",
+                 str(tmp_path / "r"), "--seeds", "1",
+                 "--config", str(cfg)]) == EXIT_OK
+    reads = _reads_after_grants(events, group_of)
+    assert sorted(reads) == sorted(group_of)  # every subject, once
+    unlock = events.index(("unlock", None))
+    before = {group_of[i] for op, i in events[:unlock] if op == "read"}
+    after = {group_of[i] for op, i in events[unlock:] if op == "read"}
+    assert before == {1, 2, 3, 4} and after == {5}
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("explain", ["--n-explain", "2", "--n-perturb", "40"]),
+    ("select-rois", ["--counts", "3-4", "--n-explain", "2",
+                     "--n-perturb", "40", "--sweep-epochs", "1"]),
+])
+def test_ranking_reads_no_held_out_volume(command, flags, cohort_dir, run_dir,
+                                          tmp_path, monkeypatch):
+    group_of = _group_of(cohort_dir)
+    events = _record_reads(monkeypatch)
+    assert main([command, "--cohort", str(cohort_dir), "--run", str(run_dir),
+                 "--out", str(tmp_path / "out"), *flags]) == EXIT_OK
+    reads = _reads_after_grants(events, group_of)
+    assert {group_of[i] for i in reads} == {1, 2, 3, 4}
+    assert ("unlock", None) not in events

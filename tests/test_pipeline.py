@@ -1,7 +1,9 @@
 """Orchestration tests on a small in-memory cohort."""
 
+import gc
 import json
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -271,12 +273,52 @@ def test_labels_for_missing_tracts_raises(tiny_cohort):
 
 
 def test_roi_subset_changes_canvas(tiny_cohort):
-    config = fast_config()
-    full = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
-    sub = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0,
-                                 roi_labels=(1, 2, 3))
+    full = pipeline.VariantData.of(tiny_cohort, fast_config(), 2000.0, 900.0)
+    sub = pipeline.VariantData.of(
+        tiny_cohort, fast_config(roi_labels=(1, 2, 3)), 2000.0, 900.0)
     assert set(np.unique(sub.label_image)) - {0} <= {1, 2, 3}
     assert sub.full_shape[0] < full.full_shape[0]
+
+
+def test_variant_data_renders_each_subject_once_on_request(tiny_cohort):
+    reads = []
+
+    def volume_of(subject_id):
+        reads.append(subject_id)
+        return tiny_cohort.volume_of(subject_id)
+
+    cohort = replace(tiny_cohort, volume_of=volume_of)
+    config = fast_config(variant="hybrid-gm-roi")
+    data = pipeline.VariantData.of(cohort, config, 2000.0, 900.0)
+    assert reads == [] and data.images == {}  # the layout reads no volume
+    ids = [r.id for r in tiny_cohort.records]
+    first = data.images_of(ids[3:5])
+    again = data.images_of(ids[:5])
+    assert reads == ids[3:5] + ids[:3]
+    assert again[3] is first[0] and again[4] is first[1]
+    full = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
+    for sid, img in zip(ids[:5], again):
+        assert np.array_equal(img, full.images[sid])
+
+
+def test_build_variant_keeps_no_tile_plan(tiny_cohort, monkeypatch):
+    # a renderer left on the result would keep its plan (and the plan's
+    # compiled pixel map) alive as long as the images
+    plans = []
+    fit_roi_spec = pipeline.fit_roi_spec
+
+    def recording(*args, **kwargs):
+        plan = fit_roi_spec(*args, **kwargs)
+        plans.append(weakref.ref(plan))
+        return plan
+
+    monkeypatch.setattr(pipeline, "fit_roi_spec", recording)
+    data = pipeline.build_variant(
+        tiny_cohort, fast_config(variant="hybrid-gm-roi"), 2000.0, 900.0)
+    gc.collect()
+    assert len(plans) == 1 and plans[0]() is None
+    assert data.render is None
+    assert sorted(data.images) == sorted(r.id for r in tiny_cohort.records)
 
 
 # ---------------------------------------------------------------------------
