@@ -98,9 +98,10 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
     masks = [tuple([1] * r)]
     for j in range(r):
         masks.append(tuple(0 if i == j else 1 for i in range(r)))
-    rng = CounterRng(seed, "explain", "masks")
-    while len(masks) < n:
-        masks.append(tuple(int(rng.bernoulli(0.5)) for _ in range(r)))
+    draws = CounterRng(seed, "explain", "masks").uniforms((n - r - 1) * r)
+    # uniform() < 0.5 is bernoulli(0.5), one draw per bit, row by row
+    bits = (draws.reshape(n - r - 1, r) < 0.5).astype(np.int64)
+    masks.extend(map(tuple, bits.tolist()))
 
     records = []
     for start in range(0, n, BATCH_SIZE):

@@ -27,6 +27,9 @@ contiguous where that leaves every sum unchanged:
   contiguous copies, and multiplies their transposed view; BLAS sums a
   transposed GEMM operand in the same order.  GEMV does not, so a block
   with one output channel keeps the row-major columns;
+* the columns, and the input gradient's shifted adds, are built one chunk
+  of whole images at a time, so each tap pass stays in cache; each GEMM
+  still runs once over the whole batch;
 * the bias is added in place over whole (h*w*c_out) rows;
 * each max-pool takes the max of the two row views, then of the two
   column views of that result.
@@ -60,6 +63,10 @@ MODEL_KINDS = ("lightweight", "logistic", "early_fusion", "daft")
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
 CKP_MAGIC = b"CKP1"
+# Column bytes per chunk of an im2col fill: half the 2 MiB per-core L2 of
+# the 2-CPU Xeon it was timed on, leaving room for the chunk's padded
+# input; at batch 128 it beat a whole-L2 chunk.
+CHUNK_BYTES = 1 << 20
 
 
 class NumericAbort(RuntimeError):
@@ -233,6 +240,15 @@ def build_params(kind: str, cnn: CnnConfig | None = None,
 # Forward / backward
 
 
+def _image_chunks(x_shape: tuple[int, ...], itemsize: int) -> list[slice]:
+    """In-order slices of a channels-last conv input's images, each of as
+    many whole images as have at most ``CHUNK_BYTES`` of im2col columns (at
+    least one)."""
+    n, h, wd, c = x_shape
+    step = max(1, CHUNK_BYTES // (h * wd * c * 9 * itemsize))
+    return [slice(s, s + step) for s in range(0, n, step)]
+
+
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     """3x3 same conv of a channels-last (n, h, w, c) batch by one im2col GEMM.
 
@@ -244,8 +260,17 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     view: BLAS sums a transposed operand in the same order, here and in
     ``backward``'s weight-gradient GEMM.  With one output channel numpy
     hands both products to GEMV, whose sums do depend on the operand
-    layout, so that case keeps row-major columns.  The bias is added in
-    place over whole (h*w*c_out) rows, not broadcast over c_out-wide ones.
+    layout, so that case keeps row-major columns.
+
+    A row-major copy writes every 9th float of the (n*h*w, c*9) buffer, so
+    a pass over the whole batch pulls every cache line of the buffer.  The
+    columns are therefore filled one chunk of whole images at a time
+    (``_image_chunks``: each chunk's columns at most ``CHUNK_BYTES``), all
+    nine taps per chunk, so the chunk's lines stay in cache between taps.
+    Each column value is still one copy of one padded input value into the
+    same buffer, and the one GEMM over the whole batch is unchanged, so no
+    output changes.  The bias is added in place over whole (h*w*c_out)
+    rows, not broadcast over c_out-wide ones.
     """
     n, h, wd, c = x.shape
     c_out = w.shape[0]
@@ -254,10 +279,11 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     tap_major = c == 1 and c_out > 1
     buf = np.empty((9, n, h, wd, 1) if tap_major else (n, h, wd, c, 9),
                    dtype=x.dtype)
-    for t in range(9):
-        ki, kj = divmod(t, 3)
-        tap = buf[t] if tap_major else buf[..., t]
-        tap[...] = xp[:, ki:ki + h, kj:kj + wd]
+    for part in _image_chunks(x.shape, x.itemsize):
+        for t in range(9):
+            ki, kj = divmod(t, 3)
+            tap = buf[t, part] if tap_major else buf[part, ..., t]
+            tap[...] = xp[part, ki:ki + h, kj:kj + wd]
     cols = (buf.reshape(9, n * h * wd).T if tap_major
             else buf.reshape(n * h * wd, c * 9))
     out = cols @ w.reshape(c_out, -1).T
@@ -269,13 +295,20 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 def _conv_input_grad(dout_r: np.ndarray, w: np.ndarray,
                      x_shape: tuple[int, ...]) -> np.ndarray:
     """Gradient w.r.t. the channels-last conv input from the (n*h*w, c_out)
-    output grad."""
+    output grad.
+
+    One GEMM gives every tap's gradient, (n, h, w, c, 3, 3); the nine
+    shifted adds then run over the same image chunks as the forward fill.
+    An image's padded gradient only receives its own image's taps, in the
+    same (ki, kj) order per chunk, so every sum is the one a whole-batch
+    pass makes."""
     n, h, wd, c = x_shape
     dwin = (dout_r @ w.reshape(w.shape[0], -1)).reshape(n, h, wd, c, 3, 3)
     dxp = np.zeros((n, h + 2, wd + 2, c), dtype=dout_r.dtype)
-    for ki in range(3):
-        for kj in range(3):
-            dxp[:, ki:ki + h, kj:kj + wd] += dwin[..., ki, kj]
+    for part in _image_chunks(x_shape, dwin.itemsize):
+        for ki in range(3):
+            for kj in range(3):
+                dxp[part, ki:ki + h, kj:kj + wd] += dwin[part, ..., ki, kj]
     return dxp[:, 1:h + 1, 1:wd + 1]
 
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # golden-ratio increment
 
@@ -63,6 +65,21 @@ class CounterRng:
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         """Uniform float in [low, high) with 53-bit resolution."""
         u = self.next_u64() >> 11
+        return low + (high - low) * (u * (1.0 / (1 << 53)))
+
+    def uniforms(self, n: int, low: float = 0.0,
+                 high: float = 1.0) -> np.ndarray:
+        """The next ``n`` ``uniform(low, high)`` draws as a float64 array,
+        equal to ``n`` scalar calls: SplitMix64 in uint64 arithmetic, whose
+        wraparound is the scalar path's 64-bit mask."""
+        if n < 0:
+            raise ValueError(f"cannot draw {n} values")
+        i = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
+        self.counter += n
+        z = np.uint64(self.key) + i * np.uint64(_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64)
         return low + (high - low) * (u * (1.0 / (1 << 53)))
 
     def randint(self, low: int, high: int) -> int:

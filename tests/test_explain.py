@@ -11,6 +11,7 @@ from strokepred.explain import (Explanation, PerturbationRecord, RoiRanking,
                                 explanation_report, fit_surrogate,
                                 gen_perturbations, roi_pixel_sets,
                                 select_roi_count)
+from strokepred.rng import CounterRng
 
 ROIS = (1, 2, 3, 4)
 
@@ -159,6 +160,32 @@ def test_gen_perturbations_row_structure_and_reproducibility():
     other = gen_perturbations(original, contrast, labels, classifier,
                               rois=ROIS, n=40, seed=6)
     assert [r.mask for r in other[5:]] != [r.mask for r in recs[5:]]
+
+
+def _loop_masks(r, n, seed):
+    """The masks as gen_perturbations drew them bit by bit, one scalar
+    bernoulli(0.5) per bit."""
+    masks = [tuple([1] * r)]
+    masks += [tuple(0 if i == j else 1 for i in range(r)) for j in range(r)]
+    rng = CounterRng(seed, "explain", "masks")
+    while len(masks) < n:
+        masks.append(tuple(int(rng.bernoulli(0.5)) for _ in range(r)))
+    return masks
+
+
+@pytest.mark.parametrize("r,n", [(1, 3), (1, 300), (20, 22), (20, 23),
+                                 (20, 300)])
+def test_gen_perturbations_masks_match_the_per_bit_loop(r, n):
+    labels = np.zeros((10, 8), dtype=np.int64)  # ROI k is pixels 4k..4k+3
+    labels.ravel()[:4 * r] = np.repeat(np.arange(1, r + 1), 4)
+    image = np.linspace(0.0, 1.0, labels.size).reshape(labels.shape)
+    for seed in (0, 9):
+        recs = gen_perturbations(image, 1.0 - image, labels,
+                                 _mean_logit_classifier,
+                                 rois=tuple(range(1, r + 1)), n=n, seed=seed)
+        masks = [rec.mask for rec in recs]
+        assert masks == _loop_masks(r, n, seed)
+        assert all(type(bit) is int for m in masks for bit in m)
 
 
 def test_gen_perturbations_with_self_contrast_is_constant():

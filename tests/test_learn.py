@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strokepred import learn
 from strokepred.core import FormatError, SubjectRecord
 from strokepred.learn import (
     CKP_MAGIC,
@@ -380,17 +381,45 @@ def _parity_images(style, n, hw, gen):
     return np.repeat(np.repeat(tiles, 4, axis=1), 4, axis=2)
 
 
+PARITY_KINDS = ["lightweight", "early_fusion", "daft"]
+PARITY_DTYPES = [np.float32, np.float64]
 # One output channel in the first block, (1, 2), makes numpy hand block 0's
 # product to GEMV, whose sums depend on the operand layout.
-@pytest.mark.parametrize("kind", ["lightweight", "early_fusion", "daft"])
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+PARITY_SHAPES = [((8, 8), (2, 3)), ((8, 16), (2, 3)),
+                 ((16, 32), (4, 8, 16, 32)), ((8, 8), (1, 2))]
+
+
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("dtype", PARITY_DTYPES)
 @pytest.mark.parametrize("n", [1, 7])
-@pytest.mark.parametrize("hw,channels", [((8, 8), (2, 3)),
-                                         ((8, 16), (2, 3)),
-                                         ((16, 32), (4, 8, 16, 32)),
-                                         ((8, 8), (1, 2))])
+@pytest.mark.parametrize("hw,channels", PARITY_SHAPES)
 def test_channels_last_kernels_match_nchw_reference(kind, dtype, n, hw,
                                                     channels):
+    _assert_matches_nchw_reference(kind, dtype, n, hw, channels)
+
+
+def _widest_conv_input(n, hw, channels):
+    """The (n, h, w, c) input of the conv block with the most im2col
+    columns per image."""
+    return max(((n, hw[0] >> i, hw[1] >> i, c)
+                for i, c in enumerate((1, *channels[:-1]))), key=math.prod)
+
+
+# A chunk budget of one byte leaves one image per chunk in every block; three
+# images' worth of the widest block splits 7 images 3 + 3 + 1 there.
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("dtype", PARITY_DTYPES)
+@pytest.mark.parametrize("hw,channels", PARITY_SHAPES)
+@pytest.mark.parametrize("per_chunk,n", [(1, 1), (1, 7), (3, 7)])
+def test_chunked_fills_match_nchw_reference(monkeypatch, kind, dtype, hw,
+                                            channels, per_chunk, n):
+    x_shape = _widest_conv_input(n, hw, channels)
+    itemsize = np.dtype(dtype).itemsize
+    budget = (1 if per_chunk == 1
+              else per_chunk * math.prod(x_shape[1:]) * 9 * itemsize)
+    monkeypatch.setattr(learn, "CHUNK_BYTES", budget)
+    sizes = [len(range(n)[p]) for p in learn._image_chunks(x_shape, itemsize)]
+    assert sizes == ([1] * n if per_chunk == 1 else [3, 3, 1])
     _assert_matches_nchw_reference(kind, dtype, n, hw, channels)
 
 

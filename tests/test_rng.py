@@ -1,5 +1,8 @@
 import math
 
+import numpy as np
+import pytest
+
 from strokepred.rng import CounterRng, derive_key, mix64
 
 
@@ -67,3 +70,34 @@ def test_shuffle_is_permutation_and_deterministic():
 def test_derive_key_string_vs_int_distinct():
     assert derive_key(1, "a") != derive_key(1, "b")
     assert derive_key(1, 0) != derive_key(1, "0")
+
+
+def _scalar_uniforms(rng, n, *bounds):
+    return [rng.uniform(*bounds) for _ in range(n)]
+
+
+def test_uniforms_equal_scalar_draws_and_advance_the_counter():
+    for n in (0, 1, 5000):
+        vec, ref = CounterRng(11, "u", n), CounterRng(11, "u", n)
+        got = vec.uniforms(n)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == np.array(_scalar_uniforms(ref, n)).tobytes()
+        assert vec.counter == ref.counter == n
+    with pytest.raises(ValueError):
+        vec.uniforms(-1)
+    assert vec.counter == 5000
+
+
+def test_uniforms_continue_an_advanced_stream_over_a_range():
+    vec, ref = CounterRng(3, "advanced"), CounterRng(3, "advanced")
+    for rng in (vec, ref):
+        rng.uniform()
+        rng.normal()
+        rng.randint(0, 9)
+    assert vec.counter == ref.counter
+    got = vec.uniforms(257, -2.5, 7.25)
+    want = _scalar_uniforms(ref, 257, -2.5, 7.25)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert all(-2.5 <= x < 7.25 for x in got)
+    assert vec.counter == ref.counter
+    assert vec.uniform() == ref.uniform()  # the two streams stay in step
