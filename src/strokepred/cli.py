@@ -143,8 +143,6 @@ def _run_config(args, doc: dict) -> RunConfig:
         overrides["model"] = args.model
     if args.seeds is not None:
         overrides["seeds"] = parse_seeds(args.seeds)
-    if getattr(args, "jobs", None) is not None:
-        overrides["jobs"] = args.jobs
     if overrides:
         config = replace(config, **overrides)
     if getattr(args, "preset", None) == "paper":
@@ -197,18 +195,18 @@ def _check_roi_counts(label_image, n_perturb: int, counts=()) -> None:
                           "ROIs in the rendered label map + 1")
 
 
-def _rank_and_sweep(out: Path, cohort, config: RunConfig, params, prepared,
-                    exp: dict, counts, sweep_epochs=None):
-    """Rank the ROIs on the development pool, sweep the count grid, and
-    write roi_ranking.csv, roi_curve.csv and roi_curve.svg; ``prepared`` is
-    ``prepare_run``'s (plan, box, normalizers, variant data)."""
-    plan, box, normalizers, data = prepared
-    _, ranking = pipeline.rank_rois(params, data, plan, box, **exp)
-    curve = pipeline.roi_count_sweep(cohort, config, ranking, plan, box,
-                                     normalizers, counts=counts,
+def _rank_and_sweep(out: Path, run, params, exp: dict, counts,
+                    sweep_epochs=None):
+    """Rank the ROIs of a prepared run on the development pool, sweep the
+    count grid, and write roi_ranking.csv, roi_curve.csv and roi_curve.svg."""
+    _, ranking = pipeline.rank_rois(params, run, **exp)
+    if ranking.flags:
+        print("ranking flags: " + ", ".join(ranking.flags))
+    curve = pipeline.roi_count_sweep(run, ranking, counts=counts,
                                      sweep_epochs=sweep_epochs)
-    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv",
-                               cohort.labels_for(config.variant).label_names)
+    pipeline.write_ranking_csv(
+        ranking, out / "roi_ranking.csv",
+        run.cohort.labels_for(run.config.variant).label_names)
     pipeline.write_curve_csv(curve, out / "roi_curve.csv")
     pipeline.write_curve_svg(curve, out / "roi_curve.svg")
     return ranking, curve
@@ -224,27 +222,31 @@ def _update_index(out: Path, extra: dict) -> None:
 def cmd_run(args) -> int:
     doc = _load_config_file(args.config)
     config = _run_config(args, doc)
+    if args.jobs < 1:
+        raise ConfigError("--jobs must be >= 1")
     counts = doc.get("roi_counts", parse_seeds(ROI_COUNTS))
     exp = _ranking_settings(doc.get("explain", {}), counts)
     if args.roi_sweep:
         pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     if args.roi_sweep:
-        _check_roi_counts(pipeline.prepare_run(cohort, config)[3].label_image,
-                          exp["n_perturb"], counts)
+        _check_roi_counts(
+            pipeline.prepare_run(cohort, config).variant_data.label_image,
+            exp["n_perturb"], counts)
     out = _ensure_out_dir(Path(args.out) if args.out else _default_run_dir(),
                           args.force)
 
     result = pipeline.run_experiment(cohort, config,
-                                     audit_path=out / "audit.jsonl")
+                                     audit_path=out / "audit.jsonl",
+                                     jobs=args.jobs)
+    for warning in result.plan.balance.warnings:
+        print(f"partition warning: {warning}")
     pipeline.emit_run(result, out)
     _update_index(out, {"audit": "audit.jsonl"})
 
     if args.roi_sweep:
         _, curve = _rank_and_sweep(
-            out, cohort, config, result.checkpoints[config.seeds[0]],
-            (result.plan, result.box, result.normalizers,
-             result.variant_data), exp, counts)
+            out, result, result.checkpoints[config.seeds[0]], exp, counts)
         _update_index(out, {"roi_ranking": "roi_ranking.csv",
                             "roi_curve": "roi_curve.csv",
                             "roi_curve_svg": "roi_curve.svg"})
@@ -306,10 +308,12 @@ def cmd_explain(args) -> int:
     out = _ensure_out_dir(Path(args.out), args.force)
 
     # only groups 1-4 are read and rendered, so the box keeps no audit file
-    plan, box, _norm, data = pipeline.prepare_run(cohort, config)
-    _check_roi_counts(data.label_image, exp["n_perturb"])
-    explanations, ranking = pipeline.rank_rois(params, data, plan, box, **exp,
+    run = pipeline.prepare_run(cohort, config)
+    _check_roi_counts(run.variant_data.label_image, exp["n_perturb"])
+    explanations, ranking = pipeline.rank_rois(params, run, **exp,
                                                with_counterfactuals=True)
+    if ranking.flags:
+        print("ranking flags: " + ", ".join(ranking.flags))
 
     names = cohort.labels_for(config.variant).label_names
     expl_dir = out / "explanations"
@@ -340,10 +344,10 @@ def cmd_select_rois(args) -> int:
     out = _ensure_out_dir(Path(args.out), args.force)
 
     # only groups 1-4 are read and rendered, so the box keeps no audit file
-    prepared = pipeline.prepare_run(cohort, config)
-    _check_roi_counts(prepared[3].label_image, exp["n_perturb"], counts)
-    ranking, curve = _rank_and_sweep(out, cohort, config, params, prepared,
-                                     exp, counts, args.sweep_epochs)
+    run = pipeline.prepare_run(cohort, config)
+    _check_roi_counts(run.variant_data.label_image, exp["n_perturb"], counts)
+    ranking, curve = _rank_and_sweep(out, run, params, exp, counts,
+                                     args.sweep_epochs)
     names = cohort.labels_for(config.variant).label_names
     chosen = ranking.rois[:curve.best_k]
     (out / "selection.json").write_text(json.dumps(
@@ -419,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--seeds", help='e.g. "1-20" or "1,3,9"')
     rp.add_argument("--preset", choices=["paper"],
                     help="full-scale constants (256x256, 6 blocks, 200 epochs)")
-    rp.add_argument("--jobs", type=int, help="concurrent seed fits")
+    rp.add_argument("--jobs", type=int, default=1,
+                    help="concurrent seed fits")
     rp.add_argument("--roi-sweep", action="store_true",
                     help="emit ROI ranking + count-selection curve")
     rp.add_argument("--force", action="store_true")

@@ -1,22 +1,24 @@
 """End-to-end experiment orchestration.
 
 A run takes a cohort (in memory or on disk) and prepares it once
-(``prepare_run``): it partitions with group 5 sealed in the lock box,
-derives the glyph/tabular normalizers from the training groups and lays out
-one image variant, unrendered (``VariantData``).  It then picks a learning
-rate by 4-fold cross-validation over groups 1-4 (``group_cv``), trains one
-model per seed on groups 1-3 with group 4 as the validation/calibration
-split, unlocks the lock box exactly once, and evaluates every seed on
-group 5.  Every fit follows ``learn.train``'s fixed protocol (RMSprop,
-class weights from the training labels); each CV fit, here and in
+(``prepare_run``) into a ``PreparedRun``: the partition, with group 5
+sealed in its lock box, the tabular encoding whose normalizers come from
+the training groups only, and one image variant laid out unrendered
+(``VariantData``).  Everything downstream takes that one value.  The run
+picks a learning rate by 4-fold cross-validation over groups 1-4
+(``group_cv``), trains one model per seed on groups 1-3 with group 4 as the
+validation/calibration split, unlocks the lock box exactly once, and
+evaluates every seed on group 5; its ``RunResult`` is the prepared run plus
+those results.  Every fit follows ``learn.train``'s fixed protocol
+(RMSprop, class weights from the training labels); each CV fit, here and in
 ``roi_count_sweep``, uses seed ``CV_SEED`` = 1.  ``explain`` and
-``select-rois`` reuse the same preparation, rank ROIs on the development
-pool (groups 1-4) through ``rank_rois``, and ``roi_count_sweep`` reuses the
-caller's plan, box and normalizers.  Images render through the lock box:
-``assemble`` and ``rank_rois`` render, once per layout, only the subjects of
-the groups the box has just granted, so no group-5 volume is read before the
-unlock.  All file output is CSV/JSON/SVG with deterministic content; only
-the audit log carries wall-clock timestamps.
+``select-rois`` prepare the same run, rank ROIs on the development pool
+(groups 1-4) through ``rank_rois``, and ``roi_count_sweep`` derives each
+top-k run from it, on the same partition and box.  Images render through
+the lock box: ``assemble`` and ``rank_rois`` render, once per layout, only
+the subjects of the groups the box has just granted, so no group-5 volume
+is read before the unlock.  All file output is CSV/JSON/SVG with
+deterministic content; only the audit log carries wall-clock timestamps.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ VAL_GROUP = 4
 TEST_GROUP = 5
 CV_GROUPS = (1, 2, 3, 4)
 CV_SEED = 1  # the seed of every cross-validation fit
+PARTITION_SEED = 0  # the seed of every run's partition
 
 
 class ConfigError(ValueError):
@@ -58,11 +61,8 @@ class RunConfig:
     seeds: tuple[int, ...] = tuple(range(1, 21))
     image_size: int = 64
     channels: tuple[int, ...] = (4, 8, 16)
-    grid: tuple[int, int] | None = None  # stitched grid; None = near-square
     train: TrainConfig = field(default_factory=TrainConfig)
     roi_labels: tuple[int, ...] | None = None  # None = every atlas ROI
-    partition_seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
@@ -83,8 +83,6 @@ class RunConfig:
                 raise ConfigError(
                     f"image_size {self.image_size} not divisible by 2^"
                     f"{len(self.channels)}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be >= 1")
         if self.roi_labels is not None and (
                 not self.roi_labels or self.variant.endswith("stitched")):
             raise ConfigError(
@@ -101,28 +99,24 @@ class RunConfig:
             "variant": self.variant, "model": self.model,
             "seeds": list(self.seeds), "image_size": self.image_size,
             "channels": list(self.channels),
-            "grid": None if self.grid is None else list(self.grid),
             "train": self.train.to_json_dict(),
             "roi_labels": (None if self.roi_labels is None
                            else list(self.roi_labels)),
-            "partition_seed": self.partition_seed, "jobs": self.jobs,
         }
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
         return core.from_json_object(
-            cls, d, "run config", seeds=tuple, channels=tuple, grid=tuple,
+            cls, d, "run config", seeds=tuple, channels=tuple,
             train=TrainConfig.from_json_dict, roi_labels=tuple)
 
 
 def paper_preset(config: RunConfig) -> RunConfig:
-    """Full-scale constants: 256x256 inputs, 6 blocks, 200 epochs, 20 seeds."""
+    """Full-scale constants: 256x256 inputs, 6 blocks, 200 epochs."""
     return replace(config, image_size=256,
                    channels=(8, 16, 32, 64, 128, 256),
-                   grid=(8, 8),
                    train=replace(config.train, lrs=(1e-4, 5e-4, 1e-5),
-                                 max_epochs=200),
-                   seeds=tuple(range(1, 21)))
+                                 max_epochs=200))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +247,7 @@ class VariantData:
 
         if config.variant.endswith("stitched"):
             nz = cohort.dims[2]
-            spec = StitchSpec(cohort.dims, config.grid or auto_grid(nz),
+            spec = StitchSpec(cohort.dims, auto_grid(nz),
                               tuple(range(nz - 4, nz)) if hybrid else ())
             label_full = imaging.stitched_label_image(
                 cohort.labels_for("gm-roi"), spec)
@@ -302,29 +296,44 @@ def build_variant(cohort: CohortData, config: RunConfig,
 
 
 # ---------------------------------------------------------------------------
-# Dataset assembly under the lock box
+# The prepared run and dataset assembly under its lock box
 
 
-def _group_ids(plan: SplitPlan, records: Sequence[SubjectRecord],
-               groups: Sequence[int]) -> list[str]:
-    want = set(groups)
-    return [r.id for r in records if plan.assignment[r.id] in want]
+@dataclass(frozen=True)
+class PreparedRun:
+    """One sealed session: the cohort and config, the partition and its
+    lock box, the train-only tabular encoding and the variant, unrendered
+    (None for the logistic model, which has no images)."""
+
+    cohort: CohortData
+    config: RunConfig
+    plan: SplitPlan
+    box: LockBox
+    encoding: TabularEncoding
+    variant_data: VariantData | None
+
+    def records_of(self, groups: Sequence[int]) -> list[SubjectRecord]:
+        """The records of ``groups``, in cohort order."""
+        want = set(groups)
+        return [r for r in self.cohort.records
+                if self.plan.assignment[r.id] in want]
 
 
-def assemble(cohort: CohortData, data: VariantData | None,
-             encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
-             groups: Sequence[int], caller: str, model: str) -> ArrayDataset:
+def assemble(run: PreparedRun, groups: Sequence[int],
+             caller: str) -> ArrayDataset:
     """Gather one group subset as an ArrayDataset; every call is audited
-    first, and renders only the images of the groups it was just granted."""
-    box.request(groups, caller)
-    ids = _group_ids(plan, cohort.records, groups)
-    by_id = {r.id: r for r in cohort.records}
-    labels = np.array([core.outcome_label(by_id[i].score) for i in ids],
+    first, and renders only the images of the groups it was just granted.
+    Every model but the image-only one takes the tabular features."""
+    run.box.request(groups, caller)
+    records = run.records_of(groups)
+    labels = np.array([core.outcome_label(r.score) for r in records],
                       dtype=np.float64)
-    images = None if data is None else np.stack(data.images_of(ids))
+    images = None
+    if run.variant_data is not None:
+        images = np.stack(run.variant_data.images_of([r.id for r in records]))
     tabular = None
-    if encoding is not None and (model in FUSION_KINDS or model == "logistic"):
-        tabular = encoding.design([by_id[i] for i in ids]).astype(np.float64)
+    if run.config.model != "lightweight":
+        tabular = run.encoding.design(records).astype(np.float64)
     return ArrayDataset(images=images, tabular=tabular, labels=labels)
 
 
@@ -340,23 +349,22 @@ def concat_datasets(parts: Sequence[ArrayDataset]) -> ArrayDataset:
 
 
 def prepare_run(cohort: CohortData, config: RunConfig,
-                audit_path: str | Path | None = None,
-                ) -> tuple[SplitPlan, LockBox, tuple[float, float],
-                           VariantData | None]:
+                audit_path: str | Path | None = None) -> PreparedRun:
     """Partition, seal group 5 in a lock box (audited to ``audit_path`` if
-    given), derive the glyph and tabular normalizers (size_ref, time_ref)
-    from the training groups only, as one audited access, and lay out the
-    configured variant unrendered; the logistic model has no images."""
+    given), derive the glyph and tabular normalizers from the training
+    groups only, as one audited access, and lay out the configured variant
+    unrendered."""
     plan = evalharness.stratified_partition(cohort.records, k=5,
-                                            seed=config.partition_seed)
+                                            seed=PARTITION_SEED)
     box = LockBox(plan, audit_path)
     box.request(TRAIN_GROUPS, "feature-normalizers")
-    normalizers = glyphs.normalizers_from_records(
-        [r for r in cohort.records if plan.assignment[r.id] in TRAIN_GROUPS])
+    encoding = TabularEncoding(*glyphs.normalizers_from_records(
+        [r for r in cohort.records if plan.assignment[r.id] in TRAIN_GROUPS]))
     data = None
     if config.model != "logistic":
-        data = VariantData.of(cohort, config, *normalizers)
-    return plan, box, normalizers, data
+        data = VariantData.of(cohort, config, encoding.size_ref,
+                              encoding.time_ref)
+    return PreparedRun(cohort, config, plan, box, encoding, data)
 
 
 # ---------------------------------------------------------------------------
@@ -385,29 +393,25 @@ def _curve_rows(phase: str, lr: float, index: int,
             for epoch, loss in enumerate(val_losses, 1)]
 
 
-def group_cv(cohort: CohortData, data: VariantData | None,
-             encoding: TabularEncoding | None, plan: SplitPlan, box: LockBox,
-             config: RunConfig, caller: str,
+def group_cv(run: PreparedRun, caller: str,
              ) -> tuple[float, dict[float, list[float]], list[tuple]]:
     """Leave-one-group-out CV over groups 1-4 on the configured lr grid,
     every fit seeded with ``CV_SEED``.  Returns the best lr, the per-lr fold
     losses and, in fit order, each fit's (lr, validation group, validation
     fold, best-epoch params, per-epoch validation losses).  Group g's fold
     is one access, audited as ``{caller}-fold-{g}``."""
-    folds = [assemble(cohort, data, encoding, plan, box, [g],
-                      f"{caller}-fold-{g}", config.model)
-             for g in CV_GROUPS]
+    folds = [assemble(run, [g], f"{caller}-fold-{g}") for g in CV_GROUPS]
     fits = []
 
     def trainer(train_folds, val_fold, lr):
-        params, losses = _train_once(config, concat_datasets(train_folds),
+        params, losses = _train_once(run.config, concat_datasets(train_folds),
                                      val_fold, lr, CV_SEED)
         group = next(g for g, f in zip(CV_GROUPS, folds) if f is val_fold)
         fits.append((lr, group, val_fold, params, losses))
         return min(losses)
 
     best_lr, cv_losses = evalharness.cross_validate(
-        trainer, folds, list(config.train.lrs))
+        trainer, folds, list(run.config.train.lrs))
     return best_lr, cv_losses, fits
 
 
@@ -422,41 +426,35 @@ class SeedResult:
 
 
 @dataclass(frozen=True)
-class RunResult:
-    config: RunConfig
-    plan: SplitPlan
+class RunResult(PreparedRun):
+    """A prepared run with its results; its box has been unlocked."""
+
     best_lr: float
     cv_losses: dict[float, list[float]]
     seeds: tuple[SeedResult, ...]
     aggregate: dict[str, tuple[float, float]]
     subgroup_aggregate: dict[str, tuple[float, float]]
     sweep_mean: tuple[tuple[float, float], ...]
-    box: LockBox
     checkpoints: dict[int, ModelParams]
-    variant_data: VariantData | None
-    normalizers: tuple[float, float]  # train-only (size_ref, time_ref)
     learning_curves: tuple[CurveRow, ...]  # CV fits, then seed fits
 
 
 def run_experiment(cohort: CohortData, config: RunConfig,
-                   audit_path: str | Path | None = None) -> RunResult:
-    """The full protocol for one (variant, model) cell."""
-    records = cohort.records
-    plan, box, normalizers, data = prepare_run(cohort, config, audit_path)
-    encoding = TabularEncoding(*normalizers)
+                   audit_path: str | Path | None = None,
+                   jobs: int = 1) -> RunResult:
+    """The full protocol for one (variant, model) cell, fitting up to
+    ``jobs`` seeds at a time."""
+    run = prepare_run(cohort, config, audit_path)
 
     if config.model == "logistic":
         best_lr, cv_losses, curves = config.train.lrs[0], {}, []
     else:
-        best_lr, cv_losses, fits = group_cv(cohort, data, encoding, plan,
-                                            box, config, "cv")
+        best_lr, cv_losses, fits = group_cv(run, "cv")
         curves = [row for lr, group, _, _, losses in fits
                   for row in _curve_rows("cv", lr, group, losses)]
 
-    train_set = assemble(cohort, data, encoding, plan, box, TRAIN_GROUPS,
-                         "seed-training", config.model)
-    val_set = assemble(cohort, data, encoding, plan, box, [VAL_GROUP],
-                       "validation-calibration", config.model)
+    train_set = assemble(run, TRAIN_GROUPS, "seed-training")
+    val_set = assemble(run, [VAL_GROUP], "validation-calibration")
 
     def fit_seed(seed: int) -> tuple[int, ModelParams, Calibrator, float,
                                      list[CurveRow]]:
@@ -477,25 +475,22 @@ def run_experiment(cohort: CohortData, config: RunConfig,
         cal = evalharness.fit_temperature(val_logits, val_set.labels)
         return seed, params, cal, val_loss, curve
 
-    if config.jobs > 1 and len(config.seeds) > 1:
+    if jobs > 1 and len(config.seeds) > 1:
         # seed fits are independent; results are collected in seed order so
         # concurrency cannot change any output
         from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
             fitted = list(pool.map(fit_seed, config.seeds))
     else:
         fitted = [fit_seed(s) for s in config.seeds]
 
-    box.unlock("final evaluation on the held-out group")
-    by_id = {r.id: r for r in records}
-    severities = [by_id[i].severity
-                  for i in _group_ids(plan, records, [TEST_GROUP])]
+    run.box.unlock("final evaluation on the held-out group")
+    severities = [r.severity for r in run.records_of([TEST_GROUP])]
     seed_results = []
     for seed, params, cal, val_loss, curve in fitted:
         curves.extend(curve)
         # one guarded access per seed, all post-unlock
-        test_set = assemble(cohort, data, encoding, plan, box, [TEST_GROUP],
-                            f"seed-{seed}-final-eval", config.model)
+        test_set = assemble(run, [TEST_GROUP], f"seed-{seed}-final-eval")
         probs = cal.apply(learn.forward(params, test_set.images,
                                         test_set.tabular))
         row = evalharness.metrics(probs, test_set.labels)
@@ -512,13 +507,10 @@ def run_experiment(cohort: CohortData, config: RunConfig,
     sweep_mean = tuple(
         (t, float(np.mean([dict(s.sweep)[t] for s in seed_results])))
         for t in thresholds)
-    return RunResult(config=config, plan=plan, best_lr=best_lr,
-                     cv_losses=cv_losses, seeds=tuple(seed_results),
-                     aggregate=agg, subgroup_aggregate=sub_agg,
-                     sweep_mean=sweep_mean,
-                     box=box,
+    return RunResult(**vars(run), best_lr=best_lr, cv_losses=cv_losses,
+                     seeds=tuple(seed_results), aggregate=agg,
+                     subgroup_aggregate=sub_agg, sweep_mean=sweep_mean,
                      checkpoints={s: p for s, p, *_ in fitted},
-                     variant_data=data, normalizers=normalizers,
                      learning_curves=tuple(curves))
 
 
@@ -526,20 +518,19 @@ def run_experiment(cohort: CohortData, config: RunConfig,
 # ROI importance and count selection on top of a run
 
 
-def rank_rois(params: ModelParams, data: VariantData, plan: SplitPlan,
-              box: LockBox, n_explain: int, n_perturb: int, seed: int,
-              with_counterfactuals: bool = False,
+def rank_rois(params: ModelParams, run: PreparedRun, n_explain: int,
+              n_perturb: int, seed: int, with_counterfactuals: bool = False,
               ) -> tuple[list[explain.Explanation], explain.RoiRanking]:
     """Explain an image model on the development pool (groups 1-4, audited
     as ``roi-ranking``) and rank the ROIs by mean importance."""
-    box.request(CV_GROUPS, "roi-ranking")
-    ids = sorted(i for i, g in plan.assignment.items() if g in CV_GROUPS)
-    pool = dict(zip(ids, data.images_of(ids)))
+    run.box.request(CV_GROUPS, "roi-ranking")
+    ids = sorted(r.id for r in run.records_of(CV_GROUPS))
+    pool = dict(zip(ids, run.variant_data.images_of(ids)))
 
     def classifier(batch: np.ndarray) -> np.ndarray:
         return learn.predict_proba(params, np.asarray(batch, dtype=np.float32))
 
-    return explain.explain_pool(classifier, pool, data.label_image,
+    return explain.explain_pool(classifier, pool, run.variant_data.label_image,
                                 n_explain=n_explain, n_perturb=n_perturb,
                                 seed=seed,
                                 with_counterfactuals=with_counterfactuals)
@@ -558,17 +549,16 @@ def require_roi_selection(config: RunConfig) -> None:
             "do not depend on the ROI count")
 
 
-def roi_count_sweep(cohort: CohortData, config: RunConfig,
-                    ranking: explain.RoiRanking, plan: SplitPlan,
-                    box: LockBox, normalizers: tuple[float, float],
+def roi_count_sweep(run: PreparedRun, ranking: explain.RoiRanking,
                     counts: Sequence[int], sweep_epochs: int | None = None,
                     ) -> explain.RoiCountCurve:
     """Fig-2-style selection: for each k, lay out the top-k ROI images and
     cross-validate over groups 1-4; k* minimizes mean balanced val loss.
 
-    ``plan``, ``box`` and the train-only ``normalizers`` are the caller's
-    (from ``prepare_run``).  Only groups 1-4 are touched, so the box may
-    already be unlocked; every fold access is logged in it."""
+    Each k is the run with the top-k config and layout, on the run's
+    partition, box and train-only encoding.  Only groups 1-4 are touched,
+    so the box may already be unlocked; every fold access is logged in it."""
+    config = run.config
     require_roi_selection(config)
     lr = config.train.lrs[0]  # the sweep cross-validates one lr
     epochs = config.train.max_epochs if sweep_epochs is None else sweep_epochs
@@ -577,9 +567,10 @@ def roi_count_sweep(cohort: CohortData, config: RunConfig,
 
     def evaluate_k(k: int, top_rois: tuple[int, ...]) -> tuple[float, float]:
         k_config = replace(sweep_config, roi_labels=top_rois)
-        data = VariantData.of(cohort, k_config, *normalizers)
-        _, losses, fits = group_cv(cohort, data, None, plan, box,
-                                   sweep_config, f"roi-sweep-k{k}")
+        k_run = replace(run, config=k_config, variant_data=VariantData.of(
+            run.cohort, k_config, run.encoding.size_ref,
+            run.encoding.time_ref))
+        _, losses, fits = group_cv(k_run, f"roi-sweep-k{k}")
         accs = [evalharness.metrics(learn.predict_proba(params, val.images),
                                     val.labels).balanced_accuracy
                 for _, _, val, params, _ in fits]

@@ -113,6 +113,56 @@ def test_run_rerun_is_bit_identical(cohort_dir, run_dir, tmp_path):
         assert (out2 / name).read_bytes() == (run_dir / name).read_bytes()
 
 
+def _without_audit_times(tree: dict[str, bytes]) -> dict[str, bytes]:
+    lines = tree.pop("audit.jsonl").decode().splitlines()
+    tree["audit.jsonl"] = [{k: v for k, v in json.loads(line).items()
+                            if k != "time"} for line in lines]
+    return tree
+
+
+def test_run_jobs_leave_every_file_unchanged(cohort_dir, run_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    out = tmp_path / "r2"
+    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--seeds", "1,2", "--config", str(cfg),
+                 "--jobs", "2"]) == EXIT_OK
+    assert _without_audit_times(_tree_bytes(out)) == \
+        _without_audit_times(_tree_bytes(run_dir))
+
+
+def test_run_refuses_zero_jobs_before_any_work(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(tmp_path / "no-cohort"),
+                 "--out", str(out), "--jobs", "0"])
+    assert code == EXIT_CONFIG
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_prints_the_partition_warnings(tmp_path, capsys):
+    # 40 subjects deal fewer than 5 of some severity categories
+    cohort = tmp_path / "c"
+    assert main(["synth", "--out", str(cohort), "--subjects", "40",
+                 "--dims", "16", "--seed", "7"]) == EXIT_OK
+    assert main(["run", "--cohort", str(cohort), "--out", str(tmp_path / "r"),
+                 "--model", "logistic", "--seeds", "1"]) == EXIT_OK
+    out = capsys.readouterr().out
+    records = pipeline.CohortData.from_directory(cohort).records
+    plan = evalharness.stratified_partition(records, k=5, seed=0)
+    assert plan.balance.warnings
+    for warning in plan.balance.warnings:
+        assert f"partition warning: {warning}\n" in out
+
+
+def test_paper_preset_keeps_the_seed_flag():
+    args = cli.build_parser().parse_args(
+        ["run", "--cohort", "c", "--preset", "paper", "--seeds", "1-2"])
+    config = cli._run_config(args, {})
+    assert config.seeds == (1, 2)
+    assert config.image_size == 256
+
+
 def test_run_refuses_nonempty_without_force(cohort_dir, run_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(RUN_CFG))
@@ -149,6 +199,18 @@ def test_explain_command(cohort_dir, run_dir, tmp_path, capsys):
     assert any(f.suffix == ".txt" for f in files)
     doc = json.loads(next(f for f in files if f.suffix == ".json").read_text())
     assert "importance" in doc and "base_probability" in doc
+
+
+def test_explain_prints_the_ranking_flags(cohort_dir, run_dir, tmp_path,
+                                         capsys):
+    # far more images asked for than the pool has predicted positives
+    code = main(["explain", "--cohort", str(cohort_dir), "--run", str(run_dir),
+                 "--out", str(tmp_path / "e"), "--n-explain", "500",
+                 "--n-perturb", "40"])
+    assert code == EXIT_OK
+    flags = re.search(r"^ranking flags: (.*)$", capsys.readouterr().out,
+                      re.MULTILINE).group(1).split(", ")
+    assert any(re.fullmatch(r"explained_all_\d+_of_500", f) for f in flags)
 
 
 def test_explain_missing_checkpoint_seed(cohort_dir, run_dir, tmp_path):
@@ -281,6 +343,10 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"run": {"roi_labels": []}}, "roi_labels"),
     ("run", {"run": {"variant": "stitched", "roi_labels": [1, 2]}},
      "roi_labels"),
+    # keys the run config no longer holds
+    ("run", {"run": {"grid": [8, 8]}}, "grid"),
+    ("run", {"run": {"partition_seed": 0}}, "partition_seed"),
+    ("run", {"run": {"jobs": 2}}, "jobs"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -334,7 +400,10 @@ def test_index_lists_every_file_the_run_wrote(which, request):
 @pytest.mark.parametrize("path,key", [(("train",), "optimizer"),
                                       (("train",), "class_weights"),
                                       (("train",), "seed"),
-                                      ((), "threshold")])
+                                      ((), "threshold"),
+                                      ((), "grid"),
+                                      ((), "partition_seed"),
+                                      ((), "jobs")])
 def test_explain_refuses_a_run_index_with_a_removed_key(path, key, cohort_dir,
                                                         run_dir, tmp_path,
                                                         monkeypatch, capsys):

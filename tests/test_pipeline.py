@@ -76,8 +76,7 @@ def test_config_logistic_skips_divisibility():
 
 
 def test_config_json_round_trip():
-    config = fast_config(variant="hybrid-gm-roi", roi_labels=(1, 2, 3),
-                         grid=None, jobs=2)
+    config = fast_config(variant="hybrid-gm-roi", roi_labels=(1, 2, 3))
     back = RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
     assert back == config
 
@@ -91,10 +90,9 @@ def test_paper_preset_constants():
     config = pipeline.paper_preset(fast_config())
     assert config.image_size == 256
     assert len(config.channels) == 6
-    assert config.grid == (8, 8)
     assert config.train.max_epochs == 200
     assert config.train.lrs == (1e-4, 5e-4, 1e-5)
-    assert config.seeds == tuple(range(1, 21))
+    assert config.seeds == (1, 2)  # the caller's seeds stay
     assert config.image_size % 2 ** len(config.channels) == 0
 
 
@@ -325,49 +323,35 @@ def test_build_variant_keeps_no_tile_plan(tiny_cohort, monkeypatch):
 # dataset assembly
 
 
-def _sealed(tiny_cohort, config):
-    plan = evalharness.stratified_partition(tiny_cohort.records, k=5,
-                                            seed=config.partition_seed)
-    return plan, evalharness.LockBox(plan)
-
-
 def test_assemble_lightweight_has_images_only(tiny_cohort):
-    config = fast_config()
-    plan, box = _sealed(tiny_cohort, config)
-    data = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
-    enc = learn.TabularEncoding(size_ref=2000.0, time_ref=900.0)
-    ds = pipeline.assemble(tiny_cohort, data, enc, plan, box, (1, 2),
-                           "test", "lightweight")
+    run = pipeline.prepare_run(tiny_cohort, fast_config())
+    ds = pipeline.assemble(run, (1, 2), "test")
     assert ds.images is not None and ds.tabular is None
     want = [r.id for r in tiny_cohort.records
-            if plan.assignment[r.id] in (1, 2)]
+            if run.plan.assignment[r.id] in (1, 2)]
     assert len(ds.labels) == len(want)
     by_id = {r.id: r for r in tiny_cohort.records}
     expected = [core.outcome_label(by_id[i].score) for i in want]
     assert list(ds.labels) == expected
-    assert np.array_equal(ds.images[0], data.images[want[0]])
+    built = pipeline.build_variant(tiny_cohort, run.config,
+                                   run.encoding.size_ref, run.encoding.time_ref)
+    assert np.array_equal(ds.images[0], built.images[want[0]])
 
 
 def test_assemble_fusion_and_logistic_tabular(tiny_cohort):
-    config = fast_config(model="early_fusion")
-    plan, box = _sealed(tiny_cohort, config)
-    data = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
-    enc = learn.TabularEncoding(size_ref=2000.0, time_ref=900.0)
-    fusion = pipeline.assemble(tiny_cohort, data, enc, plan, box, (1,),
-                               "f", "early_fusion")
+    run = pipeline.prepare_run(tiny_cohort, fast_config(model="early_fusion"))
+    fusion = pipeline.assemble(run, (1,), "f")
     assert fusion.images is not None and fusion.tabular is not None
-    logit = pipeline.assemble(tiny_cohort, None, enc, plan, box, (1,),
-                              "l", "logistic")
+    run = pipeline.prepare_run(tiny_cohort, fast_config(model="logistic"))
+    logit = pipeline.assemble(run, (1,), "l")
     assert logit.images is None and logit.tabular is not None
-    assert logit.tabular.shape[1] == enc.dim
+    assert logit.tabular.shape[1] == run.encoding.dim
 
 
 def test_assemble_is_audited(tiny_cohort):
-    config = fast_config()
-    plan, box = _sealed(tiny_cohort, config)
-    pipeline.assemble(tiny_cohort, None, None, plan, box, (1, 3),
-                      "probe", "logistic")
-    last = box.entries[-1]
+    run = pipeline.prepare_run(tiny_cohort, fast_config(model="logistic"))
+    pipeline.assemble(run, (1, 3), "probe")
+    last = run.box.entries[-1]
     assert last["op"] == "access"
     assert last["caller"] == "probe"
 
@@ -423,7 +407,7 @@ def test_run_is_deterministic(tiny_cohort, tiny_run, tmp_path):
 
 
 def test_run_parallel_jobs_identical(tiny_cohort, tiny_run):
-    par = pipeline.run_experiment(tiny_cohort, fast_config(jobs=2))
+    par = pipeline.run_experiment(tiny_cohort, fast_config(), jobs=2)
     for a, b in zip(tiny_run.seeds, par.seeds):
         assert a.test.as_dict() == b.test.as_dict()
         assert a.val_loss == b.val_loss
@@ -487,16 +471,15 @@ def test_summary_csv_matches_aggregate(tiny_run, tmp_path):
 
 def test_group_cv_returns_every_fit_in_fit_order(tiny_cohort):
     config = fast_config(train=replace(FAST, lrs=(1e-3, 3e-3), max_epochs=2))
-    plan, box, _normalizers, data = pipeline.prepare_run(tiny_cohort, config)
-    best_lr, losses, fits = pipeline.group_cv(tiny_cohort, data, None, plan,
-                                              box, config, "probe")
-    assert [e["caller"] for e in box.entries if e["op"] == "access"][1:] == [
+    run = pipeline.prepare_run(tiny_cohort, config)
+    best_lr, losses, fits = pipeline.group_cv(run, "probe")
+    assert [e["caller"] for e in run.box.entries if e["op"] == "access"][1:] == [
         f"probe-fold-{g}" for g in (1, 2, 3, 4)]
     assert [(lr, g) for lr, g, *_ in fits] == [
         (lr, g) for lr in (1e-3, 3e-3) for g in (1, 2, 3, 4)]
     for lr, group, val, params, curve in fits:
         assert len(curve) == 2 and losses[lr][group - 1] == min(curve)
-        assert len(val) == sum(1 for g in plan.assignment.values()
+        assert len(val) == sum(1 for g in run.plan.assignment.values()
                                if g == group)
         assert params.kind == "lightweight"
     assert best_lr == min(losses, key=lambda lr: (np.mean(losses[lr]), lr))
@@ -510,20 +493,43 @@ def test_group_cv_returns_every_fit_in_fit_order(tiny_cohort):
     assert again_curve == curve
 
 
-def test_roi_count_sweep_runs(tiny_cohort):
-    ranking = RoiRanking.from_means(
-        {lab: float(-lab) for lab in sorted(tiny_cohort.atlas.label_names)},
+def _ranking(cohort):
+    return RoiRanking.from_means(
+        {lab: float(-lab) for lab in sorted(cohort.atlas.label_names)},
         n_explanations=1)
-    config = fast_config(seeds=(1,))
-    plan, box, normalizers, _data = pipeline.prepare_run(tiny_cohort, config)
-    curve = pipeline.roi_count_sweep(tiny_cohort, config, ranking, plan, box,
-                                     normalizers, counts=(3, 4),
-                                     sweep_epochs=2)
+
+
+def test_roi_count_sweep_runs(tiny_cohort):
+    run = pipeline.prepare_run(tiny_cohort, fast_config(seeds=(1,)))
+    curve = pipeline.roi_count_sweep(run, _ranking(tiny_cohort),
+                                     counts=(3, 4), sweep_epochs=2)
     assert [row[0] for row in curve.rows] == [3, 4]
     assert curve.best_k in (3, 4)
     for _k, loss, acc in curve.rows:
         assert np.isfinite(loss)
         assert 0.0 <= acc <= 1.0
+
+
+@pytest.mark.parametrize("unlocked", [False, True])
+def test_roi_count_sweep_shares_the_run_session(unlocked, tiny_cohort,
+                                                tiny_run, monkeypatch):
+    # every k derives from the run: no new partition, no new lock box, and
+    # each fold access lands in the run's own audit log, k by k
+    run = tiny_run if unlocked else pipeline.prepare_run(tiny_cohort,
+                                                         fast_config())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep made its own session")
+
+    monkeypatch.setattr(evalharness, "stratified_partition", refuse)
+    monkeypatch.setattr(evalharness.LockBox, "__init__", refuse)
+    before = len(run.box.entries)
+    curve = pipeline.roi_count_sweep(run, _ranking(tiny_cohort),
+                                     counts=(3, 4), sweep_epochs=1)
+    assert [row[0] for row in curve.rows] == [3, 4]
+    assert [(e["op"], e["caller"]) for e in run.box.entries[before:]] == [
+        ("access", f"roi-sweep-k{k}-fold-{g}") for k in (3, 4)
+        for g in (1, 2, 3, 4)]
 
 
 def test_curve_emitters(tiny_cohort, tmp_path):
@@ -565,8 +571,9 @@ def test_roi_count_sweep_rejects_stitched_before_any_work(variant):
     # stitched images ignore the ROI list, so every k would score the same;
     # nothing is rendered or read before the refusal
     with pytest.raises(ConfigError, match="ROI variant"):
-        pipeline.roi_count_sweep(None, fast_config(variant=variant), None,
-                                 None, None, None, counts=(3,))
+        run = pipeline.PreparedRun(None, fast_config(variant=variant), None,
+                                   None, None, None)
+        pipeline.roi_count_sweep(run, None, counts=(3,))
 
 
 # ---------------------------------------------------------------------------
