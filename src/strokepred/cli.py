@@ -44,7 +44,9 @@ CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
 # mallopt(3) parameters. Blocks below the mmap threshold come from the heap,
 # so freeing them unmaps nothing; 32 MiB is the largest threshold glibc
 # accepts on 64-bit (it rejects more with 0 and leaves the threshold where
-# it was), above the largest hot array, an 18.9 MB batch-128 im2col matrix.
+# it was), above the largest hot array: measured on the benchmark's
+# workloads, the 6.9 MB stack of an image's 210 counterfactual swaps in
+# ``explain``; a training step's largest is its 2.4 MB im2col matrix.
 # A trim threshold of -1 means "never trim": the heap top stays mapped.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024

@@ -23,7 +23,11 @@ from .rng import CounterRng
 PROB_CLAMP = 1e-4  # logit() needs probabilities away from {0, 1}
 RIDGE = 1e-3  # surrogate penalty on the mask coefficients
 THRESHOLD = 0.5  # predicted-positive cut-off for explaining and flipping
-BATCH_SIZE = 128  # classifier calls per batch
+# Images per classifier call. It stays 128 because it fixes the batch size
+# of the dense head's GEMV, whose sums (so the probabilities' last bits)
+# depend on it; the conv working set does not, as ``learn.forward`` runs
+# the conv stack by image chunks.
+BATCH_SIZE = 128
 
 Classifier = Callable[[np.ndarray], np.ndarray]  # (m, h, w) -> (m,) probs
 

@@ -28,15 +28,26 @@ contiguous where that leaves every sum unchanged:
   transposed GEMM operand in the same order.  GEMV does not, so a block
   with one output channel keeps the row-major columns;
 * the columns, and the input gradient's shifted adds, are built one chunk
-  of whole images at a time, so each tap pass stays in cache; each GEMM
-  still runs once over the whole batch;
+  of whole images at a time, so each tap pass stays in cache; in training
+  each GEMM still runs once over the whole batch;
+* inference (``forward``, so ``predict_proba``) runs the whole conv stack,
+  conv, ReLU and pool of every block, over one such chunk of whole images
+  at a time, so a batch-128 forward holds a few MB of transients, not 50.
+  The chunks are ``_image_chunks`` of the image block, with a short
+  remainder joining the last chunk, and each has at least enough images to
+  give every block's GEMM ``GEMM_ROW_FLOOR`` (256) rows: from there up a
+  BLAS row's result does not depend on the row count, so the logits are
+  those of one whole-batch pass.  Training keeps whole-batch GEMMs: its
+  weight-gradient GEMMs and bias sums run over the whole batch's cache;
 * the bias is added in place over whole (h*w*c_out) rows;
 * each max-pool takes the max of the two row views, then of the two
   column views of that result.
 
-The pooled maps are transposed once to (n, c, h, w), so DAFT, the dense
-head and the CKP1 parameter layout keep the (c, h, w) flatten order.  A pool
-window's gradient goes to its first maximum, row-major over the 2x2 window.
+The pooled maps are written once, transposed, to (n, c, h, w), so DAFT, the
+dense head and the CKP1 parameter layout keep the (c, h, w) flatten order.
+DAFT and the head run once over the whole batch, since the head's GEMV sums
+depend on the batch size.  A pool window's gradient goes to its first
+maximum, row-major over the 2x2 window.
 
 Arrays follow the dtype of the parameter vector (float32 for real training,
 float64 in gradient tests), and every reduction has a fixed order, so runs
@@ -67,6 +78,10 @@ CKP_MAGIC = b"CKP1"
 # the 2-CPU Xeon it was timed on, leaving room for the chunk's padded
 # input; at batch 128 it beat a whole-L2 chunk.
 CHUNK_BYTES = 1 << 20
+# OpenBLAS leaves its small-matrix kernels at this many GEMM rows; from there
+# up a row's result no longer depends on the row count, so every conv GEMM
+# of an inference chunk gets at least this many rows.
+GEMM_ROW_FLOOR = 256
 
 
 class NumericAbort(RuntimeError):
@@ -240,13 +255,16 @@ def build_params(kind: str, cnn: CnnConfig | None = None,
 # Forward / backward
 
 
-def _image_chunks(x_shape: tuple[int, ...], itemsize: int) -> list[slice]:
+def _image_chunks(x_shape: tuple[int, ...], itemsize: int,
+                  min_images: int = 1) -> list[slice]:
     """In-order slices of a channels-last conv input's images, each of as
-    many whole images as have at most ``CHUNK_BYTES`` of im2col columns (at
-    least one)."""
+    many whole images as have at most ``CHUNK_BYTES`` of im2col columns, but
+    at least ``min_images``; a shorter remainder joins the last slice."""
     n, h, wd, c = x_shape
-    step = max(1, CHUNK_BYTES // (h * wd * c * 9 * itemsize))
-    return [slice(s, s + step) for s in range(0, n, step)]
+    step = max(min_images, CHUNK_BYTES // (h * wd * c * 9 * itemsize))
+    k = max(1, n // step)
+    return [slice(i * step, n if i == k - 1 else (i + 1) * step)
+            for i in range(k)]
 
 
 def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -371,19 +389,29 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
         logits = x @ params.view("w").T + params.view("b")
         cache["x"] = x
         return logits[:, 0], cache
-    x = images.astype(dtype, copy=False)[:, :, :, None]  # (n, h, w, 1)
+    cnn = params.cnn
+    n, h, wd = images.shape
+    f = 2 ** cnn.n_blocks
+    images = images.astype(dtype, copy=False)[:, :, :, None]  # (n, h, w, 1)
+    # the pooled maps in the head's (n, c, h, w) order
+    x = np.empty((n, cnn.channels[-1], h // f, wd // f), dtype=dtype)
+    last_rows = (h * wd * 4) // (f * f)  # GEMM rows per image, last block
+    parts = ([slice(0, n)] if keep_cache else _image_chunks(
+        images.shape, images.itemsize, -(-GEMM_ROW_FLOOR // last_rows)))
     blocks = []
-    for i in range(params.cnn.n_blocks):
-        pre, cols = _conv_forward(x, params.view(f"conv{i}_w"),
-                                  params.view(f"conv{i}_b"))
-        act = np.maximum(pre, 0, out=pre)
-        pooled = _pool_forward(act)
-        if keep_cache:
-            blocks.append({"x_shape": x.shape, "cols": cols, "act": act,
-                           "pooled": pooled})
-        x = pooled
+    for part in parts:
+        xc = images[part]
+        for i in range(cnn.n_blocks):
+            pre, cols = _conv_forward(xc, params.view(f"conv{i}_w"),
+                                      params.view(f"conv{i}_b"))
+            act = np.maximum(pre, 0, out=pre)
+            pooled = _pool_forward(act)
+            if keep_cache:
+                blocks.append({"x_shape": xc.shape, "cols": cols, "act": act,
+                               "pooled": pooled})
+            xc = pooled
+        x[part] = xc.transpose(0, 3, 1, 2)
     cache["blocks"] = blocks
-    x = np.ascontiguousarray(x.transpose(0, 3, 1, 2))  # (n, c, h, w) head order
     if params.kind == "daft":
         tab = tabular.astype(dtype, copy=False)
         c_last = params.cnn.channels[-1]

@@ -117,4 +117,17 @@ class CounterRng:
             items[i], items[j] = items[j], items[i]
 
     def normals(self, n: int, mean: float = 0.0, sd: float = 1.0) -> list[float]:
-        return [self.normal(mean, sd) for _ in range(n)]
+        """The next ``n`` ``normal(mean, sd)`` draws, equal to ``n`` scalar
+        calls: the 2n uniforms come from one ``uniforms`` pass, and log and
+        cos stay scalar ``math`` calls per pair.  A zero u1, which ``normal``
+        rejects with a further draw, sends the whole call down the scalar
+        path, so the draw order is kept."""
+        start = self.counter
+        u = self.uniforms(2 * n)
+        u1, u2 = u[0::2].tolist(), u[1::2].tolist()
+        if 0.0 in u1:
+            self.counter = start
+            return [self.normal(mean, sd) for _ in range(n)]
+        return [mean + sd * (math.sqrt(-2.0 * math.log(a))
+                             * math.cos(2.0 * math.pi * b))
+                for a, b in zip(u1, u2)]

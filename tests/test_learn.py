@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -406,7 +407,8 @@ def _widest_conv_input(n, hw, channels):
 
 
 # A chunk budget of one byte leaves one image per chunk in every block; three
-# images' worth of the widest block splits 7 images 3 + 3 + 1 there.
+# images' worth of the widest block splits 7 images 3 + 4 there (the short
+# remainder joins the last chunk).
 @pytest.mark.parametrize("kind", PARITY_KINDS)
 @pytest.mark.parametrize("dtype", PARITY_DTYPES)
 @pytest.mark.parametrize("hw,channels", PARITY_SHAPES)
@@ -419,7 +421,7 @@ def test_chunked_fills_match_nchw_reference(monkeypatch, kind, dtype, hw,
               else per_chunk * math.prod(x_shape[1:]) * 9 * itemsize)
     monkeypatch.setattr(learn, "CHUNK_BYTES", budget)
     sizes = [len(range(n)[p]) for p in learn._image_chunks(x_shape, itemsize)]
-    assert sizes == ([1] * n if per_chunk == 1 else [3, 3, 1])
+    assert sizes == ([1] * n if per_chunk == 1 else [3, 4])
     _assert_matches_nchw_reference(kind, dtype, n, hw, channels)
 
 
@@ -428,6 +430,75 @@ def test_channels_last_kernels_match_nchw_reference_default_network(n):
     # the shapes training (batch 16) and explanations (batch 128) run
     _assert_matches_nchw_reference("lightweight", np.float32, n, (64, 64),
                                    (4, 8, 16))
+
+
+# ---------------------------------------------------------------------------
+# Inference runs the conv stack one chunk of whole images at a time
+
+
+def _stack_step(hw, channels, itemsize):
+    """Images per inference chunk: ``CHUNK_BYTES`` of block-0 columns, but
+    enough images for ``GEMM_ROW_FLOOR`` rows in the last (smallest) block."""
+    h, w = hw
+    last_rows = (h >> (len(channels) - 1)) * (w >> (len(channels) - 1))
+    return max(1, -(-learn.GEMM_ROW_FLOOR // last_rows),
+               learn.CHUNK_BYTES // (h * w * 9 * itemsize))
+
+
+# A one-byte budget leaves the floor to set the step: one image on the
+# default network, eight on the 48x48 one, whose last block has 36 rows.
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("dtype", PARITY_DTYPES)
+@pytest.mark.parametrize("hw,channels", [((64, 64), (4, 8, 16)),
+                                         ((48, 48), (3, 5, 7, 9))])
+@pytest.mark.parametrize("budget", [None, 1])
+def test_chunked_stack_matches_whole_batch_logits(monkeypatch, kind, dtype,
+                                                   hw, channels, budget):
+    if budget is not None:
+        monkeypatch.setattr(learn, "CHUNK_BYTES", budget)
+    step = _stack_step(hw, channels, np.dtype(dtype).itemsize)
+    tab_dim = None if kind == "lightweight" else 7
+    params = build_params(kind, cnn=CnnConfig(hw, channels),
+                          tabular_dim=tab_dim, rng=CounterRng(step, kind),
+                          dtype=dtype)
+    convs = []  # the batch size of each conv call
+    conv_forward = learn._conv_forward
+
+    def counted(x, w, b):
+        convs.append(len(x))
+        return conv_forward(x, w, b)
+
+    monkeypatch.setattr(learn, "_conv_forward", counted)
+    gen = np.random.default_rng([step, *hw])
+    # 3 * step - 1 is two chunks and the longest remainder
+    for n in sorted({1, step - 1, step, step + 1, 3 * step - 1, 210} - {0}):
+        images = gen.uniform(size=(n, *hw)).astype(dtype)
+        tabular = None if tab_dim is None else gen.uniform(size=(n, tab_dim))
+        whole, _ = learn._run(params, images, tabular, keep_cache=True)
+        convs.clear()
+        assert forward(params, images, tabular).tobytes() == whole.tobytes(), n
+        # a chunk per ``step`` images, a short remainder in the last chunk
+        chunks = max(1, n // step)
+        assert convs == [step] * (len(channels) * (chunks - 1)) + (
+            [n - step * (chunks - 1)] * len(channels)), n
+
+
+def test_forward_memory_does_not_grow_with_the_batch():
+    # one chunk's transients set the peak, plus the batch's small pooled maps
+    params = build_params("lightweight", cnn=CnnConfig((64, 64), (4, 8, 16)),
+                          rng=CounterRng(0, "memory"))
+
+    def peak_bytes(n):
+        images = np.random.default_rng(n).uniform(size=(n, 64, 64)).astype(
+            np.float32)
+        tracemalloc.start()
+        try:
+            forward(params, images)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak_bytes(256) <= 2 * peak_bytes(16)
 
 
 def _assert_matches_nchw_reference(kind, dtype, n, hw, channels):

@@ -101,3 +101,36 @@ def test_uniforms_continue_an_advanced_stream_over_a_range():
     assert all(-2.5 <= x < 7.25 for x in got)
     assert vec.counter == ref.counter
     assert vec.uniform() == ref.uniform()  # the two streams stay in step
+
+
+def _scalar_normals(rng, n, *params):
+    return [rng.normal(*params) for _ in range(n)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 2500])
+@pytest.mark.parametrize("stream", [("init", "lightweight"), ("init", "daft"),
+                                    (5,)])
+def test_normals_equal_scalar_draws_and_advance_the_counter(n, stream):
+    vec, ref = CounterRng(9, *stream), CounterRng(9, *stream)
+    vec.uniform()  # start both streams off the first counter
+    ref.uniform()
+    got = vec.normals(n, 0.25, 1.5)
+    assert np.array(got).tobytes() == np.array(
+        _scalar_normals(ref, n, 0.25, 1.5)).tobytes()
+    assert vec.counter == ref.counter == 1 + 2 * n
+    assert vec.uniform() == ref.uniform()
+
+
+def test_normals_keep_the_rejection_draw_order_on_a_zero_u1():
+    # mix64(0) == 0, so this key makes the 3rd draw exactly 0.0: the u1 of
+    # the second pair, which ``normal`` rejects and redraws from the 5th
+    gamma = 0x9E3779B97F4A7C15
+    vec, ref = CounterRng(0), CounterRng(0)
+    vec.key = ref.key = (-3 * gamma) % (1 << 64)
+    probe = CounterRng(0)
+    probe.key = vec.key
+    assert [probe.uniform() for _ in range(3)][2] == 0.0
+    got = vec.normals(4)
+    assert np.array(got).tobytes() == np.array(
+        _scalar_normals(ref, 4)).tobytes()
+    assert vec.counter == ref.counter == 9
