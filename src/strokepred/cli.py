@@ -44,9 +44,9 @@ CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
 # mallopt(3) parameters. Blocks below the mmap threshold come from the heap,
 # so freeing them unmaps nothing; 32 MiB is the largest threshold glibc
 # accepts on 64-bit (it rejects more with 0 and leaves the threshold where
-# it was), above the largest hot array: measured on the benchmark's
-# workloads, the 6.9 MB stack of an image's 210 counterfactual swaps in
-# ``explain``; a training step's largest is its 2.4 MB im2col matrix.
+# it was), above the largest hot array: ``explain`` builds its perturbed
+# images 128 at a time, 4.2 MB of float64 at 64x64, and a training step's
+# largest is its 2.4 MB im2col matrix.
 # A trim threshold of -1 means "never trim": the heap top stays mapped.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
@@ -277,6 +277,8 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, dict]:
     if not index_path.exists():
         raise ConfigError(f"{run_dir} has no index.json (not a run directory)")
     doc = json.loads(index_path.read_text())
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise ConfigError(f"{index_path}: key 'config' must hold a JSON object")
     return RunConfig.from_json_dict(doc["config"]), doc
 
 
@@ -368,9 +370,11 @@ def cmd_report(args) -> int:
     config, doc = _load_run(run_dir)
     print(f"run: {config.variant} / {config.model}, "
           f"{len(config.seeds)} seed(s), best lr {doc.get('best_lr')}")
-    balance = doc.get("balance", {})
+    balance = core.check_json(
+        doc.get("balance", {}), core.field_types(evalharness.BalanceReport),
+        f"{run_dir / 'index.json'} key 'balance'")
     if balance:
-        worst = max(balance.get("max_smd", {"": 0.0}).values())
+        worst = max(balance.get("max_smd", {}).values(), default=0.0)
         print(f"partition: worst covariate SMD {worst:.4f}, "
               f"objective {balance.get('objective', 0.0):.4f}")
     summary = run_dir / "summary.csv"

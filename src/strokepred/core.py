@@ -21,6 +21,9 @@ import dataclasses
 import functools
 import json
 import struct
+import types
+import typing
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -58,22 +61,67 @@ class DegenerateRoiError(ValueError):
     pass
 
 
-def from_json_object(cls, doc, what: str, **convert):
-    """``cls(**doc)`` for the dataclass ``cls`` from a parsed JSON config.
+@functools.cache
+def field_types(cls) -> dict:
+    """Field name -> resolved type annotation of the dataclass ``cls``."""
+    return typing.get_type_hints(cls)
 
-    ``doc`` must be a JSON object whose keys all name fields of ``cls``;
-    ``convert`` maps a field to the function applied to its value (skipped
-    for null).  A wrong shape or type raises ValueError naming ``what``,
-    never TypeError.
-    """
+
+def _fits(value, hint) -> bool:
+    """Whether the parsed JSON ``value`` is of the type ``hint``: an int is
+    never a bool, a float may be an int, a tuple or list is a JSON array (of
+    the annotated length when fixed), a dict's int keys are digit strings
+    and a dataclass is a JSON object; other hints are not checked."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arm) for arm in args)
+    if hint is float:
+        return type(value) in (int, float)
+    if origin in (tuple, list):
+        if type(value) is not list:
+            return False
+        if origin is tuple and args[-1:] != (...,):
+            return len(value) == len(args) and all(map(_fits, value, args))
+        return all(_fits(item, args[0]) for item in value)
+    if origin in (dict, Mapping):
+        key_ok = str.isdigit if args[0] is int else (lambda key: True)
+        return type(value) is dict and all(
+            key_ok(key) and _fits(item, args[1]) for key, item in value.items())
+    if dataclasses.is_dataclass(hint):
+        hint = dict
+    return not isinstance(hint, type) or type(value) is hint
+
+
+def check_json(doc, hints: dict, what: str, required=()) -> dict:
+    """``doc`` if it is a JSON object whose keys all name entries of
+    ``hints``, holds every ``required`` key, and whose values are of their
+    hinted types; else a ValueError naming ``what`` and the key."""
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must be a JSON object, "
                          f"not {type(doc).__name__}")
-    names = {f.name for f in dataclasses.fields(cls)}
-    for key in doc:
-        if key not in names:
+    for key in required:
+        if key not in doc:
+            raise ValueError(f"{what} has no key {key!r}")
+    for key, value in doc.items():
+        hint = hints.get(key)
+        if hint is None:
             raise ValueError(f"unknown {what} key {key!r}")
-    kw = dict(doc)
+        if not _fits(value, hint):
+            name = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise ValueError(f"{what} key {key!r} must hold "
+                             f"{name.replace('typing.', '')}, not {value!r}")
+    return doc
+
+
+def from_json_object(cls, doc, what: str, **convert):
+    """``cls(**doc)`` for the dataclass ``cls`` from a parsed JSON config.
+
+    ``doc`` must pass ``check_json`` against the field annotations of
+    ``cls``; ``convert`` maps a field to the function applied to its value
+    (skipped for null).  A wrong shape or type raises ValueError naming
+    ``what``, never TypeError.
+    """
+    kw = dict(check_json(doc, field_types(cls), what))
     try:
         for key, fn in convert.items():
             if kw.get(key) is not None:
@@ -269,6 +317,11 @@ def read_volume(path: str | Path,
 # Cohort manifest
 
 
+# the manifest.json keys; all but the two tract keys are required
+_MANIFEST_KEYS = ("subjects", "atlas_path", "atlas_labels", "seed", "dims",
+                  "version", "tract_atlas_path", "tract_labels")
+
+
 @dataclass
 class CohortManifest:
     """Index of a cohort directory: subject records plus file references.
@@ -294,59 +347,37 @@ class CohortManifest:
             raise ValueError("subject ids must be unique")
 
     def to_json(self) -> str:
-        doc = {
-            "version": self.version,
-            "seed": self.seed,
-            "dims": list(self.dims),
-            "atlas_path": self.atlas_path,
-            "atlas_labels": {str(k): v for k, v in sorted(self.atlas_labels.items())},
-            "tract_atlas_path": self.tract_atlas_path,
-            "tract_labels": {str(k): v for k, v in sorted(self.tract_labels.items())},
-            "subjects": [
-                {
-                    "id": s.id,
-                    "severity": s.severity,
-                    "recovery_time": s.recovery_time,
-                    "left_lesion_size": s.left_lesion_size,
-                    "score": s.score,
-                    "group": s.group,
-                    "volume": self.volume_paths[s.id],
-                    "lesion": self.lesion_paths[s.id],
-                }
-                for s in self.subjects
-            ],
-        }
+        doc = {key: getattr(self, key) for key in _MANIFEST_KEYS[1:]}
+        for key in ("atlas_labels", "tract_labels"):
+            doc[key] = {str(k): v for k, v in doc[key].items()}
+        doc["subjects"] = [{**dataclasses.asdict(s),
+                            "volume": self.volume_paths[s.id],
+                            "lesion": self.lesion_paths[s.id]}
+                           for s in self.subjects]
         return json.dumps(doc, indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "CohortManifest":
-        doc = json.loads(text)
-        subjects = []
-        volume_paths = {}
-        lesion_paths = {}
-        for row in doc["subjects"]:
-            subjects.append(SubjectRecord(
-                id=row["id"],
-                severity=row["severity"],
-                recovery_time=row["recovery_time"],
-                left_lesion_size=row["left_lesion_size"],
-                score=row["score"],
-                group=row["group"],
-            ))
-            volume_paths[row["id"]] = row["volume"]
-            lesion_paths[row["id"]] = row["lesion"]
-        return cls(
-            subjects=subjects,
-            volume_paths=volume_paths,
-            lesion_paths=lesion_paths,
-            atlas_path=doc["atlas_path"],
-            atlas_labels={int(k): v for k, v in doc["atlas_labels"].items()},
-            tract_atlas_path=doc.get("tract_atlas_path"),
-            tract_labels={int(k): v for k, v in doc.get("tract_labels", {}).items()},
-            seed=doc["seed"],
-            dims=tuple(doc["dims"]),
-            version=doc["version"],
-        )
+    def from_json(cls, text: str, where: str) -> "CohortManifest":
+        """Parse manifest JSON, checked against the field annotations; a
+        missing key or a wrong type raises ValueError naming ``where`` and
+        the key."""
+        what = f"cohort manifest {where}"
+        hints = field_types(cls)
+        doc = check_json(json.loads(text),
+                         {key: hints[key] for key in _MANIFEST_KEYS}, what,
+                         required=_MANIFEST_KEYS[:-2])
+        row_hints = {**field_types(SubjectRecord), "volume": str,
+                     "lesion": str}
+        rows = [check_json(row, row_hints, f"{what} subject {i}",
+                           required=row_hints)
+                for i, row in enumerate(doc.pop("subjects"))]
+        paths = {key: {row["id"]: row.pop(key) for row in rows}
+                 for key in ("volume", "lesion")}
+        for key in ("atlas_labels", "tract_labels"):
+            doc[key] = {int(k): v for k, v in doc.get(key, {}).items()}
+        return cls(subjects=[SubjectRecord(**row) for row in rows],
+                   volume_paths=paths["volume"], lesion_paths=paths["lesion"],
+                   **{**doc, "dims": tuple(doc["dims"])})
 
     def save(self, directory: str | Path) -> Path:
         path = Path(directory) / "manifest.json"
@@ -355,10 +386,10 @@ class CohortManifest:
 
     @classmethod
     def load(cls, directory: str | Path) -> "CohortManifest":
-        directory = Path(directory)
-        manifest = cls.from_json((directory / "manifest.json").read_text())
+        path = Path(directory) / "manifest.json"
+        manifest = cls.from_json(path.read_text(), str(path))
         missing = [p for p in manifest.referenced_paths()
-                   if not (directory / p).exists()]
+                   if not (path.parent / p).exists()]
         if missing:
             raise FileNotFoundError(
                 f"manifest references missing files: {missing[:5]}")

@@ -23,6 +23,8 @@ from .learn import class_weighted_bce, sigmoid
 BALANCE_COVARIATES = ("score", "left_lesion_size", "recovery_time")
 SWEEP_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 SUBGROUP_SEVERITIES = ("severe", "moderate")  # hardest-to-predict subjects
+MAX_SWAPS = 500  # balancing swaps a partition may apply
+TEMPERATURE_TOL = 1e-4  # width of the final ln T bracket
 
 
 class LockBoxError(RuntimeError):
@@ -54,8 +56,7 @@ class BalanceReport:
 class SplitPlan:
     assignment: dict[str, int]  # subject id -> group in 1..k
     balance: BalanceReport
-    k: int = 5
-    lockbox_group: int = 5
+    k: int = 5  # group k is the lock box
 
 
 def _covariate_matrix(records: Sequence[SubjectRecord]) -> np.ndarray:
@@ -73,7 +74,7 @@ def _max_smd(means: np.ndarray, sd: np.ndarray) -> list[float]:
 
 
 def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
-                         seed: int = 0, max_swaps: int = 500) -> SplitPlan:
+                         seed: int = 0) -> SplitPlan:
     """Serpentine deal per severity category (sorted by score), then greedy
     same-category swaps that shrink the summed max pairwise SMD."""
     if not records:
@@ -147,7 +148,7 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
         return best
 
     swaps = 0
-    while swaps < max_swaps:
+    while swaps < MAX_SWAPS:
         means = sums / counts[:, None]
         cur_j = sum(_max_smd(means, sd))
         # group pairs by descending worst-covariate SMD; try the worst first
@@ -182,8 +183,7 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
                            swaps_applied=swaps,
                            warnings=tuple(warnings))
     assignment = {r.id: int(assign[i]) + 1 for i, r in enumerate(records)}
-    return SplitPlan(assignment=assignment, balance=report, k=k,
-                     lockbox_group=k)
+    return SplitPlan(assignment=assignment, balance=report, k=k)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,7 @@ class LockBox:
     """
 
     def __init__(self, plan: SplitPlan, audit_path: str | Path | None = None):
-        self.lockbox_group = plan.lockbox_group
+        self.lockbox_group = plan.k
         self._unlocked = False
         self._seq = 0
         self.entries: list[dict] = []
@@ -235,14 +235,10 @@ class LockBox:
         self._log("access", groups=gs, caller=caller)
 
 
-def audit_scan(entries_or_path) -> dict:
-    """Summarize an audit log: unlock count, pre-unlock lock-box accesses."""
-    if isinstance(entries_or_path, (str, Path)):
-        entries = [json.loads(line)
-                   for line in Path(entries_or_path).read_text().splitlines()
-                   if line.strip()]
-    else:
-        entries = list(entries_or_path)
+def audit_scan(path: str | Path) -> dict:
+    """Summarize an audit log file: unlocks, pre-unlock lock-box accesses."""
+    entries = [json.loads(line) for line in Path(path).read_text().splitlines()
+               if line.strip()]
     seqs = [e["seq"] for e in entries]
     if seqs != sorted(seqs) or len(set(seqs)) != len(seqs):
         raise ValueError("audit sequence numbers not strictly increasing")
@@ -302,8 +298,7 @@ class Calibrator:
         return sigmoid(self.apply_logits(logits))
 
 
-def fit_temperature(logits: np.ndarray, labels: np.ndarray,
-                    tol: float = 1e-4) -> Calibrator:
+def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> Calibrator:
     """Golden-section search for T minimizing NLL(sigma(z/T)) over
     ln T in [ln 0.05, ln 20]; falls back to T=1 if that is no worse."""
     y = np.asarray(labels)
@@ -319,7 +314,7 @@ def fit_temperature(logits: np.ndarray, labels: np.ndarray,
     c = b - phi * (b - a)
     d = a + phi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > TEMPERATURE_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
@@ -430,8 +425,7 @@ def metrics(probs: np.ndarray, labels: np.ndarray,
 
 
 def subgroup_metrics(probs: np.ndarray, labels: np.ndarray,
-                     severities: Sequence[str],
-                     threshold: float = 0.5) -> MetricsRow:
+                     severities: Sequence[str]) -> MetricsRow:
     """Metrics over the severe-or-moderate subjects only; all nan and
     flagged ``empty-subgroup`` when the set has none (a small cohort can
     deal none into the held-out group)."""
@@ -441,15 +435,14 @@ def subgroup_metrics(probs: np.ndarray, labels: np.ndarray,
         return MetricsRow(accuracy=nan, balanced_accuracy=nan,
                           sensitivity=nan, specificity=nan, precision=nan,
                           f1=nan, auc=nan, tp=0, fp=0, tn=0, fn=0,
-                          threshold=threshold, flags=("empty-subgroup",))
-    return metrics(np.asarray(probs)[mask], np.asarray(labels)[mask], threshold)
+                          threshold=0.5, flags=("empty-subgroup",))
+    return metrics(np.asarray(probs)[mask], np.asarray(labels)[mask])
 
 
-def threshold_sweep(probs: np.ndarray, labels: np.ndarray,
-                    thresholds: Sequence[float] = SWEEP_THRESHOLDS,
-                    ) -> list[tuple[float, float]]:
-    """(threshold, plain accuracy) rows across the cutoff grid."""
-    return [(t, metrics(probs, labels, t).accuracy) for t in thresholds]
+def threshold_sweep(probs: np.ndarray,
+                    labels: np.ndarray) -> list[tuple[float, float]]:
+    """(threshold, plain accuracy) rows across ``SWEEP_THRESHOLDS``."""
+    return [(t, metrics(probs, labels, t).accuracy) for t in SWEEP_THRESHOLDS]
 
 
 def seed_aggregate(rows: Sequence[Mapping[str, float]],

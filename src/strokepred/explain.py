@@ -32,14 +32,16 @@ BATCH_SIZE = 128
 Classifier = Callable[[np.ndarray], np.ndarray]  # (m, h, w) -> (m,) probs
 
 
-def _predict(classifier: Classifier, images: np.ndarray) -> np.ndarray:
-    chunks = []
-    for i in range(0, len(images), BATCH_SIZE):
-        p = np.atleast_1d(np.asarray(classifier(images[i:i + BATCH_SIZE]),
-                                     dtype=np.float64))
-        chunks.append(p)
-    probs = np.concatenate(chunks) if chunks else np.zeros(0)
-    if probs.shape != (len(images),):
+def _predict(classifier: Classifier, n: int,
+             batch: Callable[[slice], np.ndarray]) -> np.ndarray:
+    """Probabilities of ``n`` images, built by ``batch(s)`` per index slice
+    ``s`` of ``BATCH_SIZE`` and scored before the next batch is built."""
+    chunks = [np.zeros(0)]
+    for i in range(0, n, BATCH_SIZE):
+        chunks.append(np.atleast_1d(np.asarray(
+            classifier(batch(slice(i, i + BATCH_SIZE))), dtype=np.float64)))
+    probs = np.concatenate(chunks)
+    if probs.shape != (n,):
         raise ValueError("classifier returned a wrong-shaped batch")
     if len(probs) and (probs.min() < 0 or probs.max() > 1):
         raise ValueError("classifier probabilities must lie in [0, 1]")
@@ -107,15 +109,10 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
     bits = (draws.reshape(n - r - 1, r) < 0.5).astype(np.int64)
     masks.extend(map(tuple, bits.tolist()))
 
-    records = []
-    for start in range(0, n, BATCH_SIZE):
-        chunk = masks[start:start + BATCH_SIZE]
-        batch = np.stack([apply_mask(image, contrast, sets, rois, m)
-                          for m in chunk])
-        probs = _predict(classifier, batch)
-        records.extend(PerturbationRecord(mask=m, probability=float(p))
-                       for m, p in zip(chunk, probs))
-    return records
+    probs = _predict(classifier, n, lambda s: np.stack(
+        [apply_mask(image, contrast, sets, rois, m) for m in masks[s]]))
+    return [PerturbationRecord(mask=m, probability=float(p))
+            for m, p in zip(masks, probs)]
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +205,8 @@ def counterfactuals(image: np.ndarray, contrast: np.ndarray,
         for j in combo:
             mask[j] = 0
         masks.append(tuple(mask))
-    batch = np.stack([apply_mask(image, contrast, sets, rois, m) for m in masks])
-    probs = _predict(classifier, batch)
+    probs = _predict(classifier, len(masks), lambda s: np.stack(
+        [apply_mask(image, contrast, sets, rois, m) for m in masks[s]]))
 
     rows = []
     for combo, mask, prob in zip(combos, masks, probs):
@@ -280,9 +277,6 @@ class RoiRanking:
         return cls(rois=tuple(order), mean_importance=dict(means),
                    n_explanations=n_explanations, flags=tuple(flags))
 
-    def top(self, k: int) -> tuple[int, ...]:
-        return self.rois[:k]
-
 
 def image_rois(label_image: np.ndarray) -> tuple[int, ...]:
     """The nonzero labels of a label image, ascending: the ROIs an
@@ -308,7 +302,8 @@ def explain_pool(classifier: Classifier,
         raise ValueError(f"n_explain={n_explain} must be >= 1")
     rois = image_rois(label_image)
     ids = sorted(pool)
-    probs = _predict(classifier, np.stack([pool[i] for i in ids]))
+    probs = _predict(classifier, len(ids),
+                     lambda s: np.stack([pool[i] for i in ids[s]]))
     prob_of = dict(zip(ids, probs))
     positives = [i for i in ids if prob_of[i] >= THRESHOLD]
     if not positives:
@@ -361,7 +356,7 @@ def select_roi_count(ranking: RoiRanking,
             f"count {counts[-1]} exceeds {len(ranking.rois)} ranked ROIs")
     rows = []
     for k in counts:
-        loss, acc = evaluate_k(k, ranking.top(k))
+        loss, acc = evaluate_k(k, ranking.rois[:k])
         rows.append((k, float(loss), float(acc)))
     best_k = min(rows, key=lambda row: (row[1], row[0]))[0]
     return RoiCountCurve(rows=tuple(rows), best_k=best_k)

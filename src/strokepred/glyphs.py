@@ -150,9 +150,9 @@ def shape_raster(shape: str, h: int, w: int, radius: float,
     return out
 
 
-def severity_raster(shape: str, h: int, w: int, intensity: float = 1.0) -> np.ndarray:
+def severity_raster(shape: str, h: int, w: int) -> np.ndarray:
     """Fixed-size severity symbol raster for a cell of the given size."""
-    return shape_raster(shape, h, w, 0.38 * min(h, w), intensity)
+    return shape_raster(shape, h, w, 0.38 * min(h, w))
 
 
 def _clamp01(v: float) -> float:

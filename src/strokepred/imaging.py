@@ -3,26 +3,30 @@
 Layout convention, shared by every routine here: an axial slice at depth z is
 drawn with image row = voxel y and image column = voxel x, and slices fill
 grid cells row-major in ascending-z order.  A stitched image shows every
-axial slice, so a ``StitchSpec`` is only the volume dims, the grid and the
-freed cells: slice z fills flat cell z (row-major, 0-based), and cells in
-``removed_cells`` stay at zero so glyph symbols can be drawn there later.
+axial slice, so a ``StitchSpec`` is only the volume dims and the freed
+cells, and the grid follows from the depth: slice z fills flat cell z
+(row-major, 0-based), and cells in ``removed_cells`` stay at zero so glyph
+symbols can be drawn there later.
 
-ROI tiles are laid out by one shelf packer, ``shelf_pack``: the tile plan
-places its tiles with it, and ``pipeline.fit_roi_spec`` sizes a canvas
-with it.  An ROI render takes only the tile plan, which holds its spec.
-The plan compiles, on its first render, one flat voxel index per canvas
-pixel (-1 where blank).  Every later render with that plan is a single
-gather from the volume.
+ROI tiles are laid out ``TILE_GAP`` apart by one shelf packer,
+``shelf_pack``: the tile plan places its tiles with it, and
+``pipeline.fit_roi_spec`` sizes a canvas with it.  An ROI render takes only
+the tile plan, which holds its spec.  The plan compiles, on its first
+render, one flat voxel index per canvas pixel (-1 where blank).  Every
+later render with that plan is a single gather from the volume.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import LabelVolume, Volume3D
+
+TILE_GAP = 1  # pixels between ROI tiles
 
 
 class LayoutError(ValueError):
@@ -64,17 +68,21 @@ class StitchSpec:
     """Grid layout for stitching every axial slice of a ``dims`` volume."""
 
     dims: tuple[int, int, int]  # (nx, ny, nz) of the stitched volumes
-    grid: tuple[int, int]  # (rows, cols)
     removed_cells: tuple[int, ...] = ()  # flat cell indices freed for glyphs
 
     def __post_init__(self):
-        rows, cols = self.grid
-        if rows * cols < self.dims[2]:
-            raise LayoutError(
-                f"{rows}x{cols} grid cannot hold {self.dims[2]} slices")
         for cell in self.removed_cells:
-            if not 0 <= cell < rows * cols:
+            if not 0 <= cell < self.dims[2]:
                 raise LayoutError(f"removed cell {cell} outside grid")
+
+    @functools.cached_property
+    def grid(self) -> tuple[int, int]:
+        """(rows, cols): the squarest exact factorization of the depth."""
+        nz = self.dims[2]
+        rows = max(1, int(math.sqrt(nz)))
+        while nz % rows:
+            rows -= 1
+        return rows, nz // rows
 
     @property
     def slice_shape(self) -> tuple[int, int]:
@@ -159,20 +167,17 @@ class RoiImageSpec:
 
     ``roi_labels`` is in importance-rank order; tiles are emitted per ROI in
     that order, per slice ascending in z, and shelf-packed left-to-right,
-    top-to-bottom with ``tile_gap`` pixels of separation.  ``reserved_bottom``
+    top-to-bottom with ``TILE_GAP`` pixels of separation.  ``reserved_bottom``
     rows at the canvas bottom are kept free (glyph strip for hybrid images).
     """
 
     roi_labels: tuple[int, ...]
     canvas: tuple[int, int]  # (height, width)
-    tile_gap: int = 1
     reserved_bottom: int = 0
 
     def __post_init__(self):
         if len(set(self.roi_labels)) != len(self.roi_labels):
             raise LayoutError("roi_labels must be distinct")
-        if self.tile_gap < 0:
-            raise LayoutError("tile_gap must be >= 0: tiles would overlap")
         if self.reserved_bottom >= self.canvas[0]:
             raise LayoutError("reserved strip swallows the whole canvas")
 
@@ -244,7 +249,7 @@ def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
             raise LayoutError(f"ROI {label} absent or empty in atlas")
     canvas_h, canvas_w = spec.canvas
     width = max([canvas_w] + [x1 - x0 for _, _, x0, x1, _, _ in crops])
-    origins, packed_h = shelf_pack(crops, width, spec.tile_gap)
+    origins, packed_h = shelf_pack(crops, width)
     required = (packed_h + spec.reserved_bottom, width)
     if required[0] > canvas_h or width > canvas_w:
         raise CanvasOverflowError(required, spec.canvas)
@@ -252,20 +257,19 @@ def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
     return RoiTilePlan(spec=spec, tiles=tiles)
 
 
-def shelf_pack(crops, width: int, gap: int,
-               ) -> tuple[list[tuple[int, int]], int]:
+def shelf_pack(crops, width: int) -> tuple[list[tuple[int, int]], int]:
     """Shelf-pack (label, z, x0, x1, y0, y1) crops in order, left to right
-    and top to bottom, ``gap`` pixels apart, on a canvas ``width`` pixels
-    wide.  Returns each tile's (row0, col0) and the packed height."""
+    and top to bottom, ``TILE_GAP`` pixels apart, on a canvas ``width``
+    pixels wide.  Returns each tile's (row0, col0) and the packed height."""
     origins = []
     cur_row, cur_col, shelf_h = 0, 0, 0
     for (_, _, x0, x1, y0, y1) in crops:
         th, tw = y1 - y0, x1 - x0
         if cur_col + tw > width:
-            cur_row += shelf_h + gap
+            cur_row += shelf_h + TILE_GAP
             cur_col, shelf_h = 0, 0
         origins.append((cur_row, cur_col))
-        cur_col += tw + gap
+        cur_col += tw + TILE_GAP
         shelf_h = max(shelf_h, th)
     return origins, cur_row + shelf_h
 

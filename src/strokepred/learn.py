@@ -73,6 +73,10 @@ from .rng import CounterRng
 MODEL_KINDS = ("lightweight", "logistic", "early_fusion", "daft")
 RMSPROP_RHO = 0.9
 RMSPROP_EPS = 1e-8
+# the IRLS logistic fit: ridge on the slopes, sweep cap, convergence step
+LOGISTIC_RIDGE = 1e-6
+LOGISTIC_MAX_ITER = 100
+LOGISTIC_TOL = 1e-8
 CKP_MAGIC = b"CKP1"
 # Column bytes per chunk of an im2col fill: half the 2 MiB per-core L2 of
 # the 2-CPU Xeon it was timed on, leaving room for the chunk's padded
@@ -165,11 +169,6 @@ class ModelParams:
     def view(self, name: str) -> np.ndarray:
         start, stop, shape = _offsets(self.layout)[name]
         return self.vector[start:stop].reshape(shape)
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(kind=self.kind, layout=self.layout,
-                           vector=self.vector.copy(), cnn=self.cnn,
-                           tabular_dim=self.tabular_dim)
 
 
 @functools.cache
@@ -379,8 +378,7 @@ def _check_inputs(params: ModelParams, images, tabular):
 
 
 def _run(params: ModelParams, images, tabular, keep_cache: bool):
-    """Shared forward pass; cache holds what backward needs."""
-    _check_inputs(params, images, tabular)
+    """Shared forward pass of checked inputs; the cache is for backward."""
     dtype = params.vector.dtype
     cache: dict = {}
     if params.kind == "logistic":
@@ -434,7 +432,10 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
 
 def forward(params: ModelParams, images: np.ndarray | None,
             tabular: np.ndarray | None = None) -> np.ndarray:
-    """Batch logits, shape (n,)."""
+    """Batch logits, shape (n,); an empty batch has none."""
+    _check_inputs(params, images, tabular)
+    if len(tabular if images is None else images) == 0:
+        return np.zeros(0, dtype=params.vector.dtype)
     logits, _ = _run(params, images, tabular, keep_cache=False)
     if not np.all(np.isfinite(logits)):
         raise NumericAbort("non-finite logits in forward pass")
@@ -450,8 +451,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict_proba(params: ModelParams, images, tabular=None) -> np.ndarray:
-    return sigmoid(forward(params, images, tabular))
+def predict_proba(params: ModelParams, images) -> np.ndarray:
+    return sigmoid(forward(params, images))
 
 
 def class_weighted_bce(logits: np.ndarray, labels: np.ndarray,
@@ -485,6 +486,7 @@ def backward(params: ModelParams, images, tabular, labels,
 
     Only parameter gradients are built: conv block 0's input gradient (the
     gradient w.r.t. the images) is never computed."""
+    _check_inputs(params, images, tabular)
     logits, cache = _run(params, images, tabular, keep_cache=True)
     loss = class_weighted_bce(logits, labels, weights)
     y = np.asarray(labels, dtype=np.float64)
@@ -541,16 +543,15 @@ def backward(params: ModelParams, images, tabular, labels,
 
 
 def rmsprop_step(vector: np.ndarray, grad: np.ndarray, state: np.ndarray,
-                 lr: float, rho: float = RMSPROP_RHO,
-                 eps: float = RMSPROP_EPS):
+                 lr: float):
     if lr <= 0:
         raise ValueError("lr must be positive")
     if not np.all(np.isfinite(grad)):
         bad = int(np.sum(~np.isfinite(grad)))
         raise NumericAbort(
             f"rmsprop_step: {bad}/{grad.size} non-finite gradient entries")
-    state = rho * state + (1.0 - rho) * grad * grad
-    return vector - lr * grad / (np.sqrt(state) + eps), state
+    state = RMSPROP_RHO * state + (1.0 - RMSPROP_RHO) * grad * grad
+    return vector - lr * grad / (np.sqrt(state) + RMSPROP_EPS), state
 
 
 # ---------------------------------------------------------------------------
@@ -583,17 +584,19 @@ class ArrayDataset:
 
 
 def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
-          config: TrainConfig, lr: float, seed: int,
-          cnn: CnnConfig | None = None, tabular_dim: int | None = None,
+          config: TrainConfig, lr: float, seed: int, cnn: CnnConfig,
           ) -> tuple[ModelParams, list[float]]:
     """Mini-batch training; returns the snapshot from the epoch with minimum
     validation loss (ties -> earliest) plus the per-epoch validation losses.
+    The model takes the training set's tabular columns, if it has any.
 
     The training set is only ever seen in minibatches: each minibatch loss
     must be finite, and the one full forward per epoch is on the
     validation set."""
     if len(val_set) == 0:
         raise ValueError("validation set must be nonempty")
+    tabular_dim = (None if train_set.tabular is None
+                   else train_set.tabular.shape[1])
     weights = class_weights_from_labels(train_set.labels)
     params = build_params(kind, cnn=cnn, tabular_dim=tabular_dim,
                           rng=CounterRng(seed, "init", kind))
@@ -634,26 +637,22 @@ def train(kind: str, train_set: ArrayDataset, val_set: ArrayDataset,
 # Logistic regression via IRLS (the tabular baseline)
 
 
-def logistic_fit(x: np.ndarray, y: np.ndarray, ridge: float = 1e-6,
-                 max_iter: int = 100, tol: float = 1e-8) -> ModelParams:
-    """Ridge-penalized logistic regression; intercept unpenalized.
-
-    IRLS until max |delta coef| < tol or max_iter sweeps.  Deterministic:
-    no randomness anywhere.
+def logistic_fit(x: np.ndarray, y: np.ndarray) -> ModelParams:
+    """Ridge-penalized (``LOGISTIC_RIDGE``) logistic regression; intercept
+    unpenalized.  IRLS until max |delta coef| < ``LOGISTIC_TOL`` or
+    ``LOGISTIC_MAX_ITER`` sweeps.  Deterministic: no randomness anywhere.
     """
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary")
-    if ridge < 0:
-        raise ValueError("ridge must be >= 0")
     n, d = x.shape
     design = np.concatenate([np.ones((n, 1)), x], axis=1)
     beta = np.zeros(d + 1)
-    penalty = ridge * np.eye(d + 1)
+    penalty = LOGISTIC_RIDGE * np.eye(d + 1)
     penalty[0, 0] = 0.0
     trace = []
-    for it in range(max_iter):
+    for it in range(LOGISTIC_MAX_ITER):
         eta = design @ beta
         p = sigmoid(eta)
         w = np.clip(p * (1.0 - p), 1e-10, None)
@@ -670,7 +669,7 @@ def logistic_fit(x: np.ndarray, y: np.ndarray, ridge: float = 1e-6,
         delta = float(np.max(np.abs(new - beta)))
         trace.append(delta)
         beta = new
-        if delta < tol:
+        if delta < LOGISTIC_TOL:
             break
     params = build_params("logistic", tabular_dim=d, dtype=np.float64)
     params.view("w")[...] = beta[1:]

@@ -176,13 +176,6 @@ class CohortData:
 # Variant image building
 
 
-def auto_grid(nz: int) -> tuple[int, int]:
-    rows = max(1, int(math.sqrt(nz)))
-    while nz % rows:  # nearest exact factorization at or below the square root
-        rows -= 1
-    return rows, nz // rows
-
-
 def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int],
                  reserved_fraction: float = 0.0) -> imaging.RoiTilePlan:
     """Choose a canvas that holds all ROI tiles, near-square, plus an
@@ -194,16 +187,16 @@ def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int],
     for label in labels:
         if label not in cropped:
             raise core.DegenerateRoiError(f"ROI {label} has no voxels")
-    gap = 1  # pixels between tiles
+    gap = imaging.TILE_GAP
     area = sum((x1 - x0 + gap) * (y1 - y0 + gap)
                for _, _, x0, x1, y0, y1 in boxes)
     max_w = max(x1 - x0 for _, _, x0, x1, _, _ in boxes)
     width = max(max_w + 2 * gap, int(math.sqrt(area * 1.3)) + 1)
-    height = max(width, imaging.shelf_pack(boxes, width, gap)[1])
+    height = max(width, imaging.shelf_pack(boxes, width)[1])
     reserved = int(round(height * reserved_fraction))
     spec = RoiImageSpec(roi_labels=labels,
                         canvas=(height + reserved, width),
-                        tile_gap=gap, reserved_bottom=reserved)
+                        reserved_bottom=reserved)
     return imaging.plan_roi_tiles(atlas, spec)
 
 
@@ -247,7 +240,7 @@ class VariantData:
 
         if config.variant.endswith("stitched"):
             nz = cohort.dims[2]
-            spec = StitchSpec(cohort.dims, auto_grid(nz),
+            spec = StitchSpec(cohort.dims,
                               tuple(range(nz - 4, nz)) if hybrid else ())
             label_full = imaging.stitched_label_image(
                 cohort.labels_for("gm-roi"), spec)
@@ -371,17 +364,6 @@ def prepare_run(cohort: CohortData, config: RunConfig,
 # Training drivers
 
 
-def _train_once(config: RunConfig, train_set: ArrayDataset,
-                val_set: ArrayDataset, lr: float, seed: int,
-                ) -> tuple[ModelParams, list[float]]:
-    """One fit; returns the best-epoch snapshot and the per-epoch
-    validation losses."""
-    return learn.train(
-        config.model, train_set, val_set, config.train, lr, seed, config.cnn,
-        tabular_dim=(train_set.tabular.shape[1]
-                     if train_set.tabular is not None else None))
-
-
 # (phase, lr, fold or seed, epoch, val_loss); phase "cv" names the
 # validation fold's group, phase "seed" the training seed
 CurveRow = tuple[str, float, int, int, float]
@@ -404,8 +386,9 @@ def group_cv(run: PreparedRun, caller: str,
     fits = []
 
     def trainer(train_folds, val_fold, lr):
-        params, losses = _train_once(run.config, concat_datasets(train_folds),
-                                     val_fold, lr, CV_SEED)
+        params, losses = learn.train(
+            run.config.model, concat_datasets(train_folds), val_fold,
+            run.config.train, lr, CV_SEED, run.config.cnn)
         group = next(g for g, f in zip(CV_GROUPS, folds) if f is val_fold)
         fits.append((lr, group, val_fold, params, losses))
         return min(losses)
@@ -467,8 +450,9 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                 learn.class_weights_from_labels(train_set.labels))
             curve = []  # IRLS has no epochs
         else:
-            params, losses = _train_once(config, train_set, val_set,
-                                         best_lr, seed)
+            params, losses = learn.train(config.model, train_set, val_set,
+                                         config.train, best_lr, seed,
+                                         config.cnn)
             val_loss = min(losses)
             curve = _curve_rows("seed", best_lr, seed, losses)
             val_logits = learn.forward(params, val_set.images, val_set.tabular)
@@ -503,10 +487,9 @@ def run_experiment(cohort: CohortData, config: RunConfig,
     agg = evalharness.seed_aggregate([s.test.as_dict() for s in seed_results])
     sub_agg = evalharness.seed_aggregate([s.subgroup.as_dict()
                                           for s in seed_results])
-    thresholds = [t for t, _ in seed_results[0].sweep]
     sweep_mean = tuple(
         (t, float(np.mean([dict(s.sweep)[t] for s in seed_results])))
-        for t in thresholds)
+        for t in evalharness.SWEEP_THRESHOLDS)
     return RunResult(**vars(run), best_lr=best_lr, cv_losses=cv_losses,
                      seeds=tuple(seed_results), aggregate=agg,
                      subgroup_aggregate=sub_agg, sweep_mean=sweep_mean,
@@ -627,11 +610,11 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
     write_csv(out / "subgroup.csv", ["seed", *METRIC_COLS], rows)
     files["subgroup"] = "subgroup.csv"
 
-    thresholds = [t for t, _ in result.sweep_mean]
     rows = [[s.seed] + [acc for _, acc in s.sweep] for s in result.seeds]
     rows.append(["mean"] + [acc for _, acc in result.sweep_mean])
     write_csv(out / "thresholds.csv",
-              ["seed"] + [f"t_{t:g}" for t in thresholds], rows)
+              ["seed"] + [f"t_{t:g}" for t in evalharness.SWEEP_THRESHOLDS],
+              rows)
     files["thresholds"] = "thresholds.csv"
 
     ck_dir = out / "checkpoints"

@@ -67,11 +67,10 @@ class CounterRng:
         u = self.next_u64() >> 11
         return low + (high - low) * (u * (1.0 / (1 << 53)))
 
-    def uniforms(self, n: int, low: float = 0.0,
-                 high: float = 1.0) -> np.ndarray:
-        """The next ``n`` ``uniform(low, high)`` draws as a float64 array,
-        equal to ``n`` scalar calls: SplitMix64 in uint64 arithmetic, whose
-        wraparound is the scalar path's 64-bit mask."""
+    def uniforms(self, n: int) -> np.ndarray:
+        """The next ``n`` ``uniform()`` draws, in [0, 1), as a float64
+        array, equal to ``n`` scalar calls: SplitMix64 in uint64 arithmetic,
+        whose wraparound is the scalar path's 64-bit mask."""
         if n < 0:
             raise ValueError(f"cannot draw {n} values")
         i = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
@@ -80,7 +79,7 @@ class CounterRng:
         z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
         z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
         u = ((z ^ (z >> np.uint64(31))) >> np.uint64(11)).astype(np.float64)
-        return low + (high - low) * (u * (1.0 / (1 << 53)))
+        return u * (1.0 / (1 << 53))
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in [low, high] via unbiased rejection."""

@@ -47,16 +47,6 @@ class TruthModel:
         if missing:
             raise ValueError(f"gamma missing categories {sorted(missing)}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "causal_rois": list(self.causal_rois),
-            "betas": list(self.betas),
-            "gamma": dict(self.gamma),
-            "delta": self.delta,
-            "noise_sd": self.noise_sd,
-            "base": self.base,
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruthModel":
         return core.from_json_object(
@@ -281,16 +271,15 @@ def _background(config: SynthConfig, rng: CounterRng) -> np.ndarray:
 
 
 def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
-                atlas: LabelVolume | None = None,
+                atlas: LabelVolume,
                 ) -> tuple[Volume3D, LabelVolume, SubjectRecord]:
     """Build one subject: intensity volume, lesion mask, tabular record.
 
     Draw order within the subject stream is fixed (lesions, background,
     unknown-overwrite, recovery time, score noise), so outputs are
-    bit-identical for a given (config.seed, subject_seed).
+    bit-identical for a given (config.seed, subject_seed).  ``atlas`` is
+    the cohort's ROI atlas, ``gen_atlas(config)``.
     """
-    if atlas is None:
-        atlas = gen_atlas(config)
     mask = brain_mask(config.dims)
     rng = CounterRng(config.seed, "subject", subject_seed)
 
@@ -330,10 +319,8 @@ def subject_loads(lesion: LabelVolume, atlas: LabelVolume,
 
 
 def cohort_records(config: SynthConfig, truth: TruthModel,
-                   atlas: LabelVolume | None = None) -> list[SubjectRecord]:
+                   atlas: LabelVolume) -> list[SubjectRecord]:
     """Records only (volumes are regenerated on demand via gen_subject)."""
-    if atlas is None:
-        atlas = gen_atlas(config)
     return [gen_subject(config, truth, i, atlas)[2]
             for i in range(config.n_subjects)]
 

@@ -15,6 +15,14 @@ callers moved to a replacement is dead code.
 Uses are matched by name alone, not by the type they are called on, so
 same-named methods on different classes shadow each other: one caller of
 ``RunConfig.to_json_dict`` keeps every ``to_json_dict`` alive.
+
+The same holds for settings: every defaulted parameter of a top-level
+function or method must be set, by keyword or by position, by some call in
+the program or the benchmark.  A default that no caller overrides is a
+constant, and a knob only tests turn is a test hook.  Calls are matched by
+name as above; a class's ``__init__`` by calls to the class name; and a
+call that spreads ``*args`` or ``**kwargs`` counts as setting every
+parameter.
 """
 
 import ast
@@ -46,23 +54,80 @@ def _definitions():
                 yield path, node.name, node.lineno
 
 
+def _user_trees():
+    """The parsed program and benchmark modules, tests excluded."""
+    for root in USERS:
+        for path in sorted(root.rglob("*.py")):
+            if "tests" not in path.relative_to(root).parts:
+                yield ast.parse(path.read_text(), filename=str(path))
+
+
 def _identifiers() -> set[str]:
     """Every name, attribute and keyword-argument identifier in the program
     and the benchmark, tests excluded."""
     used = set()
-    for root in USERS:
-        for path in sorted(root.rglob("*.py")):
-            if "tests" in path.relative_to(root).parts:
-                continue
-            for node in ast.walk(ast.parse(path.read_text(),
-                                           filename=str(path))):
-                if isinstance(node, ast.Name):
-                    used.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    used.add(node.attr)
-                elif isinstance(node, ast.keyword) and node.arg is not None:
-                    used.add(node.arg)
+    for tree in _user_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                used.add(node.arg)
     return used
+
+
+def _defaulted_parameters():
+    """(module file, callee name, parameter, positional index or None, line
+    number) per defaulted parameter of every top-level function and method;
+    a method's index skips ``self`` or ``cls``, and an ``__init__`` is
+    called by its class name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, functions):
+                funcs = [(node, node.name, 0)]
+            elif isinstance(node, ast.ClassDef):
+                funcs = [(f, node.name if f.name == "__init__" else f.name,
+                          0 if any(isinstance(d, ast.Name)
+                                   and d.id == "staticmethod"
+                                   for d in f.decorator_list) else 1)
+                         for f in node.body if isinstance(f, functions)]
+            else:
+                continue
+            for f, callee, skip in funcs:
+                a = f.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    yield path, callee, arg.arg, i - skip, f.lineno
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        yield path, callee, arg.arg, None, f.lineno
+
+
+def _settings() -> dict[str, tuple[int, set]]:
+    """Per called name, over every call in the program and the benchmark:
+    the most positional arguments any call passes, and every keyword any
+    call sets, with None for a call that spreads ``*args`` or ``**kwargs``
+    and so sets everything."""
+    out: dict[str, tuple[int, set]] = {}
+    for tree in _user_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name is None:
+                continue
+            n_pos, keywords = out.get(name, (0, set()))
+            keywords = keywords | {k.arg for k in node.keywords}
+            if any(isinstance(a, ast.Starred) for a in node.args):
+                keywords.add(None)
+            out[name] = (max(n_pos, len(node.args)), keywords)
+    return out
 
 
 def test_every_public_name_has_a_caller():
@@ -70,3 +135,16 @@ def test_every_public_name_has_a_caller():
     unused = [f"{path.name}:{lineno} {name}"
               for path, name, lineno in _definitions() if name not in used]
     assert unused == [], "names no program path uses: " + ", ".join(unused)
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    settings = _settings()
+    unset = []
+    for path, callee, param, index, lineno in _defaulted_parameters():
+        n_pos, keywords = settings.get(callee, (0, set()))
+        if None in keywords or param in keywords or (
+                index is not None and index < n_pos):
+            continue
+        unset.append(f"{path.name}:{lineno} {callee}({param})")
+    assert unset == [], ("defaulted parameters no program call sets: "
+                         + ", ".join(unset))

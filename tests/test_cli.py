@@ -188,6 +188,41 @@ def test_run_missing_cohort_dir(tmp_path):
                  "--out", str(tmp_path / "x"), "--seeds", "1"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("key,value", [("subjects", "oops"),
+                                       ("subjects", [1, 2]),
+                                       ("dims", 5),
+                                       ("atlas_labels", {"one": "roi01"})])
+def test_run_refuses_a_malformed_manifest(key, value, cohort_dir, tmp_path,
+                                          capsys):
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    doc[key] = value
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "r"
+    assert main(["run", "--cohort", str(cohort), "--out", str(out),
+                 "--seeds", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(cohort / "manifest.json") in err
+    assert not out.exists()
+    assert [p.name for p in cohort.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("doc,key", [([1, 2], "config"),
+                                     ({"balance": [1]}, "balance")])
+def test_report_refuses_a_malformed_index(doc, key, run_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    index = json.loads((run_dir / "index.json").read_text())
+    if isinstance(doc, dict):
+        doc = {**index, **doc}
+    (run / "index.json").write_text(json.dumps(doc))
+    assert main(["report", "--run", str(run)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert repr(key) in err and str(run / "index.json") in err
+    assert [p.name for p in run.iterdir()] == ["index.json"]
+
+
 def test_explain_command(cohort_dir, run_dir, tmp_path, capsys):
     out = tmp_path / "expl"
     code = main(["explain", "--cohort", str(cohort_dir), "--run", str(run_dir),
@@ -347,6 +382,15 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"run": {"grid": [8, 8]}}, "grid"),
     ("run", {"run": {"partition_seed": 0}}, "partition_seed"),
     ("run", {"run": {"jobs": 2}}, "jobs"),
+    # integer fields hold integers, unconverted
+    ("synth", {"cohort": {"seed": "5"}}, "seed"),
+    ("synth", {"cohort": {"n_subjects": 10.0}}, "n_subjects"),
+    ("synth", {"cohort": {"lesion_count": [1.5, 2]}}, "lesion_count"),
+    ("run", {"run": {"channels": [4, "8"]}}, "channels"),
+    # a scalar integer field takes no list
+    ("synth", {"cohort": {"seed": [5]}}, "seed"),
+    ("run", {"run": {"train": {"max_epochs": [3]}}}, "max_epochs"),
+    ("synth", {"cohort": {"dims": 5}}, "dims"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import struct
 
 import numpy as np
@@ -265,7 +267,7 @@ def test_manifest_roundtrip(tmp_path):
         seed=7,
         dims=(16, 16, 16),
     )
-    again = CohortManifest.from_json(manifest.to_json())
+    again = CohortManifest.from_json(manifest.to_json(), "manifest.json")
     assert [s.id for s in again.subjects] == ["s000", "s001"]
     assert again.subjects[0].group == 1
     assert again.subjects[1].group is None
@@ -284,6 +286,51 @@ def test_manifest_duplicate_ids_rejected():
             volume_paths={"dup": "a"}, lesion_paths={"dup": "b"},
             atlas_path="atlas.vol", atlas_labels={},
         )
+
+
+# annotations held as types, not strings, as in a module without
+# ``from __future__ import annotations``
+_PLAIN_CFG = dataclasses.make_dataclass("PlainCfg", [
+    ("n", int), ("xs", tuple[int, ...]), ("pair", tuple[float, float]),
+    ("name", str | None, None), ("labels", dict[int, str], None)])
+
+
+def test_from_json_object_checks_every_annotated_type():
+    cfg = core.from_json_object(
+        _PLAIN_CFG, {"n": 3, "xs": [], "pair": [1, 2.5], "name": None,
+                     "labels": {"4": "roi"}}, "plain config", xs=tuple)
+    assert cfg == _PLAIN_CFG(3, (), [1, 2.5], None, {"4": "roi"})
+    for key, value in [("n", [3]), ("n", True), ("n", 3.0), ("n", None),
+                       ("xs", [1, "2"]), ("xs", 1), ("pair", [1.0]),
+                       ("name", 5), ("labels", {"a": "roi"}),
+                       ("labels", {"4": 4})]:
+        doc = {"n": 3, "xs": [1], "pair": [0, 1], key: value}
+        with pytest.raises(ValueError, match=f"plain config key '{key}'"):
+            core.from_json_object(_PLAIN_CFG, doc, "plain config")
+
+
+def test_manifest_refuses_a_missing_key_or_a_bad_subject_row():
+    from strokepred.core import CohortManifest
+
+    manifest = CohortManifest(
+        subjects=[SubjectRecord(id="s0", severity="mild", recovery_time=1.0,
+                                left_lesion_size=2, score=61.5)],
+        volume_paths={"s0": "v.vol"}, lesion_paths={"s0": "l.vol"},
+        atlas_path="atlas.vol", atlas_labels={1: "roi_a"})
+    doc = json.loads(manifest.to_json())
+    del doc["tract_labels"], doc["tract_atlas_path"]
+    assert CohortManifest.from_json(json.dumps(doc), "m").tract_labels == {}
+    for bad, match in [({"seed": None}, "'seed'"),
+                       ({"dims": [16, 16]}, "'dims'"),
+                       ({"subjects": [{**doc["subjects"][0],
+                                       "left_lesion_size": 2.0}]},
+                        "subject 0 key 'left_lesion_size'"),
+                       ({"subjects": [{"id": "s0"}]}, "subject 0 has no key")]:
+        with pytest.raises(ValueError, match=match):
+            CohortManifest.from_json(json.dumps({**doc, **bad}), "m")
+    del doc["version"]
+    with pytest.raises(ValueError, match="has no key 'version'"):
+        CohortManifest.from_json(json.dumps(doc), "m")
 
 
 def test_left_hemisphere_mask_computed_once_and_read_only():

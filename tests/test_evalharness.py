@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from strokepred import evalharness
 from strokepred.core import SEVERITY_CATEGORIES, SubjectRecord
 from strokepred.evalharness import (BALANCE_COVARIATES, Calibrator, LockBox,
                                     LockBoxProtocolError, LockBoxViolation,
@@ -80,10 +81,11 @@ def test_small_category_warning():
     assert any("mild" in w for w in plan.balance.warnings)
 
 
-def test_swaps_never_hurt_the_objective():
+def test_swaps_never_hurt_the_objective(monkeypatch):
     recs = _toy_cohort(120, seed=5)
-    dealt = stratified_partition(recs, max_swaps=0)
     refined = stratified_partition(recs)
+    monkeypatch.setattr(evalharness, "MAX_SWAPS", 0)
+    dealt = stratified_partition(recs)
     assert refined.balance.objective <= dealt.balance.objective + 1e-12
     assert dealt.balance.swaps_applied == 0
 
@@ -124,8 +126,8 @@ def test_desk_cohort_partition_meets_balance_targets(desk_cohort):
     for cat, per_group in plan.balance.severity_counts.items():
         vals = list(per_group.values())
         assert max(vals) - min(vals) <= 2, cat
-    assert plan.balance.swaps_applied <= 500
-    assert plan.lockbox_group == 5
+    assert plan.balance.swaps_applied <= evalharness.MAX_SWAPS == 500
+    assert LockBox(plan).lockbox_group == plan.k == 5
 
 
 # ---------------------------------------------------------------------------
@@ -174,16 +176,24 @@ def test_lockbox_audit_file_is_append_only_jsonl(tmp_path):
                     "pre_unlock_lockbox_accesses": 0, "n_entries": 4}
 
 
-def test_audit_scan_counts_pre_unlock_access():
+def _audit_file(tmp_path, entries):
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    return path
+
+
+def test_audit_scan_counts_pre_unlock_access(tmp_path):
     entries = [
         {"seq": 1, "op": "seal", "groups": [5]},
         {"seq": 2, "op": "access", "groups": [5], "caller": "x"},
         {"seq": 3, "op": "unlock", "reason": "y"},
     ]
-    assert audit_scan(entries)["pre_unlock_lockbox_accesses"] == 1
+    scan = audit_scan(_audit_file(tmp_path, entries))
+    assert scan["pre_unlock_lockbox_accesses"] == 1
     with pytest.raises(ValueError):
-        audit_scan([{"seq": 2, "op": "seal", "groups": [5]},
-                    {"seq": 1, "op": "unlock"}])
+        audit_scan(_audit_file(tmp_path, [{"seq": 2, "op": "seal",
+                                           "groups": [5]},
+                                          {"seq": 1, "op": "unlock"}]))
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +450,10 @@ def test_subgroup_metrics_matches_manual_mask():
     got = subgroup_metrics(p, y, sev)
     want = metrics(p[mask], y[mask])
     assert got == want
-    empty = subgroup_metrics(p[:5], y[:5], ["mild"] * 5, threshold=0.3)
+    empty = subgroup_metrics(p[:5], y[:5], ["mild"] * 5)
     assert all(math.isnan(v) for v in empty.as_dict().values())
     assert (empty.tp, empty.fp, empty.tn, empty.fn) == (0, 0, 0, 0)
-    assert empty.threshold == 0.3 and empty.flags == ("empty-subgroup",)
+    assert empty.threshold == 0.5 and empty.flags == ("empty-subgroup",)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from strokepred.core import DegenerateRoiError
-from strokepred.explain import (Explanation, PerturbationRecord, RoiRanking,
-                                apply_mask, counterfactuals, explain_one,
-                                explain_pool, explanation_json,
+from strokepred.explain import (BATCH_SIZE, Explanation, PerturbationRecord,
+                                RoiRanking, SurrogateModel, apply_mask,
+                                counterfactuals, explain_one, explain_pool,
+                                explanation_json,
                                 explanation_report, fit_surrogate,
                                 gen_perturbations, roi_pixel_sets,
                                 select_roi_count)
@@ -380,6 +382,53 @@ def test_counterfactuals_keep_the_base_the_explanation_gated_on():
         (1,), (1, 2), (1, 3), (1, 4)}
 
 
+def _swap_inputs(n_rois):
+    """64x64 image, contrast and label image striped into ``n_rois`` ROIs,
+    and a flat surrogate."""
+    labels = (np.arange(64 * 64) % n_rois + 1).reshape(64, 64)
+    rng = np.random.default_rng(n_rois)
+    original = rng.random((64, 64))
+    surrogate = SurrogateModel(intercept=2.0, coefs=(0.0,) * n_rois, r2=None)
+    return original, original + 1.0, labels, surrogate
+
+
+def _counterfactual_peak(n_rois):
+    original, contrast, labels, surrogate = _swap_inputs(n_rois)
+    rois = tuple(range(1, n_rois + 1))
+
+    def classifier(batch):
+        return np.full(len(batch), 0.9)
+
+    tracemalloc.start()
+    try:
+        rows = counterfactuals(original, contrast, labels, classifier,
+                               surrogate, rois=rois, base=0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == []
+    return peak
+
+
+def test_counterfactual_swaps_are_held_one_batch_at_a_time():
+    # 136 swaps of 16 ROIs and 210 of 20 both fill one 128-image batch
+    assert _counterfactual_peak(20) <= 1.1 * _counterfactual_peak(16)
+
+
+def test_counterfactuals_score_the_swaps_in_batch_size_batches():
+    original, contrast, labels, surrogate = _swap_inputs(20)
+    sizes = []
+
+    def classifier(batch):
+        sizes.append(len(batch))
+        return np.full(len(batch), 0.2)
+
+    rows = counterfactuals(original, contrast, labels, classifier, surrogate,
+                           rois=tuple(range(1, 21)), base=0.9)
+    assert sizes == [BATCH_SIZE, 210 - BATCH_SIZE]
+    assert len(rows) == 210
+
+
 # ---------------------------------------------------------------------------
 # explanations
 
@@ -460,7 +509,7 @@ def test_aggregate_importance_recovers_coefficient_order():
     assert ranking.n_explanations == 1
     # true order by coefficient: roi1 (2.0), roi4 (1.5), roi2 (1.0), roi3 (0.5)
     assert ranking.rois == (1, 4, 2, 3)
-    assert ranking.top(2) == (1, 4)
+    assert ranking.rois[:2] == (1, 4)
     for roi, want in zip(ROIS, coefs):
         assert abs(ranking.mean_importance[roi] - want) <= 5e-3
 

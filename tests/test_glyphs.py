@@ -180,7 +180,7 @@ def make_volume(dims, seed=7):
 
 DIMS = (32, 32, 16)
 FULL = (128, 128)  # (w, h) of the 4x4 grid: downsampling to it is a no-op
-HYBRID_SPEC = StitchSpec(DIMS, grid=(4, 4), removed_cells=(12, 13, 14, 15))
+HYBRID_SPEC = StitchSpec(DIMS, removed_cells=(12, 13, 14, 15))
 
 
 def hybrid(volume, record, target=FULL):
@@ -189,7 +189,7 @@ def hybrid(volume, record, target=FULL):
 
 
 def test_hybrid_stitched_requires_dorsal_cells():
-    bad = StitchSpec(DIMS, grid=(4, 4), removed_cells=(0, 1, 2, 3))
+    bad = StitchSpec(DIMS, removed_cells=(0, 1, 2, 3))
     with pytest.raises(LayoutError):
         hybrid_stitched(make_volume(DIMS), make_record(), bad, SIZE_REF,
                         TIME_REF, FULL)
@@ -198,7 +198,7 @@ def test_hybrid_stitched_requires_dorsal_cells():
 def test_hybrid_stitched_locality():
     vol = make_volume(DIMS)
     hybrid_img = hybrid(vol, make_record())
-    plain = stitch(vol, StitchSpec(DIMS, grid=(4, 4)))
+    plain = stitch(vol, StitchSpec(DIMS))
     diff = hybrid_img.pixels != plain.pixels
     freed = np.zeros(diff.shape, dtype=bool)
     for cell in (12, 13, 14, 15):

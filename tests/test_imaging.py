@@ -47,8 +47,9 @@ def voxel_map(atlas, plan):
 def test_stitch_dimensions_64_slice_grid():
     # 8x8 grid of 95x79 axial slices comes out 632 rows by 760 cols
     vol = Volume3D(dims=(95, 79, 64), data=np.zeros((95, 79, 64), np.float32))
-    spec = StitchSpec(vol.dims, grid=(8, 8))
+    spec = StitchSpec(vol.dims)
     img = stitch(vol, spec)
+    assert spec.grid == (8, 8)
     assert (img.height, img.width) == (632, 760)
 
 
@@ -59,7 +60,7 @@ def test_stitch_known_pixel_mapping():
     data = np.zeros(dims, np.float32)
     data[1, 0, 1] = 0.625
     vol = Volume3D(dims=dims, data=data)
-    spec = StitchSpec(dims, grid=(2, 2))
+    spec = StitchSpec(dims)
     img = stitch(vol, spec)
     assert img.pixels[0, 5] == np.float32(0.625)
     assert np.count_nonzero(img.pixels) == 1
@@ -68,7 +69,7 @@ def test_stitch_known_pixel_mapping():
 def test_stitch_roundtrip_exhaustive():
     dims = (8, 8, 8)
     vol = make_volume(dims)
-    spec = StitchSpec(dims, grid=(3, 3))
+    spec = StitchSpec(dims)
     img = stitch(vol, spec)
     shown = np.zeros((img.height, img.width), dtype=bool)
     for voxel in np.ndindex(*dims):
@@ -84,7 +85,7 @@ def test_stitch_roundtrip_exhaustive():
 def test_stitch_is_lossless():
     dims = (6, 5, 4)
     vol = make_volume(dims, seed=11)
-    spec = StitchSpec(dims, grid=(2, 2))
+    spec = StitchSpec(dims)
     img = stitch(vol, spec)
     assert np.isclose(img.pixels.sum(dtype=np.float64),
                       vol.data.sum(dtype=np.float64), rtol=1e-6)
@@ -93,7 +94,7 @@ def test_stitch_is_lossless():
 def test_stitch_removed_cells_blank():
     dims = (4, 4, 4)
     vol = make_volume(dims, seed=3)
-    spec = StitchSpec(dims, grid=(2, 2), removed_cells=(3,))
+    spec = StitchSpec(dims, removed_cells=(3,))
     img = stitch(vol, spec)
     assert np.all(img.pixels[4:8, 4:8] == 0.0)
     expected = vol.data[:, :, :3].sum(dtype=np.float64)
@@ -104,10 +105,8 @@ def test_stitch_rejects_bad_spec():
     dims = (4, 4, 8)
     vol = make_volume(dims, seed=5)
     with pytest.raises(LayoutError):
-        StitchSpec(dims, grid=(2, 2))  # 8 slices > 4 cells
-    with pytest.raises(LayoutError):
-        StitchSpec(dims, grid=(3, 3), removed_cells=(9,))  # outside the grid
-    spec = StitchSpec((4, 4, 6), grid=(3, 3))  # made for another depth
+        StitchSpec(dims, removed_cells=(8,))  # outside the grid
+    spec = StitchSpec((4, 4, 6))  # made for another depth
     with pytest.raises(LayoutError):
         stitch(vol, spec)
 
@@ -118,10 +117,8 @@ def test_stitch_rejects_bad_spec():
     data=st.data(),
 )
 def test_stitch_provenance_property(nx, ny, nz, data):
-    rows = data.draw(st.integers(1, nz))
-    cols = -(-nz // rows)  # ceil
     vol = make_volume((nx, ny, nz), seed=nz * 100 + nx * 10 + ny)
-    spec = StitchSpec(vol.dims, grid=(rows, cols))
+    spec = StitchSpec(vol.dims)
     img = stitch(vol, spec)
     x = data.draw(st.integers(0, nx - 1))
     y = data.draw(st.integers(0, ny - 1))
@@ -144,7 +141,7 @@ def test_downsample_hand_computed_means():
 
 def test_downsample_256_from_stitched():
     vol = make_volume((16, 16, 4), seed=9)
-    spec = StitchSpec(vol.dims, grid=(2, 2))
+    spec = StitchSpec(vol.dims)
     big = stitch(vol, spec)
     small = downsample(big, 16, 16)
     assert (small.height, small.width) == (16, 16)
@@ -288,7 +285,7 @@ def test_roi_order_follows_label_ranking():
 def test_stitched_label_image_matches_provenance():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=31)
-    spec = StitchSpec(vol.dims, grid=(2, 2))
+    spec = StitchSpec(vol.dims)
     img = stitch(vol, spec)
     lab = stitched_label_image(atlas, spec)
     shown = np.zeros(lab.shape, dtype=bool)
@@ -381,8 +378,4 @@ def test_pool_weights_cached_and_read_only():
     with pytest.raises(ValueError):
         w[0, 0] = 1.0
 
-
-def test_roi_spec_rejects_negative_gap():
-    with pytest.raises(LayoutError):
-        RoiImageSpec(roi_labels=(1,), canvas=(8, 8), tile_gap=-1)
 

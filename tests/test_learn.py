@@ -2,6 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,10 +66,33 @@ def test_zero_params_give_probability_half():
     for kind in ("lightweight", "early_fusion", "daft"):
         params = build_params(kind, cnn=cnn, tabular_dim=None if kind == "lightweight" else 3)
         tab = None if kind == "lightweight" else tabular
-        p = predict_proba(params, images, tab)
+        p = sigmoid(forward(params, images, tab))
         assert np.allclose(p, 0.5)
     params = build_params("logistic", tabular_dim=3)
-    assert np.allclose(predict_proba(params, None, tabular), 0.5)
+    assert np.allclose(sigmoid(forward(params, None, tabular)), 0.5)
+    params = build_params("lightweight", cnn=cnn)
+    assert np.allclose(predict_proba(params, images), 0.5)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_an_empty_batch_has_no_logits(kind, dtype):
+    cnn = tiny_cnn((8, 8), (2, 3))
+    tab_dim = 4 if kind in ("early_fusion", "daft") else None
+    params = build_params(kind, cnn=cnn, tabular_dim=tab_dim,
+                          rng=CounterRng(3, "init"), dtype=dtype)
+    images = np.zeros((0, 8, 8), dtype=dtype)
+    tabular = None if tab_dim is None else np.zeros((0, 4), dtype=dtype)
+    logits = forward(params, images, tabular)
+    assert logits.shape == (0,) and logits.dtype == dtype
+    if tab_dim is None:  # an image-only model
+        assert predict_proba(params, images).shape == (0,)
+    # a batch of one is untouched, and still checked
+    one, tab, _ = rand_batch(CounterRng(4, "one"), 1, (8, 8), tab_dim,
+                             dtype=dtype)
+    assert forward(params, one, tab).shape == (1,)
+    with pytest.raises(ValueError):
+        forward(params, np.zeros((0, 4, 4), dtype=dtype), tabular)
 
 
 def test_daft_identity_matches_lightweight():
@@ -337,8 +361,7 @@ def _ref_backward(params, images, tabular, labels, weights):
     wv = np.where(y == 1, weights[1], weights[0])
     dz = (wv * (sigmoid(logits) - y) / len(y)).astype(params.vector.dtype)
     grad = np.zeros_like(params.vector)
-    gview = params.copy()
-    gview.vector = grad
+    gview = replace(params, vector=grad)
     feats = cache["feats"]
     gview.view("head_w")[...] = dz[None, :] @ feats
     gview.view("head_b")[...] = dz.sum()
@@ -722,10 +745,11 @@ def test_backward_skips_block_zero_input_gradient(monkeypatch):
 # Logistic fit (IRLS)
 
 
-def test_logistic_fit_all_positive_labels():
+def test_logistic_fit_all_positive_labels(monkeypatch):
+    monkeypatch.setattr(learn, "LOGISTIC_RIDGE", 10.0)
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.ones(4)
-    params = logistic_fit(x, y, ridge=10.0)
+    params = logistic_fit(x, y)
     assert np.all(np.isfinite(params.vector))
     assert abs(params.view("w")[0, 0]) < 0.1  # strong ridge pins the slope
     assert params.view("b")[0] > 0.5  # intercept carries the signal
@@ -742,24 +766,26 @@ def _gd_oracle(x, y, ridge, lr=0.05, iters=200000):
     return beta
 
 
-def test_logistic_fit_matches_gradient_descent_oracle():
+def test_logistic_fit_matches_gradient_descent_oracle(monkeypatch):
+    monkeypatch.setattr(learn, "LOGISTIC_RIDGE", 0.1)
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0.0, 0.0, 1.0, 1.0])
-    params = logistic_fit(x, y, ridge=0.1)
+    params = logistic_fit(x, y)
     beta = _gd_oracle(x, y, 0.1)
     assert params.view("b")[0] == pytest.approx(beta[0], abs=1e-4)
     assert params.view("w")[0, 0] == pytest.approx(beta[1], abs=1e-4)
 
 
-def test_logistic_fit_deterministic_and_validates():
+def test_logistic_fit_deterministic_and_validates(monkeypatch):
+    monkeypatch.setattr(learn, "LOGISTIC_RIDGE", 0.01)
     rng = CounterRng(6, "lf")
     x = np.array([rng.uniform() for _ in range(40)]).reshape(20, 2)
     y = (x[:, 0] + x[:, 1] > 1.0).astype(float)
-    a = logistic_fit(x, y, ridge=0.01)
-    b = logistic_fit(x, y, ridge=0.01)
+    a = logistic_fit(x, y)
+    b = logistic_fit(x, y)
     assert np.array_equal(a.vector, b.vector)
     with pytest.raises(ValueError):
-        logistic_fit(x, y * 2, ridge=0.01)
+        logistic_fit(x, y * 2)
 
 
 # ---------------------------------------------------------------------------

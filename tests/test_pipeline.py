@@ -101,9 +101,10 @@ def test_paper_preset_constants():
 
 
 def test_auto_grid_exact_cover():
-    for nz in (4, 17, 24, 36, 60, 64, 100):
-        rows, cols = pipeline.auto_grid(nz)
-        assert rows * cols == nz
+    for nz, grid in ((4, (2, 2)), (17, (1, 17)), (24, (4, 6)), (36, (6, 6)),
+                     (60, (6, 10)), (64, (8, 8)), (100, (10, 10))):
+        rows, cols = imaging.StitchSpec((8, 8, nz)).grid
+        assert (rows, cols) == grid and rows * cols == nz
         assert rows <= cols  # wide, never tall
 
 
@@ -238,8 +239,7 @@ def test_build_variant_shapes_and_determinism(tiny_cohort, variant):
 def test_stitched_label_image_matches_direct(tiny_cohort):
     config = fast_config(variant="stitched")
     data = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
-    grid = pipeline.auto_grid(32)
-    spec = imaging.StitchSpec(tiny_cohort.dims, grid)
+    spec = imaging.StitchSpec(tiny_cohort.dims)
     expected = pipeline.downsample_labels(
         imaging.stitched_label_image(tiny_cohort.atlas, spec), 32)
     assert np.array_equal(data.label_image, expected)
@@ -376,8 +376,11 @@ def tiny_run(tiny_cohort):
     return pipeline.run_experiment(tiny_cohort, fast_config())
 
 
-def test_run_audit_protocol(tiny_run):
-    scan = evalharness.audit_scan(tiny_run.box.entries)
+def test_run_audit_protocol(tiny_run, tmp_path):
+    path = tmp_path / "audit.jsonl"
+    path.write_text("".join(json.dumps(e) + "\n"
+                            for e in tiny_run.box.entries))
+    scan = evalharness.audit_scan(path)
     assert scan["n_unlocks"] == 1
     assert scan["n_violations"] == 0
     assert scan["pre_unlock_lockbox_accesses"] == 0

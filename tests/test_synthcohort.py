@@ -246,7 +246,8 @@ def test_truth_validation():
 
 def test_truth_json_round_trip():
     t = default_truth()
-    assert TruthModel.from_json_dict(t.to_json_dict()) == t
+    doc = json.loads(json.dumps(dataclasses.asdict(t)))
+    assert TruthModel.from_json_dict(doc) == t
     c = SMALL
     doc = json.loads(json.dumps(dataclasses.asdict(c)))
     assert SynthConfig.from_json_dict(doc) == c
@@ -263,7 +264,7 @@ def test_write_cohort_round_trip(tmp_path):
     assert np.array_equal(atlas.labels, gen_atlas(SMALL, "rois").labels)
     rec = loaded.subjects[2]
     vol = core.read_volume(tmp_path / loaded.volume_paths[rec.id])
-    want, lesion, _ = gen_subject(SMALL, default_truth(), 2)
+    want, lesion, _ = gen_subject(SMALL, default_truth(), 2, atlas)
     assert np.array_equal(vol.data, want.data)
     les = core.read_volume(tmp_path / loaded.lesion_paths[rec.id])
     assert np.array_equal(les.labels, lesion.labels)
