@@ -2,7 +2,8 @@
 
 Subcommands: synth (generate a cohort directory), run (train and evaluate
 one variant/model cell), explain (per-image ROI explanations for a finished
-run), select-rois (ROI-count selection curve), report (summarize a run).
+run), select-rois (rank the ROIs of a finished run and sweep the ROI count),
+report (summarize a run).
 
 Exit codes: 0 success, 2 configuration or input error, 3 lock-box protocol
 violation, 4 numeric abort during optimization.
@@ -39,7 +40,7 @@ EXIT_CONFIG = 2
 EXIT_LOCKBOX = 3
 EXIT_NUMERIC = 4
 
-CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
+CONFIG_SECTIONS = ("cohort", "truth", "run")
 
 # mallopt(3) parameters. Blocks below the mmap threshold come from the heap,
 # so freeing them unmaps nothing; 32 MiB is the largest threshold glibc
@@ -50,11 +51,6 @@ CONFIG_SECTIONS = ("cohort", "truth", "run", "explain", "roi_counts")
 # A trim threshold of -1 means "never trim": the heap top stays mapped.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
-
-# the ROI ranking's settings and their defaults (``explain`` perturbs more
-# by default), and the k grid of an ROI-count sweep
-EXPLAIN_DEFAULTS = {"n_explain": 12, "n_perturb": 160, "seed": 0}
-ROI_COUNTS = "3-10"
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
@@ -152,89 +148,12 @@ def _run_config(args, doc: dict) -> RunConfig:
     return config
 
 
-def _ranking_settings(exp, counts=None, sweep_epochs=None) -> dict:
-    """The ranking settings of the config file's explain block or of the
-    explain and select-rois flags, over their defaults.  Checked, with a
-    selection's ROI counts and sweep epochs, before any work: every value
-    is an integer, and all but the seed are positive."""
-    if not isinstance(exp, dict):
-        raise ConfigError("config file key 'explain' must hold a JSON object")
-    for key, value in exp.items():
-        if key not in EXPLAIN_DEFAULTS:
-            raise ConfigError(f"unknown explain key {key!r}")
-        if type(value) is not int or (key != "seed" and value < 1):
-            raise ConfigError(f"explain setting {key!r} must be a "
-                              f"{'' if key == 'seed' else 'positive '}integer")
-    good_counts = isinstance(counts, (list, tuple)) and counts and all(
-        type(k) is int and k > 0 for k in counts)
-    if counts is not None and not good_counts:
-        raise ConfigError("ROI counts (config file key 'roi_counts', "
-                          "--counts) must be a nonempty list of positive "
-                          "integers")
-    if sweep_epochs is not None and sweep_epochs < 1:
-        raise ConfigError("--sweep-epochs must be a positive integer")
-    return {**EXPLAIN_DEFAULTS, **exp}
-
-
-def _ranking_flags(args) -> dict:
-    """The ranking flags of explain and select-rois, as an explain block."""
-    return {"n_explain": args.n_explain, "n_perturb": args.n_perturb,
-            "seed": args.explain_seed}
-
-
-def _check_roi_counts(label_image, n_perturb: int, counts=()) -> None:
-    """Refuse a count grid larger than the ROIs there are to rank, and too
-    few perturbations for the all-ones mask plus one mask per ROI: both
-    against the ROIs of the rendered label map, where a thin ROI can
-    vanish.  Called before the training and explanation that would reach
-    the same errors."""
-    n_rois = len(explain.image_rois(label_image))
-    if counts and max(counts) > n_rois:
-        raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
-                          "ROIs in the rendered label map")
-    if n_perturb < n_rois + 2:
-        raise ConfigError(f"n_perturb {n_perturb} must exceed the {n_rois} "
-                          "ROIs in the rendered label map + 1")
-
-
-def _rank_and_sweep(out: Path, run, params, exp: dict, counts,
-                    sweep_epochs=None):
-    """Rank the ROIs of a prepared run on the development pool, sweep the
-    count grid, and write roi_ranking.csv, roi_curve.csv and roi_curve.svg."""
-    _, ranking = pipeline.rank_rois(params, run, **exp)
-    if ranking.flags:
-        print("ranking flags: " + ", ".join(ranking.flags))
-    curve = pipeline.roi_count_sweep(run, ranking, counts=counts,
-                                     sweep_epochs=sweep_epochs)
-    pipeline.write_ranking_csv(
-        ranking, out / "roi_ranking.csv",
-        run.cohort.labels_for(run.config.variant).label_names)
-    pipeline.write_curve_csv(curve, out / "roi_curve.csv")
-    pipeline.write_curve_svg(curve, out / "roi_curve.svg")
-    return ranking, curve
-
-
-def _update_index(out: Path, extra: dict) -> None:
-    index_path = out / "index.json"
-    doc = json.loads(index_path.read_text()) if index_path.exists() else {}
-    doc.setdefault("files", {}).update(extra)
-    index_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def cmd_run(args) -> int:
     doc = _load_config_file(args.config)
     config = _run_config(args, doc)
     if args.jobs < 1:
         raise ConfigError("--jobs must be >= 1")
-    counts = doc.get("roi_counts", parse_seeds(ROI_COUNTS))
-    exp = _ranking_settings(doc.get("explain", {}), counts)
-    if args.roi_sweep:
-        pipeline.require_roi_selection(config)
     cohort = pipeline.CohortData.from_directory(args.cohort)
-    if args.roi_sweep:
-        _check_roi_counts(
-            pipeline.prepare_run(cohort, config).variant_data.label_image,
-            exp["n_perturb"], counts)
     out = _ensure_out_dir(Path(args.out) if args.out else _default_run_dir(),
                           args.force)
 
@@ -244,15 +163,6 @@ def cmd_run(args) -> int:
     for warning in result.plan.balance.warnings:
         print(f"partition warning: {warning}")
     pipeline.emit_run(result, out)
-    _update_index(out, {"audit": "audit.jsonl"})
-
-    if args.roi_sweep:
-        _, curve = _rank_and_sweep(
-            out, result, result.checkpoints[config.seeds[0]], exp, counts)
-        _update_index(out, {"roi_ranking": "roi_ranking.csv",
-                            "roi_curve": "roi_curve.csv",
-                            "roi_curve_svg": "roi_curve.svg"})
-        print(f"roi sweep: best k = {curve.best_k}")
 
     bal = result.aggregate["balanced_accuracy"]
     auc_v = result.aggregate["auc"]
@@ -285,6 +195,9 @@ def _load_run(run_dir: Path) -> tuple[RunConfig, dict]:
 def _load_checkpoint(run_dir: Path, config: RunConfig,
                      seed: int | None) -> tuple[int, learn.ModelParams]:
     seed = config.seeds[0] if seed is None else seed
+    if seed not in config.seeds:
+        raise ConfigError(f"seed {seed} is not one of the seeds "
+                          f"{list(config.seeds)} of the run in {run_dir}")
     path = run_dir / "checkpoints" / f"seed-{seed:03d}.ckp"
     if not path.exists():
         raise ConfigError(f"no checkpoint for seed {seed} under {run_dir}")
@@ -300,10 +213,42 @@ def _load_checkpoint(run_dir: Path, config: RunConfig,
     return seed, params
 
 
+def _ranking_settings(args, counts=(), sweep_epochs=None) -> dict:
+    """The ranking flags of explain and select-rois, checked with a
+    selection's ROI counts and sweep epochs before any work: all but the
+    seed are positive."""
+    exp = {"n_explain": args.n_explain, "n_perturb": args.n_perturb,
+           "seed": args.explain_seed}
+    for key in ("n_explain", "n_perturb"):
+        if exp[key] < 1:
+            raise ConfigError(f"explain setting {key!r} must be a positive "
+                              "integer")
+    if counts and min(counts) < 1:
+        raise ConfigError("--counts must hold positive integers")
+    if sweep_epochs is not None and sweep_epochs < 1:
+        raise ConfigError("--sweep-epochs must be a positive integer")
+    return exp
+
+
+def _check_roi_counts(label_image, n_perturb: int, counts=()) -> None:
+    """Refuse a count grid larger than the ROIs there are to rank, and too
+    few perturbations for the all-ones mask plus one mask per ROI: both
+    against the ROIs of the rendered label map, where a thin ROI can
+    vanish.  Called before the explanation that would reach the same
+    errors."""
+    n_rois = len(explain.image_rois(label_image))
+    if counts and max(counts) > n_rois:
+        raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
+                          "ROIs in the rendered label map")
+    if n_perturb < n_rois + 2:
+        raise ConfigError(f"n_perturb {n_perturb} must exceed the {n_rois} "
+                          "ROIs in the rendered label map + 1")
+
+
 def cmd_explain(args) -> int:
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
-    exp = _ranking_settings(_ranking_flags(args))
+    exp = _ranking_settings(args)
     if config.model != "lightweight":
         raise ConfigError("explanations support the image-only model; "
                           f"this run used {config.model!r}")
@@ -342,7 +287,7 @@ def cmd_select_rois(args) -> int:
     config, _doc = _load_run(run_dir)
     pipeline.require_roi_selection(config)
     counts = parse_seeds(args.counts)  # same "3-10" syntax
-    exp = _ranking_settings(_ranking_flags(args), counts, args.sweep_epochs)
+    exp = _ranking_settings(args, counts, args.sweep_epochs)
     cohort = pipeline.CohortData.from_directory(args.cohort)
     seed, params = _load_checkpoint(run_dir, config, args.seed)
     out = _ensure_out_dir(Path(args.out), args.force)
@@ -350,9 +295,15 @@ def cmd_select_rois(args) -> int:
     # only groups 1-4 are read and rendered, so the box keeps no audit file
     run = pipeline.prepare_run(cohort, config)
     _check_roi_counts(run.variant_data.label_image, exp["n_perturb"], counts)
-    ranking, curve = _rank_and_sweep(out, run, params, exp, counts,
-                                     args.sweep_epochs)
+    _, ranking = pipeline.rank_rois(params, run, **exp)
+    if ranking.flags:
+        print("ranking flags: " + ", ".join(ranking.flags))
+    curve = pipeline.roi_count_sweep(run, ranking, counts=counts,
+                                     sweep_epochs=args.sweep_epochs)
     names = cohort.labels_for(config.variant).label_names
+    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
+    pipeline.write_curve_csv(curve, out / "roi_curve.csv")
+    pipeline.write_curve_svg(curve, out / "roi_curve.svg")
     chosen = ranking.rois[:curve.best_k]
     (out / "selection.json").write_text(json.dumps(
         {"best_k": curve.best_k,
@@ -379,9 +330,14 @@ def cmd_report(args) -> int:
               f"objective {balance.get('objective', 0.0):.4f}")
     summary = run_dir / "summary.csv"
     if summary.exists():
-        for line in summary.read_text().splitlines()[1:]:
-            variant, model, metric, mean, se = line.split(",")
-            print(f"  {metric:>18s}: {float(mean):.3f} +/- {float(se):.3f}")
+        lines = summary.read_text().splitlines()
+        for number, line in enumerate(lines[1:], start=2):
+            try:
+                _, _, metric, mean, se = line.split(",")
+                mean, se = float(mean), float(se)
+            except ValueError as exc:
+                raise ConfigError(f"{summary} line {number}: {exc}") from None
+            print(f"  {metric:>18s}: {mean:.3f} +/- {se:.3f}")
     audit = run_dir / "audit.jsonl"
     if audit.exists():
         scan = evalharness.audit_scan(audit)
@@ -397,11 +353,9 @@ def cmd_report(args) -> int:
 
 
 def _add_ranking_flags(parser, n_perturb: int) -> None:
-    parser.add_argument("--n-explain", type=int,
-                        default=EXPLAIN_DEFAULTS["n_explain"])
+    parser.add_argument("--n-explain", type=int, default=12)
     parser.add_argument("--n-perturb", type=int, default=n_perturb)
-    parser.add_argument("--explain-seed", type=int,
-                        default=EXPLAIN_DEFAULTS["seed"])
+    parser.add_argument("--explain-seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -431,8 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="full-scale constants (256x256, 6 blocks, 200 epochs)")
     rp.add_argument("--jobs", type=int, default=1,
                     help="concurrent seed fits")
-    rp.add_argument("--roi-sweep", action="store_true",
-                    help="emit ROI ranking + count-selection curve")
     rp.add_argument("--force", action="store_true")
     rp.set_defaults(func=cmd_run)
 
@@ -450,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     kp.add_argument("--run", required=True)
     kp.add_argument("--out", required=True)
     kp.add_argument("--seed", type=int)
-    kp.add_argument("--counts", default=ROI_COUNTS, help='k grid, e.g. "3-10"')
+    kp.add_argument("--counts", default="3-10", help='k grid, e.g. "3-10"')
     kp.add_argument("--sweep-epochs", type=int,
                     help="shorter training for the sweep only")
-    _add_ranking_flags(kp, n_perturb=EXPLAIN_DEFAULTS["n_perturb"])
+    _add_ranking_flags(kp, n_perturb=160)
     kp.add_argument("--force", action="store_true")
     kp.set_defaults(func=cmd_select_rois)
 

@@ -203,9 +203,9 @@ class LockBox:
         self._unlocked = False
         self._seq = 0
         self.entries: list[dict] = []
-        self._audit_path = Path(audit_path) if audit_path else None
-        if self._audit_path:
-            self._audit_path.write_text("")  # fresh log per seal
+        self.audit_path = Path(audit_path) if audit_path else None
+        if self.audit_path:
+            self.audit_path.write_text("")  # fresh log per seal
         self._log("seal", groups=[self.lockbox_group])
 
     def _log(self, op: str, **fields):
@@ -213,8 +213,8 @@ class LockBox:
         entry = {"seq": self._seq, "op": op,
                  "time": f"{_time.time():.6f}", **fields}
         self.entries.append(entry)
-        if self._audit_path:
-            with self._audit_path.open("a") as fh:
+        if self.audit_path:
+            with self.audit_path.open("a") as fh:
                 fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
     def unlock(self, reason: str):

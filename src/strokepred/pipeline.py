@@ -123,6 +123,17 @@ def paper_preset(config: RunConfig) -> RunConfig:
 # Cohort access
 
 
+def _read_kind(kind: type, path: Path, label_names=None):
+    """Read a VOL1 file that must hold a ``kind`` volume; a file of the
+    other kind is refused at its dtype code."""
+    volume = core.read_volume(path, label_names)
+    if not isinstance(volume, kind):
+        raise core.FormatError(
+            f"{path} holds a {type(volume).__name__}, not a {kind.__name__}",
+            16)
+    return volume
+
+
 @dataclass(frozen=True)
 class CohortData:
     dims: tuple[int, int, int]
@@ -150,16 +161,16 @@ class CohortData:
     def from_directory(cls, path: str | Path) -> "CohortData":
         path = Path(path)
         manifest = CohortManifest.load(path)
-        atlas = core.read_volume(path / manifest.atlas_path,
-                                 label_names=manifest.atlas_labels)
+        atlas = _read_kind(LabelVolume, path / manifest.atlas_path,
+                           manifest.atlas_labels)
         tracts = None
         if manifest.tract_atlas_path is not None:
-            tracts = core.read_volume(path / manifest.tract_atlas_path,
-                                      label_names=manifest.tract_labels)
+            tracts = _read_kind(LabelVolume, path / manifest.tract_atlas_path,
+                                manifest.tract_labels)
         volume_paths = dict(manifest.volume_paths)
 
         def volume_of(subject_id: str) -> Volume3D:
-            return core.read_volume(path / volume_paths[subject_id])
+            return _read_kind(Volume3D, path / volume_paths[subject_id])
 
         return cls(dims=manifest.dims, atlas=atlas, tracts=tracts,
                    records=tuple(manifest.subjects), volume_of=volume_of)
@@ -627,6 +638,8 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
               ["phase", "lr", "fold_or_seed", "epoch", "val_loss"],
               result.learning_curves)
     files["learning_curves"] = "learning_curves.csv"
+    if result.box.audit_path:
+        files["audit"] = result.box.audit_path.name
 
     meta = {
         "config": cfg.to_json_dict(),

@@ -208,6 +208,36 @@ def test_run_refuses_a_malformed_manifest(key, value, cohort_dir, tmp_path,
     assert [p.name for p in cohort.iterdir()] == ["manifest.json"]
 
 
+@pytest.mark.parametrize("key", ["volume", "atlas_path"])
+def test_run_refuses_a_volume_file_of_the_wrong_kind(key, cohort_dir, tmp_path,
+                                                     monkeypatch, capsys):
+    # a subject's lesion labels as its volume, or its volume as the atlas
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    doc = json.loads((cohort / "manifest.json").read_text())
+    group_of = _group_of(cohort_dir)  # a subject read before any training
+    row = next(r for r in doc["subjects"] if group_of[r["id"]] != 5)
+    if key == "volume":
+        wrong = row["volume"] = row["lesion"]
+    else:
+        wrong = doc["atlas_path"] = row["volume"]
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+    monkeypatch.setattr(learn, "train", _fail_if_trained)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    assert main(["run", "--cohort", str(cohort), "--out", str(tmp_path / "r"),
+                 "--seeds", "1", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(cohort / wrong) in err and "byte offset 16" in err
+
+
+def test_run_has_no_roi_sweep_flag(tmp_path):
+    # select-rois ranks the ROIs of a finished run
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--cohort", str(tmp_path), "--roi-sweep"])
+    assert exc.value.code == EXIT_CONFIG
+
+
 @pytest.mark.parametrize("doc,key", [([1, 2], "config"),
                                      ({"balance": [1]}, "balance")])
 def test_report_refuses_a_malformed_index(doc, key, run_dir, tmp_path, capsys):
@@ -221,6 +251,18 @@ def test_report_refuses_a_malformed_index(doc, key, run_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert repr(key) in err and str(run / "index.json") in err
     assert [p.name for p in run.iterdir()] == ["index.json"]
+
+
+def test_report_names_the_line_of_a_malformed_summary(run_dir, tmp_path,
+                                                      capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    shutil.copy(run_dir / "index.json", run)
+    summary = run / "summary.csv"
+    summary.write_text("variant,model,metric,mean,se\n"
+                       "gm-roi,lightweight,auc\n")
+    assert main(["report", "--run", str(run)]) == EXIT_CONFIG
+    assert f"{summary} line 2" in capsys.readouterr().err
 
 
 def test_explain_command(cohort_dir, run_dir, tmp_path, capsys):
@@ -251,6 +293,26 @@ def test_explain_prints_the_ranking_flags(cohort_dir, run_dir, tmp_path,
 def test_explain_missing_checkpoint_seed(cohort_dir, run_dir, tmp_path):
     assert main(["explain", "--cohort", str(cohort_dir), "--run", str(run_dir),
                  "--out", str(tmp_path / "e"), "--seed", "99"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("command", ["explain", "select-rois"])
+def test_a_seed_the_run_did_not_train_is_refused(command, cohort_dir, run_dir,
+                                                 tmp_path, monkeypatch,
+                                                 capsys):
+    # a rerun with fewer seeds leaves the old checkpoints beside its index
+    run = tmp_path / "run"
+    shutil.copytree(run_dir, run)
+    doc = json.loads((run / "index.json").read_text())
+    doc["config"]["seeds"] = [1]
+    (run / "index.json").write_text(json.dumps(doc))
+    assert (run / "checkpoints" / "seed-002.ckp").exists()
+    monkeypatch.setattr(cli.learn, "read_checkpoint", _fail_if_called)
+    out = tmp_path / "out"
+    code = main([command, "--cohort", str(cohort_dir), "--run", str(run),
+                 "--out", str(out), "--seed", "2"])
+    assert code == EXIT_CONFIG
+    assert "seed 2 is not one of the seeds [1]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_explain_rejects_non_run_dir(cohort_dir, tmp_path):
@@ -333,15 +395,6 @@ def test_select_rois_rejects_stitched_run(variant, tmp_path, capsys):
     assert not (tmp_path / "sel").exists()
 
 
-def test_run_roi_sweep_rejects_stitched_before_training(tmp_path, capsys):
-    out = tmp_path / "r"
-    code = main(["run", "--cohort", str(tmp_path / "no-cohort"),
-                 "--out", str(out), "--variant", "stitched", "--roi-sweep"])
-    assert code == EXIT_CONFIG
-    assert "ROI variant" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
                                                      tmp_path, capsys):
     run = tmp_path / "run"
@@ -363,12 +416,13 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"run": {"train": {"lrs": [0.01], "epochs": 3}}}, "epochs"),
     ("run", {"run": {"variants": "gm-roi"}}, "variants"),
     ("run", {"run": {"train": None}}, "train"),
+    # sections the config file no longer holds
     ("run", {"roi_counts": 5}, "roi_counts"),
     ("run", {"roi_counts": []}, "roi_counts"),
     ("run", {"roi_counts": [3, 0]}, "roi_counts"),
     ("run", {"explain": [12]}, "explain"),
-    ("run", {"explain": {"n_explian": 4}}, "n_explian"),
-    ("run", {"explain": {"n_perturb": "160"}}, "n_perturb"),
+    ("run", {"explain": {"n_explian": 4}}, "explain"),
+    ("run", {"explain": {"n_perturb": "160"}}, "explain"),
     # keys the training config no longer holds
     ("run", {"run": {"threshold": 0.5}}, "threshold"),
     ("run", {"run": {"train": {"optimizer": "sgd"}}}, "optimizer"),
@@ -403,36 +457,7 @@ def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, 
     assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
 
 
-@pytest.fixture(scope="module")
-def sweep_run_dir(cohort_dir, tmp_path_factory):
-    out = tmp_path_factory.mktemp("sweep")
-    cfg = out / "cfg.json"
-    cfg.write_text(json.dumps({**RUN_CFG, "roi_counts": [3],
-                               "explain": {"n_explain": 2, "n_perturb": 40}}))
-    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out / "r"),
-                 "--seeds", "1", "--config", str(cfg),
-                 "--roi-sweep"]) == EXIT_OK
-    return out / "r"
-
-
-def test_run_roi_sweep_audits_the_sweep_after_the_unlock(sweep_run_dir):
-    from strokepred.evalharness import audit_scan
-    out = sweep_run_dir
-    entries = [json.loads(line) for line in
-               (out / "audit.jsonl").read_text().splitlines()]
-    ops = [e["op"] for e in entries]
-    assert ops.count("unlock") == 1
-    after = entries[ops.index("unlock") + 1:]
-    sweep = [(e["caller"], e["groups"]) for e in after
-             if e.get("caller", "").startswith("roi-sweep-")]
-    assert sweep == [(f"roi-sweep-k3-fold-{g}", [g]) for g in (1, 2, 3, 4)]
-    scan = audit_scan(out / "audit.jsonl")
-    assert scan["n_unlocks"] == 1
-    assert scan["pre_unlock_lockbox_accesses"] == 0
-    assert scan["n_violations"] == 0
-
-
-@pytest.mark.parametrize("which", ["run_dir", "sweep_run_dir"])
+@pytest.mark.parametrize("which", ["run_dir"])
 def test_index_lists_every_file_the_run_wrote(which, request):
     run = request.getfixturevalue(which)
     files = json.loads((run / "index.json").read_text())["files"]
@@ -502,41 +527,12 @@ def test_too_few_perturbations_are_refused_before_the_ranking(
     assert list(out.iterdir()) == []
 
 
-def test_run_roi_sweep_refuses_too_few_perturbations_before_training(
-        cohort_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(learn, "train", _fail_if_trained)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**RUN_CFG, "explain": {"n_perturb": 5}}))
-    out = tmp_path / "r"
-    code = main(["run", "--cohort", str(cohort_dir), "--out", str(out),
-                 "--seeds", "1", "--config", str(cfg), "--roi-sweep"])
-    assert code == EXIT_CONFIG
-    assert "n_perturb 5 must exceed" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("work done before the --out check")
 
 
 def _fail_if_trained(*args, **kwargs):
     raise AssertionError("work done before the ROI count check")
-
-
-def test_run_roi_sweep_rejects_too_many_rois_before_training(
-        cohort_dir, tmp_path, monkeypatch, capsys):
-    from strokepred import learn
-    monkeypatch.setattr(learn, "train", _fail_if_trained)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({**RUN_CFG, "roi_counts": [3, 99]}))
-    out = tmp_path / "r"
-    code = main(["run", "--cohort", str(cohort_dir), "--out", str(out),
-                 "--seeds", "1", "--config", str(cfg), "--roi-sweep"])
-    assert code == EXIT_CONFIG
-    n_rois = len(cli.pipeline.CohortData.from_directory(cohort_dir)
-                 .labels_for("hybrid-gm-roi").label_names)
-    assert f"ROI count 99 exceeds the {n_rois} ROIs" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def test_select_rois_rejects_too_many_rois_before_explaining(
@@ -551,8 +547,8 @@ def test_select_rois_rejects_too_many_rois_before_explaining(
                      r"label map", capsys.readouterr().err)
 
 
-def test_run_roi_sweep_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
-                                                        capsys):
+def test_select_rois_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
+                                                     capsys):
     # on this cohort one of the 20 atlas ROIs is too thin to survive the
     # hybrid-gm-roi label map's downsampling, so no ranking can reach k = 20
     cohort = tmp_path / "cohort"
@@ -560,17 +556,20 @@ def test_run_roi_sweep_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
                  "--dims", "40", "--seed", "471"]) == EXIT_OK
     atlas = pipeline.CohortData.from_directory(cohort).atlas
     assert len(atlas.label_names) == 20
-    monkeypatch.setattr(learn, "train", _fail_if_trained)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"roi_counts": [3, 20]}))
-    out = tmp_path / "r"
-    code = main(["run", "--cohort", str(cohort), "--out", str(out),
-                 "--variant", "hybrid-gm-roi", "--seeds", "1",
-                 "--config", str(cfg), "--roi-sweep"])
+    # a run directory without training: its index and an untrained checkpoint
+    run = tmp_path / "run"
+    (run / "checkpoints").mkdir(parents=True)
+    config = cli.RunConfig(variant="hybrid-gm-roi", seeds=(1,))
+    (run / "index.json").write_text(json.dumps({"config": config.to_json_dict()}))
+    params = learn.build_params("lightweight", cnn=config.cnn,
+                                rng=CounterRng(1, "init", "lightweight"))
+    learn.write_checkpoint(params, run / "checkpoints" / "seed-001.ckp")
+    monkeypatch.setattr(cli.pipeline, "rank_rois", _fail_if_trained)
+    code = main(["select-rois", "--cohort", str(cohort), "--run", str(run),
+                 "--out", str(tmp_path / "sel"), "--counts", "3,20"])
     assert code == EXIT_CONFIG
     assert ("ROI count 20 exceeds the 19 ROIs in the rendered label map"
             in capsys.readouterr().err)
-    assert not out.exists()  # refused before any checkpoint is written
 
 
 def _cohort_without_volumes(monkeypatch):
