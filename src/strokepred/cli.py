@@ -54,15 +54,20 @@ _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024
 
 
 def parse_seeds(text: str) -> tuple[int, ...]:
-    """"1-20" or "1,3,9" or a mix ("1-5,8")."""
+    """"1-20" or "1,3,9" or a mix ("1-5,8"); a part that is not an integer
+    or an ascending range is refused by name."""
     out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            out.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            out.append(int(part))
+    for part in filter(None, (p.strip() for p in text.split(","))):
+        cut = part.find("-", 1)  # past a leading minus sign
+        ends = (part, part) if cut < 0 else (part[:cut], part[cut + 1:])
+        try:
+            lo, hi = map(int, ends)
+        except ValueError:
+            raise ConfigError(f"{part!r} in {text!r} is not an integer or a "
+                              "range a-b") from None
+        if hi < lo:
+            raise ConfigError(f"range {part!r} in {text!r} runs backwards")
+        out.extend(range(lo, hi + 1))
     if not out:
         raise ConfigError(f"no seeds in {text!r}")
     return tuple(out)

@@ -113,19 +113,36 @@ def check_json(doc, hints: dict, what: str, required=()) -> dict:
     return doc
 
 
-def from_json_object(cls, doc, what: str, **convert):
+def _from_json(value, hint, key: str):
+    """The checked JSON ``value`` of field ``key`` as its annotated type:
+    a tuple hint takes a tuple, a float hint a float, a dataclass hint a
+    nested config object and a union the arm the value fits; any other
+    value is kept as parsed."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return _from_json(value, next(a for a in args if _fits(value, a)), key)
+    if hint is float:
+        return float(value)
+    if origin is tuple:
+        hints = args[:1] * len(value) if args[-1:] == (...,) else args
+        return tuple(_from_json(v, h, key) for v, h in zip(value, hints))
+    if dataclasses.is_dataclass(hint):
+        return from_json_object(hint, value, f"{key} config")
+    return value
+
+
+def from_json_object(cls, doc, what: str):
     """``cls(**doc)`` for the dataclass ``cls`` from a parsed JSON config.
 
     ``doc`` must pass ``check_json`` against the field annotations of
-    ``cls``; ``convert`` maps a field to the function applied to its value
-    (skipped for null).  A wrong shape or type raises ValueError naming
-    ``what``, never TypeError.
+    ``cls``, and each value is converted by its annotation (``_from_json``),
+    so ``dataclasses.asdict`` of a config round-trips through JSON.  A wrong
+    shape or type raises ValueError naming ``what``, never TypeError.
     """
-    kw = dict(check_json(doc, field_types(cls), what))
+    hints = field_types(cls)
+    kw = {key: _from_json(value, hints[key], key)
+          for key, value in check_json(doc, hints, what).items()}
     try:
-        for key, fn in convert.items():
-            if kw.get(key) is not None:
-                kw[key] = fn(kw[key])
         return cls(**kw)
     except TypeError as exc:
         raise ValueError(f"bad {what}: {exc}") from exc

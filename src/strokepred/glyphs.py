@@ -27,7 +27,6 @@ import numpy as np
 
 from .core import SubjectRecord, Volume3D, LabelVolume
 from .imaging import (
-    Image2D,
     LayoutError,
     RoiImageSpec,
     RoiTilePlan,
@@ -192,14 +191,13 @@ def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
 
 def hybrid_stitched(volume: Volume3D, record: SubjectRecord,
                     stitch_spec: StitchSpec, size_ref: float, time_ref: float,
-                    target: tuple[int, int]) -> Image2D:
+                    target: tuple[int, int]) -> np.ndarray:
     """Stitched image with the 4 most-dorsal slices dropped and glyphs in 3
     of the freed cells, area-average downsampled to ``target`` (w, h)."""
     boxes = glyph_cell_boxes(stitch_spec)
     base = stitch(volume, stitch_spec)
-    pixels = render_glyphs(record, size_ref, time_ref, base.pixels, boxes)
-    return downsample(Image2D(width=base.width, height=base.height,
-                              pixels=pixels), *target)
+    return downsample(render_glyphs(record, size_ref, time_ref, base, boxes),
+                      *target)
 
 
 def glyph_cell_boxes(stitch_spec: StitchSpec) -> list[Box]:
@@ -230,11 +228,10 @@ def glyph_strip_boxes(roi_spec: RoiImageSpec) -> list[Box]:
 
 def hybrid_roi(volume: Volume3D, atlas: LabelVolume, plan: RoiTilePlan,
                record: SubjectRecord, size_ref: float, time_ref: float,
-               target: tuple[int, int]) -> Image2D:
+               target: tuple[int, int]) -> np.ndarray:
     """ROI tile image plus the three glyphs in the reserved bottom strip,
     area-average downsampled to ``target`` (w, h)."""
     boxes = glyph_strip_boxes(plan.spec)
     base = roi_image(volume, atlas, plan)
-    pixels = render_glyphs(record, size_ref, time_ref, base.pixels, boxes)
-    return downsample(Image2D(width=base.width, height=base.height,
-                              pixels=pixels), *target)
+    return downsample(render_glyphs(record, size_ref, time_ref, base, boxes),
+                      *target)

@@ -6,7 +6,9 @@ grid cells row-major in ascending-z order.  A stitched image shows every
 axial slice, so a ``StitchSpec`` is only the volume dims and the freed
 cells, and the grid follows from the depth: slice z fills flat cell z
 (row-major, 0-based), and cells in ``removed_cells`` stay at zero so glyph
-symbols can be drawn there later.
+symbols can be drawn there later.  Every image is an (h, w) float32 array
+in [0, 1]: renders copy ``Volume3D`` intensities, which lie in [0, 1], and
+``downsample`` clips.
 
 ROI tiles are laid out ``TILE_GAP`` apart by one shelf packer,
 ``shelf_pack``: the tile plan places its tiles with it, and
@@ -41,26 +43,6 @@ class CanvasOverflowError(ValueError):
             f"tiles need a {required[0]}x{required[1]} canvas, "
             f"got {canvas[0]}x{canvas[1]}")
         self.required = required
-
-
-@dataclass
-class Image2D:
-    """Single-channel float image; values in [0, 1], row-major."""
-
-    width: int
-    height: int
-    pixels: np.ndarray  # (height, width) float32
-
-    def __post_init__(self):
-        if self.pixels.shape != (self.height, self.width):
-            raise ValueError(
-                f"pixel array {self.pixels.shape} != (h, w) = "
-                f"({self.height}, {self.width})")
-        if self.pixels.dtype != np.float32:
-            self.pixels = self.pixels.astype(np.float32)
-        lo, hi = float(self.pixels.min()), float(self.pixels.max())
-        if not (np.isfinite(lo) and np.isfinite(hi)) or lo < 0.0 or hi > 1.0:
-            raise ValueError(f"pixel values outside [0, 1]: [{lo}, {hi}]")
 
 
 @dataclass(frozen=True)
@@ -117,13 +99,11 @@ def _stitch_slices(data: np.ndarray, spec: StitchSpec, dtype) -> np.ndarray:
     return out
 
 
-def stitch(volume: Volume3D, spec: StitchSpec) -> Image2D:
+def stitch(volume: Volume3D, spec: StitchSpec) -> np.ndarray:
     """Stitch every axial slice into a grid image."""
     if volume.dims != spec.dims:
         raise LayoutError(f"volume dims {volume.dims} != spec dims {spec.dims}")
-    h, w = spec.image_shape
-    return Image2D(width=w, height=h,
-                   pixels=_stitch_slices(volume.data, spec, np.float32))
+    return _stitch_slices(volume.data, spec, np.float32)
 
 
 @functools.lru_cache(maxsize=32)
@@ -147,14 +127,13 @@ def _pool_weights(src: int, dst: int) -> np.ndarray:
     return weights
 
 
-def downsample(image: Image2D, target_w: int, target_h: int) -> Image2D:
-    """Area-average pooling to (target_h, target_w)."""
-    wr = _pool_weights(image.height, target_h)
-    wc = _pool_weights(image.width, target_w)
-    out = wr @ image.pixels.astype(np.float64) @ wc.T
-    out = np.clip(out, 0.0, 1.0)
-    return Image2D(width=target_w, height=target_h,
-                   pixels=out.astype(np.float32))
+def downsample(pixels: np.ndarray, target_w: int,
+               target_h: int) -> np.ndarray:
+    """Area-average pooling of an (h, w) image to (target_h, target_w)."""
+    wr = _pool_weights(pixels.shape[0], target_h)
+    wc = _pool_weights(pixels.shape[1], target_w)
+    out = wr @ pixels.astype(np.float64) @ wc.T
+    return np.clip(out, 0.0, 1.0).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +273,7 @@ def roi_crops(atlas: LabelVolume,
 
 
 def roi_image(volume: Volume3D, atlas: LabelVolume,
-              plan: RoiTilePlan) -> Image2D:
+              plan: RoiTilePlan) -> np.ndarray:
     """Render ROI crops (non-ROI pixels zeroed) onto the plan's canvas."""
     if volume.dims != atlas.dims:
         raise LayoutError(f"volume dims {volume.dims} != atlas dims {atlas.dims}")
@@ -302,8 +281,7 @@ def roi_image(volume: Volume3D, atlas: LabelVolume,
     canvas_h, canvas_w = plan.spec.canvas
     pixels = np.zeros(canvas_h * canvas_w, dtype=np.float32)
     pixels[pmap.shown] = volume.data.ravel()[pmap.voxels]
-    return Image2D(width=canvas_w, height=canvas_h,
-                   pixels=pixels.reshape(canvas_h, canvas_w))
+    return pixels.reshape(canvas_h, canvas_w)
 
 
 def stitched_label_image(atlas: LabelVolume, spec: StitchSpec) -> np.ndarray:

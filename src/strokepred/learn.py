@@ -60,7 +60,7 @@ import functools
 import json
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -116,13 +116,6 @@ class CnnConfig:
         f = 2 ** self.n_blocks
         return self.channels[-1] * (h // f) * (w // f)
 
-    def to_json_dict(self) -> dict:
-        return {"input_hw": list(self.input_hw), "channels": list(self.channels)}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CnnConfig":
-        return cls(input_hw=tuple(d["input_hw"]), channels=tuple(d["channels"]))
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -136,13 +129,8 @@ class TrainConfig:
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ValueError("max_epochs and batch_size must be >= 1")
 
-    def to_json_dict(self) -> dict:
-        return {"lrs": list(self.lrs), "max_epochs": self.max_epochs,
-                "batch_size": self.batch_size}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "TrainConfig":
-        return from_json_object(cls, d, "train config", lrs=tuple)
+    def to_json_dict(self) -> dict:  # deskbench's name for asdict
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -722,7 +710,7 @@ def write_checkpoint(params: ModelParams, path: str | Path) -> None:
     """
     meta = {
         "kind": params.kind,
-        "cnn": None if params.cnn is None else params.cnn.to_json_dict(),
+        "cnn": None if params.cnn is None else asdict(params.cnn),
         "tabular_dim": params.tabular_dim,
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
@@ -761,7 +749,7 @@ def read_checkpoint(path: str | Path) -> ModelParams:
         raise FormatError(f"unknown model kind {kind!r}", 8)
     try:
         cnn = None if meta["cnn"] is None \
-            else CnnConfig.from_json_dict(meta["cnn"])
+            else from_json_object(CnnConfig, meta["cnn"], "cnn config")
         layout = _layout_for(kind, cnn, tabular_dim)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad model config: {exc}", 8) from None

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -69,8 +69,6 @@ class RunConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.model not in learn.MODEL_KINDS:
             raise ConfigError(f"unknown model {self.model!r}")
-        if not isinstance(self.train, TrainConfig):
-            raise ConfigError("train must be a training config")
         if self.model in FUSION_KINDS and self.variant.startswith("hybrid"):
             raise ConfigError(
                 "fusion models take tabular input separately; hybrid variants "
@@ -94,21 +92,9 @@ class RunConfig:
         return CnnConfig(input_hw=(self.image_size, self.image_size),
                          channels=self.channels)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant, "model": self.model,
-            "seeds": list(self.seeds), "image_size": self.image_size,
-            "channels": list(self.channels),
-            "train": self.train.to_json_dict(),
-            "roi_labels": (None if self.roi_labels is None
-                           else list(self.roi_labels)),
-        }
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "RunConfig":
-        return core.from_json_object(
-            cls, d, "run config", seeds=tuple, channels=tuple,
-            train=TrainConfig.from_json_dict, roi_labels=tuple)
+        return core.from_json_object(cls, d, "run config")
 
 
 def paper_preset(config: RunConfig) -> RunConfig:
@@ -276,7 +262,7 @@ class VariantData:
                     imaging.roi_image(volume, atlas, plan), *target)
 
         def render(subject_id: str) -> np.ndarray:
-            return draw(cohort.volume_of(subject_id), by_id[subject_id]).pixels
+            return draw(cohort.volume_of(subject_id), by_id[subject_id])
 
         return cls(label_image=downsample_labels(label_full, config.image_size),
                    full_shape=label_full.shape, render=render)
@@ -352,6 +338,25 @@ def concat_datasets(parts: Sequence[ArrayDataset]) -> ArrayDataset:
                         labels=np.concatenate([p.labels for p in parts]))
 
 
+def _require_both_classes(records: Sequence[SubjectRecord],
+                          plan: SplitPlan) -> None:
+    """Refuse a partition whose seed-fit training groups (1-3, taken
+    together) or calibration group (4) lack an outcome class; every
+    3-group CV fold then holds both classes too.  Reads groups 1-4 only."""
+    problems = []
+    for name, groups in (("groups 1-3", TRAIN_GROUPS),
+                         (f"group {VAL_GROUP}", (VAL_GROUP,))):
+        labels = [core.outcome_label(r.score) for r in records
+                  if plan.assignment[r.id] in groups]
+        aphasic = sum(labels)
+        if aphasic in (0, len(labels)):
+            problems.append(f"{name}: {aphasic} aphasic, "
+                            f"{len(labels) - aphasic} non-aphasic")
+    if problems:
+        raise ConfigError("training needs both outcome classes in groups 1-3 "
+                          f"and in group {VAL_GROUP}; " + "; ".join(problems))
+
+
 def prepare_run(cohort: CohortData, config: RunConfig,
                 audit_path: str | Path | None = None) -> PreparedRun:
     """Partition, seal group 5 in a lock box (audited to ``audit_path`` if
@@ -360,6 +365,7 @@ def prepare_run(cohort: CohortData, config: RunConfig,
     unrendered."""
     plan = evalharness.stratified_partition(cohort.records, k=5,
                                             seed=PARTITION_SEED)
+    _require_both_classes(cohort.records, plan)
     box = LockBox(plan, audit_path)
     box.request(TRAIN_GROUPS, "feature-normalizers")
     encoding = TabularEncoding(*glyphs.normalizers_from_records(
@@ -630,8 +636,13 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
 
     ck_dir = out / "checkpoints"
     ck_dir.mkdir(exist_ok=True)
-    for seed, params in result.checkpoints.items():
-        learn.write_checkpoint(params, ck_dir / f"seed-{seed:03d}.ckp")
+    names = {f"seed-{seed:03d}.ckp": params
+             for seed, params in result.checkpoints.items()}
+    for stale in ck_dir.glob("seed-*.ckp"):  # left by an earlier run
+        if stale.name not in names:
+            stale.unlink()
+    for name, params in names.items():
+        learn.write_checkpoint(params, ck_dir / name)
     files["checkpoints"] = "checkpoints"
 
     write_csv(out / "learning_curves.csv",
@@ -642,7 +653,7 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
         files["audit"] = result.box.audit_path.name
 
     meta = {
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "best_lr": result.best_lr,
         "cv_losses": {str(k): v for k, v in result.cv_losses.items()},
         "balance": {

@@ -49,9 +49,7 @@ class TruthModel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruthModel":
-        return core.from_json_object(
-            cls, d, "truth config", causal_rois=tuple, betas=tuple,
-            gamma=dict, delta=float, noise_sd=float, base=float)
+        return core.from_json_object(cls, d, "truth config")
 
 
 def default_truth() -> TruthModel:
@@ -102,10 +100,7 @@ class SynthConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthConfig":
-        return core.from_json_object(
-            cls, d, "cohort config", dims=tuple, lesion_count=tuple,
-            lesion_radius=tuple, recovery_range=tuple,
-            severity_thresholds=tuple)
+        return core.from_json_object(cls, d, "cohort config")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import shutil
 import subprocess
 import sys
 import types
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,6 +33,22 @@ def test_parse_seeds_forms():
 def test_parse_seeds_empty_rejected():
     with pytest.raises(cli.ConfigError):
         parse_seeds(",")
+
+
+@pytest.mark.parametrize("text,part", [("1-", "'1-'"), ("2,x", "'x'"),
+                                       ("1,5-3", "'5-3'")])
+def test_parse_seeds_names_the_part_it_refuses(text, part):
+    with pytest.raises(cli.ConfigError, match=part):
+        parse_seeds(text)
+
+
+def test_run_refuses_a_reversed_seed_range_before_any_work(tmp_path, capsys):
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(tmp_path / "no-cohort"),
+                 "--out", str(out), "--seeds", "1,5-3"])
+    assert code == EXIT_CONFIG
+    assert "range '5-3'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +247,35 @@ def test_run_refuses_a_volume_file_of_the_wrong_kind(key, cohort_dir, tmp_path,
     assert str(cohort / wrong) in err and "byte offset 16" in err
 
 
+def test_run_refuses_a_training_group_without_both_classes(tmp_path,
+                                                          capsys):
+    # 99 of these 100 subjects are aphasic; none of groups 1-3 is not
+    cohort = tmp_path / "c"
+    assert main(["synth", "--out", str(cohort), "--subjects", "100",
+                 "--dims", "16", "--seed", "3"]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "r"
+    run = ["run", "--cohort", str(cohort), "--out", str(out),
+           "--model", "logistic", "--seeds", "1-3"]
+    assert main(run) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "groups 1-3: 59 aphasic, 0 non-aphasic" in err
+    assert not (out / "audit.jsonl").exists()
+    # nothing was sealed, so the same command fails the same way
+    assert main(run) == EXIT_CONFIG
+    assert capsys.readouterr().err == err
+
+
+def test_force_rerun_keeps_only_its_own_checkpoints(cohort_dir, tmp_path):
+    out = tmp_path / "r"
+    run = ["run", "--cohort", str(cohort_dir), "--out", str(out),
+           "--model", "logistic"]
+    assert main([*run, "--seeds", "1-3"]) == EXIT_OK
+    assert main([*run, "--seeds", "2", "--force"]) == EXIT_OK
+    assert sorted(p.name for p in (out / "checkpoints").iterdir()) == \
+        ["seed-002.ckp"]
+
+
 def test_run_has_no_roi_sweep_flag(tmp_path):
     # select-rois ranks the ROIs of a finished run
     with pytest.raises(SystemExit) as exc:
@@ -387,7 +432,7 @@ def test_select_rois_rejects_stitched_run(variant, tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
     config = cli.RunConfig(variant=variant, seeds=(1,))
-    (run / "index.json").write_text(json.dumps({"config": config.to_json_dict()}))
+    (run / "index.json").write_text(json.dumps({"config": asdict(config)}))
     code = main(["select-rois", "--cohort", str(tmp_path / "no-cohort"),
                  "--run", str(run), "--out", str(tmp_path / "sel")])
     assert code == EXIT_CONFIG
@@ -527,6 +572,18 @@ def test_too_few_perturbations_are_refused_before_the_ranking(
     assert list(out.iterdir()) == []
 
 
+def test_select_rois_refuses_a_reversed_count_range(cohort_dir, run_dir,
+                                                   tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(cli.pipeline, "prepare_run", _fail_if_called)
+    out = tmp_path / "out"
+    code = main(["select-rois", "--cohort", str(cohort_dir),
+                 "--run", str(run_dir), "--out", str(out), "--counts", "4-3"])
+    assert code == EXIT_CONFIG
+    assert "range '4-3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _fail_if_called(*args, **kwargs):
     raise AssertionError("work done before the --out check")
 
@@ -560,7 +617,7 @@ def test_select_rois_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
     run = tmp_path / "run"
     (run / "checkpoints").mkdir(parents=True)
     config = cli.RunConfig(variant="hybrid-gm-roi", seeds=(1,))
-    (run / "index.json").write_text(json.dumps({"config": config.to_json_dict()}))
+    (run / "index.json").write_text(json.dumps({"config": asdict(config)}))
     params = learn.build_params("lightweight", cnn=config.cnn,
                                 rng=CounterRng(1, "init", "lightweight"))
     learn.write_checkpoint(params, run / "checkpoints" / "seed-001.ckp")

@@ -298,8 +298,8 @@ _PLAIN_CFG = dataclasses.make_dataclass("PlainCfg", [
 def test_from_json_object_checks_every_annotated_type():
     cfg = core.from_json_object(
         _PLAIN_CFG, {"n": 3, "xs": [], "pair": [1, 2.5], "name": None,
-                     "labels": {"4": "roi"}}, "plain config", xs=tuple)
-    assert cfg == _PLAIN_CFG(3, (), [1, 2.5], None, {"4": "roi"})
+                     "labels": {"4": "roi"}}, "plain config")
+    assert cfg == _PLAIN_CFG(3, (), (1, 2.5), None, {"4": "roi"})
     for key, value in [("n", [3]), ("n", True), ("n", 3.0), ("n", None),
                        ("xs", [1, "2"]), ("xs", 1), ("pair", [1.0]),
                        ("name", 5), ("labels", {"a": "roi"}),

@@ -14,7 +14,6 @@ from strokepred.glyphs import (
     shape_raster,
 )
 from strokepred.imaging import (
-    Image2D,
     LayoutError,
     RoiImageSpec,
     StitchSpec,
@@ -139,7 +138,7 @@ def test_severity_rasters_distinct_after_downsampling():
     cells = {}
     for cat, shape in SEVERITY_SYMBOLS.items():
         raster = severity_raster(shape, 64, 64)
-        cells[cat] = downsample(Image2D(64, 64, raster), 8, 8).pixels
+        cells[cat] = downsample(raster, 8, 8)
     cats = sorted(cells)
     for i, a in enumerate(cats):
         for b in cats[i + 1:]:
@@ -199,7 +198,7 @@ def test_hybrid_stitched_locality():
     vol = make_volume(DIMS)
     hybrid_img = hybrid(vol, make_record())
     plain = stitch(vol, StitchSpec(DIMS))
-    diff = hybrid_img.pixels != plain.pixels
+    diff = hybrid_img != plain
     freed = np.zeros(diff.shape, dtype=bool)
     for cell in (12, 13, 14, 15):
         r0, c0 = HYBRID_SPEC.cell_origin(cell)
@@ -212,7 +211,7 @@ def test_hybrid_stitched_severity_diff_confined():
     vol = make_volume(DIMS)
     a = hybrid(vol, make_record(severity="normal"))
     b = hybrid(vol, make_record(severity="severe"))
-    diff = a.pixels != b.pixels
+    diff = a != b
     # severity glyph lives in the third placement cell (cell 14 here)
     r0, c0 = HYBRID_SPEC.cell_origin(14)
     sev_cell = np.zeros(diff.shape, dtype=bool)
@@ -225,17 +224,17 @@ def test_hybrid_stitched_glyph_pixels_carry_no_provenance():
     a = hybrid(make_volume(DIMS, seed=1), make_record())
     b = hybrid(make_volume(DIMS, seed=2), make_record())
     r0, c0 = HYBRID_SPEC.cell_origin(12)
-    assert np.array_equal(a.pixels[r0:r0 + 32, c0:c0 + 32],
-                          b.pixels[r0:r0 + 32, c0:c0 + 32])
-    assert not np.array_equal(a.pixels[:32, :32], b.pixels[:32, :32])
+    assert np.array_equal(a[r0:r0 + 32, c0:c0 + 32],
+                          b[r0:r0 + 32, c0:c0 + 32])
+    assert not np.array_equal(a[:32, :32], b[:32, :32])
 
 
 def test_hybrid_stitched_deterministic_and_downsampled():
     vol = make_volume(DIMS)
     a = hybrid(vol, make_record(), target=(32, 32))
     b = hybrid(vol, make_record(), target=(32, 32))
-    assert np.array_equal(a.pixels, b.pixels)
-    assert (a.height, a.width) == (32, 32)
+    assert np.array_equal(a, b)
+    assert a.shape == (32, 32)
 
 
 def make_seven_roi_atlas(dims=(24, 24, 6)):
@@ -258,8 +257,8 @@ def test_hybrid_roi_glyphs_only_when_no_rois():
     vol = make_volume(atlas.dims, seed=11)
     roi_spec = RoiImageSpec(roi_labels=(), canvas=(48, 96), reserved_bottom=24)
     img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
-    assert np.any(img.pixels[24:, :] > 0)
-    assert np.all(img.pixels[:24, :] == 0.0)
+    assert np.any(img[24:, :] > 0)
+    assert np.all(img[:24, :] == 0.0)
 
 
 def test_hybrid_roi_strip_disjoint_from_tiles():
@@ -272,7 +271,7 @@ def test_hybrid_roi_strip_disjoint_from_tiles():
         strip_start = canvas[0] - reserved
         shown = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas).shown
         assert np.all(shown // canvas[1] < strip_start)  # no tile in the strip
-        assert np.any(img.pixels[strip_start:, :] > 0)  # glyphs present
+        assert np.any(img[strip_start:, :] > 0)  # glyphs present
 
 
 def test_hybrid_roi_seven_rois_plus_three_glyphs():
@@ -284,9 +283,9 @@ def test_hybrid_roi_seven_rois_plus_three_glyphs():
     img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
     pmap = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas)
     assert set(atlas.labels.ravel()[pmap.voxels].tolist()) == set(range(1, 8))
-    assert np.all(img.pixels.ravel()[pmap.shown] == np.float32(0.8))
+    assert np.all(img.ravel()[pmap.shown] == np.float32(0.8))
     for (r0, c0, bh, bw) in glyph_strip_boxes(roi_spec):
-        assert np.any(img.pixels[r0:r0 + bh, c0:c0 + bw] > 0)
+        assert np.any(img[r0:r0 + bh, c0:c0 + bw] > 0)
 
 
 def test_hybrid_roi_requires_reserved_strip():

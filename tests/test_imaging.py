@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from strokepred.core import LabelVolume, Volume3D
 from strokepred.imaging import (
     CanvasOverflowError,
-    Image2D,
     LayoutError,
     RoiImageSpec,
     StitchSpec,
@@ -50,7 +49,7 @@ def test_stitch_dimensions_64_slice_grid():
     spec = StitchSpec(vol.dims)
     img = stitch(vol, spec)
     assert spec.grid == (8, 8)
-    assert (img.height, img.width) == (632, 760)
+    assert img.shape == (632, 760)
 
 
 def test_stitch_known_pixel_mapping():
@@ -62,8 +61,8 @@ def test_stitch_known_pixel_mapping():
     vol = Volume3D(dims=dims, data=data)
     spec = StitchSpec(dims)
     img = stitch(vol, spec)
-    assert img.pixels[0, 5] == np.float32(0.625)
-    assert np.count_nonzero(img.pixels) == 1
+    assert img[0, 5] == np.float32(0.625)
+    assert np.count_nonzero(img) == 1
 
 
 def test_stitch_roundtrip_exhaustive():
@@ -71,15 +70,15 @@ def test_stitch_roundtrip_exhaustive():
     vol = make_volume(dims)
     spec = StitchSpec(dims)
     img = stitch(vol, spec)
-    shown = np.zeros((img.height, img.width), dtype=bool)
+    shown = np.zeros(img.shape, dtype=bool)
     for voxel in np.ndindex(*dims):
         r, c = stitch_pixel(spec, voxel)
-        assert img.pixels[r, c] == vol.data[voxel]
+        assert img[r, c] == vol.data[voxel]
         assert not shown[r, c]
         shown[r, c] = True
     # every voxel of every selected slice is displayed exactly once
     assert shown.sum() == 8 * 8 * 8
-    assert np.all(img.pixels[~shown] == 0.0)
+    assert np.all(img[~shown] == 0.0)
 
 
 def test_stitch_is_lossless():
@@ -87,7 +86,7 @@ def test_stitch_is_lossless():
     vol = make_volume(dims, seed=11)
     spec = StitchSpec(dims)
     img = stitch(vol, spec)
-    assert np.isclose(img.pixels.sum(dtype=np.float64),
+    assert np.isclose(img.sum(dtype=np.float64),
                       vol.data.sum(dtype=np.float64), rtol=1e-6)
 
 
@@ -96,9 +95,9 @@ def test_stitch_removed_cells_blank():
     vol = make_volume(dims, seed=3)
     spec = StitchSpec(dims, removed_cells=(3,))
     img = stitch(vol, spec)
-    assert np.all(img.pixels[4:8, 4:8] == 0.0)
+    assert np.all(img[4:8, 4:8] == 0.0)
     expected = vol.data[:, :, :3].sum(dtype=np.float64)
-    assert np.isclose(img.pixels.sum(dtype=np.float64), expected, rtol=1e-6)
+    assert np.isclose(img.sum(dtype=np.float64), expected, rtol=1e-6)
 
 
 def test_stitch_rejects_bad_spec():
@@ -124,19 +123,18 @@ def test_stitch_provenance_property(nx, ny, nz, data):
     y = data.draw(st.integers(0, ny - 1))
     z = data.draw(st.integers(0, nz - 1))
     r, c = stitch_pixel(spec, (x, y, z))
-    assert img.pixels[r, c] == vol.data[x, y, z]
+    assert img[r, c] == vol.data[x, y, z]
 
 
 def test_downsample_hand_computed_means():
     px = np.arange(16, dtype=np.float32).reshape(4, 4) / 16.0
-    img = Image2D(width=4, height=4, pixels=px)
-    out = downsample(img, 2, 2)
+    out = downsample(px, 2, 2)
     # each output pixel is the mean of a 2x2 block
     expected = np.array([
         [px[0:2, 0:2].mean(), px[0:2, 2:4].mean()],
         [px[2:4, 0:2].mean(), px[2:4, 2:4].mean()],
     ])
-    assert np.allclose(out.pixels, expected, atol=1e-7)
+    assert np.allclose(out, expected, atol=1e-7)
 
 
 def test_downsample_256_from_stitched():
@@ -144,18 +142,17 @@ def test_downsample_256_from_stitched():
     spec = StitchSpec(vol.dims)
     big = stitch(vol, spec)
     small = downsample(big, 16, 16)
-    assert (small.height, small.width) == (16, 16)
-    assert np.isclose(small.pixels.mean(dtype=np.float64),
-                      big.pixels.mean(dtype=np.float64), atol=1e-6)
+    assert small.shape == (16, 16)
+    assert np.isclose(small.mean(dtype=np.float64),
+                      big.mean(dtype=np.float64), atol=1e-6)
 
 
 def test_downsample_non_integer_factor_preserves_mean():
     rng = CounterRng(21, "ds")
     px = np.array([rng.uniform() for _ in range(35 * 21)],
                   dtype=np.float32).reshape(35, 21)
-    img = Image2D(width=21, height=35, pixels=px)
-    out = downsample(img, 8, 13)
-    assert np.isclose(out.pixels.mean(dtype=np.float64),
+    out = downsample(px, 8, 13)
+    assert np.isclose(out.mean(dtype=np.float64),
                       px.mean(dtype=np.float64), atol=1e-6)
 
 
@@ -165,23 +162,16 @@ def test_downsample_is_linear():
                  dtype=np.float32).reshape(10, 10)
     b = np.array([rng.uniform(0, 0.5) for _ in range(100)],
                  dtype=np.float32).reshape(10, 10)
-    da = downsample(Image2D(10, 10, a), 4, 4).pixels
-    db = downsample(Image2D(10, 10, b), 4, 4).pixels
-    dab = downsample(Image2D(10, 10, a + b), 4, 4).pixels
+    da = downsample(a, 4, 4)
+    db = downsample(b, 4, 4)
+    dab = downsample(a + b, 4, 4)
     assert np.allclose(dab, da + db, atol=1e-6)
 
 
 def test_downsample_rejects_upscale():
-    img = Image2D(4, 4, np.zeros((4, 4), np.float32))
+    img = np.zeros((4, 4), np.float32)
     with pytest.raises(ValueError):
         downsample(img, 8, 4)
-
-
-def test_image_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        Image2D(2, 2, np.full((2, 2), 1.5, np.float32))
-    with pytest.raises(ValueError):
-        Image2D(2, 2, np.full((2, 2), np.nan, np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -204,12 +194,12 @@ def test_roi_image_masks_and_packs():
                                               canvas=(12, 12)))
     img = roi_image(vol, atlas, plan)
     vmap = voxel_map(atlas, plan)
-    nz = np.argwhere(img.pixels > 0)
+    nz = np.argwhere(img > 0)
     assert len(nz) > 0
     for r, c in nz:
         x, y, z = vmap[r, c]
         assert atlas.labels[x, y, z] in (1, 2)
-        assert img.pixels[r, c] == vol.data[x, y, z]
+        assert img[r, c] == vol.data[x, y, z]
     # tile 0 is ROI 1's z=0 crop at the origin: 3 rows (y 2..4), 2 cols (x 1..2)
     assert tuple(vmap[0, 0]) == (1, 2, 0)
     assert tuple(vmap[2, 1]) == (2, 4, 0)
@@ -223,7 +213,7 @@ def test_roi_image_no_foreign_voxels():
     plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1,), canvas=(8, 8)))
     img = roi_image(vol, atlas, plan)
     mapped = voxel_map(atlas, plan)[..., 0] >= 0
-    assert np.all(img.pixels[~mapped] == 0.0)
+    assert np.all(img[~mapped] == 0.0)
     count_roi1 = int(np.sum(atlas.labels == 1))
     assert int(mapped.sum()) == count_roi1
 
@@ -257,7 +247,7 @@ def test_roi_image_reserved_bottom_left_blank():
     vol = make_volume((6, 6, 3), seed=23)
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(14, 8), reserved_bottom=4)
     img = roi_image(vol, atlas, plan_roi_tiles(atlas, spec))
-    assert np.all(img.pixels[10:, :] == 0.0)
+    assert np.all(img[10:, :] == 0.0)
 
 
 def test_roi_image_unknown_label():
@@ -278,8 +268,8 @@ def test_roi_order_follows_label_ranking():
     # first tile differs: ranking order controls placement
     assert voxel_map(atlas, a_plan)[0, 0, 2] == 0  # ROI 1 lives on z=0
     assert voxel_map(atlas, b_plan)[0, 0, 2] in (1, 2)  # ROI 2 slices first
-    assert a.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, a_plan)[0, 0])]
-    assert b.pixels[0, 0] == vol.data[tuple(voxel_map(atlas, b_plan)[0, 0])]
+    assert a[0, 0] == vol.data[tuple(voxel_map(atlas, a_plan)[0, 0])]
+    assert b[0, 0] == vol.data[tuple(voxel_map(atlas, b_plan)[0, 0])]
 
 
 def test_stitched_label_image_matches_provenance():
@@ -292,7 +282,7 @@ def test_stitched_label_image_matches_provenance():
     for voxel in np.ndindex(*vol.dims):
         r, c = stitch_pixel(spec, voxel)
         assert lab[r, c] == atlas.labels[voxel]
-        assert img.pixels[r, c] == vol.data[voxel]
+        assert img[r, c] == vol.data[voxel]
         shown[r, c] = True
     assert np.all(lab[~shown] == 0)
 
@@ -340,7 +330,7 @@ def test_roi_image_equals_per_tile_reference(order, reserved):
         vol = make_volume(atlas.dims, seed=seed)
         img = roi_image(vol, atlas, plan)
         pixels, prov = reference_roi_image(vol, atlas, plan)
-        assert img.pixels.tobytes() == pixels.tobytes()
+        assert img.tobytes() == pixels.tobytes()
         assert np.array_equal(voxel_map(atlas, plan), prov)
 
 
@@ -353,7 +343,7 @@ def test_roi_plan_recompiles_for_another_atlas():
     # same geometry, other labels: the map must follow the atlas passed in
     img = roi_image(vol, tracts, plan)
     pixels, prov = reference_roi_image(vol, tracts, plan)
-    assert img.pixels.tobytes() == pixels.tobytes()
+    assert img.tobytes() == pixels.tobytes()
     assert np.array_equal(voxel_map(tracts, plan), prov)
 
 
@@ -367,7 +357,7 @@ def test_roi_provenance_shared_and_read_only():
     assert plan.pixel_map(atlas) is pmap  # compiled once, shared by renders
     with pytest.raises(ValueError):
         pmap.voxels[0] = 7
-    assert not np.shares_memory(a.pixels, b.pixels)
+    assert not np.shares_memory(a, b)
 
 
 def test_pool_weights_cached_and_read_only():

@@ -2,7 +2,7 @@ import json
 import math
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -850,7 +850,7 @@ def test_checkpoint_truncated_payload(tmp_path):
 
 # --- malformed CKP1 files: FormatError with a byte offset, nothing else ----
 
-LIGHT_META = {"kind": "lightweight", "cnn": tiny_cnn().to_json_dict(),
+LIGHT_META = {"kind": "lightweight", "cnn": asdict(tiny_cnn()),
               "tabular_dim": None}
 
 

@@ -4,12 +4,12 @@ import gc
 import json
 import math
 import weakref
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
-from strokepred import core, evalharness, imaging, learn, pipeline
+from strokepred import core, evalharness, glyphs, imaging, learn, pipeline
 from strokepred.explain import RoiRanking
 from strokepred.learn import TrainConfig
 from strokepred.pipeline import CohortData, ConfigError, RunConfig
@@ -77,8 +77,37 @@ def test_config_logistic_skips_divisibility():
 
 def test_config_json_round_trip():
     config = fast_config(variant="hybrid-gm-roi", roi_labels=(1, 2, 3))
-    back = RunConfig.from_json_dict(json.loads(json.dumps(config.to_json_dict())))
+    back = RunConfig.from_json_dict(json.loads(json.dumps(asdict(config))))
     assert back == config
+
+
+def _json_round_trip(config, tmp_path):
+    doc = json.loads(json.dumps(asdict(config)))
+    return core.from_json_object(type(config), doc, "config")
+
+
+def _checkpoint_round_trip(cnn, tmp_path):
+    path = tmp_path / "seed-001.ckp"
+    learn.write_checkpoint(learn.build_params("lightweight", cnn=cnn), path)
+    return learn.read_checkpoint(path).cnn
+
+
+@pytest.mark.parametrize("config,round_trip", [
+    (SynthConfig(seed=9, n_subjects=30, dims=(16, 20, 24),
+                 lesion_radius=(2.5, 6.0), left_bias=0.7), _json_round_trip),
+    (default_truth(), _json_round_trip),
+    (RunConfig(variant="hybrid-wm-roi", seeds=(3, 1), roi_labels=(2, 5),
+               train=TrainConfig(lrs=(5e-4, 2e-3), max_epochs=7,
+                                 batch_size=8)), _json_round_trip),
+    (learn.CnnConfig(input_hw=(32, 16), channels=(2, 4, 8)),
+     _checkpoint_round_trip),
+], ids=["synth", "truth", "run", "cnn-checkpoint"])
+def test_config_round_trips_through_json_by_its_annotations(config,
+                                                           round_trip,
+                                                           tmp_path):
+    # repr tells a list from a tuple and an int from a float
+    back = round_trip(config, tmp_path)
+    assert back == config and repr(back) == repr(config)
 
 
 def test_run_config_trains_on_the_training_defaults():
@@ -234,6 +263,17 @@ def test_build_variant_shapes_and_determinism(tiny_cohort, variant):
         assert np.array_equal(img, b.images[sid])  # bit-identical rebuild
     assert a.label_image.shape == (32, 32)
     assert np.array_equal(a.label_image, b.label_image)
+
+
+@pytest.mark.parametrize("variant", pipeline.VARIANTS)
+def test_every_render_is_a_float32_square_in_the_unit_range(tiny_cohort,
+                                                            variant):
+    size_ref, time_ref = glyphs.normalizers_from_records(tiny_cohort.records)
+    data = pipeline.VariantData.of(tiny_cohort, fast_config(variant=variant),
+                                   size_ref, time_ref)
+    for img in data.images_of([r.id for r in tiny_cohort.records]):
+        assert img.dtype == np.float32 and img.shape == (32, 32)
+        assert 0.0 <= img.min() and img.max() <= 1.0
 
 
 def test_stitched_label_image_matches_direct(tiny_cohort):
