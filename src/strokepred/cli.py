@@ -115,6 +115,7 @@ def cmd_synth(args) -> int:
     config = replace(config, **overrides)
     truth = synthcohort.TruthModel.from_json_dict(doc["truth"]) \
         if "truth" in doc else synthcohort.default_truth()
+    synthcohort.require_atlas_rois(config, truth)
 
     out = _ensure_out_dir(Path(args.out), args.force)
     manifest = synthcohort.write_cohort(config, truth, out)
@@ -218,58 +219,52 @@ def _load_checkpoint(run_dir: Path, config: RunConfig,
     return seed, params
 
 
-def _ranking_settings(args, counts=(), sweep_epochs=None) -> dict:
-    """The ranking flags of explain and select-rois, checked with a
-    selection's ROI counts and sweep epochs before any work: all but the
-    seed are positive."""
-    exp = {"n_explain": args.n_explain, "n_perturb": args.n_perturb,
-           "seed": args.explain_seed}
-    for key in ("n_explain", "n_perturb"):
-        if exp[key] < 1:
-            raise ConfigError(f"explain setting {key!r} must be a positive "
-                              "integer")
-    if counts and min(counts) < 1:
-        raise ConfigError("--counts must hold positive integers")
-    if sweep_epochs is not None and sweep_epochs < 1:
-        raise ConfigError("--sweep-epochs must be a positive integer")
-    return exp
-
-
-def _check_roi_counts(label_image, n_perturb: int, counts=()) -> None:
-    """Refuse a count grid larger than the ROIs there are to rank, and too
-    few perturbations for the all-ones mask plus one mask per ROI: both
-    against the ROIs of the rendered label map, where a thin ROI can
-    vanish.  Called before the explanation that would reach the same
-    errors."""
-    n_rois = len(explain.image_rois(label_image))
-    if counts and max(counts) > n_rois:
-        raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
-                          "ROIs in the rendered label map")
-    if n_perturb < n_rois + 2:
-        raise ConfigError(f"n_perturb {n_perturb} must exceed the {n_rois} "
-                          "ROIs in the rendered label map + 1")
-
-
-def cmd_explain(args) -> int:
+def _rank_run_rois(args, counts=(), with_counterfactuals=False):
+    """The set-up that explain and select-rois share, each refusal before
+    the work it guards.  Load the run, check its model (and, given a grid
+    of ROI counts to select from, its variant) and the ranking flags; load
+    the cohort and the checkpoint and create --out; prepare the run, check
+    the counts and n_perturb (the all-ones mask plus one mask per ROI)
+    against the ROIs of its rendered label map, where a thin ROI can
+    vanish; rank the ROIs and write roi_ranking.csv.  Returns the seed,
+    --out, the prepared run, the explanations, the ranking and ROI names."""
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
-    exp = _ranking_settings(args)
     if config.model != "lightweight":
-        raise ConfigError("explanations support the image-only model; "
-                          f"this run used {config.model!r}")
+        raise ConfigError("ROI ranking needs the lightweight image model; "
+                          f"this run uses {config.model!r}")
+    if counts:
+        pipeline.require_roi_selection(config)
+    for key in ("n_explain", "n_perturb"):
+        if getattr(args, key) < 1:
+            raise ConfigError(f"explain setting {key!r} must be a positive "
+                              "integer")
     cohort = pipeline.CohortData.from_directory(args.cohort)
     seed, params = _load_checkpoint(run_dir, config, args.seed)
     out = _ensure_out_dir(Path(args.out), args.force)
 
     # only groups 1-4 are read and rendered, so the box keeps no audit file
     run = pipeline.prepare_run(cohort, config)
-    _check_roi_counts(run.variant_data.label_image, exp["n_perturb"])
-    explanations, ranking = pipeline.rank_rois(params, run, **exp,
-                                               with_counterfactuals=True)
+    n_rois = len(explain.image_rois(run.variant_data.label_image))
+    if counts and max(counts) > n_rois:
+        raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
+                          "ROIs in the rendered label map")
+    if args.n_perturb < n_rois + 2:
+        raise ConfigError(f"n_perturb {args.n_perturb} must exceed the "
+                          f"{n_rois} ROIs in the rendered label map + 1")
+    explanations, ranking = pipeline.rank_rois(
+        params, run, args.n_explain, args.n_perturb, args.explain_seed,
+        with_counterfactuals)
     if ranking.flags:
         print("ranking flags: " + ", ".join(ranking.flags))
-
     names = cohort.labels_for(config.variant).label_names
+    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
+    return seed, out, run, explanations, ranking, names
+
+
+def cmd_explain(args) -> int:
+    seed, out, _, explanations, ranking, names = _rank_run_rois(
+        args, with_counterfactuals=True)
     expl_dir = out / "explanations"
     expl_dir.mkdir(exist_ok=True)
     for expl_obj in explanations:
@@ -278,7 +273,6 @@ def cmd_explain(args) -> int:
                        sort_keys=True) + "\n")
         (expl_dir / f"{expl_obj.image_id}.txt").write_text(
             explain.explanation_report(expl_obj, roi_names=names) + "\n")
-    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
 
     print(f"explained {len(explanations)} image(s) from run seed {seed}")
     top = ranking.rois[:5]
@@ -288,25 +282,14 @@ def cmd_explain(args) -> int:
 
 
 def cmd_select_rois(args) -> int:
-    run_dir = Path(args.run)
-    config, _doc = _load_run(run_dir)
-    pipeline.require_roi_selection(config)
     counts = parse_seeds(args.counts)  # same "3-10" syntax
-    exp = _ranking_settings(args, counts, args.sweep_epochs)
-    cohort = pipeline.CohortData.from_directory(args.cohort)
-    seed, params = _load_checkpoint(run_dir, config, args.seed)
-    out = _ensure_out_dir(Path(args.out), args.force)
-
-    # only groups 1-4 are read and rendered, so the box keeps no audit file
-    run = pipeline.prepare_run(cohort, config)
-    _check_roi_counts(run.variant_data.label_image, exp["n_perturb"], counts)
-    _, ranking = pipeline.rank_rois(params, run, **exp)
-    if ranking.flags:
-        print("ranking flags: " + ", ".join(ranking.flags))
+    if min(counts) < 1:
+        raise ConfigError("--counts must hold positive integers")
+    if args.sweep_epochs is not None and args.sweep_epochs < 1:
+        raise ConfigError("--sweep-epochs must be a positive integer")
+    _, out, run, _, ranking, names = _rank_run_rois(args, counts)
     curve = pipeline.roi_count_sweep(run, ranking, counts=counts,
                                      sweep_epochs=args.sweep_epochs)
-    names = cohort.labels_for(config.variant).label_names
-    pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
     pipeline.write_curve_csv(curve, out / "roi_curve.csv")
     pipeline.write_curve_svg(curve, out / "roi_curve.svg")
     chosen = ranking.rois[:curve.best_k]

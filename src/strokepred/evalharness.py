@@ -24,6 +24,9 @@ BALANCE_COVARIATES = ("score", "left_lesion_size", "recovery_time")
 SWEEP_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 10))
 SUBGROUP_SEVERITIES = ("severe", "moderate")  # hardest-to-predict subjects
 MAX_SWAPS = 500  # balancing swaps a partition may apply
+# the reported metrics of a MetricsRow, in report column order
+METRIC_COLS = ("accuracy", "balanced_accuracy", "sensitivity", "specificity",
+               "precision", "f1", "auc")
 TEMPERATURE_TOL = 1e-4  # width of the final ln T bracket
 
 
@@ -66,11 +69,9 @@ def _covariate_matrix(records: Sequence[SubjectRecord]) -> np.ndarray:
 
 def _max_smd(means: np.ndarray, sd: np.ndarray) -> list[float]:
     """Per covariate, the largest standardized difference of group means
-    over all group pairs; the objective J is their sum."""
-    k = len(means)
-    return [max(abs(means[a, c] - means[b, c]) / sd[c]
-                for a in range(k) for b in range(a + 1, k))
-            for c in range(means.shape[1])]
+    over all group pairs, which is their range over sd; the objective J is
+    their sum."""
+    return ((means.max(axis=0) - means.min(axis=0)) / sd).tolist()
 
 
 def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
@@ -117,8 +118,11 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
         sums[g] = x[assign == g].sum(axis=0)
 
     def best_swap_for_pair(means: np.ndarray, ga: int, gb: int):
-        """Best single same-category exchange between groups ga and gb."""
-        others = [g for g in range(k) if g not in (ga, gb)]
+        """Best single same-category exchange between groups ga and gb,
+        scored by the span of the two new means and the other groups'."""
+        others = means[[g for g in range(k) if g not in (ga, gb)]]
+        lo = others.min(axis=0, initial=np.inf)
+        hi = others.max(axis=0, initial=-np.inf)
         best = None  # (new_j, i, j)
         for ci in range(len(SEVERITY_CATEGORIES)):
             ia = np.flatnonzero((assign == ga) & (category == ci))
@@ -128,19 +132,11 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
             delta = x[ib][None, :, :] - x[ia][:, None, :]  # (m, p, 3)
             ma = means[ga] + delta / counts[ga]
             mb = means[gb] - delta / counts[gb]
+            span = (np.maximum(np.maximum(ma, mb), hi)
+                    - np.minimum(np.minimum(ma, mb), lo))
             j_cand = np.zeros(delta.shape[:2])
             for c in range(x.shape[1]):
-                fixed = 0.0
-                for a in others:
-                    for b in others:
-                        if a < b:
-                            fixed = max(fixed, abs(means[a, c] - means[b, c]))
-                cand = np.full(delta.shape[:2], fixed)
-                for g in others:
-                    cand = np.maximum(cand, np.abs(ma[..., c] - means[g, c]))
-                    cand = np.maximum(cand, np.abs(mb[..., c] - means[g, c]))
-                cand = np.maximum(cand, np.abs(ma[..., c] - mb[..., c]))
-                j_cand += cand / sd[c]
+                j_cand += span[..., c] / sd[c]
             flat = int(np.argmin(j_cand))
             r, s = divmod(flat, j_cand.shape[1])
             if best is None or j_cand[r, s] < best[0] - 1e-15:
@@ -350,13 +346,7 @@ class MetricsRow:
     flags: tuple[str, ...] = ()  # metrics reported as 0 for want of a denominator
 
     def as_dict(self) -> dict[str, float]:
-        return {"accuracy": self.accuracy,
-                "balanced_accuracy": self.balanced_accuracy,
-                "sensitivity": self.sensitivity,
-                "specificity": self.specificity,
-                "precision": self.precision,
-                "f1": self.f1,
-                "auc": self.auc}
+        return {m: getattr(self, m) for m in METRIC_COLS}
 
 
 def auc(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -367,18 +357,9 @@ def auc(probs: np.ndarray, labels: np.ndarray) -> float:
     n0 = int(np.sum(y == 0))
     if n1 == 0 or n0 == 0:
         raise ValueError("AUC needs both classes present")
-    order = np.argsort(p, kind="stable")
-    ranks = np.empty(len(p), dtype=np.float64)
-    ranks[order] = np.arange(1, len(p) + 1)
-    sorted_p = p[order]
-    i = 0
-    while i < len(p):
-        j = i
-        while j + 1 < len(p) and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        if j > i:
-            ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
-        i = j + 1
+    # a tie group of c values ending at 1-based rank e has midrank e - (c-1)/2
+    _, group, count = np.unique(p, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(count) - (count - 1) / 2.0)[group]
     rank_sum = float(np.sum(ranks[y == 1]))
     return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
 
@@ -431,11 +412,9 @@ def subgroup_metrics(probs: np.ndarray, labels: np.ndarray,
     deal none into the held-out group)."""
     mask = np.array([s in SUBGROUP_SEVERITIES for s in severities])
     if not mask.any():
-        nan = math.nan
-        return MetricsRow(accuracy=nan, balanced_accuracy=nan,
-                          sensitivity=nan, specificity=nan, precision=nan,
-                          f1=nan, auc=nan, tp=0, fp=0, tn=0, fn=0,
-                          threshold=0.5, flags=("empty-subgroup",))
+        return MetricsRow(**dict.fromkeys(METRIC_COLS, math.nan),
+                          tp=0, fp=0, tn=0, fn=0, threshold=0.5,
+                          flags=("empty-subgroup",))
     return metrics(np.asarray(probs)[mask], np.asarray(labels)[mask])
 
 

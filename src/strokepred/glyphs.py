@@ -161,8 +161,8 @@ def _clamp01(v: float) -> float:
 def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
                   canvas: np.ndarray, boxes: Sequence[Box]) -> np.ndarray:
     """Draw the three glyphs into the given canvas boxes (pentagon, pie,
-    severity, in that order), sized from the smallest box side.  Returns a
-    new array; boxes must be empty."""
+    severity, in that order), sized from the smallest box side.  Draws in
+    place and returns ``canvas``; boxes must be empty."""
     if len(boxes) != 3:
         raise ValueError(f"need 3 glyph boxes, got {len(boxes)}")
     m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
@@ -175,14 +175,13 @@ def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
     rasters = (shape_raster("pentagon", ph, pw, radius),
                shape_raster("pie", qh, qw, 0.32 * m, intensity),
                severity_raster(SEVERITY_SYMBOLS[record.severity], sh, sw))
-    out = canvas.copy()
     for box, raster in zip(boxes, rasters):
         r0, c0, bh, bw = box
-        region = out[r0:r0 + bh, c0:c0 + bw]
+        region = canvas[r0:r0 + bh, c0:c0 + bw]
         if np.any(region != 0.0):
             raise GlyphOverlapError(f"placement box {box} is not empty")
-        out[r0:r0 + bh, c0:c0 + bw] = raster
-    return out
+        region[...] = raster
+    return canvas
 
 
 # ---------------------------------------------------------------------------

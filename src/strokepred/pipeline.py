@@ -33,7 +33,8 @@ import numpy as np
 
 from . import core, evalharness, explain, glyphs, imaging, learn
 from .core import CohortManifest, LabelVolume, SubjectRecord, Volume3D
-from .evalharness import Calibrator, LockBox, MetricsRow, SplitPlan
+from .evalharness import (METRIC_COLS, Calibrator, LockBox, MetricsRow,
+                          SplitPlan)
 from .imaging import RoiImageSpec, StitchSpec
 from .learn import ArrayDataset, CnnConfig, ModelParams, TabularEncoding, TrainConfig
 from .synthcohort import (SynthConfig, TruthModel, cohort_records, gen_atlas,
@@ -164,7 +165,8 @@ class CohortData:
     def labels_for(self, variant: str) -> LabelVolume:
         if "wm-roi" in variant:
             if self.tracts is None:
-                raise ConfigError("cohort has no tract atlas for wm-roi")
+                raise ConfigError(
+                    f"cohort has no tract atlas for variant {variant!r}")
             return self.tracts
         return self.atlas
 
@@ -357,12 +359,30 @@ def _require_both_classes(records: Sequence[SubjectRecord],
                           f"and in group {VAL_GROUP}; " + "; ".join(problems))
 
 
+def _require_roi_layout(cohort: CohortData, config: RunConfig) -> None:
+    """Refuse an image model's ROI variant that cannot be laid out: its
+    atlas is missing, or its ROI labels are none or include one with no
+    voxels.  Reads the atlas only."""
+    if config.model == "logistic" or config.variant.endswith("stitched"):
+        return
+    atlas = cohort.labels_for(config.variant)
+    labels = config.roi_labels or tuple(sorted(atlas.label_names))
+    if not labels:
+        raise ConfigError(f"variant {config.variant!r}: the cohort's atlas "
+                          "has no ROI labels to lay out")
+    missing = sorted(set(labels) - set(atlas.present_labels()))
+    if missing:
+        raise ConfigError(f"variant {config.variant!r}: ROI labels {missing} "
+                          "have no voxels in the cohort's atlas")
+
+
 def prepare_run(cohort: CohortData, config: RunConfig,
                 audit_path: str | Path | None = None) -> PreparedRun:
     """Partition, seal group 5 in a lock box (audited to ``audit_path`` if
     given), derive the glyph and tabular normalizers from the training
     groups only, as one audited access, and lay out the configured variant
     unrendered."""
+    _require_roi_layout(cohort, config)
     plan = evalharness.stratified_partition(cohort.records, k=5,
                                             seed=PARTITION_SEED)
     _require_both_classes(cohort.records, plan)
@@ -594,10 +614,6 @@ def write_csv(path: str | Path, header: Sequence[str],
     lines = [",".join(header)]
     lines += [",".join(_fmt(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
-
-
-METRIC_COLS = ("accuracy", "balanced_accuracy", "sensitivity", "specificity",
-               "precision", "f1", "auc")
 
 
 def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:

@@ -87,6 +87,8 @@ class SynthConfig:
             raise ValueError("dims must be >= 16 per axis")
         if self.n_rois < 2:
             raise ValueError("n_rois must be >= 2")
+        if self.n_tracts < 1:
+            raise ValueError("n_tracts must be >= 1")
         if not 0 <= self.left_bias <= 1 or not 0 <= self.unknown_prob <= 1:
             raise ValueError("probabilities must lie in [0, 1]")
         lo, hi = self.lesion_count
@@ -94,6 +96,9 @@ class SynthConfig:
             raise ValueError("bad lesion_count range")
         if self.lesion_radius[0] > self.lesion_radius[1] or self.lesion_radius[0] < 0:
             raise ValueError("bad lesion_radius range")
+        if not 0 < self.recovery_range[0] <= self.recovery_range[1]:
+            raise ValueError("recovery_range must satisfy 0 < low <= high, "
+                             f"got {list(self.recovery_range)}")
         t = self.severity_thresholds
         if not t[0] > t[1] > t[2] > 0:
             raise ValueError("severity thresholds must be strictly decreasing")
@@ -101,6 +106,16 @@ class SynthConfig:
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthConfig":
         return core.from_json_object(cls, d, "cohort config")
+
+
+def require_atlas_rois(config: SynthConfig, truth: TruthModel) -> None:
+    """Refuse a truth whose causal ROIs are not labels of the config's
+    atlas.  Those are exactly 1..n_rois: every Voronoi site keeps its own
+    voxel."""
+    outside = [r for r in truth.causal_rois if not 1 <= r <= config.n_rois]
+    if outside:
+        raise ValueError(f"truth causal_rois {outside} are not atlas labels "
+                         f"1..{config.n_rois} (cohort n_rois)")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +337,8 @@ def cohort_records(config: SynthConfig, truth: TruthModel,
 
 def write_cohort(config: SynthConfig, truth: TruthModel,
                  out_dir: str | Path) -> core.CohortManifest:
-    """Write atlas, tract atlas, per-subject volumes, and manifest.json."""
+    """Write atlas, tract atlas, per-subject volumes, and manifest.json;
+    subject files that an earlier cohort left there are deleted."""
     out_dir = Path(out_dir)
     (out_dir / "volumes").mkdir(parents=True, exist_ok=True)
     (out_dir / "lesions").mkdir(exist_ok=True)
@@ -342,6 +358,11 @@ def write_cohort(config: SynthConfig, truth: TruthModel,
         subjects.append(record)
         volume_paths[record.id] = vp
         lesion_paths[record.id] = lp
+    kept = {*volume_paths.values(), *lesion_paths.values()}
+    for sub in ("volumes", "lesions"):  # files an earlier cohort left
+        for stale in (out_dir / sub).glob("*.vol"):
+            if f"{sub}/{stale.name}" not in kept:
+                stale.unlink()
     manifest = core.CohortManifest(
         subjects=subjects,
         volume_paths=volume_paths,

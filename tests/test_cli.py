@@ -14,10 +14,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strokepred import cli, evalharness, learn, pipeline
+from strokepred import cli, core, evalharness, learn, pipeline
 from strokepred.cli import (EXIT_CONFIG, EXIT_LOCKBOX, EXIT_OK, main,
                             parse_seeds)
 from strokepred.rng import CounterRng
+from strokepred.synthcohort import default_truth
 
 RUN_CFG = {"run": {"image_size": 32, "channels": [4, 8],
                    "train": {"lrs": [1e-3], "max_epochs": 3}}}
@@ -95,6 +96,64 @@ def test_synth_force_is_idempotent(cohort_dir, tmp_path):
                  "--dims", "32", "--seed", "5", "--force"])
     assert code == EXIT_OK
     assert (cohort_dir / "manifest.json").read_bytes() == before
+
+
+def test_synth_force_leaves_only_the_new_cohorts_subject_files(tmp_path):
+    out = tmp_path / "c"
+    synth = ["synth", "--out", str(out), "--dims", "16"]
+    assert main([*synth, "--subjects", "30"]) == EXIT_OK
+    assert main([*synth, "--subjects", "12", "--force"]) == EXIT_OK
+    manifest = core.CohortManifest.load(out)
+    for sub, paths in (("volumes", manifest.volume_paths),
+                       ("lesions", manifest.lesion_paths)):
+        assert sorted(f"{sub}/{p.name}" for p in (out / sub).iterdir()) \
+            == sorted(paths.values())
+
+
+def _without_tract_atlas(cohort):
+    doc = json.loads((cohort / "manifest.json").read_text())
+    doc["tract_atlas_path"], doc["tract_labels"] = None, {}
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+
+
+def _with_empty_tract_atlas(cohort):
+    doc = json.loads((cohort / "manifest.json").read_text())
+    doc["tract_labels"] = {}
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+    dims = tuple(doc["dims"])
+    core.write_volume(core.LabelVolume(dims, np.zeros(dims, np.uint16)),
+                      cohort / "tracts.vol")
+
+
+@pytest.mark.parametrize("run_cfg,edit,named", [
+    ({"variant": "gm-roi", "roi_labels": [2, 99]}, None,
+     ["'gm-roi'", "ROI labels [99]"]),
+    ({"variant": "wm-roi"}, _without_tract_atlas,
+     ["no tract atlas for variant 'wm-roi'"]),
+    ({"variant": "hybrid-wm-roi"}, _with_empty_tract_atlas,
+     ["'hybrid-wm-roi'", "no ROI labels"]),
+], ids=["roi-99", "no-tract-atlas", "empty-tract-atlas"])
+def test_run_refuses_an_roi_variant_it_cannot_lay_out(run_cfg, edit, named,
+                                                      tmp_path, capsys):
+    cohort = tmp_path / "c"
+    assert main(["synth", "--out", str(cohort), "--subjects", "10",
+                 "--dims", "16"]) == EXIT_OK
+    if edit is not None:
+        edit(cohort)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"run": run_cfg}))
+    capsys.readouterr()
+    out = tmp_path / "r"
+    run = ["run", "--cohort", str(cohort), "--out", str(out), "--seeds", "1",
+           "--config", str(cfg)]
+    assert main(run) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for text in named:
+        assert text in err
+    assert not (out / "audit.jsonl").exists()
+    # nothing was sealed, so the same command fails the same way
+    assert main(run) == EXIT_CONFIG
+    assert capsys.readouterr().err == err
 
 
 def test_run_outputs(run_dir):
@@ -490,6 +549,12 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("synth", {"cohort": {"seed": [5]}}, "seed"),
     ("run", {"run": {"train": {"max_epochs": [3]}}}, "max_epochs"),
     ("synth", {"cohort": {"dims": 5}}, "dims"),
+    # values the generator cannot use
+    ("synth", {"truth": {**asdict(default_truth()),
+                         "causal_rois": [1, 2, 25]}}, "causal_rois"),
+    ("synth", {"cohort": {"recovery_range": [0, 1000]}}, "recovery_range"),
+    ("synth", {"cohort": {"recovery_range": [50, 5]}}, "recovery_range"),
+    ("synth", {"cohort": {"n_tracts": 0}}, "n_tracts"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

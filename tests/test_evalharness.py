@@ -130,6 +130,121 @@ def test_desk_cohort_partition_meets_balance_targets(desk_cohort):
     assert LockBox(plan).lockbox_group == plan.k == 5
 
 
+def _pairwise_max_smd(means, sd):
+    k = len(means)
+    return [max(abs(means[a, c] - means[b, c]) / sd[c]
+                for a in range(k) for b in range(a + 1, k))
+            for c in range(means.shape[1])]
+
+
+def _pairwise_partition(records, k):
+    """Reference: the greedy swaps searched pair by pair and covariate by
+    covariate, from the deal that ``stratified_partition`` makes with no
+    swaps.  Returns (assignment, max_smd, objective, swaps_applied)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evalharness, "MAX_SWAPS", 0)
+        dealt = stratified_partition(records, k=k)
+    records = sorted(records, key=lambda r: r.id)
+    assign = np.array([dealt.assignment[r.id] - 1 for r in records])
+    category = np.array([SEVERITY_CATEGORIES.index(r.severity)
+                         for r in records])
+    x = np.array([[r.score, r.left_lesion_size, r.recovery_time]
+                  for r in records], dtype=np.float64)
+    sd = x.std(axis=0, ddof=1)
+    sd = np.where(sd > 0, sd, 1.0)
+    counts = np.bincount(assign, minlength=k).astype(np.float64)
+    sums = np.zeros((k, 3))
+    for g in range(k):
+        sums[g] = x[assign == g].sum(axis=0)
+
+    def best_swap_for_pair(means, ga, gb):
+        others = [g for g in range(k) if g not in (ga, gb)]
+        best = None
+        for ci in range(len(SEVERITY_CATEGORIES)):
+            ia = np.flatnonzero((assign == ga) & (category == ci))
+            ib = np.flatnonzero((assign == gb) & (category == ci))
+            if len(ia) == 0 or len(ib) == 0:
+                continue
+            delta = x[ib][None, :, :] - x[ia][:, None, :]
+            ma = means[ga] + delta / counts[ga]
+            mb = means[gb] - delta / counts[gb]
+            j_cand = np.zeros(delta.shape[:2])
+            for c in range(3):
+                fixed = 0.0
+                for a in others:
+                    for b in others:
+                        if a < b:
+                            fixed = max(fixed, abs(means[a, c] - means[b, c]))
+                cand = np.full(delta.shape[:2], fixed)
+                for g in others:
+                    cand = np.maximum(cand, np.abs(ma[..., c] - means[g, c]))
+                    cand = np.maximum(cand, np.abs(mb[..., c] - means[g, c]))
+                cand = np.maximum(cand, np.abs(ma[..., c] - mb[..., c]))
+                j_cand += cand / sd[c]
+            r, s = divmod(int(np.argmin(j_cand)), j_cand.shape[1])
+            if best is None or j_cand[r, s] < best[0] - 1e-15:
+                best = (float(j_cand[r, s]), int(ia[r]), int(ib[s]))
+        return best
+
+    swaps = 0
+    while swaps < evalharness.MAX_SWAPS:
+        means = sums / counts[:, None]
+        cur_j = sum(_pairwise_max_smd(means, sd))
+        pairs = sorted(((max(abs(means[a, c] - means[b, c]) / sd[c]
+                             for c in range(3)), a, b)
+                        for a in range(k) for b in range(a + 1, k)),
+                       key=lambda t: (-t[0], t[1], t[2]))
+        for _, ga, gb in pairs:
+            best = best_swap_for_pair(means, ga, gb)
+            if best is not None and best[0] < cur_j - 1e-12:
+                _, i, j = best
+                sums[ga] += x[j] - x[i]
+                sums[gb] += x[i] - x[j]
+                assign[i], assign[j] = gb, ga
+                swaps += 1
+                break
+        else:
+            break
+    means = np.array([x[assign == g].mean(axis=0) for g in range(k)])
+    max_smd = dict(zip(BALANCE_COVARIATES, _pairwise_max_smd(means, sd)))
+    assignment = {r.id: int(assign[i]) + 1 for i, r in enumerate(records)}
+    return assignment, max_smd, sum(max_smd.values()), swaps
+
+
+def _assert_partition_equals_reference(records, k):
+    plan = stratified_partition(records, k=k)
+    assert set(plan.assignment.values()) == set(range(1, k + 1))  # none empty
+    assignment, max_smd, objective, swaps = _pairwise_partition(records, k)
+    assert plan.assignment == assignment
+    assert plan.balance.max_smd == max_smd
+    assert plan.balance.objective == objective
+    assert plan.balance.swaps_applied == swaps
+    return swaps
+
+
+def _tied_cohort(n, seed):
+    """Covariates on coarse grids, so swap candidates tie often."""
+    rng = random.Random(seed)
+    return [_record(i, SEVERITY_CATEGORIES[rng.randrange(5)],
+                    float(rng.randrange(0, 100, 10)), rng.randrange(0, 5) * 1000,
+                    float(rng.choice((7, 30, 90, 365)))) for i in range(n)]
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_partition_equals_the_pairwise_swap_search(k):
+    swaps = 0
+    for seed in range(6):
+        swaps += _assert_partition_equals_reference(
+            _toy_cohort(30 + 17 * seed, seed=100 + seed), k)
+        swaps += _assert_partition_equals_reference(
+            _tied_cohort(40 + 11 * seed, seed=200 + seed), k)
+    assert swaps > 0  # the swap search was exercised
+
+
+def test_desk_cohort_partition_equals_the_pairwise_swap_search(desk_cohort):
+    assert _assert_partition_equals_reference(desk_cohort.records, 5) > 0
+
+
 # ---------------------------------------------------------------------------
 # lock box
 
@@ -391,6 +506,39 @@ def test_auc_midranks_equal_pairwise_oracle_exactly():
                 ties += 1
     oracle = (wins + 0.5 * ties) / (len(pos) * len(neg))
     assert auc(p, y) == oracle
+
+
+def _loop_auc(p, y):
+    """Reference: midranks found by walking the sorted scores."""
+    n1, n0 = int(np.sum(y == 1)), int(np.sum(y == 0))
+    order = np.argsort(p, kind="stable")
+    ranks = np.empty(len(p), dtype=np.float64)
+    ranks[order] = np.arange(1, len(p) + 1)
+    sorted_p = p[order]
+    i = 0
+    while i < len(p):
+        j = i
+        while j + 1 < len(p) and sorted_p[j + 1] == sorted_p[i]:
+            j += 1
+        if j > i:
+            ranks[order[i:j + 1]] = (i + 1 + j + 1) / 2.0
+        i = j + 1
+    rank_sum = float(np.sum(ranks[y == 1]))
+    return (rank_sum - n1 * (n1 + 1) / 2.0) / (n1 * n0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 79, 400, 2000])
+def test_auc_equals_the_midrank_loop_on_tied_scores(n):
+    rng = np.random.default_rng(n)
+    for trial in range(20):
+        y = rng.integers(0, 2, size=n)
+        y[:2] = (0, 1)
+        raw = rng.random(n)
+        for p in (np.round(raw, 1 + trial % 3),  # rounded probabilities
+                  np.clip(3 * raw - 1, 0, 1),  # saturated at 0 and 1
+                  np.round(np.clip(3 * raw - 1, 0, 1), 2),
+                  np.full(n, 0.5)):
+            assert auc(p, y) == _loop_auc(p, y)
 
 
 def test_balanced_accuracy_invariant_under_duplicating_positives():

@@ -80,7 +80,7 @@ def test_render_matches_the_former_spec_arithmetic(boxes, lesion,
     for severity in SEVERITY_SYMBOLS:
         record = make_record(severity=severity, lesion=lesion,
                              recovery_time=recovery_time)
-        got = render_glyphs(record, SIZE_REF, TIME_REF, canvas, boxes)
+        got = render_glyphs(record, SIZE_REF, TIME_REF, canvas.copy(), boxes)
         want = reference_glyphs(record, SIZE_REF, TIME_REF, canvas, boxes)
         assert got.tobytes() == want.tobytes()
 
@@ -157,6 +157,14 @@ def test_render_rejects_boxes_under_6px():
     boxes[1] = (0, 6, 5, 6)  # one box 5 px high
     with pytest.raises(LayoutError, match="glyph boxes of 5px are too small"):
         render_glyphs(make_record(), SIZE_REF, TIME_REF, blank(6), boxes)
+
+
+def test_render_draws_into_the_canvas_it_is_given():
+    canvas = blank()
+    out = render_glyphs(make_record(), SIZE_REF, TIME_REF, canvas, boxes_for())
+    assert out is canvas
+    assert np.array_equal(canvas, reference_glyphs(
+        make_record(), SIZE_REF, TIME_REF, blank(), boxes_for()))
 
 
 def test_render_deterministic():
