@@ -171,7 +171,8 @@ class Volume3D:
 
 @dataclass(frozen=True)
 class LabelVolume:
-    """Integer label volume; 0 is background, uint16."""
+    """Integer label volume; 0 is background, uint16.  Labels of another
+    dtype must be integers in 0..65535."""
 
     dims: tuple[int, int, int]
     labels: np.ndarray  # shape dims, uint16
@@ -182,14 +183,23 @@ class LabelVolume:
         if self.labels.shape != (nx, ny, nz):
             raise DimensionMismatchError(
                 f"labels shape {self.labels.shape} != dims {self.dims}")
-        if self.labels.dtype != np.uint16:
-            arr = self.labels
-            if np.issubdtype(arr.dtype, np.signedinteger) and arr.size and arr.min() < 0:
-                raise ValueError("labels must be non-negative")
+        arr = self.labels
+        if arr.dtype != np.uint16:
+            if arr.dtype != bool and arr.size:
+                if arr.min() < 0:
+                    raise ValueError("labels must be non-negative")
+                if arr.dtype.kind == "f" and not np.array_equal(
+                        arr, np.trunc(arr)):  # NaN is unequal too
+                    raise ValueError("labels must be integers")
+                if arr.max() > 65535:
+                    raise ValueError(f"labels must be at most 65535 (uint16), "
+                                     f"got {arr.max()}")
             object.__setattr__(self, "labels", arr.astype(np.uint16))
         names = dict(self.label_names)
-        for lab in self.present_labels():
-            names.setdefault(int(lab), f"label_{int(lab)}")
+        top = int(self.labels.max()) if self.labels.size else 0
+        if not all(lab in names for lab in range(1, top + 1)):
+            for lab in self.present_labels():
+                names.setdefault(lab, f"label_{lab}")
         object.__setattr__(self, "label_names", names)
         self.labels.flags.writeable = False
 

@@ -110,9 +110,13 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
             g = slot if cycle % 2 == 0 else k - 1 - slot
             assign[i] = (g + offset) % k
 
+    counts = np.bincount(assign, minlength=k).astype(np.float64)
+    empty = [g + 1 for g in range(k) if counts[g] == 0]
+    if empty:
+        raise ValueError(f"a cohort of {n} subjects leaves groups {empty} of "
+                         f"{k} empty")
     sd = x.std(axis=0, ddof=1)
     sd = np.where(sd > 0, sd, 1.0)
-    counts = np.bincount(assign, minlength=k).astype(np.float64)
     sums = np.zeros((k, x.shape[1]))
     for g in range(k):
         sums[g] = x[assign == g].sum(axis=0)
@@ -373,7 +377,7 @@ def metrics(probs: np.ndarray, labels: np.ndarray,
     y = np.asarray(labels)
     if len(p) == 0:
         raise ValueError("empty input")
-    if p.min() < 0 or p.max() > 1:
+    if not (p.min() >= 0 and p.max() <= 1):  # NaN fails too
         raise ValueError("probabilities must lie in [0, 1]")
     pred = p >= threshold
     tp = int(np.sum(pred & (y == 1)))

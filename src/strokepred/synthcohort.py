@@ -268,16 +268,42 @@ def _sample_lesion(config: SynthConfig, rng: CounterRng,
     return lesion & mask
 
 
-def _background(config: SynthConfig, rng: CounterRng) -> np.ndarray:
+# Largest float64 slab ``_intensity`` composes at once.
+SLAB_BYTES = 256 * 1024
+
+
+def _intensity(config: SynthConfig, rng: CounterRng, mask: np.ndarray,
+               lesion_mask: np.ndarray) -> np.ndarray:
+    """The subject's float32 intensity volume: a smooth background in
+    [0.05, 0.95] inside the brain mask, scaled by 0.3 in the lesion, 0
+    outside.
+
+    Each voxel is ``clip(((0.55 + X) + Y) + Z)`` in float64, then times 1
+    or 0 for the mask (exact), times 0.3 in the lesion, rounded once to
+    float32: the same values as composing the whole float64 grid first.
+    The x+y term is built once; the volume is written one x-slab at a
+    time, each at most ``SLAB_BYTES`` of float64 or else one x-row.
+    """
     nx, ny, nz = config.dims
     phases = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
     freqs = [rng.randint(1, 3) for _ in range(3)]
     x, y, z = _axes(config.dims)
-    bg = (0.55
+    xy = (0.55
           + 0.13 * np.cos(2 * math.pi * freqs[0] * x / nx + phases[0])
-          + 0.11 * np.cos(2 * math.pi * freqs[1] * y / ny + phases[1])
-          + 0.09 * np.cos(2 * math.pi * freqs[2] * z / nz + phases[2]))
-    return np.clip(bg, 0.05, 0.95, out=bg)
+          + 0.11 * np.cos(2 * math.pi * freqs[1] * y / ny + phases[1]))
+    zterm = 0.09 * np.cos(2 * math.pi * freqs[2] * z / nz + phases[2])
+    out = np.empty(config.dims, dtype=np.float32)
+    step = max(1, min(nx, SLAB_BYTES // (8 * ny * nz)))
+    slab = np.empty((step, ny, nz))
+    for x0 in range(0, nx, step):
+        rows = slice(x0, x0 + step)
+        part = slab[:min(step, nx - x0)]
+        np.add(xy[rows], zterm, out=part)
+        np.clip(part, 0.05, 0.95, out=part)
+        part *= mask[rows]
+        np.multiply(part, 0.3, out=part, where=lesion_mask[rows])
+        out[rows] = part
+    return out
 
 
 def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
@@ -294,10 +320,8 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
     rng = CounterRng(config.seed, "subject", subject_seed)
 
     lesion_mask = _sample_lesion(config, rng, mask)
-    bg = _background(config, rng)
-    intensity = bg * mask  # exactly bg inside the brain, 0 outside
-    np.multiply(bg, 0.3, out=intensity, where=lesion_mask)
-    volume = Volume3D(dims=config.dims, data=intensity.astype(np.float32))
+    volume = Volume3D(dims=config.dims,
+                      data=_intensity(config, rng, mask, lesion_mask))
     lesion = LabelVolume(dims=config.dims,
                          labels=lesion_mask.astype(np.uint16),
                          label_names={1: "lesion"})

@@ -283,6 +283,20 @@ def test_run_refuses_a_malformed_manifest(key, value, cohort_dir, tmp_path,
     assert [p.name for p in cohort.iterdir()] == ["manifest.json"]
 
 
+def test_run_refuses_a_partition_with_an_empty_group(cohort_dir, tmp_path,
+                                                    capsys):
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    doc = json.loads((cohort / "manifest.json").read_text())
+    doc["subjects"] = [next(r for r in doc["subjects"] if r["severity"] == sev)
+                       for sev in ("severe", "moderate", "mild", "normal")]
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+    assert main(["run", "--cohort", str(cohort), "--out",
+                 str(tmp_path / "r"), "--seeds", "1"]) == EXIT_CONFIG
+    assert "cohort of 4 subjects leaves groups [5] of 5 empty" \
+        in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("key", ["volume", "atlas_path"])
 def test_run_refuses_a_volume_file_of_the_wrong_kind(key, cohort_dir, tmp_path,
                                                      monkeypatch, capsys):

@@ -356,6 +356,54 @@ def test_present_labels_equals_unique():
         assert vol.present_labels() == expected
 
 
+@pytest.mark.parametrize("labels, message", [
+    (np.full((2, 2, 2), 70000, np.int32), "at most 65535"),
+    (np.full((2, 2, 2), np.inf), "at most 65535"),
+    (np.full((2, 2, 2), 2.7), "integers"),
+    (np.full((2, 2, 2), np.nan), "integers"),
+    (np.full((2, 2, 2), -1, np.int64), "non-negative"),
+    (np.full((2, 2, 2), -0.5), "non-negative"),
+])
+def test_label_volume_refuses_labels_uint16_cannot_hold(labels, message):
+    with pytest.raises(ValueError, match=message):
+        LabelVolume(dims=(2, 2, 2), labels=labels)
+
+
+@pytest.mark.parametrize("labels", [
+    np.ones((2, 2, 2), bool), np.full((2, 2, 2), 65535, np.int64),
+    np.full((2, 2, 2), 3.0, np.float32), np.zeros((2, 2, 2), np.uint32)])
+def test_label_volume_casts_bool_and_in_range_integers(labels):
+    vol = LabelVolume(dims=(2, 2, 2), labels=labels)
+    assert vol.labels.dtype == np.uint16
+    assert np.array_equal(vol.labels, labels)
+
+
+def test_labels_outside_the_named_range_get_default_names():
+    labels = np.zeros((3, 3, 3), np.uint16)
+    labels[0, 0, 0], labels[1, 1, 1] = 1, 5
+    assert LabelVolume(dims=(3, 3, 3), labels=labels,
+                       label_names={1: "a"}).label_names == {
+                           1: "a", 5: "label_5"}
+    named = {1: "a", 5: "e", 9: "i"}  # 2..4 unnamed but absent
+    assert LabelVolume(dims=(3, 3, 3), labels=labels,
+                       label_names=named).label_names == named
+
+
+def test_fully_named_volumes_skip_the_label_count(monkeypatch):
+    from strokepred.synthcohort import (SynthConfig, default_truth, gen_atlas,
+                                        gen_subject)
+
+    def refuse(self):
+        raise AssertionError("present_labels called")
+
+    monkeypatch.setattr(LabelVolume, "present_labels", refuse)
+    cfg = SynthConfig(seed=3, n_subjects=10, dims=(24, 20, 16), n_rois=9)
+    atlas = gen_atlas(cfg)
+    assert len(gen_atlas(cfg, "tracts").label_names) == cfg.n_tracts
+    _, lesion, _ = gen_subject(cfg, default_truth(), 0, atlas)
+    assert lesion.label_names == {1: "lesion"} and lesion.labels.any()
+
+
 # --- VOL1 reader fuzzing: every malformed file is a FormatError ------------
 
 @pytest.fixture(scope="module")

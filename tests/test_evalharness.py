@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ def test_swaps_never_hurt_the_objective(monkeypatch):
     dealt = stratified_partition(recs)
     assert refined.balance.objective <= dealt.balance.objective + 1e-12
     assert dealt.balance.swaps_applied == 0
+
+
+def test_partition_refuses_an_empty_group_without_numpy_warnings():
+    recs = [_record(i, sev, 40.0 + i, 100 * i, 30.0 + i)
+            for i, sev in enumerate(("severe", "moderate", "mild", "normal"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=r"cohort of 4 subjects leaves "
+                                             r"groups \[5\] of 5 empty"):
+            stratified_partition(recs, k=5, seed=0)
 
 
 def test_duplicate_ids_rejected():
@@ -479,6 +490,8 @@ def test_metrics_zero_denominators_flagged_not_nan():
 def test_metrics_input_validation():
     with pytest.raises(ValueError):
         metrics(np.array([1.2]), np.array([1]))
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+        metrics(np.array([np.nan, 0.2, 0.9, np.nan]), np.array([1, 0, 1, 0]))
     with pytest.raises(ValueError):
         metrics(np.array([]), np.array([]))
 

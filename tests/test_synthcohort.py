@@ -289,16 +289,36 @@ def _dense_background(config, rng):
     return np.clip(bg, 0.05, 0.95)
 
 
-@pytest.mark.parametrize("dims", GRID_DIMS)
+# 23 is not a multiple of the 8-row slab a 64 x 64 cross-section takes,
+# and the last, 7-row slab holds lesion voxels
+SLAB_REMAINDER_DIMS = (23, 64, 64)
+
+
+@pytest.mark.parametrize("dims", GRID_DIMS + [SLAB_REMAINDER_DIMS])
 def test_background_equals_dense_grid_formula(dims):
+    """The slab-wise intensity volume equals the dense float64 grid's
+    ``bg * mask``, times 0.3 in the lesion, cast to float32, byte for byte."""
     cfg = SynthConfig(seed=11, n_subjects=10, dims=dims)
+    mask = brain_mask(dims)
+    step = max(1, synthcohort.SLAB_BYTES // (8 * dims[1] * dims[2]))
+    last_slab_lesioned = False
     for subject in range(3):
-        fast = synthcohort._background(cfg, CounterRng(cfg.seed, "subject",
-                                                       subject))
-        dense = _dense_background(cfg, CounterRng(cfg.seed, "subject",
-                                                  subject))
-        assert fast.shape == dense.shape == dims
+        rng = CounterRng(cfg.seed, "subject", subject)
+        lesion = synthcohort._sample_lesion(cfg, rng, mask)
+        fast = synthcohort._intensity(cfg, rng, mask, lesion)
+        rng = CounterRng(cfg.seed, "subject", subject)
+        assert np.array_equal(synthcohort._sample_lesion(cfg, rng, mask),
+                              lesion)
+        assert lesion.any()
+        bg = _dense_background(cfg, rng)
+        dense = bg * mask
+        dense[lesion] = bg[lesion] * 0.3
+        dense = dense.astype(np.float32)
+        assert fast.dtype == np.float32 and fast.shape == dims
         assert fast.tobytes() == dense.tobytes()
+        last_slab_lesioned |= lesion[dims[0] - dims[0] % step:].any()
+    if dims == SLAB_REMAINDER_DIMS:
+        assert dims[0] % step and last_slab_lesioned
 
 
 @pytest.mark.parametrize("dims", GRID_DIMS)
