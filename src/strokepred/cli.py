@@ -223,11 +223,12 @@ def _rank_run_rois(args, counts=(), with_counterfactuals=False):
     """The set-up that explain and select-rois share, each refusal before
     the work it guards.  Load the run, check its model (and, given a grid
     of ROI counts to select from, its variant) and the ranking flags; load
-    the cohort and the checkpoint and create --out; prepare the run, check
-    the counts and n_perturb (the all-ones mask plus one mask per ROI)
-    against the ROIs of its rendered label map, where a thin ROI can
-    vanish; rank the ROIs and write roi_ranking.csv.  Returns the seed,
-    --out, the prepared run, the explanations, the ranking and ROI names."""
+    the cohort and the checkpoint and create --out; prepare the run, name
+    the ROIs of the layout that are too thin to survive in its rendered
+    label map, and check the counts and n_perturb (the all-ones mask plus
+    one mask per ROI) against the ROIs that do; rank them and write
+    roi_ranking.csv.  Returns the seed, --out, the prepared run, the
+    explanations, the ranking and ROI names."""
     run_dir = Path(args.run)
     config, _doc = _load_run(run_dir)
     if config.model != "lightweight":
@@ -245,7 +246,14 @@ def _rank_run_rois(args, counts=(), with_counterfactuals=False):
 
     # only groups 1-4 are read and rendered, so the box keeps no audit file
     run = pipeline.prepare_run(cohort, config)
-    n_rois = len(explain.image_rois(run.variant_data.label_image))
+    names = cohort.labels_for(config.variant).label_names
+    rois = explain.image_rois(run.variant_data.label_image)
+    missing = sorted(set(config.roi_labels or names) - set(rois))
+    if missing:
+        print(f"ROIs missing from the {config.image_size}x{config.image_size}"
+              f" label map of {config.variant!r}, so not ranked: "
+              + ", ".join(names.get(r, str(r)) for r in missing))
+    n_rois = len(rois)
     if counts and max(counts) > n_rois:
         raise ConfigError(f"ROI count {max(counts)} exceeds the {n_rois} "
                           "ROIs in the rendered label map")
@@ -257,7 +265,6 @@ def _rank_run_rois(args, counts=(), with_counterfactuals=False):
         with_counterfactuals)
     if ranking.flags:
         print("ranking flags: " + ", ".join(ranking.flags))
-    names = cohort.labels_for(config.variant).label_names
     pipeline.write_ranking_csv(ranking, out / "roi_ranking.csv", names)
     return seed, out, run, explanations, ranking, names
 

@@ -43,7 +43,7 @@ def _predict(classifier: Classifier, n: int,
     probs = np.concatenate(chunks)
     if probs.shape != (n,):
         raise ValueError("classifier returned a wrong-shaped batch")
-    if len(probs) and (probs.min() < 0 or probs.max() > 1):
+    if len(probs) and not (probs.min() >= 0 and probs.max() <= 1):  # NaN too
         raise ValueError("classifier probabilities must lie in [0, 1]")
     return probs
 
@@ -74,15 +74,23 @@ def roi_pixel_sets(label_image: np.ndarray,
 
 def apply_mask(image: np.ndarray, contrast: np.ndarray,
                pixel_sets: Mapping[int, np.ndarray], rois: Sequence[int],
-               mask: Sequence[int]) -> np.ndarray:
-    """Replace exactly the pixel sets of ROIs whose mask bit is 0."""
-    out = np.array(image, dtype=np.float64, copy=True)
-    flat = out.ravel()
-    cflat = np.asarray(contrast, dtype=np.float64).ravel()
-    for bit, roi in zip(mask, rois):
-        if bit == 0:
+               masks: Sequence[Sequence[int]]) -> np.ndarray:
+    """The (m, h, w) batch of ``image`` under each of the m masks: row i has
+    exactly the pixel sets of the ROIs whose bit in ``masks[i]`` is 0
+    replaced by ``contrast``'s pixels.  The batch has the callers' dtype,
+    ``np.result_type(image, contrast)``; it is filled with the image, then
+    with one copy per ROI over every mask that swaps that ROI."""
+    image, contrast = np.asarray(image), np.asarray(contrast)
+    out = np.empty((len(masks), *image.shape),
+                   dtype=np.result_type(image, contrast))
+    out[...] = image
+    flat, cflat = out.reshape(len(masks), image.size), contrast.ravel()
+    kept = np.asarray(masks, dtype=bool).reshape(len(masks), len(rois))
+    for j, roi in enumerate(rois):
+        swapped = np.flatnonzero(~kept[:, j])
+        if len(swapped):
             idx = pixel_sets[roi]
-            flat[idx] = cflat[idx]
+            flat[np.ix_(swapped, idx)] = cflat[idx]
     return out
 
 
@@ -91,9 +99,9 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
                       rois: Sequence[int], n: int,
                       seed: int = 0) -> list[PerturbationRecord]:
     """All-ones mask, every single-ROI replacement, then random masks with
-    each bit independently 0 with probability 0.5, up to n rows."""
-    image = np.asarray(image, dtype=np.float64)
-    contrast = np.asarray(contrast, dtype=np.float64)
+    each bit independently 0 with probability 0.5, up to n rows.  The
+    classifier sees batches of the callers' dtype (``apply_mask``)."""
+    image, contrast = np.asarray(image), np.asarray(contrast)
     if image.shape != contrast.shape or image.shape != np.asarray(label_image).shape:
         raise ValueError("image, contrast, and label image shapes must match")
     r = len(rois)
@@ -109,8 +117,8 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
     bits = (draws.reshape(n - r - 1, r) < 0.5).astype(np.int64)
     masks.extend(map(tuple, bits.tolist()))
 
-    probs = _predict(classifier, n, lambda s: np.stack(
-        [apply_mask(image, contrast, sets, rois, m) for m in masks[s]]))
+    probs = _predict(classifier, n, lambda s: apply_mask(
+        image, contrast, sets, rois, masks[s]))
     return [PerturbationRecord(mask=m, probability=float(p))
             for m, p in zip(masks, probs)]
 
@@ -188,9 +196,9 @@ def counterfactuals(image: np.ndarray, contrast: np.ndarray,
     """All <=2-ROI replacements whose classifier probability drops below
     ``THRESHOLD``, sorted by fewest ROIs then lowest probability. ``base``
     is the unchanged image's probability the caller gated on; it is not
-    predicted again, as logits differ in the last bits between batch sizes."""
-    image = np.asarray(image, dtype=np.float64)
-    contrast = np.asarray(contrast, dtype=np.float64)
+    predicted again, as logits differ in the last bits between batch sizes.
+    The classifier sees batches of the callers' dtype (``apply_mask``)."""
+    image, contrast = np.asarray(image), np.asarray(contrast)
     r = len(rois)
     sets = roi_pixel_sets(label_image, rois)
     if base < THRESHOLD:
@@ -205,8 +213,8 @@ def counterfactuals(image: np.ndarray, contrast: np.ndarray,
         for j in combo:
             mask[j] = 0
         masks.append(tuple(mask))
-    probs = _predict(classifier, len(masks), lambda s: np.stack(
-        [apply_mask(image, contrast, sets, rois, m) for m in masks[s]]))
+    probs = _predict(classifier, len(masks), lambda s: apply_mask(
+        image, contrast, sets, rois, masks[s]))
 
     rows = []
     for combo, mask, prob in zip(combos, masks, probs):

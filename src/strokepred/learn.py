@@ -23,10 +23,13 @@ pool: each conv is one im2col GEMM whose output is the next block's input.
 Most of its time goes to moving memory, so each pass is kept long and
 contiguous where that leaves every sum unchanged:
 
-* the image block (one input channel) fills its columns tap-major, nine
-  contiguous copies, and multiplies their transposed view; BLAS sums a
-  transposed GEMM operand in the same order.  GEMV does not, so a block
-  with one output channel keeps the row-major columns;
+* each conv pads its input once, channels-first, and fills its columns
+  channel-major, nine contiguous copies into a (c, 9, n, h, w) buffer, and
+  multiplies their transposed view; BLAS sums a transposed GEMM operand in
+  the same order.  Two cases keep row-major columns, as their sums depend
+  on the layout: one output channel (numpy hands the product to GEMV) and
+  a GEMM of fewer than ``GEMM_ROW_FLOOR`` rows (OpenBLAS's small-matrix
+  kernels);
 * the columns, and the input gradient's shifted adds, are built one chunk
   of whole images at a time, so each tap pass stays in cache; in training
   each GEMM still runs once over the whole batch;
@@ -83,8 +86,9 @@ CKP_MAGIC = b"CKP1"
 # input; at batch 128 it beat a whole-L2 chunk.
 CHUNK_BYTES = 1 << 20
 # OpenBLAS leaves its small-matrix kernels at this many GEMM rows; from there
-# up a row's result no longer depends on the row count, so every conv GEMM
-# of an inference chunk gets at least this many rows.
+# up a row's result depends neither on the row count nor on whether the
+# columns are row- or channel-major, so every conv GEMM of an inference
+# chunk gets at least this many rows.
 GEMM_ROW_FLOOR = 256
 
 
@@ -259,38 +263,41 @@ def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
     The columns keep the (c, ki, kj) order of ``w.reshape(c_out, -1)``; the
     (n*h*w, c_out) product is already the next layer's channels-last input.
-    The columns are filled by nine shifted copies of the padded batch, one
-    per tap.  The image block (c == 1) fills them tap-major, so each copy
-    is contiguous, into a (9, n*h*w) buffer and returns its transposed
+    The batch is padded once into a channels-first (c, n, h+2, w+2) array,
+    and the columns are filled by nine shifted copies of it, one per tap.
+    They are channel-major, a (c, 9, n, h, w) buffer whose copies are
+    contiguous per channel, and the GEMM takes its transposed (n*h*w, c*9)
     view: BLAS sums a transposed operand in the same order, here and in
-    ``backward``'s weight-gradient GEMM.  With one output channel numpy
-    hands both products to GEMV, whose sums do depend on the operand
-    layout, so that case keeps row-major columns.
+    ``backward``'s weight-gradient GEMM.  Two cases keep row-major
+    (n, h, w, c, 9) columns, since their sums do depend on the operand
+    layout: one output channel, as numpy hands both products to GEMV, and
+    fewer than ``GEMM_ROW_FLOOR`` rows, where OpenBLAS uses its small-matrix
+    kernels.
 
-    A row-major copy writes every 9th float of the (n*h*w, c*9) buffer, so
-    a pass over the whole batch pulls every cache line of the buffer.  The
-    columns are therefore filled one chunk of whole images at a time
+    The columns are filled one chunk of whole images at a time
     (``_image_chunks``: each chunk's columns at most ``CHUNK_BYTES``), all
-    nine taps per chunk, so the chunk's lines stay in cache between taps.
-    Each column value is still one copy of one padded input value into the
-    same buffer, and the one GEMM over the whole batch is unchanged, so no
+    nine taps per chunk, so the chunk's padded input stays in cache between
+    taps (and a row-major copy, which writes every 9th float, pulls only
+    the chunk's lines).  Each column value is still one copy of one padded
+    input value, and the one GEMM over the whole batch is unchanged, so no
     output changes.  The bias is added in place over whole (h*w*c_out)
     rows, not broadcast over c_out-wide ones.
     """
     n, h, wd, c = x.shape
     c_out = w.shape[0]
-    xp = np.zeros((n, h + 2, wd + 2, c), dtype=x.dtype)
-    xp[:, 1:h + 1, 1:wd + 1] = x
-    tap_major = c == 1 and c_out > 1
-    buf = np.empty((9, n, h, wd, 1) if tap_major else (n, h, wd, c, 9),
+    m = n * h * wd
+    xp = np.zeros((c, n, h + 2, wd + 2), dtype=x.dtype)
+    xp[:, :, 1:h + 1, 1:wd + 1] = x.transpose(3, 0, 1, 2)
+    channel_major = c_out > 1 and m >= GEMM_ROW_FLOOR
+    buf = np.empty((c, 9, n, h, wd) if channel_major else (n, h, wd, c, 9),
                    dtype=x.dtype)
+    taps = buf if channel_major else buf.transpose(3, 4, 0, 1, 2)
     for part in _image_chunks(x.shape, x.itemsize):
         for t in range(9):
             ki, kj = divmod(t, 3)
-            tap = buf[t, part] if tap_major else buf[part, ..., t]
-            tap[...] = xp[part, ki:ki + h, kj:kj + wd]
-    cols = (buf.reshape(9, n * h * wd).T if tap_major
-            else buf.reshape(n * h * wd, c * 9))
+            taps[:, t, part] = xp[:, part, ki:ki + h, kj:kj + wd]
+    cols = (buf.reshape(c * 9, m).T if channel_major
+            else buf.reshape(m, c * 9))
     out = cols @ w.reshape(c_out, -1).T
     rows = out.reshape(n, -1)  # a view: the add lands in ``out``
     rows += np.tile(b, h * wd)

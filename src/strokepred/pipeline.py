@@ -545,15 +545,12 @@ def rank_rois(params: ModelParams, run: PreparedRun, n_explain: int,
     as ``roi-ranking``) and rank the ROIs by mean importance."""
     run.box.request(CV_GROUPS, "roi-ranking")
     ids = sorted(r.id for r in run.records_of(CV_GROUPS))
-    pool = dict(zip(ids, run.variant_data.images_of(ids)))
-
-    def classifier(batch: np.ndarray) -> np.ndarray:
-        return learn.predict_proba(params, np.asarray(batch, dtype=np.float32))
-
-    return explain.explain_pool(classifier, pool, run.variant_data.label_image,
-                                n_explain=n_explain, n_perturb=n_perturb,
-                                seed=seed,
-                                with_counterfactuals=with_counterfactuals)
+    pool = dict(zip(ids, run.variant_data.images_of(ids)))  # float32 renders
+    return explain.explain_pool(
+        lambda batch: learn.predict_proba(params, batch), pool,
+        run.variant_data.label_image, n_explain=n_explain,
+        n_perturb=n_perturb, seed=seed,
+        with_counterfactuals=with_counterfactuals)
 
 
 def require_roi_selection(config: RunConfig) -> None:

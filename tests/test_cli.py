@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from strokepred import cli, core, evalharness, learn, pipeline
+from strokepred import cli, core, evalharness, explain, learn, pipeline
 from strokepred.cli import (EXIT_CONFIG, EXIT_LOCKBOX, EXIT_OK, main,
                             parse_seeds)
 from strokepred.rng import CounterRng
@@ -394,6 +394,7 @@ def test_explain_command(cohort_dir, run_dir, tmp_path, capsys):
     assert any(f.suffix == ".txt" for f in files)
     doc = json.loads(next(f for f in files if f.suffix == ".json").read_text())
     assert "importance" in doc and "base_probability" in doc
+    assert "missing from the" not in capsys.readouterr().out  # no thin ROI
 
 
 def test_explain_prints_the_ranking_flags(cohort_dir, run_dir, tmp_path,
@@ -683,29 +684,58 @@ def test_select_rois_rejects_too_many_rois_before_explaining(
                      r"label map", capsys.readouterr().err)
 
 
-def test_select_rois_counts_the_rois_of_the_label_map(tmp_path, monkeypatch,
-                                                     capsys):
-    # on this cohort one of the 20 atlas ROIs is too thin to survive the
-    # hybrid-gm-roi label map's downsampling, so no ranking can reach k = 20
-    cohort = tmp_path / "cohort"
+@pytest.fixture(scope="module")
+def thin_roi_run(tmp_path_factory):
+    """A cohort on which one of the 20 atlas ROIs, ROI 3, is too thin to
+    survive the hybrid-gm-roi label map's downsampling, and a run directory
+    without training: its index and an untrained checkpoint."""
+    root = tmp_path_factory.mktemp("thin-roi")
+    cohort = root / "cohort"
     assert main(["synth", "--out", str(cohort), "--subjects", "120",
                  "--dims", "40", "--seed", "471"]) == EXIT_OK
     atlas = pipeline.CohortData.from_directory(cohort).atlas
     assert len(atlas.label_names) == 20
-    # a run directory without training: its index and an untrained checkpoint
-    run = tmp_path / "run"
+    run = root / "run"
     (run / "checkpoints").mkdir(parents=True)
     config = cli.RunConfig(variant="hybrid-gm-roi", seeds=(1,))
     (run / "index.json").write_text(json.dumps({"config": asdict(config)}))
     params = learn.build_params("lightweight", cnn=config.cnn,
                                 rng=CounterRng(1, "init", "lightweight"))
     learn.write_checkpoint(params, run / "checkpoints" / "seed-001.ckp")
+    return cohort, run, atlas.label_names
+
+
+def test_select_rois_counts_the_rois_of_the_label_map(thin_roi_run, tmp_path,
+                                                     monkeypatch, capsys):
+    # no ranking of the thin-ROI cohort can reach k = 20
+    cohort, run, _ = thin_roi_run
     monkeypatch.setattr(cli.pipeline, "rank_rois", _fail_if_trained)
     code = main(["select-rois", "--cohort", str(cohort), "--run", str(run),
                  "--out", str(tmp_path / "sel"), "--counts", "3,20"])
     assert code == EXIT_CONFIG
     assert ("ROI count 20 exceeds the 19 ROIs in the rendered label map"
             in capsys.readouterr().err)
+
+
+def test_explain_names_the_rois_missing_from_the_label_map(
+        thin_roi_run, tmp_path, monkeypatch, capsys):
+    cohort, run, names = thin_roi_run
+    ranked = []
+
+    def rank_rois(params, prepared, *args):
+        rois = explain.image_rois(prepared.variant_data.label_image)
+        ranked.extend(rois)
+        return [], explain.RoiRanking.from_means(dict.fromkeys(rois, 0.0), 0)
+
+    monkeypatch.setattr(cli.pipeline, "rank_rois", rank_rois)
+    out = tmp_path / "e"
+    code = main(["explain", "--cohort", str(cohort), "--run", str(run),
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert ranked == [roi for roi in sorted(names) if roi != 3]
+    assert ("ROIs missing from the 64x64 label map of 'hybrid-gm-roi', so "
+            f"not ranked: {names[3]}\n") in capsys.readouterr().out
+    assert len((out / "roi_ranking.csv").read_text().splitlines()) == 20
 
 
 def _cohort_without_volumes(monkeypatch):

@@ -7,7 +7,8 @@ import pytest
 
 from strokepred.core import DegenerateRoiError
 from strokepred.explain import (BATCH_SIZE, Explanation, PerturbationRecord,
-                                RoiRanking, SurrogateModel, apply_mask,
+                                RoiRanking, SurrogateModel, _predict,
+                                apply_mask,
                                 counterfactuals, explain_one, explain_pool,
                                 explanation_json,
                                 explanation_report, fit_surrogate,
@@ -202,7 +203,7 @@ def test_gen_perturbations_with_self_contrast_is_constant():
 def test_apply_mask_zero_mask_copies_contrast_on_roi_pixels_only():
     labels, original, contrast = _layout()
     sets = roi_pixel_sets(labels, ROIS)
-    out = apply_mask(original, contrast, sets, ROIS, (0, 0, 0, 0))
+    out = apply_mask(original, contrast, sets, ROIS, [(0, 0, 0, 0)])[0]
     roi_pixels = labels > 0
     assert np.array_equal(out[roi_pixels], contrast[roi_pixels])
     assert np.array_equal(out[~roi_pixels], original[~roi_pixels])
@@ -211,11 +212,61 @@ def test_apply_mask_zero_mask_copies_contrast_on_roi_pixels_only():
 def test_apply_mask_locality_single_bit_difference():
     labels, original, contrast = _layout()
     sets = roi_pixel_sets(labels, ROIS)
-    a = apply_mask(original, contrast, sets, ROIS, (1, 0, 1, 1))
-    b = apply_mask(original, contrast, sets, ROIS, (1, 0, 0, 1))
+    a = apply_mask(original, contrast, sets, ROIS, [(1, 0, 1, 1)])[0]
+    b = apply_mask(original, contrast, sets, ROIS, [(1, 0, 0, 1)])[0]
     changed = a != b  # masks differ only in ROI 3
     assert changed.any()
     assert np.array_equal(changed, labels == 3)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_apply_mask_batch_matches_a_per_mask_loop(dtype):
+    labels, original, contrast = _layout()
+    original, contrast = original.astype(dtype), contrast.astype(dtype)
+    sets = roi_pixel_sets(labels, ROIS)
+    draws = np.random.default_rng(3).integers(0, 2, size=(20, len(ROIS)))
+    masks = [(1, 1, 1, 1), (0, 0, 0, 0), *map(tuple, draws.tolist())]
+    batch = apply_mask(original, contrast, sets, ROIS, masks)
+    assert batch.shape == (len(masks), *original.shape)
+    assert batch.dtype == dtype
+    for got, mask in zip(batch, masks):
+        want = original.copy()
+        for bit, roi in zip(mask, ROIS):
+            if bit == 0:
+                want.ravel()[sets[roi]] = contrast.ravel()[sets[roi]]
+        assert got.tobytes() == want.tobytes(), mask
+    assert batch[0].tobytes() == original.tobytes()  # all ones: the image
+    empty = apply_mask(original, contrast, sets, ROIS, [])
+    assert empty.shape == (0, *original.shape) and empty.dtype == dtype
+    # mixed inputs: the dtype both promote to
+    assert apply_mask(original, contrast.astype(np.float64), sets, ROIS,
+                      masks).dtype == np.float64
+
+
+@pytest.mark.parametrize("bad", [np.nan, -0.25, 1.5])
+def test_predict_refuses_probabilities_outside_the_unit_interval(bad):
+    def classifier(batch):
+        probs = np.full(len(batch), 0.5)
+        probs[-1] = bad
+        return probs
+
+    with pytest.raises(ValueError, match="classifier probabilities"):
+        _predict(classifier, 3, lambda s: np.zeros((len(range(3)[s]), 2, 2)))
+
+
+def test_explain_pool_refuses_a_nan_probability():
+    # a NaN is not a predicted negative that could become the contrast
+    labels, classifier, pool, _ = _pool_with_positive()
+
+    def nan_for_im99(batch):
+        probs = np.asarray(classifier(batch), dtype=np.float64)
+        contrast = pool["im99"]
+        probs[[np.array_equal(img, contrast) for img in batch]] = np.nan
+        return probs
+
+    with pytest.raises(ValueError, match="classifier probabilities"):
+        explain_pool(nan_for_im99, pool, labels, n_explain=1, n_perturb=20,
+                     with_counterfactuals=False)
 
 
 def test_gen_perturbations_validation():
@@ -316,7 +367,7 @@ def test_counterfactuals_match_brute_force_and_fidelity_bound():
     for k in (1, 2):
         for combo in combinations(range(4), k):
             mask = tuple(0 if j in combo else 1 for j in range(4))
-            img = apply_mask(original, contrast, sets, ROIS, mask)
+            img = apply_mask(original, contrast, sets, ROIS, [mask])[0]
             p = float(classifier(img[None])[0])
             if p < 0.5:
                 want.append((tuple(ROIS[j] for j in combo), p))
@@ -337,7 +388,7 @@ def test_surrogate_faithful_on_every_two_roi_mask():
     for k in (0, 1, 2):
         for combo in combinations(range(4), k):
             mask = tuple(0 if j in combo else 1 for j in range(4))
-            img = apply_mask(original, contrast, sets, ROIS, mask)
+            img = apply_mask(original, contrast, sets, ROIS, [mask])[0]
             p = float(classifier(img[None])[0])
             worst = max(worst, abs(p - model.predict_prob(mask)))
     assert worst <= 1e-3
@@ -496,8 +547,10 @@ def _pool_with_positive(n_extra=6):
     for i in range(1, n_extra + 1):
         # partially swapped images score lower; all-zeros mask is the floor
         mask = tuple(int(v) for v in rng.integers(0, 2, size=4))
-        pool[f"im{i:02d}"] = apply_mask(original, contrast, sets, ROIS, mask)
-    pool["im99"] = apply_mask(original, contrast, sets, ROIS, (0, 0, 0, 0))
+        pool[f"im{i:02d}"] = apply_mask(original, contrast, sets, ROIS,
+                                        [mask])[0]
+    pool["im99"] = apply_mask(original, contrast, sets, ROIS,
+                              [(0, 0, 0, 0)])[0]
     return labels, classifier, pool, coefs
 
 

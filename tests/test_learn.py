@@ -455,6 +455,33 @@ def test_channels_last_kernels_match_nchw_reference_default_network(n):
                                    (4, 8, 16))
 
 
+# A block with c > 1 input channels whose GEMM has 255 = 3*5*17, 256 = 4*8*8
+# or 257 = 1*1*257 rows, either side of ``GEMM_ROW_FLOOR``.  A network's
+# GEMM rows are multiples of 4, so the kernels are called directly: below
+# the floor the columns stay row-major, from it up they are channel-major
+# (the transposed view of a contiguous (c*9, rows) buffer).
+@pytest.mark.parametrize("dtype", PARITY_DTYPES)
+@pytest.mark.parametrize("c,c_out", [(4, 8), (16, 32)])
+@pytest.mark.parametrize("n,h,wd", [(3, 5, 17), (4, 8, 8), (1, 1, 257)])
+def test_conv_kernels_match_nchw_reference_at_the_row_floor(dtype, c, c_out,
+                                                            n, h, wd):
+    rows = n * h * wd
+    gen = np.random.default_rng([rows, c])
+    x = gen.uniform(-1, 1, size=(n, h, wd, c)).astype(dtype)
+    w = gen.normal(0, 0.3, size=(c_out, c, 3, 3)).astype(dtype)
+    b = gen.normal(0, 0.1, size=c_out).astype(dtype)
+    out, cols = learn._conv_forward(x, w, b)
+    ref_out, ref_cols = _ref_conv_forward(x.transpose(0, 3, 1, 2), w, b)
+    assert cols.flags.c_contiguous == (rows < learn.GEMM_ROW_FLOOR)
+    assert out.tobytes() == ref_out.transpose(0, 2, 3, 1).tobytes()
+    # backward: the weight-gradient GEMM and the input gradient
+    dout = gen.normal(size=(rows, c_out)).astype(dtype)
+    assert (dout.T @ cols).tobytes() == (dout.T @ ref_cols).tobytes()
+    ref_dx = _ref_conv_input_grad(dout, w, (n, c, h, wd))
+    assert learn._conv_input_grad(dout, w, x.shape).tobytes() == \
+        ref_dx.transpose(0, 2, 3, 1).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Inference runs the conv stack one chunk of whole images at a time
 

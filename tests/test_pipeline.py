@@ -9,7 +9,8 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from strokepred import core, evalharness, glyphs, imaging, learn, pipeline
+from strokepred import (core, evalharness, explain, glyphs, imaging, learn,
+                        pipeline)
 from strokepred.explain import RoiRanking
 from strokepred.learn import TrainConfig
 from strokepred.pipeline import CohortData, ConfigError, RunConfig
@@ -540,6 +541,33 @@ def _ranking(cohort):
     return RoiRanking.from_means(
         {lab: float(-lab) for lab in sorted(cohort.atlas.label_names)},
         n_explanations=1)
+
+
+def test_rank_rois_scores_float32_batches(tiny_cohort, monkeypatch):
+    # the renders are float32, and so is every pool and perturbation batch
+    # the classifier receives: no float64 copy is made on the way
+    run = pipeline.prepare_run(tiny_cohort, fast_config(seeds=(1,)))
+    seen = []
+    explain_pool = explain.explain_pool
+
+    def spied(classifier, *args, **kwargs):
+        def scored(batch):
+            seen.append((batch.dtype, len(batch)))
+            return classifier(batch)
+
+        return explain_pool(scored, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.explain, "explain_pool", spied)
+    monkeypatch.setattr(pipeline.learn, "predict_proba",
+                        lambda params, images: np.full(len(images), 0.75))
+    n_rois = len(explain.image_rois(run.variant_data.label_image))
+    pipeline.rank_rois(None, run, n_explain=2, n_perturb=n_rois + 2, seed=0,
+                       with_counterfactuals=True)
+    assert {dtype for dtype, _ in seen} == {np.dtype(np.float32)}
+    # the pool, then per explained image its perturbations and its swaps
+    n_swaps = n_rois + n_rois * (n_rois - 1) // 2
+    assert sum(n for _, n in seen) == len(
+        run.records_of(pipeline.CV_GROUPS)) + 2 * (n_rois + 2 + n_swaps)
 
 
 def test_roi_count_sweep_runs(tiny_cohort):
