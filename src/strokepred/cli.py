@@ -247,7 +247,7 @@ def _rank_run_rois(args, counts=(), with_counterfactuals=False):
     # only groups 1-4 are read and rendered, so the box keeps no audit file
     run = pipeline.prepare_run(cohort, config)
     names = cohort.labels_for(config.variant).label_names
-    rois = explain.image_rois(run.variant_data.label_image)
+    rois = explain.roi_pixel_sets(run.variant_data.label_image)
     missing = sorted(set(config.roi_labels or names) - set(rois))
     if missing:
         print(f"ROIs missing from the {config.image_size}x{config.image_size}"

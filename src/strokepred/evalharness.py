@@ -13,7 +13,7 @@ import math
 import time as _time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -349,9 +349,6 @@ class MetricsRow:
     threshold: float
     flags: tuple[str, ...] = ()  # metrics reported as 0 for want of a denominator
 
-    def as_dict(self) -> dict[str, float]:
-        return {m: getattr(self, m) for m in METRIC_COLS}
-
 
 def auc(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with midranks; ties count one half."""
@@ -428,20 +425,15 @@ def threshold_sweep(probs: np.ndarray,
     return [(t, metrics(probs, labels, t).accuracy) for t in SWEEP_THRESHOLDS]
 
 
-def seed_aggregate(rows: Sequence[Mapping[str, float]],
+def seed_aggregate(rows: Sequence[MetricsRow],
                    ) -> dict[str, tuple[float, float]]:
-    """Per-metric (mean, standard error) over seeds; SE = sd(ddof=1)/sqrt(n),
-    and a single seed reports its own values with zero spread."""
+    """Per-metric (mean, standard error) over seeds' ``METRIC_COLS``;
+    SE = sd(ddof=1)/sqrt(n), and a single seed has zero spread."""
     if not rows:
         raise ValueError("no seed rows to aggregate")
-    if len(rows) == 1:
-        return {k: (v, 0.0) for k, v in rows[0].items()}
-    keys = list(rows[0].keys())
-    for r in rows[1:]:
-        if list(r.keys()) != keys:
-            raise ValueError("seed rows disagree on metric names")
     out = {}
-    for k in keys:
-        vals = np.array([r[k] for r in rows], dtype=np.float64)
-        out[k] = (float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))))
+    for m in METRIC_COLS:
+        vals = np.array([getattr(r, m) for r in rows], dtype=np.float64)
+        se = vals.std(ddof=1) / math.sqrt(len(vals)) if len(vals) > 1 else 0.0
+        out[m] = (float(vals.mean()), float(se))
     return out

@@ -6,6 +6,10 @@ the classifier output over those perturbations gives per-ROI coefficients,
 and counterfactual rows report which small ROI swaps flip the prediction.
 Masks use 1 = original content retained, so positive coefficients support
 the predicted class.
+
+Which pixels belong to which ROI is the ROI index, ``roi_pixel_sets`` of the
+pool's label image; ``explain_pool`` derives it once and hands it down, and
+every mask bit follows its order.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import DegenerateRoiError
 from .rng import CounterRng
 
 PROB_CLAMP = 1e-4  # logit() needs probabilities away from {0, 1}
@@ -30,6 +33,7 @@ THRESHOLD = 0.5  # predicted-positive cut-off for explaining and flipping
 BATCH_SIZE = 128
 
 Classifier = Callable[[np.ndarray], np.ndarray]  # (m, h, w) -> (m,) probs
+RoiIndex = Mapping[int, np.ndarray]  # ROI label -> flat pixel indices
 
 
 def _predict(classifier: Classifier, n: int,
@@ -60,24 +64,19 @@ class PerturbationRecord:
             raise ValueError("mask bits must be 0 or 1")
 
 
-def roi_pixel_sets(label_image: np.ndarray,
-                   rois: Sequence[int]) -> dict[int, np.ndarray]:
+def roi_pixel_sets(label_image: np.ndarray) -> dict[int, np.ndarray]:
+    """The ROI index of a label image: every nonzero label, ascending, with
+    the flat indices of its pixels."""
     flat = np.asarray(label_image).ravel()
-    sets = {}
-    for roi in rois:
-        idx = np.flatnonzero(flat == roi)
-        if len(idx) == 0:
-            raise DegenerateRoiError(f"ROI {roi} has no pixels in image space")
-        sets[int(roi)] = idx
-    return sets
+    return {int(roi): np.flatnonzero(flat == roi)
+            for roi in np.unique(flat) if roi != 0}
 
 
-def apply_mask(image: np.ndarray, contrast: np.ndarray,
-               pixel_sets: Mapping[int, np.ndarray], rois: Sequence[int],
+def apply_mask(image: np.ndarray, contrast: np.ndarray, index: RoiIndex,
                masks: Sequence[Sequence[int]]) -> np.ndarray:
     """The (m, h, w) batch of ``image`` under each of the m masks: row i has
-    exactly the pixel sets of the ROIs whose bit in ``masks[i]`` is 0
-    replaced by ``contrast``'s pixels.  The batch has the callers' dtype,
+    exactly the pixels of the ROIs whose bit in ``masks[i]`` is 0 replaced
+    by ``contrast``'s pixels.  The batch has the callers' dtype,
     ``np.result_type(image, contrast)``; it is filled with the image, then
     with one copy per ROI over every mask that swaps that ROI."""
     image, contrast = np.asarray(image), np.asarray(contrast)
@@ -85,29 +84,23 @@ def apply_mask(image: np.ndarray, contrast: np.ndarray,
                    dtype=np.result_type(image, contrast))
     out[...] = image
     flat, cflat = out.reshape(len(masks), image.size), contrast.ravel()
-    kept = np.asarray(masks, dtype=bool).reshape(len(masks), len(rois))
-    for j, roi in enumerate(rois):
+    kept = np.asarray(masks, dtype=bool).reshape(len(masks), len(index))
+    for j, idx in enumerate(index.values()):
         swapped = np.flatnonzero(~kept[:, j])
         if len(swapped):
-            idx = pixel_sets[roi]
             flat[np.ix_(swapped, idx)] = cflat[idx]
     return out
 
 
 def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
-                      label_image: np.ndarray, classifier: Classifier,
-                      rois: Sequence[int], n: int,
+                      index: RoiIndex, classifier: Classifier, n: int,
                       seed: int = 0) -> list[PerturbationRecord]:
     """All-ones mask, every single-ROI replacement, then random masks with
     each bit independently 0 with probability 0.5, up to n rows.  The
     classifier sees batches of the callers' dtype (``apply_mask``)."""
-    image, contrast = np.asarray(image), np.asarray(contrast)
-    if image.shape != contrast.shape or image.shape != np.asarray(label_image).shape:
-        raise ValueError("image, contrast, and label image shapes must match")
-    r = len(rois)
+    r = len(index)
     if n < r + 2:
         raise ValueError(f"n={n} must exceed number of ROIs + 1 ({r + 1})")
-    sets = roi_pixel_sets(label_image, rois)
 
     masks = [tuple([1] * r)]
     for j in range(r):
@@ -118,7 +111,7 @@ def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
     masks.extend(map(tuple, bits.tolist()))
 
     probs = _predict(classifier, n, lambda s: apply_mask(
-        image, contrast, sets, rois, masks[s]))
+        image, contrast, index, masks[s]))
     return [PerturbationRecord(mask=m, probability=float(p))
             for m, p in zip(masks, probs)]
 
@@ -190,22 +183,15 @@ class CounterfactualRow:
 
 
 def counterfactuals(image: np.ndarray, contrast: np.ndarray,
-                    label_image: np.ndarray, classifier: Classifier,
-                    surrogate: SurrogateModel, rois: Sequence[int],
-                    base: float) -> list[CounterfactualRow]:
+                    index: RoiIndex, classifier: Classifier,
+                    surrogate: SurrogateModel) -> list[CounterfactualRow]:
     """All <=2-ROI replacements whose classifier probability drops below
-    ``THRESHOLD``, sorted by fewest ROIs then lowest probability. ``base``
-    is the unchanged image's probability the caller gated on; it is not
-    predicted again, as logits differ in the last bits between batch sizes.
-    The classifier sees batches of the callers' dtype (``apply_mask``)."""
-    image, contrast = np.asarray(image), np.asarray(contrast)
+    ``THRESHOLD``, sorted by fewest ROIs then lowest probability.  The
+    unchanged image is not predicted again, as logits differ in the last
+    bits between batch sizes.  The classifier sees batches of the callers'
+    dtype (``apply_mask``)."""
+    rois = tuple(index)
     r = len(rois)
-    sets = roi_pixel_sets(label_image, rois)
-    if base < THRESHOLD:
-        raise ValueError(
-            f"base probability {base:.3f} below threshold {THRESHOLD}; "
-            "counterfactuals explain the predicted class")
-
     combos = [(j,) for j in range(r)] + list(combinations(range(r), 2))
     masks = []
     for combo in combos:
@@ -214,7 +200,7 @@ def counterfactuals(image: np.ndarray, contrast: np.ndarray,
             mask[j] = 0
         masks.append(tuple(mask))
     probs = _predict(classifier, len(masks), lambda s: apply_mask(
-        image, contrast, sets, rois, masks[s]))
+        image, contrast, index, masks[s]))
 
     rows = []
     for combo, mask, prob in zip(combos, masks, probs):
@@ -247,26 +233,26 @@ class Explanation:
 
 
 def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
-                label_image: np.ndarray, classifier: Classifier,
-                rois: tuple[int, ...], n: int, seed: int = 0,
-                with_counterfactuals: bool = True) -> Explanation:
-    records = gen_perturbations(image, contrast, label_image, classifier,
-                                rois=rois, n=n, seed=seed)
+                index: RoiIndex, classifier: Classifier, n: int,
+                seed: int = 0, with_counterfactuals: bool = True,
+                ) -> Explanation:
+    records = gen_perturbations(image, contrast, index, classifier, n=n,
+                                seed=seed)
     surrogate = fit_surrogate(records)
     base = records[0].probability  # all-ones mask comes first
     flags = list(surrogate.flags)
-    if np.array_equal(np.asarray(image, float), np.asarray(contrast, float)):
+    if np.array_equal(image, contrast):
         flags.append("self_contrast")
     cf: tuple[CounterfactualRow, ...] = ()
     if with_counterfactuals:
         if base >= THRESHOLD:
-            cf = tuple(counterfactuals(image, contrast, label_image,
-                                       classifier, surrogate, rois=rois,
-                                       base=base))
+            cf = tuple(counterfactuals(image, contrast, index, classifier,
+                                       surrogate))
         else:
             flags.append("not_predicted_positive")
+    rois = tuple(index)
     return Explanation(image_id=image_id, base_probability=base, rois=rois,
-                       importance={roi: c for roi, c in zip(rois, surrogate.coefs)},
+                       importance=dict(zip(rois, surrogate.coefs)),
                        counterfactual_rows=cf, r2=surrogate.r2,
                        intercept=surrogate.intercept, flags=tuple(flags))
 
@@ -286,12 +272,6 @@ class RoiRanking:
                    n_explanations=n_explanations, flags=tuple(flags))
 
 
-def image_rois(label_image: np.ndarray) -> tuple[int, ...]:
-    """The nonzero labels of a label image, ascending: the ROIs an
-    explanation perturbs and a ranking orders."""
-    return tuple(int(v) for v in np.unique(label_image) if v != 0)
-
-
 def explain_pool(classifier: Classifier,
                  pool: Mapping[str, np.ndarray],
                  label_image: np.ndarray,
@@ -300,15 +280,18 @@ def explain_pool(classifier: Classifier,
                  seed: int = 0,
                  *, with_counterfactuals: bool,
                  ) -> tuple[list[Explanation], RoiRanking]:
-    """Explain the first n_explain predicted positives (by id) over every
-    nonzero label of ``label_image``; the contrast per image is the
-    lowest-probability other image.  Returns the per-image explanations and
-    the mean-coefficient ranking over them."""
+    """Explain the first n_explain predicted positives (by id) over the ROI
+    index of ``label_image``; the contrast per image is the lowest-probability
+    other image.  Returns the per-image explanations and the
+    mean-coefficient ranking over them."""
     if not pool:
         raise ValueError("empty image pool")
     if n_explain < 1:
         raise ValueError(f"n_explain={n_explain} must be >= 1")
-    rois = image_rois(label_image)
+    if {np.shape(img) for img in pool.values()} != {np.shape(label_image)}:
+        raise ValueError("pool images and the label image must share a shape")
+    index = roi_pixel_sets(label_image)
+    rois = tuple(index)
     ids = sorted(pool)
     probs = _predict(classifier, len(ids),
                      lambda s: np.stack([pool[i] for i in ids[s]]))
@@ -326,8 +309,8 @@ def explain_pool(classifier: Classifier,
     for idx, eid in enumerate(explained):
         others = [i for i in ids if i != eid]
         contrast_id = min(others, key=lambda i: (prob_of[i], i)) if others else eid
-        expl = explain_one(eid, pool[eid], pool[contrast_id], label_image,
-                           classifier, rois=rois, n=n_perturb,
+        expl = explain_one(eid, pool[eid], pool[contrast_id], index,
+                           classifier, n=n_perturb,
                            seed=seed * 1_000_003 + idx,
                            with_counterfactuals=with_counterfactuals)
         if "self_contrast" in expl.flags:

@@ -23,6 +23,7 @@ deterministic content; only the audit log carries wall-clock timestamps.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -521,9 +522,8 @@ def run_experiment(cohort: CohortData, config: RunConfig,
                                        val_loss=val_loss, test=row,
                                        subgroup=sub, sweep=sweep))
 
-    agg = evalharness.seed_aggregate([s.test.as_dict() for s in seed_results])
-    sub_agg = evalharness.seed_aggregate([s.subgroup.as_dict()
-                                          for s in seed_results])
+    agg = evalharness.seed_aggregate([s.test for s in seed_results])
+    sub_agg = evalharness.seed_aggregate([s.subgroup for s in seed_results])
     sweep_mean = tuple(
         (t, float(np.mean([dict(s.sweep)[t] for s in seed_results])))
         for t in evalharness.SWEEP_THRESHOLDS)
@@ -608,9 +608,12 @@ def _fmt(v) -> str:
 
 def write_csv(path: str | Path, header: Sequence[str],
               rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per line; a field that holds a comma, a quote or a newline
+    is quoted (ROI names come from the cohort's manifest)."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
 
 
 def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:

@@ -23,6 +23,11 @@ constant, and a knob only tests turn is a test hook.  Calls are matched by
 name as above; a class's ``__init__`` by calls to the class name; and a
 call that spreads ``*args`` or ``**kwargs`` counts as setting every
 parameter.
+
+And every parameter of a function or method, nested ones included, must
+be read in its body: one left behind when its use moved elsewhere is an
+argument every caller still passes for nothing.  ``self``, ``cls`` and
+``_``-prefixed names are exempt, and lambdas are not scanned.
 """
 
 import ast
@@ -148,3 +153,30 @@ def test_every_defaulted_parameter_has_a_caller_that_sets_it():
         unset.append(f"{path.name}:{lineno} {callee}({param})")
     assert unset == [], ("defaulted parameters no program call sets: "
                          + ", ".join(unset))
+
+
+def _unread_parameters():
+    """(module file, function name, parameter, line number) per parameter
+    that its function's body never reads."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for f in ast.walk(tree):
+            if not isinstance(f, functions):
+                continue
+            a = f.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in f.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            for p in params:
+                if p not in ("self", "cls") and not p.startswith("_") \
+                        and p not in read:
+                    yield path, f.name, p, f.lineno
+
+
+def test_every_parameter_is_read():
+    unread = [f"{path.name}:{lineno} {name}({param})"
+              for path, name, param, lineno in _unread_parameters()]
+    assert unread == [], "parameters their function never reads: " + \
+        ", ".join(unread)

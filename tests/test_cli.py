@@ -723,7 +723,7 @@ def test_explain_names_the_rois_missing_from_the_label_map(
     ranked = []
 
     def rank_rois(params, prepared, *args):
-        rois = explain.image_rois(prepared.variant_data.label_image)
+        rois = explain.roi_pixel_sets(prepared.variant_data.label_image)
         ranked.extend(rois)
         return [], explain.RoiRanking.from_means(dict.fromkeys(rois, 0.0), 0)
 

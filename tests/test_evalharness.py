@@ -9,8 +9,10 @@ from hypothesis import given, strategies as st
 
 from strokepred import evalharness
 from strokepred.core import SEVERITY_CATEGORIES, SubjectRecord
-from strokepred.evalharness import (BALANCE_COVARIATES, Calibrator, LockBox,
+from strokepred.evalharness import (BALANCE_COVARIATES, METRIC_COLS,
+                                    Calibrator, LockBox,
                                     LockBoxProtocolError, LockBoxViolation,
+                                    MetricsRow,
                                     audit_scan, auc, cross_validate,
                                     fit_temperature, metrics,
                                     seed_aggregate, stratified_partition,
@@ -597,8 +599,8 @@ def test_metrics_stay_in_unit_interval(pairs):
     p = np.array([a for a, _ in pairs])
     y = np.array([b for _, b in pairs])
     row = metrics(p, y)
-    for v in row.as_dict().values():
-        assert 0.0 <= v <= 1.0
+    for m in METRIC_COLS:
+        assert 0.0 <= getattr(row, m) <= 1.0
     assert row.balanced_accuracy == (row.sensitivity + row.specificity) / 2
 
 
@@ -612,7 +614,7 @@ def test_subgroup_metrics_matches_manual_mask():
     want = metrics(p[mask], y[mask])
     assert got == want
     empty = subgroup_metrics(p[:5], y[:5], ["mild"] * 5)
-    assert all(math.isnan(v) for v in empty.as_dict().values())
+    assert all(math.isnan(getattr(empty, m)) for m in METRIC_COLS)
     assert (empty.tp, empty.fp, empty.tn, empty.fn) == (0, 0, 0, 0)
     assert empty.threshold == 0.5 and empty.flags == ("empty-subgroup",)
 
@@ -637,23 +639,29 @@ def test_threshold_sweep_perfect_classifier_flat_at_one():
     assert all(acc == 1.0 for _, acc in threshold_sweep(p, y))
 
 
+def _seed_row(**values):
+    """A seed's metrics: 0.5 except ``values``."""
+    return MetricsRow(**{**dict.fromkeys(METRIC_COLS, 0.5), **values},
+                      tp=0, fp=0, tn=0, fn=0, threshold=0.5)
+
+
 def test_seed_aggregate_hand_values():
-    agg = seed_aggregate([{"acc": 0.8}, {"acc": 0.9}])
-    mean, se = agg["acc"]
+    agg = seed_aggregate([_seed_row(accuracy=0.8), _seed_row(accuracy=0.9)])
+    assert list(agg) == list(METRIC_COLS)
+    mean, se = agg["accuracy"]
     assert mean == pytest.approx(0.85)
     assert se == pytest.approx(0.05)
 
 
 def test_seed_aggregate_zero_spread():
-    agg = seed_aggregate([{"a": 0.7, "b": 0.1}] * 3)
-    assert agg["a"] == (pytest.approx(0.7), pytest.approx(0.0))
+    agg = seed_aggregate([_seed_row(accuracy=0.7, auc=0.1)] * 3)
+    assert agg["accuracy"] == (pytest.approx(0.7), pytest.approx(0.0))
 
 
 def test_seed_aggregate_validation():
-    one = seed_aggregate([{"a": 0.25, "b": math.nan}])  # one seed: no spread
-    assert one["a"] == (0.25, 0.0)
-    assert math.isnan(one["b"][0]) and one["b"][1] == 0.0
+    # one seed: its own values, no spread
+    one = seed_aggregate([_seed_row(accuracy=0.25, auc=math.nan)])
+    assert one["accuracy"] == (0.25, 0.0)
+    assert math.isnan(one["auc"][0]) and one["auc"][1] == 0.0
     with pytest.raises(ValueError):
         seed_aggregate([])
-    with pytest.raises(ValueError):
-        seed_aggregate([{"a": 1.0}, {"b": 1.0}])

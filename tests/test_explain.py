@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from strokepred.core import DegenerateRoiError
+from strokepred import explain
 from strokepred.explain import (BATCH_SIZE, Explanation, PerturbationRecord,
                                 RoiRanking, SurrogateModel, _predict,
                                 apply_mask,
@@ -32,13 +32,16 @@ def _layout():
     return labels, original, contrast
 
 
+INDEX = roi_pixel_sets(_layout()[0])  # the layout's ROI index, over ROIS
+
+
 def _sigmoid(z):
     return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else math.exp(z) / (1 + math.exp(z))
 
 
 def _double(labels, original, b, coefs):
     """Classifier that is exactly logistic in the retained-ROI mask bits."""
-    sets = roi_pixel_sets(labels, ROIS)
+    sets = roi_pixel_sets(labels)
     orig = original.ravel()
 
     def classifier(batch):
@@ -144,24 +147,69 @@ def test_select_contrast_flags_self_contrast_and_pool_of_one():
 
 
 # ---------------------------------------------------------------------------
+# the ROI index
+
+
+def test_roi_pixel_sets_is_every_nonzero_label_ascending_with_its_pixels():
+    labels = np.array([[0, 7, 7, 2],
+                       [5, 0, 2, 7],
+                       [0, 5, 0, 0]], dtype=np.uint8)
+    index = roi_pixel_sets(labels)
+    assert list(index) == [2, 5, 7]
+    assert all(type(roi) is int for roi in index)
+    for roi, idx in index.items():
+        assert idx.tolist() == np.flatnonzero(labels == roi).tolist()
+    assert roi_pixel_sets(np.zeros((3, 3), dtype=np.int64)) == {}
+
+
+@pytest.mark.parametrize("with_counterfactuals", [False, True])
+def test_explain_pool_derives_the_roi_index_once(with_counterfactuals,
+                                                 monkeypatch):
+    labels, classifier, pool, _ = _pool_with_positive()
+    calls = []
+
+    def counted(label_image):
+        calls.append(label_image)
+        return roi_pixel_sets(label_image)
+
+    monkeypatch.setattr(explain, "roi_pixel_sets", counted)
+    explanations, _ = explain_pool(classifier, pool, labels, n_explain=2,
+                                   n_perturb=20,
+                                   with_counterfactuals=with_counterfactuals)
+    assert len(explanations) == 2
+    assert len(calls) == 1 and calls[0] is labels
+
+
+def test_explain_pool_refuses_a_label_image_of_another_shape():
+    labels, classifier, pool, _ = _pool_with_positive()
+    with pytest.raises(ValueError, match="shape"):
+        explain_pool(classifier, pool, labels[:6], n_explain=1, n_perturb=20,
+                     with_counterfactuals=False)
+    pool["im50"] = pool["im00"][:6]
+    with pytest.raises(ValueError, match="shape"):
+        explain_pool(classifier, pool, labels, n_explain=1, n_perturb=20,
+                     with_counterfactuals=False)
+
+
+# ---------------------------------------------------------------------------
 # perturbations
 
 
 def test_gen_perturbations_row_structure_and_reproducibility():
     labels, original, contrast = _layout()
     classifier = _double(labels, original, 0.0, (1.0, 1.0, 1.0, 1.0))
-    recs = gen_perturbations(original, contrast, labels, classifier,
-                             rois=ROIS, n=40, seed=5)
+    recs = gen_perturbations(original, contrast, INDEX, classifier, n=40,
+                             seed=5)
     assert len(recs) == 40
     assert recs[0].mask == (1, 1, 1, 1)
     for j in range(4):
         want = tuple(0 if i == j else 1 for i in range(4))
         assert recs[1 + j].mask == want
-    again = gen_perturbations(original, contrast, labels, classifier,
-                              rois=ROIS, n=40, seed=5)
+    again = gen_perturbations(original, contrast, INDEX, classifier, n=40,
+                              seed=5)
     assert [r.mask for r in again] == [r.mask for r in recs]
-    other = gen_perturbations(original, contrast, labels, classifier,
-                              rois=ROIS, n=40, seed=6)
+    other = gen_perturbations(original, contrast, INDEX, classifier, n=40,
+                              seed=6)
     assert [r.mask for r in other[5:]] != [r.mask for r in recs[5:]]
 
 
@@ -183,9 +231,8 @@ def test_gen_perturbations_masks_match_the_per_bit_loop(r, n):
     labels.ravel()[:4 * r] = np.repeat(np.arange(1, r + 1), 4)
     image = np.linspace(0.0, 1.0, labels.size).reshape(labels.shape)
     for seed in (0, 9):
-        recs = gen_perturbations(image, 1.0 - image, labels,
-                                 _mean_logit_classifier,
-                                 rois=tuple(range(1, r + 1)), n=n, seed=seed)
+        recs = gen_perturbations(image, 1.0 - image, roi_pixel_sets(labels),
+                                 _mean_logit_classifier, n=n, seed=seed)
         masks = [rec.mask for rec in recs]
         assert masks == _loop_masks(r, n, seed)
         assert all(type(bit) is int for m in masks for bit in m)
@@ -194,16 +241,15 @@ def test_gen_perturbations_masks_match_the_per_bit_loop(r, n):
 def test_gen_perturbations_with_self_contrast_is_constant():
     labels, original, _ = _layout()
     classifier = _double(labels, original, -0.4, (2.0, 1.0, 0.5, 0.25))
-    recs = gen_perturbations(original, original.copy(), labels, classifier,
-                             rois=ROIS, n=20, seed=1)
+    recs = gen_perturbations(original, original.copy(), INDEX, classifier,
+                             n=20, seed=1)
     base = recs[0].probability
     assert all(r.probability == base for r in recs)
 
 
 def test_apply_mask_zero_mask_copies_contrast_on_roi_pixels_only():
     labels, original, contrast = _layout()
-    sets = roi_pixel_sets(labels, ROIS)
-    out = apply_mask(original, contrast, sets, ROIS, [(0, 0, 0, 0)])[0]
+    out = apply_mask(original, contrast, INDEX, [(0, 0, 0, 0)])[0]
     roi_pixels = labels > 0
     assert np.array_equal(out[roi_pixels], contrast[roi_pixels])
     assert np.array_equal(out[~roi_pixels], original[~roi_pixels])
@@ -211,9 +257,8 @@ def test_apply_mask_zero_mask_copies_contrast_on_roi_pixels_only():
 
 def test_apply_mask_locality_single_bit_difference():
     labels, original, contrast = _layout()
-    sets = roi_pixel_sets(labels, ROIS)
-    a = apply_mask(original, contrast, sets, ROIS, [(1, 0, 1, 1)])[0]
-    b = apply_mask(original, contrast, sets, ROIS, [(1, 0, 0, 1)])[0]
+    a = apply_mask(original, contrast, INDEX, [(1, 0, 1, 1)])[0]
+    b = apply_mask(original, contrast, INDEX, [(1, 0, 0, 1)])[0]
     changed = a != b  # masks differ only in ROI 3
     assert changed.any()
     assert np.array_equal(changed, labels == 3)
@@ -223,23 +268,22 @@ def test_apply_mask_locality_single_bit_difference():
 def test_apply_mask_batch_matches_a_per_mask_loop(dtype):
     labels, original, contrast = _layout()
     original, contrast = original.astype(dtype), contrast.astype(dtype)
-    sets = roi_pixel_sets(labels, ROIS)
     draws = np.random.default_rng(3).integers(0, 2, size=(20, len(ROIS)))
     masks = [(1, 1, 1, 1), (0, 0, 0, 0), *map(tuple, draws.tolist())]
-    batch = apply_mask(original, contrast, sets, ROIS, masks)
+    batch = apply_mask(original, contrast, INDEX, masks)
     assert batch.shape == (len(masks), *original.shape)
     assert batch.dtype == dtype
     for got, mask in zip(batch, masks):
         want = original.copy()
         for bit, roi in zip(mask, ROIS):
             if bit == 0:
-                want.ravel()[sets[roi]] = contrast.ravel()[sets[roi]]
+                want.ravel()[INDEX[roi]] = contrast.ravel()[INDEX[roi]]
         assert got.tobytes() == want.tobytes(), mask
     assert batch[0].tobytes() == original.tobytes()  # all ones: the image
-    empty = apply_mask(original, contrast, sets, ROIS, [])
+    empty = apply_mask(original, contrast, INDEX, [])
     assert empty.shape == (0, *original.shape) and empty.dtype == dtype
     # mixed inputs: the dtype both promote to
-    assert apply_mask(original, contrast.astype(np.float64), sets, ROIS,
+    assert apply_mask(original, contrast.astype(np.float64), INDEX,
                       masks).dtype == np.float64
 
 
@@ -272,15 +316,9 @@ def test_explain_pool_refuses_a_nan_probability():
 def test_gen_perturbations_validation():
     labels, original, contrast = _layout()
     classifier = _double(labels, original, 0.0, (1.0, 1.0, 1.0, 1.0))
-    with pytest.raises(ValueError):
-        gen_perturbations(original, contrast, labels, classifier,
-                          rois=ROIS, n=5)  # needs > ROIs + 1
-    with pytest.raises(DegenerateRoiError):
-        gen_perturbations(original, contrast, labels, classifier,
-                          rois=(1, 99), n=20)
-    with pytest.raises(ValueError):
-        gen_perturbations(original[:6], contrast, labels, classifier,
-                          rois=ROIS, n=20)
+    with pytest.raises(ValueError, match="must exceed"):
+        gen_perturbations(original, contrast, INDEX, classifier,
+                          n=5)  # needs > ROIs + 1
 
 
 def test_perturbation_record_validation():
@@ -298,8 +336,8 @@ def test_fit_surrogate_recovers_analytic_coefficients():
     labels, original, contrast = _layout()
     b, coefs = -0.8, (2.0, -1.0, 0.5, 1.5)
     classifier = _double(labels, original, b, coefs)
-    recs = gen_perturbations(original, contrast, labels, classifier,
-                             rois=ROIS, n=300, seed=2)
+    recs = gen_perturbations(original, contrast, INDEX, classifier,
+                             n=300, seed=2)
     model = fit_surrogate(recs)
     assert abs(model.intercept - b) <= 1e-3
     for got, want in zip(model.coefs, coefs):
@@ -345,29 +383,23 @@ def test_fit_surrogate_clamps_extreme_probabilities():
 def _fitted_double(b, coefs, n=300, seed=3):
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
-    recs = gen_perturbations(original, contrast, labels, classifier,
-                             rois=ROIS, n=n, seed=seed)
+    recs = gen_perturbations(original, contrast, INDEX, classifier,
+                             n=n, seed=seed)
     model = fit_surrogate(recs)
     return labels, original, contrast, classifier, model
-
-
-def _base(classifier, image):
-    return float(classifier(image[None])[0])
 
 
 def test_counterfactuals_match_brute_force_and_fidelity_bound():
     b, coefs = -3.2, (2.0, 1.0, 0.5, 1.5)  # all-ones logit 1.8 -> p 0.86
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
-    rows = counterfactuals(original, contrast, labels, classifier, model,
-                           rois=ROIS, base=_base(classifier, original))
+    rows = counterfactuals(original, contrast, INDEX, classifier, model)
     # brute force: every <=2-ROI replacement, keep those crossing 0.5
     want = []
-    sets = roi_pixel_sets(labels, ROIS)
     from itertools import combinations
     for k in (1, 2):
         for combo in combinations(range(4), k):
             mask = tuple(0 if j in combo else 1 for j in range(4))
-            img = apply_mask(original, contrast, sets, ROIS, [mask])[0]
+            img = apply_mask(original, contrast, INDEX, [mask])[0]
             p = float(classifier(img[None])[0])
             if p < 0.5:
                 want.append((tuple(ROIS[j] for j in combo), p))
@@ -382,13 +414,12 @@ def test_counterfactuals_match_brute_force_and_fidelity_bound():
 def test_surrogate_faithful_on_every_two_roi_mask():
     b, coefs = -1.0, (1.2, 0.8, 0.4, 1.6)
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
-    sets = roi_pixel_sets(labels, ROIS)
     from itertools import combinations
     worst = 0.0
     for k in (0, 1, 2):
         for combo in combinations(range(4), k):
             mask = tuple(0 if j in combo else 1 for j in range(4))
-            img = apply_mask(original, contrast, sets, ROIS, [mask])[0]
+            img = apply_mask(original, contrast, INDEX, [mask])[0]
             p = float(classifier(img[None])[0])
             worst = max(worst, abs(p - model.predict_prob(mask)))
     assert worst <= 1e-3
@@ -397,16 +428,7 @@ def test_surrogate_faithful_on_every_two_roi_mask():
 def test_counterfactuals_empty_when_nothing_crosses():
     b, coefs = 2.0, (0.1, 0.1, 0.1, 0.1)  # prediction stays above 0.5
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
-    assert counterfactuals(original, contrast, labels, classifier, model,
-                           rois=ROIS, base=_base(classifier, original)) == []
-
-
-def test_counterfactuals_require_predicted_positive_base():
-    b, coefs = -6.0, (1.0, 1.0, 1.0, 1.0)  # base p well under 0.5
-    labels, original, contrast, classifier, model = _fitted_double(b, coefs)
-    with pytest.raises(ValueError):
-        counterfactuals(original, contrast, labels, classifier, model,
-                        rois=ROIS, base=_base(classifier, original))
+    assert counterfactuals(original, contrast, INDEX, classifier, model) == []
 
 
 def test_counterfactuals_keep_the_base_the_explanation_gated_on():
@@ -415,18 +437,17 @@ def test_counterfactuals_keep_the_base_the_explanation_gated_on():
     and 0.5 - 1e-9 alone; the explanation that passed its gate must not
     fail on a second, single-image prediction."""
     labels, original, contrast = _layout()
-    sets = roi_pixel_sets(labels, ROIS)
     orig = original.ravel()
 
     def classifier(batch):
         batch = np.asarray(batch)
         near = 0.5 + (1e-9 if len(batch) > 1 else -1e-9)
-        return np.array([near if np.array_equal(img.ravel()[sets[1]],
-                                                orig[sets[1]]) else 0.1
+        return np.array([near if np.array_equal(img.ravel()[INDEX[1]],
+                                                orig[INDEX[1]]) else 0.1
                          for img in batch])
 
-    expl = explain_one("edge", original, contrast, labels, classifier,
-                       rois=ROIS, n=50, seed=7, with_counterfactuals=True)
+    expl = explain_one("edge", original, contrast, INDEX,
+                       classifier, n=50, seed=7, with_counterfactuals=True)
     assert expl.base_probability == 0.5 + 1e-9
     assert "not_predicted_positive" not in expl.flags
     assert {row.replaced for row in expl.counterfactual_rows} == {
@@ -434,26 +455,25 @@ def test_counterfactuals_keep_the_base_the_explanation_gated_on():
 
 
 def _swap_inputs(n_rois):
-    """64x64 image, contrast and label image striped into ``n_rois`` ROIs,
-    and a flat surrogate."""
-    labels = (np.arange(64 * 64) % n_rois + 1).reshape(64, 64)
+    """64x64 image, contrast and the ROI index of a label image striped into
+    ``n_rois`` ROIs, and a flat surrogate."""
+    index = roi_pixel_sets((np.arange(64 * 64) % n_rois + 1).reshape(64, 64))
     rng = np.random.default_rng(n_rois)
     original = rng.random((64, 64))
     surrogate = SurrogateModel(intercept=2.0, coefs=(0.0,) * n_rois, r2=None)
-    return original, original + 1.0, labels, surrogate
+    return original, original + 1.0, index, surrogate
 
 
 def _counterfactual_peak(n_rois):
-    original, contrast, labels, surrogate = _swap_inputs(n_rois)
-    rois = tuple(range(1, n_rois + 1))
+    original, contrast, index, surrogate = _swap_inputs(n_rois)
 
     def classifier(batch):
         return np.full(len(batch), 0.9)
 
     tracemalloc.start()
     try:
-        rows = counterfactuals(original, contrast, labels, classifier,
-                               surrogate, rois=rois, base=0.9)
+        rows = counterfactuals(original, contrast, index, classifier,
+                               surrogate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -467,15 +487,14 @@ def test_counterfactual_swaps_are_held_one_batch_at_a_time():
 
 
 def test_counterfactuals_score_the_swaps_in_batch_size_batches():
-    original, contrast, labels, surrogate = _swap_inputs(20)
+    original, contrast, index, surrogate = _swap_inputs(20)
     sizes = []
 
     def classifier(batch):
         sizes.append(len(batch))
         return np.full(len(batch), 0.2)
 
-    rows = counterfactuals(original, contrast, labels, classifier, surrogate,
-                           rois=tuple(range(1, 21)), base=0.9)
+    rows = counterfactuals(original, contrast, index, classifier, surrogate)
     assert sizes == [BATCH_SIZE, 210 - BATCH_SIZE]
     assert len(rows) == 210
 
@@ -487,8 +506,8 @@ def test_counterfactuals_score_the_swaps_in_batch_size_batches():
 def test_explain_one_null_contrast_nullity():
     labels, original, _ = _layout()
     classifier = _double(labels, original, 0.5, (2.0, 1.0, 0.5, 0.25))
-    expl = explain_one("img", original, original.copy(), labels, classifier,
-                       rois=ROIS, n=50, seed=4)
+    expl = explain_one("img", original, original.copy(), INDEX, classifier,
+                       n=50, seed=4)
     assert "self_contrast" in expl.flags
     assert "constant_response" in expl.flags
     assert expl.r2 is None
@@ -499,8 +518,8 @@ def test_explain_one_fields_and_json_round_trip():
     b, coefs = -3.2, (2.0, 1.0, 0.5, 1.5)
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
-    expl = explain_one("s0007", original, contrast, labels, classifier,
-                       rois=ROIS, n=200, seed=5)
+    expl = explain_one("s0007", original, contrast, INDEX,
+                       classifier, n=200, seed=5)
     assert expl.image_id == "s0007"
     assert expl.base_probability == pytest.approx(_sigmoid(b + sum(coefs)))
     assert set(expl.importance) == set(ROIS)
@@ -515,8 +534,8 @@ def test_explanation_report_mentions_equation_and_counterfactuals():
     b, coefs = -3.2, (2.0, 1.0, 0.5, 1.5)
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
-    expl = explain_one("s0007", original, contrast, labels, classifier,
-                       rois=ROIS, n=200, seed=5)
+    expl = explain_one("s0007", original, contrast, INDEX,
+                       classifier, n=200, seed=5)
     text = explanation_report(expl, roi_names={1: "front_left"})
     assert "logit = " in text
     assert "front_left" in text
@@ -527,8 +546,8 @@ def test_explain_one_flags_non_positive_base():
     b, coefs = -6.0, (1.0, 1.0, 1.0, 1.0)
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
-    expl = explain_one("x", original, contrast, labels, classifier,
-                       rois=ROIS, n=50, seed=6)
+    expl = explain_one("x", original, contrast, INDEX,
+                       classifier, n=50, seed=6)
     assert "not_predicted_positive" in expl.flags
     assert expl.counterfactual_rows == ()
 
@@ -541,15 +560,14 @@ def _pool_with_positive(n_extra=6):
     labels, original, contrast = _layout()
     b, coefs = -3.2, (2.0, 1.0, 0.5, 1.5)
     classifier = _double(labels, original, b, coefs)
-    sets = roi_pixel_sets(labels, ROIS)
     pool = {"im00": original}  # the intact image, p = sigmoid(1.8)
     rng = np.random.default_rng(7)
     for i in range(1, n_extra + 1):
         # partially swapped images score lower; all-zeros mask is the floor
         mask = tuple(int(v) for v in rng.integers(0, 2, size=4))
-        pool[f"im{i:02d}"] = apply_mask(original, contrast, sets, ROIS,
+        pool[f"im{i:02d}"] = apply_mask(original, contrast, INDEX,
                                         [mask])[0]
-    pool["im99"] = apply_mask(original, contrast, sets, ROIS,
+    pool["im99"] = apply_mask(original, contrast, INDEX,
                               [(0, 0, 0, 0)])[0]
     return labels, classifier, pool, coefs
 

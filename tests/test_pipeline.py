@@ -1,5 +1,6 @@
 """Orchestration tests on a small in-memory cohort."""
 
+import csv
 import gc
 import json
 import math
@@ -440,7 +441,7 @@ def test_run_result_fields(tiny_run):
 def test_run_is_deterministic(tiny_cohort, tiny_run, tmp_path):
     again = pipeline.run_experiment(tiny_cohort, fast_config())
     for a, b in zip(tiny_run.seeds, again.seeds):
-        assert a.test.as_dict() == b.test.as_dict()
+        assert a.test == b.test
         assert a.temperature == b.temperature
     d1, d2 = tmp_path / "a", tmp_path / "b"
     pipeline.emit_run(tiny_run, d1)
@@ -450,12 +451,19 @@ def test_run_is_deterministic(tiny_cohort, tiny_run, tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
-def test_run_parallel_jobs_identical(tiny_cohort, tiny_run):
-    par = pipeline.run_experiment(tiny_cohort, fast_config(), jobs=2)
-    for a, b in zip(tiny_run.seeds, par.seeds):
-        assert a.test.as_dict() == b.test.as_dict()
-        assert a.val_loss == b.val_loss
-    assert par.learning_curves == tiny_run.learning_curves
+@pytest.mark.parametrize("model",
+                         ["lightweight", "early_fusion", "daft", "logistic"])
+def test_parallel_run_matches_sequential(tiny_cohort, model):
+    config = fast_config(model=model)
+    seq = pipeline.run_experiment(tiny_cohort, config)
+    par = pipeline.run_experiment(tiny_cohort, config, jobs=2)
+    assert [s.seed for s in par.seeds] == [s.seed for s in seq.seeds]
+    for a, b in zip(seq.seeds, par.seeds):
+        assert a.test == b.test
+        assert (a.temperature, a.val_loss) == (b.temperature, b.val_loss)
+        assert par.checkpoints[a.seed].vector.tobytes() == \
+            seq.checkpoints[a.seed].vector.tobytes()
+    assert par.learning_curves == seq.learning_curves
 
 
 def test_learning_curves_hold_every_fit_epoch(tiny_run, tmp_path):
@@ -513,6 +521,20 @@ def test_summary_csv_matches_aggregate(tiny_run, tmp_path):
         assert float(se) == pytest.approx(got[1], rel=1e-9, abs=1e-12)
 
 
+def test_ranking_csv_quotes_a_name_that_holds_a_comma_or_a_quote(tmp_path):
+    ranking = RoiRanking.from_means({1: 0.5, 2: 0.25, 3: 0.125}, 1)
+    names = {1: "left, frontal", 2: 'the "angular" gyrus', 3: "plain"}
+    path = tmp_path / "roi_ranking.csv"
+    pipeline.write_ranking_csv(ranking, path, names)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["roi", "name", "mean_importance"],
+                    ["1", "left, frontal", "0.5"],
+                    ["2", 'the "angular" gyrus', "0.25"],
+                    ["3", "plain", "0.125"]]
+    assert path.read_text().splitlines()[3] == "3,plain,0.125"
+
+
 def test_group_cv_returns_every_fit_in_fit_order(tiny_cohort):
     config = fast_config(train=replace(FAST, lrs=(1e-3, 3e-3), max_epochs=2))
     run = pipeline.prepare_run(tiny_cohort, config)
@@ -560,7 +582,7 @@ def test_rank_rois_scores_float32_batches(tiny_cohort, monkeypatch):
     monkeypatch.setattr(pipeline.explain, "explain_pool", spied)
     monkeypatch.setattr(pipeline.learn, "predict_proba",
                         lambda params, images: np.full(len(images), 0.75))
-    n_rois = len(explain.image_rois(run.variant_data.label_image))
+    n_rois = len(explain.roi_pixel_sets(run.variant_data.label_image))
     pipeline.rank_rois(None, run, n_explain=2, n_perturb=n_rois + 2, seed=0,
                        with_counterfactuals=True)
     assert {dtype for dtype, _ in seen} == {np.dtype(np.float32)}
@@ -666,7 +688,8 @@ def test_run_survives_empty_held_out_subgroup(tmp_path):
     result = pipeline.run_experiment(cohort, fast_config(model="logistic"))
     for s in result.seeds:
         assert np.isfinite(s.test.balanced_accuracy)
-        assert all(math.isnan(v) for v in s.subgroup.as_dict().values())
+        assert all(math.isnan(getattr(s.subgroup, m))
+                   for m in pipeline.METRIC_COLS)
     pipeline.emit_run(result, tmp_path)
     rows = (tmp_path / "subgroup.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == ["1", "2", "mean"]
