@@ -402,6 +402,10 @@ class CohortManifest:
                  for key in ("volume", "lesion")}
         for key in ("atlas_labels", "tract_labels"):
             doc[key] = {int(k): v for k, v in doc.get(key, {}).items()}
+            for name in doc[key].values():  # an unquoted "\r" splits a CSV row
+                if not name.isprintable():
+                    raise ValueError(f"{what} key {key!r}: label name "
+                                     f"{name!r} is not printable")
         return cls(subjects=[SubjectRecord(**row) for row in rows],
                    volume_paths=paths["volume"], lesion_paths=paths["lesion"],
                    **{**doc, "dims": tuple(doc["dims"])})

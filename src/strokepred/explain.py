@@ -331,28 +331,6 @@ class RoiCountCurve:
     best_k: int
 
 
-def select_roi_count(ranking: RoiRanking,
-                     evaluate_k: Callable[[int, tuple[int, ...]],
-                                          tuple[float, float]],
-                     counts: Sequence[int]) -> RoiCountCurve:
-    """evaluate_k(k, top-k ROI labels) -> (mean balanced validation loss,
-    accuracy for the curve); best k minimizes loss, ties -> smaller k."""
-    counts = sorted(set(int(k) for k in counts))
-    if not counts:
-        raise ValueError("empty count grid")
-    if counts[0] < 1:
-        raise ValueError("counts must be positive")
-    if counts[-1] > len(ranking.rois):
-        raise ValueError(
-            f"count {counts[-1]} exceeds {len(ranking.rois)} ranked ROIs")
-    rows = []
-    for k in counts:
-        loss, acc = evaluate_k(k, ranking.rois[:k])
-        rows.append((k, float(loss), float(acc)))
-    best_k = min(rows, key=lambda row: (row[1], row[0]))[0]
-    return RoiCountCurve(rows=tuple(rows), best_k=best_k)
-
-
 # ---------------------------------------------------------------------------
 # Emission
 

@@ -1,24 +1,27 @@
 """End-to-end experiment orchestration.
 
-A run takes a cohort (in memory or on disk) and prepares it once
-(``prepare_run``) into a ``PreparedRun``: the partition, with group 5
-sealed in its lock box, the tabular encoding whose normalizers come from
-the training groups only, and one image variant laid out unrendered
-(``VariantData``).  Everything downstream takes that one value.  The run
-picks a learning rate by 4-fold cross-validation over groups 1-4
-(``group_cv``), trains one model per seed on groups 1-3 with group 4 as the
-validation/calibration split, unlocks the lock box exactly once, and
-evaluates every seed on group 5; its ``RunResult`` is the prepared run plus
-those results.  Every fit follows ``learn.train``'s fixed protocol
-(RMSprop, class weights from the training labels); each CV fit, here and in
-``roi_count_sweep``, uses seed ``CV_SEED`` = 1.  ``explain`` and
-``select-rois`` prepare the same run, rank ROIs on the development pool
-(groups 1-4) through ``rank_rois``, and ``roi_count_sweep`` derives each
-top-k run from it, on the same partition and box.  Images render through
-the lock box: ``assemble`` and ``rank_rois`` render, once per layout, only
-the subjects of the groups the box has just granted, so no group-5 volume
-is read before the unlock.  All file output is CSV/JSON/SVG with
-deterministic content; only the audit log carries wall-clock timestamps.
+A run takes a cohort (in memory or on disk) through three steps, each on
+the one value the step before it returned.  ``prepare_run`` makes a
+``PreparedRun``: the partition, with group 5 sealed in its lock box, the
+tabular encoding whose normalizers come from the training groups (1-3)
+only, and one image variant laid out unrendered (``VariantData``).
+``fit_run`` fixes every model and touches groups 1-4 only: it picks a
+learning rate by 4-fold cross-validation over groups 1-4 (``group_cv``),
+trains one model per seed on groups 1-3 and calibrates it on group 4; its
+``FittedRun`` holds each seed's checkpoint, temperature and validation loss
+once, with the box still sealed.  ``evaluate_run`` unlocks the box exactly
+once and scores every seed on group 5; its ``RunResult`` is the fitted run
+plus those results.  ``run_experiment`` is the three steps in a row.  Every
+fit follows ``learn.train``'s fixed protocol (RMSprop, class weights from
+the training labels); each CV fit, here and in ``roi_count_sweep``, uses
+seed ``CV_SEED`` = 1.  ``explain`` and ``select-rois`` prepare the same run,
+rank ROIs on the development pool (groups 1-4) through ``rank_rois``, and
+``roi_count_sweep`` derives each top-k run from it, on the same partition
+and box.  Images render through the lock box: ``assemble`` and
+``rank_rois`` render, once per layout, only the subjects of the groups the
+box has just granted, so no group-5 volume is read before the unlock.  All
+file output is CSV/JSON/SVG with deterministic content; only the audit log
+carries wall-clock timestamps.
 """
 
 from __future__ import annotations
@@ -183,10 +186,6 @@ def fit_roi_spec(atlas: LabelVolume, labels: Sequence[int],
     Returns the tile plan for that canvas; its ``spec`` is the layout."""
     labels = tuple(int(v) for v in labels)
     boxes = imaging.roi_crops(atlas, labels)
-    cropped = {b[0] for b in boxes}
-    for label in labels:
-        if label not in cropped:
-            raise core.DegenerateRoiError(f"ROI {label} has no voxels")
     gap = imaging.TILE_GAP
     area = sum((x1 - x0 + gap) * (y1 - y0 + gap)
                for _, _, x0, x1, y0, y1 in boxes)
@@ -437,36 +436,41 @@ def group_cv(run: PreparedRun, caller: str,
 
 
 @dataclass(frozen=True)
+class FittedRun(PreparedRun):
+    """A prepared run with every model fixed on groups 1-4; its box is
+    still sealed.  Each seed's fit is stated once, in seed order."""
+
+    best_lr: float
+    cv_losses: dict[float, list[float]]
+    learning_curves: tuple[CurveRow, ...]  # CV fits, then seed fits
+    checkpoints: dict[int, ModelParams]
+    calibrators: dict[int, Calibrator]  # group-4 temperatures
+    val_losses: dict[int, float]  # balanced group-4 loss of the checkpoint
+
+
+@dataclass(frozen=True)
 class SeedResult:
     seed: int
-    temperature: float
-    val_loss: float
     test: MetricsRow
     subgroup: MetricsRow
     sweep: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
-class RunResult(PreparedRun):
-    """A prepared run with its results; its box has been unlocked."""
+class RunResult(FittedRun):
+    """A fitted run with its group-5 results; its box has been unlocked."""
 
-    best_lr: float
-    cv_losses: dict[float, list[float]]
     seeds: tuple[SeedResult, ...]
     aggregate: dict[str, tuple[float, float]]
     subgroup_aggregate: dict[str, tuple[float, float]]
     sweep_mean: tuple[tuple[float, float], ...]
-    checkpoints: dict[int, ModelParams]
-    learning_curves: tuple[CurveRow, ...]  # CV fits, then seed fits
 
 
-def run_experiment(cohort: CohortData, config: RunConfig,
-                   audit_path: str | Path | None = None,
-                   jobs: int = 1) -> RunResult:
-    """The full protocol for one (variant, model) cell, fitting up to
-    ``jobs`` seeds at a time."""
-    run = prepare_run(cohort, config, audit_path)
-
+def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
+    """Fix every model on groups 1-4, fitting up to ``jobs`` seeds at a
+    time.  One forward of each fixed model on group 4 gives both its
+    temperature and its balanced validation loss."""
+    config = run.config
     if config.model == "logistic":
         best_lr, cv_losses, curves = config.train.lrs[0], {}, []
     else:
@@ -476,62 +480,68 @@ def run_experiment(cohort: CohortData, config: RunConfig,
 
     train_set = assemble(run, TRAIN_GROUPS, "seed-training")
     val_set = assemble(run, [VAL_GROUP], "validation-calibration")
+    weights = learn.class_weights_from_labels(train_set.labels)
 
-    def fit_seed(seed: int) -> tuple[int, ModelParams, Calibrator, float,
-                                     list[CurveRow]]:
+    def fit_seed(seed: int) -> tuple[ModelParams, list[float]]:
         if config.model == "logistic":
-            # IRLS is deterministic: every seed fits the same coefficients
-            params = learn.logistic_fit(train_set.tabular, train_set.labels)
-            val_logits = learn.forward(params, None, val_set.tabular)
-            val_loss = learn.class_weighted_bce(
-                val_logits, val_set.labels,
-                learn.class_weights_from_labels(train_set.labels))
-            curve = []  # IRLS has no epochs
-        else:
-            params, losses = learn.train(config.model, train_set, val_set,
-                                         config.train, best_lr, seed,
-                                         config.cnn)
-            val_loss = min(losses)
-            curve = _curve_rows("seed", best_lr, seed, losses)
-            val_logits = learn.forward(params, val_set.images, val_set.tabular)
-        cal = evalharness.fit_temperature(val_logits, val_set.labels)
-        return seed, params, cal, val_loss, curve
+            # IRLS is deterministic (every seed fits the same coefficients)
+            # and has no epochs
+            return learn.logistic_fit(train_set.tabular, train_set.labels), []
+        return learn.train(config.model, train_set, val_set, config.train,
+                           best_lr, seed, config.cnn)
 
     if jobs > 1 and len(config.seeds) > 1:
         # seed fits are independent; results are collected in seed order so
         # concurrency cannot change any output
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fitted = list(pool.map(fit_seed, config.seeds))
+            seed_fits = list(pool.map(fit_seed, config.seeds))
     else:
-        fitted = [fit_seed(s) for s in config.seeds]
+        seed_fits = [fit_seed(s) for s in config.seeds]
 
+    checkpoints, calibrators, val_losses = {}, {}, {}
+    for seed, (params, losses) in zip(config.seeds, seed_fits):
+        curves.extend(_curve_rows("seed", best_lr, seed, losses))
+        logits = learn.forward(params, val_set.images, val_set.tabular)
+        checkpoints[seed] = params
+        calibrators[seed] = evalharness.fit_temperature(logits, val_set.labels)
+        val_losses[seed] = learn.class_weighted_bce(logits, val_set.labels,
+                                                    weights)
+    return FittedRun(**vars(run), best_lr=best_lr, cv_losses=cv_losses,
+                     learning_curves=tuple(curves), checkpoints=checkpoints,
+                     calibrators=calibrators, val_losses=val_losses)
+
+
+def evaluate_run(run: FittedRun) -> RunResult:
+    """Unlock the box, once, and score every seed's fixed model on group 5,
+    one audited access per seed."""
     run.box.unlock("final evaluation on the held-out group")
     severities = [r.severity for r in run.records_of([TEST_GROUP])]
-    seed_results = []
-    for seed, params, cal, val_loss, curve in fitted:
-        curves.extend(curve)
-        # one guarded access per seed, all post-unlock
+    seeds = []
+    for seed, params in run.checkpoints.items():
         test_set = assemble(run, [TEST_GROUP], f"seed-{seed}-final-eval")
-        probs = cal.apply(learn.forward(params, test_set.images,
-                                        test_set.tabular))
-        row = evalharness.metrics(probs, test_set.labels)
-        sub = evalharness.subgroup_metrics(probs, test_set.labels, severities)
-        sweep = tuple(evalharness.threshold_sweep(probs, test_set.labels))
-        seed_results.append(SeedResult(seed=seed, temperature=cal.temperature,
-                                       val_loss=val_loss, test=row,
-                                       subgroup=sub, sweep=sweep))
+        probs = run.calibrators[seed].apply(
+            learn.forward(params, test_set.images, test_set.tabular))
+        seeds.append(SeedResult(
+            seed=seed, test=evalharness.metrics(probs, test_set.labels),
+            subgroup=evalharness.subgroup_metrics(probs, test_set.labels,
+                                                  severities),
+            sweep=tuple(evalharness.threshold_sweep(probs, test_set.labels))))
+    return RunResult(
+        **vars(run), seeds=tuple(seeds),
+        aggregate=evalharness.seed_aggregate([s.test for s in seeds]),
+        subgroup_aggregate=evalharness.seed_aggregate(
+            [s.subgroup for s in seeds]),
+        sweep_mean=tuple((t, float(np.mean([dict(s.sweep)[t] for s in seeds])))
+                         for t in evalharness.SWEEP_THRESHOLDS))
 
-    agg = evalharness.seed_aggregate([s.test for s in seed_results])
-    sub_agg = evalharness.seed_aggregate([s.subgroup for s in seed_results])
-    sweep_mean = tuple(
-        (t, float(np.mean([dict(s.sweep)[t] for s in seed_results])))
-        for t in evalharness.SWEEP_THRESHOLDS)
-    return RunResult(**vars(run), best_lr=best_lr, cv_losses=cv_losses,
-                     seeds=tuple(seed_results), aggregate=agg,
-                     subgroup_aggregate=sub_agg, sweep_mean=sweep_mean,
-                     checkpoints={s: p for s, p, *_ in fitted},
-                     learning_curves=tuple(curves))
+
+def run_experiment(cohort: CohortData, config: RunConfig,
+                   audit_path: str | Path | None = None,
+                   jobs: int = 1) -> RunResult:
+    """The full protocol for one (variant, model) cell: prepare, fit up to
+    ``jobs`` seeds at a time, then unlock and evaluate."""
+    return evaluate_run(fit_run(prepare_run(cohort, config, audit_path), jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +579,9 @@ def require_roi_selection(config: RunConfig) -> None:
 def roi_count_sweep(run: PreparedRun, ranking: explain.RoiRanking,
                     counts: Sequence[int], sweep_epochs: int | None = None,
                     ) -> explain.RoiCountCurve:
-    """Fig-2-style selection: for each k, lay out the top-k ROI images and
-    cross-validate over groups 1-4; k* minimizes mean balanced val loss.
+    """Fig-2-style selection: for each distinct k, in ascending order, lay
+    out the top-k ROI images and cross-validate over groups 1-4; k*
+    minimizes mean balanced val loss, ties going to the smaller k.
 
     Each k is the run with the top-k config and layout, on the run's
     partition, box and train-only encoding.  Only groups 1-4 are touched,
@@ -582,8 +593,9 @@ def roi_count_sweep(run: PreparedRun, ranking: explain.RoiRanking,
     sweep_config = replace(config, train=replace(
         config.train, lrs=(lr,), max_epochs=epochs))
 
-    def evaluate_k(k: int, top_rois: tuple[int, ...]) -> tuple[float, float]:
-        k_config = replace(sweep_config, roi_labels=top_rois)
+    def curve_row(k: int) -> tuple[int, float, float]:
+        # k's renders and fits are freed before the next k is laid out
+        k_config = replace(sweep_config, roi_labels=ranking.rois[:k])
         k_run = replace(run, config=k_config, variant_data=VariantData.of(
             run.cohort, k_config, run.encoding.size_ref,
             run.encoding.time_ref))
@@ -591,9 +603,11 @@ def roi_count_sweep(run: PreparedRun, ranking: explain.RoiRanking,
         accs = [evalharness.metrics(learn.predict_proba(params, val.images),
                                     val.labels).balanced_accuracy
                 for _, _, val, params, _ in fits]
-        return float(np.mean(losses[lr])), float(np.mean(accs))
+        return k, float(np.mean(losses[lr])), float(np.mean(accs))
 
-    return explain.select_roi_count(ranking, evaluate_k, counts=counts)
+    rows = [curve_row(k) for k in sorted(set(counts))]
+    best_k = min(rows, key=lambda row: (row[1], row[0]))[0]
+    return explain.RoiCountCurve(rows=tuple(rows), best_k=best_k)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +638,8 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
     files = {}
 
     rows = [[s.seed] + [getattr(s.test, m) for m in METRIC_COLS]
-            + [s.temperature, s.val_loss, "|".join(s.test.flags)]
+            + [result.calibrators[s.seed].temperature,
+               result.val_losses[s.seed], "|".join(s.test.flags)]
             for s in result.seeds]
     write_csv(out / "per_seed.csv",
               ["seed", *METRIC_COLS, "temperature", "val_loss", "flags"], rows)

@@ -195,15 +195,19 @@ def _without_audit_times(tree: dict[str, bytes]) -> dict[str, bytes]:
     return tree
 
 
-def test_run_jobs_leave_every_file_unchanged(cohort_dir, run_dir, tmp_path):
+@pytest.mark.parametrize("model",
+                         ["lightweight", "early_fusion", "daft", "logistic"])
+def test_run_jobs_leave_every_file_unchanged(model, cohort_dir, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(RUN_CFG))
-    out = tmp_path / "r2"
-    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
-                 "--seeds", "1,2", "--config", str(cfg),
-                 "--jobs", "2"]) == EXIT_OK
-    assert _without_audit_times(_tree_bytes(out)) == \
-        _without_audit_times(_tree_bytes(run_dir))
+    trees = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"r{jobs}"
+        assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                     "--model", model, "--seeds", "1,2", "--config", str(cfg),
+                     "--jobs", jobs]) == EXIT_OK
+        trees.append(_without_audit_times(_tree_bytes(out)))
+    assert trees[0] == trees[1]
 
 
 def test_run_refuses_zero_jobs_before_any_work(tmp_path, capsys):
@@ -281,6 +285,27 @@ def test_run_refuses_a_malformed_manifest(key, value, cohort_dir, tmp_path,
     assert repr(key) in err and str(cohort / "manifest.json") in err
     assert not out.exists()
     assert [p.name for p in cohort.iterdir()] == ["manifest.json"]
+
+
+@pytest.mark.parametrize("key", ["atlas_labels", "tract_labels"])
+@pytest.mark.parametrize("command", ["run", "explain", "select-rois"])
+def test_a_label_name_with_a_control_character_is_refused(
+        command, key, cohort_dir, run_dir, tmp_path, capsys):
+    # the csv module does not quote "\r", so the name would split its row
+    # of roi_ranking.csv; the manifest is refused before any work
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    doc[key][min(doc[key])] = "c\rd"
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    flags = ["--seeds", "1"] if command == "run" else ["--run", str(run_dir)]
+    assert main([command, "--cohort", str(cohort), "--out", str(out),
+                 *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for text in (str(cohort / "manifest.json"), repr(key), repr("c\rd")):
+        assert text in err
+    assert not out.exists()
 
 
 def test_run_refuses_a_partition_with_an_empty_group(cohort_dir, tmp_path,

@@ -12,8 +12,7 @@ from strokepred.explain import (BATCH_SIZE, Explanation, PerturbationRecord,
                                 counterfactuals, explain_one, explain_pool,
                                 explanation_json,
                                 explanation_report, fit_surrogate,
-                                gen_perturbations, roi_pixel_sets,
-                                select_roi_count)
+                                gen_perturbations, roi_pixel_sets)
 from strokepred.rng import CounterRng
 
 ROIS = (1, 2, 3, 4)
@@ -625,39 +624,3 @@ def test_ranking_stable_across_perturbation_seeds():
 def test_roi_ranking_tie_breaks_by_label():
     ranking = RoiRanking.from_means({3: 0.5, 1: 0.5, 2: 0.9, 4: -0.1}, 1)
     assert ranking.rois == (2, 1, 3, 4)
-
-
-# ---------------------------------------------------------------------------
-# ROI-count selection
-
-
-def test_select_roi_count_single_and_monotone():
-    ranking = RoiRanking.from_means({i: -i * 0.1 for i in range(1, 13)}, 1)
-    one = select_roi_count(ranking, lambda k, rois: (0.5, 0.8), counts=[7])
-    assert one.best_k == 7
-    # strictly decreasing loss -> pick the largest count
-    curve = select_roi_count(ranking, lambda k, rois: (1.0 - 0.05 * k, 0.5),
-                             counts=range(3, 13))
-    assert curve.best_k == 12
-    assert [row[0] for row in curve.rows] == list(range(3, 13))
-
-
-def test_select_roi_count_tie_prefers_smaller_k_and_passes_top_rois():
-    ranking = RoiRanking.from_means({1: 0.9, 2: 0.8, 3: 0.7, 4: 0.6}, 1)
-    seen = {}
-
-    def evaluate(k, rois):
-        seen[k] = rois
-        return (0.25, 0.75)
-
-    curve = select_roi_count(ranking, evaluate, counts=[4, 2, 3])
-    assert curve.best_k == 2
-    assert seen[3] == (1, 2, 3)
-
-
-def test_select_roi_count_validation():
-    ranking = RoiRanking.from_means({1: 0.9, 2: 0.8}, 1)
-    with pytest.raises(ValueError):
-        select_roi_count(ranking, lambda k, r: (0.0, 0.0), counts=[3])
-    with pytest.raises(ValueError):
-        select_roi_count(ranking, lambda k, r: (0.0, 0.0), counts=[])

@@ -435,14 +435,19 @@ def test_run_result_fields(tiny_run):
     assert set(tiny_run.aggregate) == set(pipeline.METRIC_COLS)
     for s in tiny_run.seeds:
         assert len(s.sweep) == 9  # thresholds 0.1 .. 0.9
-        assert s.temperature > 0
+    # each seed's fitted state is held once, keyed and ordered by seed
+    for fitted in (tiny_run.checkpoints, tiny_run.calibrators,
+                   tiny_run.val_losses):
+        assert list(fitted) == [1, 2]
+    assert all(c.temperature > 0 for c in tiny_run.calibrators.values())
 
 
 def test_run_is_deterministic(tiny_cohort, tiny_run, tmp_path):
     again = pipeline.run_experiment(tiny_cohort, fast_config())
     for a, b in zip(tiny_run.seeds, again.seeds):
         assert a.test == b.test
-        assert a.temperature == b.temperature
+    assert again.calibrators == tiny_run.calibrators
+    assert again.val_losses == tiny_run.val_losses
     d1, d2 = tmp_path / "a", tmp_path / "b"
     pipeline.emit_run(tiny_run, d1)
     pipeline.emit_run(again, d2)
@@ -460,9 +465,10 @@ def test_parallel_run_matches_sequential(tiny_cohort, model):
     assert [s.seed for s in par.seeds] == [s.seed for s in seq.seeds]
     for a, b in zip(seq.seeds, par.seeds):
         assert a.test == b.test
-        assert (a.temperature, a.val_loss) == (b.temperature, b.val_loss)
         assert par.checkpoints[a.seed].vector.tobytes() == \
             seq.checkpoints[a.seed].vector.tobytes()
+    assert par.calibrators == seq.calibrators
+    assert par.val_losses == seq.val_losses
     assert par.learning_curves == seq.learning_curves
 
 
@@ -477,16 +483,61 @@ def test_learning_curves_hold_every_fit_epoch(tiny_run, tmp_path):
             curve = [r for r in cv if r[1] == lr and r[2] == group]
             assert [r[3] for r in curve] == list(range(1, epochs + 1))
             assert min(r[4] for r in curve) == loss
-    for s in tiny_run.seeds:
-        curve = [r for r in rows if r[0] == "seed" and r[2] == s.seed]
+    for seed, val_loss in tiny_run.val_losses.items():
+        # the checkpoint's own group-4 loss is its best epoch's, bit for bit
+        curve = [r for r in rows if r[0] == "seed" and r[2] == seed]
         assert [r[3] for r in curve] == list(range(1, epochs + 1))
         assert {r[1] for r in curve} == {tiny_run.best_lr}
-        assert min(r[4] for r in curve) == s.val_loss
+        assert min(r[4] for r in curve) == val_loss
     assert len(rows) == len(cv) + len(tiny_run.seeds) * epochs
     pipeline.emit_run(tiny_run, tmp_path)
     lines = (tmp_path / "learning_curves.csv").read_text().splitlines()
     assert lines[0] == "phase,lr,fold_or_seed,epoch,val_loss"
     assert len(lines) == 1 + len(rows)
+
+
+# ---------------------------------------------------------------------------
+# the unlock seam: fit_run touches groups 1-4 only, evaluate_run unlocks once
+
+PRE_UNLOCK = [("seal", None), ("access", "feature-normalizers"),
+              *[("access", f"cv-fold-{g}") for g in (1, 2, 3, 4)],
+              ("access", "seed-training"),
+              ("access", "validation-calibration")]
+
+
+def _ops(box):
+    return [(e["op"], e.get("caller")) for e in box.entries]
+
+
+def test_fit_run_reads_no_held_out_subject(tiny_cohort):
+    # every model is fixed, and group 5 never rendered, before the unlock
+    plan = evalharness.stratified_partition(
+        tiny_cohort.records, k=5, seed=pipeline.PARTITION_SEED)
+    held_out = {i for i, g in plan.assignment.items() if g == 5}
+    assert held_out
+
+    def volume_of(subject_id):
+        if subject_id in held_out:
+            raise AssertionError(f"read held-out subject {subject_id}")
+        return tiny_cohort.volume_of(subject_id)
+
+    cohort = replace(tiny_cohort, volume_of=volume_of)
+    fitted = pipeline.fit_run(pipeline.prepare_run(cohort, fast_config()))
+    assert _ops(fitted.box) == PRE_UNLOCK
+    assert list(fitted.checkpoints) == list(fitted.calibrators) == \
+        list(fitted.val_losses) == [1, 2]
+    assert not held_out & set(fitted.variant_data.images)
+
+
+def test_evaluate_run_unlocks_once(tiny_cohort):
+    fitted = pipeline.fit_run(pipeline.prepare_run(
+        tiny_cohort, fast_config(model="logistic")))
+    result = pipeline.evaluate_run(fitted)
+    assert _ops(result.box) == PRE_UNLOCK[:2] + PRE_UNLOCK[-2:] + [
+        ("unlock", None), ("access", "seed-1-final-eval"),
+        ("access", "seed-2-final-eval")]
+    with pytest.raises(evalharness.LockBoxProtocolError):
+        pipeline.evaluate_run(fitted)
 
 
 def test_run_logistic_model(tiny_cohort):
@@ -601,6 +652,56 @@ def test_roi_count_sweep_runs(tiny_cohort):
     for _k, loss, acc in curve.rows:
         assert np.isfinite(loss)
         assert 0.0 <= acc <= 1.0
+
+
+def _sweep_at_fixed_losses(cohort, monkeypatch, loss_of_k, counts):
+    """roi_count_sweep with each k's cross-validation replaced by a
+    stand-in returning ``loss_of_k[k]``; returns the ranking, the curve and
+    the ROI labels each k's run was laid out with, in call order."""
+    run = pipeline.prepare_run(cohort, fast_config(seeds=(1,)))
+    lr = run.config.train.lrs[0]
+    val = learn.ArrayDataset(images=np.zeros((2, 32, 32)), tabular=None,
+                             labels=np.array([0.0, 1.0]))
+    layouts = []
+
+    def group_cv(k_run, caller):
+        k = len(k_run.config.roi_labels)
+        layouts.append((k, k_run.config.roi_labels))
+        return lr, {lr: [loss_of_k[k]] * 4}, [(lr, 4, val, None, [])]
+
+    monkeypatch.setattr(pipeline, "group_cv", group_cv)
+    monkeypatch.setattr(pipeline.learn, "predict_proba",
+                        lambda params, images: np.array([0.2, 0.8]))
+    ranking = _ranking(cohort)
+    curve = pipeline.roi_count_sweep(run, ranking, counts=counts)
+    return ranking, curve, layouts
+
+
+def test_roi_count_sweep_ties_go_to_the_smaller_k(tiny_cohort, monkeypatch):
+    _, curve, _ = _sweep_at_fixed_losses(
+        tiny_cohort, monkeypatch, {2: 0.25, 3: 0.25, 4: 0.25}, [4, 2, 3])
+    assert curve.best_k == 2
+    assert curve.rows == ((2, 0.25, 1.0), (3, 0.25, 1.0), (4, 0.25, 1.0))
+
+
+def test_roi_count_sweep_dedups_and_sorts_the_counts(tiny_cohort,
+                                                     monkeypatch):
+    # a strictly falling loss picks the largest count
+    _, curve, layouts = _sweep_at_fixed_losses(
+        tiny_cohort, monkeypatch, {k: 1.0 - 0.05 * k for k in range(10)},
+        [5, 3, 5, 4, 3])
+    assert [k for k, _ in layouts] == [row[0] for row in curve.rows] == \
+        [3, 4, 5]
+    assert curve.best_k == 5
+    _, one, _ = _sweep_at_fixed_losses(tiny_cohort, monkeypatch, {7: 0.5},
+                                       [7])
+    assert one.best_k == 7
+
+
+def test_roi_count_sweep_lays_out_the_top_k_rois(tiny_cohort, monkeypatch):
+    ranking, _, layouts = _sweep_at_fixed_losses(
+        tiny_cohort, monkeypatch, {2: 0.3, 3: 0.2}, [2, 3])
+    assert layouts == [(k, ranking.rois[:k]) for k in (2, 3)]
 
 
 @pytest.mark.parametrize("unlocked", [False, True])
