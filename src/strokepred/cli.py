@@ -379,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     rp.add_argument("--preset", choices=["paper"],
                     help="full-scale constants (256x256, 6 blocks, 200 epochs)")
     rp.add_argument("--jobs", type=int, default=1,
-                    help="concurrent seed fits")
+                    help="concurrent fits: the CV folds, then the seeds")
     rp.add_argument("--force", action="store_true")
     rp.set_defaults(func=cmd_run)
 

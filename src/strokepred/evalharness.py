@@ -260,23 +260,37 @@ def audit_scan(path: str | Path) -> dict:
 # Cross-validation
 
 
-def cross_validate(trainer: Callable, folds: Sequence, lrs: Sequence[float],
-                   ) -> tuple[float, dict[float, list[float]]]:
-    """Leave-one-fold-out CV; returns (lr with minimum mean validation loss,
-    per-lr fold losses).  Ties resolve to the smaller lr."""
-    if len(folds) < 2:
+def ordered_map(fn: Callable, items: Sequence, jobs: int = 1) -> list:
+    """``[fn(x) for x in items]``, running up to ``jobs`` calls at a time;
+    the results come back in item order, so concurrency changes no output.
+    With one job or one item every call runs in the caller's thread."""
+    if jobs <= 1 or len(items) <= 1:
+        return [fn(x) for x in items]
+    # imported here: at module level it raised a one-job run's peak RSS
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
+
+
+def cross_validate(fit: Callable[[float, int], tuple[float, object]],
+                   n_folds: int, lrs: Sequence[float], jobs: int = 1,
+                   ) -> tuple[float, dict[float, list[float]], list]:
+    """Leave-one-fold-out CV: ``fit(lr, i)`` trains on every fold but i and
+    returns (fold i's validation loss, a record of the fit).  The (lr, fold)
+    fits run through ``ordered_map``, up to ``jobs`` at a time.  Returns the
+    lr with minimum mean validation loss (ties to the smaller lr), the
+    per-lr fold losses and the records in (lr, fold) order."""
+    if n_folds < 2:
         raise ValueError("need at least 2 folds")
-    if not lrs:
-        raise ValueError("empty lr grid")
-    losses: dict[float, list[float]] = {}
-    for lr in lrs:
-        per_fold = []
-        for i, val in enumerate(folds):
-            train_folds = [f for j, f in enumerate(folds) if j != i]
-            per_fold.append(float(trainer(train_folds, val, lr)))
-        losses[lr] = per_fold
+    if not lrs or len(set(lrs)) != len(lrs):
+        raise ValueError("the lr grid must be nonempty and distinct")
+    tasks = [(lr, i) for lr in lrs for i in range(n_folds)]
+    fits = ordered_map(lambda task: fit(*task), tasks, jobs)
+    losses = {lr: [] for lr in lrs}
+    for (lr, _), (loss, _) in zip(tasks, fits):
+        losses[lr].append(float(loss))
     best = min(lrs, key=lambda lr: (sum(losses[lr]) / len(losses[lr]), lr))
-    return best, losses
+    return best, losses, [record for _, record in fits]
 
 
 # ---------------------------------------------------------------------------

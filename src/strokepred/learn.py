@@ -104,7 +104,7 @@ class CnnConfig:
     def __post_init__(self):
         h, w = self.input_hw
         if not self.channels or any(c <= 0 for c in self.channels):
-            raise ValueError("channels must be positive")
+            raise ValueError("channels must be nonempty and positive")
         f = 2 ** len(self.channels)
         if h % f or w % f:
             raise ValueError(
@@ -128,8 +128,10 @@ class TrainConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        if any(lr <= 0 for lr in self.lrs) or not self.lrs:
-            raise ValueError("learning rates must be positive")
+        if (not self.lrs or any(lr <= 0 for lr in self.lrs)
+                or len(set(self.lrs)) != len(self.lrs)):
+            raise ValueError("learning rates must be nonempty, positive and "
+                             "distinct")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ValueError("max_epochs and batch_size must be >= 1")
 

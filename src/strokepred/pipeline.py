@@ -21,7 +21,10 @@ and box.  Images render through the lock box: ``assemble`` and
 ``rank_rois`` render, once per layout, only the subjects of the groups the
 box has just granted, so no group-5 volume is read before the unlock.  All
 file output is CSV/JSON/SVG with deterministic content; only the audit log
-carries wall-clock timestamps.
+carries wall-clock timestamps.  ``jobs`` applies in ``fit_run`` only: up to
+that many of its CV fits, then of its seed fits, run at a time through
+``evalharness.ordered_map``, which returns them in order, so no output
+depends on it; ``roi_count_sweep`` runs one fit at a time.
 """
 
 from __future__ import annotations
@@ -81,11 +84,10 @@ class RunConfig:
         if not self.seeds or len(set(self.seeds)) != len(self.seeds):
             raise ConfigError("seeds must be nonempty and distinct")
         if self.model != "logistic":
-            f = 2 ** len(self.channels)
-            if self.image_size % f:
-                raise ConfigError(
-                    f"image_size {self.image_size} not divisible by 2^"
-                    f"{len(self.channels)}")
+            try:
+                self.cnn  # the network rule is CnnConfig's
+            except ValueError as exc:
+                raise ConfigError(f"network of {self.model!r}: {exc}") from None
         if self.roi_labels is not None and (
                 not self.roi_labels or self.variant.endswith("stitched")):
             raise ConfigError(
@@ -263,6 +265,14 @@ class VariantData:
                 return imaging.downsample(
                     imaging.roi_image(volume, atlas, plan), *target)
 
+        h, w = label_full.shape  # every render is downsampled from this
+        if min(h, w) < config.image_size:
+            rois = ("" if config.variant.endswith("stitched")
+                    else f" of {len(plan.spec.roi_labels)} ROIs")
+            raise ConfigError(
+                f"variant {config.variant!r}: the layout{rois} is {h}x{w} px, "
+                f"smaller than image_size {config.image_size}")
+
         def render(subject_id: str) -> np.ndarray:
             return draw(cohort.volume_of(subject_id), by_id[subject_id])
 
@@ -412,27 +422,24 @@ def _curve_rows(phase: str, lr: float, index: int,
             for epoch, loss in enumerate(val_losses, 1)]
 
 
-def group_cv(run: PreparedRun, caller: str,
+def group_cv(run: PreparedRun, caller: str, jobs: int = 1,
              ) -> tuple[float, dict[float, list[float]], list[tuple]]:
     """Leave-one-group-out CV over groups 1-4 on the configured lr grid,
-    every fit seeded with ``CV_SEED``.  Returns the best lr, the per-lr fold
-    losses and, in fit order, each fit's (lr, validation group, validation
-    fold, best-epoch params, per-epoch validation losses).  Group g's fold
-    is one access, audited as ``{caller}-fold-{g}``."""
+    every fit seeded with ``CV_SEED`` and up to ``jobs`` fits at a time.
+    Returns the best lr, the per-lr fold losses and, in (lr, fold) order,
+    each fit's (lr, validation group, validation fold, best-epoch params,
+    per-epoch validation losses).  Group g's fold is one access, audited as
+    ``{caller}-fold-{g}``, and every fold is granted before any fit."""
     folds = [assemble(run, [g], f"{caller}-fold-{g}") for g in CV_GROUPS]
-    fits = []
 
-    def trainer(train_folds, val_fold, lr):
+    def fit(lr: float, i: int) -> tuple[float, tuple]:
         params, losses = learn.train(
-            run.config.model, concat_datasets(train_folds), val_fold,
-            run.config.train, lr, CV_SEED, run.config.cnn)
-        group = next(g for g, f in zip(CV_GROUPS, folds) if f is val_fold)
-        fits.append((lr, group, val_fold, params, losses))
-        return min(losses)
+            run.config.model, concat_datasets(folds[:i] + folds[i + 1:]),
+            folds[i], run.config.train, lr, CV_SEED, run.config.cnn)
+        return min(losses), (lr, CV_GROUPS[i], folds[i], params, losses)
 
-    best_lr, cv_losses = evalharness.cross_validate(
-        trainer, folds, list(run.config.train.lrs))
-    return best_lr, cv_losses, fits
+    return evalharness.cross_validate(fit, len(folds), run.config.train.lrs,
+                                      jobs)
 
 
 @dataclass(frozen=True)
@@ -467,14 +474,14 @@ class RunResult(FittedRun):
 
 
 def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
-    """Fix every model on groups 1-4, fitting up to ``jobs`` seeds at a
-    time.  One forward of each fixed model on group 4 gives both its
-    temperature and its balanced validation loss."""
+    """Fix every model on groups 1-4, running up to ``jobs`` fits at a time:
+    the CV folds, then the seeds.  One forward of each fixed model on group 4
+    gives both its temperature and its balanced validation loss."""
     config = run.config
     if config.model == "logistic":
         best_lr, cv_losses, curves = config.train.lrs[0], {}, []
     else:
-        best_lr, cv_losses, fits = group_cv(run, "cv")
+        best_lr, cv_losses, fits = group_cv(run, "cv", jobs)
         curves = [row for lr, group, _, _, losses in fits
                   for row in _curve_rows("cv", lr, group, losses)]
 
@@ -490,15 +497,7 @@ def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
         return learn.train(config.model, train_set, val_set, config.train,
                            best_lr, seed, config.cnn)
 
-    if jobs > 1 and len(config.seeds) > 1:
-        # seed fits are independent; results are collected in seed order so
-        # concurrency cannot change any output
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            seed_fits = list(pool.map(fit_seed, config.seeds))
-    else:
-        seed_fits = [fit_seed(s) for s in config.seeds]
-
+    seed_fits = evalharness.ordered_map(fit_seed, config.seeds, jobs)
     checkpoints, calibrators, val_losses = {}, {}, {}
     for seed, (params, losses) in zip(config.seeds, seed_fits):
         curves.extend(_curve_rows("seed", best_lr, seed, losses))

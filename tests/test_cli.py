@@ -595,6 +595,12 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("synth", {"cohort": {"recovery_range": [0, 1000]}}, "recovery_range"),
     ("synth", {"cohort": {"recovery_range": [50, 5]}}, "recovery_range"),
     ("synth", {"cohort": {"n_tracts": 0}}, "n_tracts"),
+    # a repeated lr would train the same CV fits twice
+    ("run", {"run": {"train": {"lrs": [0.01, 0.01]}}}, "distinct"),
+    # a network that cannot be built is refused before the cohort is read
+    ("run", {"run": {"channels": []}}, "channels must be nonempty"),
+    ("run", {"run": {"channels": [0]}}, "channels must be nonempty"),
+    ("run", {"run": {"channels": [4, -1]}}, "channels must be nonempty"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

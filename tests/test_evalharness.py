@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -328,47 +330,78 @@ def test_audit_scan_counts_pre_unlock_access(tmp_path):
 # cross_validate
 
 
+def test_ordered_map_keeps_item_order_and_the_callers_thread():
+    caller = threading.get_ident()
+
+    def slow_square(x):
+        time.sleep(0.002 * (5 - x))  # early items finish last
+        return x * x, threading.get_ident()
+
+    one = evalharness.ordered_map(slow_square, range(5), jobs=1)
+    assert one == [(x * x, caller) for x in range(5)]
+    two = evalharness.ordered_map(slow_square, range(5), jobs=2)
+    assert [r for r, _ in two] == [x * x for x in range(5)]
+    assert evalharness.ordered_map(slow_square, [3], jobs=2) == [(9, caller)]
+
+
 def test_cross_validate_matches_exhaustive_oracle():
-    folds = ["a", "b", "c", "d"]
-    table = {(lr, v): 0.5 + 0.1 * i + lr
-             for i, v in enumerate(folds) for lr in (0.01, 0.1)}
+    table = {(lr, i): 0.5 + 0.1 * i + lr for i in range(4) for lr in (0.01, 0.1)}
 
-    def trainer(train_folds, val, lr):
-        assert len(train_folds) == 3 and val not in train_folds
-        return table[(lr, val)]
+    def fit(lr, i):
+        time.sleep(0.001 * (4 - i))  # so threads finish out of order
+        return table[(lr, i)], (lr, i)
 
-    best, losses = cross_validate(trainer, folds, [0.1, 0.01])
-    assert best == 0.01
-    for lr in (0.01, 0.1):
-        assert losses[lr] == [table[(lr, v)] for v in folds]
-    means = {lr: sum(v) / 4 for lr, v in losses.items()}
-    assert means[0.01] == min(means.values())
+    for jobs in (1, 2):
+        best, losses, records = cross_validate(fit, 4, [0.1, 0.01], jobs)
+        assert best == 0.01
+        assert list(losses) == [0.1, 0.01]
+        for lr in (0.01, 0.1):
+            assert losses[lr] == [table[(lr, i)] for i in range(4)]
+        means = {lr: sum(v) / 4 for lr, v in losses.items()}
+        assert means[0.01] == min(means.values())
+        # records come back in (lr, fold) order, whatever order fits end in
+        assert records == [(lr, i) for lr in (0.1, 0.01) for i in range(4)]
 
 
 def test_cross_validate_tie_prefers_smaller_lr():
-    best, _ = cross_validate(lambda t, v, lr: 1.0, [1, 2, 3, 4], [0.3, 0.1])
-    assert best == 0.1
+    for jobs in (1, 2):
+        best, _, _ = cross_validate(lambda lr, i: (1.0, None), 4, [0.3, 0.1],
+                                    jobs)
+        assert best == 0.1
 
 
 def test_cross_validate_each_fold_validates_once():
-    seen = []
-    cross_validate(lambda t, v, lr: seen.append(v) or 0.0,
-                   ["p", "q", "r", "s"], [0.05])
-    assert seen == ["p", "q", "r", "s"]
+    for jobs in (1, 2):
+        seen = []
+        cross_validate(lambda lr, i: (seen.append((lr, i)) or 0.0, None),
+                       4, [0.05, 0.5], jobs)
+        assert sorted(seen) == [(lr, i) for lr in (0.05, 0.5)
+                                for i in range(4)]
 
 
 def test_cross_validate_propagates_numeric_abort():
-    def trainer(t, v, lr):
-        raise NumericAbort("diverged")
-    with pytest.raises(NumericAbort):
-        cross_validate(trainer, [1, 2, 3, 4], [0.1])
+    def fit(lr, i):
+        if i == 2:
+            raise NumericAbort("diverged")
+        return 0.0, None
+
+    for jobs in (1, 2):
+        with pytest.raises(NumericAbort):
+            cross_validate(fit, 4, [0.1], jobs)
 
 
 def test_cross_validate_input_validation():
-    with pytest.raises(ValueError):
-        cross_validate(lambda t, v, lr: 0.0, [1], [0.1])
-    with pytest.raises(ValueError):
-        cross_validate(lambda t, v, lr: 0.0, [1, 2, 3, 4], [])
+    calls = []
+
+    def fit(lr, i):
+        calls.append((lr, i))
+        return 0.0, None
+
+    for jobs in (1, 2):
+        for n_folds, lrs in ((1, [0.1]), (4, []), (4, [0.1, 0.2, 0.1])):
+            with pytest.raises(ValueError):
+                cross_validate(fit, n_folds, lrs, jobs)
+    assert calls == []  # refused before any fit
 
 
 # ---------------------------------------------------------------------------

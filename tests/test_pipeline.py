@@ -4,6 +4,7 @@ import csv
 import gc
 import json
 import math
+import threading
 import weakref
 from dataclasses import asdict, replace
 
@@ -470,6 +471,8 @@ def test_parallel_run_matches_sequential(tiny_cohort, model):
     assert par.calibrators == seq.calibrators
     assert par.val_losses == seq.val_losses
     assert par.learning_curves == seq.learning_curves
+    assert par.best_lr == seq.best_lr
+    assert par.cv_losses == seq.cv_losses
 
 
 def test_learning_curves_hold_every_fit_epoch(tiny_run, tmp_path):
@@ -608,6 +611,57 @@ def test_group_cv_returns_every_fit_in_fit_order(tiny_cohort):
                                      config.cnn)
     assert np.array_equal(again.vector, params.vector)
     assert again_curve == curve
+
+
+def test_group_cv_runs_two_fits_at_once_and_returns_the_serial_records(
+        tiny_cohort, monkeypatch):
+    # a stand-in fit that returns only once a second fit is in flight: it
+    # completes at jobs=2 only if two fits really run at the same time
+    config = fast_config(train=replace(FAST, lrs=(1e-3, 3e-3), max_epochs=2))
+    barrier = threading.Barrier(2, timeout=10)
+    grants_at_fit = []
+
+    def stand_in(kind, train_set, val_set, cfg, lr, seed, cnn):
+        grants_at_fit.append([e["caller"] for e in run.box.entries
+                              if e["op"] == "access"])
+        if barrier is not None:
+            barrier.wait()
+        return (lr, len(train_set.labels)), [lr, len(val_set.labels) / 100]
+
+    monkeypatch.setattr(pipeline.learn, "train", stand_in)
+    records = {}
+    for jobs in (2, 1):
+        run = pipeline.prepare_run(tiny_cohort, config)
+        best_lr, losses, fits = pipeline.group_cv(run, "probe", jobs)
+        records[jobs] = (best_lr, losses,
+                         [(lr, g, val.labels.tolist(), params, curve)
+                          for lr, g, val, params, curve in fits])
+        barrier = None
+    assert records[2] == records[1]
+    assert [(lr, g) for lr, g, *_ in records[2][2]] == [
+        (lr, g) for lr in (1e-3, 3e-3) for g in (1, 2, 3, 4)]
+    # every fold access is granted before the first fit starts
+    folds = [f"probe-fold-{g}" for g in (1, 2, 3, 4)]
+    assert len(grants_at_fit) == 16
+    assert all(grants[1:] == folds for grants in grants_at_fit)
+
+
+def test_an_roi_layout_smaller_than_the_input_is_refused_before_its_folds(
+        tiny_cohort, monkeypatch):
+    # ROI 6 of the tiny atlas tiles into a 32x28 canvas, under the 32 px input
+    with pytest.raises(ConfigError, match=r"'gm-roi'.* of 1 ROIs is 32x28 px"
+                                          r".*image_size 32"):
+        pipeline.prepare_run(tiny_cohort, fast_config(roi_labels=(6,)))
+    run = pipeline.prepare_run(tiny_cohort, fast_config(seeds=(1,)))
+    cv_calls = []
+    monkeypatch.setattr(pipeline, "group_cv",
+                        lambda k_run, caller: cv_calls.append(caller))
+    ranking = RoiRanking.from_means({6: 1.0, 5: 0.5, 10: 0.25},
+                                    n_explanations=1)
+    with pytest.raises(ConfigError, match="of 1 ROIs is 32x28 px"):
+        pipeline.roi_count_sweep(run, ranking, counts=(1, 2))
+    assert cv_calls == []
+    assert not any("roi-sweep" in e.get("caller", "") for e in run.box.entries)
 
 
 def _ranking(cohort):
