@@ -1,4 +1,4 @@
-"""Domain types, volume file I/O, lesion statistics and outcome labeling.
+"""Domain types, volume file I/O and outcome labeling.
 
 Volumes are stored on disk in the self-describing "VOL1" binary layout:
 
@@ -50,14 +50,6 @@ class FormatError(ValueError):
 
 
 class DimensionMismatchError(ValueError):
-    pass
-
-
-class UnknownLabelError(KeyError):
-    pass
-
-
-class DegenerateRoiError(ValueError):
     pass
 
 
@@ -236,47 +228,6 @@ def outcome_label(score: float) -> int:
     if not np.isfinite(score):
         raise ValueError("score must be finite")
     return 1 if score < APHASIA_THRESHOLD else 0
-
-
-def lesion_size(lesion: LabelVolume, hemisphere_mask: LabelVolume) -> int:
-    """Count lesioned voxels inside the mask; both volumes binary {0,1}."""
-    if lesion.dims != hemisphere_mask.dims:
-        raise DimensionMismatchError(
-            f"lesion dims {lesion.dims} != mask dims {hemisphere_mask.dims}")
-    if lesion.labels.max(initial=0) > 1:
-        raise ValueError("lesion labels must be in {0, 1}")
-    return int(np.count_nonzero((lesion.labels == 1) & (hemisphere_mask.labels == 1)))
-
-
-def lesion_load(lesion: LabelVolume, atlas: LabelVolume, roi: int) -> float:
-    """Fraction of the ROI's voxels marked lesioned, in [0, 1]."""
-    if lesion.dims != atlas.dims:
-        raise DimensionMismatchError(
-            f"lesion dims {lesion.dims} != atlas dims {atlas.dims}")
-    roi_mask = atlas.labels == roi
-    n_roi = int(np.count_nonzero(roi_mask))
-    if roi not in atlas.label_names:
-        raise UnknownLabelError(f"ROI {roi} not present in atlas")
-    if n_roi == 0:
-        raise DegenerateRoiError(f"ROI {roi} has no voxels")
-    n_hit = int(np.count_nonzero(roi_mask & (lesion.labels == 1)))
-    return n_hit / n_roi
-
-
-def left_hemisphere_mask(dims: tuple[int, int, int]) -> LabelVolume:
-    """Binary mask of the left hemisphere half-grid (x < nx/2).
-
-    Computed once per ``dims``; the labels are read-only.
-    """
-    return _left_hemisphere_mask(tuple(int(d) for d in dims))
-
-
-@functools.lru_cache(maxsize=8)
-def _left_hemisphere_mask(dims: tuple[int, int, int]) -> LabelVolume:
-    nx, ny, nz = dims
-    labels = np.zeros(dims, dtype=np.uint16)
-    labels[: nx // 2, :, :] = 1
-    return LabelVolume(dims=dims, labels=labels, label_names={1: "left_hemisphere"})
 
 
 # ---------------------------------------------------------------------------

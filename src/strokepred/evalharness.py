@@ -22,7 +22,7 @@ from .learn import class_weighted_bce, sigmoid
 
 BALANCE_COVARIATES = ("score", "left_lesion_size", "recovery_time")
 SWEEP_THRESHOLDS = tuple(round(0.1 * i, 1) for i in range(1, 10))
-SUBGROUP_SEVERITIES = ("severe", "moderate")  # hardest-to-predict subjects
+SUBGROUP_SEVERITIES = ("severe", "moderate")  # subgroup.csv's subjects
 MAX_SWAPS = 500  # balancing swaps a partition may apply
 # the reported metrics of a MetricsRow, in report column order
 METRIC_COLS = ("accuracy", "balanced_accuracy", "sensitivity", "specificity",

@@ -103,6 +103,8 @@ class CnnConfig:
 
     def __post_init__(self):
         h, w = self.input_hw
+        if h < 1 or w < 1:
+            raise ValueError(f"input {h}x{w} must be positive")
         if not self.channels or any(c <= 0 for c in self.channels):
             raise ValueError("channels must be nonempty and positive")
         f = 2 ** len(self.channels)

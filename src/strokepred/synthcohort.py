@@ -43,9 +43,16 @@ class TruthModel:
             raise ValueError("betas must align with causal_rois")
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be >= 0")
+        repeated = sorted({r for r in self.causal_rois
+                           if self.causal_rois.count(r) > 1})
+        if repeated:
+            raise ValueError(f"causal_rois repeat ROIs {repeated}")
         missing = set(core.SEVERITY_CATEGORIES) - set(self.gamma)
         if missing:
             raise ValueError(f"gamma missing categories {sorted(missing)}")
+        unknown = set(self.gamma) - set(core.SEVERITY_CATEGORIES)
+        if unknown:
+            raise ValueError(f"gamma has unknown categories {sorted(unknown)}")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "TruthModel":
@@ -326,7 +333,7 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
                          labels=lesion_mask.astype(np.uint16),
                          label_names={1: "lesion"})
 
-    loads = subject_loads(lesion, atlas, truth.causal_rois)
+    loads = subject_loads(lesion_mask, atlas, truth.causal_rois)
     total = sum(loads.values())
     severity = severity_from_load(total, config)
     if rng.bernoulli(config.unknown_prob):
@@ -335,21 +342,30 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
     noise = rng.normal(0.0, truth.noise_sd) if truth.noise_sd > 0 else 0.0
     score = ground_truth_score(loads, severity, recovery_time, truth, noise)
 
-    hemi = core.left_hemisphere_mask(config.dims)
     record = SubjectRecord(
         id=f"s{subject_seed:04d}",
         severity=severity,
         recovery_time=recovery_time,
-        left_lesion_size=core.lesion_size(lesion, hemi),
+        left_lesion_size=int(np.count_nonzero(
+            lesion_mask[:config.dims[0] // 2])),  # the left hemisphere
         score=score,
     )
     return volume, lesion, record
 
 
-def subject_loads(lesion: LabelVolume, atlas: LabelVolume,
+def subject_loads(lesion_mask: np.ndarray, atlas: LabelVolume,
                   rois: Sequence[int]) -> dict[int, float]:
-    """Lesion load (fraction of the ROI's voxels lesioned) per ROI."""
-    return {roi: core.lesion_load(lesion, atlas, roi) for roi in rois}
+    """Lesion load per ROI: the fraction of the ROI's atlas voxels that the
+    boolean ``lesion_mask`` covers.  An ROI with no voxels is refused."""
+    hits = np.bincount(atlas.labels[lesion_mask],
+                       minlength=max((0, *rois)) + 1)
+    loads = {}
+    for roi in rois:
+        n_roi = int(np.count_nonzero(atlas.labels == roi)) if roi > 0 else 0
+        if not n_roi:
+            raise ValueError(f"ROI {roi} has no voxels in the atlas")
+        loads[roi] = int(hits[roi]) / n_roi
+    return loads
 
 
 def cohort_records(config: SynthConfig, truth: TruthModel,

@@ -601,6 +601,13 @@ def test_explain_rejects_checkpoint_with_list_header(cohort_dir, run_dir,
     ("run", {"run": {"channels": []}}, "channels must be nonempty"),
     ("run", {"run": {"channels": [0]}}, "channels must be nonempty"),
     ("run", {"run": {"channels": [4, -1]}}, "channels must be nonempty"),
+    # a repeated causal ROI would be charged twice, a stray gamma key ignored
+    ("synth", {"truth": {**asdict(default_truth()), "causal_rois": [1, 1],
+                         "betas": [38, 30]}}, "repeat ROIs [1]"),
+    ("synth", {"truth": {**asdict(default_truth()),
+                         "gamma": {**default_truth().gamma, "Severe": 12}}},
+     "unknown categories ['Severe']"),
+    ("run", {"run": {"image_size": 0, "channels": [4]}}, "input 0x0"),
 ])
 def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

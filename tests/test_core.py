@@ -9,27 +9,15 @@ from hypothesis import strategies as st
 
 from strokepred import core
 from strokepred.core import (
-    DegenerateRoiError,
     DimensionMismatchError,
     FormatError,
     LabelVolume,
     SubjectRecord,
-    UnknownLabelError,
     Volume3D,
-    left_hemisphere_mask,
-    lesion_load,
-    lesion_size,
     outcome_label,
     read_volume,
     write_volume,
 )
-
-
-def make_lesion(dims, coords):
-    labels = np.zeros(dims, dtype=np.uint16)
-    for (x, y, z) in coords:
-        labels[x, y, z] = 1
-    return LabelVolume(dims=dims, labels=labels, label_names={1: "lesion"})
 
 
 # --- file format -----------------------------------------------------------
@@ -138,81 +126,11 @@ def test_roundtrip_dim_128(tmp_path):
     assert np.array_equal(read_volume(path).data, data)
 
 
-# --- lesion statistics -----------------------------------------------------
-
-def test_lesion_size_empty():
-    dims = (4, 4, 4)
-    lesion = make_lesion(dims, [])
-    assert lesion_size(lesion, left_hemisphere_mask(dims)) == 0
-
-
-def test_lesion_size_full_overlap():
-    dims = (4, 4, 4)
-    ones = LabelVolume(dims=dims, labels=np.ones(dims, dtype=np.uint16))
-    assert lesion_size(ones, ones) == 64
-
-
-def test_lesion_size_handcrafted():
-    dims = (4, 4, 4)
-    coords = [(0, 0, 0), (1, 2, 3), (0, 3, 1), (2, 0, 0), (3, 3, 3)]
-    lesion = make_lesion(dims, coords)
-    mask = left_hemisphere_mask(dims)  # x < 2
-    expected = sum(1 for (x, _, _) in coords if x < 2)
-    assert expected == 3
-    assert lesion_size(lesion, mask) == expected
-
-
-def test_lesion_size_dim_mismatch():
-    lesion = make_lesion((4, 4, 4), [])
+def test_volumes_refuse_an_array_of_another_shape():
     with pytest.raises(DimensionMismatchError):
-        lesion_size(lesion, left_hemisphere_mask((4, 4, 5)))
-
-
-def test_lesion_load_extremes_and_fraction():
-    dims = (4, 4, 4)
-    atlas_labels = np.zeros(dims, dtype=np.uint16)
-    atlas_labels[0:2, 0:2, 0:2] = 7  # 8-voxel ROI
-    atlas = LabelVolume(dims=dims, labels=atlas_labels, label_names={7: "roi"})
-
-    full = make_lesion(dims, [(x, y, z) for x in range(2) for y in range(2) for z in range(2)])
-    assert lesion_load(full, atlas, 7) == 1.0
-
-    disjoint = make_lesion(dims, [(3, 3, 3)])
-    assert lesion_load(disjoint, atlas, 7) == 0.0
-
-    partial = make_lesion(dims, [(0, 0, 0), (1, 1, 1), (3, 3, 3)])
-    assert lesion_load(partial, atlas, 7) == 0.25
-
-
-def test_lesion_load_errors():
-    dims = (4, 4, 4)
-    atlas = LabelVolume(dims=dims, labels=np.zeros(dims, dtype=np.uint16),
-                        label_names={3: "empty_roi"})
-    lesion = make_lesion(dims, [])
-    with pytest.raises(UnknownLabelError):
-        lesion_load(lesion, atlas, 9)
-    with pytest.raises(DegenerateRoiError):
-        lesion_load(lesion, atlas, 3)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1))
-def test_lesion_load_times_roi_size_is_integer_count(seed):
-    rng = np.random.default_rng(seed)
-    dims = (6, 6, 6)
-    atlas_labels = rng.integers(0, 4, size=dims).astype(np.uint16)
-    atlas = LabelVolume(dims=dims, labels=atlas_labels)
-    lesion = LabelVolume(dims=dims, labels=rng.integers(0, 2, size=dims).astype(np.uint16))
-    for roi in atlas.present_labels():
-        n_roi = int(np.count_nonzero(atlas_labels == roi))
-        count = lesion_load(lesion, atlas, roi) * n_roi
-        assert abs(count - round(count)) < 1e-9
-        brute = sum(
-            1
-            for x in range(6) for y in range(6) for z in range(6)
-            if atlas_labels[x, y, z] == roi and lesion.labels[x, y, z] == 1
-        )
-        assert round(count) == brute
+        Volume3D(dims=(4, 4, 5), data=np.zeros((4, 4, 4), dtype=np.float32))
+    with pytest.raises(DimensionMismatchError):
+        LabelVolume(dims=(4, 4, 5), labels=np.zeros((4, 4, 4), dtype=np.uint16))
 
 
 # --- outcome labeling ------------------------------------------------------
@@ -331,14 +249,6 @@ def test_manifest_refuses_a_missing_key_or_a_bad_subject_row():
     del doc["version"]
     with pytest.raises(ValueError, match="has no key 'version'"):
         CohortManifest.from_json(json.dumps(doc), "m")
-
-
-def test_left_hemisphere_mask_computed_once_and_read_only():
-    mask = left_hemisphere_mask((6, 4, 5))
-    assert left_hemisphere_mask((6, 4, 5)) is mask
-    assert mask.labels[:3].all() and not mask.labels[3:].any()
-    with pytest.raises(ValueError):
-        mask.labels[0, 0, 0] = 0
 
 
 def test_present_labels_equals_unique():

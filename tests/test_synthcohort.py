@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from strokepred import core, synthcohort
 from strokepred.rng import CounterRng
@@ -162,14 +162,9 @@ def test_non_causal_damage_does_not_move_score():
                        gamma=default_truth().gamma, delta=2.0,
                        noise_sd=0.0, base=62.0)
     spare = 5  # not causal
-    lesion_a = core.LabelVolume(
-        dims=SMALL.dims,
-        labels=(atlas.labels == spare).astype(np.uint16),
-        label_names={1: "lesion"})
+    lesion_a = atlas.labels == spare
     # grow the non-causal lesion into another non-causal parcel
-    grown = ((atlas.labels == spare) | (atlas.labels == 6)).astype(np.uint16)
-    lesion_b = core.LabelVolume(dims=SMALL.dims, labels=grown,
-                                label_names={1: "lesion"})
+    lesion_b = lesion_a | (atlas.labels == 6)
     la = subject_loads(lesion_a, atlas, truth.causal_rois)
     lb = subject_loads(lesion_b, atlas, truth.causal_rois)
     assert la == lb == {1: 0.0, 2: 0.0}
@@ -183,9 +178,70 @@ def test_severity_mirrors_causal_load_unless_unknown():
     truth = default_truth()
     for seed in range(10):
         _, lesion, record = gen_subject(SMALL, truth, seed, atlas)
-        total = sum(subject_loads(lesion, atlas, truth.causal_rois).values())
+        total = sum(subject_loads(lesion.labels == 1, atlas,
+                                  truth.causal_rois).values())
         if record.severity != "unknown":
             assert record.severity == severity_from_load(total, SMALL)
+
+
+# ---------------------------------------------------------------------------
+# Lesion loads and the left lesion size
+
+
+def _block_atlas(dims=(4, 4, 4)):
+    labels = np.zeros(dims, dtype=np.uint16)
+    labels[0:2, 0:2, 0:2] = 7  # an 8-voxel ROI
+    return core.LabelVolume(dims=dims, labels=labels,
+                            label_names={3: "empty_roi", 7: "roi"})
+
+
+def test_subject_loads_extremes_and_fraction():
+    atlas = _block_atlas()
+    disjoint = np.zeros(atlas.dims, dtype=bool)
+    disjoint[3, 3, 3] = True
+    partial = disjoint.copy()
+    partial[0, 0, 0] = partial[1, 1, 1] = True
+    assert subject_loads(atlas.labels == 7, atlas, [7]) == {7: 1.0}
+    assert subject_loads(disjoint, atlas, [7]) == {7: 0.0}
+    assert subject_loads(partial, atlas, [7]) == {7: 0.25}
+    assert subject_loads(partial, atlas, []) == {}
+
+
+@pytest.mark.parametrize("roi", [3, 9, 0, -1])
+def test_subject_loads_refuse_an_roi_with_no_voxels(roi):
+    # 3 is named but empty, 9 is no label, 0 is the background
+    atlas = _block_atlas()
+    with pytest.raises(ValueError, match=f"ROI {roi} has no voxels"):
+        subject_loads(np.ones(atlas.dims, dtype=bool), atlas, [7, roi])
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_subject_load_times_roi_size_is_the_brute_force_count(seed):
+    rng = np.random.default_rng(seed)
+    dims = (6, 5, 7)
+    atlas = core.LabelVolume(dims=dims, labels=rng.integers(0, 4, size=dims))
+    lesion = rng.integers(0, 2, size=dims).astype(bool)
+    rois = atlas.present_labels()
+    loads = subject_loads(lesion, atlas, rois)
+    assert list(loads) == rois
+    for roi in rois:
+        n_roi = int(np.count_nonzero(atlas.labels == roi))
+        brute = sum(1 for x, y, z in np.ndindex(dims)
+                    if atlas.labels[x, y, z] == roi and lesion[x, y, z])
+        assert abs(loads[roi] * n_roi - brute) < 1e-9
+
+
+def test_left_lesion_size_counts_lesion_voxels_left_of_the_midline():
+    cfg = SynthConfig(seed=471, n_subjects=10, dims=(33, 28, 25), n_rois=10)
+    atlas = gen_atlas(cfg)
+    on_the_midline = 0  # lesion voxels at x == 16, which count as right
+    for seed in range(cfg.n_subjects):
+        _, lesion, record = gen_subject(cfg, default_truth(), seed, atlas)
+        xs = np.argwhere(lesion.labels == 1)[:, 0]
+        assert record.left_lesion_size == sum(1 for x in xs if x < 33 // 2)
+        on_the_midline += int(np.count_nonzero(xs == 16))
+    assert on_the_midline
 
 
 def test_cohort_records_match_streamed_subjects():
@@ -241,6 +297,14 @@ def test_truth_validation():
                    delta=0.0, noise_sd=1.0, base=60.0)
     with pytest.raises(ValueError):
         TruthModel(causal_rois=(1,), betas=(1.0,), gamma={"severe": 1.0},
+                   delta=0.0, noise_sd=1.0, base=60.0)
+    with pytest.raises(ValueError, match=r"causal_rois repeat ROIs \[1\]"):
+        TruthModel(causal_rois=(1, 2, 1), betas=(1.0, 1.0, 1.0),
+                   gamma=default_truth().gamma, delta=0.0, noise_sd=1.0,
+                   base=60.0)
+    with pytest.raises(ValueError, match=r"unknown categories \['Severe'\]"):
+        TruthModel(causal_rois=(1,), betas=(1.0,),
+                   gamma={**default_truth().gamma, "Severe": 1.0},
                    delta=0.0, noise_sd=1.0, base=60.0)
 
 
