@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from strokepred import core
+from strokepred import core, synthcohort
 from strokepred.core import (
     DimensionMismatchError,
     FormatError,
@@ -131,6 +131,39 @@ def test_volumes_refuse_an_array_of_another_shape():
         Volume3D(dims=(4, 4, 5), data=np.zeros((4, 4, 4), dtype=np.float32))
     with pytest.raises(DimensionMismatchError):
         LabelVolume(dims=(4, 4, 5), labels=np.zeros((4, 4, 4), dtype=np.uint16))
+
+
+# --- lesion size -----------------------------------------------------------
+# A record's left_lesion_size counts the lesion voxels with x < nx // 2;
+# gen_subject is given a drawn lesion whose voxels are known.
+
+def left_lesion_size_of(monkeypatch, dims, lesion_mask):
+    config = synthcohort.SynthConfig(seed=5, n_subjects=10, dims=dims,
+                                     n_rois=4)
+    monkeypatch.setattr(synthcohort, "_sample_lesion",
+                        lambda config, rng, mask: lesion_mask)
+    _, lesion, record = synthcohort.gen_subject(
+        config, synthcohort.default_truth(), 0, synthcohort.gen_atlas(config))
+    assert np.array_equal(lesion.labels, lesion_mask)
+    return record.left_lesion_size
+
+
+def test_lesion_size_full_overlap(monkeypatch):
+    dims = (17, 16, 16)
+    # a lesion filling the grid covers the whole left half, x < 8
+    assert left_lesion_size_of(monkeypatch, dims,
+                               np.ones(dims, dtype=bool)) == 8 * 16 * 16
+
+
+def test_lesion_size_handcrafted(monkeypatch):
+    dims = (17, 16, 16)
+    coords = [(0, 0, 0), (7, 2, 3), (0, 15, 1), (8, 0, 0), (16, 15, 15)]
+    lesion_mask = np.zeros(dims, dtype=bool)
+    for x, y, z in coords:
+        lesion_mask[x, y, z] = True
+    expected = sum(1 for (x, _, _) in coords if x < 17 // 2)
+    assert expected == 3  # the midline x == 8 counts as right
+    assert left_lesion_size_of(monkeypatch, dims, lesion_mask) == expected
 
 
 # --- outcome labeling ------------------------------------------------------
