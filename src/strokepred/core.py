@@ -349,6 +349,10 @@ class CohortManifest:
         rows = [check_json(row, row_hints, f"{what} subject {i}",
                            required=row_hints)
                 for i, row in enumerate(doc.pop("subjects"))]
+        for i, row in enumerate(rows):  # ids name the files explain writes
+            if row["id"] in ("", ".", "..") or {"/", "\\"} & set(row["id"]):
+                raise ValueError(f"{what} subject {i}: id {row['id']!r} is "
+                                 "not a file name")
         paths = {key: {row["id"]: row.pop(key) for row in rows}
                  for key in ("volume", "lesion")}
         for key in ("atlas_labels", "tract_labels"):

@@ -51,7 +51,6 @@ class BalanceReport:
     max_smd: dict[str, float]  # covariate -> max pairwise standardized diff
     severity_counts: dict[str, dict[int, int]]  # category -> group -> count
     objective: float  # J = sum over covariates of max pairwise SMD
-    swaps_applied: int
     warnings: tuple[str, ...] = ()
 
 
@@ -180,7 +179,6 @@ def stratified_partition(records: Sequence[SubjectRecord], k: int = 5,
         sev_counts[r.severity][int(assign[i]) + 1] += 1
     report = BalanceReport(max_smd=max_smd, severity_counts=sev_counts,
                            objective=sum(max_smd.values()),
-                           swaps_applied=swaps,
                            warnings=tuple(warnings))
     assignment = {r.id: int(assign[i]) + 1 for i, r in enumerate(records)}
     return SplitPlan(assignment=assignment, balance=report, k=k)
@@ -356,11 +354,6 @@ class MetricsRow:
     precision: float
     f1: float
     auc: float
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-    threshold: float
     flags: tuple[str, ...] = ()  # metrics reported as 0 for want of a denominator
 
 
@@ -416,8 +409,7 @@ def metrics(probs: np.ndarray, labels: np.ndarray,
         accuracy=(tp + tn) / len(p),
         balanced_accuracy=(sens + spec) / 2.0,
         sensitivity=sens, specificity=spec, precision=prec, f1=f1,
-        auc=auc_val, tp=tp, fp=fp, tn=tn, fn=fn, threshold=threshold,
-        flags=tuple(flags))
+        auc=auc_val, flags=tuple(flags))
 
 
 def subgroup_metrics(probs: np.ndarray, labels: np.ndarray,
@@ -428,7 +420,6 @@ def subgroup_metrics(probs: np.ndarray, labels: np.ndarray,
     mask = np.array([s in SUBGROUP_SEVERITIES for s in severities])
     if not mask.any():
         return MetricsRow(**dict.fromkeys(METRIC_COLS, math.nan),
-                          tp=0, fp=0, tn=0, fn=0, threshold=0.5,
                           flags=("empty-subgroup",))
     return metrics(np.asarray(probs)[mask], np.asarray(labels)[mask])
 

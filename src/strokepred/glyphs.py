@@ -25,11 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import SubjectRecord, Volume3D, LabelVolume
+from .core import SubjectRecord, Volume3D
 from .imaging import (
     LayoutError,
+    PixelMap,
     RoiImageSpec,
-    RoiTilePlan,
     StitchSpec,
     downsample,
     roi_image,
@@ -166,8 +166,6 @@ def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
     if len(boxes) != 3:
         raise ValueError(f"need 3 glyph boxes, got {len(boxes)}")
     m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
-    if m < 6:
-        raise LayoutError(f"glyph boxes of {m}px are too small to draw into")
     r_min, r_max = max(1.0, 0.10 * m), 0.45 * m
     radius = r_min + (r_max - r_min) * _clamp01(record.left_lesion_size / size_ref)
     intensity = 0.25 + 0.75 * _clamp01(record.recovery_time / time_ref)
@@ -188,12 +186,12 @@ def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
 # Hybrid image builders
 
 
-def hybrid_stitched(volume: Volume3D, record: SubjectRecord,
-                    stitch_spec: StitchSpec, size_ref: float, time_ref: float,
+def hybrid_stitched(volume: Volume3D, stitch_spec: StitchSpec,
+                    boxes: Sequence[Box], record: SubjectRecord,
+                    size_ref: float, time_ref: float,
                     target: tuple[int, int]) -> np.ndarray:
-    """Stitched image with the 4 most-dorsal slices dropped and glyphs in 3
-    of the freed cells, area-average downsampled to ``target`` (w, h)."""
-    boxes = glyph_cell_boxes(stitch_spec)
+    """Stitched image with the 4 most-dorsal slices dropped and glyphs in
+    ``boxes``, area-average downsampled to ``target`` (w, h)."""
     base = stitch(volume, stitch_spec)
     return downsample(render_glyphs(record, size_ref, time_ref, base, boxes),
                       *target)
@@ -211,7 +209,8 @@ def glyph_cell_boxes(stitch_spec: StitchSpec) -> list[Box]:
             f"removed_cells must be the 4 most-dorsal slice cells {dorsal}, "
             f"got {tuple(sorted(stitch_spec.removed_cells))}")
     ny, nx = stitch_spec.slice_shape
-    return [(*stitch_spec.cell_origin(c), ny, nx) for c in dorsal[:3]]
+    return _drawable([(*stitch_spec.cell_origin(c), ny, nx)
+                      for c in dorsal[:3]])
 
 
 def glyph_strip_boxes(roi_spec: RoiImageSpec) -> list[Box]:
@@ -222,15 +221,22 @@ def glyph_strip_boxes(roi_spec: RoiImageSpec) -> list[Box]:
     strip_h = roi_spec.reserved_bottom
     bw = canvas_w // 3
     r0 = canvas_h - strip_h
-    return [(r0, i * bw, strip_h, bw) for i in range(3)]
+    return _drawable([(r0, i * bw, strip_h, bw) for i in range(3)])
 
 
-def hybrid_roi(volume: Volume3D, atlas: LabelVolume, plan: RoiTilePlan,
+def _drawable(boxes: list[Box]) -> list[Box]:
+    """``boxes``, refused if their smallest side is under 6 px."""
+    m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
+    if m < 6:
+        raise LayoutError(f"glyph boxes of {m}px are too small to draw into")
+    return boxes
+
+
+def hybrid_roi(volume: Volume3D, pmap: PixelMap, boxes: Sequence[Box],
                record: SubjectRecord, size_ref: float, time_ref: float,
                target: tuple[int, int]) -> np.ndarray:
-    """ROI tile image plus the three glyphs in the reserved bottom strip,
-    area-average downsampled to ``target`` (w, h)."""
-    boxes = glyph_strip_boxes(plan.spec)
-    base = roi_image(volume, atlas, plan)
+    """ROI tile image plus the three glyphs in ``boxes``, area-average
+    downsampled to ``target`` (w, h)."""
+    base = roi_image(volume, pmap)
     return downsample(render_glyphs(record, size_ref, time_ref, base, boxes),
                       *target)

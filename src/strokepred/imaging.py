@@ -12,17 +12,17 @@ in [0, 1]: renders copy ``Volume3D`` intensities, which lie in [0, 1], and
 
 ROI tiles are laid out ``TILE_GAP`` apart by one shelf packer,
 ``shelf_pack``: the tile plan places its tiles with it, and
-``pipeline.fit_roi_spec`` sizes a canvas with it.  An ROI render takes only
-the tile plan, which holds its spec.  The plan compiles, on its first
-render, one flat voxel index per canvas pixel (-1 where blank).  Every
-later render with that plan is a single gather from the volume.
+``pipeline.fit_roi_spec`` sizes a canvas with it.  The variant's layout
+compiles its tile plan over the atlas, once, into a ``PixelMap``: the flat
+voxel index each canvas pixel shows.  An ROI render takes only that map,
+which holds its canvas, and is a single gather from the volume.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,26 +163,26 @@ class RoiImageSpec:
 
 @dataclass(frozen=True)
 class PixelMap:
-    """Which voxel each canvas pixel of an ROI image displays.
+    """Which voxel each pixel of an ROI image's ``canvas`` displays.
 
     ``voxels`` are flat indices into ``data.ravel()`` of a ``data[x, y, z]``
-    volume, shown at the flat canvas positions ``shown``; every other pixel
-    is blank.  ``labels`` is the atlas label array the map was compiled
-    from.
+    volume of ``dims``, shown at the flat canvas positions ``shown``; every
+    other pixel is blank.
     """
 
-    labels: np.ndarray
+    dims: tuple[int, int, int]
+    canvas: tuple[int, int]  # (height, width)
     shown: np.ndarray
     voxels: np.ndarray
 
     @classmethod
-    def compile(cls, tiles, canvas: tuple[int, int],
-                atlas: LabelVolume) -> "PixelMap":
+    def compile(cls, plan: RoiTilePlan, atlas: LabelVolume) -> "PixelMap":
+        """The map of ``plan``'s tiles over ``atlas``'s labels."""
         nx, ny, nz = atlas.dims
         dtype = np.int32 if atlas.labels.size <= np.iinfo(np.int32).max \
             else np.int64
-        flat = np.full(canvas, -1, dtype=dtype)
-        for (label, z, x0, x1, y0, y1, row0, col0) in tiles:
+        flat = np.full(plan.spec.canvas, -1, dtype=dtype)
+        for (label, z, x0, x1, y0, y1, row0, col0) in plan.tiles:
             # tile row = voxel y, tile column = voxel x
             index = (np.arange(y0, y1, dtype=dtype)[:, None] * nz
                      + np.arange(x0, x1, dtype=dtype)[None, :] * (ny * nz) + z)
@@ -193,7 +193,8 @@ class PixelMap:
         voxels = flat.ravel()[shown]
         for arr in (shown, voxels):
             arr.flags.writeable = False
-        return cls(labels=atlas.labels, shown=shown, voxels=voxels)
+        return cls(dims=atlas.dims, canvas=plan.spec.canvas, shown=shown,
+                   voxels=voxels)
 
 
 @dataclass(frozen=True)
@@ -203,16 +204,6 @@ class RoiTilePlan:
     spec: RoiImageSpec
     # per tile: (label, z, x0, x1, y0, y1, row0, col0)
     tiles: tuple[tuple[int, int, int, int, int, int, int, int], ...]
-    # the PixelMap of the atlas this plan last rendered with
-    _compiled: list = field(default_factory=list, init=False, repr=False,
-                            compare=False)
-
-    def pixel_map(self, atlas: LabelVolume) -> PixelMap:
-        """The compiled map for ``atlas``, built on first use."""
-        if not self._compiled or self._compiled[0].labels is not atlas.labels:
-            self._compiled[:] = [PixelMap.compile(self.tiles, self.spec.canvas,
-                                                  atlas)]
-        return self._compiled[0]
 
 
 def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
@@ -272,13 +263,11 @@ def roi_crops(atlas: LabelVolume,
     return crops
 
 
-def roi_image(volume: Volume3D, atlas: LabelVolume,
-              plan: RoiTilePlan) -> np.ndarray:
-    """Render ROI crops (non-ROI pixels zeroed) onto the plan's canvas."""
-    if volume.dims != atlas.dims:
-        raise LayoutError(f"volume dims {volume.dims} != atlas dims {atlas.dims}")
-    pmap = plan.pixel_map(atlas)
-    canvas_h, canvas_w = plan.spec.canvas
+def roi_image(volume: Volume3D, pmap: PixelMap) -> np.ndarray:
+    """Render ROI crops (non-ROI pixels zeroed) onto the map's canvas."""
+    if volume.dims != pmap.dims:
+        raise LayoutError(f"volume dims {volume.dims} != atlas dims {pmap.dims}")
+    canvas_h, canvas_w = pmap.canvas
     pixels = np.zeros(canvas_h * canvas_w, dtype=np.float32)
     pixels[pmap.shown] = volume.data.ravel()[pmap.voxels]
     return pixels.reshape(canvas_h, canvas_w)

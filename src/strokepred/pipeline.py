@@ -2,9 +2,10 @@
 
 A run takes a cohort (in memory or on disk) through three steps, each on
 the one value the step before it returned.  ``prepare_run`` makes a
-``PreparedRun``: the partition, with group 5 sealed in its lock box, the
-tabular encoding whose normalizers come from the training groups (1-3)
-only, and one image variant laid out unrendered (``VariantData``).
+``PreparedRun``, in order: the image variant's layout (``VariantData``),
+which refuses what it cannot draw before any other work; the partition,
+with group 5 sealed in its lock box; and the tabular encoding whose
+normalizers come from the training groups (1-3) only.
 ``fit_run`` fixes every model and touches groups 1-4 only: it picks a
 learning rate by 4-fold cross-validation over groups 1-4 (``group_cv``),
 trains one model per seed on groups 1-3 and calibrates it on group 4; its
@@ -116,14 +117,19 @@ def paper_preset(config: RunConfig) -> RunConfig:
 # Cohort access
 
 
-def _read_kind(kind: type, path: Path, label_names=None):
-    """Read a VOL1 file that must hold a ``kind`` volume; a file of the
-    other kind is refused at its dtype code."""
+def _read_kind(kind: type, path: Path, dims: tuple[int, int, int],
+               label_names=None):
+    """Read a VOL1 file that must hold a ``kind`` volume of the manifest's
+    ``dims``; a file of the other kind is refused at its dtype code, one of
+    other dims at its dims."""
     volume = core.read_volume(path, label_names)
     if not isinstance(volume, kind):
         raise core.FormatError(
             f"{path} holds a {type(volume).__name__}, not a {kind.__name__}",
             16)
+    if volume.dims != dims:
+        raise core.FormatError(
+            f"{path} holds dims {volume.dims}, not the manifest's {dims}", 4)
     return volume
 
 
@@ -154,18 +160,19 @@ class CohortData:
     def from_directory(cls, path: str | Path) -> "CohortData":
         path = Path(path)
         manifest = CohortManifest.load(path)
-        atlas = _read_kind(LabelVolume, path / manifest.atlas_path,
+        dims = manifest.dims
+        atlas = _read_kind(LabelVolume, path / manifest.atlas_path, dims,
                            manifest.atlas_labels)
         tracts = None
         if manifest.tract_atlas_path is not None:
             tracts = _read_kind(LabelVolume, path / manifest.tract_atlas_path,
-                                manifest.tract_labels)
+                                dims, manifest.tract_labels)
         volume_paths = dict(manifest.volume_paths)
 
         def volume_of(subject_id: str) -> Volume3D:
-            return _read_kind(Volume3D, path / volume_paths[subject_id])
+            return _read_kind(Volume3D, path / volume_paths[subject_id], dims)
 
-        return cls(dims=manifest.dims, atlas=atlas, tracts=tracts,
+        return cls(dims=dims, atlas=atlas, tracts=tracts,
                    records=tuple(manifest.subjects), volume_of=volume_of)
 
     def labels_for(self, variant: str) -> LabelVolume:
@@ -221,20 +228,21 @@ def roi_label_canvas(plan: imaging.RoiTilePlan) -> np.ndarray:
 @dataclass(frozen=True)
 class VariantData:
     """A variant's network inputs, rendered on demand, and the explainer's
-    label map.  ``render(id)`` reads one subject's volume and renders it
-    with the layout and the train-only normalizers; ``images_of`` renders a
-    subject on its first request and keeps the image in ``images``."""
+    label map.  ``render(id, encoding)`` reads one subject's volume and
+    renders it with the layout and the encoding's train-only normalizers
+    (None once all are rendered); ``images_of`` renders a subject on its
+    first request and keeps the image in ``images``."""
 
     label_image: np.ndarray  # (S, S) ROI labels at input resolution
     full_shape: tuple[int, int]
-    render: Callable[[str], np.ndarray] | None  # None once all are rendered
+    render: Callable[[str, TabularEncoding], np.ndarray] | None
     images: dict[str, np.ndarray] = field(default_factory=dict)  # (S, S) f32
 
     @classmethod
-    def of(cls, cohort: CohortData, config: RunConfig, size_ref: float,
-           time_ref: float) -> "VariantData":
-        """The configured variant, unrendered; its layout depends on the
-        atlas, the dims and the config only, so no volume is read."""
+    def of(cls, cohort: CohortData, config: RunConfig) -> "VariantData":
+        """The configured variant's layout, unrendered: no volume is read.  It refuses what the variant cannot draw: no tract atlas, no
+        ROI labels or one with no voxels, a canvas under ``image_size``, or
+        glyph boxes under 6 px."""
         target = (config.image_size, config.image_size)
         hybrid = config.variant.startswith("hybrid")
         by_id = {r.id: r for r in cohort.records}
@@ -245,55 +253,72 @@ class VariantData:
                               tuple(range(nz - 4, nz)) if hybrid else ())
             label_full = imaging.stitched_label_image(
                 cohort.labels_for("gm-roi"), spec)
+            rois = ""
+            boxes = glyphs.glyph_cell_boxes(spec) if hybrid else None
 
-            def draw(volume, record):
+            def draw(volume, record, encoding):
                 if hybrid:
-                    return glyphs.hybrid_stitched(volume, record, spec,
-                                                  size_ref, time_ref, target)
+                    return glyphs.hybrid_stitched(
+                        volume, spec, boxes, record, encoding.size_ref,
+                        encoding.time_ref, target)
                 return imaging.downsample(imaging.stitch(volume, spec), *target)
         else:
             atlas = cohort.labels_for(config.variant)
-            plan = fit_roi_spec(
-                atlas, config.roi_labels or tuple(sorted(atlas.label_names)),
-                reserved_fraction=0.22 if hybrid else 0.0)
+            labels = config.roi_labels or tuple(sorted(atlas.label_names))
+            if not labels:
+                raise ConfigError(f"variant {config.variant!r}: the cohort's "
+                                  "atlas has no ROI labels to lay out")
+            missing = sorted(set(labels) - set(atlas.present_labels()))
+            if missing:
+                raise ConfigError(f"variant {config.variant!r}: ROI labels "
+                                  f"{missing} have no voxels in the cohort's "
+                                  "atlas")
+            plan = fit_roi_spec(atlas, labels,
+                                reserved_fraction=0.22 if hybrid else 0.0)
+            pmap = imaging.PixelMap.compile(plan, atlas)
             label_full = roi_label_canvas(plan)
+            rois = f" of {len(labels)} ROIs"
+            boxes = glyphs.glyph_strip_boxes(plan.spec) if hybrid else None
 
-            def draw(volume, record):
+            def draw(volume, record, encoding):
                 if hybrid:
-                    return glyphs.hybrid_roi(volume, atlas, plan, record,
-                                             size_ref, time_ref, target)
-                return imaging.downsample(
-                    imaging.roi_image(volume, atlas, plan), *target)
+                    return glyphs.hybrid_roi(
+                        volume, pmap, boxes, record, encoding.size_ref,
+                        encoding.time_ref, target)
+                return imaging.downsample(imaging.roi_image(volume, pmap),
+                                          *target)
 
         h, w = label_full.shape  # every render is downsampled from this
         if min(h, w) < config.image_size:
-            rois = ("" if config.variant.endswith("stitched")
-                    else f" of {len(plan.spec.roi_labels)} ROIs")
             raise ConfigError(
                 f"variant {config.variant!r}: the layout{rois} is {h}x{w} px, "
                 f"smaller than image_size {config.image_size}")
 
-        def render(subject_id: str) -> np.ndarray:
-            return draw(cohort.volume_of(subject_id), by_id[subject_id])
+        def render(subject_id: str, encoding: TabularEncoding) -> np.ndarray:
+            return draw(cohort.volume_of(subject_id), by_id[subject_id],
+                        encoding)
 
         return cls(label_image=downsample_labels(label_full, config.image_size),
                    full_shape=label_full.shape, render=render)
 
-    def images_of(self, ids: Sequence[str]) -> list[np.ndarray]:
-        """The images of ``ids`` in order, rendering those not yet held."""
+    def images_of(self, ids: Sequence[str],
+                  encoding: TabularEncoding) -> list[np.ndarray]:
+        """The images of ``ids`` in order, rendering those not yet held with
+        ``encoding``: the one encoding of the run that holds the layout."""
         for i in ids:
             if i not in self.images:
-                self.images[i] = self.render(i)
+                self.images[i] = self.render(i, encoding)
         return [self.images[i] for i in ids]
 
 
 def build_variant(cohort: CohortData, config: RunConfig,
                   size_ref: float, time_ref: float) -> VariantData:
     """Render every subject's image for the configured variant, downsampled
-    to the square network input.  The result drops its renderer, so no tile
-    plan outlives the call."""
-    data = VariantData.of(cohort, config, size_ref, time_ref)
-    data.images_of(sorted(r.id for r in cohort.records))
+    to the square network input.  The result drops its renderer, so no
+    pixel map outlives the call."""
+    data = VariantData.of(cohort, config)
+    data.images_of(sorted(r.id for r in cohort.records),
+                   TabularEncoding(size_ref, time_ref))
     return replace(data, render=None)
 
 
@@ -332,7 +357,8 @@ def assemble(run: PreparedRun, groups: Sequence[int],
                       dtype=np.float64)
     images = None
     if run.variant_data is not None:
-        images = np.stack(run.variant_data.images_of([r.id for r in records]))
+        images = np.stack(run.variant_data.images_of(
+            [r.id for r in records], run.encoding))
     tabular = None
     if run.config.model != "lightweight":
         tabular = run.encoding.design(records).astype(np.float64)
@@ -369,30 +395,14 @@ def _require_both_classes(records: Sequence[SubjectRecord],
                           f"and in group {VAL_GROUP}; " + "; ".join(problems))
 
 
-def _require_roi_layout(cohort: CohortData, config: RunConfig) -> None:
-    """Refuse an image model's ROI variant that cannot be laid out: its
-    atlas is missing, or its ROI labels are none or include one with no
-    voxels.  Reads the atlas only."""
-    if config.model == "logistic" or config.variant.endswith("stitched"):
-        return
-    atlas = cohort.labels_for(config.variant)
-    labels = config.roi_labels or tuple(sorted(atlas.label_names))
-    if not labels:
-        raise ConfigError(f"variant {config.variant!r}: the cohort's atlas "
-                          "has no ROI labels to lay out")
-    missing = sorted(set(labels) - set(atlas.present_labels()))
-    if missing:
-        raise ConfigError(f"variant {config.variant!r}: ROI labels {missing} "
-                          "have no voxels in the cohort's atlas")
-
-
 def prepare_run(cohort: CohortData, config: RunConfig,
                 audit_path: str | Path | None = None) -> PreparedRun:
-    """Partition, seal group 5 in a lock box (audited to ``audit_path`` if
-    given), derive the glyph and tabular normalizers from the training
-    groups only, as one audited access, and lay out the configured variant
-    unrendered."""
-    _require_roi_layout(cohort, config)
+    """Lay out the configured variant unrendered, refusing a layout it
+    cannot draw before any work; partition; seal group 5 in a lock box
+    (audited to ``audit_path`` if given); derive the glyph and tabular
+    normalizers from the training groups only, as one audited access."""
+    layout = None if config.model == "logistic" else \
+        VariantData.of(cohort, config)
     plan = evalharness.stratified_partition(cohort.records, k=5,
                                             seed=PARTITION_SEED)
     _require_both_classes(cohort.records, plan)
@@ -400,11 +410,7 @@ def prepare_run(cohort: CohortData, config: RunConfig,
     box.request(TRAIN_GROUPS, "feature-normalizers")
     encoding = TabularEncoding(*glyphs.normalizers_from_records(
         [r for r in cohort.records if plan.assignment[r.id] in TRAIN_GROUPS]))
-    data = None
-    if config.model != "logistic":
-        data = VariantData.of(cohort, config, encoding.size_ref,
-                              encoding.time_ref)
-    return PreparedRun(cohort, config, plan, box, encoding, data)
+    return PreparedRun(cohort, config, plan, box, encoding, layout)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +560,8 @@ def rank_rois(params: ModelParams, run: PreparedRun, n_explain: int,
     as ``roi-ranking``) and rank the ROIs by mean importance."""
     run.box.request(CV_GROUPS, "roi-ranking")
     ids = sorted(r.id for r in run.records_of(CV_GROUPS))
-    pool = dict(zip(ids, run.variant_data.images_of(ids)))  # float32 renders
+    # float32 renders
+    pool = dict(zip(ids, run.variant_data.images_of(ids, run.encoding)))
     return explain.explain_pool(
         lambda batch: learn.predict_proba(params, batch), pool,
         run.variant_data.label_image, n_explain=n_explain,
@@ -595,9 +602,8 @@ def roi_count_sweep(run: PreparedRun, ranking: explain.RoiRanking,
     def curve_row(k: int) -> tuple[int, float, float]:
         # k's renders and fits are freed before the next k is laid out
         k_config = replace(sweep_config, roi_labels=ranking.rois[:k])
-        k_run = replace(run, config=k_config, variant_data=VariantData.of(
-            run.cohort, k_config, run.encoding.size_ref,
-            run.encoding.time_ref))
+        k_run = replace(run, config=k_config,
+                        variant_data=VariantData.of(run.cohort, k_config))
         _, losses, fits = group_cv(k_run, f"roi-sweep-k{k}")
         accs = [evalharness.metrics(learn.predict_proba(params, val.images),
                                     val.labels).balanced_accuracy

@@ -28,6 +28,10 @@ And every parameter of a function or method, nested ones included, must
 be read in its body: one left behind when its use moved elsewhere is an
 argument every caller still passes for nothing.  ``self``, ``cls`` and
 ``_``-prefixed names are exempt, and lambdas are not scanned.
+
+Likewise every field of a dataclass must be read by the program or the
+benchmark, as an attribute or by its name as a string: a field only
+written is state no one consults.
 """
 
 import ast
@@ -180,3 +184,63 @@ def test_every_parameter_is_read():
               for path, name, param, lineno in _unread_parameters()]
     assert unread == [], "parameters their function never reads: " + \
         ", ".join(unread)
+
+
+# Fields set but read nowhere yet, each for a stated reason; each is
+# asserted still unread, so the list can only shrink.
+UNREAD_FIELDS = {
+    # the partition group, which waits for ROADMAP direction 15
+    ("SubjectRecord", "group"),
+    # the benchmark's selection check builds a ranking with it
+    # (deskbench/tests/test_checks.py::test_selection_check)
+    ("RoiRanking", "n_explanations"),
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        d = d.func if isinstance(d, ast.Call) else d
+        if getattr(d, "id", getattr(d, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _dataclass_fields():
+    """(module file, class name, field name, line number) per annotated
+    field of every dataclass in ``src/``."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or not _is_dataclass(node):
+                continue
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) \
+                        and isinstance(stmt.target, ast.Name):
+                    yield path, node.name, stmt.target.id, stmt.lineno
+
+
+def _field_reads() -> set[str]:
+    """Every attribute read, and every string constant, in the program and
+    the benchmark, tests excluded: a field is read by attribute, or by its
+    name as a string (``getattr``, a JSON key, a column list)."""
+    read = set()
+    for tree in _user_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                read.add(node.value)
+    return read
+
+
+def test_every_dataclass_field_is_read():
+    read = _field_reads()
+    unread = {(cls, name): f"{path.name}:{lineno} {cls}.{name}"
+              for path, cls, name, lineno in _dataclass_fields()
+              if name not in read}
+    assert [unread[k] for k in sorted(set(unread) - UNREAD_FIELDS)] == [], \
+        "dataclass fields nothing in the program or the benchmark reads"
+    assert sorted(UNREAD_FIELDS - set(unread)) == [], \
+        "read now, so drop them from UNREAD_FIELDS"

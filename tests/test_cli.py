@@ -125,19 +125,31 @@ def _with_empty_tract_atlas(cohort):
                       cohort / "tracts.vol")
 
 
-@pytest.mark.parametrize("run_cfg,edit,named", [
+TINY_SYNTH = ("--subjects", "10", "--dims", "16")
+
+
+@pytest.mark.parametrize("run_cfg,edit,named,synth", [
     ({"variant": "gm-roi", "roi_labels": [2, 99]}, None,
-     ["'gm-roi'", "ROI labels [99]"]),
+     ["'gm-roi'", "ROI labels [99]"], TINY_SYNTH),
     ({"variant": "wm-roi"}, _without_tract_atlas,
-     ["no tract atlas for variant 'wm-roi'"]),
+     ["no tract atlas for variant 'wm-roi'"], TINY_SYNTH),
     ({"variant": "hybrid-wm-roi"}, _with_empty_tract_atlas,
-     ["'hybrid-wm-roi'", "no ROI labels"]),
-], ids=["roi-99", "no-tract-atlas", "empty-tract-atlas"])
+     ["'hybrid-wm-roi'", "no ROI labels"], TINY_SYNTH),
+    # cohorts with both outcome classes in groups 1-4, so only the layout
+    # can stop the run before the seal
+    ({"roi_labels": [6]}, None,
+     ["the layout of 1 ROIs is 34x34 px, smaller than image_size 64"],
+     ("--subjects", "100", "--dims", "32", "--seed", "12")),
+    ({"variant": "hybrid-gm-roi", "roi_labels": [1], "image_size": 8,
+      "channels": [4]}, None,
+     ["glyph boxes of 4px are too small to draw into"],
+     ("--subjects", "100", "--dims", "20", "--seed", "3")),
+], ids=["roi-99", "no-tract-atlas", "empty-tract-atlas", "canvas-too-small",
+        "glyph-boxes-too-small"])
 def test_run_refuses_an_roi_variant_it_cannot_lay_out(run_cfg, edit, named,
-                                                      tmp_path, capsys):
+                                                      synth, tmp_path, capsys):
     cohort = tmp_path / "c"
-    assert main(["synth", "--out", str(cohort), "--subjects", "10",
-                 "--dims", "16"]) == EXIT_OK
+    assert main(["synth", "--out", str(cohort), *synth]) == EXIT_OK
     if edit is not None:
         edit(cohort)
     cfg = tmp_path / "cfg.json"
@@ -343,6 +355,55 @@ def test_run_refuses_a_volume_file_of_the_wrong_kind(key, cohort_dir, tmp_path,
                  "--seeds", "1", "--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert str(cohort / wrong) in err and "byte offset 16" in err
+
+
+@pytest.mark.parametrize("key", ["volume", "atlas_path"])
+def test_run_refuses_a_volume_file_of_other_dims(key, cohort_dir, tmp_path,
+                                                 monkeypatch, capsys):
+    # a subject's volume, or the atlas, cut to 30 slices in a 32^3 cohort
+    cohort = tmp_path / "cohort"
+    shutil.copytree(cohort_dir, cohort)
+    doc = json.loads((cohort / "manifest.json").read_text())
+    group_of = _group_of(cohort_dir)  # a subject read before any training
+    row = next(r for r in doc["subjects"] if group_of[r["id"]] != 5)
+    path = cohort / (row["volume"] if key == "volume" else doc["atlas_path"])
+    volume = core.read_volume(path)
+    if key == "volume":
+        cut = core.Volume3D((32, 32, 30), volume.data[:, :, :30])
+    else:
+        cut = core.LabelVolume((32, 32, 30), volume.labels[:, :, :30])
+    core.write_volume(cut, path)
+    monkeypatch.setattr(learn, "train", _fail_if_trained)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(RUN_CFG))
+    assert main(["run", "--cohort", str(cohort), "--out", str(tmp_path / "r"),
+                 "--seeds", "1", "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert str(path) in err and "byte offset 4" in err
+    assert "(32, 32, 30), not the manifest's (32, 32, 32)" in err
+
+
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "../../escaped-s0001",
+                                    "a\\b", "sub/s0001"])
+def test_run_refuses_a_subject_id_that_is_not_a_file_name(
+        bad_id, cohort_dir, tmp_path, capsys):
+    # explain names its files after the ids, so "../x" would write outside
+    # --out
+    cohort = tmp_path / "cohort"
+    cohort.mkdir()
+    doc = json.loads((cohort_dir / "manifest.json").read_text())
+    doc["subjects"][3]["id"] = bad_id
+    (cohort / "manifest.json").write_text(json.dumps(doc))
+    out = tmp_path / "r"
+    assert main(["run", "--cohort", str(cohort), "--out", str(out),
+                 "--seeds", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    for text in (str(cohort / "manifest.json"), "subject 3", repr(bad_id)):
+        assert text in err
+    assert not out.exists()
+    # the ids synth writes pass
+    assert all(re.fullmatch(r"s\d{4}", r.id) for r in
+               core.CohortManifest.load(cohort_dir).subjects)
 
 
 def test_run_refuses_a_training_group_without_both_classes(tmp_path,

@@ -5,6 +5,7 @@ from strokepred.core import LabelVolume, SubjectRecord, Volume3D
 from strokepred.glyphs import (
     SEVERITY_SYMBOLS,
     GlyphOverlapError,
+    glyph_cell_boxes,
     glyph_strip_boxes,
     hybrid_roi,
     hybrid_stitched,
@@ -15,6 +16,7 @@ from strokepred.glyphs import (
 )
 from strokepred.imaging import (
     LayoutError,
+    PixelMap,
     RoiImageSpec,
     StitchSpec,
     downsample,
@@ -152,11 +154,20 @@ def test_render_requires_empty_boxes():
         render_glyphs(make_record(), SIZE_REF, TIME_REF, canvas, boxes_for())
 
 
-def test_render_rejects_boxes_under_6px():
-    boxes = boxes_for(6)
-    boxes[1] = (0, 6, 5, 6)  # one box 5 px high
+def test_glyph_boxes_under_6px_are_refused():
+    # a strip 5 px high, and boxes 5 px wide on a 17 px wide canvas
+    for canvas, reserved, m in (((40, 30), 5, 5), ((40, 17), 10, 5)):
+        roi_spec = RoiImageSpec(roi_labels=(), canvas=canvas,
+                                reserved_bottom=reserved)
+        with pytest.raises(LayoutError,
+                           match=f"glyph boxes of {m}px are too small"):
+            glyph_strip_boxes(roi_spec)
+    assert glyph_strip_boxes(RoiImageSpec(roi_labels=(), canvas=(40, 18),
+                                          reserved_bottom=6))
     with pytest.raises(LayoutError, match="glyph boxes of 5px are too small"):
-        render_glyphs(make_record(), SIZE_REF, TIME_REF, blank(6), boxes)
+        glyph_cell_boxes(StitchSpec((8, 5, 16), removed_cells=(12, 13, 14, 15)))
+    assert glyph_cell_boxes(StitchSpec((8, 6, 16),
+                                       removed_cells=(12, 13, 14, 15)))
 
 
 def test_render_draws_into_the_canvas_it_is_given():
@@ -191,15 +202,14 @@ HYBRID_SPEC = StitchSpec(DIMS, removed_cells=(12, 13, 14, 15))
 
 
 def hybrid(volume, record, target=FULL):
-    return hybrid_stitched(volume, record, HYBRID_SPEC, SIZE_REF, TIME_REF,
-                           target)
+    return hybrid_stitched(volume, HYBRID_SPEC, glyph_cell_boxes(HYBRID_SPEC),
+                           record, SIZE_REF, TIME_REF, target)
 
 
 def test_hybrid_stitched_requires_dorsal_cells():
     bad = StitchSpec(DIMS, removed_cells=(0, 1, 2, 3))
     with pytest.raises(LayoutError):
-        hybrid_stitched(make_volume(DIMS), make_record(), bad, SIZE_REF,
-                        TIME_REF, FULL)
+        glyph_cell_boxes(bad)
 
 
 def test_hybrid_stitched_locality():
@@ -253,11 +263,17 @@ def make_seven_roi_atlas(dims=(24, 24, 6)):
     return LabelVolume(dims=dims, labels=labels)
 
 
+def pixel_map(atlas, roi_spec):
+    return PixelMap.compile(plan_roi_tiles(atlas, roi_spec), atlas)
+
+
 def hybrid_roi_full(volume, atlas, roi_spec, record):
-    """Hybrid ROI image at canvas resolution, with the spec's tile plan."""
+    """Hybrid ROI image at canvas resolution, with the spec's tile plan and
+    glyph boxes."""
     canvas_h, canvas_w = roi_spec.canvas
-    return hybrid_roi(volume, atlas, plan_roi_tiles(atlas, roi_spec), record,
-                      SIZE_REF, TIME_REF, (canvas_w, canvas_h))
+    return hybrid_roi(volume, pixel_map(atlas, roi_spec),
+                      glyph_strip_boxes(roi_spec), record, SIZE_REF, TIME_REF,
+                      (canvas_w, canvas_h))
 
 
 def test_hybrid_roi_glyphs_only_when_no_rois():
@@ -277,7 +293,7 @@ def test_hybrid_roi_strip_disjoint_from_tiles():
                                 reserved_bottom=reserved)
         img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
         strip_start = canvas[0] - reserved
-        shown = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas).shown
+        shown = pixel_map(atlas, roi_spec).shown
         assert np.all(shown // canvas[1] < strip_start)  # no tile in the strip
         assert np.any(img[strip_start:, :] > 0)  # glyphs present
 
@@ -289,7 +305,7 @@ def test_hybrid_roi_seven_rois_plus_three_glyphs():
     roi_spec = RoiImageSpec(roi_labels=tuple(range(1, 8)), canvas=(48, 96),
                             reserved_bottom=24)
     img = hybrid_roi_full(vol, atlas, roi_spec, make_record())
-    pmap = plan_roi_tiles(atlas, roi_spec).pixel_map(atlas)
+    pmap = pixel_map(atlas, roi_spec)
     assert set(atlas.labels.ravel()[pmap.voxels].tolist()) == set(range(1, 8))
     assert np.all(img.ravel()[pmap.shown] == np.float32(0.8))
     for (r0, c0, bh, bw) in glyph_strip_boxes(roi_spec):

@@ -7,6 +7,7 @@ from strokepred.core import LabelVolume, Volume3D
 from strokepred.imaging import (
     CanvasOverflowError,
     LayoutError,
+    PixelMap,
     RoiImageSpec,
     StitchSpec,
     downsample,
@@ -35,8 +36,8 @@ def stitch_pixel(spec, voxel):
 
 def voxel_map(atlas, plan):
     """(h, w, 3) voxel (x, y, z) each ROI canvas pixel shows, -1 if blank,
-    from the plan's compiled pixel map."""
-    pmap = plan.pixel_map(atlas)
+    from the plan's pixel map over ``atlas``."""
+    pmap = PixelMap.compile(plan, atlas)
     out = np.full((*plan.spec.canvas, 3), -1, dtype=np.int64)
     out.reshape(-1, 3)[pmap.shown] = np.stack(
         np.unravel_index(pmap.voxels, atlas.dims), axis=1)
@@ -192,7 +193,7 @@ def test_roi_image_masks_and_packs():
     vol = make_volume((6, 6, 3), seed=13)
     plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2),
                                               canvas=(12, 12)))
-    img = roi_image(vol, atlas, plan)
+    img = roi_image(vol, PixelMap.compile(plan, atlas))
     vmap = voxel_map(atlas, plan)
     nz = np.argwhere(img > 0)
     assert len(nz) > 0
@@ -211,7 +212,7 @@ def test_roi_image_no_foreign_voxels():
     data = np.full((6, 6, 3), 0.9, np.float32)  # bright everywhere
     vol = Volume3D(dims=(6, 6, 3), data=data)
     plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1,), canvas=(8, 8)))
-    img = roi_image(vol, atlas, plan)
+    img = roi_image(vol, PixelMap.compile(plan, atlas))
     mapped = voxel_map(atlas, plan)[..., 0] >= 0
     assert np.all(img[~mapped] == 0.0)
     count_roi1 = int(np.sum(atlas.labels == 1))
@@ -221,7 +222,7 @@ def test_roi_image_no_foreign_voxels():
 def test_roi_image_provenance_injective():
     atlas = make_two_roi_atlas()
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12))
-    voxels = plan_roi_tiles(atlas, spec).pixel_map(atlas).voxels
+    voxels = PixelMap.compile(plan_roi_tiles(atlas, spec), atlas).voxels
     assert len(set(voxels.tolist())) == len(voxels)
 
 
@@ -246,7 +247,7 @@ def test_roi_image_reserved_bottom_left_blank():
     atlas = make_two_roi_atlas()
     vol = make_volume((6, 6, 3), seed=23)
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(14, 8), reserved_bottom=4)
-    img = roi_image(vol, atlas, plan_roi_tiles(atlas, spec))
+    img = roi_image(vol, PixelMap.compile(plan_roi_tiles(atlas, spec), atlas))
     assert np.all(img[10:, :] == 0.0)
 
 
@@ -263,8 +264,8 @@ def test_roi_order_follows_label_ranking():
                                                 canvas=(12, 12)))
     b_plan = plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(2, 1),
                                                 canvas=(12, 12)))
-    a = roi_image(vol, atlas, a_plan)
-    b = roi_image(vol, atlas, b_plan)
+    a = roi_image(vol, PixelMap.compile(a_plan, atlas))
+    b = roi_image(vol, PixelMap.compile(b_plan, atlas))
     # first tile differs: ranking order controls placement
     assert voxel_map(atlas, a_plan)[0, 0, 2] == 0  # ROI 1 lives on z=0
     assert voxel_map(atlas, b_plan)[0, 0, 2] in (1, 2)  # ROI 2 slices first
@@ -328,7 +329,7 @@ def test_roi_image_equals_per_tile_reference(order, reserved):
     plan = plan_roi_tiles(atlas, spec)
     for seed in (3, 4):
         vol = make_volume(atlas.dims, seed=seed)
-        img = roi_image(vol, atlas, plan)
+        img = roi_image(vol, PixelMap.compile(plan, atlas))
         pixels, prov = reference_roi_image(vol, atlas, plan)
         assert img.tobytes() == pixels.tobytes()
         assert np.array_equal(voxel_map(atlas, plan), prov)
@@ -339,9 +340,8 @@ def test_roi_plan_recompiles_for_another_atlas():
     spec = RoiImageSpec(roi_labels=(1, 2), canvas=(60, 60))
     plan = plan_roi_tiles(rois, spec)
     vol = make_volume(rois.dims, seed=5)
-    roi_image(vol, rois, plan)
-    # same geometry, other labels: the map must follow the atlas passed in
-    img = roi_image(vol, tracts, plan)
+    # same geometry, other labels: the map follows the atlas it compiled
+    img = roi_image(vol, PixelMap.compile(plan, tracts))
     pixels, prov = reference_roi_image(vol, tracts, plan)
     assert img.tobytes() == pixels.tobytes()
     assert np.array_equal(voxel_map(tracts, plan), prov)
@@ -351,10 +351,9 @@ def test_roi_provenance_shared_and_read_only():
     atlas, _ = synthetic_atlases()
     spec = RoiImageSpec(roi_labels=(1, 3), canvas=(60, 60))
     plan = plan_roi_tiles(atlas, spec)
-    pmap = plan.pixel_map(atlas)
-    a = roi_image(make_volume(atlas.dims, seed=1), atlas, plan)
-    b = roi_image(make_volume(atlas.dims, seed=2), atlas, plan)
-    assert plan.pixel_map(atlas) is pmap  # compiled once, shared by renders
+    pmap = PixelMap.compile(plan, atlas)
+    a = roi_image(make_volume(atlas.dims, seed=1), pmap)
+    b = roi_image(make_volume(atlas.dims, seed=2), pmap)
     with pytest.raises(ValueError):
         pmap.voxels[0] = 7
     assert not np.shares_memory(a, b)

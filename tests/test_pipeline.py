@@ -271,10 +271,10 @@ def test_build_variant_shapes_and_determinism(tiny_cohort, variant):
 @pytest.mark.parametrize("variant", pipeline.VARIANTS)
 def test_every_render_is_a_float32_square_in_the_unit_range(tiny_cohort,
                                                             variant):
-    size_ref, time_ref = glyphs.normalizers_from_records(tiny_cohort.records)
-    data = pipeline.VariantData.of(tiny_cohort, fast_config(variant=variant),
-                                   size_ref, time_ref)
-    for img in data.images_of([r.id for r in tiny_cohort.records]):
+    encoding = learn.TabularEncoding(
+        *glyphs.normalizers_from_records(tiny_cohort.records))
+    data = pipeline.VariantData.of(tiny_cohort, fast_config(variant=variant))
+    for img in data.images_of([r.id for r in tiny_cohort.records], encoding):
         assert img.dtype == np.float32 and img.shape == (32, 32)
         assert 0.0 <= img.min() and img.max() <= 1.0
 
@@ -314,9 +314,9 @@ def test_labels_for_missing_tracts_raises(tiny_cohort):
 
 
 def test_roi_subset_changes_canvas(tiny_cohort):
-    full = pipeline.VariantData.of(tiny_cohort, fast_config(), 2000.0, 900.0)
-    sub = pipeline.VariantData.of(
-        tiny_cohort, fast_config(roi_labels=(1, 2, 3)), 2000.0, 900.0)
+    full = pipeline.VariantData.of(tiny_cohort, fast_config())
+    sub = pipeline.VariantData.of(tiny_cohort,
+                                  fast_config(roi_labels=(1, 2, 3)))
     assert set(np.unique(sub.label_image)) - {0} <= {1, 2, 3}
     assert sub.full_shape[0] < full.full_shape[0]
 
@@ -330,11 +330,12 @@ def test_variant_data_renders_each_subject_once_on_request(tiny_cohort):
 
     cohort = replace(tiny_cohort, volume_of=volume_of)
     config = fast_config(variant="hybrid-gm-roi")
-    data = pipeline.VariantData.of(cohort, config, 2000.0, 900.0)
+    data = pipeline.VariantData.of(cohort, config)
     assert reads == [] and data.images == {}  # the layout reads no volume
+    encoding = learn.TabularEncoding(2000.0, 900.0)
     ids = [r.id for r in tiny_cohort.records]
-    first = data.images_of(ids[3:5])
-    again = data.images_of(ids[:5])
+    first = data.images_of(ids[3:5], encoding)
+    again = data.images_of(ids[:5], encoding)
     assert reads == ids[3:5] + ids[:3]
     assert again[3] is first[0] and again[4] is first[1]
     full = pipeline.build_variant(tiny_cohort, config, 2000.0, 900.0)
@@ -343,21 +344,29 @@ def test_variant_data_renders_each_subject_once_on_request(tiny_cohort):
 
 
 def test_build_variant_keeps_no_tile_plan(tiny_cohort, monkeypatch):
-    # a renderer left on the result would keep its plan (and the plan's
-    # compiled pixel map) alive as long as the images
-    plans = []
+    # a renderer left on the result would keep the layout's pixel map alive
+    # as long as the images; the plan goes with the layout step
+    plans, maps = [], []
     fit_roi_spec = pipeline.fit_roi_spec
+    compile_map = imaging.PixelMap.compile
 
     def recording(*args, **kwargs):
         plan = fit_roi_spec(*args, **kwargs)
         plans.append(weakref.ref(plan))
         return plan
 
+    def recording_map(plan, atlas):
+        pmap = compile_map(plan, atlas)
+        maps.append(weakref.ref(pmap))
+        return pmap
+
     monkeypatch.setattr(pipeline, "fit_roi_spec", recording)
+    monkeypatch.setattr(imaging.PixelMap, "compile", recording_map)
     data = pipeline.build_variant(
         tiny_cohort, fast_config(variant="hybrid-gm-roi"), 2000.0, 900.0)
     gc.collect()
     assert len(plans) == 1 and plans[0]() is None
+    assert len(maps) == 1 and maps[0]() is None
     assert data.render is None
     assert sorted(data.images) == sorted(r.id for r in tiny_cohort.records)
 
