@@ -195,10 +195,16 @@ class LabelVolume:
         object.__setattr__(self, "label_names", names)
         self.labels.flags.writeable = False
 
+    @functools.cached_property
+    def label_counts(self) -> np.ndarray:
+        """Voxels per label value, 0..max label (read-only, counted once)."""
+        counts = np.bincount(self.labels.ravel())
+        counts.flags.writeable = False
+        return counts
+
     def present_labels(self) -> list[int]:
         """Nonzero labels that occur, ascending."""
-        counts = np.bincount(self.labels.ravel())
-        return [int(v) for v in np.flatnonzero(counts[1:]) + 1]
+        return [int(v) for v in np.flatnonzero(self.label_counts[1:]) + 1]
 
 
 @dataclass

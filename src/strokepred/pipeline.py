@@ -278,7 +278,13 @@ class VariantData:
             pmap = imaging.PixelMap.compile(plan, atlas)
             label_full = roi_label_canvas(plan)
             rois = f" of {len(labels)} ROIs"
-            boxes = glyphs.glyph_strip_boxes(plan.spec) if hybrid else None
+            try:
+                boxes = glyphs.glyph_strip_boxes(plan.spec) if hybrid else None
+            except imaging.LayoutError as exc:  # as wide as the tiles
+                raise ConfigError(
+                    f"variant {config.variant!r}, layout{rois}: {exc}; naming "
+                    "more ROIs in roi_labels widens the glyph strip, "
+                    "image_size does not help") from exc
 
             def draw(volume, record, encoding):
                 if hybrid:

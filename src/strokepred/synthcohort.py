@@ -5,6 +5,13 @@ Everything here is driven by the counter-based generator in ``rng``; a
 cohorts regenerate bit-identically and subjects can be built in parallel or
 streamed one at a time without storing the whole cohort.
 
+``_draw`` makes every draw of a subject's stream, in one fixed order:
+lesions, background phases and frequencies, the unknown-severity
+overwrite, recovery time, score noise.  It composes no volume, so the
+records alone cost no intensity volume; ``gen_subject`` composes the
+volume and lesion from its draws.  The atlases' Voronoi distances are
+squared voxel offsets, computed exactly in integers.
+
 The outcome rule is deliberately simple: damage to a small set of causal
 atlas regions lowers the score, initial severity carries a penalty, longer
 recovery time helps.  Nothing anatomical is being modeled.
@@ -25,6 +32,7 @@ from .core import LabelVolume, SubjectRecord, Volume3D
 from .rng import CounterRng
 
 SEVERITY_FROM_LOAD = ("severe", "moderate", "mild", "normal")
+N_LEFT_ROIS = 12  # ROI labels 1..12 lie in the left hemisphere
 
 
 @dataclass(frozen=True)
@@ -77,7 +85,7 @@ class SynthConfig:
     seed: int = 2024
     n_subjects: int = 400
     dims: tuple[int, int, int] = (64, 64, 64)
-    n_rois: int = 20  # labels 1..12 left hemisphere, 13..n right
+    n_rois: int = 20  # labels 1..N_LEFT_ROIS left hemisphere, the rest right
     n_tracts: int = 12
     lesion_count: tuple[int, int] = (1, 3)
     lesion_radius: tuple[float, float] = (4.0, 11.0)  # ellipsoid semi-axes
@@ -109,6 +117,18 @@ class SynthConfig:
         t = self.severity_thresholds
         if not t[0] > t[1] > t[2] > 0:
             raise ValueError("severity thresholds must be strictly decreasing")
+        # atlas_sites draws distinct brain voxels until each site has one;
+        # the left hemisphere of a 16^3 grid already holds 740 for its 12
+        mask = brain_mask(self.dims)
+        n_right = self.n_rois - min(N_LEFT_ROIS, self.n_rois)
+        right = int(np.count_nonzero(mask[self.dims[0] // 2:]))
+        if n_right > right:
+            raise ValueError(
+                f"n_rois {self.n_rois} puts {n_right} ROI sites in the right "
+                f"hemisphere, which holds {right} brain voxels")
+        if self.n_tracts > np.count_nonzero(mask):
+            raise ValueError(f"n_tracts {self.n_tracts} exceeds the "
+                             f"{np.count_nonzero(mask)} brain voxels")
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "SynthConfig":
@@ -164,18 +184,16 @@ def _axes(dims, start=(0, 0, 0)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def atlas_sites(config: SynthConfig, kind: str = "rois") -> np.ndarray:
     """(n, 3) integer site voxels, distinct, inside the brain mask.
 
-    For kind="rois" the first min(12, n) sites are constrained to the left
-    hemisphere (x < nx/2), the rest to the right; tract sites are
+    For kind="rois" the first min(N_LEFT_ROIS, n) sites are constrained to
+    the left hemisphere (x < nx/2), the rest to the right; tract sites are
     unconstrained.  Deterministic in config.seed.
     """
     if kind not in ("rois", "tracts"):
         raise ValueError(f"unknown atlas kind {kind!r}")
     n = config.n_rois if kind == "rois" else config.n_tracts
     nx, ny, nz = config.dims
-    mask = brain_mask(config.dims)
-    if n > int(mask.sum()):
-        raise ValueError(f"{n} sites exceed {int(mask.sum())} brain voxels")
-    n_left = min(12, n) if kind == "rois" else 0
+    mask = brain_mask(config.dims)  # SynthConfig checked there is room
+    n_left = min(N_LEFT_ROIS, n) if kind == "rois" else 0
     rng = CounterRng(config.seed, "atlas", kind)
     sites: list[tuple[int, int, int]] = []
     taken = set()
@@ -198,18 +216,32 @@ def atlas_sites(config: SynthConfig, kind: str = "rois") -> np.ndarray:
 
 
 def gen_atlas(config: SynthConfig, kind: str = "rois") -> LabelVolume:
-    """Voronoi parcellation of the brain mask; ties go to the lowest label."""
-    sites = atlas_sites(config, kind)
-    mask = brain_mask(config.dims)
-    x, y, z = _axes(config.dims)
-    best = np.full(config.dims, np.inf)
-    labels = np.zeros(config.dims, dtype=np.uint16)
-    for i, (sx, sy, sz) in enumerate(sites):
-        d2 = (x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2
-        closer = d2 < best  # strict: earlier (lower) label wins ties
-        labels[closer] = i + 1
-        best[closer] = d2[closer]
-    labels[~mask] = 0
+    """Voronoi parcellation of the brain mask; ties go to the lowest label.
+
+    Squared distances are exact, in the smallest signed integer type that
+    holds the largest one the grid can reach (int16 up to 105^3 voxels).
+    """
+    reach = sum((n - 1) ** 2 for n in config.dims)
+    dtype = next(t for t in (np.int16, np.int32, np.int64)
+                 if reach <= np.iinfo(t).max)
+    sites = atlas_sites(config, kind).astype(dtype)
+    axes = [np.arange(n, dtype=dtype) for n in config.dims]
+
+    def distance2(site, out=None):
+        dx2, dy2, dz2 = ((axis - s) ** 2 for axis, s in zip(axes, site))
+        return np.add((dx2[:, None] + dy2[None, :])[:, :, None], dz2,
+                      out=out)
+
+    best = distance2(sites[0])  # site 1 is nearest until another is closer
+    labels = np.ones(config.dims, dtype=np.uint16)
+    d2 = np.empty_like(best)
+    closer = np.empty(config.dims, dtype=bool)
+    for label, site in enumerate(sites[1:], start=2):
+        distance2(site, out=d2)
+        np.less(d2, best, out=closer)  # strict: the lower label wins ties
+        np.minimum(best, d2, out=best)
+        np.copyto(labels, label, where=closer)
+    labels *= brain_mask(config.dims)  # 0 outside the brain
     prefix = "roi" if kind == "rois" else "tract"
     names = {i + 1: f"{prefix}{i + 1:02d}" for i in range(len(sites))}
     return LabelVolume(dims=config.dims, labels=labels, label_names=names)
@@ -279,11 +311,11 @@ def _sample_lesion(config: SynthConfig, rng: CounterRng,
 SLAB_BYTES = 256 * 1024
 
 
-def _intensity(config: SynthConfig, rng: CounterRng, mask: np.ndarray,
-               lesion_mask: np.ndarray) -> np.ndarray:
+def _intensity(config: SynthConfig, background: tuple[tuple, tuple],
+               mask: np.ndarray, lesion_mask: np.ndarray) -> np.ndarray:
     """The subject's float32 intensity volume: a smooth background in
     [0.05, 0.95] inside the brain mask, scaled by 0.3 in the lesion, 0
-    outside.
+    outside.  ``background`` holds the drawn (phases, freqs).
 
     Each voxel is ``clip(((0.55 + X) + Y) + Z)`` in float64, then times 1
     or 0 for the mask (exact), times 0.3 in the lesion, rounded once to
@@ -292,8 +324,7 @@ def _intensity(config: SynthConfig, rng: CounterRng, mask: np.ndarray,
     time, each at most ``SLAB_BYTES`` of float64 or else one x-row.
     """
     nx, ny, nz = config.dims
-    phases = [rng.uniform(0, 2 * math.pi) for _ in range(3)]
-    freqs = [rng.randint(1, 3) for _ in range(3)]
+    phases, freqs = background
     x, y, z = _axes(config.dims)
     xy = (0.55
           + 0.13 * np.cos(2 * math.pi * freqs[0] * x / nx + phases[0])
@@ -313,25 +344,15 @@ def _intensity(config: SynthConfig, rng: CounterRng, mask: np.ndarray,
     return out
 
 
-def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
-                atlas: LabelVolume,
-                ) -> tuple[Volume3D, LabelVolume, SubjectRecord]:
-    """Build one subject: intensity volume, lesion mask, tabular record.
-
-    Draw order within the subject stream is fixed (lesions, background,
-    unknown-overwrite, recovery time, score noise), so outputs are
-    bit-identical for a given (config.seed, subject_seed).  ``atlas`` is
-    the cohort's ROI atlas, ``gen_atlas(config)``.
-    """
-    mask = brain_mask(config.dims)
+def _draw(config: SynthConfig, truth: TruthModel, subject_seed: int,
+          atlas: LabelVolume,
+          ) -> tuple[np.ndarray, tuple[tuple, tuple], SubjectRecord]:
+    """Every draw of one subject, in the stream's fixed order: the boolean
+    lesion mask, the background's (phases, freqs) and the record."""
     rng = CounterRng(config.seed, "subject", subject_seed)
-
-    lesion_mask = _sample_lesion(config, rng, mask)
-    volume = Volume3D(dims=config.dims,
-                      data=_intensity(config, rng, mask, lesion_mask))
-    lesion = LabelVolume(dims=config.dims,
-                         labels=lesion_mask.astype(np.uint16),
-                         label_names={1: "lesion"})
+    lesion_mask = _sample_lesion(config, rng, brain_mask(config.dims))
+    background = (tuple(rng.uniform(0, 2 * math.pi) for _ in range(3)),
+                  tuple(rng.randint(1, 3) for _ in range(3)))
 
     loads = subject_loads(lesion_mask, atlas, truth.causal_rois)
     total = sum(loads.values())
@@ -350,6 +371,24 @@ def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
             lesion_mask[:config.dims[0] // 2])),  # the left hemisphere
         score=score,
     )
+    return lesion_mask, background, record
+
+
+def gen_subject(config: SynthConfig, truth: TruthModel, subject_seed: int,
+                atlas: LabelVolume,
+                ) -> tuple[Volume3D, LabelVolume, SubjectRecord]:
+    """Build one subject from its draws (``_draw``): intensity volume,
+    lesion mask, tabular record, bit-identical for a given
+    (config.seed, subject_seed).  ``atlas`` is the cohort's ROI atlas,
+    ``gen_atlas(config)``.
+    """
+    lesion_mask, background, record = _draw(config, truth, subject_seed,
+                                            atlas)
+    volume = Volume3D(dims=config.dims, data=_intensity(
+        config, background, brain_mask(config.dims), lesion_mask))
+    lesion = LabelVolume(dims=config.dims,
+                         labels=lesion_mask.astype(np.uint16),
+                         label_names={1: "lesion"})
     return volume, lesion, record
 
 
@@ -359,9 +398,10 @@ def subject_loads(lesion_mask: np.ndarray, atlas: LabelVolume,
     boolean ``lesion_mask`` covers.  An ROI with no voxels is refused."""
     hits = np.bincount(atlas.labels[lesion_mask],
                        minlength=max((0, *rois)) + 1)
+    sizes = atlas.label_counts
     loads = {}
     for roi in rois:
-        n_roi = int(np.count_nonzero(atlas.labels == roi)) if roi > 0 else 0
+        n_roi = int(sizes[roi]) if 0 < roi < len(sizes) else 0
         if not n_roi:
             raise ValueError(f"ROI {roi} has no voxels in the atlas")
         loads[roi] = int(hits[roi]) / n_roi
@@ -370,8 +410,8 @@ def subject_loads(lesion_mask: np.ndarray, atlas: LabelVolume,
 
 def cohort_records(config: SynthConfig, truth: TruthModel,
                    atlas: LabelVolume) -> list[SubjectRecord]:
-    """Records only (volumes are regenerated on demand via gen_subject)."""
-    return [gen_subject(config, truth, i, atlas)[2]
+    """The cohort's records, drawn without composing any volume."""
+    return [_draw(config, truth, i, atlas)[2]
             for i in range(config.n_subjects)]
 
 

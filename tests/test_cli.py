@@ -98,6 +98,22 @@ def test_synth_force_is_idempotent(cohort_dir, tmp_path):
     assert (cohort_dir / "manifest.json").read_bytes() == before
 
 
+@pytest.mark.parametrize("cohort,argv", [
+    ({"dims": [16, 16, 16], "n_rois": 800}, []),
+    ({"n_rois": 800}, ["--dims", "16"]),  # 64^3 holds them, 16^3 does not
+], ids=["config", "dims-override"])
+def test_synth_refuses_rois_a_hemisphere_cannot_hold(cohort, argv, tmp_path,
+                                                      capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cohort": cohort}))
+    out = tmp_path / "c"
+    assert main(["synth", "--out", str(out), "--config", str(cfg),
+                 *argv]) == EXIT_CONFIG
+    assert ("n_rois 800 puts 788 ROI sites in the right hemisphere, which "
+            "holds 740 brain voxels") in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_synth_force_leaves_only_the_new_cohorts_subject_files(tmp_path):
     out = tmp_path / "c"
     synth = ["synth", "--out", str(out), "--dims", "16"]
@@ -142,7 +158,9 @@ TINY_SYNTH = ("--subjects", "10", "--dims", "16")
      ("--subjects", "100", "--dims", "32", "--seed", "12")),
     ({"variant": "hybrid-gm-roi", "roi_labels": [1], "image_size": 8,
       "channels": [4]}, None,
-     ["glyph boxes of 4px are too small to draw into"],
+     ["variant 'hybrid-gm-roi', layout of 1 ROIs: glyph boxes of 4px are "
+      "too small to draw into; naming more ROIs in roi_labels widens the "
+      "glyph strip, image_size does not help"],
      ("--subjects", "100", "--dims", "20", "--seed", "3")),
 ], ids=["roi-99", "no-tract-atlas", "empty-tract-atlas", "canvas-too-small",
         "glyph-boxes-too-small"])

@@ -299,6 +299,33 @@ def test_present_labels_equals_unique():
         assert vol.present_labels() == expected
 
 
+def test_label_counts_are_the_bincount_counted_once_and_read_only(
+        monkeypatch):
+    from strokepred.synthcohort import subject_loads
+    rng = np.random.default_rng(4)
+    labels = rng.integers(0, 6, size=(7, 6, 5)).astype(np.uint16)
+    labels[labels == 3] = 0  # a label absent below the top
+    vol = LabelVolume(dims=labels.shape, labels=labels,
+                      label_names={k: str(k) for k in range(1, 6)})
+    whole = []
+    bincount = np.bincount
+
+    def counting(arr, *args, **kw):
+        whole.append(np.size(arr) == labels.size)
+        return bincount(arr, *args, **kw)
+
+    monkeypatch.setattr(np, "bincount", counting)
+    counts = vol.label_counts
+    assert np.array_equal(counts, bincount(labels.ravel()))
+    assert vol.present_labels() == [1, 2, 4, 5]
+    lesion = rng.integers(0, 2, size=labels.shape).astype(bool)
+    loads = subject_loads(lesion, vol, [1, 2, 4, 5])
+    assert loads[4] == np.count_nonzero(lesion & (labels == 4)) / counts[4]
+    assert vol.label_counts is counts and sum(whole) == 1
+    with pytest.raises(ValueError):
+        counts[1] = 0
+
+
 @pytest.mark.parametrize("labels, message", [
     (np.full((2, 2, 2), 70000, np.int32), "at most 65535"),
     (np.full((2, 2, 2), np.inf), "at most 65535"),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -40,17 +41,26 @@ def test_atlas_sites_distinct_in_mask_hemisphere_split():
     assert (sites[12:, 0] >= 16).all()
 
 
-def test_atlas_voronoi_matches_brute_force_nearest_site():
-    cfg = SynthConfig(seed=5, n_subjects=10, dims=(16, 16, 16), n_rois=5)
+GRID_DIMS = [(17, 17, 17), (33, 33, 33), (64, 64, 64), (20, 24, 28),
+             (64, 48, 40)]
+# squared distances from sites to brain voxels pass int16's 32767 here
+WIDE_DIMS = (300, 16, 16)
+
+
+@pytest.mark.parametrize("dims", GRID_DIMS + [WIDE_DIMS])
+def test_atlas_voronoi_matches_brute_force_nearest_site(dims):
+    cfg = SynthConfig(seed=5, n_subjects=10, dims=dims)
     atlas = gen_atlas(cfg, "rois")
     sites = atlas_sites(cfg, "rois")
     mask = brain_mask(cfg.dims)
-    x, y, z = np.mgrid[0:16, 0:16, 0:16].astype(np.float64)
+    x, y, z = np.mgrid[0:dims[0], 0:dims[1], 0:dims[2]].astype(np.float64)
     d2 = np.stack([(x - sx) ** 2 + (y - sy) ** 2 + (z - sz) ** 2
                    for sx, sy, sz in sites])
     nearest = np.argmin(d2, axis=0) + 1  # argmin takes the first on ties
     assert np.array_equal(atlas.labels[mask], nearest[mask])
     assert (atlas.labels[~mask] == 0).all()
+    if dims == WIDE_DIMS:  # so gen_atlas computed them in int32
+        assert d2[:, mask].max() > np.iinfo(np.int16).max
 
 
 def test_atlas_every_label_present_and_named():
@@ -248,8 +258,40 @@ def test_cohort_records_match_streamed_subjects():
     atlas = gen_atlas(SMALL)
     records = cohort_records(SMALL, default_truth(), atlas)
     assert len(records) == SMALL.n_subjects
-    assert records[3] == gen_subject(SMALL, default_truth(), 3, atlas)[2]
+    for seed, record in enumerate(records):
+        assert record == gen_subject(SMALL, default_truth(), seed, atlas)[2]
     assert len({r.id for r in records}) == len(records)
+
+
+# SHA-256 of _cohort_digest(PINNED) as computed at commit 3e17cb3, whose
+# atlas distances were float64; any change to a synthesized byte or record
+# field changes it
+PINNED = SynthConfig(seed=4242, n_subjects=10, dims=(28, 24, 20), n_rois=14,
+                     n_tracts=5)
+PINNED_SHA256 = \
+    "6ccd33983ae94e532dd0ac67c74e3f9a710ee91b94d2f383a8946164b8f236d1"
+
+
+def _cohort_digest(config, truth):
+    """Both atlases with their names, every record field, and the first and
+    last subjects' volume and lesion bytes."""
+    h = hashlib.sha256()
+    atlas = gen_atlas(config, "rois")
+    for vol in (atlas, gen_atlas(config, "tracts")):
+        h.update(vol.labels.astype("<u2").tobytes())
+        h.update(json.dumps(sorted(vol.label_names.items())).encode())
+    records = cohort_records(config, truth, atlas)
+    h.update(json.dumps([dataclasses.asdict(r) for r in records]).encode())
+    for seed in (0, config.n_subjects - 1):
+        volume, lesion, record = gen_subject(config, truth, seed, atlas)
+        assert record == records[seed]
+        h.update(volume.data.astype("<f4").tobytes())
+        h.update(lesion.labels.astype("<u2").tobytes())
+    return h.hexdigest()
+
+
+def test_synthesized_bytes_match_the_pinned_digest():
+    assert _cohort_digest(PINNED, default_truth()) == PINNED_SHA256
 
 
 def test_desk_cohort_aphasic_fraction(desk_cohort):
@@ -278,6 +320,17 @@ def test_desk_cohort_recovery_times_in_range(desk_cohort):
     lo, hi = desk_cohort.config.recovery_range
     for r in desk_cohort.records:
         assert lo <= r.recovery_time <= hi
+
+
+def test_config_refuses_a_hemisphere_without_room_for_its_roi_sites():
+    # 1480 brain voxels, 740 per half: the right half would need 788 sites
+    with pytest.raises(ValueError, match="n_rois 800 puts 788 ROI sites in "
+                       "the right hemisphere, which holds 740 brain voxels"):
+        SynthConfig(dims=(16, 16, 16), n_rois=800)
+    with pytest.raises(ValueError, match="n_tracts 1481 exceeds the 1480 "
+                       "brain voxels"):
+        SynthConfig(dims=(16, 16, 16), n_tracts=1481)
+    SynthConfig(dims=(16, 16, 16), n_rois=12 + 740, n_tracts=1480)
 
 
 def test_config_validation():
@@ -337,9 +390,6 @@ def test_write_cohort_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 # Broadcast grids reproduce the dense-grid formulas bit for bit
 
-GRID_DIMS = [(17, 17, 17), (33, 33, 33), (64, 64, 64), (20, 24, 28),
-             (64, 48, 40)]
-
 
 def _dense_background(config, rng):
     nx, ny, nz = config.dims
@@ -363,13 +413,15 @@ def test_background_equals_dense_grid_formula(dims):
     """The slab-wise intensity volume equals the dense float64 grid's
     ``bg * mask``, times 0.3 in the lesion, cast to float32, byte for byte."""
     cfg = SynthConfig(seed=11, n_subjects=10, dims=dims)
+    atlas = gen_atlas(cfg)
     mask = brain_mask(dims)
     step = max(1, synthcohort.SLAB_BYTES // (8 * dims[1] * dims[2]))
     last_slab_lesioned = False
     for subject in range(3):
-        rng = CounterRng(cfg.seed, "subject", subject)
-        lesion = synthcohort._sample_lesion(cfg, rng, mask)
-        fast = synthcohort._intensity(cfg, rng, mask, lesion)
+        lesion, background, _ = synthcohort._draw(cfg, default_truth(),
+                                                  subject, atlas)
+        fast = synthcohort._intensity(cfg, background, mask, lesion)
+        # the reference redraws the background after the lesions itself
         rng = CounterRng(cfg.seed, "subject", subject)
         assert np.array_equal(synthcohort._sample_lesion(cfg, rng, mask),
                               lesion)
