@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import json
 import struct
 import types
@@ -164,7 +165,12 @@ class Volume3D:
 @dataclass(frozen=True)
 class LabelVolume:
     """Integer label volume; 0 is background, uint16.  Labels of another
-    dtype must be integers in 0..65535."""
+    dtype must be integers in 0..65535.
+
+    The labels are read-only, so what follows from them alone is computed
+    once, on first use, and kept read-only: ``label_counts``, the ROI
+    layouts' ``crop_table`` and the pixel maps' voxel index
+    ``label_voxels``."""
 
     dims: tuple[int, int, int]
     labels: np.ndarray  # shape dims, uint16
@@ -201,6 +207,62 @@ class LabelVolume:
         counts = np.bincount(self.labels.ravel())
         counts.flags.writeable = False
         return counts
+
+    @functools.cached_property
+    def crop_table(self) -> Mapping[int, tuple[tuple[int, ...], ...]]:
+        """Read-only map from every label value that occurs, background
+        included, to its crops (label, z, x0, x1, y0, y1): the bounding box
+        of the label on each axial slice it occupies, z ascending.
+
+        Built once, in one pass: a label's x extent on a slice is reached at
+        a voxel that starts one of its runs along y, and its y extent at one
+        that starts a run along x, so only run starts are reduced."""
+        nx, ny, nz = self.dims
+        present = np.flatnonzero(self.label_counts)
+        dense = np.zeros(self.label_counts.size, dtype=np.intp)
+        dense[present] = np.arange(present.size)
+        flat = self.labels.ravel()
+        lo = np.full((2, present.size * nz), max(nx, ny))  # per (label, z)
+        hi = np.full((2, present.size * nz), -1)
+        for axis in (0, 1):  # x, then y
+            ahead, behind = [slice(None)] * 3, [slice(None)] * 3
+            ahead[1 - axis], behind[1 - axis] = slice(1, None), slice(None, -1)
+            starts = np.ones(self.dims, dtype=bool)
+            np.not_equal(self.labels[tuple(ahead)], self.labels[tuple(behind)],
+                         out=starts[tuple(ahead)])
+            index = np.flatnonzero(starts)
+            coord = index // (ny * nz) if axis == 0 else index // nz % ny
+            key = dense[flat[index]] * nz + index % nz
+            np.minimum.at(lo[axis], key, coord)
+            np.maximum.at(hi[axis], key, coord)
+        found = np.flatnonzero(hi[0] >= 0)
+        rows = np.stack([present[found // nz], found % nz, lo[0, found],
+                         hi[0, found] + 1, lo[1, found], hi[1, found] + 1])
+        return types.MappingProxyType({
+            label: tuple(map(tuple, crops)) for label, crops in
+            itertools.groupby(rows.T.tolist(), key=lambda row: row[0])})
+
+    @functools.cached_property
+    def label_voxels(self) -> np.ndarray:
+        """Flat indices into ``labels.ravel()`` of every nonzero voxel,
+        grouped by label ascending and ascending within a label (read-only,
+        int32 when they fit); ``voxels_of`` slices out one label's."""
+        flat = self.labels.ravel()
+        index = np.flatnonzero(flat)
+        if flat.size <= np.iinfo(np.int32).max:
+            index = index.astype(np.int32)
+        index = index[np.argsort(flat[index], kind="stable")]
+        index.flags.writeable = False
+        return index
+
+    def voxels_of(self, label: int) -> np.ndarray:
+        """Flat indices of the voxels of nonzero ``label``, ascending;
+        empty for a label that does not occur."""
+        counts = self.label_counts
+        if not 0 < label < counts.size:
+            return self.label_voxels[:0]
+        start = int(counts[1:label].sum())
+        return self.label_voxels[start:start + int(counts[label])]
 
     def present_labels(self) -> list[int]:
         """Nonzero labels that occur, ascending."""

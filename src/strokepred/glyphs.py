@@ -16,11 +16,16 @@ from 0 to ``time_ref``; values at or above a reference saturate.  Every
 glyph therefore fits its box; boxes under 6 px are refused.  Only the
 train-only normalizers ``(size_ref, time_ref)`` are passed in.
 Rasterization is plain pixel-center containment, no anti-aliasing, so
-identical inputs give bit-identical rasters.
+identical inputs give bit-identical rasters.  Only the pentagon depends on
+the subject's values beyond a fill intensity: each box size's pixel-centre
+grid and the masks of the pie and of the five severity symbols are
+computed once per box geometry and kept read-only, so a subject's render
+draws its pentagon and fills the cached masks.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -75,14 +80,19 @@ def normalizers_from_records(records: Sequence[SubjectRecord]) -> tuple[float, f
 # ``inside(px, py, cx, cy, radius)`` with (cx, cy) the cell center.
 
 
+@functools.lru_cache(maxsize=16)
 def _pixel_centers(h: int, w: int):
-    ys, xs = np.mgrid[0:h, 0:w]
-    return xs + 0.5, ys + 0.5
+    """(px, py) centres of an (h, w) box's pixels as a (1, w) row and an
+    (h, 1) column that broadcast to the grid, cached read-only."""
+    ys, xs = np.ogrid[0:h, 0:w]
+    px, py = xs + 0.5, ys + 0.5
+    px.flags.writeable = py.flags.writeable = False
+    return px, py
 
 
 def _in_polygon(px, py, verts: np.ndarray) -> np.ndarray:
     """Even-odd rule; handles convex and star polygons alike."""
-    inside = np.zeros(px.shape, dtype=bool)
+    inside = np.zeros(np.broadcast_shapes(px.shape, py.shape), dtype=bool)
     n = len(verts)
     for i in range(n):
         x0, y0 = verts[i]
@@ -139,19 +149,20 @@ _INSIDE = {
 }
 
 
-def shape_raster(shape: str, h: int, w: int, radius: float,
-                 intensity: float = 1.0) -> np.ndarray:
-    """(h, w) float32 cell with ``shape`` centered and filled with
-    ``intensity``, background 0; no anti-aliasing."""
+def _shape_mask(shape: str, h: int, w: int, radius: float) -> np.ndarray:
+    """(h, w) bool: the pixels whose centres lie inside ``shape`` centred in
+    the box; no anti-aliasing."""
     px, py = _pixel_centers(h, w)
-    out = np.zeros((h, w), dtype=np.float32)
-    out[_INSIDE[shape](px, py, w / 2, h / 2, radius)] = np.float32(intensity)
-    return out
+    return _INSIDE[shape](px, py, w / 2, h / 2, radius)
 
 
-def severity_raster(shape: str, h: int, w: int) -> np.ndarray:
-    """Fixed-size severity symbol raster for a cell of the given size."""
-    return shape_raster(shape, h, w, 0.38 * min(h, w))
+@functools.lru_cache(maxsize=64)
+def _fixed_mask(shape: str, h: int, w: int, radius: float) -> np.ndarray:
+    """``_shape_mask`` of a glyph whose size follows from its boxes alone
+    (the pie, the severity symbols), cached read-only per geometry."""
+    mask = _shape_mask(shape, h, w, radius)
+    mask.flags.writeable = False
+    return mask
 
 
 def _clamp01(v: float) -> float:
@@ -170,15 +181,16 @@ def render_glyphs(record: SubjectRecord, size_ref: float, time_ref: float,
     radius = r_min + (r_max - r_min) * _clamp01(record.left_lesion_size / size_ref)
     intensity = 0.25 + 0.75 * _clamp01(record.recovery_time / time_ref)
     (_, _, ph, pw), (_, _, qh, qw), (_, _, sh, sw) = boxes
-    rasters = (shape_raster("pentagon", ph, pw, radius),
-               shape_raster("pie", qh, qw, 0.32 * m, intensity),
-               severity_raster(SEVERITY_SYMBOLS[record.severity], sh, sw))
-    for box, raster in zip(boxes, rasters):
+    fills = ((_shape_mask("pentagon", ph, pw, radius), 1.0),
+             (_fixed_mask("pie", qh, qw, 0.32 * m), intensity),
+             (_fixed_mask(SEVERITY_SYMBOLS[record.severity], sh, sw,
+                          0.38 * min(sh, sw)), 1.0))
+    for box, (mask, value) in zip(boxes, fills):
         r0, c0, bh, bw = box
         region = canvas[r0:r0 + bh, c0:c0 + bw]
         if np.any(region != 0.0):
             raise GlyphOverlapError(f"placement box {box} is not empty")
-        region[...] = raster
+        region[mask] = np.float32(value)
     return canvas
 
 

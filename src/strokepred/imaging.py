@@ -15,7 +15,10 @@ ROI tiles are laid out ``TILE_GAP`` apart by one shelf packer,
 ``pipeline.fit_roi_spec`` sizes a canvas with it.  The variant's layout
 compiles its tile plan over the atlas, once, into a ``PixelMap``: the flat
 voxel index each canvas pixel shows.  An ROI render takes only that map,
-which holds its canvas, and is a single gather from the volume.
+which holds its canvas, and is a single gather from the volume.  Neither
+step scans the atlas: ``roi_crops`` looks the crops up in the atlas's
+``crop_table`` and the map is built from its voxel index
+(``LabelVolume.voxels_of``), both computed once per atlas.
 """
 
 from __future__ import annotations
@@ -177,20 +180,32 @@ class PixelMap:
 
     @classmethod
     def compile(cls, plan: RoiTilePlan, atlas: LabelVolume) -> "PixelMap":
-        """The map of ``plan``'s tiles over ``atlas``'s labels."""
-        nx, ny, nz = atlas.dims
-        dtype = np.int32 if atlas.labels.size <= np.iinfo(np.int32).max \
-            else np.int64
-        flat = np.full(plan.spec.canvas, -1, dtype=dtype)
-        for (label, z, x0, x1, y0, y1, row0, col0) in plan.tiles:
-            # tile row = voxel y, tile column = voxel x
-            index = (np.arange(y0, y1, dtype=dtype)[:, None] * nz
-                     + np.arange(x0, x1, dtype=dtype)[None, :] * (ny * nz) + z)
-            mask = (atlas.labels[x0:x1, y0:y1, z] == label).T
-            flat[row0:row0 + (y1 - y0), col0:col0 + (x1 - x0)] = \
-                np.where(mask, index, -1)
+        """The map of ``plan``'s tiles over ``atlas``'s labels: each tile
+        shows the voxels of its label on its slice that lie inside its
+        rectangle (background tiles show nothing).  Built label by label
+        from the atlas's voxel index; the tiles must not overlap, and no
+        packed plan's do."""
+        _, ny, nz = atlas.dims
+        canvas_h, canvas_w = plan.spec.canvas
+        flat = np.full(canvas_h * canvas_w, -1, dtype=atlas.label_voxels.dtype)
+        by_label: dict[int, list] = {}
+        for tile in plan.tiles:
+            by_label.setdefault(tile[0], []).append(tile)
+        for label, tiles in by_label.items():
+            # per slice: the tile's voxel box and the offset from voxel (x, y)
+            # to its pixel (tile row = voxel y, tile column = voxel x); a
+            # slice without a tile has an empty box
+            box = np.zeros((5, nz), dtype=np.int64)
+            _, z, x0, x1, y0, y1, row0, col0 = np.array(tiles).T
+            box[:, z] = x0, x1, y0, y1, (row0 - y0) * canvas_w + col0 - x0
+            voxels = atlas.voxels_of(label)
+            x, rest = np.divmod(voxels, ny * nz)
+            y, z = np.divmod(rest, nz)
+            x0, x1, y0, y1, offset = box.take(z, axis=1)
+            inside = (x0 <= x) & (x < x1) & (y0 <= y) & (y < y1)
+            flat[(offset + y * canvas_w + x)[inside]] = voxels[inside]
         shown = np.flatnonzero(flat >= 0)
-        voxels = flat.ravel()[shown]
+        voxels = flat[shown]
         for arr in (shown, voxels):
             arr.flags.writeable = False
         return cls(dims=atlas.dims, canvas=plan.spec.canvas, shown=shown,
@@ -247,20 +262,10 @@ def shelf_pack(crops, width: int) -> tuple[list[tuple[int, int]], int]:
 def roi_crops(atlas: LabelVolume,
               labels) -> list[tuple[int, int, int, int, int, int]]:
     """(label, z, x0, x1, y0, y1): the bounding box of each ROI on every
-    axial slice it occupies, per label in the given order, z ascending."""
-    nx, ny, _ = atlas.dims
-    crops = []
-    for label in labels:
-        mask = atlas.labels == label
-        in_x = mask.any(axis=1)  # (nx, nz): slice z holds the ROI at column x
-        in_y = mask.any(axis=0)  # (ny, nz)
-        zs = np.flatnonzero(in_x.any(axis=0))
-        in_x, in_y = in_x[:, zs], in_y[:, zs]
-        x0, x1 = in_x.argmax(axis=0), nx - in_x[::-1].argmax(axis=0)
-        y0, y1 = in_y.argmax(axis=0), ny - in_y[::-1].argmax(axis=0)
-        crops += [(int(label), int(z), int(a), int(b), int(c), int(d))
-                  for z, a, b, c, d in zip(zs, x0, x1, y0, y1)]
-    return crops
+    axial slice it occupies, per label in the given order, z ascending;
+    looked up in the atlas's ``crop_table``."""
+    table = atlas.crop_table
+    return [crop for label in labels for crop in table.get(label, ())]
 
 
 def roi_image(volume: Volume3D, pmap: PixelMap) -> np.ndarray:

@@ -94,6 +94,15 @@ class RunConfig:
             raise ConfigError(
                 f"roi_labels {list(self.roi_labels)} on {self.variant!r}: name "
                 "at least one ROI of an ROI variant, or null for every ROI")
+        if self.roi_labels:
+            repeated = sorted({v for v in self.roi_labels
+                               if self.roi_labels.count(v) > 1})
+            bad = sorted({v for v in self.roi_labels if v <= 0})
+            problems = [f"{what} {labels}" for what, labels in (
+                ("repeated", repeated), ("not positive", bad)) if labels]
+            if problems:
+                raise ConfigError(f"roi_labels {list(self.roi_labels)}: "
+                                  + "; ".join(problems))
 
     @property
     def cnn(self) -> CnnConfig:

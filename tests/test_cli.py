@@ -249,6 +249,24 @@ def test_run_refuses_zero_jobs_before_any_work(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("roi_labels,named", [
+    ([1, 1], "roi_labels [1, 1]: repeated [1]"),
+    ([0, -3], "roi_labels [0, -3]: not positive [-3, 0]"),
+], ids=["repeated", "non-positive"])
+def test_run_refuses_bad_roi_labels_before_any_work(roi_labels, named,
+                                                     cohort_dir, tmp_path,
+                                                     capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"run": {**RUN_CFG["run"],
+                                       "roi_labels": roi_labels}}))
+    out = tmp_path / "r"
+    code = main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--seeds", "1", "--config", str(cfg)])
+    assert code == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_prints_the_partition_warnings(tmp_path, capsys):
     # 40 subjects deal fewer than 5 of some severity categories
     cohort = tmp_path / "c"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from strokepred import glyphs
 from strokepred.core import LabelVolume, SubjectRecord, Volume3D
 from strokepred.glyphs import (
     SEVERITY_SYMBOLS,
@@ -11,8 +12,6 @@ from strokepred.glyphs import (
     hybrid_stitched,
     normalizers_from_records,
     render_glyphs,
-    severity_raster,
-    shape_raster,
 )
 from strokepred.imaging import (
     LayoutError,
@@ -27,6 +26,20 @@ from strokepred.rng import CounterRng
 
 
 SIZE_REF, TIME_REF = 1000.0, 365.0  # train-only normalizers
+
+
+def shape_raster(shape, h, w, radius, intensity=1.0):
+    """The rasterizer without a cache: a fresh pixel-centre grid, the
+    shape's containment test, and a float32 fill."""
+    ys, xs = np.mgrid[0:h, 0:w]
+    out = np.zeros((h, w), dtype=np.float32)
+    out[glyphs._INSIDE[shape](xs + 0.5, ys + 0.5, w / 2, h / 2,
+                              radius)] = np.float32(intensity)
+    return out
+
+
+def severity_raster(shape, h, w):
+    return shape_raster(shape, h, w, 0.38 * min(h, w))
 
 
 def make_record(severity="normal", recovery_time=30.0, lesion=200, score=70.0):
@@ -327,3 +340,77 @@ def test_normalizers_are_99th_percentiles():
     assert time_ref == pytest.approx(np.percentile([r.recovery_time for r in records], 99))
     with pytest.raises(ValueError):
         normalizers_from_records([])
+
+
+# ---------------------------------------------------------------------------
+# Masks cached per box geometry
+
+
+STRIP_BOXES = glyph_strip_boxes(RoiImageSpec(roi_labels=(), canvas=(70, 95),
+                                             reserved_bottom=17))
+CELL_BOXES = glyph_cell_boxes(StitchSpec((29, 23, 16),
+                                         removed_cells=(12, 13, 14, 15)))
+
+
+def host_canvas(boxes):
+    return np.zeros((max(r + h for r, _, h, _ in boxes),
+                     max(c + w for _, c, _, w in boxes)), np.float32)
+
+
+@pytest.mark.parametrize("boxes", [STRIP_BOXES, CELL_BOXES],
+                         ids=["strip", "cells"])
+def test_cached_masks_match_the_uncached_rasterizer(boxes):
+    m = min(min(bh, bw) for (_r, _c, bh, bw) in boxes)
+    (_, _, qh, qw), (r0, c0, sh, sw) = boxes[1], boxes[2]
+    pie = glyphs._fixed_mask("pie", qh, qw, 0.32 * m)
+    assert np.array_equal(pie, shape_raster("pie", qh, qw, 0.32 * m) > 0)
+    for severity, shape in SEVERITY_SYMBOLS.items():
+        want = severity_raster(shape, sh, sw)
+        mask = glyphs._fixed_mask(shape, sh, sw, 0.38 * min(sh, sw))
+        assert np.array_equal(mask, want > 0), shape
+        got = render_glyphs(make_record(severity=severity), SIZE_REF,
+                            TIME_REF, host_canvas(boxes), boxes)
+        assert got[r0:r0 + sh, c0:c0 + sw].tobytes() == want.tobytes()
+        assert got.tobytes() == reference_glyphs(
+            make_record(severity=severity), SIZE_REF, TIME_REF,
+            host_canvas(boxes), boxes).tobytes()
+
+
+def test_cached_masks_and_centres_are_read_only():
+    render_glyphs(make_record(), SIZE_REF, TIME_REF, host_canvas(STRIP_BOXES),
+                  STRIP_BOXES)
+    _, _, h, w = STRIP_BOXES[2]
+    mask = glyphs._fixed_mask("ellipse", h, w, 0.38 * min(h, w))
+    px, py = glyphs._pixel_centers(h, w)
+    for arr in (mask, px, py):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = arr[0, 0]
+
+
+def test_rendering_a_then_b_then_a_gives_the_same_rasters():
+    a = make_record(severity="unknown", lesion=120, recovery_time=40.0)
+    b = make_record(severity="severe", lesion=950, recovery_time=300.0)
+    renders = [render_glyphs(r, SIZE_REF, TIME_REF, host_canvas(boxes), boxes)
+               for boxes in (STRIP_BOXES, CELL_BOXES) for r in (a, b, a)]
+    for first, _, again in (renders[:3], renders[3:]):
+        assert first.tobytes() == again.tobytes()
+    assert renders[0].tobytes() == reference_glyphs(
+        a, SIZE_REF, TIME_REF, host_canvas(STRIP_BOXES), STRIP_BOXES).tobytes()
+    assert renders[1].tobytes() != renders[0].tobytes()
+
+
+def test_lesion_sizes_do_not_grow_the_caches():
+    def draw(lesion):
+        return render_glyphs(make_record(lesion=lesion), SIZE_REF, TIME_REF,
+                             host_canvas(CELL_BOXES), CELL_BOXES)
+
+    draw(0)
+    before = (glyphs._fixed_mask.cache_info(),
+              glyphs._pixel_centers.cache_info())
+    pentagons = {draw(lesion)[:, :29].tobytes() for lesion in range(0, 1000, 5)}
+    after = (glyphs._fixed_mask.cache_info(),
+             glyphs._pixel_centers.cache_info())
+    assert len(pentagons) > 20  # the sizes drew different pentagons
+    for old, new in zip(before, after):
+        assert (new.currsize, new.misses) == (old.currsize, old.misses)

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strokepred import imaging
 from strokepred.core import LabelVolume, Volume3D
 from strokepred.imaging import (
     CanvasOverflowError,
     LayoutError,
     PixelMap,
     RoiImageSpec,
+    RoiTilePlan,
     StitchSpec,
     downsample,
     plan_roi_tiles,
@@ -368,3 +370,125 @@ def test_pool_weights_cached_and_read_only():
         w[0, 0] = 1.0
 
 
+
+
+# ---------------------------------------------------------------------------
+# The crop table and the label-by-label pixel map against the per-label crops
+# and per-tile compile they replaced
+
+
+def reference_roi_crops(atlas, labels):
+    """Per-label crops: one whole-atlas mask per label."""
+    nx, ny, _ = atlas.dims
+    crops = []
+    for label in labels:
+        mask = atlas.labels == label
+        in_x = mask.any(axis=1)
+        in_y = mask.any(axis=0)
+        zs = np.flatnonzero(in_x.any(axis=0))
+        in_x, in_y = in_x[:, zs], in_y[:, zs]
+        x0, x1 = in_x.argmax(axis=0), nx - in_x[::-1].argmax(axis=0)
+        y0, y1 = in_y.argmax(axis=0), ny - in_y[::-1].argmax(axis=0)
+        crops += [(int(label), int(z), int(a), int(b), int(c), int(d))
+                  for z, a, b, c, d in zip(zs, x0, x1, y0, y1)]
+    return crops
+
+
+def reference_compile(plan, atlas):
+    """Per-tile compile: (shown, voxels) of the map, each tile writing its
+    whole rectangle."""
+    _, ny, nz = atlas.dims
+    flat = np.full(plan.spec.canvas, -1, dtype=np.int32)
+    for (label, z, x0, x1, y0, y1, row0, col0) in plan.tiles:
+        index = (np.arange(y0, y1, dtype=np.int32)[:, None] * nz
+                 + np.arange(x0, x1, dtype=np.int32)[None, :] * (ny * nz) + z)
+        mask = (atlas.labels[x0:x1, y0:y1, z] == label).T
+        flat[row0:row0 + (y1 - y0), col0:col0 + (x1 - x0)] = \
+            np.where(mask, index, -1)
+    shown = np.flatnonzero(flat >= 0)
+    return shown, flat.ravel()[shown]
+
+
+def assert_compiles_like_reference(plan, atlas):
+    pmap = PixelMap.compile(plan, atlas)
+    shown, voxels = reference_compile(plan, atlas)
+    assert pmap.shown.dtype == shown.dtype and pmap.voxels.dtype == np.int32
+    assert pmap.shown.tobytes() == shown.tobytes()
+    assert pmap.voxels.tobytes() == voxels.tobytes()
+
+
+ATLAS_DIMS = [(16, 16, 16), (24, 24, 24), (33, 28, 25), (40, 48, 36)]
+
+
+def grid_atlases(dims):
+    from strokepred.synthcohort import SynthConfig, gen_atlas
+    cfg = SynthConfig(seed=41, n_subjects=10, dims=dims)
+    return gen_atlas(cfg, "rois"), gen_atlas(cfg, "tracts")
+
+
+def ranked_subsets(atlas):
+    """Label lists in importance order: all, reversed, and two subsets."""
+    labels = sorted(atlas.label_names)
+    return [labels, labels[::-1], labels[::-3][:4],
+            [v for v in (7, 3, 12, 1) if v in labels]]
+
+
+@pytest.mark.parametrize("dims", ATLAS_DIMS)
+@pytest.mark.parametrize("kind", [0, 1], ids=["rois", "tracts"])
+def test_crop_table_gives_the_per_label_crops(dims, kind):
+    atlas = grid_atlases(dims)[kind]
+    every = list(range(int(atlas.labels.max()) + 2))  # background, an absent
+    for labels in ranked_subsets(atlas) + [every, [99, -3]]:
+        assert imaging.roi_crops(atlas, labels) == \
+            reference_roi_crops(atlas, labels)
+
+
+@pytest.mark.parametrize("dims", ATLAS_DIMS)
+@pytest.mark.parametrize("kind", [0, 1], ids=["rois", "tracts"])
+def test_pixel_map_compiles_like_the_per_tile_loop(dims, kind):
+    from strokepred.pipeline import fit_roi_spec
+    atlases = grid_atlases(dims)
+    atlas, other = atlases[kind], atlases[1 - kind]
+    for labels in ranked_subsets(atlas):
+        plan = fit_roi_spec(atlas, labels, 0.22)
+        assert_compiles_like_reference(plan, atlas)
+        for cut in (len(plan.tiles) - 1, len(plan.tiles) // 2):
+            dropped = RoiTilePlan(spec=plan.spec,
+                                  tiles=plan.tiles[:cut] + plan.tiles[cut + 1:])
+            assert_compiles_like_reference(dropped, atlas)
+        # a plan laid out over the other atlas, rendered over this one
+        shared = [v for v in labels if v in other.label_names]
+        assert_compiles_like_reference(fit_roi_spec(other, shared), atlas)
+
+
+def test_label_voxels_index_each_label_and_are_read_only():
+    atlas = grid_atlases((33, 28, 25))[0]
+    index = atlas.label_voxels
+    assert index.dtype == np.int32 and not index.flags.writeable
+    assert atlas.label_voxels is index  # built once
+    for label in range(-1, int(atlas.labels.max()) + 3):
+        want = np.flatnonzero(atlas.labels.ravel() == label) if label else []
+        assert np.array_equal(atlas.voxels_of(label), want), label
+    table = atlas.crop_table
+    assert atlas.crop_table is table
+    with pytest.raises(TypeError):
+        table[1] = ()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dims=st.tuples(st.integers(1, 7), st.integers(1, 7), st.integers(1, 5)),
+       data=st.data())
+def test_crop_table_and_pixel_map_on_arbitrary_labels(dims, data):
+    n = dims[0] * dims[1] * dims[2]
+    values = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
+    atlas = LabelVolume(dims=dims, labels=np.array(values).reshape(dims))
+    labels = list(range(7))
+    assert imaging.roi_crops(atlas, labels) == \
+        reference_roi_crops(atlas, labels)
+    present = atlas.present_labels()
+    ranked = data.draw(st.permutations(present))
+    crops = imaging.roi_crops(atlas, ranked)
+    width = max([1] + [c[3] - c[2] for c in crops])
+    spec = RoiImageSpec(roi_labels=tuple(ranked), canvas=(
+        imaging.shelf_pack(crops, width)[1] + 1, width))
+    assert_compiles_like_reference(plan_roi_tiles(atlas, spec), atlas)

@@ -74,6 +74,19 @@ def test_config_rejects_duplicate_seeds():
         fast_config(seeds=(1, 1, 2))
 
 
+@pytest.mark.parametrize("roi_labels,named", [
+    ((1, 1), "roi_labels [1, 1]: repeated [1]"),
+    ((0, -3), "roi_labels [0, -3]: not positive [-3, 0]"),
+    ((4, 0, 4, 2, 2), "roi_labels [4, 0, 4, 2, 2]: repeated [2, 4]; "
+     "not positive [0]"),
+])
+def test_config_refuses_repeated_or_non_positive_roi_labels(roi_labels,
+                                                            named):
+    with pytest.raises(ConfigError) as exc:
+        fast_config(roi_labels=roi_labels)
+    assert str(exc.value) == named
+
+
 def test_config_logistic_skips_divisibility():
     fast_config(model="logistic", image_size=37)
 
@@ -225,6 +238,27 @@ def test_roi_build_plans_tiles_once(tiny_cohort, monkeypatch, variant):
     pipeline.build_variant(tiny_cohort, fast_config(variant=variant),
                            2000.0, 900.0)
     assert len(calls) == 1  # the plan that sizes the canvas also renders
+
+
+def test_six_variants_build_each_atlas_crop_table_once(monkeypatch):
+    import functools
+    builds = []
+    table = core.LabelVolume.crop_table.func
+
+    def counting(atlas):
+        builds.append(atlas)
+        return table(atlas)
+
+    counted = functools.cached_property(counting)
+    counted.__set_name__(core.LabelVolume, "crop_table")
+    monkeypatch.setattr(core.LabelVolume, "crop_table", counted)
+    cohort = CohortData.from_memory(replace(TINY, n_subjects=10),
+                                    default_truth())
+    for variant in pipeline.VARIANTS:
+        pipeline.build_variant(cohort, fast_config(variant=variant),
+                               2000.0, 900.0)
+    assert sorted(map(id, builds)) == sorted([id(cohort.atlas),
+                                              id(cohort.tracts)])
 
 
 def test_downsample_labels_matches_loop_oracle():
