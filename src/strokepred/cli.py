@@ -170,8 +170,8 @@ def cmd_run(args) -> int:
         print(f"partition warning: {warning}")
     pipeline.emit_run(result, out)
 
-    bal = result.aggregate["balanced_accuracy"]
-    auc_v = result.aggregate["auc"]
+    aggregate = result.aggregate  # recomputed from the rows on each read
+    bal, auc_v = aggregate["balanced_accuracy"], aggregate["auc"]
     print(f"run complete: {config.variant} / {config.model}, "
           f"{len(config.seeds)} seed(s), lr {result.best_lr:g}")
     print(f"balanced accuracy {bal[0]:.3f} +/- {bal[1]:.3f}, "

@@ -303,11 +303,8 @@ class Calibrator:
         if not (math.isfinite(self.temperature) and self.temperature > 0):
             raise ValueError("temperature must be finite and positive")
 
-    def apply_logits(self, logits: np.ndarray) -> np.ndarray:
-        return np.asarray(logits, dtype=np.float64) / self.temperature
-
     def apply(self, logits: np.ndarray) -> np.ndarray:
-        return sigmoid(self.apply_logits(logits))
+        return sigmoid(np.asarray(logits, dtype=np.float64) / self.temperature)
 
 
 def fit_temperature(logits: np.ndarray, labels: np.ndarray) -> Calibrator:

@@ -11,8 +11,9 @@ learning rate by 4-fold cross-validation over groups 1-4 (``group_cv``),
 trains one model per seed on groups 1-3 and calibrates it on group 4; its
 ``FittedRun`` holds each seed's checkpoint, temperature and validation loss
 once, with the box still sealed.  ``evaluate_run`` unlocks the box exactly
-once and scores every seed on group 5; its ``RunResult`` is the fitted run
-plus those results.  ``run_experiment`` is the three steps in a row.  Every
+once; its ``RunResult`` is the fitted run plus each seed's group-5 logits,
+the held-out rows that ``emit_run`` writes as ``predictions.csv`` and derives
+every report from.  ``run_experiment`` is the three steps in a row.  Every
 fit follows ``learn.train``'s fixed protocol (RMSprop, class weights from
 the training labels); each CV fit, here and in ``roi_count_sweep``, uses
 seed ``CV_SEED`` = 1.  ``explain`` and ``select-rois`` prepare the same run,
@@ -41,8 +42,7 @@ import numpy as np
 
 from . import core, evalharness, explain, glyphs, imaging, learn
 from .core import CohortManifest, LabelVolume, SubjectRecord, Volume3D
-from .evalharness import (METRIC_COLS, Calibrator, LockBox, MetricsRow,
-                          SplitPlan)
+from .evalharness import METRIC_COLS, Calibrator, LockBox, SplitPlan
 from .imaging import RoiImageSpec, StitchSpec
 from .learn import ArrayDataset, CnnConfig, ModelParams, TabularEncoding, TrainConfig
 from .synthcohort import (SynthConfig, TruthModel, cohort_records, gen_atlas,
@@ -477,21 +477,21 @@ class FittedRun(PreparedRun):
 
 
 @dataclass(frozen=True)
-class SeedResult:
-    seed: int
-    test: MetricsRow
-    subgroup: MetricsRow
-    sweep: tuple[tuple[float, float], ...]
-
-
-@dataclass(frozen=True)
 class RunResult(FittedRun):
-    """A fitted run with its group-5 results; its box has been unlocked."""
+    """A fitted run, its box unlocked, plus each seed's raw group-5 logits,
+    the rows every report is derived from.  A seed's probabilities are
+    ``calibrators[seed].apply`` of its logits."""
 
-    seeds: tuple[SeedResult, ...]
-    aggregate: dict[str, tuple[float, float]]
-    subgroup_aggregate: dict[str, tuple[float, float]]
-    sweep_mean: tuple[tuple[float, float], ...]
+    held_out: tuple[SubjectRecord, ...]  # group 5, in cohort order
+    labels: np.ndarray  # held_out's outcomes
+    logits: dict[int, np.ndarray]  # seed -> held_out's logits, in seed order
+
+    @property
+    def aggregate(self) -> dict[str, tuple[float, float]]:
+        """Per-metric (mean, SE) of the seeds' group-5 metrics."""
+        return evalharness.seed_aggregate(
+            [evalharness.metrics(self.calibrators[seed].apply(z), self.labels)
+             for seed, z in self.logits.items()])
 
 
 def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
@@ -533,27 +533,15 @@ def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
 
 
 def evaluate_run(run: FittedRun) -> RunResult:
-    """Unlock the box, once, and score every seed's fixed model on group 5,
-    one audited access per seed."""
+    """Unlock the box, once, and take every seed's fixed model's logits on
+    group 5, one audited access per seed."""
     run.box.unlock("final evaluation on the held-out group")
-    severities = [r.severity for r in run.records_of([TEST_GROUP])]
-    seeds = []
+    logits = {}
     for seed, params in run.checkpoints.items():
         test_set = assemble(run, [TEST_GROUP], f"seed-{seed}-final-eval")
-        probs = run.calibrators[seed].apply(
-            learn.forward(params, test_set.images, test_set.tabular))
-        seeds.append(SeedResult(
-            seed=seed, test=evalharness.metrics(probs, test_set.labels),
-            subgroup=evalharness.subgroup_metrics(probs, test_set.labels,
-                                                  severities),
-            sweep=tuple(evalharness.threshold_sweep(probs, test_set.labels))))
-    return RunResult(
-        **vars(run), seeds=tuple(seeds),
-        aggregate=evalharness.seed_aggregate([s.test for s in seeds]),
-        subgroup_aggregate=evalharness.seed_aggregate(
-            [s.subgroup for s in seeds]),
-        sweep_mean=tuple((t, float(np.mean([dict(s.sweep)[t] for s in seeds])))
-                         for t in evalharness.SWEEP_THRESHOLDS))
+        logits[seed] = learn.forward(params, test_set.images, test_set.tabular)
+    return RunResult(**vars(run), held_out=tuple(run.records_of([TEST_GROUP])),
+                     labels=test_set.labels, logits=logits)
 
 
 def run_experiment(cohort: CohortData, config: RunConfig,
@@ -651,39 +639,59 @@ def write_csv(path: str | Path, header: Sequence[str],
 
 
 def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
-    """Write the CSV reports, checkpoints, and index; returns name -> path."""
+    """Write the CSV reports, checkpoints, and index; returns name -> path.
+    Each seed's reports are computed once from its held-out rows, which
+    ``predictions.csv`` holds: ``seed, subject, label, severity, logit,
+    prob`` in seed, then cohort order, ``logit`` and ``prob`` written as
+    ``repr(float(v))``, which reads back exactly."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     cfg = result.config
+    labels, severities = result.labels, [r.severity for r in result.held_out]
+    probs = {seed: result.calibrators[seed].apply(z)
+             for seed, z in result.logits.items()}
+    tests = {seed: evalharness.metrics(p, labels) for seed, p in probs.items()}
+    subgroups = {seed: evalharness.subgroup_metrics(p, labels, severities)
+                 for seed, p in probs.items()}
+    sweeps = {seed: [acc for _, acc in evalharness.threshold_sweep(p, labels)]
+              for seed, p in probs.items()}
+    aggregate = evalharness.seed_aggregate(list(tests.values()))
+    subgroup_mean = evalharness.seed_aggregate(list(subgroups.values()))
+
+    tables = {
+        "per_seed": (
+            ["seed", *METRIC_COLS, "temperature", "val_loss", "flags"],
+            [[seed] + [getattr(row, m) for m in METRIC_COLS]
+             + [result.calibrators[seed].temperature,
+                result.val_losses[seed], "|".join(row.flags)]
+             for seed, row in tests.items()]),
+        "summary": (
+            ["variant", "model", "metric", "mean", "se"],
+            [[cfg.variant, cfg.model, m, *aggregate[m]] for m in METRIC_COLS]),
+        "subgroup": (
+            ["seed", *METRIC_COLS],
+            [[seed] + [getattr(row, m) for m in METRIC_COLS]
+             for seed, row in subgroups.items()]
+            + [["mean"] + [subgroup_mean[m][0] for m in METRIC_COLS]]),
+        "thresholds": (
+            ["seed"] + [f"t_{t:g}" for t in evalharness.SWEEP_THRESHOLDS],
+            [[seed, *accs] for seed, accs in sweeps.items()]
+            + [["mean"] + [float(np.mean(accs))
+                           for accs in zip(*sweeps.values())]]),
+        "predictions": (
+            ["seed", "subject", "label", "severity", "logit", "prob"],
+            [[seed, r.id, int(y), r.severity, repr(float(z)), repr(float(q))]
+             for seed, p in probs.items()
+             for r, y, z, q in zip(result.held_out, labels,
+                                   result.logits[seed], p)]),
+        "learning_curves": (
+            ["phase", "lr", "fold_or_seed", "epoch", "val_loss"],
+            result.learning_curves),
+    }
     files = {}
-
-    rows = [[s.seed] + [getattr(s.test, m) for m in METRIC_COLS]
-            + [result.calibrators[s.seed].temperature,
-               result.val_losses[s.seed], "|".join(s.test.flags)]
-            for s in result.seeds]
-    write_csv(out / "per_seed.csv",
-              ["seed", *METRIC_COLS, "temperature", "val_loss", "flags"], rows)
-    files["per_seed"] = "per_seed.csv"
-
-    rows = [[cfg.variant, cfg.model, m, result.aggregate[m][0],
-             result.aggregate[m][1]] for m in METRIC_COLS]
-    write_csv(out / "summary.csv",
-              ["variant", "model", "metric", "mean", "se"], rows)
-    files["summary"] = "summary.csv"
-
-    rows = [[s.seed] + [getattr(s.subgroup, m) for m in METRIC_COLS]
-            for s in result.seeds]
-    rows.append(["mean"] + [result.subgroup_aggregate[m][0]
-                            for m in METRIC_COLS])
-    write_csv(out / "subgroup.csv", ["seed", *METRIC_COLS], rows)
-    files["subgroup"] = "subgroup.csv"
-
-    rows = [[s.seed] + [acc for _, acc in s.sweep] for s in result.seeds]
-    rows.append(["mean"] + [acc for _, acc in result.sweep_mean])
-    write_csv(out / "thresholds.csv",
-              ["seed"] + [f"t_{t:g}" for t in evalharness.SWEEP_THRESHOLDS],
-              rows)
-    files["thresholds"] = "thresholds.csv"
+    for name, (header, rows) in tables.items():
+        write_csv(out / f"{name}.csv", header, rows)
+        files[name] = f"{name}.csv"
 
     ck_dir = out / "checkpoints"
     ck_dir.mkdir(exist_ok=True)
@@ -695,11 +703,6 @@ def emit_run(result: RunResult, out_dir: str | Path) -> dict[str, str]:
     for name, params in names.items():
         learn.write_checkpoint(params, ck_dir / name)
     files["checkpoints"] = "checkpoints"
-
-    write_csv(out / "learning_curves.csv",
-              ["phase", "lr", "fold_or_seed", "epoch", "val_loss"],
-              result.learning_curves)
-    files["learning_curves"] = "learning_curves.csv"
     if result.box.audit_path:
         files["audit"] = result.box.audit_path.name
 

@@ -19,7 +19,7 @@ from strokepred.evalharness import (BALANCE_COVARIATES, METRIC_COLS,
                                     fit_temperature, metrics,
                                     seed_aggregate, stratified_partition,
                                     subgroup_metrics, threshold_sweep)
-from strokepred.learn import NumericAbort
+from strokepred.learn import NumericAbort, sigmoid
 
 
 def _record(i, severity, score, size, days):
@@ -452,9 +452,9 @@ def test_calibrator_identity_and_validation():
     z = np.array([-3.0, -0.5, 0.0, 0.5, 3.0])
     cal = Calibrator(temperature=1.0)
     assert np.allclose(cal.apply(z), 1.0 / (1.0 + np.exp(-z)), atol=1e-15)
-    assert np.array_equal(cal.apply_logits(z), z)
+    assert np.array_equal(cal.apply(z), sigmoid(z))
     half = Calibrator(temperature=2.0)
-    assert np.allclose(half.apply_logits(z), z / 2.0)
+    assert np.array_equal(half.apply(z), sigmoid(z / 2.0))
     with pytest.raises(ValueError):
         Calibrator(temperature=0.0)
     with pytest.raises(ValueError):

@@ -472,32 +472,42 @@ def test_run_audit_protocol(tiny_run, tmp_path):
     assert scan["pre_unlock_lockbox_accesses"] == 0
 
 
+def _tree_bytes(root):
+    return {str(f.relative_to(root)): f.read_bytes()
+            for f in sorted(root.rglob("*")) if f.is_file()}
+
+
 def test_run_result_fields(tiny_run):
     assert tiny_run.best_lr == 1e-3
-    assert [s.seed for s in tiny_run.seeds] == [1, 2]
     assert set(tiny_run.checkpoints) == {1, 2}
     assert set(tiny_run.aggregate) == set(pipeline.METRIC_COLS)
-    for s in tiny_run.seeds:
-        assert len(s.sweep) == 9  # thresholds 0.1 .. 0.9
-    # each seed's fitted state is held once, keyed and ordered by seed
+    # the held-out rows: group 5 in cohort order, one logit per subject
+    held_out = [r for r in tiny_run.cohort.records
+                if tiny_run.plan.assignment[r.id] == pipeline.TEST_GROUP]
+    assert held_out and list(tiny_run.held_out) == held_out
+    assert tiny_run.labels.tolist() == [core.outcome_label(r.score)
+                                        for r in held_out]
+    for logits in tiny_run.logits.values():
+        assert logits.shape == (len(held_out),)
+    # each seed's fitted state and logits are held once, keyed and ordered
+    # by seed
     for fitted in (tiny_run.checkpoints, tiny_run.calibrators,
-                   tiny_run.val_losses):
+                   tiny_run.val_losses, tiny_run.logits):
         assert list(fitted) == [1, 2]
     assert all(c.temperature > 0 for c in tiny_run.calibrators.values())
 
 
 def test_run_is_deterministic(tiny_cohort, tiny_run, tmp_path):
     again = pipeline.run_experiment(tiny_cohort, fast_config())
-    for a, b in zip(tiny_run.seeds, again.seeds):
-        assert a.test == b.test
+    assert list(again.logits) == list(tiny_run.logits)
+    for seed, logits in tiny_run.logits.items():
+        assert again.logits[seed].tobytes() == logits.tobytes()
     assert again.calibrators == tiny_run.calibrators
     assert again.val_losses == tiny_run.val_losses
     d1, d2 = tmp_path / "a", tmp_path / "b"
     pipeline.emit_run(tiny_run, d1)
     pipeline.emit_run(again, d2)
-    for name in ("per_seed.csv", "summary.csv", "subgroup.csv",
-                 "thresholds.csv", "index.json", "learning_curves.csv"):
-        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+    assert _tree_bytes(d1) == _tree_bytes(d2)
 
 
 @pytest.mark.parametrize("model",
@@ -506,11 +516,11 @@ def test_parallel_run_matches_sequential(tiny_cohort, model):
     config = fast_config(model=model)
     seq = pipeline.run_experiment(tiny_cohort, config)
     par = pipeline.run_experiment(tiny_cohort, config, jobs=2)
-    assert [s.seed for s in par.seeds] == [s.seed for s in seq.seeds]
-    for a, b in zip(seq.seeds, par.seeds):
-        assert a.test == b.test
-        assert par.checkpoints[a.seed].vector.tobytes() == \
-            seq.checkpoints[a.seed].vector.tobytes()
+    assert list(par.logits) == list(seq.logits)
+    for seed, logits in seq.logits.items():
+        assert par.logits[seed].tobytes() == logits.tobytes()
+        assert par.checkpoints[seed].vector.tobytes() == \
+            seq.checkpoints[seed].vector.tobytes()
     assert par.calibrators == seq.calibrators
     assert par.val_losses == seq.val_losses
     assert par.learning_curves == seq.learning_curves
@@ -535,7 +545,7 @@ def test_learning_curves_hold_every_fit_epoch(tiny_run, tmp_path):
         assert [r[3] for r in curve] == list(range(1, epochs + 1))
         assert {r[1] for r in curve} == {tiny_run.best_lr}
         assert min(r[4] for r in curve) == val_loss
-    assert len(rows) == len(cv) + len(tiny_run.seeds) * epochs
+    assert len(rows) == len(cv) + len(tiny_run.logits) * epochs
     pipeline.emit_run(tiny_run, tmp_path)
     lines = (tmp_path / "learning_curves.csv").read_text().splitlines()
     assert lines[0] == "phase,lr,fold_or_seed,epoch,val_loss"
@@ -589,7 +599,8 @@ def test_evaluate_run_unlocks_once(tiny_cohort):
 def test_run_logistic_model(tiny_cohort):
     res = pipeline.run_experiment(tiny_cohort,
                                   fast_config(model="logistic", seeds=(1,)))
-    assert res.seeds[0].test.auc > 0.5  # tabular features carry real signal
+    # tabular features carry real signal
+    assert res.aggregate["auc"][0] > 0.5
     params = res.checkpoints[1]
     assert params.kind == "logistic"
 
@@ -606,6 +617,49 @@ def test_emit_run_files(tiny_run, tmp_path):
     assert RunConfig.from_json_dict(doc["config"]) == tiny_run.config
     ckp = learn.read_checkpoint(tmp_path / "checkpoints" / "seed-001.ckp")
     assert np.array_equal(ckp.vector, tiny_run.checkpoints[1].vector)
+
+
+def test_predictions_csv_reproduces_per_seed_csv(tiny_run, tmp_path):
+    # every reported number is a view of the held-out rows: the written
+    # rows alone give back each seed's per_seed.csv fields, and its
+    # subgroup.csv and thresholds.csv rows, byte for byte
+    pipeline.emit_run(tiny_run, tmp_path)
+
+    def read(name):
+        with open(tmp_path / name, newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    rows = read("predictions.csv")
+    per_seed, subgroup, thresholds = (
+        {r["seed"]: r for r in read(name)}
+        for name in ("per_seed.csv", "subgroup.csv", "thresholds.csv"))
+    held_out = [r for r in tiny_run.cohort.records
+                if tiny_run.plan.assignment[r.id] == pipeline.TEST_GROUP]
+    assert list(rows[0]) == ["seed", "subject", "label", "severity", "logit",
+                             "prob"]
+    assert [int(r["seed"]) for r in rows] == [
+        seed for seed in tiny_run.config.seeds for _ in held_out]
+    assert list(per_seed) == [str(seed) for seed in tiny_run.config.seeds]
+    for seed, want in per_seed.items():
+        mine = [r for r in rows if r["seed"] == seed]
+        assert [r["subject"] for r in mine] == [r.id for r in held_out]
+        severities = [r["severity"] for r in mine]
+        assert severities == [r.severity for r in held_out]
+        labels = np.array([int(r["label"]) for r in mine])
+        assert labels.tolist() == [core.outcome_label(r.score)
+                                   for r in held_out]
+        logits = np.array([float(r["logit"]) for r in mine])
+        probs = np.array([float(r["prob"]) for r in mine])
+        assert np.array_equal(
+            tiny_run.calibrators[int(seed)].apply(logits), probs)
+        row = evalharness.metrics(probs, labels)
+        sub = evalharness.subgroup_metrics(probs, labels, severities)
+        for m in pipeline.METRIC_COLS:
+            assert format(getattr(row, m), ".10g") == want[m]
+            assert format(getattr(sub, m), ".10g") == subgroup[seed][m]
+        assert "|".join(row.flags) == want["flags"]
+        for t, acc in evalharness.threshold_sweep(probs, labels):
+            assert format(acc, ".10g") == thresholds[seed][f"t_{t:g}"]
 
 
 def test_summary_csv_matches_aggregate(tiny_run, tmp_path):
@@ -884,9 +938,14 @@ def test_run_survives_empty_held_out_subgroup(tmp_path):
     assert empty.flags == ("empty-subgroup",)
 
     result = pipeline.run_experiment(cohort, fast_config(model="logistic"))
-    for s in result.seeds:
-        assert np.isfinite(s.test.balanced_accuracy)
-        assert all(math.isnan(getattr(s.subgroup, m))
+    assert [r.severity for r in result.held_out] == severities
+    for seed, logits in result.logits.items():
+        probs = result.calibrators[seed].apply(logits)
+        assert np.isfinite(evalharness.metrics(
+            probs, result.labels).balanced_accuracy)
+        subgroup = evalharness.subgroup_metrics(probs, result.labels,
+                                                severities)
+        assert all(math.isnan(getattr(subgroup, m))
                    for m in pipeline.METRIC_COLS)
     pipeline.emit_run(result, tmp_path)
     rows = (tmp_path / "subgroup.csv").read_text().splitlines()[1:]
