@@ -10,6 +10,13 @@ the predicted class.
 Which pixels belong to which ROI is the ROI index, ``roi_pixel_sets`` of the
 pool's label image; ``explain_pool`` derives it once and hands it down, and
 every mask bit follows its order.
+
+An explanation works on one (n, r) int64 mask matrix from
+``perturbation_masks``: row 0 keeps every ROI, rows 1..r each replace one
+ROI, and the remaining rows are random.  ``gen_perturbations`` returns one
+probability per mask row, not a summary, since the benchmark's layer trace
+counts its rows as ``explain.perturbations``; ``fit_surrogate`` regresses
+those probabilities on the matrix.
 """
 
 from __future__ import annotations
@@ -52,18 +59,6 @@ def _predict(classifier: Classifier, n: int,
     return probs
 
 
-@dataclass(frozen=True)
-class PerturbationRecord:
-    mask: tuple[int, ...]  # bit per ROI, 1 = original retained
-    probability: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError("probability must lie in [0, 1]")
-        if any(b not in (0, 1) for b in self.mask):
-            raise ValueError("mask bits must be 0 or 1")
-
-
 def roi_pixel_sets(label_image: np.ndarray) -> dict[int, np.ndarray]:
     """The ROI index of a label image: every nonzero label, ascending, with
     the flat indices of its pixels."""
@@ -73,12 +68,13 @@ def roi_pixel_sets(label_image: np.ndarray) -> dict[int, np.ndarray]:
 
 
 def apply_mask(image: np.ndarray, contrast: np.ndarray, index: RoiIndex,
-               masks: Sequence[Sequence[int]]) -> np.ndarray:
-    """The (m, h, w) batch of ``image`` under each of the m masks: row i has
-    exactly the pixels of the ROIs whose bit in ``masks[i]`` is 0 replaced
-    by ``contrast``'s pixels.  The batch has the callers' dtype,
-    ``np.result_type(image, contrast)``; it is filled with the image, then
-    with one copy per ROI over every mask that swaps that ROI."""
+               masks: np.ndarray) -> np.ndarray:
+    """The (m, h, w) batch of ``image`` under each row of the (m, r) mask
+    array: row i has exactly the pixels of the ROIs whose bit in
+    ``masks[i]`` is 0 replaced by ``contrast``'s pixels.  The batch has the
+    callers' dtype, ``np.result_type(image, contrast)``; it is filled with
+    the image, then with one copy per ROI over every mask that swaps that
+    ROI."""
     image, contrast = np.asarray(image), np.asarray(contrast)
     out = np.empty((len(masks), *image.shape),
                    dtype=np.result_type(image, contrast))
@@ -92,28 +88,26 @@ def apply_mask(image: np.ndarray, contrast: np.ndarray, index: RoiIndex,
     return out
 
 
-def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
-                      index: RoiIndex, classifier: Classifier, n: int,
-                      seed: int = 0) -> list[PerturbationRecord]:
-    """All-ones mask, every single-ROI replacement, then random masks with
-    each bit independently 0 with probability 0.5, up to n rows.  The
-    classifier sees batches of the callers' dtype (``apply_mask``)."""
-    r = len(index)
+def perturbation_masks(r: int, n: int, seed: int) -> np.ndarray:
+    """The (n, r) int64 mask matrix over r ROIs: the all-ones row, every
+    single-ROI replacement (``1 - eye(r)``), then random rows with each bit
+    independently 0 with probability 0.5."""
     if n < r + 2:
         raise ValueError(f"n={n} must exceed number of ROIs + 1 ({r + 1})")
-
-    masks = [tuple([1] * r)]
-    for j in range(r):
-        masks.append(tuple(0 if i == j else 1 for i in range(r)))
     draws = CounterRng(seed, "explain", "masks").uniforms((n - r - 1) * r)
     # uniform() < 0.5 is bernoulli(0.5), one draw per bit, row by row
-    bits = (draws.reshape(n - r - 1, r) < 0.5).astype(np.int64)
-    masks.extend(map(tuple, bits.tolist()))
+    return np.vstack([np.ones((1, r), dtype=np.int64),
+                      1 - np.eye(r, dtype=np.int64),
+                      (draws.reshape(n - r - 1, r) < 0.5).astype(np.int64)])
 
-    probs = _predict(classifier, n, lambda s: apply_mask(
+
+def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
+                      index: RoiIndex, classifier: Classifier,
+                      masks: np.ndarray) -> np.ndarray:
+    """The classifier's probability for each row of ``masks``, scored in
+    batches of ``BATCH_SIZE`` of the callers' dtype (``apply_mask``)."""
+    return _predict(classifier, len(masks), lambda s: apply_mask(
         image, contrast, index, masks[s]))
-    return [PerturbationRecord(mask=m, probability=float(p))
-            for m, p in zip(masks, probs)]
 
 
 # ---------------------------------------------------------------------------
@@ -127,32 +121,32 @@ class SurrogateModel:
     r2: float | None  # on logits; None when the response is constant
     flags: tuple[str, ...] = ()
 
-    def predict_logit(self, mask: Sequence[int]) -> float:
-        return self.intercept + float(np.dot(self.coefs, np.asarray(mask, float)))
-
     def predict_prob(self, mask: Sequence[int]) -> float:
         # scalar math.exp, not learn.sigmoid: the two differ in the last bit
         # on some logits, and this value is written to explanation files
-        z = self.predict_logit(mask)
+        z = self.intercept + float(np.dot(self.coefs, np.asarray(mask, float)))
         return 1.0 / (1.0 + math.exp(-z)) if z >= 0 else \
             math.exp(z) / (1.0 + math.exp(z))
 
 
-def fit_surrogate(records: Sequence[PerturbationRecord]) -> SurrogateModel:
-    """Ridge least squares (penalty ``RIDGE``) of logit(p) on the mask bits,
-    intercept free."""
-    if not records:
-        raise ValueError("no perturbation records")
-    r = len(records[0].mask)
-    if any(len(rec.mask) != r for rec in records):
-        raise ValueError("inconsistent mask lengths")
-    if len(records) < r + 1:
+def fit_surrogate(masks: np.ndarray, probs: np.ndarray) -> SurrogateModel:
+    """Ridge least squares (penalty ``RIDGE``) of logit(p) on the bits of
+    the (n, r) mask matrix, intercept free."""
+    x, p = np.asarray(masks), np.asarray(probs, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError("masks must be an (n, r) matrix")
+    n, r = x.shape
+    if n < r + 1:
         raise ValueError(f"need at least {r + 1} rows for {r} ROIs")
-    x = np.array([rec.mask for rec in records], dtype=np.float64)
-    p = np.clip([rec.probability for rec in records],
-                PROB_CLAMP, 1.0 - PROB_CLAMP)
+    if p.shape != (n,):
+        raise ValueError("need one probability per mask row")
+    if not np.isin(x, (0, 1)).all():
+        raise ValueError("mask bits must be 0 or 1")
+    if not (p.min() >= 0 and p.max() <= 1):  # NaN too
+        raise ValueError("probabilities must lie in [0, 1]")
+    p = np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
     y = np.log(p / (1.0 - p))
-    a = np.hstack([np.ones((len(records), 1)), x])
+    a = np.hstack([np.ones((n, 1)), x])
     penalty = np.diag([0.0] + [RIDGE] * r)  # intercept unpenalized
     theta = np.linalg.solve(a.T @ a + penalty, a.T @ y)
     if not np.all(np.isfinite(theta)):
@@ -193,12 +187,10 @@ def counterfactuals(image: np.ndarray, contrast: np.ndarray,
     rois = tuple(index)
     r = len(rois)
     combos = [(j,) for j in range(r)] + list(combinations(range(r), 2))
-    masks = []
-    for combo in combos:
-        mask = [1] * r
-        for j in combo:
-            mask[j] = 0
-        masks.append(tuple(mask))
+    masks = np.ones((len(combos), r), dtype=np.int64)
+    for mask, combo in zip(masks, combos):
+        mask[list(combo)] = 0
+    # scored here, not by gen_perturbations: the layer trace counts its rows
     probs = _predict(classifier, len(masks), lambda s: apply_mask(
         image, contrast, index, masks[s]))
 
@@ -236,10 +228,10 @@ def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
                 index: RoiIndex, classifier: Classifier, n: int,
                 seed: int = 0, with_counterfactuals: bool = True,
                 ) -> Explanation:
-    records = gen_perturbations(image, contrast, index, classifier, n=n,
-                                seed=seed)
-    surrogate = fit_surrogate(records)
-    base = records[0].probability  # all-ones mask comes first
+    masks = perturbation_masks(len(index), n, seed)
+    probs = gen_perturbations(image, contrast, index, classifier, masks)
+    surrogate = fit_surrogate(masks, probs)
+    base = float(probs[0])  # all-ones mask comes first
     flags = list(surrogate.flags)
     if np.array_equal(image, contrast):
         flags.append("self_contrast")

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from strokepred import explain
-from strokepred.explain import (BATCH_SIZE, Explanation, PerturbationRecord,
-                                RoiRanking, SurrogateModel, _predict,
-                                apply_mask,
+from strokepred.explain import (BATCH_SIZE, Explanation, RoiRanking,
+                                SurrogateModel, _predict, apply_mask,
                                 counterfactuals, explain_one, explain_pool,
                                 explanation_json,
                                 explanation_report, fit_surrogate,
-                                gen_perturbations, roi_pixel_sets)
+                                gen_perturbations, perturbation_masks,
+                                roi_pixel_sets)
 from strokepred.rng import CounterRng
 
 ROIS = (1, 2, 3, 4)
@@ -197,24 +197,21 @@ def test_explain_pool_refuses_a_label_image_of_another_shape():
 def test_gen_perturbations_row_structure_and_reproducibility():
     labels, original, contrast = _layout()
     classifier = _double(labels, original, 0.0, (1.0, 1.0, 1.0, 1.0))
-    recs = gen_perturbations(original, contrast, INDEX, classifier, n=40,
-                             seed=5)
-    assert len(recs) == 40
-    assert recs[0].mask == (1, 1, 1, 1)
-    for j in range(4):
-        want = tuple(0 if i == j else 1 for i in range(4))
-        assert recs[1 + j].mask == want
-    again = gen_perturbations(original, contrast, INDEX, classifier, n=40,
-                              seed=5)
-    assert [r.mask for r in again] == [r.mask for r in recs]
-    other = gen_perturbations(original, contrast, INDEX, classifier, n=40,
-                              seed=6)
-    assert [r.mask for r in other[5:]] != [r.mask for r in recs[5:]]
+    masks = perturbation_masks(4, 40, seed=5)
+    assert masks.shape == (40, 4) and masks.dtype == np.int64
+    assert masks[0].tolist() == [1, 1, 1, 1]
+    assert np.array_equal(masks[1:5], 1 - np.eye(4, dtype=np.int64))
+    assert np.array_equal(perturbation_masks(4, 40, seed=5), masks)
+    assert not np.array_equal(perturbation_masks(4, 40, seed=6)[5:],
+                              masks[5:])
+    probs = gen_perturbations(original, contrast, INDEX, classifier, masks)
+    assert probs.shape == (40,) and probs.dtype == np.float64
+    want = classifier(apply_mask(original, contrast, INDEX, masks))
+    assert probs.tobytes() == want.tobytes()
 
 
 def _loop_masks(r, n, seed):
-    """The masks as gen_perturbations drew them bit by bit, one scalar
-    bernoulli(0.5) per bit."""
+    """The mask matrix drawn bit by bit, one scalar bernoulli(0.5) per bit."""
     masks = [tuple([1] * r)]
     masks += [tuple(0 if i == j else 1 for i in range(r)) for j in range(r)]
     rng = CounterRng(seed, "explain", "masks")
@@ -226,24 +223,18 @@ def _loop_masks(r, n, seed):
 @pytest.mark.parametrize("r,n", [(1, 3), (1, 300), (20, 22), (20, 23),
                                  (20, 300)])
 def test_gen_perturbations_masks_match_the_per_bit_loop(r, n):
-    labels = np.zeros((10, 8), dtype=np.int64)  # ROI k is pixels 4k..4k+3
-    labels.ravel()[:4 * r] = np.repeat(np.arange(1, r + 1), 4)
-    image = np.linspace(0.0, 1.0, labels.size).reshape(labels.shape)
     for seed in (0, 9):
-        recs = gen_perturbations(image, 1.0 - image, roi_pixel_sets(labels),
-                                 _mean_logit_classifier, n=n, seed=seed)
-        masks = [rec.mask for rec in recs]
-        assert masks == _loop_masks(r, n, seed)
-        assert all(type(bit) is int for m in masks for bit in m)
+        masks = perturbation_masks(r, n, seed)
+        assert masks.dtype == np.int64
+        assert list(map(tuple, masks.tolist())) == _loop_masks(r, n, seed)
 
 
 def test_gen_perturbations_with_self_contrast_is_constant():
     labels, original, _ = _layout()
     classifier = _double(labels, original, -0.4, (2.0, 1.0, 0.5, 0.25))
-    recs = gen_perturbations(original, original.copy(), INDEX, classifier,
-                             n=20, seed=1)
-    base = recs[0].probability
-    assert all(r.probability == base for r in recs)
+    probs = gen_perturbations(original, original.copy(), INDEX, classifier,
+                              perturbation_masks(4, 20, seed=1))
+    assert np.all(probs == probs[0])
 
 
 def test_apply_mask_zero_mask_copies_contrast_on_roi_pixels_only():
@@ -313,18 +304,8 @@ def test_explain_pool_refuses_a_nan_probability():
 
 
 def test_gen_perturbations_validation():
-    labels, original, contrast = _layout()
-    classifier = _double(labels, original, 0.0, (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="must exceed"):
-        gen_perturbations(original, contrast, INDEX, classifier,
-                          n=5)  # needs > ROIs + 1
-
-
-def test_perturbation_record_validation():
-    with pytest.raises(ValueError):
-        PerturbationRecord(mask=(1, 0), probability=1.2)
-    with pytest.raises(ValueError):
-        PerturbationRecord(mask=(1, 2), probability=0.5)
+        perturbation_masks(4, 5, seed=0)  # needs > ROIs + 1
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +316,9 @@ def test_fit_surrogate_recovers_analytic_coefficients():
     labels, original, contrast = _layout()
     b, coefs = -0.8, (2.0, -1.0, 0.5, 1.5)
     classifier = _double(labels, original, b, coefs)
-    recs = gen_perturbations(original, contrast, INDEX, classifier,
-                             n=300, seed=2)
-    model = fit_surrogate(recs)
+    masks = perturbation_masks(4, 300, seed=2)
+    model = fit_surrogate(masks, gen_perturbations(
+        original, contrast, INDEX, classifier, masks))
     assert abs(model.intercept - b) <= 1e-3
     for got, want in zip(model.coefs, coefs):
         assert abs(got - want) <= 1e-3
@@ -345,11 +326,8 @@ def test_fit_surrogate_recovers_analytic_coefficients():
 
 
 def test_fit_surrogate_constant_classifier_gives_zero_coefs():
-    recs = [PerturbationRecord(mask=(1, 1), probability=0.7),
-            PerturbationRecord(mask=(0, 1), probability=0.7),
-            PerturbationRecord(mask=(1, 0), probability=0.7),
-            PerturbationRecord(mask=(0, 0), probability=0.7)]
-    model = fit_surrogate(recs)
+    model = fit_surrogate(np.array([[1, 1], [0, 1], [1, 0], [0, 0]]),
+                          np.full(4, 0.7))
     assert all(abs(c) <= 1e-9 for c in model.coefs)
     assert model.intercept == pytest.approx(math.log(0.7 / 0.3), abs=1e-9)
     assert model.r2 is None
@@ -357,21 +335,23 @@ def test_fit_surrogate_constant_classifier_gives_zero_coefs():
 
 
 def test_fit_surrogate_validation():
-    recs = [PerturbationRecord(mask=(1, 1, 1), probability=0.5)] * 2
-    with pytest.raises(ValueError):
-        fit_surrogate(recs)  # too few rows for 3 ROIs
-    bad = [PerturbationRecord(mask=(1, 1), probability=0.5),
-           PerturbationRecord(mask=(1, 1, 0), probability=0.5)]
-    with pytest.raises(ValueError):
-        fit_surrogate(bad)
+    three = np.array([[1, 0], [1, 1], [0, 1]])
+    for masks, probs, match in [
+            (np.ones((2, 3), dtype=np.int64), np.full(2, 0.5),
+             "at least 4 rows"),  # too few rows for 3 ROIs
+            (np.ones(4, dtype=np.int64), np.full(4, 0.5), "matrix"),
+            (np.ones((4, 2), dtype=np.int64), np.full(3, 0.5),
+             "one probability"),
+            (three, np.array([0.5, 1.2, 0.5]), r"\[0, 1\]"),
+            (three, np.array([0.5, np.nan, 0.5]), r"\[0, 1\]"),
+            (np.array([[1, 2], [1, 1], [0, 1]]), np.full(3, 0.5), "0 or 1")]:
+        with pytest.raises(ValueError, match=match):
+            fit_surrogate(masks, probs)
 
 
 def test_fit_surrogate_clamps_extreme_probabilities():
-    recs = [PerturbationRecord(mask=(1,), probability=1.0),
-            PerturbationRecord(mask=(0,), probability=0.0),
-            PerturbationRecord(mask=(1,), probability=1.0),
-            PerturbationRecord(mask=(0,), probability=0.0)]
-    model = fit_surrogate(recs)
+    model = fit_surrogate(np.array([[1], [0], [1], [0]]),
+                          np.array([1.0, 0.0, 1.0, 0.0]))
     assert math.isfinite(model.intercept) and math.isfinite(model.coefs[0])
 
 
@@ -382,9 +362,9 @@ def test_fit_surrogate_clamps_extreme_probabilities():
 def _fitted_double(b, coefs, n=300, seed=3):
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
-    recs = gen_perturbations(original, contrast, INDEX, classifier,
-                             n=n, seed=seed)
-    model = fit_surrogate(recs)
+    masks = perturbation_masks(4, n, seed)
+    model = fit_surrogate(masks, gen_perturbations(
+        original, contrast, INDEX, classifier, masks))
     return labels, original, contrast, classifier, model
 
 
