@@ -272,14 +272,19 @@ def _rank_run_rois(args, counts=(), with_counterfactuals=False):
 def cmd_explain(args) -> int:
     seed, out, _, explanations, ranking, names = _rank_run_rois(
         args, with_counterfactuals=True)
+    files = {}
+    for expl_obj in explanations:
+        files[f"{expl_obj.image_id}.json"] = json.dumps(
+            explain.explanation_json(expl_obj), indent=2, sort_keys=True)
+        files[f"{expl_obj.image_id}.txt"] = explain.explanation_report(
+            expl_obj, roi_names=names)
     expl_dir = out / "explanations"
     expl_dir.mkdir(exist_ok=True)
-    for expl_obj in explanations:
-        (expl_dir / f"{expl_obj.image_id}.json").write_text(
-            json.dumps(explain.explanation_json(expl_obj), indent=2,
-                       sort_keys=True) + "\n")
-        (expl_dir / f"{expl_obj.image_id}.txt").write_text(
-            explain.explanation_report(expl_obj, roi_names=names) + "\n")
+    for stale in [*expl_dir.glob("*.json"), *expl_dir.glob("*.txt")]:
+        if stale.name not in files:  # left by an earlier explain
+            stale.unlink()
+    for name, text in files.items():
+        (expl_dir / name).write_text(text + "\n")
 
     print(f"explained {len(explanations)} image(s) from run seed {seed}")
     top = ranking.rois[:5]

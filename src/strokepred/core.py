@@ -11,8 +11,10 @@ Volumes are stored on disk in the self-describing "VOL1" binary layout:
     17      15    zero padding (header padded to a 16-byte boundary)
     32      -     payload, little-endian, x-fastest (index = x + nx*(y + ny*z))
 
-All multi-byte integers are little-endian.  In memory a volume's ``data``
-array is indexed ``data[x, y, z]``.
+All multi-byte integers are little-endian.  In memory a volume holds
+exactly its VOL1 payload dtype, native-endian: a ``Volume3D``'s ``data``
+is float32 and a ``LabelVolume``'s ``labels`` uint16, each indexed
+``[x, y, z]``.  Both refuse an array of any other dtype.
 """
 
 from __future__ import annotations
@@ -143,7 +145,7 @@ def from_json_object(cls, doc, what: str):
 
 @dataclass(frozen=True)
 class Volume3D:
-    """Scalar intensity volume, values in [0, 1], float32."""
+    """Scalar intensity volume, values in [0, 1]; float32 data only."""
 
     dims: tuple[int, int, int]
     data: np.ndarray  # shape dims, float32
@@ -154,7 +156,8 @@ class Volume3D:
             raise DimensionMismatchError(
                 f"data shape {self.data.shape} != dims {self.dims}")
         if self.data.dtype != np.float32:
-            object.__setattr__(self, "data", self.data.astype(np.float32))
+            raise ValueError(f"volume data must be float32, not "
+                             f"{self.data.dtype}")
         if not np.all(np.isfinite(self.data)):
             raise ValueError("volume intensities must be finite")
         if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
@@ -164,8 +167,7 @@ class Volume3D:
 
 @dataclass(frozen=True)
 class LabelVolume:
-    """Integer label volume; 0 is background, uint16.  Labels of another
-    dtype must be integers in 0..65535.
+    """Integer label volume; 0 is background; uint16 labels only.
 
     The labels are read-only, so what follows from them alone is computed
     once, on first use, and kept read-only: ``label_counts``, the ROI
@@ -181,18 +183,8 @@ class LabelVolume:
         if self.labels.shape != (nx, ny, nz):
             raise DimensionMismatchError(
                 f"labels shape {self.labels.shape} != dims {self.dims}")
-        arr = self.labels
-        if arr.dtype != np.uint16:
-            if arr.dtype != bool and arr.size:
-                if arr.min() < 0:
-                    raise ValueError("labels must be non-negative")
-                if arr.dtype.kind == "f" and not np.array_equal(
-                        arr, np.trunc(arr)):  # NaN is unequal too
-                    raise ValueError("labels must be integers")
-                if arr.max() > 65535:
-                    raise ValueError(f"labels must be at most 65535 (uint16), "
-                                     f"got {arr.max()}")
-            object.__setattr__(self, "labels", arr.astype(np.uint16))
+        if self.labels.dtype != np.uint16:
+            raise ValueError(f"labels must be uint16, not {self.labels.dtype}")
         names = dict(self.label_names)
         top = int(self.labels.max()) if self.labels.size else 0
         if not all(lab in names for lab in range(1, top + 1)):
@@ -342,7 +334,7 @@ def read_volume(path: str | Path,
         raise FormatError(
             f"payload length {len(raw) - HEADER_SIZE} != expected {expected - HEADER_SIZE}",
             min(len(raw), expected))
-    dims = (nx, ny, nz)
+    dims = (nx, ny, nz)  # copies below are C-ordered, so ravel() is a view
     if code == DTYPE_FLOAT32:
         data = np.frombuffer(raw, dtype="<f4", offset=HEADER_SIZE)
         bad = np.flatnonzero(~((data >= 0.0) & (data <= 1.0)))  # NaN too
@@ -352,11 +344,12 @@ def read_volume(path: str | Path,
                 f"intensity {value} outside [0, 1]" if np.isfinite(value)
                 else f"non-finite intensity {value}",
                 HEADER_SIZE + 4 * int(bad[0]))
-        data = data.reshape(nz, ny, nx).transpose(2, 1, 0).copy()
-        return Volume3D(dims=dims, data=data)
+        data = data.reshape(nz, ny, nx).transpose(2, 1, 0)
+        return Volume3D(dims=dims, data=data.astype(np.float32, order="C"))
     labels = np.frombuffer(raw, dtype="<u2", offset=HEADER_SIZE)
-    labels = labels.reshape(nz, ny, nx).transpose(2, 1, 0).copy()
-    return LabelVolume(dims=dims, labels=labels, label_names=label_names or {})
+    labels = labels.reshape(nz, ny, nx).transpose(2, 1, 0)
+    return LabelVolume(dims=dims, labels=labels.astype(np.uint16, order="C"),
+                       label_names=label_names or {})
 
 
 # ---------------------------------------------------------------------------

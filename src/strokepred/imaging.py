@@ -7,18 +7,18 @@ axial slice, so a ``StitchSpec`` is only the volume dims and the freed
 cells, and the grid follows from the depth: slice z fills flat cell z
 (row-major, 0-based), and cells in ``removed_cells`` stay at zero so glyph
 symbols can be drawn there later.  Every image is an (h, w) float32 array
-in [0, 1]: renders copy ``Volume3D`` intensities, which lie in [0, 1], and
-``downsample`` clips.
+in [0, 1]: renders copy ``Volume3D`` intensities, which are float32 in
+[0, 1], and ``downsample`` clips.
 
 ROI tiles are laid out ``TILE_GAP`` apart by one shelf packer,
-``shelf_pack``: the tile plan places its tiles with it, and
-``pipeline.fit_roi_spec`` sizes a canvas with it.  The variant's layout
-compiles its tile plan over the atlas, once, into a ``PixelMap``: the flat
-voxel index each canvas pixel shows.  An ROI render takes only that map,
-which holds its canvas, and is a single gather from the volume.  Neither
-step scans the atlas: ``roi_crops`` looks the crops up in the atlas's
-``crop_table`` and the map is built from its voxel index
-(``LabelVolume.voxels_of``), both computed once per atlas.
+``shelf_pack``: ``pipeline.fit_roi_spec`` sizes a canvas with it, and the
+tile plan places its tiles with it at the canvas width, refusing a canvas
+they overflow.  The variant's layout compiles its tile plan over the atlas,
+once, into a ``PixelMap``: the flat voxel index each canvas pixel shows.
+An ROI render takes only that map, which holds its canvas, and is a single
+gather from the volume.  Neither step scans the atlas: ``roi_crops`` looks
+the crops up in the atlas's ``crop_table`` and the map is built from its
+voxel index (``LabelVolume.voxels_of``), both computed once per atlas.
 """
 
 from __future__ import annotations
@@ -36,16 +36,6 @@ TILE_GAP = 1  # pixels between ROI tiles
 
 class LayoutError(ValueError):
     pass
-
-
-class CanvasOverflowError(ValueError):
-    """ROI tiles exceed the canvas; carries the size that would fit."""
-
-    def __init__(self, required: tuple[int, int], canvas: tuple[int, int]):
-        super().__init__(
-            f"tiles need a {required[0]}x{required[1]} canvas, "
-            f"got {canvas[0]}x{canvas[1]}")
-        self.required = required
 
 
 @dataclass(frozen=True)
@@ -222,7 +212,8 @@ class RoiTilePlan:
 
 
 def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
-    """Lay out every (ROI, slice) crop on the canvas; errors on overflow.
+    """Shelf-pack every (ROI, slice) crop at the width of the canvas; a
+    canvas that the tiles (plus the reserved strip) overflow is refused.
 
     The layout depends only on the atlas and spec, so one plan serves a whole
     cohort sharing the atlas.
@@ -233,11 +224,13 @@ def plan_roi_tiles(atlas: LabelVolume, spec: RoiImageSpec) -> RoiTilePlan:
         if label not in atlas.label_names or label not in cropped:
             raise LayoutError(f"ROI {label} absent or empty in atlas")
     canvas_h, canvas_w = spec.canvas
-    width = max([canvas_w] + [x1 - x0 for _, _, x0, x1, _, _ in crops])
-    origins, packed_h = shelf_pack(crops, width)
-    required = (packed_h + spec.reserved_bottom, width)
-    if required[0] > canvas_h or width > canvas_w:
-        raise CanvasOverflowError(required, spec.canvas)
+    widest = max((x1 - x0 for _, _, x0, x1, _, _ in crops), default=0)
+    origins, packed_h = shelf_pack(crops, canvas_w)
+    if packed_h + spec.reserved_bottom > canvas_h or widest > canvas_w:
+        raise LayoutError(
+            f"ROI tiles packed {canvas_w} px wide take {packed_h} rows plus "
+            f"{spec.reserved_bottom} reserved, and the widest is {widest} px; "
+            f"the canvas is {canvas_h}x{canvas_w}")
     tiles = tuple(crop + origin for crop, origin in zip(crops, origins))
     return RoiTilePlan(spec=spec, tiles=tiles)
 

@@ -10,21 +10,22 @@ normalizers come from the training groups (1-3) only.
 learning rate by 4-fold cross-validation over groups 1-4 (``group_cv``),
 trains one model per seed on groups 1-3 and calibrates it on group 4; its
 ``FittedRun`` holds each seed's checkpoint, temperature and validation loss
-once, with the box still sealed.  ``evaluate_run`` unlocks the box exactly
-once; its ``RunResult`` is the fitted run plus each seed's group-5 logits,
-the held-out rows that ``emit_run`` writes as ``predictions.csv`` and derives
+once, with the box still sealed.  IRLS is deterministic, so one logistic fit
+serves every seed.  ``evaluate_run`` unlocks the box exactly once; its
+``RunResult`` is the fitted run plus each seed's group-5 logits, the
+held-out rows that ``emit_run`` writes as ``predictions.csv`` and derives
 every report from.  ``run_experiment`` is the three steps in a row.  Every
 fit follows ``learn.train``'s fixed protocol (RMSprop, class weights from
 the training labels); each CV fit, here and in ``roi_count_sweep``, uses
 seed ``CV_SEED`` = 1.  ``explain`` and ``select-rois`` prepare the same run,
 rank ROIs on the development pool (groups 1-4) through ``rank_rois``, and
 ``roi_count_sweep`` derives each top-k run from it, on the same partition
-and box.  Images render through the lock box: ``assemble`` and
-``rank_rois`` render, once per layout, only the subjects of the groups the
-box has just granted, so no group-5 volume is read before the unlock.  All
-file output is CSV/JSON/SVG with deterministic content; only the audit log
-carries wall-clock timestamps.  ``jobs`` applies in ``fit_run`` only: up to
-that many of its CV fits, then of its seed fits, run at a time through
+and box.  Images render through the lock box: ``assemble`` and ``rank_rois``
+render, once per layout, only the subjects of the groups the box has just
+granted, so no group-5 volume is read before the unlock.  All file output is
+CSV/JSON/SVG with deterministic content; only the audit log carries
+wall-clock timestamps.  ``jobs`` applies in ``fit_run`` only: up to that
+many of its CV fits, then of its seed fits, run at a time through
 ``evalharness.ordered_map``, which returns them in order, so no output
 depends on it; ``roi_count_sweep`` runs one fit at a time.
 """
@@ -510,15 +511,15 @@ def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
     val_set = assemble(run, [VAL_GROUP], "validation-calibration")
     weights = learn.class_weights_from_labels(train_set.labels)
 
-    def fit_seed(seed: int) -> tuple[ModelParams, list[float]]:
-        if config.model == "logistic":
-            # IRLS is deterministic (every seed fits the same coefficients)
-            # and has no epochs
-            return learn.logistic_fit(train_set.tabular, train_set.labels), []
-        return learn.train(config.model, train_set, val_set, config.train,
-                           best_lr, seed, config.cnn)
-
-    seed_fits = evalharness.ordered_map(fit_seed, config.seeds, jobs)
+    if config.model == "logistic":
+        # IRLS is deterministic and has no epochs: one fit serves every seed
+        fit = learn.logistic_fit(train_set.tabular, train_set.labels), []
+        seed_fits = [fit] * len(config.seeds)
+    else:
+        seed_fits = evalharness.ordered_map(
+            lambda seed: learn.train(config.model, train_set, val_set,
+                                     config.train, best_lr, seed, config.cnn),
+            config.seeds, jobs)
     checkpoints, calibrators, val_losses = {}, {}, {}
     for seed, (params, losses) in zip(config.seeds, seed_fits):
         curves.extend(_curve_rows("seed", best_lr, seed, losses))

@@ -470,6 +470,27 @@ def test_force_rerun_keeps_only_its_own_checkpoints(cohort_dir, tmp_path):
         ["seed-002.ckp"]
 
 
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_logistic_run_fits_once_for_every_seed(jobs, cohort_dir, tmp_path,
+                                               monkeypatch):
+    fits = []
+    logistic_fit = learn.logistic_fit
+
+    def counting(x, y):
+        fits.append(len(y))
+        return logistic_fit(x, y)
+
+    monkeypatch.setattr(learn, "logistic_fit", counting)
+    out = tmp_path / "r"
+    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--model", "logistic", "--seeds", "1-3",
+                 "--jobs", jobs]) == EXIT_OK
+    assert len(fits) == 1
+    checkpoints = [p.read_bytes()
+                   for p in sorted((out / "checkpoints").iterdir())]
+    assert len(checkpoints) == 3 and len(set(checkpoints)) == 1
+
+
 def test_run_has_no_roi_sweep_flag(tmp_path):
     # select-rois ranks the ROIs of a finished run
     with pytest.raises(SystemExit) as exc:
@@ -516,6 +537,24 @@ def test_explain_command(cohort_dir, run_dir, tmp_path, capsys):
     doc = json.loads(next(f for f in files if f.suffix == ".json").read_text())
     assert "importance" in doc and "base_probability" in doc
     assert "missing from the" not in capsys.readouterr().out  # no thin ROI
+
+
+def test_explain_force_keeps_only_its_own_explanations(cohort_dir, run_dir,
+                                                       tmp_path):
+    out, fresh = tmp_path / "e", tmp_path / "fresh"
+    explain = ["explain", "--cohort", str(cohort_dir), "--run", str(run_dir),
+               "--n-perturb", "40"]
+    assert main([*explain, "--out", str(out), "--n-explain", "4"]) == EXIT_OK
+    assert len(list((out / "explanations").iterdir())) == 8
+    (out / "notes.md").write_text("kept")
+    (out / "explanations" / "notes.md").write_text("kept")
+    assert main([*explain, "--out", str(out), "--n-explain", "2",
+                 "--force"]) == EXIT_OK
+    assert main([*explain, "--out", str(fresh), "--n-explain", "2"]) == EXIT_OK
+    tree = _tree_bytes(out)
+    assert tree.pop("notes.md") == tree.pop("explanations/notes.md") == b"kept"
+    assert tree == _tree_bytes(fresh)
+    assert len(list((fresh / "explanations").iterdir())) == 4
 
 
 def test_explain_prints_the_ranking_flags(cohort_dir, run_dir, tmp_path,

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from strokepred import imaging
 from strokepred.core import LabelVolume, Volume3D
 from strokepred.imaging import (
-    CanvasOverflowError,
     LayoutError,
     PixelMap,
     RoiImageSpec,
@@ -228,21 +227,16 @@ def test_roi_image_provenance_injective():
     assert len(set(voxels.tolist())) == len(voxels)
 
 
-def test_roi_image_overflow_reports_required_size():
+@pytest.mark.parametrize("canvas, named", [
+    ((3, 4), "packed 4 px wide take 7 rows plus 0 reserved, and the widest "
+             "is 2 px; the canvas is 3x4"),
+    ((3, 1), "the widest is 2 px; the canvas is 3x1")],
+    ids=["too-short", "too-narrow"])
+def test_roi_tiles_refuse_a_canvas_they_overflow(canvas, named):
     atlas = make_two_roi_atlas()
-    spec = RoiImageSpec(roi_labels=(1, 2), canvas=(3, 4))
-    with pytest.raises(CanvasOverflowError) as exc:
-        plan_roi_tiles(atlas, spec)
-    req_h, req_w = exc.value.required
-    assert req_w == 4
-    bigger = RoiImageSpec(roi_labels=(1, 2), canvas=(req_h, req_w))
-    plan_roi_tiles(atlas, bigger)  # fits at the reported size
-    narrow = RoiImageSpec(roi_labels=(1, 2), canvas=(3, 1))  # tiles 2 wide
-    with pytest.raises(CanvasOverflowError) as exc:
-        plan_roi_tiles(atlas, narrow)
-    assert exc.value.required[1] == 2
-    plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2),
-                                       canvas=exc.value.required))
+    with pytest.raises(LayoutError, match=named):
+        plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2), canvas=canvas))
+    plan_roi_tiles(atlas, RoiImageSpec(roi_labels=(1, 2), canvas=(12, 12)))
 
 
 def test_roi_image_reserved_bottom_left_blank():
@@ -481,7 +475,8 @@ def test_label_voxels_index_each_label_and_are_read_only():
 def test_crop_table_and_pixel_map_on_arbitrary_labels(dims, data):
     n = dims[0] * dims[1] * dims[2]
     values = data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
-    atlas = LabelVolume(dims=dims, labels=np.array(values).reshape(dims))
+    atlas = LabelVolume(dims=dims,
+                        labels=np.array(values, np.uint16).reshape(dims))
     labels = list(range(7))
     assert imaging.roi_crops(atlas, labels) == \
         reference_roi_crops(atlas, labels)

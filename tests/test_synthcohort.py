@@ -230,7 +230,8 @@ def test_subject_loads_refuse_an_roi_with_no_voxels(roi):
 def test_subject_load_times_roi_size_is_the_brute_force_count(seed):
     rng = np.random.default_rng(seed)
     dims = (6, 5, 7)
-    atlas = core.LabelVolume(dims=dims, labels=rng.integers(0, 4, size=dims))
+    atlas = core.LabelVolume(
+        dims=dims, labels=rng.integers(0, 4, size=dims).astype(np.uint16))
     lesion = rng.integers(0, 2, size=dims).astype(bool)
     rois = atlas.present_labels()
     loads = subject_loads(lesion, atlas, rois)
