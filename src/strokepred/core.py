@@ -24,6 +24,7 @@ import functools
 import itertools
 import json
 import struct
+import sys
 import types
 import typing
 from collections.abc import Mapping
@@ -64,14 +65,15 @@ def field_types(cls) -> dict:
 
 def _fits(value, hint) -> bool:
     """Whether the parsed JSON ``value`` is of the type ``hint``: an int is
-    never a bool, a float may be an int, a tuple or list is a JSON array (of
+    never a bool, a float is a finite int or float (``json`` parses NaN and
+    Infinity, and 1e400 as inf), a tuple or list is a JSON array (of
     the annotated length when fixed), a dict's int keys are digit strings
     and a dataclass is a JSON object; other hints are not checked."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
         return any(_fits(value, arm) for arm in args)
     if hint is float:
-        return type(value) in (int, float)
+        return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if origin in (tuple, list):
         if type(value) is not list:
             return False

@@ -44,7 +44,14 @@ contiguous where that leaves every sum unchanged:
   weight-gradient GEMMs and bias sums run over the whole batch's cache;
 * the bias is added in place over whole (h*w*c_out) rows;
 * each max-pool takes the max of the two row views, then of the two
-  column views of that result.
+  column views of that result;
+* the pool gradient is routed over whole (w*c) rows of each window's two
+  image rows, where a window's other column is a shift by c, and each
+  output row is written through a bit mask: the gated gradient's bits or
+  +0, never a product that could turn +0 into -0;
+* each conv bias gradient is ``einsum("ij->j")`` of the (rows, c_out)
+  output grad, which adds row after row as ``sum(axis=0)`` does, over
+  whole rows; with one output channel ``sum`` adds pairwise and is kept.
 
 The pooled maps are written once, transposed, to (n, c, h, w), so DAFT, the
 dense head and the CKP1 parameter layout keep the (c, h, w) flatten order.
@@ -130,10 +137,10 @@ class TrainConfig:
     batch_size: int = 16
 
     def __post_init__(self):
-        if (not self.lrs or any(lr <= 0 for lr in self.lrs)
+        if (not self.lrs or not all(0 < lr < math.inf for lr in self.lrs)
                 or len(set(self.lrs)) != len(self.lrs)):
-            raise ValueError("learning rates must be nonempty, positive and "
-                             "distinct")
+            raise ValueError("learning rates must be nonempty, positive, "
+                             "finite and distinct")
         if self.max_epochs < 1 or self.batch_size < 1:
             raise ValueError("max_epochs and batch_size must be >= 1")
 
@@ -328,17 +335,22 @@ def _conv_input_grad(dout_r: np.ndarray, w: np.ndarray,
     return dxp[:, 1:h + 1, 1:wd + 1]
 
 
-def _quarters(x: np.ndarray):
-    """The four strided 2x2-window positions of a channels-last batch,
-    row-major over the window."""
-    return [x[:, di::2, dj::2] for di in (0, 1) for dj in (0, 1)]
-
-
 def _pool_forward(x: np.ndarray) -> np.ndarray:
     """2x2 max-pool: the max of the two row views, then of the two column
     views of that; max is exact, so the order does not change a value."""
     rows = np.maximum(x[:, 0::2], x[:, 1::2])
     return np.maximum(rows[:, :, 0::2], rows[:, :, 1::2])
+
+
+@functools.cache
+def _odd_columns(w: int, c: int) -> np.ndarray:
+    """Read-only (w*c,) mask of a channels-last row's odd columns: the
+    right-hand column of each 2x2 window."""
+    odd = np.zeros((w // 2, 2, c), dtype=bool)
+    odd[:, 1] = True
+    odd = odd.reshape(-1)
+    odd.flags.writeable = False
+    return odd
 
 
 def _relu_pool_backward(dout: np.ndarray, act: np.ndarray,
@@ -347,15 +359,45 @@ def _relu_pool_backward(dout: np.ndarray, act: np.ndarray,
 
     Each window's gradient goes to its first maximum, row-major over the
     2x2 window (the position ``argmax`` picks), times the ReLU gate
-    ``pooled > 0``; every other position gets +0."""
-    gated = dout * (pooled > 0)
-    dpre = np.empty_like(act)
-    taken = np.zeros(pooled.shape, dtype=bool)
-    for q, dq in zip(_quarters(act), _quarters(dpre)):
-        first = (q == pooled) & ~taken
-        dq[...] = np.where(first, gated, 0)
-        taken |= first
+    ``pooled > 0``; every other position gets +0.
+
+    The work runs over whole (w*c) rows of each window's two image rows,
+    against the peak and the gated gradient repeated to row width.  A
+    window's two columns are neighbouring c-blocks of a row, so its other
+    column is a shift by c.  A first maximum in row 0 is a hit with no hit
+    left of it in the window; in row 1, a hit with none left of it and
+    none in the window's row 0.  Each output row is written through a bit
+    mask, ``(0 - first) & gated``, so it holds the gated value, sign bit
+    and all, or +0."""
+    n, h, w, c = act.shape
+    pair = _odd_columns(w, c)[c:]  # pair[p]: p and p + c share a window
+    peak = np.repeat(pooled, 2, axis=2).reshape(n, h // 2, w * c)
+    gated = np.repeat(dout * (pooled > 0), 2, axis=2).reshape(peak.shape)
+    bits = gated.view(f"i{act.itemsize}")
+    rows = act.reshape(n, h // 2, 2, w * c)
+    hit0, hit1 = rows[:, :, 0] == peak, rows[:, :, 1] == peak
+    blocked0 = np.zeros_like(hit0)
+    np.logical_and(hit0[..., :-c], pair, out=blocked0[..., c:])
+    blocked1 = hit0.copy()
+    blocked1[..., c:] |= (hit0[..., :-c] | hit1[..., :-c]) & pair
+    blocked1[..., :-c] |= hit0[..., c:] & pair
+    dpre = np.empty(act.shape, dtype=act.dtype)
+    out = dpre.view(bits.dtype).reshape(rows.shape)
+    for r, (hit, blocked) in enumerate(((hit0, blocked0), (hit1, blocked1))):
+        first = np.greater(hit, blocked, out=blocked)
+        np.subtract(0, first, out=out[:, :, r], dtype=bits.dtype)
+        out[:, :, r] &= bits
     return dpre
+
+
+def _bias_grad(dpre_r: np.ndarray) -> np.ndarray:
+    """Conv bias gradient: the column sums of the (rows, c_out) output
+    grad, adding row after row.  ``einsum`` keeps that order and runs over
+    whole rows; with one column ``sum`` adds pairwise, and einsum would
+    not match it."""
+    if dpre_r.shape[1] == 1:
+        return dpre_r.sum(axis=0)
+    return np.einsum("ij->j", dpre_r)
 
 
 def _check_inputs(params: ModelParams, images, tabular):
@@ -531,7 +573,7 @@ def backward(params: ModelParams, images, tabular, labels,
         dpre_r = _relu_pool_backward(dx, blk["act"], blk["pooled"]).reshape(
             -1, w.shape[0])
         gview.view(f"conv{i}_w")[...] = (dpre_r.T @ blk["cols"]).reshape(w.shape)
-        gview.view(f"conv{i}_b")[...] = dpre_r.sum(axis=0)
+        gview.view(f"conv{i}_b")[...] = _bias_grad(dpre_r)
         if i > 0:  # block 0's input is the image: no layer below needs it
             dx = _conv_input_grad(dpre_r, w, blk["x_shape"])
     return loss, grad

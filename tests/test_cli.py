@@ -755,6 +755,29 @@ def test_bad_config_file_exits_2_and_names_the_key(command, doc, key, tmp_path, 
     assert not (tmp_path / "c").exists() and not (tmp_path / "r").exists()
 
 
+# ``json`` parses NaN and +-Infinity, 1e400 overflows to inf, and a 400-digit
+# integer has no float.  A NaN noise_sd would draw no noise, and a NaN lr
+# would train until the loss is NaN.
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400",
+                                     "1" + "0" * 400])
+@pytest.mark.parametrize("command,key", [("synth", "noise_sd"),
+                                         ("run", "lrs")])
+def test_a_non_finite_config_number_is_refused_before_any_output(
+        command, key, literal, tmp_path, capsys):
+    if command == "synth":
+        doc = {"truth": {**asdict(default_truth()), "noise_sd": "@"}}
+        where = ["--out", str(tmp_path / "out")]
+    else:
+        doc = {"run": {"train": {"lrs": ["@"]}}}
+        where = ["--cohort", str(tmp_path / "no-cohort"),
+                 "--out", str(tmp_path / "out")]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', literal))
+    assert main([command, *where, "--config", str(cfg)]) == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("which", ["run_dir"])
 def test_index_lists_every_file_the_run_wrote(which, request):
     run = request.getfixturevalue(which)

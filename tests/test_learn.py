@@ -482,6 +482,79 @@ def test_conv_kernels_match_nchw_reference_at_the_row_floor(dtype, c, c_out,
         ref_dx.transpose(0, 2, 3, 1).tobytes()
 
 
+def _quarter_loop_pool_backward(dout, act, pooled):
+    """The pool routing as four strided passes, one per window position,
+    row-major: a position takes the gated gradient if it holds the peak and
+    no earlier position did."""
+    gated = dout * (pooled > 0)
+    dpre = np.empty_like(act)
+    taken = np.zeros(pooled.shape, dtype=bool)
+    for di, dj in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        first = (act[:, di::2, dj::2] == pooled) & ~taken
+        dpre[:, di::2, dj::2] = np.where(first, gated, 0)
+        taken |= first
+    return dpre
+
+
+# 17 window kinds: the 15 sets of positions that tie at the window's peak,
+# an all-zero window (a ReLU'd one), and a window of +0.0 and -0.0.
+WINDOW_KINDS = 17
+
+
+def _tie_windows(n, w, c, dtype, gen):
+    """(n, 2 * WINDOW_KINDS, w, c) activations whose windows cycle through
+    every kind along each row of windows, each column and each channel."""
+    shape = (n, WINDOW_KINDS, w // 2, c)
+    kind = np.indices(shape[1:]).sum(axis=0) % WINDOW_KINDS
+    ties = ((kind[..., None] + 1) >> np.arange(4)) & 1 == 1
+    top = gen.uniform(0.5, 1.0, (*shape, 1))
+    win = np.where(ties, top, top * gen.choice([0.0, 0.25, 0.9], (*shape, 4)))
+    win[:, kind == 15] = 0.0
+    win[:, kind == 16] = gen.choice([0.0, -0.0], win[:, kind == 16].shape)
+    return win.reshape(*shape, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(
+        n, 2 * WINDOW_KINDS, w, c).astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", PARITY_DTYPES)
+@pytest.mark.parametrize("n", [1, 16])
+@pytest.mark.parametrize("w", [2, 6, 64])
+@pytest.mark.parametrize("c", [1, 3, 4, 16])
+def test_pool_backward_routes_to_the_first_maximum_of_every_tie(dtype, n, w,
+                                                                 c):
+    gen = np.random.default_rng([n, w, c])
+    act = _tie_windows(n, w, c, dtype, gen)
+    pooled = learn._pool_forward(act)
+    # negative and -0.0 upstream gradients: the sign bit must survive the
+    # routing, and the ReLU gate turns a gradient over a zero peak to +-0
+    dout = gen.normal(size=pooled.shape).astype(dtype)
+    dout[gen.uniform(size=dout.shape) < 0.2] = -0.0
+    got = learn._relu_pool_backward(dout, act, pooled)
+    assert got.dtype == dtype and got.shape == act.shape
+    assert got.tobytes() == _quarter_loop_pool_backward(
+        dout, act, pooled).tobytes()
+
+
+# The bias gradient adds the (rows, c_out) output grad row after row, the
+# order of ``sum(axis=0)`` over a contiguous matrix; one column is numpy's
+# pairwise sum.  Values spread over six decades, so another order differs.
+@pytest.mark.parametrize("dtype", PARITY_DTYPES)
+@pytest.mark.parametrize("rows", [1, 7, 1001, 4097])
+def test_bias_gradient_adds_row_after_row(dtype, rows):
+    gen = np.random.default_rng(rows)
+    wide = (gen.normal(size=(rows, 32))
+            * 10.0 ** gen.uniform(-3, 3, (rows, 32))).astype(dtype)
+    wide[gen.uniform(size=wide.shape) < 0.1] = -0.0
+    in_order = np.zeros(32, dtype=dtype)
+    for row in wide:
+        in_order += row
+    for c_out in range(2, 33):
+        dpre_r = np.ascontiguousarray(wide[:, :c_out])
+        assert learn._bias_grad(dpre_r).tobytes() == \
+            in_order[:c_out].tobytes(), c_out
+    one = np.ascontiguousarray(wide[:, :1])
+    assert learn._bias_grad(one).tobytes() == one.sum(axis=0).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Inference runs the conv stack one chunk of whole images at a time
 
@@ -653,6 +726,13 @@ def test_optimizers_abort_on_non_finite_gradient():
         rmsprop_step(np.array([1.0]), np.array([np.nan]), np.zeros(1), 0.1)
     with pytest.raises(NumericAbort):
         rmsprop_step(np.array([1.0]), np.array([np.inf]), np.zeros(1), 0.1)
+
+
+@pytest.mark.parametrize("lrs", [(), (0.0,), (-1e-3,), (math.nan,),
+                                 (1e-3, math.inf), (1e-3, 1e-3)])
+def test_train_config_refuses_learning_rates_it_cannot_train_with(lrs):
+    with pytest.raises(ValueError, match="learning rates"):
+        TrainConfig(lrs=lrs)
 
 
 # ---------------------------------------------------------------------------
