@@ -42,6 +42,9 @@ contiguous where that leaves every sum unchanged:
   BLAS row's result does not depend on the row count, so the logits are
   those of one whole-batch pass.  Training keeps whole-batch GEMMs: its
   weight-gradient GEMMs and bias sums run over the whole batch's cache;
+* training caches each block's columns, ReLU output and pooled maps, and
+  ``backward`` frees a block's entries as soon as it has taken that block's
+  gradients, so the reverse pass holds little more than the cache it uses;
 * the bias is added in place over whole (h*w*c_out) rows;
 * each max-pool takes the max of the two row views, then of the two
   column views of that result;
@@ -566,16 +569,20 @@ def backward(params: ModelParams, images, tabular, labels,
         gview.view("film_b")[:c_last] = dgamma.sum(axis=0)
         gview.view("film_b")[c_last:] = dbeta.sum(axis=0)
 
+    blocks = cache.pop("blocks")
     dx = dmaps.transpose(0, 2, 3, 1)  # back to the conv stack's (n, h, w, c)
     for i in reversed(range(params.cnn.n_blocks)):
-        blk = cache["blocks"][i]
+        blk = blocks.pop()  # each entry is freed once its last reader is done
         w = params.view(f"conv{i}_w")
-        dpre_r = _relu_pool_backward(dx, blk["act"], blk["pooled"]).reshape(
-            -1, w.shape[0])
-        gview.view(f"conv{i}_w")[...] = (dpre_r.T @ blk["cols"]).reshape(w.shape)
+        dpre_r = _relu_pool_backward(dx, blk.pop("act"), blk.pop("pooled")
+                                     ).reshape(-1, w.shape[0])
+        del dx
+        gview.view(f"conv{i}_w")[...] = (dpre_r.T @ blk.pop("cols")).reshape(
+            w.shape)
         gview.view(f"conv{i}_b")[...] = _bias_grad(dpre_r)
         if i > 0:  # block 0's input is the image: no layer below needs it
             dx = _conv_input_grad(dpre_r, w, blk["x_shape"])
+        del dpre_r
     return loss, grad
 
 

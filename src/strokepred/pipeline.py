@@ -497,8 +497,10 @@ class RunResult(FittedRun):
 
 def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
     """Fix every model on groups 1-4, running up to ``jobs`` fits at a time:
-    the CV folds, then the seeds.  One forward of each fixed model on group 4
-    gives both its temperature and its balanced validation loss."""
+    the CV folds, then the seeds.  Of the CV fits it keeps only their curve
+    rows, so no fold dataset or CV model is held through the seed fits.  One
+    forward of each fixed model on group 4 gives both its temperature and
+    its balanced validation loss."""
     config = run.config
     if config.model == "logistic":
         best_lr, cv_losses, curves = config.train.lrs[0], {}, []
@@ -506,6 +508,7 @@ def fit_run(run: PreparedRun, jobs: int = 1) -> FittedRun:
         best_lr, cv_losses, fits = group_cv(run, "cv", jobs)
         curves = [row for lr, group, _, _, losses in fits
                   for row in _curve_rows("cv", lr, group, losses)]
+        del fits
 
     train_set = assemble(run, TRAIN_GROUPS, "seed-training")
     val_set = assemble(run, [VAL_GROUP], "validation-calibration")

@@ -624,6 +624,36 @@ def test_forward_memory_does_not_grow_with_the_batch():
     assert peak_bytes(256) <= 2 * peak_bytes(16)
 
 
+@pytest.mark.parametrize("kind", PARITY_KINDS)
+@pytest.mark.parametrize("cnn,n,dtype", [
+    (CnnConfig((64, 64), (4, 8, 16)), 16, np.float32),  # training's shape
+    (CnnConfig((16, 32), (2, 3, 4, 5)), 7, np.float64)])
+def test_backward_frees_each_block_as_it_goes(kind, cnn, n, dtype):
+    # the reverse pass frees a block's cache once it has taken its
+    # gradients, so it needs little more than the forward cache it consumes
+    tab_dim = None if kind == "lightweight" else 5
+    params = build_params(kind, cnn=cnn, tabular_dim=tab_dim,
+                          rng=CounterRng(n, "working-set", kind), dtype=dtype)
+    gen = np.random.default_rng(n)
+    images = gen.uniform(size=(n, *cnn.input_hw)).astype(dtype)
+    tabular = None if tab_dim is None else gen.uniform(size=(n, tab_dim))
+    labels = np.arange(n) % 2
+    tracemalloc.start()
+    try:
+        _, cache = learn._run(params, images, tabular, keep_cache=True)
+        cached = tracemalloc.get_traced_memory()[0]
+        del cache
+        tracemalloc.reset_peak()
+        _, grad = backward(params, images, tabular, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * cached, peak / cached
+    # nothing of the consumed cache carries over into a second pass
+    _, again = backward(params, images, tabular, labels)
+    assert again.tobytes() == grad.tobytes()
+
+
 def _assert_matches_nchw_reference(kind, dtype, n, hw, channels):
     cnn = CnnConfig(hw, channels)
     tab_dim = None if kind == "lightweight" else 7

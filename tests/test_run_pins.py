@@ -6,14 +6,18 @@ and ``--jobs 2``.  The hash covers the six CSVs, every checkpoint,
 The hashes were taken at commit 95f6b7c, before the logistic model was
 fitted once per run.  Checkpoints and metrics hold BLAS results, so the
 hashes are those of numpy 2.4.6 with OpenBLAS 0.3.31 on x86-64; a refactor
-of the run must leave them unchanged there."""
+of the run must leave them unchanged there.  The same cohort checks that
+the seed fits run with no CV fit's record still held."""
 
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
 
+from strokepred import learn, pipeline
 from strokepred.cli import EXIT_OK, main
 
 CONFIG = {"run": {"image_size": 16, "channels": [4, 8],
@@ -70,3 +74,34 @@ def test_run_writes_its_pinned_bytes(cohort, key, jobs, tmp_path):
                  "--variant", variant, "--model", model, "--seeds", "1,2",
                  "--config", str(config), "--jobs", jobs]) == EXIT_OK
     assert _digest(out) == PINS[key], key
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_the_seed_fits_hold_no_cv_record(cohort, jobs, tmp_path,
+                                         monkeypatch):
+    # a CV record holds its validation fold's images and best-epoch model;
+    # only its (lr, group, losses) outlive group_cv, as curve rows
+    folds, seed_fits = [], []
+    group_cv, train = pipeline.group_cv, learn.train
+
+    def watched_cv(*args):
+        best_lr, losses, fits = group_cv(*args)
+        folds.extend(weakref.ref(val.images) for _, _, val, _, _ in fits)
+        return best_lr, losses, fits
+
+    def watched_train(*args):
+        if folds:  # a seed fit: the CV is done
+            gc.collect()
+            seed_fits.append([ref() is None for ref in folds])
+        return train(*args)
+
+    monkeypatch.setattr(pipeline, "group_cv", watched_cv)
+    monkeypatch.setattr(learn, "train", watched_train)
+    cohort_dir, config = cohort
+    out = tmp_path / "run"
+    assert main(["run", "--cohort", str(cohort_dir), "--out", str(out),
+                 "--variant", "gm-roi", "--model", "lightweight",
+                 "--seeds", "1,2", "--config", str(config),
+                 "--jobs", jobs]) == EXIT_OK
+    assert seed_fits == [[True] * 8] * 2  # 2 lrs x 4 folds, 2 seeds
+    assert _digest(out) == PINS["gm-roi/lightweight"]
