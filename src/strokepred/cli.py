@@ -45,9 +45,9 @@ CONFIG_SECTIONS = ("cohort", "truth", "run")
 # mallopt(3) parameters. Blocks below the mmap threshold come from the heap,
 # so freeing them unmaps nothing; 32 MiB is the largest threshold glibc
 # accepts on 64-bit (it rejects more with 0 and leaves the threshold where
-# it was), above the largest hot array: ``explain`` builds its perturbed
-# images 128 at a time, 4.2 MB of float64 at 64x64, and a training step's
-# largest is its 2.4 MB im2col matrix.
+# it was), above the largest hot array: a training step's 2.4 MB im2col
+# matrix, or a batch of 128 perturbed images that ``explain`` draws where
+# ``learn.swap_scorer`` cannot score it undrawn (2.1 MB of float32 at 64x64).
 # A trim threshold of -1 means "never trim": the heap top stays mapped.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 32 * 1024 * 1024

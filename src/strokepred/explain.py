@@ -17,13 +17,19 @@ ROI, and the remaining rows are random.  ``gen_perturbations`` returns one
 probability per mask row, not a summary, since the benchmark's layer trace
 counts its rows as ``explain.perturbations``; ``fit_surrogate`` regresses
 those probabilities on the matrix.
+
+* Masks are scored per (image, contrast) pair by a ``MaskScorer``, (m, r)
+  masks -> (m,) probabilities, that ``explain_pool``'s ``scorer`` makes for
+  the pair.  The default, ``drawing_scorer``, draws each batch
+  (``apply_mask``) for the classifier; ``learn.swap_scorer`` gives a CNN's
+  probabilities of that batch byte for byte without drawing it wherever
+  its exactness rule (``learn._by_table``) holds, and draws it elsewhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -41,12 +47,16 @@ BATCH_SIZE = 128
 
 Classifier = Callable[[np.ndarray], np.ndarray]  # (m, h, w) -> (m,) probs
 RoiIndex = Mapping[int, np.ndarray]  # ROI label -> flat pixel indices
+MaskScorer = Callable[[np.ndarray], np.ndarray]  # (m, r) masks -> (m,) probs
+# (image, contrast) -> the MaskScorer of that pair
+PairScorer = Callable[[np.ndarray, np.ndarray], MaskScorer]
 
 
-def _predict(classifier: Classifier, n: int,
+def _predict(classifier: Callable[[np.ndarray], np.ndarray], n: int,
              batch: Callable[[slice], np.ndarray]) -> np.ndarray:
-    """Probabilities of ``n`` images, built by ``batch(s)`` per index slice
-    ``s`` of ``BATCH_SIZE`` and scored before the next batch is built."""
+    """Probabilities of ``n`` images or masks, built by ``batch(s)`` per
+    index slice ``s`` of ``BATCH_SIZE`` and scored before the next batch is
+    built."""
     chunks = [np.zeros(0)]
     for i in range(0, n, BATCH_SIZE):
         chunks.append(np.atleast_1d(np.asarray(
@@ -101,13 +111,19 @@ def perturbation_masks(r: int, n: int, seed: int) -> np.ndarray:
                       (draws.reshape(n - r - 1, r) < 0.5).astype(np.int64)])
 
 
-def gen_perturbations(image: np.ndarray, contrast: np.ndarray,
-                      index: RoiIndex, classifier: Classifier,
-                      masks: np.ndarray) -> np.ndarray:
-    """The classifier's probability for each row of ``masks``, scored in
-    batches of ``BATCH_SIZE`` of the callers' dtype (``apply_mask``)."""
-    return _predict(classifier, len(masks), lambda s: apply_mask(
-        image, contrast, index, masks[s]))
+def drawing_scorer(classifier: Classifier, index: RoiIndex) -> PairScorer:
+    """The pair scorer that draws each batch of masks (``apply_mask``, in
+    the callers' dtype) and hands it to ``classifier``."""
+    def pair(image, contrast):
+        return lambda masks: classifier(apply_mask(image, contrast, index,
+                                                   masks))
+    return pair
+
+
+def gen_perturbations(score: MaskScorer, masks: np.ndarray) -> np.ndarray:
+    """The probability of each row of ``masks``, scored in batches of
+    ``BATCH_SIZE`` rows."""
+    return _predict(score, len(masks), lambda s: masks[s])
 
 
 # ---------------------------------------------------------------------------
@@ -176,23 +192,23 @@ class CounterfactualRow:
     fidelity_error: float  # |classifier_prob - surrogate_prob| by construction
 
 
-def counterfactuals(image: np.ndarray, contrast: np.ndarray,
-                    index: RoiIndex, classifier: Classifier,
+def counterfactuals(score: MaskScorer, rois: Sequence[int],
                     surrogate: SurrogateModel) -> list[CounterfactualRow]:
-    """All <=2-ROI replacements whose classifier probability drops below
-    ``THRESHOLD``, sorted by fewest ROIs then lowest probability.  The
-    unchanged image is not predicted again, as logits differ in the last
-    bits between batch sizes.  The classifier sees batches of the callers'
-    dtype (``apply_mask``)."""
-    rois = tuple(index)
+    """All <=2-ROI replacements whose probability under ``score`` drops
+    below ``THRESHOLD``, sorted by fewest ROIs then lowest probability.
+    ``rois`` names the mask columns.  The unchanged image is not predicted
+    again, as logits differ in the last bits between batch sizes."""
     r = len(rois)
-    combos = [(j,) for j in range(r)] + list(combinations(range(r), 2))
+    # the single swaps, then the pairs in row-major order
+    first, second = np.triu_indices(r, 1)
+    combos = [(j,) for j in range(r)] + list(zip(first.tolist(),
+                                                 second.tolist()))
     masks = np.ones((len(combos), r), dtype=np.int64)
-    for mask, combo in zip(masks, combos):
-        mask[list(combo)] = 0
+    masks[np.arange(r), np.arange(r)] = 0
+    masks[r + np.arange(len(first)), first] = 0
+    masks[r + np.arange(len(first)), second] = 0
     # scored here, not by gen_perturbations: the layer trace counts its rows
-    probs = _predict(classifier, len(masks), lambda s: apply_mask(
-        image, contrast, index, masks[s]))
+    probs = _predict(score, len(masks), lambda s: masks[s])
 
     rows = []
     for combo, mask, prob in zip(combos, masks, probs):
@@ -225,11 +241,13 @@ class Explanation:
 
 
 def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
-                index: RoiIndex, classifier: Classifier, n: int,
+                index: RoiIndex, score: MaskScorer, n: int,
                 seed: int = 0, with_counterfactuals: bool = True,
                 ) -> Explanation:
+    """Explain ``image`` against ``contrast`` over the ROIs of ``index``;
+    ``score`` is the pair's mask scorer."""
     masks = perturbation_masks(len(index), n, seed)
-    probs = gen_perturbations(image, contrast, index, classifier, masks)
+    probs = gen_perturbations(score, masks)
     surrogate = fit_surrogate(masks, probs)
     base = float(probs[0])  # all-ones mask comes first
     flags = list(surrogate.flags)
@@ -238,8 +256,7 @@ def explain_one(image_id: str, image: np.ndarray, contrast: np.ndarray,
     cf: tuple[CounterfactualRow, ...] = ()
     if with_counterfactuals:
         if base >= THRESHOLD:
-            cf = tuple(counterfactuals(image, contrast, index, classifier,
-                                       surrogate))
+            cf = tuple(counterfactuals(score, tuple(index), surrogate))
         else:
             flags.append("not_predicted_positive")
     rois = tuple(index)
@@ -271,11 +288,14 @@ def explain_pool(classifier: Classifier,
                  n_perturb: int,
                  seed: int = 0,
                  *, with_counterfactuals: bool,
+                 scorer: PairScorer | None = None,
                  ) -> tuple[list[Explanation], RoiRanking]:
     """Explain the first n_explain predicted positives (by id) over the ROI
     index of ``label_image``; the contrast per image is the lowest-probability
-    other image.  Returns the per-image explanations and the
-    mean-coefficient ranking over them."""
+    other image.  ``classifier`` scores the pool; ``scorer`` scores each
+    pair's masks, by default ``drawing_scorer(classifier, index)``.
+    Returns the per-image explanations and the mean-coefficient ranking
+    over them."""
     if not pool:
         raise ValueError("empty image pool")
     if n_explain < 1:
@@ -284,6 +304,7 @@ def explain_pool(classifier: Classifier,
         raise ValueError("pool images and the label image must share a shape")
     index = roi_pixel_sets(label_image)
     rois = tuple(index)
+    scorer = scorer or drawing_scorer(classifier, index)
     ids = sorted(pool)
     probs = _predict(classifier, len(ids),
                      lambda s: np.stack([pool[i] for i in ids[s]]))
@@ -301,8 +322,9 @@ def explain_pool(classifier: Classifier,
     for idx, eid in enumerate(explained):
         others = [i for i in ids if i != eid]
         contrast_id = min(others, key=lambda i: (prob_of[i], i)) if others else eid
-        expl = explain_one(eid, pool[eid], pool[contrast_id], index,
-                           classifier, n=n_perturb,
+        image, contrast = pool[eid], pool[contrast_id]
+        expl = explain_one(eid, image, contrast, index,
+                           scorer(image, contrast), n=n_perturb,
                            seed=seed * 1_000_003 + idx,
                            with_counterfactuals=with_counterfactuals)
         if "self_contrast" in expl.flags:

@@ -55,6 +55,16 @@ contiguous where that leaves every sum unchanged:
 * each conv bias gradient is ``einsum("ij->j")`` of the (rows, c_out)
   output grad, which adds row after row as ``sum(axis=0)`` does, over
   whole rows; with one output channel ``sum`` adds pairwise and is kept.
+* ``swap_scorer`` scores ``explain``'s ROI-swap masks of an (image,
+  contrast) pair without drawing the composites.  A pooled pixel of block
+  0 reads only its 4x4 padded input window, so only the swap bits of the
+  ROIs in that window; block 0 runs once per swap pattern of each window,
+  in one GEMM of at least ``GEMM_ROW_FLOOR`` rows, and each composite's
+  block-1 input is gathered from that table.  ``_by_table`` is the rule
+  under which the logits are ``forward``'s bytes: more than one block-0
+  output channel, and ``GEMM_ROW_FLOOR`` rows in ``forward``'s block-0
+  GEMM of every chunk.  Elsewhere, or when a window has more patterns than
+  a batch has masks, the batch is drawn and run through ``forward``.
 
 The pooled maps are written once, transposed, to (n, c, h, w), so DAFT, the
 dense head and the CKP1 parameter layout keep the (c, h, w) flatten order.
@@ -79,6 +89,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import explain
 from .core import (FormatError, SEVERITY_CATEGORIES, SubjectRecord,
                    from_json_object)
 from .rng import CounterRng
@@ -421,6 +432,46 @@ def _check_inputs(params: ModelParams, images, tabular):
             raise ValueError(f"image batch {images.shape} != (n, {h}, {w})")
 
 
+def _inference_parts(params: ModelParams, n: int) -> list[slice]:
+    """The image chunks of an n-image inference pass: ``_image_chunks`` of
+    the (n, h, w, 1) input, each with enough images to give every block's
+    GEMM ``GEMM_ROW_FLOOR`` rows."""
+    h, wd = params.cnn.input_hw
+    f = 2 ** params.cnn.n_blocks
+    last_rows = (h * wd * 4) // (f * f)  # GEMM rows per image, last block
+    return _image_chunks((n, h, wd, 1), params.vector.itemsize,
+                         -(-GEMM_ROW_FLOOR // last_rows))
+
+
+def _conv_blocks(params: ModelParams, xc: np.ndarray, first: int,
+                 blocks: list | None = None) -> np.ndarray:
+    """Conv blocks ``first`` and up over the channels-last batch ``xc``;
+    each block's training cache entry is appended to ``blocks``, if given."""
+    for i in range(first, params.cnn.n_blocks):
+        pre, cols = _conv_forward(xc, params.view(f"conv{i}_w"),
+                                  params.view(f"conv{i}_b"))
+        act = np.maximum(pre, 0, out=pre)
+        pooled = _pool_forward(act)
+        if blocks is not None:
+            blocks.append({"x_shape": xc.shape, "cols": cols, "act": act,
+                           "pooled": pooled})
+        xc = pooled
+    return xc
+
+
+def _last_maps(params: ModelParams, n: int, parts: list[slice],
+               stack) -> np.ndarray:
+    """The last pool's maps of n images in the head's (n, c, h, w) order,
+    ``stack(part)`` giving each part's channels-last maps."""
+    h, wd = params.cnn.input_hw
+    f = 2 ** params.cnn.n_blocks
+    x = np.empty((n, params.cnn.channels[-1], h // f, wd // f),
+                 dtype=params.vector.dtype)
+    for part in parts:
+        x[part] = stack(part).transpose(0, 3, 1, 2)
+    return x
+
+
 def _run(params: ModelParams, images, tabular, keep_cache: bool):
     """Shared forward pass of checked inputs; the cache is for backward."""
     dtype = params.vector.dtype
@@ -431,29 +482,20 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
         logits = x @ params.view("w").T + params.view("b")
         cache["x"] = x
         return logits[:, 0], cache
-    cnn = params.cnn
-    n, h, wd = images.shape
-    f = 2 ** cnn.n_blocks
+    n = len(images)
     images = images.astype(dtype, copy=False)[:, :, :, None]  # (n, h, w, 1)
-    # the pooled maps in the head's (n, c, h, w) order
-    x = np.empty((n, cnn.channels[-1], h // f, wd // f), dtype=dtype)
-    last_rows = (h * wd * 4) // (f * f)  # GEMM rows per image, last block
-    parts = ([slice(0, n)] if keep_cache else _image_chunks(
-        images.shape, images.itemsize, -(-GEMM_ROW_FLOOR // last_rows)))
-    blocks = []
-    for part in parts:
-        xc = images[part]
-        for i in range(cnn.n_blocks):
-            pre, cols = _conv_forward(xc, params.view(f"conv{i}_w"),
-                                      params.view(f"conv{i}_b"))
-            act = np.maximum(pre, 0, out=pre)
-            pooled = _pool_forward(act)
-            if keep_cache:
-                blocks.append({"x_shape": xc.shape, "cols": cols, "act": act,
-                               "pooled": pooled})
-            xc = pooled
-        x[part] = xc.transpose(0, 3, 1, 2)
-    cache["blocks"] = blocks
+    blocks = cache["blocks"] = [] if keep_cache else None
+    parts = [slice(0, n)] if keep_cache else _inference_parts(params, n)
+    x = _last_maps(params, n, parts, lambda part: _conv_blocks(
+        params, images[part], 0, blocks))
+    return _head(params, x, tabular, cache), cache
+
+
+def _head(params: ModelParams, x: np.ndarray, tabular,
+          cache: dict) -> np.ndarray:
+    """Logits from the (n, c, h, w) maps of the last pool: DAFT's affine,
+    the flatten, early fusion's tabular columns, then the dense head."""
+    dtype = params.vector.dtype
     if params.kind == "daft":
         tab = tabular.astype(dtype, copy=False)
         c_last = params.cnn.channels[-1]
@@ -471,7 +513,13 @@ def _run(params: ModelParams, images, tabular, keep_cache: bool):
         cache["tab"] = tab
     logits = feats @ params.view("head_w").T + params.view("head_b")
     cache["feats"] = feats
-    return logits[:, 0], cache
+    return logits[:, 0]
+
+
+def _finite(logits: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(logits)):
+        raise NumericAbort("non-finite logits in forward pass")
+    return logits
 
 
 def forward(params: ModelParams, images: np.ndarray | None,
@@ -480,10 +528,7 @@ def forward(params: ModelParams, images: np.ndarray | None,
     _check_inputs(params, images, tabular)
     if len(tabular if images is None else images) == 0:
         return np.zeros(0, dtype=params.vector.dtype)
-    logits, _ = _run(params, images, tabular, keep_cache=False)
-    if not np.all(np.isfinite(logits)):
-        raise NumericAbort("non-finite logits in forward pass")
-    return logits
+    return _finite(_run(params, images, tabular, keep_cache=False)[0])
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -497,6 +542,161 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 def predict_proba(params: ModelParams, images) -> np.ndarray:
     return sigmoid(forward(params, images))
+
+
+# ---------------------------------------------------------------------------
+# Scoring ROI-swap masks
+
+
+@dataclass(frozen=True)
+class _WindowPlan:
+    """Block 0's pooled pixels against the r ROIs of a label map.
+
+    Pooled pixel v reads the 4x4 window of the zero-padded input at rows
+    2i..2i+3 and columns 2j..2j+3, and only the k ROIs in that window
+    decide its value under a swap mask.  Its 2^k swap patterns are the
+    table rows ``offsets[v]`` + p, where bit t of p keeps the window's t-th
+    ROI (ascending); ``weights[:, v]`` holds 2^t at that ROI's mask column,
+    so ``masks @ weights + offsets`` are a batch's row keys.  Row u's 16
+    window pixels are ``src[u]`` of the padded image and padded contrast,
+    stacked in that order."""
+    weights: np.ndarray  # (r, V) float32
+    offsets: np.ndarray  # (V,) int32
+    src: np.ndarray  # (U, 16) int32
+
+
+def _window_plan(index, h: int, wd: int) -> _WindowPlan | None:
+    """The plan of an (h, wd) label map's ROI index, or None when a window
+    has more swap patterns than a batch has masks (``explain.BATCH_SIZE``):
+    drawing that batch is then less work."""
+    r, pw, size = len(index), wd + 2, (h + 2) * (wd + 2)
+    col = np.full(size, r)  # mask column of each padded pixel; r: none
+    for j, idx in enumerate(index.values()):
+        col[idx + 2 * (idx // wd) + pw + 1] = j
+    corners = (2 * pw * np.arange(h // 2)[:, None]
+               + 2 * np.arange(wd // 2)).ravel()
+    pixels = corners[:, None] + (pw * np.arange(4)[:, None]
+                                 + np.arange(4)).ravel()
+    cols = col[pixels]  # (V, 16)
+    v = np.arange(len(cols))
+    present = np.zeros((len(cols), r + 1), dtype=bool)
+    present[v[:, None], cols] = True
+    k = present[:, :r].sum(axis=1)
+    if 2 ** int(k.max()) > explain.BATCH_SIZE:
+        return None
+    counts = 1 << k
+    offsets = np.cumsum(counts) - counts
+    # the t-th ROI of window v, ascending: slot[v, column] = t
+    win, roi = np.nonzero(present[:, :r])
+    t = np.arange(len(win)) - (np.cumsum(k) - k)[win]
+    weights = np.zeros((r, len(cols)), dtype=np.float32)
+    weights[roi, win] = 2.0 ** t
+    slot = np.zeros((len(cols), r + 1), dtype=np.int64)
+    slot[win, roi] = t
+    window = np.repeat(v, counts)
+    bits = slot[v[:, None], cols][window]  # (U, 16): each pixel's t
+    np.right_shift((np.arange(len(window)) - offsets[window])[:, None], bits,
+                   out=bits)  # the pattern's bit t
+    swapped = (bits & 1 == 0) & (cols < r)[window]
+    src = pixels[window].astype(np.int32)
+    np.add(src, size, out=src, where=swapped)
+    return _WindowPlan(weights=weights, offsets=offsets.astype(np.int32),
+                       src=src)
+
+
+def _by_table(params: ModelParams, n: int) -> bool:
+    """The exactness rule of the pattern table: it gives ``forward``'s
+    logits for a batch of n masks when block 0 is a GEMM with more than one
+    output channel (one channel is a GEMV, whose sums depend on the operand
+    layout) and ``forward``'s block-0 GEMM of every image chunk has at
+    least ``GEMM_ROW_FLOOR`` rows, as the table's own GEMM has: a row's
+    result then depends on the row's values only."""
+    h, wd = params.cnn.input_hw
+    return (params.kind == "lightweight" and params.cnn.channels[0] > 1
+            and all((p.stop - p.start) * h * wd >= GEMM_ROW_FLOOR
+                    for p in _inference_parts(params, n)))
+
+
+def _pattern_table(params: ModelParams, plan: _WindowPlan, image,
+                   contrast) -> np.ndarray:
+    """Block 0's pooled output, (U, c_out), of every table row's window:
+    conv, bias, ReLU and pool as ``_conv_forward`` and ``_pool_forward``
+    make them, by one channel-major GEMM padded with zero rows to at least
+    ``GEMM_ROW_FLOOR``."""
+    dtype = params.vector.dtype
+    h, wd = params.cnn.input_hw
+    padded = np.zeros((2, h + 2, wd + 2), dtype=dtype)
+    padded[0, 1:-1, 1:-1] = image
+    padded[1, 1:-1, 1:-1] = contrast
+    windows = padded.ravel()[plan.src].reshape(-1, 4, 4)
+    u = len(windows)
+    buf = np.empty((9, max(4 * u, GEMM_ROW_FLOOR)), dtype=dtype)
+    buf[:, 4 * u:] = 0
+    taps = buf[:, :4 * u].reshape(9, u, 2, 2)
+    for t in range(9):
+        ki, kj = divmod(t, 3)
+        taps[t] = windows[:, ki:ki + 2, kj:kj + 2]
+    w = params.view("conv0_w")
+    pre = (buf.T @ w.reshape(w.shape[0], -1).T)[:4 * u]
+    pre += params.view("conv0_b")
+    act = np.maximum(pre, 0, out=pre)
+    return _pool_forward(act.reshape(u, 2, 2, -1)).reshape(u, -1)
+
+
+def _swap_logits(params: ModelParams, plan: _WindowPlan, table: np.ndarray,
+                 masks: np.ndarray) -> np.ndarray:
+    """``forward``'s logits of the masks' composites: each image chunk's
+    block-1 input is gathered from the table by the chunk's pattern keys,
+    then the chunk runs blocks 1 and up, and the head takes the batch."""
+    n = len(masks)
+    h, wd = params.cnn.input_hw
+    kept = (masks != 0).astype(np.float32)
+
+    def block1_input(part):
+        # small integers: the float32 product is exact in any sum order
+        keys = (kept[part] @ plan.weights).astype(np.int32)
+        keys += plan.offsets
+        return np.take(table, keys, axis=0).reshape(len(keys), h // 2,
+                                                    wd // 2, -1)
+
+    x = _last_maps(params, n, _inference_parts(params, n), lambda part:
+                   _conv_blocks(params, block1_input(part), 1))
+    return _head(params, x, None, {})
+
+
+def swap_scorer(params: ModelParams, label_image: np.ndarray):
+    """``explain``'s pair scorer for an image model: (image, contrast) ->
+    a function from an (m, r) mask array over the ROI index of
+    ``label_image`` to ``predict_proba`` of ``explain.apply_mask``'s batch,
+    byte for byte, without drawing the batch where ``_by_table`` allows
+    (see the module docstring).  Non-finite logits raise ``NumericAbort``,
+    as in ``forward``."""
+    label_image = np.asarray(label_image)
+    _check_inputs(params, label_image[None], None)
+    index = explain.roi_pixel_sets(label_image)
+
+    # built by the first pair, so not held through the pool's forward pass;
+    # a batch shorter than a full one passes the rule only if a full one does
+    @functools.cache
+    def window_plan():
+        return (_window_plan(index, *label_image.shape)
+                if _by_table(params, explain.BATCH_SIZE) else None)
+
+    def pair(image, contrast):
+        plan = window_plan()
+        table = (None if plan is None
+                 else _pattern_table(params, plan, image, contrast))
+
+        def score(masks):
+            masks = np.asarray(masks).reshape(len(masks), len(index))
+            if table is None or not _by_table(params, len(masks)):
+                return predict_proba(params, explain.apply_mask(
+                    image, contrast, index, masks))
+            return sigmoid(_finite(_swap_logits(params, plan, table, masks)))
+
+        return score
+
+    return pair
 
 
 def class_weighted_bce(logits: np.ndarray, labels: np.ndarray,

@@ -564,16 +564,18 @@ def rank_rois(params: ModelParams, run: PreparedRun, n_explain: int,
               n_perturb: int, seed: int, with_counterfactuals: bool = False,
               ) -> tuple[list[explain.Explanation], explain.RoiRanking]:
     """Explain an image model on the development pool (groups 1-4, audited
-    as ``roi-ranking``) and rank the ROIs by mean importance."""
+    as ``roi-ranking``) and rank the ROIs by mean importance; its masks are
+    scored by ``learn.swap_scorer``."""
     run.box.request(CV_GROUPS, "roi-ranking")
     ids = sorted(r.id for r in run.records_of(CV_GROUPS))
     # float32 renders
     pool = dict(zip(ids, run.variant_data.images_of(ids, run.encoding)))
+    label_image = run.variant_data.label_image
     return explain.explain_pool(
-        lambda batch: learn.predict_proba(params, batch), pool,
-        run.variant_data.label_image, n_explain=n_explain,
-        n_perturb=n_perturb, seed=seed,
-        with_counterfactuals=with_counterfactuals)
+        lambda batch: learn.predict_proba(params, batch), pool, label_image,
+        n_explain=n_explain, n_perturb=n_perturb, seed=seed,
+        with_counterfactuals=with_counterfactuals,
+        scorer=learn.swap_scorer(params, label_image))
 
 
 def require_roi_selection(config: RunConfig) -> None:

@@ -3,7 +3,8 @@ trained CNN.  A one-seed lightweight run on the run-pin cohort (60
 subjects at 32³, synth seed 5), at 16x16 with channels (4, 8) and six
 epochs, gives the checkpoint; ``explain`` scores 150 perturbations per
 image (a full batch of ``BATCH_SIZE`` and a short one) with
-counterfactuals, and ``select-rois`` sweeps k = 3, 4.  The hash covers every file each command writes.
+counterfactuals, and ``select-rois`` sweeps k = 3, 4.  The hash covers
+every file each command writes.
 
 The hashes were taken at commit 38e44aa, where every mask was drawn as an
 image and scored by ``learn.forward``.  They hold BLAS results, so they are

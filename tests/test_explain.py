@@ -8,8 +8,8 @@ import pytest
 from strokepred import explain
 from strokepred.explain import (BATCH_SIZE, Explanation, RoiRanking,
                                 SurrogateModel, _predict, apply_mask,
-                                counterfactuals, explain_one, explain_pool,
-                                explanation_json,
+                                counterfactuals, drawing_scorer, explain_one,
+                                explain_pool, explanation_json,
                                 explanation_report, fit_surrogate,
                                 gen_perturbations, perturbation_masks,
                                 roi_pixel_sets)
@@ -32,6 +32,11 @@ def _layout():
 
 
 INDEX = roi_pixel_sets(_layout()[0])  # the layout's ROI index, over ROIS
+
+
+def _scored(classifier, original, contrast, index=INDEX):
+    """The pair's mask scorer that draws each batch for ``classifier``."""
+    return drawing_scorer(classifier, index)(original, contrast)
 
 
 def _sigmoid(z):
@@ -204,7 +209,7 @@ def test_gen_perturbations_row_structure_and_reproducibility():
     assert np.array_equal(perturbation_masks(4, 40, seed=5), masks)
     assert not np.array_equal(perturbation_masks(4, 40, seed=6)[5:],
                               masks[5:])
-    probs = gen_perturbations(original, contrast, INDEX, classifier, masks)
+    probs = gen_perturbations(_scored(classifier, original, contrast), masks)
     assert probs.shape == (40,) and probs.dtype == np.float64
     want = classifier(apply_mask(original, contrast, INDEX, masks))
     assert probs.tobytes() == want.tobytes()
@@ -232,7 +237,7 @@ def test_gen_perturbations_masks_match_the_per_bit_loop(r, n):
 def test_gen_perturbations_with_self_contrast_is_constant():
     labels, original, _ = _layout()
     classifier = _double(labels, original, -0.4, (2.0, 1.0, 0.5, 0.25))
-    probs = gen_perturbations(original, original.copy(), INDEX, classifier,
+    probs = gen_perturbations(_scored(classifier, original, original.copy()),
                               perturbation_masks(4, 20, seed=1))
     assert np.all(probs == probs[0])
 
@@ -318,7 +323,7 @@ def test_fit_surrogate_recovers_analytic_coefficients():
     classifier = _double(labels, original, b, coefs)
     masks = perturbation_masks(4, 300, seed=2)
     model = fit_surrogate(masks, gen_perturbations(
-        original, contrast, INDEX, classifier, masks))
+        _scored(classifier, original, contrast), masks))
     assert abs(model.intercept - b) <= 1e-3
     for got, want in zip(model.coefs, coefs):
         assert abs(got - want) <= 1e-3
@@ -364,14 +369,15 @@ def _fitted_double(b, coefs, n=300, seed=3):
     classifier = _double(labels, original, b, coefs)
     masks = perturbation_masks(4, n, seed)
     model = fit_surrogate(masks, gen_perturbations(
-        original, contrast, INDEX, classifier, masks))
+        _scored(classifier, original, contrast), masks))
     return labels, original, contrast, classifier, model
 
 
 def test_counterfactuals_match_brute_force_and_fidelity_bound():
     b, coefs = -3.2, (2.0, 1.0, 0.5, 1.5)  # all-ones logit 1.8 -> p 0.86
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
-    rows = counterfactuals(original, contrast, INDEX, classifier, model)
+    rows = counterfactuals(_scored(classifier, original, contrast), ROIS,
+                           model)
     # brute force: every <=2-ROI replacement, keep those crossing 0.5
     want = []
     from itertools import combinations
@@ -407,7 +413,8 @@ def test_surrogate_faithful_on_every_two_roi_mask():
 def test_counterfactuals_empty_when_nothing_crosses():
     b, coefs = 2.0, (0.1, 0.1, 0.1, 0.1)  # prediction stays above 0.5
     labels, original, contrast, classifier, model = _fitted_double(b, coefs)
-    assert counterfactuals(original, contrast, INDEX, classifier, model) == []
+    assert counterfactuals(_scored(classifier, original, contrast), ROIS,
+                           model) == []
 
 
 def test_counterfactuals_keep_the_base_the_explanation_gated_on():
@@ -426,7 +433,8 @@ def test_counterfactuals_keep_the_base_the_explanation_gated_on():
                          for img in batch])
 
     expl = explain_one("edge", original, contrast, INDEX,
-                       classifier, n=50, seed=7, with_counterfactuals=True)
+                       _scored(classifier, original, contrast), n=50, seed=7,
+                       with_counterfactuals=True)
     assert expl.base_probability == 0.5 + 1e-9
     assert "not_predicted_positive" not in expl.flags
     assert {row.replaced for row in expl.counterfactual_rows} == {
@@ -451,8 +459,8 @@ def _counterfactual_peak(n_rois):
 
     tracemalloc.start()
     try:
-        rows = counterfactuals(original, contrast, index, classifier,
-                               surrogate)
+        rows = counterfactuals(_scored(classifier, original, contrast, index),
+                               tuple(index), surrogate)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -473,7 +481,8 @@ def test_counterfactuals_score_the_swaps_in_batch_size_batches():
         sizes.append(len(batch))
         return np.full(len(batch), 0.2)
 
-    rows = counterfactuals(original, contrast, index, classifier, surrogate)
+    rows = counterfactuals(_scored(classifier, original, contrast, index),
+                           tuple(index), surrogate)
     assert sizes == [BATCH_SIZE, 210 - BATCH_SIZE]
     assert len(rows) == 210
 
@@ -485,8 +494,9 @@ def test_counterfactuals_score_the_swaps_in_batch_size_batches():
 def test_explain_one_null_contrast_nullity():
     labels, original, _ = _layout()
     classifier = _double(labels, original, 0.5, (2.0, 1.0, 0.5, 0.25))
-    expl = explain_one("img", original, original.copy(), INDEX, classifier,
-                       n=50, seed=4)
+    same = original.copy()
+    expl = explain_one("img", original, same, INDEX,
+                       _scored(classifier, original, same), n=50, seed=4)
     assert "self_contrast" in expl.flags
     assert "constant_response" in expl.flags
     assert expl.r2 is None
@@ -498,7 +508,7 @@ def test_explain_one_fields_and_json_round_trip():
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
     expl = explain_one("s0007", original, contrast, INDEX,
-                       classifier, n=200, seed=5)
+                       _scored(classifier, original, contrast), n=200, seed=5)
     assert expl.image_id == "s0007"
     assert expl.base_probability == pytest.approx(_sigmoid(b + sum(coefs)))
     assert set(expl.importance) == set(ROIS)
@@ -514,7 +524,7 @@ def test_explanation_report_mentions_equation_and_counterfactuals():
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
     expl = explain_one("s0007", original, contrast, INDEX,
-                       classifier, n=200, seed=5)
+                       _scored(classifier, original, contrast), n=200, seed=5)
     text = explanation_report(expl, roi_names={1: "front_left"})
     assert "logit = " in text
     assert "front_left" in text
@@ -526,7 +536,7 @@ def test_explain_one_flags_non_positive_base():
     labels, original, contrast = _layout()
     classifier = _double(labels, original, b, coefs)
     expl = explain_one("x", original, contrast, INDEX,
-                       classifier, n=50, seed=6)
+                       _scored(classifier, original, contrast), n=50, seed=6)
     assert "not_predicted_positive" in expl.flags
     assert expl.counterfactual_rows == ()
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strokepred import learn
+from strokepred import explain, learn
 from strokepred.core import FormatError, SubjectRecord
 from strokepred.learn import (
     CKP_MAGIC,
@@ -191,7 +191,7 @@ def _loss_and_piece(params, images, tabular, labels, weights):
     """The loss, and the piece of the piecewise-smooth loss that the forward
     pass evaluates: per conv block, the positions that the tie rules pass a
     gradient to (each pool window's first maximum, gated by ReLU > 0)."""
-    from strokepred import learn
+    from strokepred import explain, learn
     logits, cache = learn._run(params, images, tabular, keep_cache=True)
     piece = b"".join(
         (learn._relu_pool_backward(np.ones_like(b["pooled"]), b["act"],
@@ -624,6 +624,130 @@ def test_forward_memory_does_not_grow_with_the_batch():
     assert peak_bytes(256) <= 2 * peak_bytes(16)
 
 
+# ---------------------------------------------------------------------------
+# Scoring ROI-swap masks without drawing them
+
+
+def _swap_labels(hw, seed, n_rois=20):
+    """A label map of small overlapping rectangles, 1..n_rois."""
+    gen = np.random.default_rng(seed)
+    labels = np.zeros(hw, dtype=np.int64)
+    for roi in range(1, n_rois + 1):
+        y, x = gen.integers(0, hw[0] - 1), gen.integers(0, hw[1] - 1)
+        labels[y:y + gen.integers(1, 4), x:x + gen.integers(1, 4)] = roi
+    return labels
+
+
+def _swap_pair(kind, labels, seed):
+    """(image, contrast), float32: uniform noise, two constants, or a
+    plateau per ROI, each ROI level a sixteenth apart."""
+    gen = np.random.default_rng(seed)
+    if kind == "random":
+        return gen.uniform(size=(2, *labels.shape)).astype(np.float32)
+    if kind == "constant":
+        return np.stack([np.full(labels.shape, 0.5, np.float32),
+                         np.full(labels.shape, 0.25, np.float32)])
+    return np.stack([(labels % 7) / 16, (labels % 5) / 16]).astype(
+        np.float32)
+
+
+def _scored_both_ways(monkeypatch, params, labels, image, contrast, masks):
+    """(the swap scorer's probabilities, the number of batches it drew,
+    predict_proba of the drawn batch)."""
+    draws = []
+    apply_mask = explain.apply_mask
+
+    def counted(*args):
+        draws.append(1)
+        return apply_mask(*args)
+
+    monkeypatch.setattr(explain, "apply_mask", counted)
+    got = learn.swap_scorer(params, labels)(image, contrast)(masks)
+    monkeypatch.setattr(explain, "apply_mask", apply_mask)
+    index = explain.roi_pixel_sets(labels)
+    want = predict_proba(params, apply_mask(image, contrast, index, masks))
+    return got, len(draws), want
+
+
+@pytest.mark.parametrize("image_kind", ["random", "constant", "plateau"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("hw,channels", [((64, 64), (4, 8, 16)),
+                                         ((8, 16), (2, 3))])
+def test_swap_scorer_matches_forward_of_the_drawn_masks(
+        monkeypatch, hw, channels, dtype, image_kind):
+    params = build_params("lightweight", cnn=CnnConfig(hw, channels),
+                          rng=CounterRng(len(channels), "swap"), dtype=dtype)
+    for i, c in enumerate(channels):  # trained biases are not zero
+        params.view(f"conv{i}_b")[...] = np.linspace(-0.1, 0.1, c)
+    labels = _swap_labels(hw, seed=hw[1])
+    index = explain.roi_pixel_sets(labels)
+    image, contrast = _swap_pair(image_kind, labels, seed=hw[0])
+    masks = explain.perturbation_masks(len(index), 128, seed=2)
+    plan = learn._window_plan(index, *hw)
+    assert plan is not None
+    for n in (1, 22, 128):
+        got, draws, want = _scored_both_ways(monkeypatch, params, labels,
+                                             image, contrast, masks[:n])
+        assert got.tobytes() == want.tobytes(), n
+        # one 8x16 image is a 128-row block-0 GEMM: that batch is drawn
+        by_table = n > 1 or hw == (64, 64)
+        assert learn._by_table(params, n) == by_table
+        assert draws == (0 if by_table else 1)
+        if by_table:  # the logits themselves, not only their sigmoid
+            table = learn._pattern_table(params, plan, image, contrast)
+            logits = learn._swap_logits(params, plan, table, masks[:n])
+            drawn = explain.apply_mask(image, contrast, index, masks[:n])
+            assert logits.tobytes() == forward(params, drawn).tobytes(), n
+
+
+def test_a_one_channel_block_0_draws_its_masks(monkeypatch):
+    # a one-channel block 0 is a GEMV, whose sums depend on the layout
+    params = build_params("lightweight", cnn=CnnConfig((32, 32), (1, 4)),
+                          rng=CounterRng(1, "swap"))
+    params.view("conv0_b")[...] = 0.05
+    labels = _swap_labels((32, 32), seed=1)
+    image, contrast = _swap_pair("random", labels, seed=1)
+    masks = explain.perturbation_masks(20, 128, seed=3)
+    assert not learn._by_table(params, 128)
+    got, draws, want = _scored_both_ways(monkeypatch, params, labels, image,
+                                         contrast, masks)
+    assert draws == 1 and got.tobytes() == want.tobytes()
+
+
+def test_a_window_of_16_rois_draws_its_masks(monkeypatch):
+    # 2^16 swap patterns in one window: more than a batch has masks
+    params = build_params("lightweight", cnn=CnnConfig((16, 16), (4, 8)),
+                          rng=CounterRng(2, "swap"))
+    labels = np.zeros((16, 16), dtype=np.int64)
+    labels[1:5, 1:5] = np.arange(1, 17).reshape(4, 4)  # pooled pixel (1, 1)
+    index = explain.roi_pixel_sets(labels)
+    assert learn._by_table(params, 128)
+    assert learn._window_plan(index, 16, 16) is None
+    image, contrast = _swap_pair("random", labels, seed=2)
+    masks = explain.perturbation_masks(16, 128, seed=4)
+    got, draws, want = _scored_both_ways(monkeypatch, params, labels, image,
+                                         contrast, masks)
+    assert draws == 1 and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("channels", [(4, 8), (1, 4)])  # table, drawn
+def test_swap_scorer_refuses_non_finite_logits(channels):
+    params = build_params("lightweight", cnn=CnnConfig((16, 16), channels),
+                          rng=CounterRng(3, "swap"))
+    params.view("head_w")[...] = np.finfo(np.float32).max
+    labels = _swap_labels((16, 16), seed=3)
+    image, contrast = _swap_pair("random", labels, seed=3)
+    masks = explain.perturbation_masks(len(np.unique(labels)) - 1, 22, seed=5)
+    score = learn.swap_scorer(params, labels)(image, contrast)
+    drawn = explain.apply_mask(image, contrast,
+                               explain.roi_pixel_sets(labels), masks)
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericAbort, match="non-finite logits"):
+            score(masks)
+        with pytest.raises(NumericAbort, match="non-finite logits"):
+            forward(params, drawn)
+
+
 @pytest.mark.parametrize("kind", PARITY_KINDS)
 @pytest.mark.parametrize("cnn,n,dtype", [
     (CnnConfig((64, 64), (4, 8, 16)), 16, np.float32),  # training's shape
@@ -832,7 +956,7 @@ def test_train_snapshot_beats_final_epoch_when_val_worsens():
 
 
 def test_train_forwards_only_the_validation_set_once_per_epoch(monkeypatch):
-    from strokepred import learn
+    from strokepred import explain, learn
     tr, va = separable_sets()
     seen = []
     real_forward = learn.forward
@@ -862,7 +986,7 @@ def test_train_aborts_on_non_finite_minibatch_loss():
 
 
 def test_backward_skips_block_zero_input_gradient(monkeypatch):
-    from strokepred import learn
+    from strokepred import explain, learn
     calls = []
     real = learn._conv_input_grad
 

@@ -16,6 +16,7 @@ from strokepred import (core, evalharness, explain, glyphs, imaging, learn,
 from strokepred.explain import RoiRanking
 from strokepred.learn import TrainConfig
 from strokepred.pipeline import CohortData, ConfigError, RunConfig
+from strokepred.rng import CounterRng
 from strokepred.synthcohort import (SynthConfig, default_truth, gen_atlas,
                                     write_cohort)
 
@@ -768,30 +769,48 @@ def _ranking(cohort):
 
 
 def test_rank_rois_scores_float32_batches(tiny_cohort, monkeypatch):
-    # the renders are float32, and so is every pool and perturbation batch
-    # the classifier receives: no float64 copy is made on the way
+    # the renders are float32, and so is the pool batch the classifier
+    # receives: no float64 copy is made on the way.  Each explained image's
+    # masks go to the model's scorer for that (image, contrast) pair, which
+    # draws no composite image
     run = pipeline.prepare_run(tiny_cohort, fast_config(seeds=(1,)))
-    seen = []
-    explain_pool = explain.explain_pool
+    params = learn.build_params("lightweight", cnn=run.config.cnn,
+                                rng=CounterRng(1, "init"))
+    pool, rows = [], []
+    swap_scorer = learn.swap_scorer
 
-    def spied(classifier, *args, **kwargs):
-        def scored(batch):
-            seen.append((batch.dtype, len(batch)))
-            return classifier(batch)
+    def pool_proba(params, images):
+        pool.append((images.dtype, len(images)))
+        return np.full(len(images), 0.75)
 
-        return explain_pool(scored, *args, **kwargs)
+    def spied(params, label_image):
+        scorer = swap_scorer(params, label_image)
 
-    monkeypatch.setattr(pipeline.explain, "explain_pool", spied)
-    monkeypatch.setattr(pipeline.learn, "predict_proba",
-                        lambda params, images: np.full(len(images), 0.75))
+        def pair(image, contrast):
+            assert image.dtype == contrast.dtype == np.float32
+            score = scorer(image, contrast)
+
+            def scored(masks):
+                probs = score(masks)
+                assert probs.shape == (len(masks),)
+                rows.append(len(masks))
+                return np.full(len(masks), 0.75)  # every swap is scored
+
+            return scored
+
+        return pair
+
+    monkeypatch.setattr(pipeline.learn, "predict_proba", pool_proba)
+    monkeypatch.setattr(pipeline.learn, "swap_scorer", spied)
+    monkeypatch.setattr(pipeline.explain, "apply_mask", None)  # never drawn
     n_rois = len(explain.roi_pixel_sets(run.variant_data.label_image))
-    pipeline.rank_rois(None, run, n_explain=2, n_perturb=n_rois + 2, seed=0,
-                       with_counterfactuals=True)
-    assert {dtype for dtype, _ in seen} == {np.dtype(np.float32)}
-    # the pool, then per explained image its perturbations and its swaps
+    pipeline.rank_rois(params, run, n_explain=2, n_perturb=n_rois + 2,
+                       seed=0, with_counterfactuals=True)
+    assert {dtype for dtype, _ in pool} == {np.dtype(np.float32)}
+    assert sum(n for _, n in pool) == len(run.records_of(pipeline.CV_GROUPS))
+    # per explained image its perturbations and its swaps
     n_swaps = n_rois + n_rois * (n_rois - 1) // 2
-    assert sum(n for _, n in seen) == len(
-        run.records_of(pipeline.CV_GROUPS)) + 2 * (n_rois + 2 + n_swaps)
+    assert sum(rows) == 2 * (n_rois + 2 + n_swaps)
 
 
 def test_roi_count_sweep_runs(tiny_cohort):
